@@ -54,12 +54,9 @@ def main() -> int:
     # radial densities of the drift-level-1 flight, one and two turns
     grid = np.linspace(0.0, 1.0, 501)
     for n in (1, 2):
-        rows = []
-        for r in grid:
-            row = [r]
-            for d in (2, 3, 4):
-                row.append(radial_density_nu1(FlightParams(d=d, n=n, nu=1.0), float(r)))
-            rows.append(row)
+        rows = np.column_stack(
+            [grid] + [radial_density_nu1(FlightParams(d=d, n=n, nu=1.0), grid) for d in (2, 3, 4)]
+        )
         write_csv(
             os.path.join(args.out_dir, f"radial_density_nu1_n{n}.csv"),
             "r,d2,d3,d4",

@@ -74,6 +74,21 @@ def _parse_vector(text: str) -> list[float]:
         raise _UsageError(f"cannot parse vector {text!r}") from exc
 
 
+def _vector_args(cfg: dict, key: str, dim: int) -> np.ndarray:
+    """The repeatable ``--<key>`` vectors (flags or config lists) as a
+    (count, dim) array."""
+    raw = cfg.get(key)
+    if not raw:
+        raise _UsageError(f"--{key} vectors are required for this command")
+    if isinstance(raw, str):
+        raw = [raw]
+    vecs = [_parse_vector(v) if isinstance(v, str) else list(map(float, v)) for v in raw]
+    for vec in vecs:
+        if len(vec) != dim:
+            raise _UsageError(f"--{key} {vec} must have length {dim}")
+    return np.array(vecs, dtype=float)
+
+
 def _load_config_file(path: str | None) -> dict:
     if not path:
         return {}
@@ -111,6 +126,14 @@ def _flight_params(cfg: dict, need_m: bool = False) -> FlightParams:
         t=float(merged["t"]),
         m=int(m) if m is not None else None,
     )
+
+
+def _echo(command: str, p: FlightParams, **extra) -> dict:
+    """The resolved configuration written into every output header."""
+    return {
+        "command": command, "d": p.d, "m": p.m, "n": p.n, "nu": p.nu,
+        "c": p.c, "t": p.t, **extra,
+    }
 
 
 def _add_common(sub) -> None:
@@ -154,10 +177,7 @@ def _cmd_simulate(args) -> int:
     p = _flight_params(cfg)
     seed = int(cfg.get("seed", 0))
     out = _require_out(cfg)
-    cfg_echo = {
-        "command": "simulate", "d": p.d, "m": p.m, "n": p.n, "nu": p.nu,
-        "c": p.c, "t": p.t, "seed": seed, "count": count,
-    }
+    cfg_echo = _echo("simulate", p, seed=seed, count=count)
     finals = simulate_batch(p, count, seed)
     cols = ["replicate"] + [f"x{i}" for i in range(1, p.d + 1)]
     rows = ([float(i)] + [float(v) for v in finals[i]] for i in range(count))
@@ -196,10 +216,7 @@ def _cmd_density(args) -> int:
     need_m = formula in ("projected", "radial-projected")
     p = _flight_params(cfg, need_m=need_m)
     out = _require_out(cfg)
-    cfg_echo = {
-        "command": "density", "formula": formula, "d": p.d, "m": p.m,
-        "n": p.n, "nu": p.nu, "c": p.c, "t": p.t,
-    }
+    cfg_echo = _echo("density", p, formula=formula)
     if formula in ("radial-projected", "radial-nu1"):
         grid = _r_grid(cfg, p)
         fn = (
@@ -207,28 +224,17 @@ def _cmd_density(args) -> int:
             if formula == "radial-projected"
             else analytic.radial_density_nu1
         )
-        rows = [[float(r), fn(p, float(r))] for r in grid]
-        _write_csv(out, ["r", "density"], rows, cfg_echo)
+        _write_csv(out, ["r", "density"], zip(grid, fn(p, grid)), cfg_echo)
     else:
-        xs = cfg.get("x")
-        if not xs:
-            raise _UsageError(f"--x points are required for formula {formula}")
-        if isinstance(xs, str):
-            xs = [xs]
-        points = [_parse_vector(v) if isinstance(v, str) else list(map(float, v)) for v in xs]
         fn = {
             "projected": analytic.density_projection,
             "nu1": analytic.density_nu1,
             "nu1-closed": analytic.density_nu1_closed,
         }[formula]
         dim = p.m if formula == "projected" else p.d
-        rows = []
-        for pt in points:
-            if len(pt) != dim:
-                raise _UsageError(f"point {pt} must have length {dim}")
-            rows.append(list(pt) + [fn(p, np.array(pt))])
+        points = _vector_args(cfg, "x", dim)
         cols = [f"x{i}" for i in range(1, dim + 1)] + ["density"]
-        _write_csv(out, cols, rows, cfg_echo)
+        _write_csv(out, cols, np.column_stack((points, fn(p, points))), cfg_echo)
     _write_sidecar(out, cfg_echo)
     return 0
 
@@ -240,36 +246,21 @@ def _cmd_cf(args) -> int:
         raise _UsageError("--formula must be 'projected' or 'nu1'")
     p = _flight_params(cfg, need_m=(formula == "projected"))
     out = _require_out(cfg)
-    cfg_echo = {
-        "command": "cf", "formula": formula, "d": p.d, "m": p.m,
-        "n": p.n, "nu": p.nu, "c": p.c, "t": p.t,
-    }
-    rows = []
+    cfg_echo = _echo("cf", p, formula=formula)
     if formula == "projected":
         anorms = cfg.get("anorm")
         if not anorms:
             raise _UsageError("--anorm values are required for the projected cf")
         if isinstance(anorms, (int, float, str)):
             anorms = [anorms]
-        for a in anorms:
-            a = float(a)
-            alpha = np.zeros(p.m)
-            alpha[0] = a
-            rows.append([a, analytic.cf_projection(p, alpha)])
+        alphas = np.zeros((len(anorms), p.m))
+        alphas[:, 0] = [float(a) for a in anorms]
+        rows = np.column_stack((alphas[:, 0], analytic.cf_projection(p, alphas)))
         _write_csv(out, ["anorm", "cf"], rows, cfg_echo)
     else:
-        alphas = cfg.get("alpha")
-        if not alphas:
-            raise _UsageError("--alpha vectors are required for the nu1 cf")
-        if isinstance(alphas, str):
-            alphas = [alphas]
-        for raw in alphas:
-            vec = _parse_vector(raw) if isinstance(raw, str) else list(map(float, raw))
-            if len(vec) != p.d:
-                raise _UsageError(f"alpha {vec} must have length d={p.d}")
-            rows.append(vec + [analytic.cf_nu1(p, np.array(vec))])
+        alphas = _vector_args(cfg, "alpha", p.d)
         cols = [f"a{i}" for i in range(1, p.d + 1)] + ["cf"]
-        _write_csv(out, cols, rows, cfg_echo)
+        _write_csv(out, cols, np.column_stack((alphas, analytic.cf_nu1(p, alphas))), cfg_echo)
     _write_sidecar(out, cfg_echo)
     return 0
 
@@ -278,13 +269,9 @@ def _cmd_cdf(args) -> int:
     cfg = _resolved(args, _COMMON_KEYS + ["r-min", "r-max", "r-points"])
     p = _flight_params(cfg, need_m=True)
     out = _require_out(cfg)
-    cfg_echo = {
-        "command": "cdf", "d": p.d, "m": p.m, "n": p.n, "nu": p.nu,
-        "c": p.c, "t": p.t,
-    }
+    cfg_echo = _echo("cdf", p)
     grid = _r_grid(cfg, p)
-    rows = [[float(r), analytic.cdf_radial_projection(p, float(r))] for r in grid]
-    _write_csv(out, ["r", "cdf"], rows, cfg_echo)
+    _write_csv(out, ["r", "cdf"], zip(grid, analytic.cdf_radial_projection(p, grid)), cfg_echo)
     _write_sidecar(out, cfg_echo)
     return 0
 
@@ -299,10 +286,7 @@ def _cmd_moments(args) -> int:
         if isinstance(orders_raw, str)
         else [int(v) for v in orders_raw]
     )
-    cfg_echo = {
-        "command": "moments", "d": p.d, "m": p.m, "n": p.n, "nu": p.nu,
-        "c": p.c, "t": p.t, "orders": orders,
-    }
+    cfg_echo = _echo("moments", p, orders=orders)
     rows = [[float(k), analytic.radial_moment(p, k)] for k in orders]
     _write_csv(out, ["order", "moment"], rows, cfg_echo)
     _write_sidecar(out, cfg_echo)
@@ -317,22 +301,11 @@ def _cmd_mixture(args) -> int:
         raise _UsageError("--lam is required")
     mp = MixtureParams(lam=float(lam), base=p, n_max=int(cfg.get("n-max", 50)))
     out = _require_out(cfg)
-    xs = cfg.get("x")
-    if not xs:
-        raise _UsageError("--x points are required")
-    if isinstance(xs, str):
-        xs = [xs]
-    points = [_parse_vector(v) if isinstance(v, str) else list(map(float, v)) for v in xs]
-    cfg_echo = {
-        "command": "mixture", "d": p.d, "m": p.m, "nu": p.nu, "c": p.c,
-        "t": p.t, "lam": mp.lam, "n_max": mp.n_max,
-    }
-    rows = []
-    for pt in points:
-        if len(pt) != p.m:
-            raise _UsageError(f"point {pt} must have length m={p.m}")
-        rows.append(list(pt) + [analytic.unconditional_density_projection(mp, np.array(pt))])
+    points = _vector_args(cfg, "x", p.m)
+    cfg_echo = _echo("mixture", p, lam=mp.lam, n_max=mp.n_max)
+    del cfg_echo["n"]  # the mixture randomizes n
     cols = [f"x{i}" for i in range(1, p.m + 1)] + ["density"]
+    rows = np.column_stack((points, analytic.unconditional_density_projection(mp, points)))
     _write_csv(out, cols, rows, cfg_echo)
     _write_sidecar(out, cfg_echo, extra={"truncation_tail_bound": analytic.mixture_tail_bound(mp)})
     return 0

@@ -16,7 +16,9 @@ is bit-identical to ``simulate_flight(p, replicate_stream(p, seed, i))``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 from scipy.special import betaincinv, gammaincinv
@@ -57,6 +59,10 @@ class FlightParams:
     def __post_init__(self):
         if self.m is None:
             object.__setattr__(self, "m", self.d)
+        if not all(isinstance(v, Integral) for v in (self.d, self.n, self.m)):
+            raise ValueError("FlightParams requires integral d, n and m")
+        if not all(math.isfinite(v) for v in (self.nu, self.c, self.t)):
+            raise ValueError("FlightParams requires finite nu, c and t")
         if self.d < 2:
             raise ValueError("FlightParams requires d >= 2")
         if not 1 <= self.m <= self.d:

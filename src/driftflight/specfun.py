@@ -51,21 +51,25 @@ def gamma(x: float) -> float:
     return math.gamma(x)
 
 
-def _bessel_series(mu: float, x: float) -> float:
-    # sum_k (-1)^k / (k! Gamma(k+mu+1)) (x/2)^(2k+mu); safe for x <= max(12, mu)
-    half = 0.5 * x
-    log_t0 = mu * math.log(half) - math.lgamma(mu + 1.0)
+def _ascending_series(mu: float, x: float, log_t0: float) -> float:
+    # t0 sum_k (-1)^k (x/2)^(2k) / (k! (mu+1)_k) with t0 = exp(log_t0), the
+    # series shared by J_mu(x) and J_mu(x) / x^mu; safe for x <= max(12, mu)
     if log_t0 < -745.0:  # result underflows double precision
         return 0.0
     term = math.exp(log_t0)
     total = term
-    q = half * half
+    q = 0.25 * x * x
     for k in range(1, 600):
         term *= -q / (k * (k + mu))
         total += term
-        if abs(term) <= 1e-17 * (abs(total) + 1e-30):
+        if abs(term) <= 1e-17 * abs(total):
             break
     return total
+
+
+def _bessel_series(mu: float, x: float) -> float:
+    # sum_k (-1)^k / (k! Gamma(k+mu+1)) (x/2)^(2k+mu)
+    return _ascending_series(mu, x, mu * math.log(0.5 * x) - math.lgamma(mu + 1.0))
 
 
 def _neumann_coeffs(mu0: float, count: int) -> list[float]:
@@ -135,15 +139,7 @@ def bessel_j_ratio(mu: float, x: float) -> float:
     if x < 0.0:
         raise ValueError(f"bessel_j_ratio requires x >= 0, got {x}")
     if _series_ok(mu, x):
-        term = math.exp(-mu * math.log(2.0) - math.lgamma(mu + 1.0))
-        total = term
-        q = 0.25 * x * x
-        for k in range(1, 600):
-            term *= -q / (k * (k + mu))
-            total += term
-            if abs(term) <= 1e-17 * (abs(total) + 1e-30):
-                break
-        return total
+        return _ascending_series(mu, x, -mu * math.log(2.0) - math.lgamma(mu + 1.0))
     return _bessel_miller(mu, x) * math.exp(-mu * math.log(x))
 
 

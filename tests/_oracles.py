@@ -8,6 +8,7 @@ paths it is used to check.
 import math
 
 import numpy as np
+from scipy.integrate import quad
 from scipy.special import roots_legendre
 
 
@@ -42,12 +43,38 @@ def gl_grid(n: int, a: float, b: float):
     return a + (x + 1.0) * half, w * half
 
 
-def point_with_norm(d: int, r: float, xd: float) -> np.ndarray:
-    """A point of norm r whose last coordinate is xd (needs |xd| <= r)."""
-    x = np.zeros(d)
-    x[-1] = xd
-    x[0] = math.sqrt(max(r * r - xd * xd, 0.0))
+def point_with_norm(d: int, r, xd) -> np.ndarray:
+    """Points of norm r whose last coordinate is xd (needs |xd| <= r).
+
+    r and xd broadcast; the points lie along a new last axis of length d.
+    """
+    r, xd = np.broadcast_arrays(np.asarray(r, dtype=float), np.asarray(xd, dtype=float))
+    x = np.zeros(r.shape + (d,))
+    x[..., -1] = xd
+    x[..., 0] = np.sqrt(np.maximum(r * r - xd * xd, 0.0))
     return x
+
+
+def radial_cdf_oracle(d: int, m: int, n: int, nu: float, r: float) -> float:
+    """CDF of the projected radius at c t = 1 by quadrature of its Beta law.
+
+    R^2 ~ Beta(a, b) with a = m/2 and b = K - (m+1)/2 + 1, where
+    K = (n+1)(2 nu + d - 1)/2.  Substituting r^2 = sin^2(u) turns the Beta
+    density into 2 sin^(2a-1)(u) cos^(2b-1)(u) / B(a, b), which is smooth
+    on [0, pi/2) for every a >= 1/2 and b >= 1.
+    """
+    a = 0.5 * m
+    b = 0.5 * (n + 1) * (2.0 * nu + d - 1.0) - 0.5 * (m + 1) + 1.0
+    upper = math.asin(min(max(r, 0.0), 1.0))
+    val, _ = quad(
+        lambda u: 2.0 * math.sin(u) ** (2.0 * a - 1.0) * math.cos(u) ** (2.0 * b - 1.0),
+        0.0,
+        upper,
+        epsabs=1e-14,
+        epsrel=1e-13,
+        limit=400,
+    )
+    return val * math.exp(math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b))
 
 
 def ball_integral_rho_xd(f_r_xd, d: int, ct: float, nr: int = 300, ng: int = 200) -> float:

@@ -15,10 +15,9 @@ import pytest
 
 from driftflight.analytic import (
     MixtureParams,
-    _cdf_radial_vec,
-    _density_nu1_closed_core,
     cdf_radial_projection,
     cf_nu1,
+    density_nu1,
     density_nu1_closed,
     density_projection,
     fractional_poisson_pmf,
@@ -34,7 +33,7 @@ from driftflight.validation import (
     identity_grid,
     ks_distance,
 )
-from _oracles import ball_integral_rho_xd, gl_grid
+from _oracles import ball_integral_rho_xd, gl_grid, point_with_norm, radial_cdf_oracle
 
 MASTER_SEED = 20260808
 
@@ -138,18 +137,8 @@ def test_criterion_03_normalizations():
     for d in (2, 3, 4):
         for n in (1, 2):
             p = FlightParams(d=d, n=n, nu=1.0)
-            # the vectorized core is the public function's implementation;
-            # pin them together before integrating it
-            for r, xd in ((0.3, 0.1), (0.7, -0.5), (0.95, 0.2)):
-                x = np.zeros(d)
-                x[-1] = xd
-                x[0] = math.sqrt(r * r - xd * xd)
-                assert density_nu1_closed(p, x) == pytest.approx(
-                    float(_density_nu1_closed_core(p, np.array([r * r]), np.array([xd * xd]))[0]),
-                    rel=1e-14,
-                )
             total = ball_integral_rho_xd(
-                lambda rr, xd: _density_nu1_closed_core(p, rr * rr, xd * xd),
+                lambda rr, xd: density_nu1_closed(p, point_with_norm(d, rr, xd)),
                 d,
                 p.c * p.t,
                 nr=400,
@@ -256,12 +245,12 @@ def test_criterion_05_monte_carlo_radial_law(mc_radii):
     for d, m, n, nu in CRITERION5_GRID:
         p = FlightParams(d=d, n=n, nu=nu, m=m)
         radii = cache[(d, m, n, nu)]
-        F = _cdf_radial_vec(p, radii)
+        F = cdf_radial_projection(p, radii)
         ks = ks_distance(radii, F)
-        # tie the vectorized CDF to the named scalar operation
+        # tie the CDF to an independent quadrature of the Beta law
         mid = float(radii[len(radii) // 2])
         assert float(F[len(radii) // 2]) == pytest.approx(
-            cdf_radial_projection(p, mid), abs=1e-9
+            radial_cdf_oracle(d, m, n, nu, mid), abs=1e-9
         )
         worst = max(worst, ks)
         assert ks < 0.01, (d, m, n, nu, ks)
@@ -269,7 +258,7 @@ def test_criterion_05_monte_carlo_radial_law(mc_radii):
     p = FlightParams(d=3, n=1, nu=1.0, m=1)
     finals = simulate_batch(p, 100_000, MASTER_SEED + 1)
     radii = np.sort(np.abs(finals[:, 0]))
-    ks_neg = ks_distance(radii, _cdf_radial_vec(replace(p, nu=0.0), radii))
+    ks_neg = ks_distance(radii, cdf_radial_projection(replace(p, nu=0.0), radii))
     assert ks_neg > 0.05, ks_neg
     elapsed = build_time + (time.perf_counter() - t0)
     assert elapsed < 600.0
@@ -304,13 +293,7 @@ def test_criterion_06_monte_carlo_cf_nu1():
 
 
 def test_criterion_07_fourier_self_consistency():
-    from driftflight.analytic import _density_nu1_core, density_nu1
-
     p = FlightParams(d=2, n=1, nu=1.0)
-    # pin the vectorized core to the public density before integrating it
-    assert density_nu1(p, [0.3, 0.2]) == pytest.approx(
-        float(_density_nu1_core(p, np.array([0.13]), np.array([0.04]))[0]), rel=1e-14
-    )
     u, wu = gl_grid(160, 0.0, 0.5 * math.pi)
     g, wg = gl_grid(320, 0.0, 2.0 * math.pi)
     cosg, sing = np.cos(g), np.sin(g)
@@ -321,7 +304,7 @@ def test_criterion_07_fourier_self_consistency():
         for ui, wui in zip(u, wu):
             r = math.sin(ui)
             jac = math.cos(ui)
-            dens = _density_nu1_core(p, np.full_like(g, r * r), (r * sing) ** 2)
+            dens = density_nu1(p, np.stack((r * cosg, r * sing), axis=-1))
             total += wui * jac * r * float(
                 np.dot(wg, dens * np.cos(a1 * r * cosg + a2 * r * sing))
             )

@@ -6,11 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import dblquad, quad
-from scipy.special import betainc
 
 from driftflight.analytic import (
     MixtureParams,
-    _cdf_radial_vec,
     cdf_radial_projection,
     cf_nu1,
     cf_projection,
@@ -26,7 +24,7 @@ from driftflight.analytic import (
 )
 from driftflight.flight import FlightParams, simulate_batch
 from driftflight.specfun import bessel_j_ratio
-from _oracles import gl_grid, point_with_norm, sphere_section_integral
+from _oracles import gl_grid, point_with_norm, radial_cdf_oracle, sphere_section_integral
 
 
 def _rng(seed=0):
@@ -166,40 +164,81 @@ def test_cdf_folded_uniform():
     assert cdf_radial_projection(p, 0.5) == pytest.approx(0.5, rel=1e-12)
 
 
-def test_cdf_finite_sum_agrees_with_quadrature():
-    # q = 1 is an integer here, so the public path takes the finite sum;
-    # compare to direct quadrature of the radial density
-    p = FlightParams(d=3, n=1, nu=0.0, m=1)
-    ct = p.c * p.t
-    for r in (0.2, 0.55, 0.9):
-        direct, _ = quad(
-            lambda u: radial_density_projection(p, ct * math.sin(u)) * ct * math.cos(u),
-            0.0,
-            math.asin(r / ct),
-            limit=200,
-        )
-        assert cdf_radial_projection(p, r) == pytest.approx(direct, abs=1e-8)
-
-
-def test_cdf_both_branches_match_incomplete_beta():
-    # integer q exercises the finite sum, half-integer q the quadrature
-    for d, m, n, nu in ((3, 1, 1, 0.0), (2, 1, 2, 0.0), (3, 2, 1, 0.25), (4, 2, 2, 0.5)):
+def test_cdf_matches_quadrature_and_closed_form():
+    # q = 1, 0.5, 1, 4.5 and 219, against quadrature of the Beta law and of
+    # the radial density; for m = 2 the CDF is also 1 - (1 - r^2)^(q+1).  At
+    # q = 219 a binomial finite sum of the CDF cancels catastrophically.
+    rs = np.array([0.05, 0.1, 0.2, 0.4, 0.55, 0.7, 0.8, 0.9, 0.99])
+    for d, m, n, nu in (
+        (3, 1, 1, 0.0), (2, 1, 2, 0.0), (3, 2, 1, 0.25), (4, 2, 2, 0.5), (20, 2, 20, 1.0),
+    ):
         p = FlightParams(d=d, n=n, nu=nu, m=m)
-        K = 0.5 * (n + 1) * (2 * nu + d - 1)
-        q = K - 0.5 * (m + 1)
-        for r in (0.1, 0.4, 0.8, 0.99):
-            expected = betainc(0.5 * m, q + 1.0, r * r)
-            assert cdf_radial_projection(p, r) == pytest.approx(expected, abs=1e-9)
-            assert float(_cdf_radial_vec(p, np.array([r]))[0]) == pytest.approx(
-                expected, rel=1e-13
+        ct = p.c * p.t
+        got = cdf_radial_projection(p, rs)
+        for r, val in zip(rs, got):
+            assert val == pytest.approx(radial_cdf_oracle(d, m, n, nu, r), abs=1e-9)
+            direct, _ = quad(
+                lambda u: radial_density_projection(p, ct * math.sin(u)) * ct * math.cos(u),
+                0.0,
+                math.asin(r / ct),
+                limit=200,
             )
+            assert val == pytest.approx(direct, abs=1e-8)
+        if m == 2:
+            q = 0.5 * (n + 1) * (2 * nu + d - 1) - 1.5
+            assert got == pytest.approx(1.0 - (1.0 - rs * rs) ** (q + 1.0), abs=1e-12)
 
 
 def test_cdf_monotone():
     p = FlightParams(d=4, n=2, nu=1.0, m=2)
-    grid = np.linspace(0.0, 1.0, 25)
-    vals = [cdf_radial_projection(p, float(r)) for r in grid]
-    assert all(b >= a - 1e-12 for a, b in zip(vals, vals[1:]))
+    vals = cdf_radial_projection(p, np.linspace(0.0, 1.0, 25))
+    assert np.all(np.diff(vals) >= -1e-12)
+
+
+# --------------------------------------------------- array inputs
+
+def test_laws_broadcast_and_return_scalars_for_one_point():
+    proj = FlightParams(d=4, n=2, nu=0.5, m=2)
+    full = FlightParams(d=3, n=2, nu=1.0)
+    rng = _rng(31)
+    pts_m = rng.uniform(-0.6, 0.6, size=(2, 3, 2))
+    pts_d = rng.uniform(-0.5, 0.5, size=(2, 3, 3))
+    radii = rng.uniform(0.0, 1.0, size=(2, 3))
+    mixture = MixtureParams(lam=1.5, base=proj)
+    for law, p, arr in (
+        (cf_projection, proj, 4.0 * pts_m),
+        (density_projection, proj, pts_m),
+        (radial_density_projection, proj, radii),
+        (cdf_radial_projection, proj, radii),
+        (cf_nu1, full, 4.0 * pts_d),
+        (density_nu1, full, pts_d),
+        (density_nu1_closed, full, pts_d),
+        (radial_density_nu1, full, radii),
+        (unconditional_density_projection, mixture, pts_m),
+    ):
+        batch = law(p, arr)
+        assert batch.shape == (2, 3), law.__name__
+        one = law(p, arr[1, 2])
+        assert isinstance(one, np.float64), law.__name__
+        # one point and a batch give the same bits
+        assert one == batch[1, 2], law.__name__
+
+
+def test_laws_propagate_nan():
+    proj = FlightParams(d=3, n=1, nu=0.0, m=2)
+    full = FlightParams(d=3, n=1, nu=1.0)
+    nan = math.nan
+    assert math.isnan(density_projection(proj, [nan, 0.0]))
+    for law, p, arr in (
+        (density_projection, proj, [[nan, 0.0], [0.3, 0.0]]),
+        (radial_density_projection, proj, [nan, 0.3]),
+        (cdf_radial_projection, proj, [nan, 0.3]),
+        (density_nu1, full, [[nan, 0.0, 0.0], [0.3, 0.0, 0.0]]),
+        (density_nu1_closed, full, [[0.0, 0.0, nan], [0.3, 0.0, 0.0]]),
+        (radial_density_nu1, full, [nan, 0.3]),
+    ):
+        vals = law(p, arr)
+        assert math.isnan(vals[0]) and vals[1] > 0.0, law.__name__
 
 
 # -------------------------------------------------------- moments
@@ -425,14 +464,12 @@ def test_radial_density_nu1_normalizes():
 
 
 def test_radial_density_nu1_equals_sphere_integral():
-    from driftflight.analytic import _density_nu1_closed_core
-
     for d in (2, 3):
         for n in (1, 2):
             p = FlightParams(d=d, n=n, nu=1.0)
             for r in (0.2, 0.55, 0.9):
                 direct = sphere_section_integral(
-                    lambda rr, xd: _density_nu1_closed_core(p, rr * rr, xd * xd),
+                    lambda rr, xd: density_nu1_closed(p, point_with_norm(d, rr, xd)),
                     d,
                     r,
                 )
@@ -449,13 +486,13 @@ def test_radial_density_nu1_shapes():
         for n in (1, 2):
             p = FlightParams(d=d, n=n, nu=1.0)
             grid = np.linspace(1e-4, 1.0 - 1e-4, 600)
-            vals = np.array([radial_density_nu1(p, float(r)) for r in grid])
+            vals = radial_density_nu1(p, grid)
             assert np.all(vals > 0.0)
             assert vals[0] < 1e-2
     for d, n in ((4, 1), (4, 2), (3, 2)):
         p = FlightParams(d=d, n=n, nu=1.0)
         grid = np.linspace(1e-4, 1.0 - 1e-4, 600)
-        vals = np.array([radial_density_nu1(p, float(r)) for r in grid])
+        vals = radial_density_nu1(p, grid)
         k = int(np.argmax(vals))
         assert 0 < k < len(grid) - 1
     p = FlightParams(d=2, n=1, nu=1.0)
@@ -550,8 +587,6 @@ def test_mixture_non_negative_and_domain():
 
 def test_density_nu1_fourier_matches_cf():
     # 2-D quadrature of the density against plane waves over the disk
-    from driftflight.analytic import _density_nu1_core
-
     p = FlightParams(d=2, n=1, nu=1.0)
     u, wu = gl_grid(160, 0.0, 0.5 * math.pi)
     g, wg = gl_grid(320, 0.0, 2.0 * math.pi)
@@ -563,7 +598,7 @@ def test_density_nu1_fourier_matches_cf():
             r = math.sin(ui)
             jac = math.cos(ui)
             x1, x2 = r * cosg, r * sing
-            dens = _density_nu1_core(p, np.full_like(g, r * r), x2 * x2)
+            dens = density_nu1(p, np.stack((x1, x2), axis=-1))
             total += wui * jac * r * float(np.dot(wg, dens * np.cos(a1 * x1 + a2 * x2)))
         assert total == pytest.approx(cf_nu1(p, np.asarray(alpha)), abs=1e-5)
 

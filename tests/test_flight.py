@@ -33,6 +33,14 @@ def test_params_validation():
         FlightParams(d=3, n=1, nu=0.0, c=0.0)
     with pytest.raises(ValueError):
         FlightParams(d=3, n=1, nu=0.0, m=4)
+    with pytest.raises(ValueError):
+        FlightParams(d=3, n=1, nu=math.nan)
+    with pytest.raises(ValueError):
+        FlightParams(d=3, n=1, nu=0.0, c=math.inf)
+    with pytest.raises(ValueError):
+        FlightParams(d=2.5, n=1, nu=0.0)
+    with pytest.raises(ValueError):
+        FlightParams(d=3, n=1.5, nu=0.0)
     p = FlightParams(d=3, n=1, nu=0.0)
     assert p.m == 3  # defaults to the ambient dimension
 

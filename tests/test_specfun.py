@@ -125,6 +125,12 @@ def test_bessel_ratio_limit_and_consistency():
             assert bessel_j_ratio(mu, x) == pytest.approx(
                 bessel_j(mu, x) / x**mu, rel=1e-10, abs=1e-300
             )
+    # high orders: the value is far below 1e-30 and the series must still
+    # run until its terms are negligible relative to the sum
+    for mu, x in ((49.0, 5.0), (30.0, 2.0)):
+        assert bessel_j_ratio(mu, x) == pytest.approx(
+            bessel_series_oracle(mu, x) / x**mu, rel=1e-10, abs=1e-300
+        )
 
 
 @settings(max_examples=40, deadline=None)
