@@ -164,19 +164,21 @@ def test_cdf_folded_uniform():
     assert cdf_radial_projection(p, 0.5) == pytest.approx(0.5, rel=1e-12)
 
 
-def test_cdf_matches_quadrature_and_closed_form():
-    # q = 1, 0.5, 1, 4.5 and 219, against quadrature of the Beta law and of
-    # the radial density; for m = 2 the CDF is also 1 - (1 - r^2)^(q+1).  At
-    # q = 219 a binomial finite sum of the CDF cancels catastrophically.
-    rs = np.array([0.05, 0.1, 0.2, 0.4, 0.55, 0.7, 0.8, 0.9, 0.99])
-    for d, m, n, nu in (
-        (3, 1, 1, 0.0), (2, 1, 2, 0.0), (3, 2, 1, 0.25), (4, 2, 2, 0.5), (20, 2, 20, 1.0),
-    ):
+# q = 1, 0.5, 1, 4.5 and 219; at q = 219 a binomial finite sum of the CDF
+# cancels catastrophically
+_CDF_SETS = ((3, 1, 1, 0.0), (2, 1, 2, 0.0), (3, 2, 1, 0.25), (4, 2, 2, 0.5), (20, 2, 20, 1.0))
+_CDF_RADII = np.array([0.05, 0.1, 0.2, 0.4, 0.55, 0.7, 0.8, 0.9, 0.99])
+
+
+def test_cdf_finite_sum_agrees_with_quadrature():
+    # against direct quadrature of the radial density; for m = 2 the CDF is
+    # also the finite form 1 - (1 - r^2)^(q+1)
+    rs = _CDF_RADII
+    for d, m, n, nu in _CDF_SETS:
         p = FlightParams(d=d, n=n, nu=nu, m=m)
         ct = p.c * p.t
         got = cdf_radial_projection(p, rs)
         for r, val in zip(rs, got):
-            assert val == pytest.approx(radial_cdf_oracle(d, m, n, nu, r), abs=1e-9)
             direct, _ = quad(
                 lambda u: radial_density_projection(p, ct * math.sin(u)) * ct * math.cos(u),
                 0.0,
@@ -187,6 +189,15 @@ def test_cdf_matches_quadrature_and_closed_form():
         if m == 2:
             q = 0.5 * (n + 1) * (2 * nu + d - 1) - 1.5
             assert got == pytest.approx(1.0 - (1.0 - rs * rs) ** (q + 1.0), abs=1e-12)
+
+
+def test_cdf_both_branches_match_incomplete_beta():
+    # integer and half-integer q, against quadrature of the Beta law
+    for d, m, n, nu in _CDF_SETS:
+        p = FlightParams(d=d, n=n, nu=nu, m=m)
+        got = cdf_radial_projection(p, _CDF_RADII)
+        for r, val in zip(_CDF_RADII, got):
+            assert val == pytest.approx(radial_cdf_oracle(d, m, n, nu, r), abs=1e-9)
 
 
 def test_cdf_monotone():
