@@ -110,7 +110,9 @@ def _supported(outside, values) -> np.ndarray:
 
 
 def _bessel_ratios(mu: float, w: np.ndarray) -> np.ndarray:
-    return np.array([bessel_j_ratio(mu, wi) for wi in w.ravel()]).reshape(w.shape)
+    """bessel_j_ratio(mu, w) elementwise; NaN at a non-finite w."""
+    vals = [bessel_j_ratio(mu, wi) if math.isfinite(wi) else math.nan for wi in w.ravel()]
+    return np.array(vals).reshape(w.shape)
 
 
 # ----------------------------------------------------------------------

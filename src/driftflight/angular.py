@@ -17,16 +17,19 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy.special import betaincinv
 
 __all__ = [
     "AngleVector",
+    "angles_from_uniforms",
     "angles_to_direction",
     "angular_density",
     "marginal_angular_density",
     "sample_angles",
+    "unit_vectors",
 ]
 
 TWO_PI = 2.0 * math.pi
@@ -122,38 +125,59 @@ def marginal_angular_density(angles, d: int, m: int, nu: float) -> float:
     return math.exp(log_norm) * prod
 
 
+@lru_cache(maxsize=256)
+def _beta_params(d: int, nu: float) -> np.ndarray:
+    # the symmetric Beta parameter of each of the d-1 angles: the d-2
+    # colatitudes, then the [0, pi] part of the azimuth
+    a = np.array(
+        [_theta_beta_param(d, nu, j) for j in range(1, d - 1)] + [_azimuth_beta_param(nu)]
+    )
+    a.flags.writeable = False
+    return a
+
+
+def angles_from_uniforms(u, d: int, nu: float) -> tuple[np.ndarray, np.ndarray]:
+    """Inverse transform: uniforms (..., d) to colatitudes (..., d-2) and
+    azimuths (...).  The first d-2 uniforms give the colatitudes, the next
+    the azimuth's [0, pi] part and the last its reflection coin."""
+    u = np.asarray(u, dtype=float)
+    a = _beta_params(d, nu)
+    angles = np.arccos(1.0 - 2.0 * betaincinv(a, a, u[..., : d - 1]))
+    phi0 = angles[..., -1]
+    return angles[..., :-1], np.where(u[..., d - 1] < 0.5, phi0, TWO_PI - phi0)
+
+
+def unit_vectors(thetas, phi) -> np.ndarray:
+    """Map colatitudes (..., d-2) and azimuths (...) to unit vectors
+    (..., d): x_1 = cos theta_1, x_i = sin theta_1 ... sin theta_{i-1}
+    cos theta_i, and the last two components carry the azimuth,
+    x_{d-1} = sin theta_1 ... sin theta_{d-2} cos phi and x_d the same
+    with sin phi."""
+    angles = np.concatenate(
+        [np.asarray(thetas, dtype=float), np.asarray(phi, dtype=float)[..., None]], axis=-1
+    )
+    # the running products of 1, sin theta_1, ..., sin theta_{d-2}, sin phi
+    # times cos theta_1, ..., cos theta_{d-2}, cos phi, 1 (x * 1 is exact);
+    # sin and cos fill fresh contiguous arrays, so one row and a batch run
+    # the same numpy loop and give the same bits
+    shape = angles.shape[:-1] + (angles.shape[-1] + 1,)
+    sins, coss = np.empty(shape), np.empty(shape)
+    sins[..., 0] = coss[..., -1] = 1.0
+    sins[..., 1:] = np.sin(angles)
+    coss[..., :-1] = np.cos(angles)
+    return sins.cumprod(axis=-1) * coss
+
+
 def sample_angles(d: int, nu: float, rng: np.random.Generator) -> AngleVector:
     """Draw one AngleVector; consumes exactly d uniforms from ``rng``."""
     if d < 2:
         raise ValueError("sample_angles requires d >= 2")
     if nu < 0.0:
         raise ValueError("sample_angles requires nu >= 0")
-    u = rng.random(d)
-    thetas = []
-    for j in range(1, d - 1):
-        aj = _theta_beta_param(d, nu, j)
-        thetas.append(float(np.arccos(1.0 - 2.0 * betaincinv(aj, aj, u[j - 1]))))
-    ap = _azimuth_beta_param(nu)
-    phi0 = np.arccos(1.0 - 2.0 * betaincinv(ap, ap, u[d - 2]))
-    phi = float(np.where(u[d - 1] < 0.5, phi0, TWO_PI - phi0))
-    return AngleVector(tuple(thetas), phi, d)
+    thetas, phi = angles_from_uniforms(rng.random(d), d, nu)
+    return AngleVector(tuple(map(float, thetas)), float(phi), d)
 
 
 def angles_to_direction(a: AngleVector) -> np.ndarray:
-    """Map angles to the unit vector whose last two components carry the
-    azimuth: x_d = sin theta_1 ... sin theta_{d-2} sin phi and so on down
-    to x_1 = cos theta_1."""
-    d = a.d
-    if d == 2:
-        return np.array([np.cos(a.phi), np.sin(a.phi)], dtype=float)
-    th = np.asarray(a.thetas, dtype=float)
-    sins = np.sin(th)
-    coss = np.cos(th)
-    sp = np.cumprod(sins)
-    out = np.empty(d, dtype=float)
-    out[0] = coss[0]
-    for i in range(1, d - 2):
-        out[i] = sp[i - 1] * coss[i]
-    out[d - 2] = sp[d - 3] * np.cos(a.phi)
-    out[d - 1] = sp[d - 3] * np.sin(a.phi)
-    return out
+    """The unit vector of one AngleVector (see :func:`unit_vectors`)."""
+    return unit_vectors(a.thetas, a.phi)

@@ -80,8 +80,9 @@ def _vector_args(cfg: dict, key: str, dim: int) -> np.ndarray:
     raw = cfg.get(key)
     if not raw:
         raise _UsageError(f"--{key} vectors are required for this command")
-    if isinstance(raw, str):
-        raw = [raw]
+    flat = isinstance(raw, list) and all(isinstance(v, (int, float)) for v in raw)
+    if isinstance(raw, str) or flat:
+        raw = [raw]  # one vector: a comma-separated string or a flat list of numbers
     vecs = [_parse_vector(v) if isinstance(v, str) else list(map(float, v)) for v in raw]
     for vec in vecs:
         if len(vec) != dim:
@@ -281,11 +282,11 @@ def _cmd_moments(args) -> int:
     p = _flight_params(cfg, need_m=True)
     out = _require_out(cfg)
     orders_raw = cfg.get("orders", "1,2,4")
-    orders = (
-        [int(v) for v in str(orders_raw).split(",")]
-        if isinstance(orders_raw, str)
-        else [int(v) for v in orders_raw]
-    )
+    if isinstance(orders_raw, str):
+        orders_raw = orders_raw.split(",")
+    elif isinstance(orders_raw, (int, float)):
+        orders_raw = [orders_raw]  # one order
+    orders = [int(k) for k in orders_raw]
     cfg_echo = _echo("moments", p, orders=orders)
     rows = [[float(k), analytic.radial_moment(p, k)] for k in orders]
     _write_csv(out, ["order", "moment"], rows, cfg_echo)
@@ -401,7 +402,8 @@ def main(argv=None) -> int:
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
-    except (ValueError, KeyError) as exc:
+    except (ValueError, KeyError, TypeError) as exc:
+        # TypeError: a config-file value of the wrong JSON type
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
     except OSError as exc:

@@ -10,8 +10,11 @@ Reproducibility contract
 arguments and independent of how the work is chunked or distributed.
 Replicate i owns a dedicated counter-offset substream of a Philox stream
 keyed by the master seed (see :func:`replicate_stream`), and every
-replicate consumes the same fixed number of uniforms, so row i of a batch
-is bit-identical to ``simulate_flight(p, replicate_stream(p, seed, i))``.
+replicate consumes the same fixed number of uniforms.  Both entry points
+run one sampler kernel on rows of those uniforms: ``simulate_batch`` on a
+chunk of rows, ``simulate_flight`` on one row.  Row i of a batch and
+``simulate_flight(p, replicate_stream(p, seed, i))`` are therefore the
+same kernel on the same uniforms, and bit-identical.
 """
 
 from __future__ import annotations
@@ -21,10 +24,14 @@ from dataclasses import dataclass
 from numbers import Integral
 
 import numpy as np
-from scipy.special import betaincinv, gammaincinv
 
-from .angular import TWO_PI, _azimuth_beta_param, _theta_beta_param, angles_to_direction, sample_angles
-from .temporal import _U_FLOOR, IntertimeVector, sample_intertimes
+from .angular import angles_from_uniforms, unit_vectors
+from .temporal import waiting_times
+
+# unused here, but bench/tracing.py wraps these five names on this module
+from scipy.special import betaincinv, gammaincinv  # noqa: F401
+from .angular import angles_to_direction, sample_angles  # noqa: F401
+from .temporal import sample_intertimes  # noqa: F401
 
 __all__ = [
     "FlightParams",
@@ -113,21 +120,30 @@ def replicate_stream(p: FlightParams, master_seed: int, index: int) -> np.random
     return np.random.Generator(bg)
 
 
-def simulate_flight(p: FlightParams, rng: np.random.Generator) -> Trajectory:
-    """Simulate one flight; n = 0 degenerates to a single segment of
-    length c t."""
-    if p.n >= 1:
-        iv = sample_intertimes(p.n, p.d, p.nu, p.t, rng)
+def _segments(p: FlightParams, U: np.ndarray):
+    """The sampler kernel: uniform rows (count, draws_per_flight(p)) to,
+    per segment in order, the waiting times (count,) and displacements
+    (count, d).  Segments come one at a time, so working memory stays a
+    few (count, d) arrays."""
+    n, d = p.n, p.d
+    if n >= 1:
+        col, taus = n + 1, waiting_times(U[:, : n + 1], d, p.nu, p.t)
     else:
-        iv = IntertimeVector(np.array([p.t]), p.t)
-    bps = np.zeros((p.n + 2, p.d), dtype=float)
-    times = np.zeros(p.n + 2, dtype=float)
-    pos = np.zeros(p.d, dtype=float)
-    for k, tau in enumerate(iv.taus):
-        direction = angles_to_direction(sample_angles(p.d, p.nu, rng))
-        pos = pos + (p.c * tau) * direction
-        bps[k + 1] = pos
-        times[k + 1] = times[k] + tau
+        col, taus = 0, np.full((len(U), 1), p.t)
+    lengths = p.c * taus
+    for k in range(n + 1):
+        thetas, phi = angles_from_uniforms(U[:, col + k * d : col + (k + 1) * d], d, p.nu)
+        yield taus[:, k], lengths[:, k, None] * unit_vectors(thetas, phi)
+
+
+def simulate_flight(p: FlightParams, rng: np.random.Generator) -> Trajectory:
+    """Simulate one flight: the batch kernel on one row of
+    ``draws_per_flight(p)`` uniforms.  n = 0 degenerates to a single
+    segment of length c t."""
+    segs = list(_segments(p, rng.random((1, draws_per_flight(p)))))
+    # positions and epochs accumulate from zero in segment order
+    times = np.array([0.0] + [tau[0] for tau, _ in segs]).cumsum()
+    bps = np.array([np.zeros(p.d)] + [step[0] for _, step in segs]).cumsum(axis=0)
     return Trajectory(bps, times)
 
 
@@ -144,52 +160,6 @@ def radial(x) -> float:
     return float(np.linalg.norm(np.asarray(x, dtype=float)))
 
 
-def _finals_from_uniform_rows(p: FlightParams, U: np.ndarray) -> np.ndarray:
-    # Vectorized mirror of simulate_flight: identical elementwise
-    # operations in identical order, so rows match the scalar path bitwise.
-    count = U.shape[0]
-    d, n, nu, c, t = p.d, p.n, p.nu, p.c, p.t
-    if n >= 1:
-        ut = np.maximum(U[:, : n + 1], _U_FLOOR)
-        g = gammaincinv(2.0 * nu + d - 1.0, ut)
-        s = g.sum(axis=1)
-        taus = np.empty((count, n + 1), dtype=float)
-        taus[:, :n] = t * g[:, :n] / s[:, None]
-        taus[:, n] = t - taus[:, :n].sum(axis=1)
-        col = n + 1
-    else:
-        taus = np.full((count, 1), t)
-        col = 0
-    final = np.zeros((count, d), dtype=float)
-    comps = np.empty((count, d), dtype=float)
-    for k in range(n + 1):
-        base = col + k * d
-        if d > 2:
-            th = np.empty((count, d - 2), dtype=float)
-            for j in range(1, d - 1):
-                aj = _theta_beta_param(d, nu, j)
-                th[:, j - 1] = np.arccos(
-                    1.0 - 2.0 * betaincinv(aj, aj, U[:, base + j - 1])
-                )
-            sins = np.sin(th)
-            coss = np.cos(th)
-            sp = np.cumprod(sins, axis=1)
-        ap = _azimuth_beta_param(nu)
-        phi0 = np.arccos(1.0 - 2.0 * betaincinv(ap, ap, U[:, base + d - 2]))
-        phi = np.where(U[:, base + d - 1] < 0.5, phi0, TWO_PI - phi0)
-        if d == 2:
-            comps[:, 0] = np.cos(phi)
-            comps[:, 1] = np.sin(phi)
-        else:
-            comps[:, 0] = coss[:, 0]
-            for i in range(1, d - 2):
-                comps[:, i] = sp[:, i - 1] * coss[:, i]
-            comps[:, d - 2] = sp[:, d - 3] * np.cos(phi)
-            comps[:, d - 1] = sp[:, d - 3] * np.sin(phi)
-        final += (c * taus[:, k])[:, None] * comps
-    return final
-
-
 def simulate_batch(
     p: FlightParams,
     count: int,
@@ -201,17 +171,15 @@ def simulate_batch(
     Output is bit-deterministic given (p, count, master_seed) and invariant
     under ``chunk_size``, which only bounds working memory.
     """
-    if count < 1:
-        raise ValueError("simulate_batch requires count >= 1")
+    step = chunk_size or _DEFAULT_CHUNK
+    if count < 1 or step < 1:
+        raise ValueError("simulate_batch requires count >= 1 and chunk_size >= 1")
     L = draws_per_flight(p)
     Lpad = _padded_draws(p)
     gen = np.random.Generator(np.random.Philox(key=master_seed))
-    finals = np.empty((count, p.d), dtype=float)
-    step = chunk_size if chunk_size else _DEFAULT_CHUNK
-    done = 0
-    while done < count:
-        k = min(step, count - done)
-        U = gen.random((k, Lpad))
-        finals[done : done + k] = _finals_from_uniform_rows(p, U[:, :L])
-        done += k
+    finals = np.zeros((count, p.d), dtype=float)
+    for done in range(0, count, step):
+        rows = finals[done : done + step]
+        for _, disp in _segments(p, gen.random((len(rows), Lpad))[:, :L]):
+            rows += disp
     return finals

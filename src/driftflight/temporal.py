@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammaincinv
 
-__all__ = ["IntertimeVector", "intertime_density", "sample_intertimes"]
+__all__ = ["IntertimeVector", "intertime_density", "sample_intertimes", "waiting_times"]
 
 # floor for raw uniforms so gammaincinv never returns an exact zero
 _U_FLOOR = 1e-300
@@ -67,6 +67,16 @@ def intertime_density(v: IntertimeVector, d: int, nu: float) -> float:
     return math.exp(log_val)
 
 
+def waiting_times(u, d: int, nu: float, t: float) -> np.ndarray:
+    """Inverse transform: uniforms (..., n+1) to waiting times (..., n+1)
+    summing to t; the last one is the residual t - sum(rest)."""
+    g = gammaincinv(_shape(d, nu), np.maximum(u, _U_FLOOR))
+    taus = np.empty_like(g)
+    taus[..., :-1] = t * g[..., :-1] / g.sum(axis=-1)[..., None]
+    taus[..., -1] = t - taus[..., :-1].sum(axis=-1)
+    return taus
+
+
 def sample_intertimes(
     n: int, d: int, nu: float, t: float, rng: np.random.Generator
 ) -> IntertimeVector:
@@ -75,10 +85,4 @@ def sample_intertimes(
         raise ValueError("sample_intertimes requires n >= 1")
     if d < 2 or nu < 0.0 or t <= 0.0:
         raise ValueError("sample_intertimes requires d >= 2, nu >= 0, t > 0")
-    u = np.maximum(rng.random(n + 1), _U_FLOOR)
-    g = gammaincinv(_shape(d, nu), u)
-    s = g.sum()
-    taus = np.empty(n + 1, dtype=float)
-    taus[:n] = t * g[:n] / s
-    taus[n] = t - taus[:n].sum()
-    return IntertimeVector(taus, t)
+    return IntertimeVector(waiting_times(rng.random(n + 1), d, nu, t), t)

@@ -247,6 +247,8 @@ def test_laws_propagate_nan():
         (density_nu1, full, [[nan, 0.0, 0.0], [0.3, 0.0, 0.0]]),
         (density_nu1_closed, full, [[0.0, 0.0, nan], [0.3, 0.0, 0.0]]),
         (radial_density_nu1, full, [nan, 0.3]),
+        (cf_projection, proj, [[nan, 0.0], [0.3, 0.0]]),
+        (cf_nu1, full, [[0.0, 0.0, nan], [0.3, 0.0, 0.0]]),
     ):
         vals = law(p, arr)
         assert math.isnan(vals[0]) and vals[1] > 0.0, law.__name__

@@ -227,3 +227,35 @@ def test_config_file_with_flag_override(tmp_path):
     assert code == 0
     rows = _read_rows(out)
     assert rows[0, 1] == pytest.approx(0.4, rel=1e-12)
+
+
+_CONFIG_BASE = {
+    "mixture": ["mixture", "--d", "2", "--m", "1", "--nu", "0", "--lam", "1.0"],
+    "moments": ["moments", "--d", "3", "--m", "2", "--n", "1"],
+    "cf": ["cf", "--formula", "projected", "--d", "3", "--m", "2", "--n", "1"],
+}
+
+
+@pytest.mark.parametrize(
+    "command,config,flags",
+    [
+        ("mixture", {"x": [0.3]}, ["--x", "0.3"]),  # a flat list is one vector
+        ("moments", {"orders": 2}, ["--orders", "2"]),  # a scalar is one order
+        ("cf", {"anorm": [[1.0]]}, None),  # malformed: a usage error
+        ("mixture", {"x": [[0.3], {"x": 0.3}]}, None),
+        ("moments", {"c": [1.0]}, None),
+    ],
+)
+def test_config_values_of_other_json_types(tmp_path, capsys, command, config, flags):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    out = tmp_path / "cfg.csv"
+    code = main(_CONFIG_BASE[command] + ["--config", str(cfg), "--out", str(out)])
+    if flags is None:
+        assert code == USAGE_ERROR
+        assert capsys.readouterr().err.startswith("error: ")
+    else:
+        assert code == 0
+        ref = tmp_path / "flags.csv"
+        assert main(_CONFIG_BASE[command] + flags + ["--out", str(ref)]) == 0
+        assert out.read_bytes() == ref.read_bytes()

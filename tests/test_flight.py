@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from driftflight.analytic import radial_moment
+from driftflight.angular import angles_to_direction, sample_angles
 from driftflight.flight import (
     FlightParams,
     draws_per_flight,
@@ -56,13 +57,17 @@ def test_trajectory_segments_match_intertimes():
     p = FlightParams(d=4, n=3, nu=1.0, c=1.3, t=2.0)
     seed = 77
     tr = simulate_flight(p, replicate_stream(p, seed, 0))
-    # the same stream replayed through the temporal module gives the
-    # exact waiting times the trajectory consumed
-    taus = sample_intertimes(p.n, p.d, p.nu, p.t, replicate_stream(p, seed, 0)).taus
+    # the same stream replayed through the temporal module and then the
+    # angular module gives the exact waiting times and directions the
+    # trajectory consumed
+    replay = replicate_stream(p, seed, 0)
+    taus = sample_intertimes(p.n, p.d, p.nu, p.t, replay).taus
     np.testing.assert_allclose(np.diff(tr.times), taus, rtol=0, atol=1e-15)
     steps = np.diff(tr.breakpoints, axis=0)
     for k in range(p.n + 1):
         assert np.linalg.norm(steps[k]) == pytest.approx(p.c * taus[k], abs=1e-9)
+        direction = angles_to_direction(sample_angles(p.d, p.nu, replay))
+        np.testing.assert_allclose(steps[k] / (p.c * taus[k]), direction, rtol=0, atol=1e-12)
     assert tr.times[-1] == pytest.approx(p.t, rel=1e-12)
     assert tr.breakpoints.shape == (p.n + 2, p.d)
 
@@ -97,7 +102,8 @@ def test_batch_is_deterministic():
 
 
 @pytest.mark.parametrize(
-    "d,n,nu", [(2, 1, 0.0), (3, 2, 1.0), (4, 0, 0.5), (5, 3, 2.0)]
+    "d,n,nu",
+    [(2, 1, 0.0), (3, 2, 1.0), (4, 0, 0.5), (5, 3, 2.0), (2, 0, 0.0), (3, 9, 0.3)],
 )
 def test_batch_rows_equal_sequential_flights(d, n, nu):
     p = FlightParams(d=d, n=n, nu=nu, c=0.7, t=1.4)
