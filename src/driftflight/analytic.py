@@ -54,6 +54,7 @@ __all__ = [
 
 _LN_PI = math.log(math.pi)
 _LN_2 = math.log(2.0)
+_EPS = np.finfo(float).eps
 _lgamma = np.vectorize(math.lgamma, otypes=[float])
 
 
@@ -109,10 +110,42 @@ def _supported(outside, values) -> np.ndarray:
     return np.where(outside, 0.0, values)[()]
 
 
-def _bessel_ratios(mu: float, w: np.ndarray) -> np.ndarray:
-    """bessel_j_ratio(mu, w) elementwise; NaN at a non-finite w."""
-    vals = [bessel_j_ratio(mu, wi) if math.isfinite(wi) else math.nan for wi in w.ravel()]
+def _bessel_ratios(mu: float, w: np.ndarray, log_scale=0.0) -> np.ndarray:
+    """bessel_j_ratio(mu, w, log_scale) elementwise (log_scale broadcasts
+    with w); NaN at a non-finite w."""
+    w, log_scale = np.broadcast_arrays(w, log_scale)
+    vals = [
+        bessel_j_ratio(mu, wi, si) if math.isfinite(wi) else math.nan
+        for wi, si in zip(w.ravel().tolist(), log_scale.ravel().tolist())
+    ]
     return np.array(vals).reshape(w.shape)
+
+
+def _log_size(pieces) -> float:
+    """The magnitude that rounding scales with in exp(sum(pieces))."""
+    return sum(abs(v) for v in pieces)
+
+
+def _checked_sum(terms, sizes, log_pref: float, tol: float, name: str, kind: str):
+    """Sum the terms (T, ...) of an alternating series over the first axis.
+
+    Each term is exp of a sum of logs of size ``sizes`` (T, ...) plus the
+    common ``log_pref``, so, summed, it carries a relative rounding error
+    of about eps (size + T); the common part scales the total and is not
+    amplified by cancellation.  Raises ValueError where the error bound
+    exceeds ``tol`` (``kind`` is "absolute" or "relative" to the total).
+    """
+    total = terms.sum(axis=0)
+    spread = np.where(terms == 0.0, 0.0, np.abs(terms) * (sizes + len(terms)))
+    err = _EPS * (spread.sum(axis=0) + np.abs(total) * abs(log_pref))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        loss = err / np.abs(total) if kind == "relative" else err
+        if np.any(loss > tol):
+            raise ValueError(
+                f"{name}: cancellation in the alternating sum may lose up to "
+                f"{np.nanmax(loss):.1e} {kind} (tolerance {tol:g})"
+            )
+    return total
 
 
 # ----------------------------------------------------------------------
@@ -214,7 +247,8 @@ def cf_nu1(p: FlightParams, alpha):
 
     Alternating sum of n+2 Bessel terms; the dependence on the direction
     of alpha enters only through alpha_d^2 / ||alpha||^2.  Equals 1 at
-    alpha = 0 (series limit).
+    alpha = 0 (series limit).  Raises ValueError where the sum may lose
+    more than 1e-9 absolute to rounding.
     """
     _require_nu1(p)
     _require_n(p)
@@ -225,21 +259,28 @@ def cf_nu1(p: FlightParams, alpha):
     with np.errstate(invalid="ignore"):
         ratio = alpha[..., -1] ** 2 / rho**2
     w = p.c * p.t * rho
+    with np.errstate(divide="ignore"):
+        log_w2 = 2.0 * np.log(w)
     M = (n + 1) * (d + 1)
-    pref = math.exp(0.5 * _LN_PI + math.lgamma(M) - 0.5 * (M - 1) * _LN_2)
-    total = np.zeros(rho.shape)
+    log_pref = 0.5 * _LN_PI + math.lgamma(M) - 0.5 * (M - 1) * _LN_2
+    terms, sizes = [], []
     for j in range(n + 2):
         nj = n + 1 - j
         mu_j = 0.5 * ((n + 1) * (d + 3) - (2 * j + 1))
-        total += (
-            (-1.0) ** nj
-            * math.comb(n + 1, j)
-            * (ratio * 0.5 * (d + 1)) ** nj
-            * math.exp(-math.lgamma(0.5 * (n + 1) * (d + 3) - j))
-            * _bessel_ratios(mu_j, w)
-            * w ** (2 * nj)
-        )
-    return np.where(rho2 == 0.0, 1.0, pref * total)[()]
+        pieces = [
+            math.log(math.comb(n + 1, j)),
+            nj * math.log(0.5 * (d + 1)),
+            -math.lgamma(0.5 * (n + 1) * (d + 3) - j),
+        ]
+        # the prefactor and w^(2 nj) ride in the Bessel ratio's log scale
+        log_w_part = nj * log_w2 if nj else np.zeros(w.shape)
+        t = ratio**nj * _bessel_ratios(mu_j, w, log_pref + sum(pieces) + log_w_part)
+        terms.append((-1.0) ** nj * t)
+        # the ratio adds -lgamma(mu_j + 1) - mu_j log 2 of its own
+        own = math.lgamma(mu_j + 1.0) + mu_j * _LN_2
+        sizes.append(_log_size(pieces) + own + np.abs(log_w_part))
+    total = _checked_sum(np.array(terms), np.array(sizes), log_pref, 1e-9, "cf_nu1", "absolute")
+    return np.where(rho2 == 0.0, 1.0, total)[()]
 
 
 def _nu1_point_terms(p: FlightParams, x):
@@ -253,7 +294,8 @@ def density_nu1(p: FlightParams, x):
     """Density of the full flight at nu = 1, any n >= 1.
 
     A double sum over the falling-factorial coefficient tables; even in
-    x_d and invariant under rotations fixing the x_d axis.
+    x_d and invariant under rotations fixing the x_d axis.  Raises
+    ValueError where the sum may lose more than 1e-9 relative to rounding.
     """
     _require_nu1(p)
     _require_n(p)
@@ -261,32 +303,29 @@ def density_nu1(p: FlightParams, x):
     d, n = p.d, p.n
     ct = p.c * p.t
     M = (n + 1) * (d + 1)
-    pref = math.exp(
-        math.lgamma(M) - 0.5 * (d - 1) * _LN_PI - (M - 1) * math.log(2.0 * ct)
-    )
-    total = np.zeros(Q.shape)
+    # x_d^(2k) Q^e = (c t)^(n (d+1)) (x_d^2 / c^2 t^2)^k (Q / c^2 t^2)^e
+    log_pref = math.lgamma(M) - 0.5 * (d - 1) * _LN_PI - (M - 1) * _LN_2 - d * math.log(ct)
+    rows = []  # per term: sign, log of its constant, that log's size, e, k
+    for j in range(n + 2):
+        nj = n + 1 - j
+        for k, a_k in enumerate(_coeff_row(nj)):
+            e = 0.5 * n * (d + 1) - k
+            pieces = [
+                math.log(math.comb(n + 1, j)),
+                nj * math.log(0.5 * (d + 1)),
+                -math.lgamma(0.5 * (n + 1) * (d + 3) - j),
+                math.log(a_k),
+                -math.lgamma(e + 1.0),
+            ]
+            rows.append(((-1.0) ** (nj + k), sum(pieces), _log_size(pieces), e, k))
+    sign, log_c, size, e, k = (np.reshape(v, (-1,) + (1,) * Q.ndim) for v in zip(*rows))
     with np.errstate(divide="ignore", invalid="ignore"):
-        for j in range(n + 2):
-            nj = n + 1 - j
-            a_row = _coeff_row(nj)
-            cj = (
-                (-1.0) ** nj
-                * math.comb(n + 1, j)
-                * (0.5 * (d + 1)) ** nj
-                * math.exp(-math.lgamma(0.5 * (n + 1) * (d + 3) - j))
-            )
-            inner = np.zeros(Q.shape)
-            for k in range(nj + 1):
-                e = 0.5 * n * (d + 1) - k
-                inner += (
-                    (-1.0) ** k
-                    * a_row[k]
-                    * math.exp(-math.lgamma(e + 1.0))
-                    * xx**k
-                    * Q**e
-                )
-            total += cj * inner
-        return _supported(rho2 >= ct * ct, pref * total)
+        log_point = e * np.log(Q / ct**2) + np.where(k > 0, k * np.log(xx / ct**2), 0.0)
+        terms = sign * np.exp(log_pref + log_c + log_point)
+        total = _checked_sum(
+            terms, size + np.abs(log_point), log_pref, 1e-9, "density_nu1", "relative"
+        )
+        return _supported(rho2 >= ct * ct, total)
 
 
 def density_nu1_closed(p: FlightParams, x):

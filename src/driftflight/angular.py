@@ -5,31 +5,39 @@ sin^(2 nu + d - 2) theta_1 ... sin^(2 nu + 1) theta_{d-2} sin^(2 nu) phi
 on [0, pi]^(d-2) x [0, 2 pi].  nu = 0 is the uniform law on the sphere;
 increasing nu concentrates the azimuth near pi/2 and 3 pi/2.
 
-Sampling is exact inversion, not rejection: each colatitude has
-cos theta = 1 - 2 B with B a symmetric Beta variate, and the azimuth is a
-[0, pi] variate of the same kind plus a fair reflection coin (the
-sin^(2 nu) profile is symmetric about pi).  Every draw consumes a fixed
-number of uniforms, which is what makes the batched simulation in
-:mod:`driftflight.flight` bit-reproducible replicate by replicate.
+On the sphere this density is the uniform surface element times
+(sin theta_1 ... sin theta_{d-2} sin phi)^(2 nu) = |x_d|^(2 nu), so a
+direction is Y / |Y| with Y_1 .. Y_{d-1} independent standard normals and
+Y_d = +-chi_{2 nu + 1} with a fair sign (Marsaglia 1972; Devroye 1986,
+ch. V).  Sampling is structural, not rejection: when 2 nu is an integer
+|Y_d| is the root of a sum of 2 nu + 1 squared normals, otherwise
+sqrt(2 G) with G one inverse-CDF Gamma(nu + 1/2) value.  Every draw
+consumes a fixed number of uniforms, which is what makes the batched
+simulation in :mod:`driftflight.flight` bit-reproducible replicate by
+replicate.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
-from scipy.special import betaincinv
+from scipy.special import gammaincinv, ndtri
+
+from .temporal import _U_FLOOR, _sum_draws
+
+# unused here, but bench/tracing.py wraps this name on this module
+from scipy.special import betaincinv  # noqa: F401
 
 __all__ = [
     "AngleVector",
-    "angles_from_uniforms",
     "angles_to_direction",
     "angular_density",
+    "direction_draws",
+    "directions",
     "marginal_angular_density",
     "sample_angles",
-    "unit_vectors",
 ]
 
 TWO_PI = 2.0 * math.pi
@@ -65,16 +73,6 @@ class AngleVector:
 def _theta_exponent(d: int, nu: float, j: int) -> float:
     # exponent of sin(theta_j), j = 1 .. d-2
     return 2.0 * nu + d - 1.0 - j
-
-
-def _theta_beta_param(d: int, nu: float, j: int) -> float:
-    # cos(theta_j) = 1 - 2B with B ~ Beta(a, a) gives density prop. to
-    # sin^{2a-1}; match 2a - 1 to the sin exponent.
-    return 0.5 * (_theta_exponent(d, nu, j) + 1.0)
-
-
-def _azimuth_beta_param(nu: float) -> float:
-    return nu + 0.5
 
 
 def angular_density(a: AngleVector, nu: float) -> float:
@@ -125,59 +123,53 @@ def marginal_angular_density(angles, d: int, m: int, nu: float) -> float:
     return math.exp(log_norm) * prod
 
 
-@lru_cache(maxsize=256)
-def _beta_params(d: int, nu: float) -> np.ndarray:
-    # the symmetric Beta parameter of each of the d-1 angles: the d-2
-    # colatitudes, then the [0, pi] part of the azimuth
-    a = np.array(
-        [_theta_beta_param(d, nu, j) for j in range(1, d - 1)] + [_azimuth_beta_param(nu)]
-    )
-    a.flags.writeable = False
-    return a
+def direction_draws(d: int, nu: float) -> int:
+    """Uniforms one direction consumes: d-1 normals, |Y_d| (2 nu + 1
+    normals, or one uniform for gammaincinv), then a sign."""
+    return d + _sum_draws(2.0 * nu + 1.0)
 
 
-def angles_from_uniforms(u, d: int, nu: float) -> tuple[np.ndarray, np.ndarray]:
-    """Inverse transform: uniforms (..., d) to colatitudes (..., d-2) and
-    azimuths (...).  The first d-2 uniforms give the colatitudes, the next
-    the azimuth's [0, pi] part and the last its reflection coin."""
-    u = np.asarray(u, dtype=float)
-    a = _beta_params(d, nu)
-    angles = np.arccos(1.0 - 2.0 * betaincinv(a, a, u[..., : d - 1]))
-    phi0 = angles[..., -1]
-    return angles[..., :-1], np.where(u[..., d - 1] < 0.5, phi0, TWO_PI - phi0)
-
-
-def unit_vectors(thetas, phi) -> np.ndarray:
-    """Map colatitudes (..., d-2) and azimuths (...) to unit vectors
-    (..., d): x_1 = cos theta_1, x_i = sin theta_1 ... sin theta_{i-1}
-    cos theta_i, and the last two components carry the azimuth,
-    x_{d-1} = sin theta_1 ... sin theta_{d-2} cos phi and x_d the same
-    with sin phi."""
-    angles = np.concatenate(
-        [np.asarray(thetas, dtype=float), np.asarray(phi, dtype=float)[..., None]], axis=-1
-    )
-    # the running products of 1, sin theta_1, ..., sin theta_{d-2}, sin phi
-    # times cos theta_1, ..., cos theta_{d-2}, cos phi, 1 (x * 1 is exact);
-    # sin and cos fill fresh contiguous arrays, so one row and a batch run
-    # the same numpy loop and give the same bits
-    shape = angles.shape[:-1] + (angles.shape[-1] + 1,)
-    sins, coss = np.empty(shape), np.empty(shape)
-    sins[..., 0] = coss[..., -1] = 1.0
-    sins[..., 1:] = np.sin(angles)
-    coss[..., :-1] = np.cos(angles)
-    return sins.cumprod(axis=-1) * coss
+def directions(u, d: int, nu: float) -> np.ndarray:
+    """Structural transform: uniforms (..., direction_draws(d, nu)) to unit
+    vectors (..., d).  The first d-1 uniforms give the normals
+    Y_1 .. Y_{d-1}, the next ones |Y_d| and the last the sign of Y_d."""
+    u = np.maximum(u, _U_FLOOR)
+    k = _sum_draws(2.0 * nu + 1.0)
+    if k == 2.0 * nu + 1.0:
+        z = ndtri(u[..., :-1])
+        chi2 = (z[..., d - 1 :] ** 2).sum(axis=-1)
+    else:
+        z = ndtri(u[..., : d - 1])
+        chi2 = 2.0 * gammaincinv(nu + 0.5, u[..., d - 1])
+    y = np.empty(u.shape[:-1] + (d,))
+    y[..., :-1] = z[..., : d - 1]
+    y[..., -1] = np.where(u[..., -1] < 0.5, -1.0, 1.0) * np.sqrt(chi2)
+    return y / np.sqrt((y * y).sum(axis=-1))[..., None]
 
 
 def sample_angles(d: int, nu: float, rng: np.random.Generator) -> AngleVector:
-    """Draw one AngleVector; consumes exactly d uniforms from ``rng``."""
+    """Draw one AngleVector: the angles of one :func:`directions` vector;
+    consumes exactly direction_draws(d, nu) uniforms from ``rng``."""
     if d < 2:
         raise ValueError("sample_angles requires d >= 2")
     if nu < 0.0:
         raise ValueError("sample_angles requires nu >= 0")
-    thetas, phi = angles_from_uniforms(rng.random(d), d, nu)
-    return AngleVector(tuple(map(float, thetas)), float(phi), d)
+    x = directions(rng.random(direction_draws(d, nu)), d, nu)
+    # theta_j = atan2(|(x_{j+1}, ..., x_d)|, x_j), phi = atan2(x_d, x_{d-1})
+    tails = np.sqrt(np.cumsum(x[::-1] ** 2)[::-1])
+    thetas = np.arctan2(tails[1 : d - 1], x[: d - 2])
+    phi = math.atan2(x[-1], x[-2]) % TWO_PI
+    return AngleVector(tuple(map(float, thetas)), phi, d)
 
 
 def angles_to_direction(a: AngleVector) -> np.ndarray:
-    """The unit vector of one AngleVector (see :func:`unit_vectors`)."""
-    return unit_vectors(a.thetas, a.phi)
+    """The unit vector of one AngleVector: x_1 = cos theta_1,
+    x_i = sin theta_1 ... sin theta_{i-1} cos theta_i, and the last two
+    components carry the azimuth, x_{d-1} = sin theta_1 ... sin theta_{d-2}
+    cos phi and x_d the same with sin phi."""
+    angles = np.array(a.thetas + (a.phi,))
+    # the running products of 1, sin theta_1, ..., sin theta_{d-2}, sin phi
+    # times cos theta_1, ..., cos theta_{d-2}, cos phi, 1
+    sins = np.concatenate([[1.0], np.sin(angles)])
+    coss = np.concatenate([np.cos(angles), [1.0]])
+    return sins.cumprod() * coss

@@ -3,6 +3,10 @@
 A flight makes n+1 straight segments: waiting times from
 :mod:`driftflight.temporal`, one independent direction per segment from
 :mod:`driftflight.angular`, position accumulated at constant speed c.
+The sampler is structural: normals normalized onto the sphere for the
+directions and sums of -log U for the Gamma variates of the waiting times,
+with one inverse-CDF Gamma value per variate only where 2 nu is not an
+integer (or a sum would take more than 64 uniforms).
 
 Reproducibility contract
 ------------------------
@@ -25,8 +29,8 @@ from numbers import Integral
 
 import numpy as np
 
-from .angular import angles_from_uniforms, unit_vectors
-from .temporal import waiting_times
+from .angular import direction_draws, directions
+from .temporal import time_draws, waiting_times
 
 # unused here, but bench/tracing.py wraps these five names on this module
 from scipy.special import betaincinv, gammaincinv  # noqa: F401
@@ -44,7 +48,10 @@ __all__ = [
     "simulate_flight",
 ]
 
-_DEFAULT_CHUNK = 1 << 18
+# uniforms per simulate_batch chunk (1 MiB): the default chunk holds this
+# many over its rows, so working memory stays flat however many uniforms a
+# flight consumes
+_CHUNK_DRAWS = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -95,11 +102,11 @@ class Trajectory:
 
 
 def draws_per_flight(p: FlightParams) -> int:
-    """Uniform variates one flight consumes: n+1 for the waiting times
-    (none when n = 0) plus d per segment for the angles."""
-    if p.n == 0:
-        return p.d
-    return (p.n + 1) * (p.d + 1)
+    """Uniform variates one flight consumes: the n+1 waiting times first,
+    ``time_draws(d, nu)`` each (none when n = 0), then the n+1 directions,
+    ``direction_draws(d, nu)`` each."""
+    times = (p.n + 1) * time_draws(p.d, p.nu) if p.n >= 1 else 0
+    return times + (p.n + 1) * direction_draws(p.d, p.nu)
 
 
 def _padded_draws(p: FlightParams) -> int:
@@ -125,15 +132,17 @@ def _segments(p: FlightParams, U: np.ndarray):
     per segment in order, the waiting times (count,) and displacements
     (count, d).  Segments come one at a time, so working memory stays a
     few (count, d) arrays."""
-    n, d = p.n, p.d
+    n, d, nu = p.n, p.d, p.nu
     if n >= 1:
-        col, taus = n + 1, waiting_times(U[:, : n + 1], d, p.nu, p.t)
+        col = (n + 1) * time_draws(d, nu)
+        taus = waiting_times(U[:, :col], d, nu, p.t)
     else:
         col, taus = 0, np.full((len(U), 1), p.t)
     lengths = p.c * taus
-    for k in range(n + 1):
-        thetas, phi = angles_from_uniforms(U[:, col + k * d : col + (k + 1) * d], d, p.nu)
-        yield taus[:, k], lengths[:, k, None] * unit_vectors(thetas, phi)
+    k = direction_draws(d, nu)
+    for j in range(n + 1):
+        u = U[:, col + j * k : col + (j + 1) * k]
+        yield taus[:, j], lengths[:, j, None] * directions(u, d, nu)
 
 
 def simulate_flight(p: FlightParams, rng: np.random.Generator) -> Trajectory:
@@ -169,13 +178,14 @@ def simulate_batch(
     """Final positions of ``count`` independent flights, shape (count, d).
 
     Output is bit-deterministic given (p, count, master_seed) and invariant
-    under ``chunk_size``, which only bounds working memory.
+    under ``chunk_size``, the rows per chunk, which only bounds working
+    memory; by default a chunk holds about 2^17 uniforms.
     """
-    step = chunk_size or _DEFAULT_CHUNK
-    if count < 1 or step < 1:
-        raise ValueError("simulate_batch requires count >= 1 and chunk_size >= 1")
     L = draws_per_flight(p)
     Lpad = _padded_draws(p)
+    step = chunk_size or max(1, _CHUNK_DRAWS // Lpad)
+    if count < 1 or step < 1:
+        raise ValueError("simulate_batch requires count >= 1 and chunk_size >= 1")
     gen = np.random.Generator(np.random.Philox(key=master_seed))
     finals = np.zeros((count, p.d), dtype=float)
     for done in range(0, count, step):

@@ -128,19 +128,25 @@ def bessel_j(mu: float, x: float) -> float:
     return _bessel_miller(mu, x)
 
 
-def bessel_j_ratio(mu: float, x: float) -> float:
-    """J_mu(x) / x^mu, finite at x = 0 where it equals 1 / (2^mu Gamma(mu+1)).
+def bessel_j_ratio(mu: float, x: float, log_scale: float = 0.0) -> float:
+    """exp(log_scale) J_mu(x) / x^mu, finite at x = 0 where J_mu(x) / x^mu
+    equals 1 / (2^mu Gamma(mu+1)).
 
     This is the combination every characteristic-function formula consumes;
-    evaluating it directly avoids the 0/0 at the origin.
+    evaluating it directly avoids the 0/0 at the origin.  A caller that
+    multiplies the ratio by a large factor passes its logarithm as
+    ``log_scale``, so that neither factor overflows or underflows alone.
     """
     if mu < -0.5:
         raise ValueError(f"bessel_j_ratio requires mu >= -1/2, got {mu}")
     if x < 0.0:
         raise ValueError(f"bessel_j_ratio requires x >= 0, got {x}")
     if _series_ok(mu, x):
-        return _ascending_series(mu, x, -mu * math.log(2.0) - math.lgamma(mu + 1.0))
-    return _bessel_miller(mu, x) * math.exp(-mu * math.log(x))
+        return _ascending_series(mu, x, log_scale - mu * math.log(2.0) - math.lgamma(mu + 1.0))
+    j = _bessel_miller(mu, x)
+    if j == 0.0:
+        return 0.0
+    return math.copysign(math.exp(math.log(abs(j)) + log_scale - mu * math.log(x)), j)
 
 
 def mittag_leffler_paper(alpha: float, beta: float, x: float) -> float:

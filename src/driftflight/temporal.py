@@ -2,9 +2,12 @@
 
 Given n changes of direction on [0, t], the n+1 waiting times are
 t times a Dirichlet vector with all parameters equal to 2 nu + d - 1.
-Sampling goes through the gamma-ratio construction (exact, branch-free,
-valid for non-integer shape), with each gamma variate obtained by
-inverse-CDF so the draw count per sample is fixed.
+Sampling goes through the gamma-ratio construction (exact, no rejection).
+When the shape 2 nu + d - 1 is an integer (2 nu an integer, the paper's
+nu = 0 and nu = 1 cases among them) of at most 64, each Gamma variate is
+a sum of -log U over that many uniforms (Devroye 1986, ch. IX);
+otherwise it is one inverse-CDF (``gammaincinv``) value.  Either way the
+draw count per sample is fixed.
 """
 
 from __future__ import annotations
@@ -15,10 +18,21 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammaincinv
 
-__all__ = ["IntertimeVector", "intertime_density", "sample_intertimes", "waiting_times"]
+__all__ = [
+    "IntertimeVector",
+    "intertime_density",
+    "sample_intertimes",
+    "time_draws",
+    "waiting_times",
+]
 
-# floor for raw uniforms so gammaincinv never returns an exact zero
+# floor for raw uniforms, which lie in [0, 1): -log, ndtri and gammaincinv
+# then see only (0, 1) and never return an infinity or an exact zero
 _U_FLOOR = 1e-300
+
+# a longer sum would cost more than its one gammaincinv value and make the
+# stream grow with nu
+_MAX_SUM_DRAWS = 64
 
 
 @dataclass(frozen=True)
@@ -67,10 +81,28 @@ def intertime_density(v: IntertimeVector, d: int, nu: float) -> float:
     return math.exp(log_val)
 
 
+def _sum_draws(k: float) -> int:
+    # uniforms of a variate that is a sum of k one-uniform terms (-log U
+    # here, squared normals in angular), or 1 for one gammaincinv value
+    return int(k) if k.is_integer() and k <= _MAX_SUM_DRAWS else 1
+
+
+def time_draws(d: int, nu: float) -> int:
+    """Uniforms one waiting time consumes: the shape 2 nu + d - 1 when it is
+    an integer up to 64 (a sum of -log U), else 1 (one gammaincinv)."""
+    return _sum_draws(_shape(d, nu))
+
+
 def waiting_times(u, d: int, nu: float, t: float) -> np.ndarray:
-    """Inverse transform: uniforms (..., n+1) to waiting times (..., n+1)
-    summing to t; the last one is the residual t - sum(rest)."""
-    g = gammaincinv(_shape(d, nu), np.maximum(u, _U_FLOOR))
+    """Transform uniforms (..., (n+1) k) with k = time_draws(d, nu) to
+    waiting times (..., n+1) summing to t; waiting time j reads uniforms
+    j k .. j k + k-1, and the last one is the residual t - sum(rest)."""
+    a, k = _shape(d, nu), time_draws(d, nu)
+    u = np.maximum(u, _U_FLOOR)
+    if k == a:
+        g = -np.log(u.reshape(u.shape[:-1] + (-1, k))).sum(axis=-1)
+    else:
+        g = gammaincinv(a, u)
     taus = np.empty_like(g)
     taus[..., :-1] = t * g[..., :-1] / g.sum(axis=-1)[..., None]
     taus[..., -1] = t - taus[..., :-1].sum(axis=-1)
@@ -80,9 +112,11 @@ def waiting_times(u, d: int, nu: float, t: float) -> np.ndarray:
 def sample_intertimes(
     n: int, d: int, nu: float, t: float, rng: np.random.Generator
 ) -> IntertimeVector:
-    """Draw the n+1 waiting times; consumes exactly n+1 uniforms."""
+    """Draw the n+1 waiting times; consumes exactly
+    (n+1) time_draws(d, nu) uniforms."""
     if n < 1:
         raise ValueError("sample_intertimes requires n >= 1")
     if d < 2 or nu < 0.0 or t <= 0.0:
         raise ValueError("sample_intertimes requires d >= 2, nu >= 0, t > 0")
-    return IntertimeVector(waiting_times(rng.random(n + 1), d, nu, t), t)
+    u = rng.random((n + 1) * time_draws(d, nu))
+    return IntertimeVector(waiting_times(u, d, nu, t), t)

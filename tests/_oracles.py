@@ -105,3 +105,58 @@ def sphere_section_integral(f_r_xd, d: int, r: float, ng: int = 400) -> float:
     g, wg = gl_grid(ng, 0.0, math.pi)
     vals = f_r_xd(np.full(ng, r), r * np.cos(g))
     return surf * r ** (d - 1) * float(np.dot(wg, vals * np.sin(g) ** (d - 2)))
+
+
+def _falling_factorial_oracle(n: int) -> list[int]:
+    # a_j = Delta^j P(0) / j! for P(m) = prod_{i=1..n} (2m + 2i - 1)
+    P = [math.prod(2 * m + 2 * i - 1 for i in range(1, n + 1)) for m in range(n + 1)]
+    return [
+        sum((-1) ** (j - k) * math.comb(j, k) * P[k] for k in range(j + 1)) // math.factorial(j)
+        for j in range(n + 1)
+    ]
+
+
+def cf_nu1_mp(mp, d: int, n: int, ct: float, alpha) -> float:
+    """The nu = 1 characteristic function at 60 digits with mpmath's own
+    Bessel and gamma functions (``mp`` is the mpmath module)."""
+    with mp.workdps(60):
+        a = [mp.mpf(float(v)) for v in alpha]
+        rho2 = sum(v * v for v in a)
+        w = mp.mpf(ct) * mp.sqrt(rho2)
+        M = (n + 1) * (d + 1)
+        total = mp.mpf(0)
+        for j in range(n + 2):
+            nj = n + 1 - j
+            mu = mp.mpf((n + 1) * (d + 3) - (2 * j + 1)) / 2
+            total += (
+                (-1) ** nj
+                * mp.binomial(n + 1, j)
+                * (a[-1] ** 2 / rho2 * mp.mpf(d + 1) / 2) ** nj
+                / mp.gamma(mp.mpf((n + 1) * (d + 3)) / 2 - j)
+                * mp.besselj(mu, w)
+                * w ** (2 * nj - mu)
+            )
+        return float(mp.sqrt(mp.pi) * mp.gamma(M) / mp.power(2, mp.mpf(M - 1) / 2) * total)
+
+
+def density_nu1_mp(mp, d: int, n: int, ct: float, x) -> float:
+    """The nu = 1 density at 60 digits, summed term by term with mpmath."""
+    with mp.workdps(60):
+        v = [mp.mpf(float(c)) for c in x]
+        ct = mp.mpf(ct)
+        Q = ct * ct - sum(c * c for c in v)
+        M = (n + 1) * (d + 1)
+        total = mp.mpf(0)
+        for j in range(n + 2):
+            nj = n + 1 - j
+            cj = (
+                (-1) ** nj
+                * mp.binomial(n + 1, j)
+                * (mp.mpf(d + 1) / 2) ** nj
+                / mp.gamma(mp.mpf((n + 1) * (d + 3)) / 2 - j)
+            )
+            for k, a_k in enumerate(_falling_factorial_oracle(nj)):
+                e = mp.mpf(n * (d + 1)) / 2 - k
+                total += cj * (-1) ** k * a_k / mp.gamma(e + 1) * v[-1] ** (2 * k) * Q**e
+        pref = mp.gamma(M) / (mp.pi ** (mp.mpf(d - 1) / 2) * (2 * ct) ** (M - 1))
+        return float(pref * total)

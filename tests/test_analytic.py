@@ -24,7 +24,14 @@ from driftflight.analytic import (
 )
 from driftflight.flight import FlightParams, simulate_batch
 from driftflight.specfun import bessel_j_ratio
-from _oracles import gl_grid, point_with_norm, radial_cdf_oracle, sphere_section_integral
+from _oracles import (
+    cf_nu1_mp,
+    density_nu1_mp,
+    gl_grid,
+    point_with_norm,
+    radial_cdf_oracle,
+    sphere_section_integral,
+)
 
 
 def _rng(seed=0):
@@ -313,6 +320,22 @@ def test_cf_nu1_domain_errors():
         cf_nu1(FlightParams(d=3, n=1, nu=1.0), [1.0, 1.0])
 
 
+def test_cf_nu1_large_d_n_matches_mpmath():
+    # the prefactor Gamma(451) at d = 40, n = 10 overflows a double on its
+    # own; folded into each term's log scale the sum stays within 1e-9
+    mp = pytest.importorskip("mpmath")
+    p = FlightParams(d=40, n=10, nu=1.0, c=1.3, t=0.9)
+    ct = p.c * p.t
+    alphas = []
+    for w in (0.5, 5.0, 20.0, 40.0):
+        for frac in (0.0, 0.5, 1.0):
+            a = np.zeros(p.d)
+            a[0], a[-1] = math.sqrt(1.0 - frac), math.sqrt(frac)
+            alphas.append(a * w / ct)
+    for a, v in zip(alphas, cf_nu1(p, np.array(alphas))):
+        assert abs(v - cf_nu1_mp(mp, p.d, p.n, ct, a)) <= 1e-9
+
+
 def test_cf_nu1_last_component_zero_leaves_single_term():
     # with alpha_d = 0 only the j = n+1 term survives
     for d, n in ((2, 1), (3, 2), (4, 1)):
@@ -449,6 +472,28 @@ def test_density_nu1_support_and_domain():
         density_nu1(FlightParams(d=2, n=1, nu=0.0), [0.1, 0.1])
     with pytest.raises(ValueError):
         density_nu1_closed(FlightParams(d=2, n=3, nu=1.0), [0.1, 0.1])
+
+
+def test_density_nu1_large_d_n_matches_mpmath_or_raises():
+    # Gamma(231) at d = 10, n = 20 overflows a double on its own; every
+    # point is within 1e-9 relative of a 60-digit sum, or the call raises
+    # ValueError for the digits the alternating sum would lose
+    mp = pytest.importorskip("mpmath")
+    p = FlightParams(d=10, n=20, nu=1.0, c=1.3, t=0.9)
+    ct = p.c * p.t
+    matched = raised = 0
+    for r in (0.0, 0.3, 0.6, 0.9):
+        for frac in (0.0, 0.5, 1.0):
+            x = point_with_norm(p.d, r * ct, r * ct * math.sqrt(frac))
+            try:
+                v = density_nu1(p, x)
+            except ValueError as exc:
+                assert "cancellation" in str(exc)
+                raised += 1
+                continue
+            assert v == pytest.approx(density_nu1_mp(mp, p.d, p.n, ct, x), rel=1e-9, abs=0)
+            matched += 1
+    assert matched and raised
 
 
 def test_density_nu1_closed_non_negative():

@@ -12,6 +12,8 @@ from driftflight.angular import (
     AngleVector,
     angles_to_direction,
     angular_density,
+    direction_draws,
+    directions,
     marginal_angular_density,
     sample_angles,
 )
@@ -219,6 +221,20 @@ def test_sampler_marginal_ks(d, nu):
         assert _ks(vals, _theta_cdf(d, nu, j, vals)) < 0.01
     phis = np.sort([a.phi for a in draws])
     assert _ks(phis, _phi_cdf(nu, phis)) < 0.01
+
+
+@pytest.mark.parametrize("d", [2, 3, 5])
+@pytest.mark.parametrize("nu", [0.0, 0.3, 0.5, 1.0, 2.5])
+def test_directions_last_coordinate_beta_ks(d, nu):
+    # under density |x_d|^(2 nu) on the sphere, x_d^2 is
+    # Beta((2 nu + 1)/2, (d - 1)/2)
+    u = _rng(40 + 10 * d + int(10 * nu)).random((100_000, direction_draws(d, nu)))
+    x = directions(u, d, nu)
+    np.testing.assert_allclose(np.linalg.norm(x, axis=1), 1.0, rtol=0, atol=1e-14)
+    vals = np.sort(x[:, -1] ** 2)
+    assert _ks(vals, betainc(nu + 0.5, 0.5 * (d - 1), vals)) < 0.01
+    # the last uniform alone sets the sign of x_d
+    np.testing.assert_array_equal(x[:, -1] < 0.0, u[:, -1] < 0.5)
 
 
 def test_sampler_uniform_sphere_moments():

@@ -9,6 +9,7 @@ from driftflight.analytic import radial_moment
 from driftflight.angular import angles_to_direction, sample_angles
 from driftflight.flight import (
     FlightParams,
+    _segments,
     draws_per_flight,
     project,
     radial,
@@ -139,9 +140,41 @@ def test_batch_mean_vanishes_under_uniform_law():
 
 
 def test_draws_per_flight_counts():
-    assert draws_per_flight(FlightParams(d=3, n=0, nu=0.0)) == 3
-    assert draws_per_flight(FlightParams(d=3, n=2, nu=0.0)) == 12
-    assert draws_per_flight(FlightParams(d=2, n=1, nu=0.0)) == 6
+    # (n+1) waiting times of 2 nu + d - 1 uniforms each (one when that is
+    # not an integer, none when n = 0), then (n+1) directions of d - 1
+    # normals, 2 nu + 1 uniforms for |Y_d| (one when 2 nu is not an
+    # integer) and a sign; sums longer than 64 become one uniform
+    assert draws_per_flight(FlightParams(d=3, n=0, nu=0.0)) == 4
+    assert draws_per_flight(FlightParams(d=3, n=2, nu=0.0)) == 18
+    assert draws_per_flight(FlightParams(d=2, n=1, nu=0.0)) == 8
+    assert draws_per_flight(FlightParams(d=3, n=2, nu=1.0)) == 30
+    assert draws_per_flight(FlightParams(d=3, n=2, nu=0.3)) == 15
+    assert draws_per_flight(FlightParams(d=3, n=1, nu=40.0)) == 10
+
+
+@pytest.mark.parametrize("d,n,nu", [(3, 2, 1.0), (2, 0, 0.0), (4, 3, 0.3), (5, 1, 40.0)])
+def test_simulate_flight_draws_exactly_draws_per_flight(d, n, nu):
+    p = FlightParams(d=d, n=n, nu=nu)
+    rng, ref = _rng(9), _rng(9)
+    simulate_flight(p, rng)
+    ref.random(draws_per_flight(p))
+    assert rng.random(4).tolist() == ref.random(4).tolist()
+
+
+@pytest.mark.parametrize(
+    "d,n,nu", [(2, 1, 0.0), (3, 2, 1.0), (4, 3, 0.5), (3, 2, 0.3), (5, 0, 2.7)]
+)
+@pytest.mark.parametrize("u", [0.0, 1.0 - 2.0**-53])
+def test_segments_finite_at_extreme_uniforms(d, n, nu, u):
+    # the smallest and largest doubles a Generator's random() returns
+    p = FlightParams(d=d, n=n, nu=nu, c=1.2, t=0.8)
+    rows = np.full((3, draws_per_flight(p)), u)
+    total = np.zeros((3, d))
+    for tau, disp in _segments(p, rows):
+        assert np.all(np.isfinite(tau)) and np.all(tau >= 0.0)
+        assert np.all(np.isfinite(disp))
+        total += disp
+    assert np.all(np.linalg.norm(total, axis=1) <= p.c * p.t * (1.0 + 1e-12))
 
 
 def test_project_and_radial():

@@ -87,10 +87,11 @@ def test_sample_exchangeable_means():
 
 
 @pytest.mark.parametrize("d", [2, 3, 4])
-@pytest.mark.parametrize("nu", [0.0, 1.0])
+@pytest.mark.parametrize("nu", [0.0, 1.0, 0.3])
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_sample_marginal_beta_ks(d, nu, n):
-    # tau_1 / t is Beta(a, n a) with a = 2 nu + d - 1
+    # tau_1 / t is Beta(a, n a) with a = 2 nu + d - 1; nu = 0.3 takes the
+    # gammaincinv branch, the others the sum of -log U
     t = 1.0
     rng = _rng(100 * d + 10 * int(nu) + n)
     vals = np.sort([sample_intertimes(n, d, nu, t, rng).taus[0] for _ in range(100_000)])
