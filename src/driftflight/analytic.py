@@ -34,9 +34,10 @@ from scipy.integrate import quad  # noqa: F401  (wrapped by bench/tracing.py)
 from scipy.special import betainc
 
 from .flight import FlightParams
-from .specfun import bessel_j_ratio, falling_factorial_coeffs
+from .specfun import bessel_j_ratio, falling_factorial_coeffs, log_mittag_leffler_paper
 
 __all__ = [
+    "MIXTURE_MASS_TOL",
     "MixtureParams",
     "cdf_radial_projection",
     "cf_nu1",
@@ -417,6 +418,11 @@ def radial_density_nu1(p: FlightParams, r):
 # fractional-Poisson mixture over the number of direction changes
 # ----------------------------------------------------------------------
 
+# largest shortfall from 1 of the n >= 1 mixture weight a truncated mixture
+# may keep before it raises
+MIXTURE_MASS_TOL = 1e-9
+
+
 @dataclass(frozen=True)
 class MixtureParams:
     """Rate lam of the counting process, base flight parameters (its n is
@@ -427,10 +433,26 @@ class MixtureParams:
     n_max: int = 50
 
     def __post_init__(self):
-        if self.lam <= 0.0:
-            raise ValueError("MixtureParams requires lam > 0")
+        if not 0.0 < self.lam < math.inf:
+            raise ValueError("MixtureParams requires a finite lam > 0")
         if self.n_max < 1:
             raise ValueError("MixtureParams requires n_max >= 1")
+
+
+def _log_series_terms(mp: MixtureParams, n, uncorrected: bool = False):
+    # log of (lam t)^n / (n! Gamma((n+1)(2 nu + d - 1)/2 + 1/2)), the terms
+    # of the Mittag-Leffler series that normalizes the pmf
+    d, nu = mp.base.d, mp.base.nu
+    log_den = _lgamma(0.5 * (n + 1) * (2.0 * nu + d - 1.0) + 0.5)
+    if not uncorrected:
+        log_den = log_den + _lgamma(n + 1.0)
+    return n * math.log(mp.lam * mp.base.t) - log_den
+
+
+def _log_series(mp: MixtureParams, start: int) -> float:
+    # log of that series summed from its term k = start
+    d, nu = mp.base.d, mp.base.nu
+    return log_mittag_leffler_paper(nu + 0.5 * (d - 1), nu + 0.5 * d, mp.lam * mp.base.t, start)
 
 
 def fractional_poisson_pmf(mp: MixtureParams, n, uncorrected: bool = False):
@@ -439,31 +461,45 @@ def fractional_poisson_pmf(mp: MixtureParams, n, uncorrected: bool = False):
     The default includes the n! correction that makes the weights sum to
     one exactly under the Wright-type Mittag-Leffler normalizer; the
     uncorrected variant omits it and demonstrably does not normalize.
+    Evaluated in log space, with the normalizer as a log-sum-exp of its
+    series, so large lam t gives the pmf's values, not 0 from an inf.
     """
     n = np.asarray(n)
     if np.any(n < 0):
         raise ValueError("fractional_poisson_pmf requires n >= 0")
-    from .specfun import mittag_leffler_paper
+    return np.exp(_log_series_terms(mp, n, uncorrected) - _log_series(mp, 0))[()]
 
-    d, nu, t = mp.base.d, mp.base.nu, mp.base.t
-    lam_t = mp.lam * t
-    ml = mittag_leffler_paper(nu + 0.5 * (d - 1), nu + 0.5 * d, lam_t)
-    log_den = _lgamma(0.5 * (n + 1) * (2.0 * nu + d - 1.0) + 0.5)
-    if not uncorrected:
-        log_den = log_den + _lgamma(n + 1.0)
-    return (np.exp(n * math.log(lam_t) - log_den) / ml)[()]
+
+def _mixture_weights(mp: MixtureParams, n):
+    # the pmf at n >= 1 renormalized over n >= 1: the series terms over the
+    # series from its k = 1 term, with no 1 - pmf(0) cancellation
+    return np.exp(_log_series_terms(mp, np.asarray(n)) - _log_series(mp, 1))
+
+
+def _retained_weights(mp: MixtureParams) -> np.ndarray:
+    """The mixture weights of n = 1 .. n_max; raises ValueError when they
+    keep less than 1 - MIXTURE_MASS_TOL of the n >= 1 mass."""
+    weights = _mixture_weights(mp, np.arange(1, mp.n_max + 1))
+    retained = float(weights.sum())
+    if not 1.0 - retained <= MIXTURE_MASS_TOL:
+        raise ValueError(
+            f"the mixture over n = 1..{mp.n_max} retains weight {retained:.3g} "
+            f"of the n >= 1 mass (tolerance 1 - {MIXTURE_MASS_TOL:g}); "
+            f"raise n_max for lam t = {mp.lam * mp.base.t:g}"
+        )
+    return weights
 
 
 def unconditional_density_projection(mp: MixtureParams, x):
     """Projected density with the number of changes mixed over n >= 1.
 
     The conditional laws need n >= 1, so the weights are renormalized over
-    n >= 1; the sum is truncated at n_max (see :func:`mixture_tail_bound`).
+    n >= 1; the sum is truncated at n_max (see :func:`mixture_tail_bound`)
+    and raises ValueError when the weights it keeps fall short of 1 by
+    more than ``MIXTURE_MASS_TOL``.
     """
-    pmf = fractional_poisson_pmf(mp, np.arange(mp.n_max + 1))
-    weights = pmf[1:] / (1.0 - pmf[0])
     total = 0.0
-    for n, w in enumerate(weights, start=1):
+    for n, w in enumerate(_retained_weights(mp), start=1):
         total += w * density_projection(replace(mp.base, n=n), x)
     return total
 
@@ -472,13 +508,15 @@ def mixture_tail_bound(mp: MixtureParams) -> float:
     """Upper bound on the density mass dropped by truncating at n_max.
 
     Bounds sum_{n > n_max} w_n * sup_x p_n by a geometric comparison at
-    the first omitted term (the terms decay factorially in n).
+    the first omitted term (the terms decay factorially in n).  Raises
+    ValueError, like :func:`unconditional_density_projection`, when the
+    kept weights fall short of 1 by more than ``MIXTURE_MASS_TOL``.
     """
+    _retained_weights(mp)
     base = mp.base
     ns = (mp.n_max + 1, mp.n_max + 2)
-    pmf = fractional_poisson_pmf(mp, (0,) + ns)
     terms = []
-    for n, pn_weight in zip(ns, pmf[1:]):
+    for n, weight in zip(ns, _mixture_weights(mp, ns)):
         pn = replace(base, n=n)
         if _half_order(pn) - 0.5 * (base.m + 1) <= 0.0:
             raise RuntimeError(
@@ -486,7 +524,7 @@ def mixture_tail_bound(mp: MixtureParams) -> float:
             )
         # with a positive boundary exponent the conditional density peaks
         # at the origin, so this is w_n * sup_x p_n
-        terms.append(pn_weight / (1.0 - pmf[0]) * density_projection(pn, np.zeros(base.m)))
+        terms.append(weight * density_projection(pn, np.zeros(base.m)))
     b1, b2 = terms
     if b1 == 0.0:
         return 0.0

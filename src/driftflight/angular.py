@@ -11,7 +11,8 @@ direction is Y / |Y| with Y_1 .. Y_{d-1} independent standard normals and
 Y_d = +-chi_{2 nu + 1} with a fair sign (Marsaglia 1972; Devroye 1986,
 ch. V).  Sampling is structural, not rejection: when 2 nu is an integer
 |Y_d| is the root of a sum of 2 nu + 1 squared normals, otherwise
-sqrt(2 G) with G one inverse-CDF Gamma(nu + 1/2) value.  Every draw
+sqrt(2 G) with G one inverse-CDF Gamma(nu + 1/2) value
+(:func:`driftflight.temporal.gamma_quantile`).  Every draw
 consumes a fixed number of uniforms, which is what makes the batched
 simulation in :mod:`driftflight.flight` bit-reproducible replicate by
 replicate.
@@ -23,9 +24,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaincinv, ndtri
+from scipy.special import ndtri
 
-from .temporal import _U_FLOOR, _sum_draws
+from .temporal import _U_FLOOR, _sum_draws, gamma_quantile
 
 # unused here, but bench/tracing.py wraps this name on this module
 from scipy.special import betaincinv  # noqa: F401
@@ -34,6 +35,7 @@ __all__ = [
     "AngleVector",
     "angles_to_direction",
     "angular_density",
+    "direction_angles",
     "direction_draws",
     "directions",
     "marginal_angular_density",
@@ -125,7 +127,7 @@ def marginal_angular_density(angles, d: int, m: int, nu: float) -> float:
 
 def direction_draws(d: int, nu: float) -> int:
     """Uniforms one direction consumes: d-1 normals, |Y_d| (2 nu + 1
-    normals, or one uniform for gammaincinv), then a sign."""
+    normals, or one uniform for gamma_quantile), then a sign."""
     return d + _sum_draws(2.0 * nu + 1.0)
 
 
@@ -140,7 +142,7 @@ def directions(u, d: int, nu: float) -> np.ndarray:
         chi2 = (z[..., d - 1 :] ** 2).sum(axis=-1)
     else:
         z = ndtri(u[..., : d - 1])
-        chi2 = 2.0 * gammaincinv(nu + 0.5, u[..., d - 1])
+        chi2 = 2.0 * gamma_quantile(nu + 0.5, u[..., d - 1])
     y = np.empty(u.shape[:-1] + (d,))
     y[..., :-1] = z[..., : d - 1]
     y[..., -1] = np.where(u[..., -1] < 0.5, -1.0, 1.0) * np.sqrt(chi2)
@@ -154,12 +156,20 @@ def sample_angles(d: int, nu: float, rng: np.random.Generator) -> AngleVector:
         raise ValueError("sample_angles requires d >= 2")
     if nu < 0.0:
         raise ValueError("sample_angles requires nu >= 0")
-    x = directions(rng.random(direction_draws(d, nu)), d, nu)
+    thetas, phi = direction_angles(directions(rng.random(direction_draws(d, nu)), d, nu))
+    return AngleVector(tuple(map(float, thetas)), float(phi), d)
+
+
+def direction_angles(x) -> tuple[np.ndarray, np.ndarray]:
+    """Hyperspherical angles of unit vectors (..., d), the inverse of
+    :func:`angles_to_direction`: colatitudes (..., d-2) in [0, pi] and
+    azimuths (...) in [0, 2 pi]."""
+    x = np.asarray(x)
     # theta_j = atan2(|(x_{j+1}, ..., x_d)|, x_j), phi = atan2(x_d, x_{d-1})
-    tails = np.sqrt(np.cumsum(x[::-1] ** 2)[::-1])
-    thetas = np.arctan2(tails[1 : d - 1], x[: d - 2])
-    phi = math.atan2(x[-1], x[-2]) % TWO_PI
-    return AngleVector(tuple(map(float, thetas)), phi, d)
+    tails = np.sqrt(np.cumsum(x[..., ::-1] ** 2, axis=-1)[..., ::-1])
+    thetas = np.arctan2(tails[..., 1:-1], x[..., :-2])
+    phi = np.arctan2(x[..., -1], x[..., -2]) % TWO_PI
+    return thetas, phi
 
 
 def angles_to_direction(a: AngleVector) -> np.ndarray:

@@ -40,10 +40,6 @@ class _UsageError(Exception):
     pass
 
 
-def _fmt(x: float) -> str:
-    return _FLOAT_FMT % float(x)
-
-
 def _canonical_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
@@ -53,8 +49,11 @@ def _write_csv(path: str, columns: list[str], rows, config: dict) -> None:
         "# config: " + _canonical_json(config),
         "# columns: " + ",".join(columns),
     ]
+    # one format string per row: the same bytes as formatting value by
+    # value, with one formatting call per row instead of one per value
+    row_fmt = ",".join([_FLOAT_FMT] * len(columns))
     for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
+        lines.append(row_fmt % tuple(row))
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -181,7 +180,7 @@ def _cmd_simulate(args) -> int:
     cfg_echo = _echo("simulate", p, seed=seed, count=count)
     finals = simulate_batch(p, count, seed)
     cols = ["replicate"] + [f"x{i}" for i in range(1, p.d + 1)]
-    rows = ([float(i)] + [float(v) for v in finals[i]] for i in range(count))
+    rows = ([float(i)] + row.tolist() for i, row in enumerate(finals))
     _write_csv(out, cols, rows, cfg_echo)
     _write_sidecar(out, cfg_echo)
 

@@ -6,7 +6,9 @@ A flight makes n+1 straight segments: waiting times from
 The sampler is structural: normals normalized onto the sphere for the
 directions and sums of -log U for the Gamma variates of the waiting times,
 with one inverse-CDF Gamma value per variate only where 2 nu is not an
-integer (or a sum would take more than 64 uniforms).
+integer (or a sum would take more than 64 uniforms); that value comes
+from a quantile table built once per shape
+(:func:`driftflight.temporal.gamma_quantile`).
 
 Reproducibility contract
 ------------------------

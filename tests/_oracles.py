@@ -160,3 +160,62 @@ def density_nu1_mp(mp, d: int, n: int, ct: float, x) -> float:
                 total += cj * (-1) ** k * a_k / mp.gamma(e + 1) * v[-1] ** (2 * k) * Q**e
         pref = mp.gamma(M) / (mp.pi ** (mp.mpf(d - 1) / 2) * (2 * ct) ** (M - 1))
         return float(pref * total)
+
+
+def gamma_quantile_mp(mp, a: float, u: float) -> float:
+    """The Gamma(a) quantile at 50 digits: the root in log x of
+    log P(a, x) = log u, or of log Q(a, x) = log(1 - u) above u = 1/2, with
+    mpmath's own regularized incomplete gamma (``mp`` is the mpmath
+    module).  Values below the smallest double round to 0.0."""
+    with mp.workdps(50):
+        a, u = mp.mpf(a), mp.mpf(u)
+        if u < 0.5:
+            # P(a, x) ~ x^a / Gamma(a + 1) as x -> 0
+            start = (mp.log(u) + mp.loggamma(a + 1)) / a
+            root = mp.findroot(
+                lambda lx: mp.log(mp.gammainc(a, 0, mp.exp(lx), regularized=True)) - mp.log(u),
+                start,
+            )
+        else:
+            # Q(a, x) ~ x^(a-1) e^-x / Gamma(a) as x -> inf
+            tail = -mp.log(1 - u)
+            start = mp.log(tail + max(a - 1, 0) * mp.log(1 + tail))
+            root = mp.findroot(
+                lambda lx: mp.log(mp.gammainc(a, mp.exp(lx), mp.inf, regularized=True))
+                - mp.log(1 - u),
+                start,
+            )
+        return float(mp.exp(root))
+
+
+def log_mittag_leffler_mp(mp, alpha: float, beta: float, x: float, start: int = 0):
+    """log of sum_{k >= start} x^k / (k! Gamma(alpha k + beta)) at 50 digits,
+    summed term by term until the terms past the largest fall 80 e-folds
+    below it (an mpf)."""
+    with mp.workdps(50):
+        alpha, beta, log_x = mp.mpf(alpha), mp.mpf(beta), mp.log(mp.mpf(x))
+
+        def log_term(k):
+            return k * log_x - mp.loggamma(k + 1) - mp.loggamma(alpha * k + beta)
+
+        logs = [log_term(start)]
+        top = logs[0]
+        while len(logs) < 2 or logs[-1] > top - 80 or logs[-1] > logs[-2]:
+            logs.append(log_term(start + len(logs)))
+            top = max(top, logs[-1])
+        return top + mp.log(mp.fsum(mp.exp(v - top) for v in logs))
+
+
+def fractional_pmf_mp(mp, lam_t: float, d: int, nu: float, n) -> list[float]:
+    """The fractional-Poisson pmf at each n at 50 digits: the Mittag-Leffler
+    series term (lam t)^n / (n! Gamma((n+1)(2 nu + d - 1)/2 + 1/2)) over
+    the directly summed series."""
+    with mp.workdps(50):
+        alpha = mp.mpf(nu) + mp.mpf(d - 1) / 2
+        beta = mp.mpf(nu) + mp.mpf(d) / 2
+        log_x = mp.log(mp.mpf(lam_t))
+        log_sum = log_mittag_leffler_mp(mp, alpha, beta, lam_t)
+        return [
+            float(mp.exp(k * log_x - mp.loggamma(k + 1) - mp.loggamma(alpha * k + beta) - log_sum))
+            for k in n
+        ]

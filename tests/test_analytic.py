@@ -27,6 +27,7 @@ from driftflight.specfun import bessel_j_ratio
 from _oracles import (
     cf_nu1_mp,
     density_nu1_mp,
+    fractional_pmf_mp,
     gl_grid,
     point_with_norm,
     radial_cdf_oracle,
@@ -627,6 +628,45 @@ def test_mixture_tail_bound_small():
     mp = MixtureParams(lam=1.0, base=FlightParams(d=2, n=1, nu=0.0, m=1), n_max=50)
     bound = mixture_tail_bound(mp)
     assert 0.0 <= bound < 1e-10
+
+
+@pytest.mark.parametrize("lam", [1e3, 1e4, 1e5])
+def test_pmf_large_rate_matches_mpmath(lam):
+    # the normalizer passes the double range at lam t near 1e3 (d2 nu0);
+    # the pmf stays finite, sums to one and matches 50-digit sums
+    mp = pytest.importorskip("mpmath")
+    mixture = MixtureParams(lam=lam, base=FlightParams(d=2, n=1, nu=0.0, m=1))
+    pmf = fractional_poisson_pmf(mixture, np.arange(5_000))
+    assert math.fsum(pmf) == pytest.approx(1.0, abs=1e-10)
+    mode = int(np.argmax(pmf))
+    ns = [0, 1, 50] + [mode + k for k in (-150, -50, 0, 50, 150) if mode + k > 50]
+    exact = np.array(fractional_pmf_mp(mp, lam, 2, 0.0, ns))
+    got = fractional_poisson_pmf(mixture, ns)
+    normal = exact > 1e-300
+    np.testing.assert_allclose(got[normal], exact[normal], rtol=1e-10, atol=0.0)
+    assert np.all(got[~normal] <= 1e-300)
+
+
+@pytest.mark.parametrize("lam", [1e3, 1e4, 1e5])
+def test_mixture_raises_when_truncation_drops_mass(lam):
+    # with n_max = 50 the kept weights are about 6e-21 at lam t = 1e3 and
+    # underflow beyond: both mixture functions raise and name that weight
+    mp = pytest.importorskip("mpmath")
+    mixture = MixtureParams(lam=lam, base=FlightParams(d=2, n=1, nu=0.0, m=1))
+    pmf = fractional_pmf_mp(mp, lam, 2, 0.0, range(51))
+    retained = math.fsum(pmf[1:]) / (1.0 - pmf[0])
+    for call in (
+        lambda: unconditional_density_projection(mixture, [0.3]),
+        lambda: mixture_tail_bound(mixture),
+    ):
+        with pytest.raises(ValueError, match=f"retains weight {retained:.3g} "):
+            call()
+
+
+def test_mixture_rejects_non_finite_rate():
+    for lam in (math.inf, math.nan):
+        with pytest.raises(ValueError):
+            MixtureParams(lam=lam, base=FlightParams(d=2, n=1, nu=0.0, m=1))
 
 
 def test_mixture_non_negative_and_domain():

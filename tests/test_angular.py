@@ -12,6 +12,7 @@ from driftflight.angular import (
     AngleVector,
     angles_to_direction,
     angular_density,
+    direction_angles,
     direction_draws,
     directions,
     marginal_angular_density,
@@ -156,14 +157,30 @@ def test_direction_unit_norm(data):
 
 # -------------------------------------------------------------- sampler
 
+def _sample_directions(d, nu, count, seed):
+    # the directions of `count` sample_angles calls on _rng(seed), in one
+    # batch transform: rng.random draws in sequence, so row i is call i
+    return directions(_rng(seed).random((count, direction_draws(d, nu))), d, nu)
+
+
 def _sample_many(d, nu, count, seed):
-    rng = _rng(seed)
-    return [sample_angles(d, nu, rng) for _ in range(count)]
+    """Colatitudes (count, d-2) and azimuths (count,) of `count`
+    sample_angles calls."""
+    return direction_angles(_sample_directions(d, nu, count, seed))
+
+
+@pytest.mark.parametrize("d,nu", [(2, 0.0), (3, 1.0), (4, 0.3), (5, 2.5)])
+def test_sample_angles_is_a_batch_row(d, nu):
+    # the batched samples of the tests below are the scalar calls' samples
+    rng = _rng(9)
+    calls = [sample_angles(d, nu, rng) for _ in range(50)]
+    thetas, phis = _sample_many(d, nu, 50, 9)
+    np.testing.assert_array_equal([a.thetas for a in calls], thetas.reshape(50, d - 2))
+    np.testing.assert_array_equal([a.phi for a in calls], phis)
 
 
 def test_sampler_uniform_circle_chi_square():
-    draws = _sample_many(2, 0.0, 100_000, 11)
-    phis = np.array([a.phi for a in draws])
+    _, phis = _sample_many(2, 0.0, 100_000, 11)
     counts, _ = np.histogram(phis, bins=36, range=(0.0, TWO_PI))
     expected = len(phis) / 36.0
     stat = float(((counts - expected) ** 2 / expected).sum())
@@ -173,8 +190,8 @@ def test_sampler_uniform_circle_chi_square():
 def test_sampler_sin2_mean_matches_quadrature():
     # E[sin^2 phi] under the nu=1 planar law, oracle by quadrature
     oracle, _ = quad(lambda p: math.sin(p) ** 4 / math.pi, 0.0, TWO_PI)
-    draws = _sample_many(2, 1.0, 100_000, 12)
-    vals = np.sin([a.phi for a in draws]) ** 2
+    _, phis = _sample_many(2, 1.0, 100_000, 12)
+    vals = np.sin(phis) ** 2
     se = vals.std(ddof=1) / math.sqrt(len(vals))
     assert abs(vals.mean() - oracle) <= 3.0 * se
     assert oracle == pytest.approx(0.75, rel=1e-12)
@@ -186,8 +203,8 @@ def test_sampler_cos2_colatitude_matches_quadrature():
     den, _ = quad(lambda t: math.sin(t) ** 3, 0.0, math.pi)
     oracle = num / den
     assert oracle == pytest.approx(0.2, rel=1e-12)
-    draws = _sample_many(3, 1.0, 100_000, 13)
-    vals = np.cos([a.thetas[0] for a in draws]) ** 2
+    thetas, _ = _sample_many(3, 1.0, 100_000, 13)
+    vals = np.cos(thetas[:, 0]) ** 2
     se = vals.std(ddof=1) / math.sqrt(len(vals))
     assert abs(vals.mean() - oracle) <= 3.0 * se
 
@@ -215,11 +232,11 @@ def _ks(sorted_vals, cdf_vals):
 
 @pytest.mark.parametrize("d,nu", [(2, 0.0), (3, 1.0), (4, 2.0)])
 def test_sampler_marginal_ks(d, nu):
-    draws = _sample_many(d, nu, 100_000, 14 + d)
+    thetas, phis = _sample_many(d, nu, 100_000, 14 + d)
     for j in range(1, d - 1):
-        vals = np.sort([a.thetas[j - 1] for a in draws])
+        vals = np.sort(thetas[:, j - 1])
         assert _ks(vals, _theta_cdf(d, nu, j, vals)) < 0.01
-    phis = np.sort([a.phi for a in draws])
+    phis = np.sort(phis)
     assert _ks(phis, _phi_cdf(nu, phis)) < 0.01
 
 
@@ -238,8 +255,7 @@ def test_directions_last_coordinate_beta_ks(d, nu):
 
 
 def test_sampler_uniform_sphere_moments():
-    draws = _sample_many(3, 0.0, 40_000, 15)
-    dirs = np.array([angles_to_direction(a) for a in draws])
+    dirs = _sample_directions(3, 0.0, 40_000, 15)
     n = len(dirs)
     for i in range(3):
         col = dirs[:, i]
@@ -251,8 +267,7 @@ def test_sampler_uniform_sphere_moments():
 def test_drift_concentration_increases_with_nu():
     masses = []
     for seed, nu in enumerate((0.0, 1.0, 4.0)):
-        draws = _sample_many(2, nu, 40_000, 20 + seed)
-        phis = np.array([a.phi for a in draws])
+        _, phis = _sample_many(2, nu, 40_000, 20 + seed)
         near = (np.abs(phis - math.pi / 2) < 0.3) | (
             np.abs(phis - 3 * math.pi / 2) < 0.3
         )

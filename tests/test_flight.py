@@ -122,6 +122,16 @@ def test_batch_chunking_does_not_change_output():
         assert np.array_equal(base, simulate_batch(p, 1_000, 7, chunk_size=chunk))
 
 
+def test_batch_contract_at_non_integer_two_nu():
+    # 2 nu = 0.6 runs every Gamma variate through gamma_quantile
+    p = FlightParams(d=3, n=2, nu=0.3)
+    base = simulate_batch(p, 1_000, 7)
+    for chunk in (1, 7, 999):
+        assert np.array_equal(base, simulate_batch(p, 1_000, 7, chunk_size=chunk))
+    for i in (0, 1, 500, 999):
+        assert np.array_equal(simulate_flight(p, replicate_stream(p, 7, i)).final, base[i])
+
+
 def test_batch_prefix_stability():
     # shorter batches are prefixes of longer ones with the same seed
     p = FlightParams(d=2, n=2, nu=0.0)

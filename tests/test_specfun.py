@@ -12,9 +12,10 @@ from driftflight.specfun import (
     double_factorial_odd,
     falling_factorial_coeffs,
     gamma,
+    log_mittag_leffler_paper,
     mittag_leffler_paper,
 )
-from _oracles import bessel_series_oracle, mittag_leffler_oracle
+from _oracles import bessel_series_oracle, log_mittag_leffler_mp, mittag_leffler_oracle
 
 
 # ---------------------------------------------------------------- gamma
@@ -186,6 +187,23 @@ def test_ml_monotone_in_x(x1, x2):
     assert mittag_leffler_paper(0.9, 1.3, lo) <= mittag_leffler_paper(0.9, 1.3, hi) * (
         1.0 + 1e-14
     )
+
+
+@pytest.mark.parametrize(
+    "alpha,beta,x",
+    [(0.5, 1.0, 4.0), (1.5, 2.0, 1e-12), (0.5, 1.0, 1e4), (0.5, 1.0, 1e5), (1.0, 1.5, 1e6)],
+)
+def test_log_ml_matches_mpmath(alpha, beta, x):
+    # the log-sum-exp stays finite where the sum itself passes the double
+    # range; its error grows with the size of the log terms
+    mp = pytest.importorskip("mpmath")
+    for start in (0, 1):
+        exact = float(log_mittag_leffler_mp(mp, alpha, beta, x, start))
+        assert log_mittag_leffler_paper(alpha, beta, x, start) == pytest.approx(
+            exact, rel=0.0, abs=2e-12
+        )
+    assert mittag_leffler_paper(1.0, 1.5, 1e6) == math.inf
+    assert log_mittag_leffler_paper(1.0, 1.0, 0.0, start=1) == -math.inf
 
 
 def test_ml_domain_errors():
