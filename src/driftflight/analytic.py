@@ -111,15 +111,10 @@ def _supported(outside, values) -> np.ndarray:
     return np.where(outside, 0.0, values)[()]
 
 
-def _bessel_ratios(mu: float, w: np.ndarray, log_scale=0.0) -> np.ndarray:
-    """bessel_j_ratio(mu, w, log_scale) elementwise (log_scale broadcasts
-    with w); NaN at a non-finite w."""
-    w, log_scale = np.broadcast_arrays(w, log_scale)
-    vals = [
-        bessel_j_ratio(mu, wi, si) if math.isfinite(wi) else math.nan
-        for wi, si in zip(w.ravel().tolist(), log_scale.ravel().tolist())
-    ]
-    return np.array(vals).reshape(w.shape)
+def _finite_or_nan(w: np.ndarray) -> np.ndarray:
+    """Frequency norms with NaN in place of inf: a cf is NaN at a
+    non-finite frequency."""
+    return np.where(np.isfinite(w), w, np.nan)
 
 
 def _log_size(pieces) -> float:
@@ -161,10 +156,10 @@ def cf_projection(p: FlightParams, alpha):
     alpha = 0.
     """
     _require_n(p)
-    w = p.c * p.t * np.sqrt(_sq_norm(_vectors(alpha)))
+    w = _finite_or_nan(p.c * p.t * np.sqrt(_sq_norm(_vectors(alpha))))
     K = _half_order(p)
     mu = K - 0.5
-    vals = math.exp(mu * _LN_2 + math.lgamma(K + 0.5)) * _bessel_ratios(mu, w)
+    vals = bessel_j_ratio(mu, w, mu * _LN_2 + math.lgamma(K + 0.5))
     return np.where(w == 0.0, 1.0, vals)[()]
 
 
@@ -259,7 +254,7 @@ def cf_nu1(p: FlightParams, alpha):
     d, n = p.d, p.n
     with np.errstate(invalid="ignore"):
         ratio = alpha[..., -1] ** 2 / rho**2
-    w = p.c * p.t * rho
+    w = _finite_or_nan(p.c * p.t * rho)
     with np.errstate(divide="ignore"):
         log_w2 = 2.0 * np.log(w)
     M = (n + 1) * (d + 1)
@@ -275,7 +270,7 @@ def cf_nu1(p: FlightParams, alpha):
         ]
         # the prefactor and w^(2 nj) ride in the Bessel ratio's log scale
         log_w_part = nj * log_w2 if nj else np.zeros(w.shape)
-        t = ratio**nj * _bessel_ratios(mu_j, w, log_pref + sum(pieces) + log_w_part)
+        t = ratio**nj * bessel_j_ratio(mu_j, w, log_pref + sum(pieces) + log_w_part)
         terms.append((-1.0) ** nj * t)
         # the ratio adds -lgamma(mu_j + 1) - mu_j log 2 of its own
         own = math.lgamma(mu_j + 1.0) + mu_j * _LN_2

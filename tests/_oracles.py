@@ -27,6 +27,19 @@ def bessel_series_oracle(mu: float, x: float, terms: int = 200) -> float:
     return math.fsum(vals)
 
 
+def bessel_j_mp(mp, mu: float, x: float, ratio: bool = False) -> float:
+    """J_mu(x) at 40 digits with mpmath's own Bessel function (``mp`` is
+    the mpmath module); with ``ratio``, J_mu(x) 2^mu Gamma(mu+1) / x^mu,
+    which is 1 at the origin."""
+    with mp.workdps(40):
+        mu, x = mp.mpf(mu), mp.mpf(x)
+        if not ratio:
+            return float(mp.besselj(mu, x))
+        if x == 0:
+            return 1.0
+        return float(mp.besselj(mu, x) * mp.power(2, mu) * mp.gamma(mu + 1) / mp.power(x, mu))
+
+
 def mittag_leffler_oracle(alpha: float, beta: float, x: float, terms: int = 50) -> float:
     """Direct summation of sum_k x^k / (k! Gamma(alpha k + beta))."""
     vals = [

@@ -25,6 +25,7 @@ from driftflight.analytic import (
 from driftflight.flight import FlightParams, simulate_batch
 from driftflight.specfun import bessel_j_ratio
 from _oracles import (
+    bessel_j_mp,
     cf_nu1_mp,
     density_nu1_mp,
     fractional_pmf_mp,
@@ -59,6 +60,19 @@ def test_cf_projection_depends_only_on_norm():
         one_dim = cf_projection(p, [norm])
         three_dim = cf_projection(p, [norm / math.sqrt(3.0)] * 3)
         assert one_dim == pytest.approx(three_dim, rel=1e-13)
+
+
+def test_cf_projection_large_half_order_matches_mpmath():
+    # K = 514.5: the prefactor 2^(K-1/2) Gamma(K+1/2) overflows a double on
+    # its own and rides in the Bessel ratio's log scale instead
+    mp = pytest.importorskip("mpmath")
+    p = FlightParams(d=40, n=20, nu=5.0, m=2)
+    ws = (0.5, 5.0, 40.0, 200.0)
+    vals = cf_projection(p, [[w / (p.c * p.t), 0.0] for w in ws])
+    mu = 0.5 * (p.n + 1) * (2.0 * p.nu + p.d - 1.0) - 0.5
+    for w, v in zip(ws, vals):
+        assert abs(v - bessel_j_mp(mp, mu, w, ratio=True)) <= 1e-12, w
+    assert math.isfinite(cf_projection(p, [1.0, 2.0]))
 
 
 def test_cf_projection_requires_changes():

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import jv
 
 from driftflight.specfun import (
     CoeffTable,
@@ -15,7 +16,12 @@ from driftflight.specfun import (
     log_mittag_leffler_paper,
     mittag_leffler_paper,
 )
-from _oracles import bessel_series_oracle, log_mittag_leffler_mp, mittag_leffler_oracle
+from _oracles import (
+    bessel_j_mp,
+    bessel_series_oracle,
+    log_mittag_leffler_mp,
+    mittag_leffler_oracle,
+)
 
 
 # ---------------------------------------------------------------- gamma
@@ -97,15 +103,73 @@ def test_bessel_half_integer_closed_forms():
         assert abs(bessel_j(1.5, x) - j_three_half) <= 1e-9
 
 
-def test_bessel_series_miller_agree_at_switch():
-    # both evaluation paths are accurate just past the x = 12 switch point
-    from driftflight.specfun import _bessel_miller, _bessel_series
+def test_bessel_matches_mpmath_grid():
+    mp = pytest.importorskip("mpmath")
+    for mu in np.linspace(-0.5, 60.0, 12):
+        for x in np.linspace(0.05, 60.0, 12):
+            mu, x = float(mu), float(x)
+            assert abs(bessel_j(mu, x) - bessel_j_mp(mp, mu, x)) <= 1e-13, (mu, x)
 
-    for mu in (0.0, 1.3, 5.0):
-        for x in (12.1, 12.5, 13.0):
-            assert _bessel_series(mu, x) == pytest.approx(
-                _bessel_miller(mu, x), abs=5e-11
-            )
+
+def _unit_at_origin(mu):
+    # log_scale that makes exp(log_scale) J_mu(x) / x^mu equal 1 at x = 0
+    return mu * math.log(2.0) + math.lgamma(mu + 1.0)
+
+
+def test_bessel_ratio_matches_mpmath():
+    mp = pytest.importorskip("mpmath")
+    x = np.linspace(0.0, 100.0, 41)
+    for mu in (-0.5, 0.0, 0.5, 3.0, 17.5, 60.0, 120.0, 236.0, 300.0):
+        vals = bessel_j_ratio(mu, x, _unit_at_origin(mu))
+        for xi, v in zip(x, vals):
+            assert abs(v - bessel_j_mp(mp, mu, xi, ratio=True)) <= 1e-12, (mu, xi)
+
+
+def test_bessel_ratio_series_where_j_underflows():
+    mp = pytest.importorskip("mpmath")
+    for mu, x in ((236.0, 0.5), (212.0, 0.12)):
+        assert jv(mu, x) == 0.0  # the series branch
+        v = bessel_j_ratio(mu, x, _unit_at_origin(mu))
+        assert abs(v - bessel_j_mp(mp, mu, x, ratio=True)) <= 1e-12
+    # one call that mixes series points (J underflows, and x = 0) with jv points
+    mu = 236.0
+    x = np.array([0.0, 0.12, 0.5, 5.0, 60.0, 150.0, 300.0])
+    j = jv(mu, x)
+    assert np.any(j == 0.0) and np.any(np.abs(j) > 1e-300)
+    vals = bessel_j_ratio(mu, x, _unit_at_origin(mu))
+    assert vals.shape == x.shape
+    for xi, v in zip(x, vals):
+        assert abs(v - bessel_j_mp(mp, mu, xi, ratio=True)) <= 1e-12, xi
+    # log_scale broadcasts against x
+    scales = np.array([[0.0], [1.0]]) + _unit_at_origin(mu)
+    both = bessel_j_ratio(mu, x, scales)
+    assert both.shape == (2, x.size)
+    np.testing.assert_allclose(both[1], math.e * vals, rtol=1e-14)
+
+
+def test_bessel_ratio_series_raises_where_it_would_cancel():
+    # far past the orders the laws use, J underflows where the series
+    # terms first grow; the series then raises instead of losing digits
+    with pytest.raises(ValueError, match="series"):
+        bessel_j_ratio(1000.0, 380.0, _unit_at_origin(1000.0))
+
+
+def test_bessel_non_finite_inputs():
+    nan, inf = math.nan, math.inf
+    assert math.isnan(bessel_j(1.0, nan))
+    assert math.isnan(bessel_j_ratio(1.0, nan))
+    assert bessel_j(1.0, inf) == 0.0
+    assert bessel_j(0.0, inf) == 0.0
+    assert bessel_j_ratio(1.0, inf) == 0.0
+    vals = bessel_j_ratio(2.0, [nan, inf, 0.0, 1.0])
+    assert math.isnan(vals[0]) and vals[1] == 0.0
+    assert vals[2] == pytest.approx(0.125, rel=1e-15)
+    assert vals[3] == pytest.approx(bessel_j(2.0, 1.0), rel=1e-14)
+    for mu in (nan, inf, -inf):
+        with pytest.raises(ValueError, match="order"):
+            bessel_j(mu, 1.0)
+        with pytest.raises(ValueError, match="order"):
+            bessel_j_ratio(mu, [1.0, 2.0])
 
 
 def test_bessel_domain_errors():
