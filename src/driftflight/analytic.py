@@ -220,8 +220,12 @@ def cdf_radial_projection(p: FlightParams, r):
 
 
 def radial_moment(p: FlightParams, order: int) -> float:
-    """E[R^order] for the projected radius; strictly below (c t)^order."""
+    """E[R^order] for the projected radius; strictly below (c t)^order.
+
+    At m = d only for nu = 0, where the full flight is isotropic."""
     _require_n(p)
+    if p.m == p.d and p.nu != 0.0:
+        raise ValueError("radial_moment at m = d requires nu = 0")
     if order < 1:
         raise ValueError("radial_moment requires order >= 1")
     K = _half_order(p)

@@ -18,7 +18,9 @@ Replicate i owns a dedicated counter-offset substream of a Philox stream
 keyed by the master seed (see :func:`replicate_stream`), and every
 replicate consumes the same fixed number of uniforms.  Both entry points
 run one sampler kernel on rows of those uniforms: ``simulate_batch`` on a
-chunk of rows, ``simulate_flight`` on one row.  Row i of a batch and
+chunk of rows, ``simulate_flight`` on one row.  The kernel transforms all
+n+1 segments of a row at once, and both entry points then add the
+displacements from zero in segment order.  Row i of a batch and
 ``simulate_flight(p, replicate_stream(p, seed, i))`` are therefore the
 same kernel on the same uniforms, and bit-identical.
 """
@@ -50,10 +52,10 @@ __all__ = [
     "simulate_flight",
 ]
 
-# uniforms per simulate_batch chunk (1 MiB): the default chunk holds this
+# uniforms per simulate_batch chunk (256 KiB): the default chunk holds this
 # many over its rows, so working memory stays flat however many uniforms a
-# flight consumes
-_CHUNK_DRAWS = 1 << 17
+# flight consumes; the kernel's temporaries scale with the whole chunk
+_CHUNK_DRAWS = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -129,32 +131,29 @@ def replicate_stream(p: FlightParams, master_seed: int, index: int) -> np.random
     return np.random.Generator(bg)
 
 
-def _segments(p: FlightParams, U: np.ndarray):
-    """The sampler kernel: uniform rows (count, draws_per_flight(p)) to,
-    per segment in order, the waiting times (count,) and displacements
-    (count, d).  Segments come one at a time, so working memory stays a
-    few (count, d) arrays."""
+def _segments(p: FlightParams, U: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The sampler kernel: uniform rows (count, draws_per_flight(p)) to the
+    waiting times (count, n+1) and displacements (count, n+1, d) of every
+    segment, all segments in one transform."""
     n, d, nu = p.n, p.d, p.nu
     if n >= 1:
         col = (n + 1) * time_draws(d, nu)
         taus = waiting_times(U[:, :col], d, nu, p.t)
     else:
         col, taus = 0, np.full((len(U), 1), p.t)
-    lengths = p.c * taus
-    k = direction_draws(d, nu)
-    for j in range(n + 1):
-        u = U[:, col + j * k : col + (j + 1) * k]
-        yield taus[:, j], lengths[:, j, None] * directions(u, d, nu)
+    # splitting the row axis is a view, also of a strided chunk
+    u = U[:, col:].reshape(len(U), n + 1, direction_draws(d, nu))
+    return taus, (p.c * taus)[..., None] * directions(u, d, nu)
 
 
 def simulate_flight(p: FlightParams, rng: np.random.Generator) -> Trajectory:
     """Simulate one flight: the batch kernel on one row of
     ``draws_per_flight(p)`` uniforms.  n = 0 degenerates to a single
     segment of length c t."""
-    segs = list(_segments(p, rng.random((1, draws_per_flight(p)))))
+    taus, steps = _segments(p, rng.random((1, draws_per_flight(p))))
     # positions and epochs accumulate from zero in segment order
-    times = np.array([0.0] + [tau[0] for tau, _ in segs]).cumsum()
-    bps = np.array([np.zeros(p.d)] + [step[0] for _, step in segs]).cumsum(axis=0)
+    times = np.concatenate(([0.0], taus[0])).cumsum()
+    bps = np.concatenate((np.zeros((1, p.d)), steps[0])).cumsum(axis=0)
     return Trajectory(bps, times)
 
 
@@ -181,7 +180,7 @@ def simulate_batch(
 
     Output is bit-deterministic given (p, count, master_seed) and invariant
     under ``chunk_size``, the rows per chunk, which only bounds working
-    memory; by default a chunk holds about 2^17 uniforms.
+    memory; by default a chunk holds about 2^15 uniforms.
     """
     L = draws_per_flight(p)
     Lpad = _padded_draws(p)
@@ -192,6 +191,8 @@ def simulate_batch(
     finals = np.zeros((count, p.d), dtype=float)
     for done in range(0, count, step):
         rows = finals[done : done + step]
-        for _, disp in _segments(p, gen.random((len(rows), Lpad))[:, :L]):
-            rows += disp
+        _, steps = _segments(p, gen.random((len(rows), Lpad))[:, :L])
+        # segment by segment from zero, the order simulate_flight sums in
+        for j in range(p.n + 1):
+            rows += steps[:, j]
     return finals

@@ -127,12 +127,15 @@ def bessel_j_ratio(mu: float, x, log_scale=0.0):
         out = np.sign(j) * np.exp(np.log(np.abs(j)) + log_scale - mu * np.log(x))
     normal = (np.abs(j) >= _TINY) & (x > 0.0)
     if not normal.all():
-        x, log_scale, normal = np.broadcast_arrays(x, log_scale, normal)
-        out = np.where(normal, out, np.where(x == math.inf, 0.0, np.nan))
-        series = ~normal & (x < math.inf)  # x = 0 and underflow; NaN x fails both tests
+        log_t0 = np.asarray(log_scale) - mu * math.log(2.0) - math.lgamma(mu + 1.0)
+        with np.errstate(under="ignore"):
+            # at x = 0 the series is its first term, exp(log_t0), exactly
+            edge = np.where(x == 0.0, np.exp(log_t0), np.where(x == math.inf, 0.0, np.nan))
+        out = np.where(normal, out, edge)
+        series = ~normal & (x > 0.0) & (x < math.inf)  # underflow; NaN x fails the tests
         if series.any():
-            log_t0 = log_scale[series] - mu * math.log(2.0) - math.lgamma(mu + 1.0)
-            out[series] = _ratio_series(mu, x[series], log_t0)
+            x, log_t0, series = np.broadcast_arrays(x, log_t0, series)
+            out[series] = _ratio_series(mu, x[series], log_t0[series])
     return out[()]
 
 

@@ -313,6 +313,11 @@ def test_radial_moment_validation():
         radial_moment(FlightParams(d=3, n=1, nu=0.0, m=1), 0)
     with pytest.raises(ValueError):
         radial_moment(FlightParams(d=3, n=0, nu=0.0, m=1), 2)
+    # at m = d the formula holds only for the isotropic nu = 0 flight
+    assert radial_moment(FlightParams(d=3, n=2, nu=0.0), 2) == pytest.approx(3.0 / 7.0)
+    for nu in (1.0, 0.3):
+        with pytest.raises(ValueError, match="m = d"):
+            radial_moment(FlightParams(d=3, n=2, nu=nu), 2)
 
 
 # ------------------------------------------------------ nu = 1 cf

@@ -219,6 +219,13 @@ def test_io_error_exit_code(tmp_path):
     assert code == IO_ERROR
 
 
+def test_moments_full_flight_with_drift_is_a_usage_error(tmp_path):
+    out = tmp_path / "m.csv"
+    args = ["moments", "--d", "3", "--m", "3", "--n", "2", "--nu", "1", "--out", str(out)]
+    assert main(args) == USAGE_ERROR
+    assert not out.exists()
+
+
 def test_config_file_with_flag_override(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"d": 3, "m": 2, "n": 1, "nu": 0.0, "orders": "2"}))

@@ -179,11 +179,11 @@ def test_segments_finite_at_extreme_uniforms(d, n, nu, u):
     # the smallest and largest doubles a Generator's random() returns
     p = FlightParams(d=d, n=n, nu=nu, c=1.2, t=0.8)
     rows = np.full((3, draws_per_flight(p)), u)
-    total = np.zeros((3, d))
-    for tau, disp in _segments(p, rows):
-        assert np.all(np.isfinite(tau)) and np.all(tau >= 0.0)
-        assert np.all(np.isfinite(disp))
-        total += disp
+    taus, steps = _segments(p, rows)
+    assert taus.shape == (3, n + 1) and steps.shape == (3, n + 1, d)
+    assert np.all(np.isfinite(taus)) and np.all(taus >= 0.0)
+    assert np.all(np.isfinite(steps))
+    total = steps.sum(axis=1)
     assert np.all(np.linalg.norm(total, axis=1) <= p.c * p.t * (1.0 + 1e-12))
 
 

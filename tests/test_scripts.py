@@ -1,0 +1,38 @@
+import runpy
+import sys
+from pathlib import Path
+
+import numpy as np
+from scipy.integrate import trapezoid
+
+from driftflight.flight import FlightParams, simulate_batch
+
+SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+
+
+def test_export_figure_data(tmp_path, monkeypatch):
+    script = runpy.run_path(str(SCRIPTS / "export_figure_data.py"))
+    monkeypatch.setattr(sys, "argv", ["export_figure_data.py", "--out-dir", str(tmp_path)])
+    assert script["main"]() == 0
+    names = [
+        "angular_density_d2.csv",
+        "radial_density_nu1_n1.csv",
+        "radial_density_nu1_n2.csv",
+        "sample_trajectory_d3.csv",
+    ]
+    assert sorted(f.name for f in tmp_path.iterdir()) == names
+    table = {name: np.loadtxt(tmp_path / name, delimiter=",") for name in names}
+
+    # each angular density integrates to 1 over [0, 2 pi]; the trapezoid
+    # rule is spectrally accurate on a periodic integrand
+    phi, dens = table["angular_density_d2.csv"][:, 0], table["angular_density_d2.csv"][:, 1:]
+    assert phi[0] == 0.0 and phi[-1] == 2.0 * np.pi
+    np.testing.assert_allclose(trapezoid(dens, phi, axis=0), 1.0, rtol=0, atol=1e-12)
+
+    # the trajectory is replicate 0 of the seed-42 batch, written with 17
+    # significant digits, so its end point round-trips bit for bit
+    traj = table["sample_trajectory_d3.csv"]
+    assert traj.shape == (10, 6)
+    batch_row = simulate_batch(FlightParams(d=3, n=8, nu=1.0), 1, 42)[0]
+    np.testing.assert_array_equal(traj[-1, 1:4], batch_row)
+    np.testing.assert_array_equal(traj[:, 4:], traj[:, 1:3])

@@ -147,6 +147,18 @@ def test_bessel_ratio_series_where_j_underflows():
     np.testing.assert_allclose(both[1], math.e * vals, rtol=1e-14)
 
 
+@pytest.mark.parametrize("mu", [0.0, 10.5, 300.0, 1000.0])
+def test_bessel_ratio_at_origin_is_the_closed_form(mu):
+    log_scale = _unit_at_origin(mu) + 3.0
+    exact = np.exp(log_scale - mu * math.log(2.0) - math.lgamma(mu + 1.0))
+    assert bessel_j_ratio(mu, 0.0, log_scale) == exact
+    # inside one call with jv points and points where J underflows
+    x = np.array([0.0, 0.5, 3.0, 0.0, 40.0])
+    vals = bessel_j_ratio(mu, x, log_scale)
+    assert vals[0] == exact and vals[3] == exact
+    np.testing.assert_array_equal(vals[1:3], bessel_j_ratio(mu, x[1:3], log_scale))
+
+
 def test_bessel_ratio_series_raises_where_it_would_cancel():
     # far past the orders the laws use, J underflows where the series
     # terms first grow; the series then raises instead of losing digits
