@@ -19,7 +19,7 @@ import numpy as np
 
 from driftflight.angular import AngleVector, angular_density
 from driftflight.analytic import radial_density_nu1
-from driftflight.flight import FlightParams, replicate_stream, simulate_flight
+from driftflight.flight import FlightParams, simulate_trajectories
 
 
 def write_csv(path, header, rows):
@@ -65,11 +65,8 @@ def main() -> int:
 
     # a sample three-dimensional trajectory and its planar shadow
     p = FlightParams(d=3, n=8, nu=1.0)
-    tr = simulate_flight(p, replicate_stream(p, args.seed, 0))
-    rows = [
-        [tr.times[k], *tr.breakpoints[k], *tr.breakpoints[k][:2]]
-        for k in range(tr.breakpoints.shape[0])
-    ]
+    tr = simulate_trajectories(p, 1, args.seed)
+    rows = np.column_stack((tr.times[0], tr.breakpoints[0], tr.breakpoints[0][:, :2]))
     write_csv(
         os.path.join(args.out_dir, "sample_trajectory_d3.csv"),
         "t,x1,x2,x3,shadow_x1,shadow_x2",

@@ -31,6 +31,7 @@ from .flight import (
     replicate_stream,
     simulate_batch,
     simulate_flight,
+    simulate_trajectories,
 )
 from .specfun import (
     CoeffTable,

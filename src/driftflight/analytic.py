@@ -68,6 +68,12 @@ def _require_n(p: FlightParams) -> None:
         raise ValueError("this law requires n >= 1 direction changes")
 
 
+def _require_isotropic(p: FlightParams) -> None:
+    _require_n(p)
+    if p.m == p.d and p.nu != 0.0:
+        raise ValueError("this law at m = d requires nu = 0")
+
+
 def _require_projection(p: FlightParams) -> None:
     _require_n(p)
     if p.m >= p.d:
@@ -152,11 +158,13 @@ def cf_projection(p: FlightParams, alpha):
     """Characteristic function of the projected flight at frequencies alpha.
 
     Depends on each frequency vector only through its norm; the vectors
-    (last axis of alpha) may have any length.  Real-valued, equal to 1 at
-    alpha = 0.
+    (last axis of alpha) may have any length up to m.  At m = d only for
+    nu = 0, where the full flight is isotropic.  Real, 1 at alpha = 0.
     """
-    _require_n(p)
-    w = _finite_or_nan(p.c * p.t * np.sqrt(_sq_norm(_vectors(alpha))))
+    _require_isotropic(p)
+    if (alpha := _vectors(alpha)).shape[-1] > p.m:
+        raise ValueError(f"expected vectors of length <= m = {p.m}, got shape {alpha.shape}")
+    w = _finite_or_nan(p.c * p.t * np.sqrt(_sq_norm(alpha)))
     K = _half_order(p)
     mu = K - 0.5
     vals = bessel_j_ratio(mu, w, mu * _LN_2 + math.lgamma(K + 0.5))
@@ -223,9 +231,7 @@ def radial_moment(p: FlightParams, order: int) -> float:
     """E[R^order] for the projected radius; strictly below (c t)^order.
 
     At m = d only for nu = 0, where the full flight is isotropic."""
-    _require_n(p)
-    if p.m == p.d and p.nu != 0.0:
-        raise ValueError("radial_moment at m = d requires nu = 0")
+    _require_isotropic(p)
     if order < 1:
         raise ValueError("radial_moment requires order >= 1")
     K = _half_order(p)

@@ -4,7 +4,8 @@ Commands: simulate | density | cf | cdf | moments | mixture | validate.
 Flags override values from an optional JSON config file; the fully
 resolved configuration (including the seed) is echoed as a header
 comment in every CSV and into a ``<out>.meta.json`` sidecar, so reruns
-with the same inputs are byte-identical.
+with the same inputs are byte-identical.  ``simulate --trajectories K``
+(0 <= K <= --count) also writes the breakpoints of replicates 0..K-1.
 
 Exit codes: 0 success, 1 usage error, 2 validation failure, 3 I/O error.
 """
@@ -19,7 +20,8 @@ import numpy as np
 
 from . import analytic
 from .analytic import MixtureParams
-from .flight import FlightParams, replicate_stream, simulate_batch, simulate_flight
+from .flight import FlightParams, simulate_batch, simulate_trajectories
+from .flight import simulate_flight  # noqa: F401  (unused; bench/tracing.py wraps it here)
 from .validation import SuiteConfig, run_suite
 
 USAGE_ERROR = 1
@@ -174,6 +176,9 @@ def _cmd_simulate(args) -> int:
     count = int(cfg.get("count", 0) or 0)
     if count < 1:
         raise _UsageError("--count must be >= 1")
+    n_traj = int(cfg.get("trajectories", 0) or 0)
+    if not 0 <= n_traj <= count:
+        raise _UsageError(f"--trajectories must be in 0..{count}, the --count")
     p = _flight_params(cfg)
     seed = int(cfg.get("seed", 0))
     out = _require_out(cfg)
@@ -184,21 +189,15 @@ def _cmd_simulate(args) -> int:
     _write_csv(out, cols, rows, cfg_echo)
     _write_sidecar(out, cfg_echo)
 
-    n_traj = int(cfg.get("trajectories", 0) or 0)
     if n_traj > 0:
         traj_out = cfg.get("trajectories-out") or (out + ".trajectories.csv")
-        tcols = ["replicate", "segment", "t_k"] + [
-            f"x{i}" for i in range(1, p.d + 1)
-        ]
-        trows = []
-        for i in range(min(n_traj, count)):
-            tr = simulate_flight(p, replicate_stream(p, seed, i))
-            for s in range(tr.breakpoints.shape[0]):
-                trows.append(
-                    [float(i), float(s), float(tr.times[s])]
-                    + [float(v) for v in tr.breakpoints[s]]
-                )
-        _write_csv(str(traj_out), tcols, trows, cfg_echo)
+        tcols = ["replicate", "segment", "t_k"] + cols[1:]
+        tr, segs = simulate_trajectories(p, n_traj, seed), p.n + 2
+        trows = np.column_stack((  # one row per breakpoint, replicate by replicate
+            np.repeat(np.arange(n_traj), segs), np.tile(np.arange(segs), n_traj),
+            tr.times.ravel(), tr.breakpoints.reshape(-1, p.d),
+        ))
+        _write_csv(str(traj_out), tcols, trows.tolist(), cfg_echo)
         _write_sidecar(str(traj_out), cfg_echo)
     return 0
 
@@ -340,7 +339,7 @@ def build_parser() -> argparse.ArgumentParser:
     ps = sub.add_parser("simulate", help="simulate flights, write final positions")
     _add_common(ps)
     ps.add_argument("--trajectories", type=int, default=None,
-                    help="also export breakpoints for the first K replicates")
+                    help="also export breakpoints for replicates 0..K-1, 0 <= K <= --count")
     ps.add_argument("--trajectories-out", type=str, default=None)
     ps.set_defaults(func=_cmd_simulate)
 

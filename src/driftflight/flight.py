@@ -16,11 +16,12 @@ Reproducibility contract
 arguments and independent of how the work is chunked or distributed.
 Replicate i owns a dedicated counter-offset substream of a Philox stream
 keyed by the master seed (see :func:`replicate_stream`), and every
-replicate consumes the same fixed number of uniforms.  Both entry points
-run one sampler kernel on rows of those uniforms: ``simulate_batch`` on a
-chunk of rows, ``simulate_flight`` on one row.  The kernel transforms all
-n+1 segments of a row at once, and both entry points then add the
-displacements from zero in segment order.  Row i of a batch and
+replicate consumes the same fixed number of uniforms.  All entry points
+run one sampler kernel on rows of those uniforms: ``simulate_batch`` and
+``simulate_trajectories`` on chunks of rows, ``simulate_flight`` on one
+row.  The kernel transforms all n+1 segments of a row at once; positions
+and epochs are then cumulative sums from zero in segment order.  Row i of
+a batch, trajectory i of ``simulate_trajectories`` and
 ``simulate_flight(p, replicate_stream(p, seed, i))`` are therefore the
 same kernel on the same uniforms, and bit-identical.
 """
@@ -50,6 +51,7 @@ __all__ = [
     "replicate_stream",
     "simulate_batch",
     "simulate_flight",
+    "simulate_trajectories",
 ]
 
 # uniforms per simulate_batch chunk (256 KiB): the default chunk holds this
@@ -95,14 +97,15 @@ class FlightParams:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Breakpoints (n+2, d) starting at the origin and the n+2 epochs."""
+    """Breakpoints (..., n+2, d) starting at the origin and the epochs
+    (..., n+2); a leading axis, if any, indexes replicates."""
 
     breakpoints: np.ndarray
     times: np.ndarray
 
     @property
     def final(self) -> np.ndarray:
-        return self.breakpoints[-1]
+        return self.breakpoints[..., -1, :]
 
 
 def draws_per_flight(p: FlightParams) -> int:
@@ -146,28 +149,47 @@ def _segments(p: FlightParams, U: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return taus, (p.c * taus)[..., None] * directions(u, d, nu)
 
 
+def _paths(taus: np.ndarray, steps: np.ndarray) -> Trajectory:
+    # positions and epochs accumulate from zero in segment order
+    zero = ((0, 0), (1, 0))
+    bps = np.pad(steps, zero + ((0, 0),)).cumsum(axis=1)
+    return Trajectory(bps, np.pad(taus, zero).cumsum(axis=1))
+
+
 def simulate_flight(p: FlightParams, rng: np.random.Generator) -> Trajectory:
     """Simulate one flight: the batch kernel on one row of
     ``draws_per_flight(p)`` uniforms.  n = 0 degenerates to a single
     segment of length c t."""
-    taus, steps = _segments(p, rng.random((1, draws_per_flight(p))))
-    # positions and epochs accumulate from zero in segment order
-    times = np.concatenate(([0.0], taus[0])).cumsum()
-    bps = np.concatenate((np.zeros((1, p.d)), steps[0])).cumsum(axis=0)
-    return Trajectory(bps, times)
+    tr = _paths(*_segments(p, rng.random((1, draws_per_flight(p)))))
+    return Trajectory(tr.breakpoints[0], tr.times[0])
 
 
 def project(tr: Trajectory, m: int) -> np.ndarray:
-    """First m coordinates of the final position."""
-    d = tr.breakpoints.shape[1]
+    """First m coordinates of the final position(s)."""
+    d = tr.breakpoints.shape[-1]
     if not 1 <= m <= d:
         raise ValueError(f"projection dimension must be in [1, {d}], got {m}")
-    return np.array(tr.final[:m], dtype=float)
+    return np.array(tr.final[..., :m], dtype=float)
 
 
 def radial(x) -> float:
     """Euclidean norm."""
     return float(np.linalg.norm(np.asarray(x, dtype=float)))
+
+
+def _chunks(p: FlightParams, count: int, master_seed: int, chunk_size: int | None = None):
+    """``(first row, (taus, steps))`` of the kernel on batch rows
+    0..count-1, chunk by chunk; the arguments are checked on the call."""
+    L = draws_per_flight(p)
+    Lpad = _padded_draws(p)
+    step = chunk_size or max(1, _CHUNK_DRAWS // Lpad)
+    if count < 1 or step < 1:
+        raise ValueError("a batch requires count >= 1 and chunk_size >= 1")
+    gen = np.random.Generator(np.random.Philox(key=master_seed))
+    return (
+        (done, _segments(p, gen.random((min(step, count - done), Lpad))[:, :L]))
+        for done in range(0, count, step)
+    )
 
 
 def simulate_batch(
@@ -182,17 +204,19 @@ def simulate_batch(
     under ``chunk_size``, the rows per chunk, which only bounds working
     memory; by default a chunk holds about 2^15 uniforms.
     """
-    L = draws_per_flight(p)
-    Lpad = _padded_draws(p)
-    step = chunk_size or max(1, _CHUNK_DRAWS // Lpad)
-    if count < 1 or step < 1:
-        raise ValueError("simulate_batch requires count >= 1 and chunk_size >= 1")
-    gen = np.random.Generator(np.random.Philox(key=master_seed))
+    chunks = _chunks(p, count, master_seed, chunk_size)
     finals = np.zeros((count, p.d), dtype=float)
-    for done in range(0, count, step):
-        rows = finals[done : done + step]
-        _, steps = _segments(p, gen.random((len(rows), Lpad))[:, :L])
+    for done, (_, steps) in chunks:
+        rows = finals[done : done + len(steps)]
         # segment by segment from zero, the order simulate_flight sums in
         for j in range(p.n + 1):
             rows += steps[:, j]
     return finals
+
+
+def simulate_trajectories(p: FlightParams, count: int, master_seed: int) -> Trajectory:
+    """Breakpoints (count, n+2, d) and epochs (count, n+2) of batch rows
+    0..count-1: trajectory i is bit-identical to :func:`simulate_flight` on
+    ``replicate_stream(p, master_seed, i)``, its end to batch row i."""
+    taus, steps = zip(*(segs for _, segs in _chunks(p, count, master_seed)))
+    return _paths(np.concatenate(taus), np.concatenate(steps))

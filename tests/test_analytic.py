@@ -80,6 +80,33 @@ def test_cf_projection_requires_changes():
         cf_projection(FlightParams(d=2, n=0, nu=0.0), [1.0])
 
 
+def test_cf_projection_rejects_vectors_longer_than_m():
+    p = FlightParams(d=5, n=2, nu=0.7, m=2)
+    with pytest.raises(ValueError, match="length <= m"):
+        cf_projection(p, [0.1, 0.2, 0.3, 0.4, 0.5])
+    with pytest.raises(ValueError, match="length <= m"):
+        cf_projection(p, np.ones((4, 3)))
+
+
+def test_cf_projection_at_m_d_requires_nu0():
+    # a drifted full flight is not isotropic: at this point cf_nu1 gives
+    # 0.6074, the isotropic value would be 0.8560
+    for nu in (1.0, 0.3):
+        with pytest.raises(ValueError, match="m = d"):
+            cf_projection(FlightParams(d=3, n=2, nu=nu), [0.0, 0.0, 2.0])
+
+
+def test_cf_projection_full_flight_at_nu0():
+    # d = 3, n = 1, nu = 0: each segment has cf sin(z tau) / (z tau) and
+    # the first waiting time is Beta(2, 2), density 6 u (1 - u)
+    p = FlightParams(d=3, n=1, nu=0.0)
+    for z in (0.5, 2.0, 7.0):
+        direct = quad(lambda u: 6.0 * math.sin(z * u) * math.sin(z * (1.0 - u)) / z**2,
+                      0.0, 1.0, epsabs=1e-14)[0]
+        assert abs(cf_projection(p, [0.0, 0.0, z]) - direct) <= 1e-13, z
+        assert abs(cf_projection(p, [z / math.sqrt(3.0)] * 3) - direct) <= 1e-13, z
+
+
 def test_cf_projection_monte_carlo():
     # d=3, nu=1, n=1, projected to m=2, |alpha| = 2
     p = FlightParams(d=3, n=1, nu=1.0, m=2)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from driftflight.cli import IO_ERROR, USAGE_ERROR, VALIDATION_FAILURE, main
+from driftflight.flight import FlightParams, replicate_stream, simulate_flight
 
 
 def _read_rows(path):
@@ -62,6 +63,39 @@ def test_simulate_trajectory_export(tmp_path):
     for i in range(4):
         traj_final = rows[rows[:, 0] == i][-1, 3:]
         np.testing.assert_array_equal(traj_final, finals[i, 1:])
+
+
+@pytest.mark.parametrize("d,n,nu", [(2, 3, 0.0), (5, 0, 2.5)])
+def test_simulate_trajectory_rows_match_per_replicate_flights(tmp_path, d, n, nu):
+    tout = tmp_path / "traj.csv"
+    code = main(
+        [
+            "simulate", "--d", str(d), "--n", str(n), "--nu", str(nu), "--count", "12",
+            "--seed", "3", "--out", str(tmp_path / "pos.csv"), "--trajectories", "9",
+            "--trajectories-out", str(tout),
+        ]
+    )
+    assert code == 0
+    p = FlightParams(d=d, n=n, nu=nu)
+    lines = []
+    for i in range(9):
+        tr = simulate_flight(p, replicate_stream(p, 3, i))
+        for s in range(n + 2):
+            lines.append(",".join("%.17g" % v for v in [i, s, tr.times[s], *tr.breakpoints[s]]))
+    body = [line for line in tout.read_text().splitlines() if not line.startswith("#")]
+    assert body == lines
+
+
+@pytest.mark.parametrize("k", ["11", "-1"])
+def test_simulate_trajectories_outside_count_is_a_usage_error(tmp_path, k):
+    code = main(
+        [
+            "simulate", "--d", "2", "--n", "1", "--count", "10", "--trajectories", k,
+            "--out", str(tmp_path / "pos.csv"),
+        ]
+    )
+    assert code == USAGE_ERROR
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_density_radial_grid_integrates(tmp_path):

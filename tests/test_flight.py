@@ -8,7 +8,9 @@ from hypothesis import strategies as st
 from driftflight.analytic import radial_moment
 from driftflight.angular import angles_to_direction, sample_angles
 from driftflight.flight import (
+    _CHUNK_DRAWS,
     FlightParams,
+    _padded_draws,
     _segments,
     draws_per_flight,
     project,
@@ -16,6 +18,7 @@ from driftflight.flight import (
     replicate_stream,
     simulate_batch,
     simulate_flight,
+    simulate_trajectories,
 )
 from driftflight.temporal import sample_intertimes
 
@@ -102,10 +105,10 @@ def test_batch_is_deterministic():
     assert np.array_equal(a, b)
 
 
-@pytest.mark.parametrize(
-    "d,n,nu",
-    [(2, 1, 0.0), (3, 2, 1.0), (4, 0, 0.5), (5, 3, 2.0), (2, 0, 0.0), (3, 9, 0.3)],
-)
+_CELLS = [(2, 1, 0.0), (3, 2, 1.0), (4, 0, 0.5), (5, 3, 2.0), (2, 0, 0.0), (3, 9, 0.3)]
+
+
+@pytest.mark.parametrize("d,n,nu", _CELLS)
 def test_batch_rows_equal_sequential_flights(d, n, nu):
     p = FlightParams(d=d, n=n, nu=nu, c=0.7, t=1.4)
     seed = 31337
@@ -113,6 +116,23 @@ def test_batch_rows_equal_sequential_flights(d, n, nu):
     for i in range(40):
         tr = simulate_flight(p, replicate_stream(p, seed, i))
         assert np.array_equal(tr.final, batch[i]), f"replicate {i}"
+
+
+# the last cell spans two default chunks (630 rows of 52 padded draws)
+@pytest.mark.parametrize("d,n,nu,count", [(*cell, 40) for cell in _CELLS] + [(3, 9, 0.3, 700)])
+def test_trajectories_equal_sequential_flights(d, n, nu, count):
+    p = FlightParams(d=d, n=n, nu=nu, c=0.7, t=1.4)
+    seed = 31337
+    tr = simulate_trajectories(p, count, seed)
+    assert tr.breakpoints.shape == (count, n + 2, d) and tr.times.shape == (count, n + 2)
+    if count > 40:
+        assert count > _CHUNK_DRAWS // _padded_draws(p)
+    for i in range(count):
+        one = simulate_flight(p, replicate_stream(p, seed, i))
+        # bit for bit, signed zeros included
+        assert tr.breakpoints[i].tobytes() == one.breakpoints.tobytes(), f"replicate {i}"
+        assert tr.times[i].tobytes() == one.times.tobytes(), f"replicate {i}"
+    assert tr.final.tobytes() == simulate_batch(p, count, seed).tobytes()
 
 
 def test_batch_chunking_does_not_change_output():
@@ -197,11 +217,18 @@ def test_project_and_radial():
     assert radial([3.0, 4.0]) == pytest.approx(5.0)
     assert radial(np.zeros(3)) == 0.0
     assert radial(tr.final) <= p.c * p.t + 1e-9
+    # a leading replicate axis: one projection per trajectory
+    many = simulate_trajectories(p, 3, 2)
+    np.testing.assert_array_equal(project(many, 2), simulate_batch(p, 3, 2)[:, :2])
+    with pytest.raises(ValueError):
+        project(many, 5)
 
 
 def test_batch_count_validation():
     with pytest.raises(ValueError):
         simulate_batch(FlightParams(d=2, n=1, nu=0.0), 0, 1)
+    with pytest.raises(ValueError):
+        simulate_trajectories(FlightParams(d=2, n=1, nu=0.0), 0, 1)
 
 
 @settings(max_examples=25, deadline=None)
