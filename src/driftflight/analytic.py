@@ -6,14 +6,17 @@ the half order K = (n+1)(2 nu + d - 1)/2.  The projected radius obeys
 (R / c t)^2 ~ Beta(m/2, q + 1) with q = K - (m+1)/2, so its CDF is a
 regularized incomplete beta function.
 
-Full-flight results (nu = 1 only): characteristic function and density
-in dimension d, as alternating Bessel/polynomial sums indexed by the
-falling-factorial coefficient tables, plus the fully explicit n = 1, 2
-forms and their radial versions.
+Full-flight results (nu = 1 only): characteristic function, density and
+radial density in dimension d, any n >= 1, as alternating Bessel/polynomial
+sums over one table of constants indexed by the falling-factorial
+coefficients; the radial law is the density's sum averaged over the
+sphere of radius r.  The paper's fully explicit n = 1, 2 density stays as
+an independent check of that table.
 
 Every law takes arrays and broadcasts.  Points and frequency vectors lie
 along the last axis, radii are elementwise; one point or radius gives a
-numpy scalar.  The densities and the radial CDF return NaN at NaN inputs.
+numpy scalar with the bits of its row in a batch.  The densities and the
+radial CDF return NaN at NaN inputs.
 
 A fractional-Poisson mixture randomizes the number of direction changes.
 Without a factorial correction the natural weights do not sum to one
@@ -27,7 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import numpy as np
 from scipy.integrate import quad  # noqa: F401  (wrapped by bench/tracing.py)
@@ -83,6 +86,7 @@ def _require_projection(p: FlightParams) -> None:
 def _require_nu1(p: FlightParams) -> None:
     if abs(p.nu - 1.0) > 1e-12:
         raise ValueError("this law is only available for nu = 1")
+    _require_n(p)
 
 
 def _require_closed(p: FlightParams) -> None:
@@ -137,7 +141,9 @@ def _checked_sum(terms, sizes, log_pref: float, tol: float, name: str, kind: str
     amplified by cancellation.  Raises ValueError where the error bound
     exceeds ``tol`` (``kind`` is "absolute" or "relative" to the total).
     """
-    total = terms.sum(axis=0)
+    # term after term: numpy sums one point's 1-D terms pairwise but a
+    # batch row by row, which would give one point other bits
+    total = reduce(np.add, terms)
     spread = np.where(terms == 0.0, 0.0, np.abs(terms) * (sizes + len(terms)))
     err = _EPS * (spread.sum(axis=0) + np.abs(total) * abs(log_pref))
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -223,7 +229,7 @@ def cdf_radial_projection(p: FlightParams, r):
     """
     _require_projection(p)
     q = _half_order(p) - 0.5 * (p.m + 1)
-    y = np.clip(np.asarray(r, dtype=float) / (p.c * p.t), 0.0, 1.0) ** 2
+    y = np.square(np.clip(np.asarray(r, dtype=float) / (p.c * p.t), 0.0, 1.0))
     return betainc(0.5 * p.m, q + 1.0, y)[()]
 
 
@@ -257,13 +263,13 @@ def cf_nu1(p: FlightParams, alpha):
     more than 1e-9 absolute to rounding.
     """
     _require_nu1(p)
-    _require_n(p)
     alpha = _vectors(alpha, p.d)
     rho2 = _sq_norm(alpha)
     rho = np.sqrt(rho2)
     d, n = p.d, p.n
     with np.errstate(invalid="ignore"):
-        ratio = alpha[..., -1] ** 2 / rho**2
+        # an array, not a numpy scalar: the scalar ** rounds differently
+        ratio = np.asarray(alpha[..., -1] ** 2 / np.square(rho))
     w = _finite_or_nan(p.c * p.t * rho)
     with np.errstate(divide="ignore"):
         log_w2 = 2.0 * np.log(w)
@@ -273,11 +279,7 @@ def cf_nu1(p: FlightParams, alpha):
     for j in range(n + 2):
         nj = n + 1 - j
         mu_j = 0.5 * ((n + 1) * (d + 3) - (2 * j + 1))
-        pieces = [
-            math.log(math.comb(n + 1, j)),
-            nj * math.log(0.5 * (d + 1)),
-            -math.lgamma(0.5 * (n + 1) * (d + 3) - j),
-        ]
+        pieces = _nu1_logs(d, n, j)
         # the prefactor and w^(2 nj) ride in the Bessel ratio's log scale
         log_w_part = nj * log_w2 if nj else np.zeros(w.shape)
         t = ratio**nj * bessel_j_ratio(mu_j, w, log_pref + sum(pieces) + log_w_part)
@@ -289,23 +291,20 @@ def cf_nu1(p: FlightParams, alpha):
     return np.where(rho2 == 0.0, 1.0, total)[()]
 
 
-def _nu1_point_terms(p: FlightParams, x):
-    """Squared norm, squared last coordinate and c^2 t^2 - |x|^2 of points x."""
-    x = _vectors(x, p.d)
-    rho2 = _sq_norm(x)
-    return rho2, x[..., -1] ** 2, (p.c * p.t) ** 2 - rho2
+def _nu1_logs(d: int, n: int, j: int) -> list[float]:
+    """Logs of C(n+1, j), ((d+1)/2)^(n+1-j) and 1 / Gamma((n+1)(d+3)/2 - j),
+    the constant of term j in the nu = 1 cf and density sums."""
+    return [
+        math.log(math.comb(n + 1, j)),
+        (n + 1 - j) * math.log(0.5 * (d + 1)),
+        -math.lgamma(0.5 * (n + 1) * (d + 3) - j),
+    ]
 
 
-def density_nu1(p: FlightParams, x):
-    """Density of the full flight at nu = 1, any n >= 1.
-
-    A double sum over the falling-factorial coefficient tables; even in
-    x_d and invariant under rotations fixing the x_d axis.  Raises
-    ValueError where the sum may lose more than 1e-9 relative to rounding.
-    """
-    _require_nu1(p)
-    _require_n(p)
-    rho2, xx, Q = _nu1_point_terms(p, x)
+def _nu1_sum(p: FlightParams, xx, Q, log_weight, name: str):
+    """The nu = 1 density's double sum of terms c_jk x_d^(2k) Q^e at
+    x_d^2 = xx and Q = c^2 t^2 - |x|^2, each c_jk scaled by
+    exp(log_weight[k]); raises past 1e-9 relative rounding loss."""
     d, n = p.d, p.n
     ct = p.c * p.t
     M = (n + 1) * (d + 1)
@@ -316,30 +315,37 @@ def density_nu1(p: FlightParams, x):
         nj = n + 1 - j
         for k, a_k in enumerate(_coeff_row(nj)):
             e = 0.5 * n * (d + 1) - k
-            pieces = [
-                math.log(math.comb(n + 1, j)),
-                nj * math.log(0.5 * (d + 1)),
-                -math.lgamma(0.5 * (n + 1) * (d + 3) - j),
-                math.log(a_k),
-                -math.lgamma(e + 1.0),
-            ]
+            pieces = _nu1_logs(d, n, j) + [math.log(a_k), -math.lgamma(e + 1.0), log_weight[k]]
             rows.append(((-1.0) ** (nj + k), sum(pieces), _log_size(pieces), e, k))
     sign, log_c, size, e, k = (np.reshape(v, (-1,) + (1,) * Q.ndim) for v in zip(*rows))
     with np.errstate(divide="ignore", invalid="ignore"):
         log_point = e * np.log(Q / ct**2) + np.where(k > 0, k * np.log(xx / ct**2), 0.0)
         terms = sign * np.exp(log_pref + log_c + log_point)
-        total = _checked_sum(
-            terms, size + np.abs(log_point), log_pref, 1e-9, "density_nu1", "relative"
-        )
-        return _supported(rho2 >= ct * ct, total)
+        return _checked_sum(terms, size + np.abs(log_point), log_pref, 1e-9, name, "relative")
+
+
+def density_nu1(p: FlightParams, x):
+    """Density of the full flight at nu = 1, any n >= 1.
+
+    A double sum over the falling-factorial coefficient tables; even in
+    x_d and invariant under rotations fixing the x_d axis.  Raises
+    ValueError where the sum may lose more than 1e-9 relative to rounding.
+    """
+    _require_nu1(p)
+    rho2 = _sq_norm(x := _vectors(x, p.d))
+    ct = p.c * p.t
+    total = _nu1_sum(p, x[..., -1] ** 2, ct**2 - rho2, np.zeros(p.n + 2), "density_nu1")
+    return _supported(rho2 >= ct * ct, total)
 
 
 def density_nu1_closed(p: FlightParams, x):
     """Fully explicit nu = 1 density, available for n = 1 and n = 2 only."""
     _require_closed(p)
-    rho2, xx, Q = _nu1_point_terms(p, x)
+    rho2 = _sq_norm(x := _vectors(x, p.d))
     d = p.d
     ct = p.c * p.t
+    # arrays, not numpy scalars: the scalar ** rounds differently
+    xx, Q = np.asarray(x[..., -1] ** 2), np.asarray(ct * ct - rho2)
     with np.errstate(divide="ignore", invalid="ignore"):
         if p.n == 1:
             pref = math.exp(
@@ -375,48 +381,21 @@ def density_nu1_closed(p: FlightParams, x):
 
 
 def radial_density_nu1(p: FlightParams, r):
-    """Radius density of the full nu = 1 flight for n in {1, 2}."""
-    _require_closed(p)
+    """Radius density of the full flight at nu = 1, any n >= 1.
+
+    The density integrated over the sphere of radius r: its sum with
+    x_d^(2k) averaged to r^(2k) |S^(d-1)| E[u_d^(2k)], times r^(d-1).
+    Raises ValueError where the sum may lose more than 1e-9 relative.
+    """
+    _require_nu1(p)
     r = np.asarray(r, dtype=float)
     d = p.d
     ct = p.c * p.t
-    Q = ct * ct - r * r
-    with np.errstate(divide="ignore", invalid="ignore"):
-        if p.n == 1:
-            pref = 2.0 * math.exp(
-                math.lgamma(2.0 * (d + 1))
-                + 0.5 * _LN_PI
-                - (2 * d + 1) * math.log(2.0 * ct)
-                - math.log(d + 2.0)
-                - math.lgamma(d + 1.0)
-                - math.lgamma(0.5 * (d - 1))
-                - math.lgamma(0.5 * d)
-            )
-            bracket = (
-                3.0 / (d - 1) * r ** (d - 1) * Q ** (0.5 * (d + 1))
-                - 2.0 / d * r ** (d + 1) * Q ** (0.5 * (d - 1))
-                + 3.0 * (d + 1) / (d * (d + 2)) * r ** (d + 3) * Q ** (0.5 * (d - 3))
-            )
-        else:
-            pref = 2.0 * math.exp(
-                math.lgamma(3.0 * d + 3.0)
-                + math.log(d + 1.0)
-                + 0.5 * _LN_PI
-                - (3 * d + 2) * math.log(2.0 * ct)
-                - math.lgamma(d - 1.0)
-                - math.lgamma(1.5 * (d + 3) - 3.0)
-                - math.lgamma(0.5 * d)
-                - math.log((3.0 * d + 7) * (3.0 * d + 5))
-            )
-            bracket = (
-                4.0 * (d + 4) / ((d + 1) * d * (d - 1)) * r ** (d - 1) * Q ** (d + 1)
-                + 2.0 * (6 * d * d + 6 * d + 8) / ((d + 1) * d * d * (d - 1))
-                * r ** (d + 1)
-                * Q**d
-                - 24.0 / (d * (d + 2)) * r ** (d + 3) * Q ** (d - 1)
-                + 40.0 * (d + 1) / (d * (d + 2) * (d + 4)) * r ** (d + 5) * Q ** (d - 2)
-            )
-        return _supported((r <= 0.0) | (r >= ct), pref * bracket)
+    k = np.arange(p.n + 2)
+    # |S^(d-1)| E[u_d^(2k)] = 2 pi^((d-1)/2) Gamma(k + 1/2) / Gamma(k + d/2)
+    sphere = _LN_2 + 0.5 * (d - 1) * _LN_PI + _lgamma(k + 0.5) - _lgamma(k + 0.5 * d)
+    total = _nu1_sum(p, r * r, ct * ct - r * r, sphere, "radial_density_nu1")
+    return _supported((r <= 0.0) | (r >= ct), r ** (d - 1) * total)
 
 
 # ----------------------------------------------------------------------

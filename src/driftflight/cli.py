@@ -29,6 +29,7 @@ VALIDATION_FAILURE = 2
 IO_ERROR = 3
 
 _FLOAT_FMT = "%.17g"  # round-trip exact for doubles
+_CSV_BLOCK_ROWS = 4096  # rows formatted and written per write call
 
 
 class _Parser(argparse.ArgumentParser):
@@ -46,18 +47,18 @@ def _canonical_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
-def _write_csv(path: str, columns: list[str], rows, config: dict) -> None:
-    lines = [
-        "# config: " + _canonical_json(config),
-        "# columns: " + ",".join(columns),
-    ]
+def _write_csv(path: str, names: list[str], config: dict, *columns) -> None:
+    """Write the columns (1-D, or 2-D for several) side by side as rows."""
+    rows = np.column_stack(columns)
     # one format string per row: the same bytes as formatting value by
-    # value, with one formatting call per row instead of one per value
-    row_fmt = ",".join([_FLOAT_FMT] * len(columns))
-    for row in rows:
-        lines.append(row_fmt % tuple(row))
+    # value, with one formatting call per row instead of one per value;
+    # one write per block of rows, so memory does not grow with the file
+    line_fmt = ",".join([_FLOAT_FMT] * len(names)) + "\n"
     with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(f"# config: {_canonical_json(config)}\n# columns: {','.join(names)}\n")
+        for i in range(0, len(rows), _CSV_BLOCK_ROWS):
+            block = rows[i : i + _CSV_BLOCK_ROWS].tolist()
+            fh.write("".join([line_fmt % tuple(row) for row in block]))
 
 
 def _write_sidecar(path: str, config: dict, extra: dict | None = None) -> None:
@@ -115,18 +116,25 @@ def _resolved(args, keys: list[str]) -> dict:
 _DEFAULTS = {"d": 2, "n": 1, "nu": 0.0, "c": 1.0, "t": 1.0, "seed": 0}
 
 
+def _integer(value, key: str) -> int:
+    """An integer setting; a non-integral number or a boolean is a usage error."""
+    if isinstance(value, bool) or isinstance(value, float) and not value.is_integer():
+        raise _UsageError(f"--{key} must be an integer, got {value!r}")
+    return int(value)
+
+
 def _flight_params(cfg: dict, need_m: bool = False) -> FlightParams:
     merged = {**_DEFAULTS, **cfg}
     m = merged.get("m")
     if need_m and m is None:
         raise _UsageError("this command requires --m")
     return FlightParams(
-        d=int(merged["d"]),
-        n=int(merged["n"]),
+        d=_integer(merged["d"], "d"),
+        n=_integer(merged["n"], "n"),
         nu=float(merged["nu"]),
         c=float(merged["c"]),
         t=float(merged["t"]),
-        m=int(m) if m is not None else None,
+        m=_integer(m, "m") if m is not None else None,
     )
 
 
@@ -165,7 +173,7 @@ def _r_grid(cfg: dict, p: FlightParams) -> np.ndarray:
     rmax_default = p.c * p.t
     rmin = float(cfg.get("r-min", 0.0))
     rmax = float(cfg.get("r-max", rmax_default))
-    npts = int(cfg.get("r-points", 200))
+    npts = _integer(cfg.get("r-points", 200), "r-points")
     if npts < 2:
         raise _UsageError("--r-points must be >= 2")
     return np.linspace(rmin, rmax, npts)
@@ -173,31 +181,30 @@ def _r_grid(cfg: dict, p: FlightParams) -> np.ndarray:
 
 def _cmd_simulate(args) -> int:
     cfg = _resolved(args, _COMMON_KEYS + ["trajectories", "trajectories-out"])
-    count = int(cfg.get("count", 0) or 0)
+    count = _integer(cfg.get("count", 0) or 0, "count")
     if count < 1:
         raise _UsageError("--count must be >= 1")
-    n_traj = int(cfg.get("trajectories", 0) or 0)
+    n_traj = _integer(cfg.get("trajectories", 0) or 0, "trajectories")
     if not 0 <= n_traj <= count:
         raise _UsageError(f"--trajectories must be in 0..{count}, the --count")
     p = _flight_params(cfg)
-    seed = int(cfg.get("seed", 0))
+    seed = _integer(cfg.get("seed", 0), "seed")
     out = _require_out(cfg)
     cfg_echo = _echo("simulate", p, seed=seed, count=count)
     finals = simulate_batch(p, count, seed)
     cols = ["replicate"] + [f"x{i}" for i in range(1, p.d + 1)]
-    rows = ([float(i)] + row.tolist() for i, row in enumerate(finals))
-    _write_csv(out, cols, rows, cfg_echo)
+    _write_csv(out, cols, cfg_echo, np.arange(count), finals)
     _write_sidecar(out, cfg_echo)
 
     if n_traj > 0:
         traj_out = cfg.get("trajectories-out") or (out + ".trajectories.csv")
         tcols = ["replicate", "segment", "t_k"] + cols[1:]
         tr, segs = simulate_trajectories(p, n_traj, seed), p.n + 2
-        trows = np.column_stack((  # one row per breakpoint, replicate by replicate
+        _write_csv(  # one row per breakpoint, replicate by replicate
+            str(traj_out), tcols, cfg_echo,
             np.repeat(np.arange(n_traj), segs), np.tile(np.arange(segs), n_traj),
             tr.times.ravel(), tr.breakpoints.reshape(-1, p.d),
-        ))
-        _write_csv(str(traj_out), tcols, trows.tolist(), cfg_echo)
+        )
         _write_sidecar(str(traj_out), cfg_echo)
     return 0
 
@@ -212,28 +219,24 @@ def _cmd_density(args) -> int:
     formula = cfg.get("formula")
     if formula not in _DENSITY_FORMULAS:
         raise _UsageError(f"--formula must be one of {_DENSITY_FORMULAS}")
-    need_m = formula in ("projected", "radial-projected")
-    p = _flight_params(cfg, need_m=need_m)
+    p = _flight_params(cfg, need_m=formula.endswith("projected"))
     out = _require_out(cfg)
     cfg_echo = _echo("density", p, formula=formula)
-    if formula in ("radial-projected", "radial-nu1"):
+    fn = {
+        "projected": analytic.density_projection,
+        "nu1": analytic.density_nu1,
+        "nu1-closed": analytic.density_nu1_closed,
+        "radial-projected": analytic.radial_density_projection,
+        "radial-nu1": analytic.radial_density_nu1,
+    }[formula]
+    if formula.startswith("radial"):
         grid = _r_grid(cfg, p)
-        fn = (
-            analytic.radial_density_projection
-            if formula == "radial-projected"
-            else analytic.radial_density_nu1
-        )
-        _write_csv(out, ["r", "density"], zip(grid, fn(p, grid)), cfg_echo)
+        _write_csv(out, ["r", "density"], cfg_echo, grid, fn(p, grid))
     else:
-        fn = {
-            "projected": analytic.density_projection,
-            "nu1": analytic.density_nu1,
-            "nu1-closed": analytic.density_nu1_closed,
-        }[formula]
         dim = p.m if formula == "projected" else p.d
         points = _vector_args(cfg, "x", dim)
         cols = [f"x{i}" for i in range(1, dim + 1)] + ["density"]
-        _write_csv(out, cols, np.column_stack((points, fn(p, points))), cfg_echo)
+        _write_csv(out, cols, cfg_echo, points, fn(p, points))
     _write_sidecar(out, cfg_echo)
     return 0
 
@@ -254,12 +257,11 @@ def _cmd_cf(args) -> int:
             anorms = [anorms]
         alphas = np.zeros((len(anorms), p.m))
         alphas[:, 0] = [float(a) for a in anorms]
-        rows = np.column_stack((alphas[:, 0], analytic.cf_projection(p, alphas)))
-        _write_csv(out, ["anorm", "cf"], rows, cfg_echo)
+        _write_csv(out, ["anorm", "cf"], cfg_echo, alphas[:, 0], analytic.cf_projection(p, alphas))
     else:
         alphas = _vector_args(cfg, "alpha", p.d)
         cols = [f"a{i}" for i in range(1, p.d + 1)] + ["cf"]
-        _write_csv(out, cols, np.column_stack((alphas, analytic.cf_nu1(p, alphas))), cfg_echo)
+        _write_csv(out, cols, cfg_echo, alphas, analytic.cf_nu1(p, alphas))
     _write_sidecar(out, cfg_echo)
     return 0
 
@@ -270,7 +272,7 @@ def _cmd_cdf(args) -> int:
     out = _require_out(cfg)
     cfg_echo = _echo("cdf", p)
     grid = _r_grid(cfg, p)
-    _write_csv(out, ["r", "cdf"], zip(grid, analytic.cdf_radial_projection(p, grid)), cfg_echo)
+    _write_csv(out, ["r", "cdf"], cfg_echo, grid, analytic.cdf_radial_projection(p, grid))
     _write_sidecar(out, cfg_echo)
     return 0
 
@@ -284,10 +286,10 @@ def _cmd_moments(args) -> int:
         orders_raw = orders_raw.split(",")
     elif isinstance(orders_raw, (int, float)):
         orders_raw = [orders_raw]  # one order
-    orders = [int(k) for k in orders_raw]
+    orders = [_integer(k, "orders") for k in orders_raw]
     cfg_echo = _echo("moments", p, orders=orders)
-    rows = [[float(k), analytic.radial_moment(p, k)] for k in orders]
-    _write_csv(out, ["order", "moment"], rows, cfg_echo)
+    moments = [analytic.radial_moment(p, k) for k in orders]
+    _write_csv(out, ["order", "moment"], cfg_echo, orders, moments)
     _write_sidecar(out, cfg_echo)
     return 0
 
@@ -298,14 +300,13 @@ def _cmd_mixture(args) -> int:
     lam = cfg.get("lam")
     if lam is None:
         raise _UsageError("--lam is required")
-    mp = MixtureParams(lam=float(lam), base=p, n_max=int(cfg.get("n-max", 50)))
+    mp = MixtureParams(lam=float(lam), base=p, n_max=_integer(cfg.get("n-max", 50), "n-max"))
     out = _require_out(cfg)
     points = _vector_args(cfg, "x", p.m)
     cfg_echo = _echo("mixture", p, lam=mp.lam, n_max=mp.n_max)
     del cfg_echo["n"]  # the mixture randomizes n
     cols = [f"x{i}" for i in range(1, p.m + 1)] + ["density"]
-    rows = np.column_stack((points, analytic.unconditional_density_projection(mp, points)))
-    _write_csv(out, cols, rows, cfg_echo)
+    _write_csv(out, cols, cfg_echo, points, analytic.unconditional_density_projection(mp, points))
     _write_sidecar(out, cfg_echo, extra={"truncation_tail_bound": analytic.mixture_tail_bound(mp)})
     return 0
 
@@ -316,7 +317,7 @@ def _cmd_validate(args) -> int:
     if only not in (None, "identities", "gof"):
         raise _UsageError("--only must be 'identities' or 'gof'")
     config = SuiteConfig(
-        master_seed=int(cfg.get("seed", 20260808)),
+        master_seed=_integer(cfg.get("seed", 20260808), "seed"),
         profile=str(cfg.get("profile", "quick")),
         include_identities=only in (None, "identities"),
         include_gof=only in (None, "gof"),

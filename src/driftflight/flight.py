@@ -182,7 +182,7 @@ def _chunks(p: FlightParams, count: int, master_seed: int, chunk_size: int | Non
     0..count-1, chunk by chunk; the arguments are checked on the call."""
     L = draws_per_flight(p)
     Lpad = _padded_draws(p)
-    step = chunk_size or max(1, _CHUNK_DRAWS // Lpad)
+    step = max(1, _CHUNK_DRAWS // Lpad) if chunk_size is None else chunk_size
     if count < 1 or step < 1:
         raise ValueError("a batch requires count >= 1 and chunk_size >= 1")
     gen = np.random.Generator(np.random.Philox(key=master_seed))

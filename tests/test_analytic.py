@@ -282,6 +282,28 @@ def test_laws_broadcast_and_return_scalars_for_one_point():
         assert isinstance(one, np.float64), law.__name__
         # one point and a batch give the same bits
         assert one == batch[1, 2], law.__name__
+    # at every point of a batch: numpy's pairwise 1-D sums and a numpy
+    # scalar's ** round differently from a batch
+    for d, n in ((2, 1), (3, 2), (3, 4), (5, 3), (8, 6)):
+        full = FlightParams(d=d, n=n, nu=1.0)
+        proj = FlightParams(d=d, n=n, nu=0.3, m=d - 1)
+        v = rng.normal(size=(200, d))
+        pts = v / np.linalg.norm(v, axis=1)[:, None] * rng.uniform(0.0, 1.0, (200, 1))
+        radii = rng.uniform(0.0, 1.0, 200)
+        cases = [
+            (cf_nu1, full, 6.0 * v),
+            (density_nu1, full, pts),
+            (radial_density_nu1, full, radii),
+            (cf_projection, proj, 6.0 * v[:, 1:]),
+            (density_projection, proj, pts[:, 1:]),
+            (radial_density_projection, proj, radii),
+            (cdf_radial_projection, proj, radii),
+        ]
+        if n <= 2:
+            cases.append((density_nu1_closed, full, pts))
+        for law, p, arr in cases:
+            ones = np.array([law(p, a) for a in arr])
+            assert ones.tobytes() == law(p, arr).tobytes(), (law.__name__, d, n)
 
 
 def test_laws_propagate_nan():
@@ -556,7 +578,7 @@ def test_density_nu1_closed_non_negative():
 
 def test_radial_density_nu1_normalizes():
     for d in (2, 3, 4):
-        for n in (1, 2):
+        for n in (1, 2, 3, 4, 8):
             p = FlightParams(d=d, n=n, nu=1.0)
             ct = p.c * p.t
             total, _ = quad(
@@ -579,6 +601,14 @@ def test_radial_density_nu1_equals_sphere_integral():
                     r,
                 )
                 assert radial_density_nu1(p, r) == pytest.approx(direct, abs=1e-7)
+    # past the explicit forms, the series density is the integrand
+    for d in (2, 3, 4):
+        p = FlightParams(d=d, n=3, nu=1.0)
+        for r in (0.2, 0.55, 0.9):
+            direct = sphere_section_integral(
+                lambda rr, xd: density_nu1(p, point_with_norm(d, rr, xd)), d, r
+            )
+            assert radial_density_nu1(p, r) == pytest.approx(direct, abs=1e-7)
 
 
 def test_radial_density_nu1_shapes():
@@ -609,6 +639,11 @@ def test_radial_density_nu1_outside_support():
     p = FlightParams(d=3, n=1, nu=1.0)
     assert radial_density_nu1(p, -0.1) == 0.0
     assert radial_density_nu1(p, 1.1) == 0.0
+
+
+def test_radial_density_nu1_raises_on_cancellation():
+    with pytest.raises(ValueError, match="radial_density_nu1: cancellation"):
+        radial_density_nu1(FlightParams(d=4, n=12, nu=1.0), np.linspace(0.0, 1.0, 301))
 
 
 # --------------------------------------------- fractional mixture

@@ -113,6 +113,20 @@ def test_density_radial_grid_integrates(tmp_path):
     assert total == pytest.approx(1.0, abs=1e-3)
 
 
+def test_density_radial_nu1_past_the_explicit_forms(tmp_path):
+    out = tmp_path / "dens.csv"
+    code = main(
+        [
+            "density", "--formula", "radial-nu1", "--d", "3", "--n", "3", "--nu", "1",
+            "--r-points", "400", "--out", str(out),
+        ]
+    )
+    assert code == 0
+    rows = _read_rows(out)
+    assert rows.shape == (400, 2)
+    assert np.trapezoid(rows[:, 1], rows[:, 0]) == pytest.approx(1.0, abs=1e-3)
+
+
 def test_density_point_formulas(tmp_path):
     out = tmp_path / "pt.csv"
     code = main(
@@ -300,3 +314,48 @@ def test_config_values_of_other_json_types(tmp_path, capsys, command, config, fl
         ref = tmp_path / "flags.csv"
         assert main(_CONFIG_BASE[command] + flags + ["--out", str(ref)]) == 0
         assert out.read_bytes() == ref.read_bytes()
+
+
+_INTEGER_SETTINGS = {
+    "simulate": {"d": 3, "n": 1, "count": 4, "seed": 7, "trajectories": 2},
+    "density": {"formula": "radial-projected", "d": 3, "m": 2, "n": 1, "r-points": 20},
+    "mixture": {"d": 2, "m": 1, "nu": 0.0, "lam": 1.0, "n-max": 30, "x": [0.3]},
+    "moments": {"d": 3, "m": 2, "n": 1, "orders": 2},
+    "validate": {"seed": 5},
+}
+
+
+@pytest.mark.parametrize(
+    "command,key",
+    [
+        ("simulate", "d"), ("simulate", "n"), ("simulate", "count"), ("simulate", "seed"),
+        ("simulate", "trajectories"), ("density", "m"), ("density", "r-points"),
+        ("mixture", "n-max"), ("moments", "orders"), ("validate", "seed"),
+    ],
+)
+def test_non_integral_config_value_is_a_usage_error(tmp_path, capsys, command, key):
+    settings = dict(_INTEGER_SETTINGS[command])
+    settings[key] += 0.5
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(settings))
+    out = tmp_path / "out.csv"
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == USAGE_ERROR
+    assert f"--{key} must be an integer" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_config_numbers_are_not_truncated(tmp_path):
+    # {"n": 1.5, "count": 4.9, "seed": 7.8} once ran as n 1, count 4, seed 7
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"d": 3, "n": 1.5, "count": 4.9, "seed": 7.8}))
+    bad = tmp_path / "a.csv"
+    assert main(["simulate", "--config", str(cfg), "--out", str(bad)]) == USAGE_ERROR
+    cfg.write_text(json.dumps({"d": 3, "n": True, "count": 4}))  # once read as n = 1
+    assert main(["simulate", "--config", str(cfg), "--out", str(bad)]) == USAGE_ERROR
+    assert not bad.exists()
+    cfg.write_text(json.dumps({"d": 3.0, "n": 1.0, "count": 4.0, "seed": 7.0}))
+    out, ref = tmp_path / "b.csv", tmp_path / "ref.csv"
+    assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+    flags = ["simulate", "--d", "3", "--n", "1", "--count", "4", "--seed", "7"]
+    assert main(flags + ["--out", str(ref)]) == 0
+    assert out.read_bytes() == ref.read_bytes()

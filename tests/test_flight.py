@@ -229,6 +229,9 @@ def test_batch_count_validation():
         simulate_batch(FlightParams(d=2, n=1, nu=0.0), 0, 1)
     with pytest.raises(ValueError):
         simulate_trajectories(FlightParams(d=2, n=1, nu=0.0), 0, 1)
+    for chunk in (0, -1):  # only None picks the default chunk
+        with pytest.raises(ValueError):
+            simulate_batch(FlightParams(d=2, n=1, nu=0.0), 5, 1, chunk_size=chunk)
 
 
 @settings(max_examples=25, deadline=None)
