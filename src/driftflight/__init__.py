@@ -43,15 +43,20 @@ from .specfun import (
     mittag_leffler_paper,
 )
 from .temporal import IntertimeVector, intertime_density, sample_intertimes
-from .validation import (
-    GofReport,
-    IdentityReport,
-    SuiteConfig,
-    check_identity,
-    gof_cf,
-    gof_radial,
-    ks_distance,
-    run_suite,
-)
 
 __version__ = "0.1.0"
+
+_VALIDATION_NAMES = frozenset({
+    "GofReport", "IdentityReport", "SuiteConfig", "check_identity",
+    "gof_cf", "gof_radial", "ks_distance", "run_suite",
+})
+
+
+def __getattr__(name):
+    # validation loads scipy.integrate (about 0.3 s and 26 MB), which
+    # nothing else needs: import it on the first use of one of its names
+    if name in _VALIDATION_NAMES:
+        from . import validation
+
+        return getattr(validation, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

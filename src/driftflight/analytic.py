@@ -33,7 +33,6 @@ from dataclasses import dataclass, replace
 from functools import lru_cache, reduce
 
 import numpy as np
-from scipy.integrate import quad  # noqa: F401  (wrapped by bench/tracing.py)
 from scipy.special import betainc
 
 from .flight import FlightParams
@@ -55,6 +54,18 @@ __all__ = [
     "radial_moment",
     "unconditional_density_projection",
 ]
+
+
+def __getattr__(name):
+    # ``analytic.quad`` exists only because bench/tracing.py wraps it here
+    # (ROADMAP item 1 drops that wrap, and this hook with it); resolving it
+    # on lookup keeps scipy.integrate out of ``import driftflight``
+    if name == "quad":
+        from scipy.integrate import quad
+
+        return quad
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 _LN_PI = math.log(math.pi)
 _LN_2 = math.log(2.0)

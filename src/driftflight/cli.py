@@ -14,15 +14,16 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
+from functools import lru_cache
 
 import numpy as np
 
 from . import analytic
 from .analytic import MixtureParams
-from .flight import FlightParams, simulate_batch, simulate_trajectories
+from .flight import FlightParams, _check_seed, simulate_batch, simulate_trajectories
 from .flight import simulate_flight  # noqa: F401  (unused; bench/tracing.py wraps it here)
-from .validation import SuiteConfig, run_suite
 
 USAGE_ERROR = 1
 VALIDATION_FAILURE = 2
@@ -123,6 +124,15 @@ def _integer(value, key: str) -> int:
     return int(value)
 
 
+def _seed(cfg: dict, default: int) -> int:
+    seed = _integer(cfg.get("seed", default), "seed")
+    try:
+        _check_seed(seed)
+    except ValueError as exc:
+        raise _UsageError(f"--seed: {exc}") from exc
+    return seed
+
+
 def _flight_params(cfg: dict, need_m: bool = False) -> FlightParams:
     merged = {**_DEFAULTS, **cfg}
     m = merged.get("m")
@@ -173,6 +183,8 @@ def _r_grid(cfg: dict, p: FlightParams) -> np.ndarray:
     rmax_default = p.c * p.t
     rmin = float(cfg.get("r-min", 0.0))
     rmax = float(cfg.get("r-max", rmax_default))
+    if not (math.isfinite(rmin) and math.isfinite(rmax)):
+        raise _UsageError(f"--r-min {rmin} and --r-max {rmax} must be finite")
     npts = _integer(cfg.get("r-points", 200), "r-points")
     if npts < 2:
         raise _UsageError("--r-points must be >= 2")
@@ -188,7 +200,7 @@ def _cmd_simulate(args) -> int:
     if not 0 <= n_traj <= count:
         raise _UsageError(f"--trajectories must be in 0..{count}, the --count")
     p = _flight_params(cfg)
-    seed = _integer(cfg.get("seed", 0), "seed")
+    seed = _seed(cfg, 0)
     out = _require_out(cfg)
     cfg_echo = _echo("simulate", p, seed=seed, count=count)
     finals = simulate_batch(p, count, seed)
@@ -312,12 +324,16 @@ def _cmd_mixture(args) -> int:
 
 
 def _cmd_validate(args) -> int:
+    # validation loads scipy.integrate (about 0.3 s and 26 MB); no other
+    # command needs it
+    from .validation import SuiteConfig, run_suite
+
     cfg = _resolved(args, ["seed", "out", "profile", "only"])
     only = cfg.get("only")
     if only not in (None, "identities", "gof"):
         raise _UsageError("--only must be 'identities' or 'gof'")
     config = SuiteConfig(
-        master_seed=_integer(cfg.get("seed", 20260808), "seed"),
+        master_seed=_seed(cfg, 20260808),
         profile=str(cfg.get("profile", "quick")),
         include_identities=only in (None, "identities"),
         include_gof=only in (None, "gof"),
@@ -393,10 +409,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@lru_cache(maxsize=1)
+def _parser() -> argparse.ArgumentParser:
+    # Built once per process: construction costs milliseconds, more than a
+    # law evaluation.  Reuse is safe because parse_args only reads the
+    # parser: every "append" default is None (a fresh list per call), the
+    # defaults set_defaults stores are read, and error() raises.
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
         return args.func(args)
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

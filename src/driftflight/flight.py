@@ -123,10 +123,19 @@ def _padded_draws(p: FlightParams) -> int:
     return -(-L // 4) * 4
 
 
+def _check_seed(master_seed) -> None:
+    # Philox keys are 128-bit; numpy would truncate a fractional or boolean
+    # key to an integer (1.5 and True both give seed 1's stream) unannounced
+    integral = isinstance(master_seed, Integral) and not isinstance(master_seed, bool)
+    if not (integral and 0 <= master_seed < 1 << 128):
+        raise ValueError(f"master_seed must be an integer in [0, 2**128), got {master_seed!r}")
+
+
 def replicate_stream(p: FlightParams, master_seed: int, index: int) -> np.random.Generator:
     """Generator positioned at replicate ``index`` of a batch keyed by
     ``master_seed``; feeding it to :func:`simulate_flight` reproduces the
     corresponding batch row exactly."""
+    _check_seed(master_seed)
     if index < 0:
         raise ValueError("replicate index must be >= 0")
     bg = np.random.Philox(key=master_seed)
@@ -185,6 +194,7 @@ def _chunks(p: FlightParams, count: int, master_seed: int, chunk_size: int | Non
     step = max(1, _CHUNK_DRAWS // Lpad) if chunk_size is None else chunk_size
     if count < 1 or step < 1:
         raise ValueError("a batch requires count >= 1 and chunk_size >= 1")
+    _check_seed(master_seed)
     gen = np.random.Generator(np.random.Philox(key=master_seed))
     return (
         (done, _segments(p, gen.random((min(step, count - done), Lpad))[:, :L]))
@@ -200,7 +210,8 @@ def simulate_batch(
 ) -> np.ndarray:
     """Final positions of ``count`` independent flights, shape (count, d).
 
-    Output is bit-deterministic given (p, count, master_seed) and invariant
+    Output is bit-deterministic given (p, count, master_seed), with
+    ``master_seed`` an integer in [0, 2**128), and invariant
     under ``chunk_size``, the rows per chunk, which only bounds working
     memory; by default a chunk holds about 2^15 uniforms.
     """

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from driftflight.cli import IO_ERROR, USAGE_ERROR, VALIDATION_FAILURE, main
+from driftflight.cli import IO_ERROR, USAGE_ERROR, VALIDATION_FAILURE, build_parser, main
 from driftflight.flight import FlightParams, replicate_stream, simulate_flight
 
 
@@ -196,6 +196,18 @@ def test_cdf_grid_monotone(tmp_path):
     assert rows[0, 1] >= 0.0 and rows[-1, 1] <= 1.0
 
 
+@pytest.mark.parametrize(
+    "command", [["cdf", "--m", "2"], ["density", "--formula", "radial-nu1", "--nu", "1"]]
+)
+@pytest.mark.parametrize("bound", ["--r-max=nan", "--r-min=-inf", "--r-max=inf"])
+def test_non_finite_radial_grid_is_a_usage_error(tmp_path, capsys, command, bound):
+    # --r-max nan once wrote a file of nan rows and exited 0
+    out = tmp_path / "o.csv"
+    assert main(command + ["--d", "3", "--n", "1", bound, "--out", str(out)]) == USAGE_ERROR
+    assert "must be finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_moments_command(tmp_path):
     out = tmp_path / "mom.csv"
     code = main(
@@ -359,3 +371,43 @@ def test_config_numbers_are_not_truncated(tmp_path):
     flags = ["simulate", "--d", "3", "--n", "1", "--count", "4", "--seed", "7"]
     assert main(flags + ["--out", str(ref)]) == 0
     assert out.read_bytes() == ref.read_bytes()
+
+
+@pytest.mark.parametrize("command", ["simulate", "validate"])
+@pytest.mark.parametrize("seed", [True, 1.5, -1, 2**128])
+def test_seed_outside_the_philox_keys_is_a_usage_error(tmp_path, capsys, command, seed):
+    # 1.5 and true once ran as seed 1; -1 and 2**128 died inside numpy
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({**_INTEGER_SETTINGS[command], "seed": seed}))
+    out = tmp_path / "out.csv"
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == USAGE_ERROR
+    assert "--seed" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_main_reuses_its_parser_without_carrying_state(tmp_path):
+    # main parses every call with one parser; each call must see only its argv
+    first = ["density", "--formula", "nu1", "--d", "2", "--n", "1", "--nu", "1",
+             "--x", "0.1,0.2", "--x", "0.3,-0.1"]
+    a, b, mix = tmp_path / "a.csv", tmp_path / "b.csv", tmp_path / "mix.csv"
+    assert main(first + ["--out", str(a)]) == 0
+    assert main(["density", "--formula", "bogus", "--out", str(b)]) == USAGE_ERROR
+    mixture = ["mixture", "--d", "2", "--m", "1", "--lam", "1", "--x", "0.3", "--x", "0.5"]
+    assert main(mixture + ["--out", str(mix)]) == 0
+    assert _read_rows(mix).shape == (2, 2)
+    assert main(first + ["--out", str(b)]) == 0
+    assert _read_rows(b).shape == (2, 3)
+    assert a.read_bytes() == b.read_bytes()
+    assert (tmp_path / "a.csv.meta.json").read_bytes() == (tmp_path / "b.csv.meta.json").read_bytes()
+
+
+def test_help_exits_zero_on_repeated_calls(capsys):
+    for _ in range(2):
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+        assert "validate" in capsys.readouterr().out
+
+
+def test_build_parser_returns_a_fresh_parser():
+    assert build_parser() is not build_parser()

@@ -234,6 +234,19 @@ def test_batch_count_validation():
             simulate_batch(FlightParams(d=2, n=1, nu=0.0), 5, 1, chunk_size=chunk)
 
 
+@pytest.mark.parametrize("seed", [True, 1.5, -1, 2**128])
+def test_master_seed_must_be_a_philox_key(seed):
+    # numpy keys Philox with int(seed): 1.5 and True once gave seed 1's rows
+    p = FlightParams(d=2, n=1, nu=0.0)
+    with pytest.raises(ValueError, match="master_seed"):
+        simulate_batch(p, 3, seed)
+    with pytest.raises(ValueError, match="master_seed"):
+        simulate_trajectories(p, 3, seed)
+    with pytest.raises(ValueError, match="master_seed"):
+        replicate_stream(p, seed, 0)
+    assert simulate_batch(p, 3, 2**128 - 1).shape == (3, 2)
+
+
 @settings(max_examples=25, deadline=None)
 @given(
     st.integers(min_value=2, max_value=5),
