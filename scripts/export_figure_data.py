@@ -17,7 +17,7 @@ import sys
 
 import numpy as np
 
-from driftflight.angular import AngleVector, angular_density
+from driftflight.angular import angular_density
 from driftflight.analytic import radial_density_nu1
 from driftflight.flight import FlightParams, simulate_trajectories
 
@@ -39,12 +39,7 @@ def main() -> int:
 
     # planar angular densities for a few drift levels
     phis = np.linspace(0.0, 2.0 * math.pi, 721)
-    rows = []
-    for phi in phis:
-        row = [phi]
-        for nu in (0.0, 1.0, 2.0, 4.0):
-            row.append(angular_density(AngleVector((), float(phi), 2), nu))
-        rows.append(row)
+    rows = np.column_stack([phis] + [angular_density((), phis, nu) for nu in (0.0, 1.0, 2.0, 4.0)])
     write_csv(
         os.path.join(args.out_dir, "angular_density_d2.csv"),
         "phi,nu0,nu1,nu2,nu4",

@@ -21,7 +21,7 @@ from .analytic import (
     radial_moment,
     unconditional_density_projection,
 )
-from .angular import AngleVector, angles_to_direction, angular_density, marginal_angular_density, sample_angles
+from .angular import angles_to_direction, angular_density, marginal_angular_density, sample_angles
 from .flight import (
     FlightParams,
     Trajectory,
@@ -42,7 +42,7 @@ from .specfun import (
     gamma,
     mittag_leffler_paper,
 )
-from .temporal import IntertimeVector, intertime_density, sample_intertimes
+from .temporal import intertime_density, sample_intertimes
 
 __version__ = "0.1.0"
 

@@ -122,8 +122,21 @@ def _vectors(x, dim: int | None = None) -> np.ndarray:
 
 def _sq_norm(x: np.ndarray) -> np.ndarray:
     # x @ x per vector; a stacked matmul sums in the same order as the
-    # one-vector dot, so one point and a batch give identical bits
-    return (x[..., None, :] @ x[..., :, None])[..., 0, 0]
+    # one-vector dot, so one point and a batch give identical bits.  It is
+    # inf where it overflows: such a point lies outside every support
+    with np.errstate(over="ignore"):
+        return (x[..., None, :] @ x[..., :, None])[..., 0, 0]
+
+
+def _rescaled(x: np.ndarray):
+    """Vectors y and factors s with x = s y.  s is 1 except where x @ x
+    overflows with finite entries; there it is the power of 2 at or below
+    max |x_i|, an exact scaling.  Every other vector keeps its bits."""
+    big = np.isinf(_sq_norm(x)) & np.isfinite(x).all(axis=-1)
+    if not big.any():
+        return x, 1.0
+    s = np.where(big, np.ldexp(1.0, np.frexp(np.abs(x).max(axis=-1))[1] - 1), 1.0)
+    return x / s[..., None], s
 
 
 def _supported(outside, values) -> np.ndarray:
@@ -181,7 +194,8 @@ def cf_projection(p: FlightParams, alpha):
     _require_isotropic(p)
     if (alpha := _vectors(alpha)).shape[-1] > p.m:
         raise ValueError(f"expected vectors of length <= m = {p.m}, got shape {alpha.shape}")
-    w = _finite_or_nan(p.c * p.t * np.sqrt(_sq_norm(alpha)))
+    alpha, s = _rescaled(alpha)
+    w = _finite_or_nan(p.c * p.t * np.sqrt(_sq_norm(alpha)) * s)
     K = _half_order(p)
     mu = K - 0.5
     vals = bessel_j_ratio(mu, w, mu * _LN_2 + math.lgamma(K + 0.5))
@@ -274,14 +288,14 @@ def cf_nu1(p: FlightParams, alpha):
     more than 1e-9 absolute to rounding.
     """
     _require_nu1(p)
-    alpha = _vectors(alpha, p.d)
+    alpha, s = _rescaled(_vectors(alpha, p.d))
     rho2 = _sq_norm(alpha)
     rho = np.sqrt(rho2)
     d, n = p.d, p.n
     with np.errstate(invalid="ignore"):
         # an array, not a numpy scalar: the scalar ** rounds differently
         ratio = np.asarray(alpha[..., -1] ** 2 / np.square(rho))
-    w = _finite_or_nan(p.c * p.t * rho)
+    w = _finite_or_nan(p.c * p.t * rho * s)
     with np.errstate(divide="ignore"):
         log_w2 = 2.0 * np.log(w)
     M = (n + 1) * (d + 1)
@@ -345,7 +359,9 @@ def density_nu1(p: FlightParams, x):
     _require_nu1(p)
     rho2 = _sq_norm(x := _vectors(x, p.d))
     ct = p.c * p.t
-    total = _nu1_sum(p, x[..., -1] ** 2, ct**2 - rho2, np.zeros(p.n + 2), "density_nu1")
+    with np.errstate(over="ignore"):  # an overflow lies outside the support
+        xx = x[..., -1] ** 2
+    total = _nu1_sum(p, xx, ct**2 - rho2, np.zeros(p.n + 2), "density_nu1")
     return _supported(rho2 >= ct * ct, total)
 
 
@@ -356,7 +372,8 @@ def density_nu1_closed(p: FlightParams, x):
     d = p.d
     ct = p.c * p.t
     # arrays, not numpy scalars: the scalar ** rounds differently
-    xx, Q = np.asarray(x[..., -1] ** 2), np.asarray(ct * ct - rho2)
+    with np.errstate(over="ignore"):  # an overflow lies outside the support
+        xx, Q = np.asarray(x[..., -1] ** 2), np.asarray(ct * ct - rho2)
     with np.errstate(divide="ignore", invalid="ignore"):
         if p.n == 1:
             pref = math.exp(

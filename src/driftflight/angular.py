@@ -5,6 +5,11 @@ sin^(2 nu + d - 2) theta_1 ... sin^(2 nu + 1) theta_{d-2} sin^(2 nu) phi
 on [0, pi]^(d-2) x [0, 2 pi].  nu = 0 is the uniform law on the sphere;
 increasing nu concentrates the azimuth near pi/2 and 3 pi/2.
 
+The laws take arrays with the angles on the last axis and broadcast; one
+point gives the bits of its row in a batch.  :func:`angular_density` is
+the m = d-1 case of :func:`marginal_angular_density`, and
+:func:`angles_to_direction` inverts :func:`direction_angles`.
+
 On the sphere this density is the uniform surface element times
 (sin theta_1 ... sin theta_{d-2} sin phi)^(2 nu) = |x_d|^(2 nu), so a
 direction is Y / |Y| with Y_1 .. Y_{d-1} independent standard normals and
@@ -21,7 +26,7 @@ replicate.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 from scipy.special import ndtri
@@ -32,7 +37,6 @@ from .temporal import _U_FLOOR, _sum_draws, gamma_quantile
 from scipy.special import betaincinv  # noqa: F401
 
 __all__ = [
-    "AngleVector",
     "angles_to_direction",
     "angular_density",
     "direction_angles",
@@ -45,84 +49,55 @@ __all__ = [
 TWO_PI = 2.0 * math.pi
 
 
-@dataclass(frozen=True)
-class AngleVector:
-    """One spherical direction in hyperspherical angles.
-
-    ``thetas`` holds the d-2 colatitudes in [0, pi] (empty when d = 2) and
-    ``phi`` the azimuth in [0, 2 pi].
-    """
-
-    thetas: tuple[float, ...]
-    phi: float
-    d: int
-
-    def __post_init__(self):
-        if self.d < 2:
-            raise ValueError("AngleVector requires d >= 2")
-        if len(self.thetas) != self.d - 2:
-            raise ValueError(
-                f"expected {self.d - 2} colatitudes for d={self.d}, "
-                f"got {len(self.thetas)}"
-            )
-        for th in self.thetas:
-            if not 0.0 <= th <= math.pi:
-                raise ValueError(f"colatitude {th} outside [0, pi]")
-        if not 0.0 <= self.phi <= TWO_PI:
-            raise ValueError(f"azimuth {self.phi} outside [0, 2 pi]")
+def _angles(thetas, phi) -> np.ndarray:
+    """Colatitudes (..., d-2) and azimuths (...) broadcast into one array
+    (..., d-1) of angles; a scalar ``thetas`` is one colatitude."""
+    thetas = np.atleast_1d(np.asarray(thetas, dtype=float))
+    phi = np.asarray(phi, dtype=float)
+    batch = np.broadcast_shapes(thetas.shape[:-1], phi.shape)
+    phi = np.broadcast_to(phi, batch)[..., None]
+    return np.concatenate([np.broadcast_to(thetas, batch + thetas.shape[-1:]), phi], axis=-1)
 
 
-def _theta_exponent(d: int, nu: float, j: int) -> float:
-    # exponent of sin(theta_j), j = 1 .. d-2
-    return 2.0 * nu + d - 1.0 - j
+def _check_angles(angles: np.ndarray, full: bool) -> None:
+    # colatitudes, then the azimuth if ``full``; NaN fails both bounds
+    cols = angles[..., :-1] if full else angles
+    if not np.all((cols >= 0.0) & (cols <= math.pi)):
+        raise ValueError("colatitudes must lie in [0, pi]")
+    if full and not np.all((angles[..., -1] >= 0.0) & (angles[..., -1] <= TWO_PI)):
+        raise ValueError("azimuths must lie in [0, 2 pi]")
 
 
-def angular_density(a: AngleVector, nu: float) -> float:
-    """Joint density of the d-1 angles of one direction."""
-    if nu < 0.0:
-        raise ValueError("angular_density requires nu >= 0")
-    d = a.d
-    log_norm = (
-        math.lgamma(nu + 0.5 * d)
-        - math.lgamma(nu + 0.5)
-        - 0.5 * (d - 1) * math.log(math.pi)
-        - math.log(2.0)
-    )
-    # sin^(2 nu) is read as (sin^2)^nu so non-integer nu stays real and
-    # non-negative on (pi, 2 pi); integer nu is unchanged
-    prod = abs(math.sin(a.phi)) ** (2.0 * nu)
-    for j, th in enumerate(a.thetas, start=1):
-        prod *= math.sin(th) ** _theta_exponent(d, nu, j)
-    return math.exp(log_norm) * prod
-
-
-def marginal_angular_density(angles, d: int, m: int, nu: float) -> float:
-    """Marginal density of the first m angles of the d-dimensional law.
-
-    For m = d-1 nothing is integrated out and the last entry of ``angles``
-    is the azimuth in [0, 2 pi]; for m < d-1 all entries are colatitudes.
-    """
+def marginal_angular_density(angles, d: int, m: int, nu: float):
+    """Marginal density of the first m angles of the d-dimensional law at
+    ``angles`` (..., m), angle j carrying sin^(2 nu + d - 1 - j).  For
+    m = d-1 the last entry is the azimuth in [0, 2 pi], every other entry
+    is a colatitude in [0, pi]."""
     if nu < 0.0:
         raise ValueError("marginal_angular_density requires nu >= 0")
     if not 1 <= m < d:
         raise ValueError(f"requires 1 <= m < d, got m={m}, d={d}")
-    angles = [float(v) for v in angles]
-    if len(angles) != m:
-        raise ValueError(f"expected {m} angles, got {len(angles)}")
-    if m == d - 1:
-        return angular_density(AngleVector(tuple(angles[:-1]), angles[-1], d), nu)
-    for th in angles:
-        if not 0.0 <= th <= math.pi:
-            raise ValueError(f"colatitude {th} outside [0, pi]")
-    log_norm = (
-        math.lgamma(nu + 0.5 * d)
-        - math.lgamma(nu + 0.5 * (d - m))
-        - 0.5 * m * math.log(math.pi)
-    )
-    prod = 1.0
-    for j, th in enumerate(angles, start=1):
-        prod *= math.sin(th) ** _theta_exponent(d, nu, j)
-    return math.exp(log_norm) * prod
+    angles = np.atleast_1d(np.asarray(angles, dtype=float))
+    if angles.shape[-1] != m:
+        raise ValueError(f"expected {m} angles on the last axis, got shape {angles.shape}")
+    _check_angles(angles, full := m == d - 1)
+    # the azimuth spans [0, 2 pi], twice a colatitude's range
+    log_norm = math.lgamma(nu + 0.5 * d) - math.lgamma(nu + 0.5 * (d - m))
+    log_norm -= 0.5 * m * math.log(math.pi) + full * math.log(2.0)
+    # sin^(2 nu) is read as (sin^2)^nu, real on (pi, 2 pi) for any nu; a
+    # power, not exp of a log, keeps 0^0 = 1 at nu = 0
+    powers = np.abs(np.sin(angles)) ** (2.0 * nu + d - 1.0 - np.arange(1, m + 1))
+    # factor after factor, so one point and a batch row multiply alike
+    return (math.exp(log_norm) * reduce(np.multiply, np.moveaxis(powers, -1, 0)))[()]
+
+
+def angular_density(thetas, phi, nu: float):
+    """Joint density of the d-1 angles at colatitudes ``thetas`` (..., d-2)
+    and azimuths ``phi`` (...), broadcast together; d = 2 takes
+    ``thetas = ()``.  The m = d-1 case of :func:`marginal_angular_density`."""
+    angles = _angles(thetas, phi)
+    d = angles.shape[-1] + 1
+    return marginal_angular_density(angles, d, d - 1, nu)
 
 
 def direction_draws(d: int, nu: float) -> int:
@@ -149,15 +124,12 @@ def directions(u, d: int, nu: float) -> np.ndarray:
     return y / np.sqrt((y * y).sum(axis=-1))[..., None]
 
 
-def sample_angles(d: int, nu: float, rng: np.random.Generator) -> AngleVector:
-    """Draw one AngleVector: the angles of one :func:`directions` vector;
+def sample_angles(d: int, nu: float, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """The colatitudes (d-2,) and azimuth of one :func:`directions` vector;
     consumes exactly direction_draws(d, nu) uniforms from ``rng``."""
-    if d < 2:
-        raise ValueError("sample_angles requires d >= 2")
-    if nu < 0.0:
-        raise ValueError("sample_angles requires nu >= 0")
-    thetas, phi = direction_angles(directions(rng.random(direction_draws(d, nu)), d, nu))
-    return AngleVector(tuple(map(float, thetas)), float(phi), d)
+    if d < 2 or nu < 0.0:
+        raise ValueError("sample_angles requires d >= 2 and nu >= 0")
+    return direction_angles(directions(rng.random(direction_draws(d, nu)), d, nu))
 
 
 def direction_angles(x) -> tuple[np.ndarray, np.ndarray]:
@@ -172,14 +144,17 @@ def direction_angles(x) -> tuple[np.ndarray, np.ndarray]:
     return thetas, phi
 
 
-def angles_to_direction(a: AngleVector) -> np.ndarray:
-    """The unit vector of one AngleVector: x_1 = cos theta_1,
-    x_i = sin theta_1 ... sin theta_{i-1} cos theta_i, and the last two
-    components carry the azimuth, x_{d-1} = sin theta_1 ... sin theta_{d-2}
-    cos phi and x_d the same with sin phi."""
-    angles = np.array(a.thetas + (a.phi,))
+def angles_to_direction(thetas, phi) -> np.ndarray:
+    """Unit vectors (..., d) at colatitudes ``thetas`` (..., d-2) and
+    azimuths ``phi`` (...), the inverse of :func:`direction_angles`:
+    x_1 = cos theta_1, x_i = sin theta_1 ... sin theta_{i-1} cos theta_i,
+    and the last two components carry the azimuth, x_{d-1} =
+    sin theta_1 ... sin theta_{d-2} cos phi and x_d the same with sin phi."""
+    angles = _angles(thetas, phi)
+    _check_angles(angles, True)
     # the running products of 1, sin theta_1, ..., sin theta_{d-2}, sin phi
     # times cos theta_1, ..., cos theta_{d-2}, cos phi, 1
-    sins = np.concatenate([[1.0], np.sin(angles)])
-    coss = np.concatenate([np.cos(angles), [1.0]])
-    return sins.cumprod() * coss
+    ones = np.ones(angles.shape[:-1] + (1,))
+    sins = np.concatenate([ones, np.sin(angles)], axis=-1)
+    coss = np.concatenate([np.cos(angles), ones], axis=-1)
+    return sins.cumprod(axis=-1) * coss

@@ -37,7 +37,9 @@ import numpy as np
 from .angular import direction_draws, directions
 from .temporal import time_draws, waiting_times
 
-# unused here, but bench/tracing.py wraps these five names on this module
+# unused here, but bench/tracing.py wraps these five names on this module;
+# the two draw wrappers sample_angles and sample_intertimes leave with them
+# when the benchmark drops those wraps (ROADMAP item 1)
 from scipy.special import betaincinv, gammaincinv  # noqa: F401
 from .angular import angles_to_direction, sample_angles  # noqa: F401
 from .temporal import sample_intertimes  # noqa: F401
@@ -181,9 +183,10 @@ def project(tr: Trajectory, m: int) -> np.ndarray:
     return np.array(tr.final[..., :m], dtype=float)
 
 
-def radial(x) -> float:
-    """Euclidean norm."""
-    return float(np.linalg.norm(np.asarray(x, dtype=float)))
+def radial(x):
+    """Euclidean norm of each vector along the last axis; one vector gives
+    a numpy scalar."""
+    return np.linalg.norm(np.asarray(x, dtype=float), axis=-1)[()]
 
 
 def _chunks(p: FlightParams, count: int, master_seed: int, chunk_size: int | None = None):

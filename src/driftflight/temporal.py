@@ -7,7 +7,10 @@ When the shape 2 nu + d - 1 is an integer (2 nu an integer, the paper's
 nu = 0 and nu = 1 cases among them) of at most 64, each Gamma variate is
 a sum of -log U over that many uniforms (Devroye 1986, ch. IX);
 otherwise it is one inverse-CDF value, :func:`gamma_quantile`.  Either way
-the draw count per sample is fixed.
+the draw count per sample is fixed.  :func:`waiting_times` is that
+transform on arrays of uniforms, and :func:`intertime_density` the law on
+arrays of waiting-time vectors (..., n+1), one point with the bits of its
+row in a batch.
 
 :func:`gamma_quantile` inverts the Gamma CDF from a table built once per
 shape (Devroye 1986, ch. IX, inversion on tabulated quantiles): log Q_a
@@ -26,7 +29,6 @@ import numpy as np
 from scipy.special import gammainccinv, gammaincinv, ndtr, ndtri
 
 __all__ = [
-    "IntertimeVector",
     "gamma_quantile",
     "intertime_density",
     "sample_intertimes",
@@ -166,50 +168,29 @@ def gamma_quantile(a: float, u) -> np.ndarray:
     return q.reshape(u.shape)
 
 
-@dataclass(frozen=True)
-class IntertimeVector:
-    """The n+1 waiting times; the last one is the residual t - sum(rest)."""
-
-    taus: np.ndarray
-    t: float
-
-    def __post_init__(self):
-        if self.t <= 0.0:
-            raise ValueError("IntertimeVector requires t > 0")
-        if len(self.taus) < 1:
-            raise ValueError("IntertimeVector requires at least one interval")
-
-    @property
-    def n(self) -> int:
-        return len(self.taus) - 1
-
-
 def _shape(d: int, nu: float) -> float:
     return 2.0 * nu + d - 1.0
 
 
-def intertime_density(v: IntertimeVector, d: int, nu: float) -> float:
-    """Joint density of the n free waiting times on the open simplex.
-
-    Returns 0 outside the support (a non-positive component or a vector
-    that does not sum to the horizon).
-    """
-    if d < 2 or nu < 0.0:
-        raise ValueError("intertime_density requires d >= 2 and nu >= 0")
-    n = v.n
+def intertime_density(taus, d: int, nu: float, t: float):
+    """Joint density of the n >= 1 free waiting times on the open simplex,
+    at waiting-time vectors ``taus`` (..., n+1); 0 outside the support (a
+    non-positive component or a sum off the horizon t by over 1e-9 t)."""
+    if d < 2 or nu < 0.0 or not 0.0 < t < math.inf:
+        raise ValueError("intertime_density requires d >= 2, nu >= 0 and a finite t > 0")
+    taus = np.atleast_1d(np.asarray(taus, dtype=float))
+    n = taus.shape[-1] - 1
     if n < 1:
         raise ValueError("intertime_density requires n >= 1 free coordinates")
-    taus = np.asarray(v.taus, dtype=float)
-    if np.any(taus <= 0.0) or abs(float(taus.sum()) - v.t) > 1e-9 * v.t:
-        return 0.0
     a = _shape(d, nu)
-    log_val = (
-        math.lgamma((n + 1) * a)
-        - (n + 1) * math.lgamma(a)
-        + (a - 1.0) * float(np.log(taus).sum())
-        - ((n + 1) * a - 1.0) * math.log(v.t)
-    )
-    return math.exp(log_val)
+    log_norm = math.lgamma((n + 1) * a) - (n + 1) * math.lgamma(a)
+    log_norm -= ((n + 1) * a - 1.0) * math.log(t)
+    # component after component, so one vector and a batch row sum alike
+    cols = np.moveaxis(taus, -1, 0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        vals = np.exp(log_norm + (a - 1.0) * sum(np.log(cols)))
+    outside = (cols <= 0.0).any(axis=0) | (np.abs(sum(cols) - t) > 1e-9 * t)
+    return np.where(outside, 0.0, vals)[()]
 
 
 def _sum_draws(k: float) -> int:
@@ -243,12 +224,9 @@ def waiting_times(u, d: int, nu: float, t: float) -> np.ndarray:
 
 def sample_intertimes(
     n: int, d: int, nu: float, t: float, rng: np.random.Generator
-) -> IntertimeVector:
+) -> np.ndarray:
     """Draw the n+1 waiting times; consumes exactly
     (n+1) time_draws(d, nu) uniforms."""
-    if n < 1:
-        raise ValueError("sample_intertimes requires n >= 1")
-    if d < 2 or nu < 0.0 or t <= 0.0:
-        raise ValueError("sample_intertimes requires d >= 2, nu >= 0, t > 0")
-    u = rng.random((n + 1) * time_draws(d, nu))
-    return IntertimeVector(waiting_times(u, d, nu, t), t)
+    if n < 1 or d < 2 or nu < 0.0 or t <= 0.0:
+        raise ValueError("sample_intertimes requires n >= 1, d >= 2, nu >= 0, t > 0")
+    return waiting_times(rng.random((n + 1) * time_draws(d, nu)), d, nu, t)

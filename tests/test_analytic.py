@@ -325,6 +325,33 @@ def test_laws_propagate_nan():
         assert math.isnan(vals[0]) and vals[1] > 0.0, law.__name__
 
 
+def test_laws_where_the_squared_norm_overflows():
+    # |alpha|^2 and |x|^2 overflow a double above about 1.3e154: the cfs are
+    # about 0 there (as bessel_j_ratio(3.5, 1e200) is 0.0) and the points lie
+    # outside every support; the warning filter fails any overflow warning
+    proj = FlightParams(d=3, n=2, nu=1.0, m=2)
+    full = FlightParams(d=3, n=2, nu=1.0)
+    assert bessel_j_ratio(3.5, 1e200) == 0.0
+    for big in ([1e200, 0.0, 0.0], [0.0, 0.0, -1e200], [1e200, 1e200, 1e-300]):
+        assert abs(cf_nu1(full, big)) < 1e-100
+        assert density_nu1(full, big) == 0.0
+        assert density_nu1_closed(full, big) == 0.0
+    for big in ([1e200, 0.0], [0.0, -1e200], [1e200, 1e-300]):
+        assert abs(cf_projection(proj, big)) < 1e-100
+        assert density_projection(proj, big) == 0.0
+    # the in-range rows of a batch keep their bits
+    pts = np.array([[1e200, 0.0, 0.0], [0.3, -0.2, 0.4]])
+    for law, p, arr in (
+        (cf_nu1, full, 4.0 * pts),
+        (cf_projection, proj, 4.0 * pts[:, :2]),
+        (density_nu1, full, pts),
+        (density_projection, proj, pts[:, :2]),
+    ):
+        assert law(p, arr)[1] == law(p, arr[1]), law.__name__
+    # a non-finite frequency still gives NaN
+    assert math.isnan(cf_nu1(full, [math.inf, 0.0, 0.0]))
+
+
 # -------------------------------------------------------- moments
 
 def test_radial_moment_known_value():

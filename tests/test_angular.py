@@ -9,7 +9,6 @@ from scipy.special import betainc
 from scipy.stats import chi2
 
 from driftflight.angular import (
-    AngleVector,
     angles_to_direction,
     angular_density,
     direction_angles,
@@ -31,39 +30,36 @@ def _rng(seed=0):
 
 def test_density_uniform_circle():
     for phi in (0.0, 1.0, math.pi, 5.0):
-        a = AngleVector((), phi, 2)
-        assert angular_density(a, 0.0) == pytest.approx(1.0 / TWO_PI, rel=1e-14)
+        assert angular_density((), phi, 0.0) == pytest.approx(1.0 / TWO_PI, rel=1e-14)
 
 
 def test_density_drifted_values():
     # nu=1 planar density peaks at 1/pi; three-dimensional peak is 3/(4 pi)
-    assert angular_density(AngleVector((), math.pi / 2, 2), 1.0) == pytest.approx(
-        1.0 / math.pi, rel=1e-14
+    assert angular_density((), math.pi / 2, 1.0) == pytest.approx(1.0 / math.pi, rel=1e-14)
+    assert angular_density([math.pi / 2], math.pi / 2, 1.0) == pytest.approx(
+        3.0 / (4.0 * math.pi), rel=1e-14
     )
-    assert angular_density(
-        AngleVector((math.pi / 2,), math.pi / 2, 3), 1.0
-    ) == pytest.approx(3.0 / (4.0 * math.pi), rel=1e-14)
 
 
 def test_angle_vector_validation():
     with pytest.raises(ValueError):
-        AngleVector((0.5,), 1.0, 2)  # too many colatitudes
+        marginal_angular_density([0.5, 1.0], 2, 1, 0.0)  # too many angles
+    # a negative colatitude, an azimuth beyond 2 pi, one bad row of a batch
+    for thetas, phi in (([-0.1], 1.0), ((), 7.0), ([[0.5], [4.0]], 1.0)):
+        with pytest.raises(ValueError):
+            angular_density(thetas, phi, 0.0)
+        with pytest.raises(ValueError):
+            angles_to_direction(thetas, phi)
     with pytest.raises(ValueError):
-        AngleVector((-0.1,), 1.0, 3)
-    with pytest.raises(ValueError):
-        AngleVector((), 7.0, 2)  # azimuth beyond 2 pi
-    with pytest.raises(ValueError):
-        angular_density(AngleVector((), 1.0, 2), -0.5)
+        angular_density((), 1.0, -0.5)
 
 
 def test_normalization_d2_d3():
     for nu in (0.0, 0.5, 1.0, 2.0):
-        total, _ = quad(
-            lambda phi: angular_density(AngleVector((), phi, 2), nu), 0.0, TWO_PI
-        )
+        total, _ = quad(lambda phi: angular_density((), phi, nu), 0.0, TWO_PI)
         assert total == pytest.approx(1.0, abs=1e-8)
         total3, _ = dblquad(
-            lambda phi, th: angular_density(AngleVector((th,), phi, 3), nu),
+            lambda phi, th: angular_density([th], phi, nu),
             0.0,
             math.pi,
             0.0,
@@ -105,7 +101,7 @@ def test_marginal_m_equals_d_minus_one_is_full_density():
         th = rng.uniform(0.0, math.pi, size=2)
         phi = rng.uniform(0.0, TWO_PI)
         nu = rng.uniform(0.0, 3.0)
-        full = angular_density(AngleVector(tuple(th), phi, 4), nu)
+        full = angular_density(th, phi, nu)
         marg = marginal_angular_density([*th, phi], 4, 3, nu)
         assert marg == pytest.approx(full, rel=1e-13)
 
@@ -133,13 +129,9 @@ def test_marginal_domain_errors():
 # ------------------------------------------------------------ directions
 
 def test_direction_axis_cases():
+    np.testing.assert_allclose(angles_to_direction((), 0.0), [1.0, 0.0], atol=1e-15)
     np.testing.assert_allclose(
-        angles_to_direction(AngleVector((), 0.0, 2)), [1.0, 0.0], atol=1e-15
-    )
-    np.testing.assert_allclose(
-        angles_to_direction(AngleVector((math.pi / 2,), math.pi / 2, 3)),
-        [0.0, 0.0, 1.0],
-        atol=1e-15,
+        angles_to_direction([math.pi / 2], math.pi / 2), [0.0, 0.0, 1.0], atol=1e-15
     )
 
 
@@ -151,8 +143,39 @@ def test_direction_unit_norm(data):
         data.draw(st.floats(min_value=0.0, max_value=math.pi)) for _ in range(d - 2)
     )
     phi = data.draw(st.floats(min_value=0.0, max_value=TWO_PI))
-    vec = angles_to_direction(AngleVector(thetas, phi, d))
+    vec = angles_to_direction(thetas, phi)
     assert abs(np.linalg.norm(vec) - 1.0) <= 1e-12
+
+
+def test_angles_to_direction_inverts_direction_angles():
+    x = directions(_rng(16).random((1000, direction_draws(5, 1.0))), 5, 1.0)
+    back = angles_to_direction(*direction_angles(x))
+    assert back.shape == (1000, 5)
+    np.testing.assert_allclose(back, x, rtol=0, atol=1e-15)
+
+
+def test_angle_laws_point_is_batch_row():
+    rng = _rng(17)
+    thetas = rng.uniform(0.0, math.pi, size=(4, 5, 3))
+    phis = rng.uniform(0.0, TWO_PI, size=(4, 5))
+    nu = 0.7
+    for law, args in (
+        (angular_density, (thetas, phis, nu)),
+        (marginal_angular_density, (thetas, 5, 3, nu)),
+        (marginal_angular_density, (np.concatenate([thetas, phis[..., None]], -1), 5, 4, nu)),
+        (angles_to_direction, (thetas, phis)),
+    ):
+        batch = law(*args)
+        assert batch.shape[:2] == (4, 5), law.__name__
+        for i, j in np.ndindex(4, 5):
+            point = law(*(a[i, j] if isinstance(a, np.ndarray) else a for a in args))
+            assert point.tobytes() == batch[i, j].tobytes(), law.__name__
+    assert isinstance(angular_density(thetas[0, 0], phis[0, 0], nu), np.float64)
+    # colatitudes broadcast against a batch of azimuths
+    np.testing.assert_array_equal(
+        angular_density(thetas[0, 0], phis[0], nu),
+        [angular_density(thetas[0, 0], phi, nu) for phi in phis[0]],
+    )
 
 
 # -------------------------------------------------------------- sampler
@@ -175,8 +198,8 @@ def test_sample_angles_is_a_batch_row(d, nu):
     rng = _rng(9)
     calls = [sample_angles(d, nu, rng) for _ in range(50)]
     thetas, phis = _sample_many(d, nu, 50, 9)
-    np.testing.assert_array_equal([a.thetas for a in calls], thetas.reshape(50, d - 2))
-    np.testing.assert_array_equal([a.phi for a in calls], phis)
+    np.testing.assert_array_equal([th for th, _ in calls], thetas.reshape(50, d - 2))
+    np.testing.assert_array_equal([phi for _, phi in calls], phis)
 
 
 def test_sampler_uniform_circle_chi_square():

@@ -65,12 +65,12 @@ def test_trajectory_segments_match_intertimes():
     # angular module gives the exact waiting times and directions the
     # trajectory consumed
     replay = replicate_stream(p, seed, 0)
-    taus = sample_intertimes(p.n, p.d, p.nu, p.t, replay).taus
+    taus = sample_intertimes(p.n, p.d, p.nu, p.t, replay)
     np.testing.assert_allclose(np.diff(tr.times), taus, rtol=0, atol=1e-15)
     steps = np.diff(tr.breakpoints, axis=0)
     for k in range(p.n + 1):
         assert np.linalg.norm(steps[k]) == pytest.approx(p.c * taus[k], abs=1e-9)
-        direction = angles_to_direction(sample_angles(p.d, p.nu, replay))
+        direction = angles_to_direction(*sample_angles(p.d, p.nu, replay))
         np.testing.assert_allclose(steps[k] / (p.c * taus[k]), direction, rtol=0, atol=1e-12)
     assert tr.times[-1] == pytest.approx(p.t, rel=1e-12)
     assert tr.breakpoints.shape == (p.n + 2, p.d)
@@ -217,9 +217,15 @@ def test_project_and_radial():
     assert radial([3.0, 4.0]) == pytest.approx(5.0)
     assert radial(np.zeros(3)) == 0.0
     assert radial(tr.final) <= p.c * p.t + 1e-9
-    # a leading replicate axis: one projection per trajectory
+    # a leading replicate axis: one projection and one radius per trajectory
     many = simulate_trajectories(p, 3, 2)
     np.testing.assert_array_equal(project(many, 2), simulate_batch(p, 3, 2)[:, :2])
+    radii = radial(project(many, 4))
+    assert radii.shape == (3,) and np.all(radii <= p.c * p.t + 1e-9)
+    assert radii.tobytes() == np.array([radial(x) for x in project(many, 4)]).tobytes()
+    finals = simulate_batch(FlightParams(d=3, n=2, nu=1.0), 4, 1)
+    np.testing.assert_allclose(radial(finals), np.linalg.norm(finals, axis=1), rtol=1e-15)
+    assert np.all(radial(finals) <= 1.0 + 1e-12)
     with pytest.raises(ValueError):
         project(many, 5)
 

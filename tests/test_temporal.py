@@ -9,7 +9,6 @@ from scipy.special import betainc, gammaincinv
 
 from driftflight import temporal
 from driftflight.temporal import (
-    IntertimeVector,
     gamma_quantile,
     intertime_density,
     sample_intertimes,
@@ -30,8 +29,7 @@ def _sample_many(n, d, nu, t, count, rng):
 
 
 def test_density_uniform_case():
-    v = IntertimeVector(np.array([0.3, 0.7]), 1.0)
-    assert intertime_density(v, 2, 0.0) == pytest.approx(1.0, rel=1e-13)
+    assert intertime_density([0.3, 0.7], 2, 0.0, 1.0) == pytest.approx(1.0, rel=1e-13)
 
 
 def test_density_constant_on_simplex_for_shape_one():
@@ -40,20 +38,38 @@ def test_density_constant_on_simplex_for_shape_one():
     n, t = 3, 2.0
     for _ in range(10):
         free = rng.dirichlet(np.ones(n + 1)) * t
-        v = IntertimeVector(free, t)
-        assert intertime_density(v, 2, 0.0) == pytest.approx(
+        assert intertime_density(free, 2, 0.0, t) == pytest.approx(
             math.factorial(n) / t**n, rel=1e-12
         )
 
 
 def test_density_outside_support_is_zero():
-    assert intertime_density(IntertimeVector(np.array([-0.1, 1.1]), 1.0), 2, 0.0) == 0.0
-    assert intertime_density(IntertimeVector(np.array([0.2, 0.2]), 1.0), 2, 0.0) == 0.0
+    assert intertime_density([-0.1, 1.1], 2, 0.0, 1.0) == 0.0
+    assert intertime_density([0.2, 0.2], 2, 0.0, 1.0) == 0.0
 
 
 def test_density_requires_one_free_coordinate():
     with pytest.raises(ValueError):
-        intertime_density(IntertimeVector(np.array([1.0]), 1.0), 2, 0.0)
+        intertime_density([1.0], 2, 0.0, 1.0)
+    with pytest.raises(ValueError):
+        intertime_density(np.empty((3, 0)), 2, 0.0, 1.0)
+    with pytest.raises(ValueError):
+        intertime_density([0.3, 0.7], 2, -0.5, 1.0)
+    for t in (0.0, -1.0, math.inf, math.nan):
+        with pytest.raises(ValueError):
+            intertime_density([0.3, 0.7], 2, 0.0, t)
+
+
+def test_intertime_density_point_is_batch_row():
+    t = 1.7
+    taus = _sample_many(3, 3, 0.3, t, 20, _rng(5)).reshape(4, 5, 4)
+    taus[0, 0] = [-0.1, 0.6, 0.6, 0.6]  # outside the support
+    batch = intertime_density(taus, 3, 0.3, t)
+    assert batch.shape == (4, 5) and batch[0, 0] == 0.0 and np.all(batch.ravel()[1:] > 0.0)
+    for i, j in np.ndindex(4, 5):
+        point = intertime_density(taus[i, j], 3, 0.3, t)
+        assert isinstance(point, np.float64)
+        assert point.tobytes() == batch[i, j].tobytes()
 
 
 def test_density_n1_marginal_normalizes():
@@ -61,7 +77,7 @@ def test_density_n1_marginal_normalizes():
     for d, nu in ((2, 0.0), (3, 1.0), (4, 0.5)):
         t = 1.5
         total, _ = quad(
-            lambda x: intertime_density(IntertimeVector(np.array([x, t - x]), t), d, nu),
+            lambda x: intertime_density([x, t - x], d, nu, t),
             0.0,
             t,
         )
@@ -77,10 +93,10 @@ def test_density_n1_marginal_normalizes():
     st.integers(min_value=0, max_value=10_000),
 )
 def test_sample_sums_to_horizon(n, d, nu, t, seed):
-    v = sample_intertimes(n, d, nu, t, _rng(seed))
-    assert len(v.taus) == n + 1
-    assert np.all(v.taus > 0.0)
-    assert abs(float(v.taus.sum()) - t) <= 1e-12 * t
+    taus = sample_intertimes(n, d, nu, t, _rng(seed))
+    assert len(taus) == n + 1
+    assert np.all(taus > 0.0)
+    assert abs(float(taus.sum()) - t) <= 1e-12 * t
 
 
 def test_sample_mean_uniform_case():
@@ -122,7 +138,7 @@ def test_sample_intertimes_is_a_batch_row(d, nu):
     # the batched samples of the tests above are the scalar calls' samples
     n, t = 2, 1.7
     rng = _rng(9)
-    calls = np.array([sample_intertimes(n, d, nu, t, rng).taus for _ in range(50)])
+    calls = np.array([sample_intertimes(n, d, nu, t, rng) for _ in range(50)])
     np.testing.assert_array_equal(calls, _sample_many(n, d, nu, t, 50, _rng(9)))
 
 
