@@ -145,6 +145,15 @@ def _supported(outside, values) -> np.ndarray:
     return np.where(outside, 0.0, values)[()]
 
 
+def _in_support(r, ct: float):
+    """Radii with those outside the open support (0, ct) set to 0, where
+    every law is finite, and the mask of those radii.  The others keep
+    their bits, and NaN passes through."""
+    r = np.asarray(r, dtype=float)
+    outside = (r <= 0.0) | (r >= ct)
+    return np.where(outside, 0.0, r), outside
+
+
 def _finite_or_nan(w: np.ndarray) -> np.ndarray:
     """Frequency norms with NaN in place of inf: a cf is NaN at a
     non-finite frequency."""
@@ -227,8 +236,8 @@ def density_projection(p: FlightParams, x):
 def radial_density_projection(p: FlightParams, r):
     """Density of the radius of the projection, supported on (0, c t)."""
     _require_projection(p)
-    r = np.asarray(r, dtype=float)
     ct = p.c * p.t
+    r, outside = _in_support(r, ct)
     K = _half_order(p)
     m = p.m
     q = K - 0.5 * (m + 1)
@@ -242,7 +251,7 @@ def radial_density_projection(p: FlightParams, r):
             + (m - 1.0) * np.log(r)
             + q * np.log(ct * ct - r * r)
         )
-    return _supported((r <= 0.0) | (r >= ct), vals)
+    return _supported(outside, vals)
 
 
 def cdf_radial_projection(p: FlightParams, r):
@@ -416,14 +425,14 @@ def radial_density_nu1(p: FlightParams, r):
     Raises ValueError where the sum may lose more than 1e-9 relative.
     """
     _require_nu1(p)
-    r = np.asarray(r, dtype=float)
     d = p.d
     ct = p.c * p.t
+    r, outside = _in_support(r, ct)
     k = np.arange(p.n + 2)
     # |S^(d-1)| E[u_d^(2k)] = 2 pi^((d-1)/2) Gamma(k + 1/2) / Gamma(k + d/2)
     sphere = _LN_2 + 0.5 * (d - 1) * _LN_PI + _lgamma(k + 0.5) - _lgamma(k + 0.5 * d)
     total = _nu1_sum(p, r * r, ct * ct - r * r, sphere, "radial_density_nu1")
-    return _supported((r <= 0.0) | (r >= ct), r ** (d - 1) * total)
+    return _supported(outside, r ** (d - 1) * total)
 
 
 # ----------------------------------------------------------------------

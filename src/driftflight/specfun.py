@@ -9,15 +9,15 @@ prod_i (2m + 2i - 1) in the falling-factorial basis.
 
 Bessel evaluation
 -----------------
-J comes from ``scipy.special.jv``.  :func:`bessel_j` is one scalar value
-with the domain checks and the values at x = 0.  :func:`bessel_j_ratio`,
-exp(log_scale) J_mu(x) / x^mu, takes arrays: it is formed from log|J|
-wherever ``jv`` is a normal double, and from the log-scaled ascending
-series where J underflows (large order and small x, e.g. order 236 at
-x = 0.5), where the series terms shrink from the first on.  Against
-40-digit mpmath, ``bessel_j`` is tested to 1e-13 absolute for mu <= 60,
-x <= 60, and the ratio, scaled to 1 at the origin, to 1e-12 for
-mu <= 300, x <= 100.
+J comes from ``scipy.special.jv``.  :func:`bessel_j` is ``jv`` on an
+array of x with the domain checks and the values at x = 0 and x = inf.
+:func:`bessel_j_ratio`, exp(log_scale) J_mu(x) / x^mu, takes arrays too:
+it is formed from log|J| wherever ``jv`` is a normal double, and from
+the log-scaled ascending series where J underflows (large order and
+small x, e.g. order 236 at x = 0.5), where the series terms shrink from
+the first on.  Against 40-digit mpmath, ``bessel_j`` is tested to 1e-13
+absolute for mu <= 60, x <= 60, and the ratio, scaled to 1 at the
+origin, to 1e-12 for mu <= 300, x <= 100.
 """
 
 from __future__ import annotations
@@ -58,21 +58,19 @@ def _check_order(name: str, mu: float) -> None:
         raise ValueError(f"{name} requires a finite order mu >= -1/2, got mu = {mu}")
 
 
-def bessel_j(mu: float, x: float) -> float:
-    """Bessel function of the first kind, real order mu >= -1/2, x >= 0.
+def bessel_j(mu: float, x):
+    """Bessel function of the first kind, real order mu >= -1/2, on an
+    array of x >= 0 (one x gives one number).
 
-    ``scipy.special.jv``; NaN at a NaN x and 0.0 (the limit) at x = inf.
+    ``scipy.special.jv``; at x = 0 the limit (1 at mu = 0, 0 above, inf
+    below), 0.0 (the limit) at x = inf and NaN at a NaN x.
     """
     _check_order("bessel_j", mu)
-    if x < 0.0:
-        raise ValueError(f"bessel_j requires x >= 0, got {x}")
-    if x == 0.0:
-        if mu == 0.0:
-            return 1.0
-        return 0.0 if mu > 0.0 else math.inf
-    if x == math.inf:
-        return 0.0
-    return float(jv(mu, x))
+    x = np.asarray(x, dtype=float)
+    if np.any(x < 0.0):
+        raise ValueError(f"bessel_j requires x >= 0, got {x[x < 0.0].flat[0]}")
+    origin = 1.0 if mu == 0.0 else (0.0 if mu > 0.0 else math.inf)
+    return np.where(x == 0.0, origin, np.where(x == math.inf, 0.0, jv(mu, x)))[()]
 
 
 def _ratio_series(mu: float, x: np.ndarray, log_t0: np.ndarray) -> np.ndarray:
@@ -114,7 +112,8 @@ def bessel_j_ratio(mu: float, x, log_scale=0.0):
     J underflows (large order and small x, and x = 0) it is the ascending
     series, whose terms there shrink from the first on; the series raises
     ValueError where its error could pass 1e-12 of the value at the origin
-    (orders above about 600).  NaN at a NaN x, 0.0 at x = inf.
+    (orders above about 600).  NaN at a NaN x, 0.0 at x = inf and where
+    ``jv`` gives 0 at x >= mu (past about 1e308, where it has no digits).
     """
     _check_order("bessel_j_ratio", mu)
     x = np.asarray(x, dtype=float)
@@ -129,10 +128,13 @@ def bessel_j_ratio(mu: float, x, log_scale=0.0):
     if not normal.all():
         log_t0 = np.asarray(log_scale) - mu * math.log(2.0) - math.lgamma(mu + 1.0)
         with np.errstate(under="ignore"):
-            # at x = 0 the series is its first term, exp(log_t0), exactly
-            edge = np.where(x == 0.0, np.exp(log_t0), np.where(x == math.inf, 0.0, np.nan))
+            # at x = 0 the series is its first term, exp(log_t0), exactly;
+            # at x >= mu, J is not small, and jv gives 0 only where it has
+            # lost its digits (near the top of the double range) and at
+            # x = inf, where the ratio is 0 as well
+            edge = np.where(x == 0.0, np.exp(log_t0), np.where(x >= mu, 0.0, np.nan))
         out = np.where(normal, out, edge)
-        series = ~normal & (x > 0.0) & (x < math.inf)  # underflow; NaN x fails the tests
+        series = ~normal & (x > 0.0) & (x < mu)  # underflow; NaN x fails the tests
         if series.any():
             x, log_t0, series = np.broadcast_arrays(x, log_t0, series)
             out[series] = _ratio_series(mu, x[series], log_t0[series])

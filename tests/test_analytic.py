@@ -352,6 +352,28 @@ def test_laws_where_the_squared_norm_overflows():
     assert math.isnan(cf_nu1(full, [math.inf, 0.0, 0.0]))
 
 
+def test_cf_projection_at_the_top_of_the_double_range():
+    # past about 1e308 jv gives +-0, having lost its digits; the cf is about
+    # 0 there, as it is at [1e300, 1e300], and the small-x series of
+    # bessel_j_ratio (where x * x overflows) must not run
+    p = FlightParams(d=3, n=2, nu=1.0, m=2)
+    for big in ([1.7e308, 0.0], [1e308, 0.0], [1e300, 1e300]):
+        assert cf_projection(p, big) == 0.0
+    assert np.all(bessel_j_ratio(2.5, [1e308, 1.7e308]) == 0.0)
+
+
+def test_radial_densities_far_outside_the_support():
+    # r * r overflows above about 1.3e154: such radii give 0 with no
+    # overflow warning, and the in-support entries keep their bits
+    proj = FlightParams(d=3, n=2, nu=1.0, m=2)
+    full = FlightParams(d=3, n=2, nu=1.0)
+    r = np.array([1e200, -1e200, 0.4])
+    for law, p in ((radial_density_projection, proj), (radial_density_nu1, full)):
+        vals = law(p, r)
+        assert vals[0] == 0.0 and vals[1] == 0.0, law.__name__
+        assert vals[2] == law(p, 0.4) > 0.0, law.__name__
+
+
 # -------------------------------------------------------- moments
 
 def test_radial_moment_known_value():

@@ -42,10 +42,29 @@ print("ok")
 
 @pytest.mark.parametrize("module", ["driftflight", "driftflight.cli"])
 def test_import_leaves_scipy_integrate_unloaded(module):
-    # scipy.integrate costs about 0.3 s and 26 MB at import and only the
-    # validation suite uses it; a fresh interpreter shows what import pays
+    # scipy.integrate costs about 0.3 s and 26 MB at import and the package
+    # does not use it; a fresh interpreter shows what import pays
     src = str(Path(driftflight.__file__).resolve().parents[1])
     probe = _PROBE.format(src=src, module=module, names=PACKAGE_NAMES)
+    run = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip() == "ok"
+
+
+_VALIDATE_PROBE = """
+import sys
+sys.path.insert(0, {src!r})
+from driftflight import cli
+assert cli.main(["validate", "--only", "identities", "--out", {out!r}]) == 0
+assert "scipy.integrate" not in sys.modules, "validate loaded scipy.integrate"
+print("ok")
+"""
+
+
+def test_identity_checks_leave_scipy_integrate_unloaded(tmp_path):
+    # the identity checks integrate with their own array kernel
+    src = str(Path(driftflight.__file__).resolve().parents[1])
+    probe = _VALIDATE_PROBE.format(src=src, out=str(tmp_path / "report.json"))
     run = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, timeout=120)
     assert run.returncode == 0, run.stderr
     assert run.stdout.strip() == "ok"

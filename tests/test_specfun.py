@@ -184,6 +184,17 @@ def test_bessel_non_finite_inputs():
             bessel_j_ratio(mu, [1.0, 2.0])
 
 
+def test_bessel_broadcasts_over_x():
+    x = np.array([[0.0, 0.5, 3.0], [math.inf, 17.0, math.nan]])
+    for mu, origin in ((-0.25, math.inf), (0.0, 1.0), (1.0, 0.0), (2.5, 0.0)):
+        vals = bessel_j(mu, x)
+        assert vals.shape == x.shape
+        assert vals[0, 0] == origin and vals[1, 0] == 0.0 and math.isnan(vals[1, 2])
+        assert np.array_equal(vals[[0, 0, 1], [1, 2, 1]], jv(mu, [0.5, 3.0, 17.0]))
+    with pytest.raises(ValueError, match="x >= 0"):
+        bessel_j(1.0, [1.0, -0.1])
+
+
 def test_bessel_domain_errors():
     with pytest.raises(ValueError):
         bessel_j(-0.6, 1.0)

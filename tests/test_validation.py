@@ -3,7 +3,9 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
+from driftflight import validation
 from driftflight.flight import FlightParams
 from driftflight.specfun import bessel_j
 from driftflight.validation import (
@@ -16,7 +18,49 @@ from driftflight.validation import (
     ks_distance,
     run_suite,
 )
-from driftflight.validation import _formula3_lhs
+from driftflight.validation import _formula3_lhs, _integrate
+
+
+def _quadpack(f, edges, tol):
+    # the oracle: QUADPACK's adaptive quad on each interval, one point at a
+    # time, at the settings the identity checks used with it
+    return np.array([
+        quad(lambda x: float(f(np.asarray(x))), lo, hi, epsabs=tol, epsrel=1e-11, limit=300)[0]
+        for lo, hi in zip(edges[:-1], edges[1:])
+    ])
+
+
+def test_identity_lhs_matches_quadpack(monkeypatch):
+    # the same integrands on the same sub-period edges, integrated by the
+    # array kernel and by scipy.integrate.quad
+    grid = identity_grid()
+    kernel = [check_identity(ident, params).lhs for ident, params in grid]
+    monkeypatch.setattr(validation, "_integrate", _quadpack)
+    for (ident, params), lhs in zip(grid, kernel):
+        assert abs(lhs - check_identity(ident, params).lhs) < 1e-9, (ident, params)
+
+
+def test_integrate_each_interval():
+    edges = np.array([0.0, 1.0, 2.5, 7.0, 30.0])
+    got = _integrate(np.sin, edges, 1e-12)
+    assert got.shape == (4,)
+    assert np.allclose(got, np.cos(edges[:-1]) - np.cos(edges[1:]), rtol=0.0, atol=1e-12)
+
+
+def test_integrate_endpoint_singularity():
+    # |x|^-0.4 at either end of an interval: the pieces there are cut
+    # towards it until the sum is within tol
+    assert abs(_integrate(lambda x: x**-0.4, [0.0, 1.0], 1e-10)[0] - 1.0 / 0.6) < 1e-10
+    assert abs(_integrate(lambda x: (-x) ** -0.4, [-1.0, 0.0], 1e-10)[0] - 1.0 / 0.6) < 1e-10
+
+
+def test_integrate_raises_instead_of_returning_unconverged_values():
+    with pytest.raises(ValueError, match="not finite"):
+        _integrate(lambda x: np.where(x > 0.7, np.nan, x), [0.0, 1.0], 1e-10)
+    with pytest.raises(ValueError, match="quadrature"):
+        _integrate(lambda x: 1.0 / x, [0.0, 1.0], 1e-10)  # not integrable
+    with pytest.raises(ValueError, match="increase"):
+        _integrate(np.sin, [0.0, 1.0, 1.0], 1e-10)
 
 
 def test_int_nu1_classic_point():
@@ -54,6 +98,17 @@ def test_formula2_points():
     for mu, nu, a in ((1.0, 1.0, 5.0), (0.6, 1.7, 12.0), (2.5, 3.5, 30.0)):
         rep = check_identity("gr_6533_2", {"mu": mu, "nu": nu, "a": a})
         assert rep.abs_err < 1e-7
+
+
+def test_convolution_identities_with_singular_ends():
+    # factors singular at x = a as well as at x = 0 (nu < 1 in gr_6533_2,
+    # mu, nu < 0 in gr_6581_3), up to |x|^-0.95
+    for ident, params in (
+        ("gr_6533_2", {"mu": 0.05, "nu": 0.3, "a": 5.0}),
+        ("gr_6533_2", {"mu": 1.0, "nu": 0.05, "a": 5.0}),
+        ("gr_6581_3", {"mu": -0.45, "nu": -0.45, "a": 5.0}),
+    ):
+        assert check_identity(ident, params).abs_err < 1e-9, (ident, params)
 
 
 def test_formula3_points_and_tail():
