@@ -1,0 +1,99 @@
+#!/usr/bin/env python3
+"""Print the sampler's cost layer by layer, in ns per flight.
+
+Usage:
+    python scripts/sampler_layers.py [--flights 20000] [--repeats 5]
+
+For each (d, n, nu) cell the batch is cut into default-size chunks, and
+every layer is timed over all of them (best of ``--repeats``):
+
+* ``philox``: the Philox uniforms of the chunk rows;
+* ``waiting_times``: ``temporal.waiting_times`` on their leading columns;
+* ``directions``: ``angular.directions`` on the rest, all n+1 segments;
+* ``assembly``: what ``simulate_batch`` spends beyond those three (the
+  chunk loop and the in-order sum), a difference of timings, clamped at
+  0 where their noise exceeds it;
+* ``simulate_batch``: the whole call.
+
+The cells are the benchmark's ``mc_batch`` grid plus d8 n9 nu1 and
+d3 n2 nu2.5.  The timings are in process and wall clock, so they move
+with the machine's load; compare runs made one after the other.
+"""
+
+import argparse
+import time
+
+import numpy as np
+
+from driftflight import flight
+from driftflight.angular import direction_draws, directions
+from driftflight.flight import FlightParams, draws_per_flight, simulate_batch
+from driftflight.temporal import time_draws, waiting_times
+
+CELLS = ((2, 1, 1.0), (3, 2, 1.0), (4, 3, 0.0), (3, 2, 0.3), (8, 9, 1.0), (3, 2, 2.5))
+LAYERS = ("philox", "waiting_times", "directions", "assembly", "simulate_batch")
+
+
+def _best(fn, repeats: int) -> float:
+    best = float("inf")
+    for _ in range(repeats):
+        t0 = time.perf_counter()
+        fn()
+        best = min(best, time.perf_counter() - t0)
+    return best
+
+
+def layer_times(p: FlightParams, flights: int, repeats: int, seed: int = 1) -> dict[str, float]:
+    """Seconds per flight of each of ``LAYERS`` on ``flights`` flights of ``p``."""
+    L = draws_per_flight(p)
+    Lpad = -(-L // 4) * 4
+    rows = max(1, flight._CHUNK_DRAWS // Lpad)
+    sizes = [min(rows, flights - done) for done in range(0, flights, rows)]
+    col = (p.n + 1) * time_draws(p.d, p.nu) if p.n >= 1 else 0
+    gen = np.random.Generator(np.random.Philox(key=seed))
+    chunks = [gen.random((size, Lpad))[:, :L] for size in sizes]
+    segs = [U[:, col:].reshape(len(U), p.n + 1, direction_draws(p.d, p.nu)) for U in chunks]
+
+    def philox():
+        g = np.random.Generator(np.random.Philox(key=seed))
+        for size in sizes:
+            g.random((size, Lpad))
+
+    def times():
+        if col:
+            for U in chunks:
+                waiting_times(U[:, :col], p.d, p.nu, p.t)
+
+    def dirs():
+        for u in segs:
+            directions(u, p.d, p.nu)
+
+    out = {
+        "philox": _best(philox, repeats),
+        "waiting_times": _best(times, repeats),
+        "directions": _best(dirs, repeats),
+        "simulate_batch": _best(lambda: simulate_batch(p, flights, seed), repeats),
+    }
+    rest = out["philox"] + out["waiting_times"] + out["directions"]
+    out["assembly"] = max(0.0, out["simulate_batch"] - rest)
+    return {k: v / flights for k, v in out.items()}
+
+
+def main() -> int:
+    ap = argparse.ArgumentParser(description=__doc__)
+    ap.add_argument("--flights", type=int, default=20_000)
+    ap.add_argument("--repeats", type=int, default=5)
+    args = ap.parse_args()
+    if args.flights < 1 or args.repeats < 1:
+        ap.error("--flights and --repeats must be at least 1")
+    print("| ns per flight | " + " | ".join(LAYERS) + " | M flights/s |")
+    print("|---" * (len(LAYERS) + 2) + "|")
+    for d, n, nu in CELLS:
+        t = layer_times(FlightParams(d=d, n=n, nu=nu), args.flights, args.repeats)
+        cells = " | ".join(f"{1e9 * t[k]:,.0f}" for k in LAYERS)
+        print(f"| d{d} n{n} nu{nu:g} | {cells} | {1e-6 / t['simulate_batch']:.2f} |")
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

@@ -14,13 +14,16 @@ On the sphere this density is the uniform surface element times
 (sin theta_1 ... sin theta_{d-2} sin phi)^(2 nu) = |x_d|^(2 nu), so a
 direction is Y / |Y| with Y_1 .. Y_{d-1} independent standard normals and
 Y_d = +-chi_{2 nu + 1} with a fair sign (Marsaglia 1972; Devroye 1986,
-ch. V).  Sampling is structural, not rejection: when 2 nu is an integer
-|Y_d| is the root of a sum of 2 nu + 1 squared normals, otherwise
-sqrt(2 G) with G one inverse-CDF Gamma(nu + 1/2) value
-(:func:`driftflight.temporal.gamma_quantile`).  Every draw
-consumes a fixed number of uniforms, which is what makes the batched
-simulation in :mod:`driftflight.flight` bit-reproducible replicate by
-replicate.
+ch. V).  Sampling is structural, not rejection, and uses chi^2_{2k+1} =
+-2 sum_{i <= k} log U_i + Z^2 (Devroye 1986, ch. IX): at integer nu,
+Y_d = copysign(sqrt(Z_d^2 - 2 sum_{i <= nu} log U_i), Z_d), whose sign
+is the sign of the normal Z_d (at nu = 0, Y = Z); at half-integer nu,
+Y_d^2 = -2 sum log U over nu + 1/2 uniforms with a sign uniform;
+otherwise, or past 4 logs, Y_d^2 = 2 G with G one inverse-CDF
+Gamma(nu + 1/2) value (:func:`driftflight.temporal.gamma_quantile`) and
+a sign uniform.  Every draw consumes a fixed number of uniforms, which
+is what makes the batched simulation in :mod:`driftflight.flight`
+bit-reproducible replicate by replicate.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ from functools import reduce
 import numpy as np
 from scipy.special import ndtri
 
-from .temporal import _U_FLOOR, _sum_draws, gamma_quantile
+from .temporal import _MAX_SUM_DRAWS, _U_FLOOR, _log_sum, gamma_quantile
 
 # unused here, but bench/tracing.py wraps this name on this module
 from scipy.special import betaincinv  # noqa: F401
@@ -47,6 +50,8 @@ __all__ = [
 ]
 
 TWO_PI = 2.0 * math.pi
+# the floor of ndtri(u), at the floor of u
+_Z_FLOOR = float(ndtri(_U_FLOOR))
 
 
 def _angles(thetas, phi) -> np.ndarray:
@@ -100,28 +105,76 @@ def angular_density(thetas, phi, nu: float):
     return marginal_angular_density(angles, d, d - 1, nu)
 
 
+def _chi_logs(nu: float) -> int:
+    # the -log U terms k of chi^2_{2 nu + 1} = -2 sum_{i <= k} log U_i, plus
+    # Z_d^2 when nu is an integer (Devroye 1986, ch. IX), k = floor(nu + 1/2);
+    # -1 for one gamma_quantile value, where 2 nu is not an integer or the
+    # sum would pass the cap
+    if not (2.0 * nu).is_integer():
+        return -1
+    k = math.floor(nu + 0.5)
+    return k if k <= _MAX_SUM_DRAWS else -1
+
+
 def direction_draws(d: int, nu: float) -> int:
-    """Uniforms one direction consumes: d-1 normals, |Y_d| (2 nu + 1
-    normals, or one uniform for gamma_quantile), then a sign."""
-    return d + _sum_draws(2.0 * nu + 1.0)
+    """Uniforms one direction consumes: d + nu at integer nu (d normals and
+    nu logs), d + nu + 1/2 at half-integer nu (d - 1 normals, nu + 1/2
+    logs and a sign), else d + 1 (d - 1 normals, one gamma_quantile value
+    and a sign); a sum of more than 4 logs takes the last form."""
+    k = _chi_logs(nu)
+    return d + (k if k >= 0 else 1)
+
+
+def _scaled_directions(u, d: int, nu: float, scale) -> np.ndarray:
+    # scale (...) times the unit vectors of uniforms u (..., direction_draws)
+    u = np.asarray(u)
+    k = _chi_logs(nu)
+    if odd := k >= 0 and float(nu).is_integer():
+        # chi^2 of odd degree: nu logs, then the d normals, Z_d being a
+        # term of Y_d^2 and its sign
+        m, chi_u = d, u[..., :k]
+    else:
+        # d - 1 normals, the uniforms of Y_d^2, then its sign
+        m, chi_u = d - 1, u[..., d - 1 : -1]
+    y = np.empty(u.shape[:-1] + (d,))
+    # the normals in one call; the floor on ndtri's output is the floor on
+    # its input, as ndtri increases
+    ndtri(u[..., -m:] if odd else u[..., :m], out=y[..., :m])
+    np.maximum(y[..., :m], _Z_FLOOR, out=y[..., :m])
+    if k != 0:  # at nu = 0, Y = Z
+        if k > 0:
+            chi2 = -2.0 * _log_sum(chi_u)
+        else:
+            chi2 = 2.0 * gamma_quantile(nu + 0.5, chi_u[..., 0])
+        if odd:
+            chi2 += y[..., -1] ** 2
+            sign = y[..., -1]
+        else:
+            sign = u[..., -1] - 0.5
+        np.copysign(np.sqrt(chi2), sign, out=y[..., -1])
+    # column by column, as temporal._col_sum, but squaring as it goes
+    r2 = y[..., 0] ** 2
+    for j in range(1, d):
+        r2 += y[..., j] ** 2
+    if not r2.all():
+        # a null set (every Y_i exactly 0, as at nu = 0 and d uniforms of
+        # 1/2): e_d
+        zero = r2 == 0.0
+        y[..., -1][zero] = 1.0
+        r2[zero] = 1.0
+    y *= (scale / np.sqrt(r2))[..., None]
+    return y
 
 
 def directions(u, d: int, nu: float) -> np.ndarray:
     """Structural transform: uniforms (..., direction_draws(d, nu)) to unit
-    vectors (..., d).  The first d-1 uniforms give the normals
-    Y_1 .. Y_{d-1}, the next ones |Y_d| and the last the sign of Y_d."""
-    u = np.maximum(u, _U_FLOOR)
-    k = _sum_draws(2.0 * nu + 1.0)
-    if k == 2.0 * nu + 1.0:
-        z = ndtri(u[..., :-1])
-        chi2 = (z[..., d - 1 :] ** 2).sum(axis=-1)
-    else:
-        z = ndtri(u[..., : d - 1])
-        chi2 = 2.0 * gamma_quantile(nu + 0.5, u[..., d - 1])
-    y = np.empty(u.shape[:-1] + (d,))
-    y[..., :-1] = z[..., : d - 1]
-    y[..., -1] = np.where(u[..., -1] < 0.5, -1.0, 1.0) * np.sqrt(chi2)
-    return y / np.sqrt((y * y).sum(axis=-1))[..., None]
+    vectors (..., d), Y / |Y|.  At integer nu the first nu uniforms give
+    -2 sum log U and the last d the normals Z_1 .. Z_d, with Y_i = Z_i for
+    i < d and Y_d = copysign(sqrt(Z_d^2 - 2 sum log U), Z_d).  Otherwise
+    the first d - 1 give Y_1 .. Y_{d-1}, the next ones |Y_d| and the last
+    the sign of Y_d.  Where every Y_i is 0 (nu = 0 and d uniforms of
+    exactly 1/2) the vector is e_d."""
+    return _scaled_directions(u, d, nu, 1.0)
 
 
 def sample_angles(d: int, nu: float, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:

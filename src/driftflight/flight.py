@@ -4,11 +4,11 @@ A flight makes n+1 straight segments: waiting times from
 :mod:`driftflight.temporal`, one independent direction per segment from
 :mod:`driftflight.angular`, position accumulated at constant speed c.
 The sampler is structural: normals normalized onto the sphere for the
-directions and sums of -log U for the Gamma variates of the waiting times,
-with one inverse-CDF Gamma value per variate only where 2 nu is not an
-integer (or a sum would take more than 64 uniforms); that value comes
-from a quantile table built once per shape
-(:func:`driftflight.temporal.gamma_quantile`).
+directions, with chi^2_{2 nu + 1} = Z^2 - 2 sum log U for the drifted
+coordinate, and sums of -log U for the Gamma variates of the waiting
+times.  Where 2 nu is not an integer, or a sum would take more than 4
+terms, a variate is one inverse-CDF Gamma value from a quantile table
+built once per shape (:func:`driftflight.temporal.gamma_quantile`).
 
 Reproducibility contract
 ------------------------
@@ -19,8 +19,10 @@ keyed by the master seed (see :func:`replicate_stream`), and every
 replicate consumes the same fixed number of uniforms.  All entry points
 run one sampler kernel on rows of those uniforms: ``simulate_batch`` and
 ``simulate_trajectories`` on chunks of rows, ``simulate_flight`` on one
-row.  The kernel transforms all n+1 segments of a row at once; positions
-and epochs are then cumulative sums from zero in segment order.  Row i of
+row.  The kernel transforms all n+1 segments of a row at once, summing
+over short axes column by column, so a row's arithmetic does not depend
+on how many rows share the call; positions and epochs are then
+cumulative sums from zero in segment order.  Row i of
 a batch, trajectory i of ``simulate_trajectories`` and
 ``simulate_flight(p, replicate_stream(p, seed, i))`` are therefore the
 same kernel on the same uniforms, and bit-identical.
@@ -34,7 +36,7 @@ from numbers import Integral
 
 import numpy as np
 
-from .angular import direction_draws, directions
+from .angular import _scaled_directions, direction_draws
 from .temporal import time_draws, waiting_times
 
 # unused here, but bench/tracing.py wraps these five names on this module;
@@ -157,7 +159,7 @@ def _segments(p: FlightParams, U: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         col, taus = 0, np.full((len(U), 1), p.t)
     # splitting the row axis is a view, also of a strided chunk
     u = U[:, col:].reshape(len(U), n + 1, direction_draws(d, nu))
-    return taus, (p.c * taus)[..., None] * directions(u, d, nu)
+    return taus, _scaled_directions(u, d, nu, p.c * taus)
 
 
 def _paths(taus: np.ndarray, steps: np.ndarray) -> Trajectory:

@@ -9,15 +9,23 @@ prod_i (2m + 2i - 1) in the falling-factorial basis.
 
 Bessel evaluation
 -----------------
-J comes from ``scipy.special.jv``.  :func:`bessel_j` is ``jv`` on an
-array of x with the domain checks and the values at x = 0 and x = inf.
+J comes from ``scipy.special.jv`` below x = 2^50; from there on, where
+``jv`` loses its digits (it has none left past x = 1e16), from the first
+two Hankel terms sqrt(2 / (pi x)) (cos chi - (4 mu^2 - 1) sin chi / (8 x)),
+chi = x - mu pi / 2 - pi / 4, with x reduced exactly by libm's cos and
+sin; that raises ValueError where the dropped x^-2 term could pass 1e-12
+of the envelope sqrt(2 / (pi x)) (orders above about 56000).
+:func:`bessel_j` is that J on an array of x with the domain checks and
+the values at x = 0 and x = inf.
 :func:`bessel_j_ratio`, exp(log_scale) J_mu(x) / x^mu, takes arrays too:
-it is formed from log|J| wherever ``jv`` is a normal double, and from
+it is formed from log|J| wherever J is a normal double, and from
 the log-scaled ascending series where J underflows (large order and
 small x, e.g. order 236 at x = 0.5), where the series terms shrink from
 the first on.  Against 40-digit mpmath, ``bessel_j`` is tested to 1e-13
 absolute for mu <= 60, x <= 60, and the ratio, scaled to 1 at the
-origin, to 1e-12 for mu <= 300, x <= 100.
+origin, to 1e-12 for mu <= 300, x <= 100; past x = 2^50, against
+60-digit mpmath, ``bessel_j`` is tested to 1e-14 of the envelope at x up
+to 1e300.
 """
 
 from __future__ import annotations
@@ -50,6 +58,10 @@ def gamma(x: float) -> float:
 _TINY = np.finfo(float).tiny
 _EPS = np.finfo(float).eps
 _SERIES_TOL = 1e-12
+# at x >= 2^50 J is sqrt(2 / (pi x)) (cos chi - a_1 sin chi / x), to
+# _HANKEL_TOL of that envelope
+_HANKEL_X = 2.0**50
+_HANKEL_TOL = 1e-12
 
 
 def _check_order(name: str, mu: float) -> None:
@@ -58,11 +70,40 @@ def _check_order(name: str, mu: float) -> None:
         raise ValueError(f"{name} requires a finite order mu >= -1/2, got mu = {mu}")
 
 
+def _jv(name: str, mu: float, x: np.ndarray) -> np.ndarray:
+    # jv, and at finite x >= 2^50, where jv loses its digits (none are left
+    # past x = 1e16), the first two Hankel terms
+    j = jv(mu, x)
+    far = (x >= _HANKEL_X) & (x < math.inf)  # False at a NaN x
+    if not far.any():
+        return j
+    xf = np.where(far, x, _HANKEL_X)
+    # the dropped x^-2 term of P, relative to the envelope sqrt(2 / (pi x))
+    a1 = (4.0 * mu * mu - 1.0) / 8.0
+    a2 = a1 * (4.0 * mu * mu - 9.0) / 16.0
+    x_min = float(np.min(x[far]))
+    drop = abs(a2) / x_min / x_min
+    if drop > _HANKEL_TOL:
+        raise ValueError(
+            f"{name}: the Hankel expansion at mu = {mu}, x = {x_min:g} may lose "
+            f"{drop:.1e} of its envelope (tolerance {_HANKEL_TOL:g})"
+        )
+    # chi = x - phi, phi = mu pi / 2 + pi / 4 reduced mod 2 pi (fmod is
+    # exact); libm reduces x itself exactly
+    phi = (0.5 * math.fmod(mu, 4.0) + 0.25) * math.pi
+    cos_x, sin_x = np.cos(xf), np.sin(xf)
+    cos_chi = cos_x * math.cos(phi) + sin_x * math.sin(phi)
+    sin_chi = sin_x * math.cos(phi) - cos_x * math.sin(phi)
+    hankel = math.sqrt(2.0 / math.pi) / np.sqrt(xf) * (cos_chi - a1 / xf * sin_chi)
+    return np.where(far, hankel, j)
+
+
 def bessel_j(mu: float, x):
     """Bessel function of the first kind, real order mu >= -1/2, on an
     array of x >= 0 (one x gives one number).
 
-    ``scipy.special.jv``; at x = 0 the limit (1 at mu = 0, 0 above, inf
+    ``scipy.special.jv``, and two Hankel terms at x >= 2^50 (see the
+    module docstring); at x = 0 the limit (1 at mu = 0, 0 above, inf
     below), 0.0 (the limit) at x = inf and NaN at a NaN x.
     """
     _check_order("bessel_j", mu)
@@ -70,7 +111,8 @@ def bessel_j(mu: float, x):
     if np.any(x < 0.0):
         raise ValueError(f"bessel_j requires x >= 0, got {x[x < 0.0].flat[0]}")
     origin = 1.0 if mu == 0.0 else (0.0 if mu > 0.0 else math.inf)
-    return np.where(x == 0.0, origin, np.where(x == math.inf, 0.0, jv(mu, x)))[()]
+    j = _jv("bessel_j", mu, x)
+    return np.where(x == 0.0, origin, np.where(x == math.inf, 0.0, j))[()]
 
 
 def _ratio_series(mu: float, x: np.ndarray, log_t0: np.ndarray) -> np.ndarray:
@@ -108,18 +150,17 @@ def bessel_j_ratio(mu: float, x, log_scale=0.0):
     ``log_scale`` (broadcast with x), so that neither factor overflows or
     underflows alone.  The order mu is one number.
 
-    Where ``jv`` is a normal double the value is formed from log|J|.  Where
-    J underflows (large order and small x, and x = 0) it is the ascending
-    series, whose terms there shrink from the first on; the series raises
-    ValueError where its error could pass 1e-12 of the value at the origin
-    (orders above about 600).  NaN at a NaN x, 0.0 at x = inf and where
-    ``jv`` gives 0 at x >= mu (past about 1e308, where it has no digits).
+    Where J (as :func:`bessel_j`) is a normal double the value is formed
+    from log|J|.  Where J underflows (large order and small x, and x = 0)
+    it is the ascending series, whose terms there shrink from the first
+    on; the series raises ValueError where its error could pass 1e-12 of
+    the value at the origin (orders above about 600).  NaN at a NaN x and 0.0 at x = inf.
     """
     _check_order("bessel_j_ratio", mu)
     x = np.asarray(x, dtype=float)
     if np.any(x < 0.0):
         raise ValueError(f"bessel_j_ratio requires x >= 0, got {x[x < 0.0].flat[0]}")
-    j = jv(mu, x)
+    j = _jv("bessel_j_ratio", mu, x)
     with np.errstate(divide="ignore", invalid="ignore", under="ignore"):
         # divide and invalid arise only at x = 0 and where J is 0, NaN or
         # inf; those points are replaced below
@@ -129,9 +170,8 @@ def bessel_j_ratio(mu: float, x, log_scale=0.0):
         log_t0 = np.asarray(log_scale) - mu * math.log(2.0) - math.lgamma(mu + 1.0)
         with np.errstate(under="ignore"):
             # at x = 0 the series is its first term, exp(log_t0), exactly;
-            # at x >= mu, J is not small, and jv gives 0 only where it has
-            # lost its digits (near the top of the double range) and at
-            # x = inf, where the ratio is 0 as well
+            # at x >= mu, J is not small, and is 0 only at x = inf, where
+            # the ratio is 0 as well
             edge = np.where(x == 0.0, np.exp(log_t0), np.where(x >= mu, 0.0, np.nan))
         out = np.where(normal, out, edge)
         series = ~normal & (x > 0.0) & (x < mu)  # underflow; NaN x fails the tests

@@ -3,11 +3,11 @@
 Given n changes of direction on [0, t], the n+1 waiting times are
 t times a Dirichlet vector with all parameters equal to 2 nu + d - 1.
 Sampling goes through the gamma-ratio construction (exact, no rejection).
-When the shape 2 nu + d - 1 is an integer (2 nu an integer, the paper's
-nu = 0 and nu = 1 cases among them) of at most 64, each Gamma variate is
-a sum of -log U over that many uniforms (Devroye 1986, ch. IX);
-otherwise it is one inverse-CDF value, :func:`gamma_quantile`.  Either way
-the draw count per sample is fixed.  :func:`waiting_times` is that
+When the shape 2 nu + d - 1 is an integer of at most 4 (the paper's nu = 0
+for d <= 5 and nu = 1 for d <= 3), each Gamma variate is a sum of -log U
+over that many uniforms (Devroye 1986, ch. IX); otherwise it is one
+inverse-CDF value, :func:`gamma_quantile`, which costs about as much as a
+sum of 4 terms.  Either way the draw count per sample is fixed.  :func:`waiting_times` is that
 transform on arrays of uniforms, and :func:`intertime_density` the law on
 arrays of waiting-time vectors (..., n+1), one point with the bits of its
 row in a batch.
@@ -37,12 +37,14 @@ __all__ = [
 ]
 
 # floor for raw uniforms, which lie in [0, 1): -log, ndtri and
-# gamma_quantile then see only (0, 1) and never return an infinity
+# gamma_quantile act as on max(u, 1e-300) and never return an infinity
 _U_FLOOR = 1e-300
+_LOG_FLOOR = math.log(_U_FLOOR)
 
-# a longer sum would cost more than its one gamma_quantile value and make
-# the stream grow with nu
-_MAX_SUM_DRAWS = 64
+# the longest sum of -log U terms: a Gamma(k) variate costs about 12 ns a
+# term as a sum (Philox and log) and about 60 ns as one gamma_quantile
+# value, so sums of 4 terms tie with the table and longer ones lose
+_MAX_SUM_DRAWS = 4
 
 # gamma_quantile table: pieces of one uniform grid in z = ndtri(u) and the
 # degree of the polynomial on each; 512 quintics reach the rounding floor
@@ -193,33 +195,48 @@ def intertime_density(taus, d: int, nu: float, t: float):
     return np.where(outside, 0.0, vals)[()]
 
 
-def _sum_draws(k: float) -> int:
-    # uniforms of a variate that is a sum of k one-uniform terms (-log U
-    # here, squared normals in angular), or 1 for one gamma_quantile value
-    return int(k) if k.is_integer() and k <= _MAX_SUM_DRAWS else 1
+def _col_sum(a: np.ndarray) -> np.ndarray:
+    """Sum over the last axis, column after column: cheaper than a
+    reduction over a short axis, and one row sums like a batch row."""
+    if a.shape[-1] == 0:
+        return np.zeros(a.shape[:-1])
+    total = a[..., 0].copy()
+    for j in range(1, a.shape[-1]):
+        total += a[..., j]
+    return total
+
+
+def _log_sum(u) -> np.ndarray:
+    """sum_i log max(U_i, 1e-300) over the last axis of uniforms (..., k)."""
+    with np.errstate(divide="ignore"):
+        logs = np.log(u)
+    # the floor on log's output is the floor on its input, as log increases
+    np.maximum(logs, _LOG_FLOOR, out=logs)
+    return _col_sum(logs)
 
 
 def time_draws(d: int, nu: float) -> int:
     """Uniforms one waiting time consumes: the shape 2 nu + d - 1 when it is
-    an integer up to 64 (a sum of -log U), else 1 (one gamma_quantile
+    an integer up to 4 (a sum of -log U), else 1 (one gamma_quantile
     value)."""
-    return _sum_draws(_shape(d, nu))
+    a = _shape(d, nu)
+    return int(a) if a.is_integer() and a <= _MAX_SUM_DRAWS else 1
 
 
 def waiting_times(u, d: int, nu: float, t: float) -> np.ndarray:
     """Transform uniforms (..., (n+1) k) with k = time_draws(d, nu) to
     waiting times (..., n+1) summing to t; waiting time j reads uniforms
     j k .. j k + k-1, and the last one is the residual t - sum(rest)."""
+    u = np.asarray(u)
     a, k = _shape(d, nu), time_draws(d, nu)
-    u = np.maximum(u, _U_FLOOR)
     if k == a:
-        g = -np.log(u.reshape(u.shape[:-1] + (-1, k))).sum(axis=-1)
+        g = -_log_sum(u.reshape(u.shape[:-1] + (-1, k)))
     else:
         g = gamma_quantile(a, u)
-    taus = np.empty_like(g)
-    taus[..., :-1] = t * g[..., :-1] / g.sum(axis=-1)[..., None]
-    taus[..., -1] = t - taus[..., :-1].sum(axis=-1)
-    return taus
+    # g becomes the waiting times in place
+    g *= (t / _col_sum(g))[..., None]
+    g[..., -1] = t - _col_sum(g[..., :-1])
+    return g
 
 
 def sample_intertimes(

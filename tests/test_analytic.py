@@ -353,9 +353,9 @@ def test_laws_where_the_squared_norm_overflows():
 
 
 def test_cf_projection_at_the_top_of_the_double_range():
-    # past about 1e308 jv gives +-0, having lost its digits; the cf is about
-    # 0 there, as it is at [1e300, 1e300], and the small-x series of
-    # bessel_j_ratio (where x * x overflows) must not run
+    # near the top of the double range the cf is about 0, as it is at
+    # [1e300, 1e300], and the small-x series of bessel_j_ratio (where
+    # x * x overflows) must not run
     p = FlightParams(d=3, n=2, nu=1.0, m=2)
     for big in ([1.7e308, 0.0], [1e308, 0.0], [1e300, 1e300]):
         assert cf_projection(p, big) == 0.0

@@ -264,16 +264,17 @@ def test_sampler_marginal_ks(d, nu):
 
 
 @pytest.mark.parametrize("d", [2, 3, 5])
-@pytest.mark.parametrize("nu", [0.0, 0.3, 0.5, 1.0, 2.5])
+@pytest.mark.parametrize("nu", [0.0, 0.3, 0.5, 1.0, 1.5, 2.0, 2.5, 5.0])
 def test_directions_last_coordinate_beta_ks(d, nu):
     # under density |x_d|^(2 nu) on the sphere, x_d^2 is
-    # Beta((2 nu + 1)/2, (d - 1)/2)
+    # Beta((2 nu + 1)/2, (d - 1)/2); nu = 5 is past the cap of 4 logs
     u = _rng(40 + 10 * d + int(10 * nu)).random((100_000, direction_draws(d, nu)))
     x = directions(u, d, nu)
     np.testing.assert_allclose(np.linalg.norm(x, axis=1), 1.0, rtol=0, atol=1e-14)
     vals = np.sort(x[:, -1] ** 2)
     assert _ks(vals, betainc(nu + 0.5, 0.5 * (d - 1), vals)) < 0.01
-    # the last uniform alone sets the sign of x_d
+    # the last uniform alone sets the sign of x_d: Z_d's uniform at integer
+    # nu up to 4 (the normals come last), the sign uniform otherwise
     np.testing.assert_array_equal(x[:, -1] < 0.0, u[:, -1] < 0.5)
 
 

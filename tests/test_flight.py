@@ -171,14 +171,19 @@ def test_batch_mean_vanishes_under_uniform_law():
 
 def test_draws_per_flight_counts():
     # (n+1) waiting times of 2 nu + d - 1 uniforms each (one when that is
-    # not an integer, none when n = 0), then (n+1) directions of d - 1
-    # normals, 2 nu + 1 uniforms for |Y_d| (one when 2 nu is not an
-    # integer) and a sign; sums longer than 64 become one uniform
-    assert draws_per_flight(FlightParams(d=3, n=0, nu=0.0)) == 4
-    assert draws_per_flight(FlightParams(d=3, n=2, nu=0.0)) == 18
-    assert draws_per_flight(FlightParams(d=2, n=1, nu=0.0)) == 8
-    assert draws_per_flight(FlightParams(d=3, n=2, nu=1.0)) == 30
+    # not an integer, none when n = 0), then (n+1) directions: at integer
+    # nu, nu logs and d normals; at half-integer nu, d - 1 normals,
+    # nu + 1/2 logs and a sign; otherwise d - 1 normals, one uniform for
+    # gamma_quantile and a sign.  A sum of more than 4 terms (shape or
+    # logs) takes one uniform instead.
+    assert draws_per_flight(FlightParams(d=3, n=0, nu=0.0)) == 3
+    assert draws_per_flight(FlightParams(d=3, n=2, nu=0.0)) == 15
+    assert draws_per_flight(FlightParams(d=2, n=1, nu=0.0)) == 6
+    assert draws_per_flight(FlightParams(d=3, n=2, nu=1.0)) == 24
     assert draws_per_flight(FlightParams(d=3, n=2, nu=0.3)) == 15
+    assert draws_per_flight(FlightParams(d=3, n=2, nu=1.5)) == 18
+    assert draws_per_flight(FlightParams(d=3, n=1, nu=4.0)) == 16
+    assert draws_per_flight(FlightParams(d=3, n=1, nu=5.0)) == 10
     assert draws_per_flight(FlightParams(d=3, n=1, nu=40.0)) == 10
 
 
@@ -194,15 +199,18 @@ def test_simulate_flight_draws_exactly_draws_per_flight(d, n, nu):
 @pytest.mark.parametrize(
     "d,n,nu", [(2, 1, 0.0), (3, 2, 1.0), (4, 3, 0.5), (3, 2, 0.3), (5, 0, 2.7)]
 )
-@pytest.mark.parametrize("u", [0.0, 1.0 - 2.0**-53])
+@pytest.mark.parametrize("u", [0.0, 0.5, 1.0 - 2.0**-53])
 def test_segments_finite_at_extreme_uniforms(d, n, nu, u):
-    # the smallest and largest doubles a Generator's random() returns
+    # the smallest and largest doubles a Generator's random() returns, and
+    # 1/2, where every normal is 0
     p = FlightParams(d=d, n=n, nu=nu, c=1.2, t=0.8)
     rows = np.full((3, draws_per_flight(p)), u)
     taus, steps = _segments(p, rows)
     assert taus.shape == (3, n + 1) and steps.shape == (3, n + 1, d)
     assert np.all(np.isfinite(taus)) and np.all(taus >= 0.0)
     assert np.all(np.isfinite(steps))
+    # every direction a unit vector (e_d where all its normals are 0)
+    np.testing.assert_allclose(np.linalg.norm(steps, axis=-1), p.c * taus, rtol=1e-14)
     total = steps.sum(axis=1)
     assert np.all(np.linalg.norm(total, axis=1) <= p.c * p.t * (1.0 + 1e-12))
 

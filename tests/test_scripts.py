@@ -36,3 +36,19 @@ def test_export_figure_data(tmp_path, monkeypatch):
     batch_row = simulate_batch(FlightParams(d=3, n=8, nu=1.0), 1, 42)[0]
     np.testing.assert_array_equal(traj[-1, 1:4], batch_row)
     np.testing.assert_array_equal(traj[:, 4:], traj[:, 1:3])
+
+
+def test_sampler_layers(capsys, monkeypatch):
+    script = runpy.run_path(str(SCRIPTS / "sampler_layers.py"))
+    monkeypatch.setattr(sys, "argv", ["sampler_layers.py", "--flights", "8", "--repeats", "1"])
+    assert script["main"]() == 0
+    rows = [line for line in capsys.readouterr().out.splitlines() if line.startswith("| d")]
+    assert [row.split(" | ")[0] for row in rows] == [
+        f"| d{d} n{n} nu{nu:g}" for d, n, nu in script["CELLS"]
+    ]
+    # every layer a non-negative ns count, then a positive rate
+    for row in rows:
+        cells = row.strip("| ").split(" | ")[1:]
+        assert len(cells) == len(script["LAYERS"]) + 1
+        assert all(float(c.replace(",", "")) >= 0.0 for c in cells)
+        assert float(cells[-1]) > 0.0

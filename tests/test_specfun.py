@@ -166,6 +166,31 @@ def test_bessel_ratio_series_raises_where_it_would_cancel():
         bessel_j_ratio(1000.0, 380.0, _unit_at_origin(1000.0))
 
 
+@pytest.mark.parametrize("x", [1e16, 1e17, 1e20, 1e300])
+@pytest.mark.parametrize("mu", [-0.5, 0.0, 10.0])
+def test_bessel_past_2_to_the_50_matches_mpmath(mu, x):
+    # jv has no digits left here (J_0(1e16) came out -5.0e-9 against
+    # 8.7e-10); the Hankel terms hold to rounding of the envelope
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(60):
+        ref = mp.besselj(mu, mp.mpf(x))
+        env = mp.sqrt(2 / (mp.pi * x))
+        ratio, ratio_env = ref / mp.power(x, mu), env / mp.power(x, mu)
+    assert abs(bessel_j(mu, x) - float(ref)) <= 1e-14 * float(env)
+    # the ratio goes through log|J| - mu log x, so its rounding grows with
+    # log x; where its envelope underflows it must be 0
+    assert abs(bessel_j_ratio(mu, x) - float(ratio)) <= 1e-12 * float(ratio_env)
+
+
+def test_bessel_hankel_raises_where_its_dropped_term_is_large():
+    # the dropped term is about mu^4 / (8 x^2): 1e-11 at mu = 1e5, x = 2^50
+    with pytest.raises(ValueError, match="Hankel"):
+        bessel_j(1e5, 2.0**50)
+    with pytest.raises(ValueError, match="Hankel"):
+        bessel_j_ratio(1e5, [1.0, 2.0**50])
+    assert math.isfinite(bessel_j(1e5, 2.0**60))
+
+
 def test_bessel_non_finite_inputs():
     nan, inf = math.nan, math.inf
     assert math.isnan(bessel_j(1.0, nan))
