@@ -19,14 +19,14 @@ import numpy as np
 
 from driftflight.angular import angular_density
 from driftflight.analytic import radial_density_nu1
+from driftflight.csvtext import write_rows
 from driftflight.flight import FlightParams, simulate_trajectories
 
 
 def write_csv(path, header, rows):
-    with open(path, "w") as fh:
-        fh.write(f"# columns: {header}\n")
-        for row in rows:
-            fh.write(",".join("%.17g" % v for v in row) + "\n")
+    with open(path, "wb") as fh:
+        fh.write(f"# columns: {header}\n".encode())
+        write_rows(fh, rows)
     print(f"wrote {path}")
 
 

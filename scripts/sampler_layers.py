@@ -13,7 +13,10 @@ every layer is timed over all of them (best of ``--repeats``):
 * ``assembly``: what ``simulate_batch`` spends beyond those three (the
   chunk loop and the in-order sum), a difference of timings, clamped at
   0 where their noise exceeds it;
-* ``simulate_batch``: the whole call.
+* ``simulate_batch``: the whole call;
+* ``csv``: the CSV text of the cell's final positions with their
+  replicate column, made block by block as ``driftflight simulate``
+  makes it, written to memory.
 
 The cells are the benchmark's ``mc_batch`` grid plus d8 n9 nu1 and
 d3 n2 nu2.5.  The timings are in process and wall clock, so they move
@@ -21,17 +24,19 @@ with the machine's load; compare runs made one after the other.
 """
 
 import argparse
+import io
 import time
 
 import numpy as np
 
 from driftflight import flight
 from driftflight.angular import direction_draws, directions
+from driftflight.csvtext import write_rows
 from driftflight.flight import FlightParams, draws_per_flight, simulate_batch
 from driftflight.temporal import time_draws, waiting_times
 
 CELLS = ((2, 1, 1.0), (3, 2, 1.0), (4, 3, 0.0), (3, 2, 0.3), (8, 9, 1.0), (3, 2, 2.5))
-LAYERS = ("philox", "waiting_times", "directions", "assembly", "simulate_batch")
+LAYERS = ("philox", "waiting_times", "directions", "assembly", "simulate_batch", "csv")
 
 
 def _best(fn, repeats: int) -> float:
@@ -74,6 +79,8 @@ def layer_times(p: FlightParams, flights: int, repeats: int, seed: int = 1) -> d
         "directions": _best(dirs, repeats),
         "simulate_batch": _best(lambda: simulate_batch(p, flights, seed), repeats),
     }
+    rows = np.column_stack([np.arange(flights), simulate_batch(p, flights, seed)])
+    out["csv"] = _best(lambda: write_rows(io.BytesIO(), rows), repeats)
     rest = out["philox"] + out["waiting_times"] + out["directions"]
     out["assembly"] = max(0.0, out["simulate_batch"] - rest)
     return {k: v / flights for k, v in out.items()}

@@ -4,8 +4,13 @@ Commands: simulate | density | cf | cdf | moments | mixture | validate.
 Flags override values from an optional JSON config file; the fully
 resolved configuration (including the seed) is echoed as a header
 comment in every CSV and into a ``<out>.meta.json`` sidecar, so reruns
-with the same inputs are byte-identical.  ``simulate --trajectories K``
-(0 <= K <= --count) also writes the breakpoints of replicates 0..K-1.
+with the same inputs are byte-identical.  Every CSV value is the text
+``"%.17g" % v`` gives, 17 significant digits that read back bit for bit;
+``csvtext`` computes it for blocks of rows in numpy, with ``%`` itself
+only for values outside [1e-4, 1e17), exact rounding ties and small
+blocks.
+``simulate --trajectories K`` (0 <= K <= --count) also writes the
+breakpoints of replicates 0..K-1.
 
 Exit codes: 0 success, 1 usage error, 2 validation failure, 3 I/O error.
 """
@@ -22,15 +27,13 @@ import numpy as np
 
 from . import analytic
 from .analytic import MixtureParams
+from .csvtext import write_rows
 from .flight import FlightParams, _check_seed, simulate_batch, simulate_trajectories
 from .flight import simulate_flight  # noqa: F401  (unused; bench/tracing.py wraps it here)
 
 USAGE_ERROR = 1
 VALIDATION_FAILURE = 2
 IO_ERROR = 3
-
-_FLOAT_FMT = "%.17g"  # round-trip exact for doubles
-_CSV_BLOCK_ROWS = 4096  # rows formatted and written per write call
 
 
 class _Parser(argparse.ArgumentParser):
@@ -51,15 +54,9 @@ def _canonical_json(obj) -> str:
 def _write_csv(path: str, names: list[str], config: dict, *columns) -> None:
     """Write the columns (1-D, or 2-D for several) side by side as rows."""
     rows = np.column_stack(columns)
-    # one format string per row: the same bytes as formatting value by
-    # value, with one formatting call per row instead of one per value;
-    # one write per block of rows, so memory does not grow with the file
-    line_fmt = ",".join([_FLOAT_FMT] * len(names)) + "\n"
-    with open(path, "w") as fh:
-        fh.write(f"# config: {_canonical_json(config)}\n# columns: {','.join(names)}\n")
-        for i in range(0, len(rows), _CSV_BLOCK_ROWS):
-            block = rows[i : i + _CSV_BLOCK_ROWS].tolist()
-            fh.write("".join([line_fmt % tuple(row) for row in block]))
+    with open(path, "wb") as fh:
+        fh.write(f"# config: {_canonical_json(config)}\n# columns: {','.join(names)}\n".encode())
+        write_rows(fh, rows)
 
 
 def _write_sidecar(path: str, config: dict, extra: dict | None = None) -> None:

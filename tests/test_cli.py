@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from driftflight.cli import IO_ERROR, USAGE_ERROR, VALIDATION_FAILURE, build_parser, main
-from driftflight.flight import FlightParams, replicate_stream, simulate_flight
+from driftflight.flight import FlightParams, replicate_stream, simulate_batch, simulate_flight
 
 
 def _read_rows(path):
@@ -65,24 +65,33 @@ def test_simulate_trajectory_export(tmp_path):
         np.testing.assert_array_equal(traj_final, finals[i, 1:])
 
 
-@pytest.mark.parametrize("d,n,nu", [(2, 3, 0.0), (5, 0, 2.5)])
-def test_simulate_trajectory_rows_match_per_replicate_flights(tmp_path, d, n, nu):
+# the last case writes both files in several blocks (csvtext.BLOCK_VALUES)
+@pytest.mark.parametrize(
+    "d,n,nu,count,k",
+    [(2, 3, 0.0, 12, 9), (5, 0, 2.5, 12, 9), (3, 2, 1.0, 2100, 1100)],
+    ids=["2-3-0.0", "5-0-2.5", "3-2-1.0-blocks"],
+)
+def test_simulate_trajectory_rows_match_per_replicate_flights(tmp_path, d, n, nu, count, k):
     tout = tmp_path / "traj.csv"
     code = main(
         [
-            "simulate", "--d", str(d), "--n", str(n), "--nu", str(nu), "--count", "12",
-            "--seed", "3", "--out", str(tmp_path / "pos.csv"), "--trajectories", "9",
+            "simulate", "--d", str(d), "--n", str(n), "--nu", str(nu), "--count", str(count),
+            "--seed", "3", "--out", str(tmp_path / "pos.csv"), "--trajectories", str(k),
             "--trajectories-out", str(tout),
         ]
     )
     assert code == 0
     p = FlightParams(d=d, n=n, nu=nu)
     lines = []
-    for i in range(9):
+    for i in range(k):
         tr = simulate_flight(p, replicate_stream(p, 3, i))
         for s in range(n + 2):
             lines.append(",".join("%.17g" % v for v in [i, s, tr.times[s], *tr.breakpoints[s]]))
     body = [line for line in tout.read_text().splitlines() if not line.startswith("#")]
+    assert body == lines
+    finals = simulate_batch(p, count, 3)
+    lines = [",".join("%.17g" % v for v in [i, *finals[i]]) for i in range(count)]
+    body = [line for line in (tmp_path / "pos.csv").read_text().splitlines() if not line.startswith("#")]
     assert body == lines
 
 

@@ -22,6 +22,11 @@ def test_export_figure_data(tmp_path, monkeypatch):
     ]
     assert sorted(f.name for f in tmp_path.iterdir()) == names
     table = {name: np.loadtxt(tmp_path / name, delimiter=",") for name in names}
+    # 17 significant digits read back bit for bit, so %.17g of the values
+    # read gives the body's bytes
+    body = (tmp_path / "angular_density_d2.csv").read_text().split("\n", 1)[1]
+    rows = table["angular_density_d2.csv"].tolist()
+    assert body == "".join(",".join("%.17g" % v for v in row) + "\n" for row in rows)
 
     # each angular density integrates to 1 over [0, 2 pi]; the trapezoid
     # rule is spectrally accurate on a periodic integrand
