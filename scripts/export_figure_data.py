@@ -19,12 +19,12 @@ import numpy as np
 
 from driftflight.angular import angular_density
 from driftflight.analytic import radial_density_nu1
-from driftflight.csvtext import write_rows
+from driftflight.csvtext import open_output, write_rows
 from driftflight.flight import FlightParams, simulate_trajectories
 
 
 def write_csv(path, header, rows):
-    with open(path, "wb") as fh:
+    with open_output(path, "wb") as fh:
         fh.write(f"# columns: {header}\n".encode())
         write_rows(fh, rows)
     print(f"wrote {path}")

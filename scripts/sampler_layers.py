@@ -16,7 +16,10 @@ every layer is timed over all of them (best of ``--repeats``):
 * ``simulate_batch``: the whole call;
 * ``csv``: the CSV text of the cell's final positions with their
   replicate column, made block by block as ``driftflight simulate``
-  makes it, written to memory.
+  makes it, written to memory;
+* ``write``: those bytes rewritten over the file of the previous repeat
+  in a temporary directory through ``csvtext.open_output``, which opens
+  every output of ``driftflight`` (open, write, cut, close).
 
 The cells are the benchmark's ``mc_batch`` grid plus d8 n9 nu1 and
 d3 n2 nu2.5.  The timings are in process and wall clock, so they move
@@ -25,18 +28,20 @@ with the machine's load; compare runs made one after the other.
 
 import argparse
 import io
+import os
+import tempfile
 import time
 
 import numpy as np
 
 from driftflight import flight
 from driftflight.angular import direction_draws, directions
-from driftflight.csvtext import write_rows
+from driftflight.csvtext import open_output, write_rows
 from driftflight.flight import FlightParams, draws_per_flight, simulate_batch
 from driftflight.temporal import time_draws, waiting_times
 
 CELLS = ((2, 1, 1.0), (3, 2, 1.0), (4, 3, 0.0), (3, 2, 0.3), (8, 9, 1.0), (3, 2, 2.5))
-LAYERS = ("philox", "waiting_times", "directions", "assembly", "simulate_batch", "csv")
+LAYERS = ("philox", "waiting_times", "directions", "assembly", "simulate_batch", "csv", "write")
 
 
 def _best(fn, repeats: int) -> float:
@@ -81,6 +86,18 @@ def layer_times(p: FlightParams, flights: int, repeats: int, seed: int = 1) -> d
     }
     rows = np.column_stack([np.arange(flights), simulate_batch(p, flights, seed)])
     out["csv"] = _best(lambda: write_rows(io.BytesIO(), rows), repeats)
+    buf = io.BytesIO()
+    write_rows(buf, rows)
+    text = buf.getvalue()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "positions.csv")
+
+        def write():
+            with open_output(path, "wb") as fh:
+                fh.write(text)
+
+        write()  # the timed calls rewrite an existing file
+        out["write"] = _best(write, repeats)
     rest = out["philox"] + out["waiting_times"] + out["directions"]
     out["assembly"] = max(0.0, out["simulate_batch"] - rest)
     return {k: v / flights for k, v in out.items()}

@@ -4,8 +4,11 @@ Commands: simulate | density | cf | cdf | moments | mixture | validate.
 Flags override values from an optional JSON config file; the fully
 resolved configuration (including the seed) is echoed as a header
 comment in every CSV and into a ``<out>.meta.json`` sidecar, so reruns
-with the same inputs are byte-identical.  Every CSV value is the text
-``"%.17g" % v`` gives, 17 significant digits that read back bit for bit;
+with the same inputs are byte-identical.  An existing output is
+overwritten in place and then cut to the written length, never
+truncated first, so a rerun leaves the same bytes as a fresh run.
+Every CSV value is the text ``"%.17g" % v`` gives, 17 significant
+digits that read back bit for bit;
 ``csvtext`` computes it for blocks of rows in numpy, with ``%`` itself
 only for values outside [1e-4, 1e17), exact rounding ties and small
 blocks.
@@ -27,7 +30,7 @@ import numpy as np
 
 from . import analytic
 from .analytic import MixtureParams
-from .csvtext import write_rows
+from .csvtext import open_output, write_rows
 from .flight import FlightParams, _check_seed, simulate_batch, simulate_trajectories
 from .flight import simulate_flight  # noqa: F401  (unused; bench/tracing.py wraps it here)
 
@@ -54,7 +57,7 @@ def _canonical_json(obj) -> str:
 def _write_csv(path: str, names: list[str], config: dict, *columns) -> None:
     """Write the columns (1-D, or 2-D for several) side by side as rows."""
     rows = np.column_stack(columns)
-    with open(path, "wb") as fh:
+    with open_output(path, "wb") as fh:
         fh.write(f"# config: {_canonical_json(config)}\n# columns: {','.join(names)}\n".encode())
         write_rows(fh, rows)
 
@@ -63,7 +66,7 @@ def _write_sidecar(path: str, config: dict, extra: dict | None = None) -> None:
     payload = {"config": config}
     if extra:
         payload.update(extra)
-    with open(path + ".meta.json", "w") as fh:
+    with open_output(path + ".meta.json", "w") as fh:
         fh.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
@@ -339,7 +342,7 @@ def _cmd_validate(args) -> int:
     text = json.dumps(report, sort_keys=True, indent=2) + "\n"
     out = cfg.get("out")
     if out:
-        with open(str(out), "w") as fh:
+        with open_output(str(out), "w") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)

@@ -377,22 +377,25 @@ def test_criterion_09_fractional_poisson_normalization():
     )
 
 
+# one argv per CLI command, without its output paths
+CLI_COMMAND_SETS = [
+    ["simulate", "--d", "3", "--nu", "1", "--n", "2", "--count", "2000",
+     "--seed", "7", "--trajectories", "3"],
+    ["density", "--formula", "radial-nu1", "--d", "3", "--n", "2",
+     "--nu", "1", "--r-points", "50"],
+    ["density", "--formula", "projected", "--d", "3", "--m", "2", "--n", "1",
+     "--nu", "0.5", "--x", "0.2,0.1", "--x", "0.9,0.4"],
+    ["cf", "--formula", "nu1", "--d", "2", "--n", "1", "--nu", "1",
+     "--alpha", "1.0,2.0", "--alpha", "0.5,0.0"],
+    ["cdf", "--d", "4", "--m", "2", "--n", "2", "--nu", "1", "--r-points", "40"],
+    ["moments", "--d", "3", "--m", "2", "--n", "1", "--nu", "0", "--orders", "1,2,4"],
+    ["mixture", "--d", "2", "--m", "1", "--nu", "0", "--lam", "1.0", "--x", "0.3"],
+    ["validate", "--only", "identities"],
+]
+
+
 def test_criterion_10_cli_determinism(tmp_path):
-    command_sets = [
-        ["simulate", "--d", "3", "--nu", "1", "--n", "2", "--count", "2000",
-         "--seed", "7", "--trajectories", "3"],
-        ["density", "--formula", "radial-nu1", "--d", "3", "--n", "2",
-         "--nu", "1", "--r-points", "50"],
-        ["density", "--formula", "projected", "--d", "3", "--m", "2", "--n", "1",
-         "--nu", "0.5", "--x", "0.2,0.1", "--x", "0.9,0.4"],
-        ["cf", "--formula", "nu1", "--d", "2", "--n", "1", "--nu", "1",
-         "--alpha", "1.0,2.0", "--alpha", "0.5,0.0"],
-        ["cdf", "--d", "4", "--m", "2", "--n", "2", "--nu", "1", "--r-points", "40"],
-        ["moments", "--d", "3", "--m", "2", "--n", "1", "--nu", "0", "--orders", "1,2,4"],
-        ["mixture", "--d", "2", "--m", "1", "--nu", "0", "--lam", "1.0", "--x", "0.3"],
-        ["validate", "--only", "identities"],
-    ]
-    for i, cmd in enumerate(command_sets):
+    for i, cmd in enumerate(CLI_COMMAND_SETS):
         outs = []
         for run in ("first", "second"):
             out = tmp_path / f"{i}_{run}.out"

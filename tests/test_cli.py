@@ -1,11 +1,17 @@
+import errno
 import json
 import math
+import os
+import stat
 
 import numpy as np
 import pytest
 
+from driftflight import cli
 from driftflight.cli import IO_ERROR, USAGE_ERROR, VALIDATION_FAILURE, build_parser, main
+from driftflight.csvtext import BLOCK_VALUES, write_rows
 from driftflight.flight import FlightParams, replicate_stream, simulate_batch, simulate_flight
+from test_acceptance import CLI_COMMAND_SETS
 
 
 def _read_rows(path):
@@ -286,6 +292,72 @@ def test_io_error_exit_code(tmp_path):
         ]
     )
     assert code == IO_ERROR
+
+
+def _argv_and_outputs(cmd, out):
+    """``cmd`` writing to ``out``, and every file that run writes."""
+    argv, paths = cmd + ["--out", str(out)], [out]
+    if cmd[0] == "simulate":
+        traj = out.with_name(out.name + ".traj")
+        argv += ["--trajectories-out", str(traj)]
+        paths.append(traj)
+    if cmd[0] != "validate":  # the report has no sidecar
+        paths += [p.with_name(p.name + ".meta.json") for p in paths]
+    return argv, paths
+
+
+@pytest.mark.parametrize("cmd", CLI_COMMAND_SETS, ids=lambda cmd: cmd[0])
+def test_rerun_over_longer_and_shorter_files_matches_a_fresh_run(tmp_path, cmd):
+    argv, fresh = _argv_and_outputs(cmd, tmp_path / "fresh.out")
+    assert main(argv) == 0
+    expected = [p.read_bytes() for p in fresh]
+    argv, reused = _argv_and_outputs(cmd, tmp_path / "reused.out")
+    for stale_size in (lambda n: n + 1000, lambda n: n // 2):
+        for path, body in zip(reused, expected):
+            path.write_bytes(b"\xff" * stale_size(len(body)))
+        assert main(argv) == 0
+        assert [p.read_bytes() for p in reused] == expected
+
+
+def test_failed_write_leaves_no_old_bytes(tmp_path, monkeypatch):
+    cmd = ["simulate", "--d", "3", "--n", "2", "--nu", "1", "--count", "2000", "--seed", "7"]
+    fresh = tmp_path / "fresh.csv"
+    assert main(cmd + ["--out", str(fresh)]) == 0
+    full = fresh.read_bytes()
+    out = tmp_path / "out.csv"
+    out.write_bytes(b"\xff" * (2 * len(full)))
+    failed_at = []
+
+    def one_block_then_fail(fh, rows):
+        write_rows(fh, rows[: BLOCK_VALUES // rows.shape[1]])
+        failed_at.append(fh.tell())
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    monkeypatch.setattr(cli, "write_rows", one_block_then_fail)
+    assert main(cmd + ["--out", str(out)]) == IO_ERROR
+    assert 0 < failed_at[0] < len(full)
+    assert out.read_bytes() == full[: failed_at[0]]
+
+
+def test_output_to_a_character_device():
+    # /dev/null cannot be cut to length; only regular files are
+    assert main(["validate", "--only", "identities", "--out", os.devnull]) == 0
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o077])
+def test_new_outputs_get_the_mode_bits_of_open(tmp_path, umask):
+    old = os.umask(umask)
+    try:
+        with open(tmp_path / "reference", "w"):
+            pass
+        assert main(["moments", "--d", "3", "--m", "2", "--n", "1",
+                     "--out", str(tmp_path / "m.csv")]) == 0
+    finally:
+        os.umask(old)
+    want = stat.S_IMODE((tmp_path / "reference").stat().st_mode)
+    assert want == 0o666 & ~umask
+    for name in ("m.csv", "m.csv.meta.json"):
+        assert stat.S_IMODE((tmp_path / name).stat().st_mode) == want
 
 
 def test_moments_full_flight_with_drift_is_a_usage_error(tmp_path):

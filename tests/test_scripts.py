@@ -21,6 +21,14 @@ def test_export_figure_data(tmp_path, monkeypatch):
         "sample_trajectory_d3.csv",
     ]
     assert sorted(f.name for f in tmp_path.iterdir()) == names
+    # a second run into the same directory cuts each file to its new
+    # length and leaves the same bytes
+    first = {name: (tmp_path / name).read_bytes() for name in names}
+    for name in names:
+        with open(tmp_path / name, "ab") as fh:
+            fh.write(b"stale tail\n")
+    assert script["main"]() == 0
+    assert {name: (tmp_path / name).read_bytes() for name in names} == first
     table = {name: np.loadtxt(tmp_path / name, delimiter=",") for name in names}
     # 17 significant digits read back bit for bit, so %.17g of the values
     # read gives the body's bytes
