@@ -10,10 +10,14 @@ every layer is timed over all of them (best of ``--repeats``):
 * ``philox``: the Philox uniforms of the chunk rows;
 * ``waiting_times``: ``temporal.waiting_times`` on their leading columns;
 * ``directions``: ``angular.directions`` on the rest, all n+1 segments;
-* ``assembly``: what ``simulate_batch`` spends beyond those three (the
-  chunk loop and the in-order sum), a difference of timings, clamped at
-  0 where their noise exceeds it;
-* ``simulate_batch``: the whole call;
+* ``assembly``: what ``simulate_batch`` on one worker spends beyond
+  those three (the chunk loop and the in-order sum), a difference of
+  timings, clamped at 0 where their noise exceeds it;
+* ``one_worker``: the whole ``simulate_batch`` call on the calling thread
+  alone;
+* ``simulate_batch``: the whole call on the default worker count, up to
+  one thread per CPU of the process (the header names that bound), so
+  the two columns show the split;
 * ``csv``: the CSV text of the cell's final positions with their
   replicate column, made block by block as ``driftflight simulate``
   makes it, written to memory;
@@ -31,6 +35,7 @@ import io
 import os
 import tempfile
 import time
+from unittest import mock
 
 import numpy as np
 
@@ -41,7 +46,7 @@ from driftflight.flight import FlightParams, draws_per_flight, simulate_batch
 from driftflight.temporal import time_draws, waiting_times
 
 CELLS = ((2, 1, 1.0), (3, 2, 1.0), (4, 3, 0.0), (3, 2, 0.3), (8, 9, 1.0), (3, 2, 2.5))
-LAYERS = ("philox", "waiting_times", "directions", "assembly", "simulate_batch", "csv", "write")
+LAYERS = ("philox", "waiting_times", "directions", "assembly", "one_worker", "simulate_batch", "csv", "write")
 
 
 def _best(fn, repeats: int) -> float:
@@ -84,6 +89,8 @@ def layer_times(p: FlightParams, flights: int, repeats: int, seed: int = 1) -> d
         "directions": _best(dirs, repeats),
         "simulate_batch": _best(lambda: simulate_batch(p, flights, seed), repeats),
     }
+    with mock.patch.object(flight, "_cpus", return_value=1):
+        out["one_worker"] = _best(lambda: simulate_batch(p, flights, seed), repeats)
     rows = np.column_stack([np.arange(flights), simulate_batch(p, flights, seed)])
     out["csv"] = _best(lambda: write_rows(io.BytesIO(), rows), repeats)
     buf = io.BytesIO()
@@ -99,7 +106,7 @@ def layer_times(p: FlightParams, flights: int, repeats: int, seed: int = 1) -> d
         write()  # the timed calls rewrite an existing file
         out["write"] = _best(write, repeats)
     rest = out["philox"] + out["waiting_times"] + out["directions"]
-    out["assembly"] = max(0.0, out["simulate_batch"] - rest)
+    out["assembly"] = max(0.0, out["one_worker"] - rest)
     return {k: v / flights for k, v in out.items()}
 
 
@@ -110,7 +117,8 @@ def main() -> int:
     args = ap.parse_args()
     if args.flights < 1 or args.repeats < 1:
         ap.error("--flights and --repeats must be at least 1")
-    print("| ns per flight | " + " | ".join(LAYERS) + " | M flights/s |")
+    names = [f"simulate_batch (up to {flight._cpus()} workers)" if k == "simulate_batch" else k for k in LAYERS]
+    print("| ns per flight | " + " | ".join(names) + " | M flights/s |")
     print("|---" * (len(LAYERS) + 2) + "|")
     for d, n, nu in CELLS:
         t = layer_times(FlightParams(d=d, n=n, nu=nu), args.flights, args.repeats)

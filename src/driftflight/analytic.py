@@ -217,20 +217,27 @@ def density_projection(p: FlightParams, x):
     Zero outside the open ball of radius c t.
     """
     _require_projection(p)
-    r = np.sqrt(_sq_norm(_vectors(x, p.m)))
-    ct = p.c * p.t
-    K = _half_order(p)
-    m = p.m
-    q = K - 0.5 * (m + 1)
+    return _projection_densities(p, [p.n], np.sqrt(_sq_norm(_vectors(x, p.m))))[0]
+
+
+def _projection_densities(p: FlightParams, ns, r) -> np.ndarray:
+    """Densities (N, ...) of the m-dimensional projection at radii r (...)
+    for each number of changes in ns (N,) in place of p.n: one array, in
+    which each n keeps the bits it has alone."""
+    ct, m = p.c * p.t, p.m
+    half = [0.5 * (n + 1) * (2.0 * p.nu + p.d - 1.0) for n in ns]  # K per n
+    log_norm = [
+        math.lgamma(K + 0.5)
+        - math.lgamma(K - 0.5 * m + 0.5)
+        - 0.5 * m * _LN_PI
+        - (2.0 * K - 1.0) * math.log(ct)
+        for K in half
+    ]
+    per_n = (len(half),) + (1,) * r.ndim
+    q = np.array(half).reshape(per_n) - 0.5 * (m + 1)
     with np.errstate(divide="ignore", invalid="ignore"):
-        vals = np.exp(
-            math.lgamma(K + 0.5)
-            - math.lgamma(K - 0.5 * m + 0.5)
-            - 0.5 * m * _LN_PI
-            - (2.0 * K - 1.0) * math.log(ct)
-            + q * np.log(ct * ct - r * r)
-        )
-    return _supported(r >= ct, vals)
+        vals = np.exp(np.array(log_norm).reshape(per_n) + q * np.log(ct * ct - r * r))
+    return np.where(r >= ct, 0.0, vals)
 
 
 def radial_density_projection(p: FlightParams, r):
@@ -519,10 +526,13 @@ def unconditional_density_projection(mp: MixtureParams, x):
     and raises ValueError when the weights it keeps fall short of 1 by
     more than ``MIXTURE_MASS_TOL``.
     """
-    total = 0.0
-    for n, w in enumerate(_retained_weights(mp), start=1):
-        total += w * density_projection(replace(mp.base, n=n), x)
-    return total
+    weights = _retained_weights(mp)
+    p = replace(mp.base, n=1)
+    _require_projection(p)
+    r = np.sqrt(_sq_norm(_vectors(x, p.m)))
+    terms = weights.reshape((-1,) + (1,) * r.ndim) * _projection_densities(p, range(1, mp.n_max + 1), r)
+    # term after term, as _checked_sum sums, so one point keeps its bits in a batch
+    return reduce(np.add, terms)[()]
 
 
 def mixture_tail_bound(mp: MixtureParams) -> float:

@@ -19,10 +19,14 @@ keyed by the master seed (see :func:`replicate_stream`), and every
 replicate consumes the same fixed number of uniforms.  All entry points
 run one sampler kernel on rows of those uniforms: ``simulate_batch`` and
 ``simulate_trajectories`` on chunks of rows, ``simulate_flight`` on one
-row.  The kernel transforms all n+1 segments of a row at once, summing
-over short axes column by column, so a row's arithmetic does not depend
-on how many rows share the call; positions and epochs are then
-cumulative sums from zero in segment order.  Row i of
+row.  A call of ``_MIN_THREADED_DRAWS`` uniforms or more cuts its rows
+into one contiguous range per worker thread, up to one per CPU of
+``os.sched_getaffinity``; each range starts its own Philox at its first
+row's substream, so the output does not depend on the worker count.  The
+kernel transforms all n+1 segments of a row at once, summing over short
+axes column by column, so a row's arithmetic does not depend on how many
+rows share the call; positions and epochs are then cumulative sums from
+zero in segment order.  Row i of
 a batch, trajectory i of ``simulate_trajectories`` and
 ``simulate_flight(p, replicate_stream(p, seed, i))`` are therefore the
 same kernel on the same uniforms, and bit-identical.
@@ -30,7 +34,9 @@ same kernel on the same uniforms, and bit-identical.
 
 from __future__ import annotations
 
+import concurrent.futures
 import math
+import os
 from dataclasses import dataclass
 from numbers import Integral
 
@@ -62,6 +68,14 @@ __all__ = [
 # many over its rows, so working memory stays flat however many uniforms a
 # flight consumes; the kernel's temporaries scale with the whole chunk
 _CHUNK_DRAWS = 1 << 15
+
+# calls of fewer uniforms run on the calling thread alone.  On 2 vCPUs,
+# alternating 1- and 2-worker calls over the mc_batch cells and d8 n9 nu1,
+# a second worker lost 5-16% at 33 000 uniforms in two chunks, gained
+# 7-18% at 50 000 and 14-35% at 65 536 in default chunks; the kernel's
+# small numpy calls contend for the GIL, and calls cut into short chunks
+# (chunk_size) still lost at 100 000
+_MIN_THREADED_DRAWS = 2 * _CHUNK_DRAWS
 
 
 @dataclass(frozen=True)
@@ -191,20 +205,77 @@ def radial(x):
     return np.linalg.norm(np.asarray(x, dtype=float), axis=-1)[()]
 
 
-def _chunks(p: FlightParams, count: int, master_seed: int, chunk_size: int | None = None):
-    """``(first row, (taus, steps))`` of the kernel on batch rows
-    0..count-1, chunk by chunk; the arguments are checked on the call."""
-    L = draws_per_flight(p)
+def _cpus() -> int:
+    """CPUs this process may run on: its affinity set where the platform
+    reports one, else the machine's count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _split(p: FlightParams, count: int, master_seed: int, chunk_size: int | None):
+    """Check the arguments of a call on batch rows 0..count-1; return its
+    rows per chunk and the bounds of one contiguous, balanced range of rows
+    per worker.  A call of ``_MIN_THREADED_DRAWS`` uniforms or more gets a
+    worker per CPU, but no more workers than chunks; others get one."""
     Lpad = _padded_draws(p)
     step = max(1, _CHUNK_DRAWS // Lpad) if chunk_size is None else chunk_size
     if count < 1 or step < 1:
         raise ValueError("a batch requires count >= 1 and chunk_size >= 1")
     _check_seed(master_seed)
-    gen = np.random.Generator(np.random.Philox(key=master_seed))
-    return (
-        (done, _segments(p, gen.random((min(step, count - done), Lpad))[:, :L]))
-        for done in range(0, count, step)
-    )
+    workers = 1 if count * Lpad < _MIN_THREADED_DRAWS else min(_cpus(), -(-count // step))
+    return step, [count * k // workers for k in range(workers + 1)]
+
+
+def _run(p: FlightParams, master_seed: int, step: int, bounds: list[int], emit) -> None:
+    """Run the kernel on the rows of every range of ``bounds`` and hand each
+    chunk to ``emit(first row, taus, steps)``.
+
+    The calling thread runs the first range and the worker pool each other
+    one.  A range draws from its own Philox, positioned at its first row
+    as :func:`replicate_stream` positions it, and walks its rows ``step``
+    at a time, so every row gets the same uniforms, and the same bits,
+    whatever the worker count.  ``emit`` runs on every worker, on disjoint
+    rows.
+    """
+    L = draws_per_flight(p)
+    Lpad = _padded_draws(p)
+
+    def walk(start: int, stop: int) -> None:
+        gen = replicate_stream(p, master_seed, start)
+        for first in range(start, stop, step):
+            emit(first, *_segments(p, gen.random((min(step, stop - first), Lpad))[:, :L]))
+
+    futures = [_worker_pool().submit(walk, *r) for r in zip(bounds[1:-1], bounds[2:])]
+    try:
+        walk(bounds[0], bounds[1])
+    finally:
+        concurrent.futures.wait(futures)
+    for f in futures:
+        f.result()  # raises a worker's exception here
+
+
+_pool = None
+
+
+def _worker_pool() -> concurrent.futures.ThreadPoolExecutor:
+    """The threads that run every range past the first: started on first
+    use and kept, as starting a thread per call took 7% more mc_batch
+    wall time than this pool."""
+    global _pool
+    if _pool is None:
+        _pool = concurrent.futures.ThreadPoolExecutor(os.cpu_count() or 1, "driftflight")
+    return _pool
+
+
+def _forget_pool() -> None:
+    # a forked child has none of its parent's threads: it starts its own
+    global _pool
+    _pool = None
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pool)
 
 
 def simulate_batch(
@@ -216,17 +287,20 @@ def simulate_batch(
     """Final positions of ``count`` independent flights, shape (count, d).
 
     Output is bit-deterministic given (p, count, master_seed), with
-    ``master_seed`` an integer in [0, 2**128), and invariant
-    under ``chunk_size``, the rows per chunk, which only bounds working
-    memory; by default a chunk holds about 2^15 uniforms.
+    ``master_seed`` an integer in [0, 2**128), and invariant under the
+    worker count and under ``chunk_size``, the rows per chunk, which only
+    bounds working memory; by default a chunk holds about 2^15 uniforms.
     """
-    chunks = _chunks(p, count, master_seed, chunk_size)
+    step, bounds = _split(p, count, master_seed, chunk_size)
     finals = np.zeros((count, p.d), dtype=float)
-    for done, (_, steps) in chunks:
-        rows = finals[done : done + len(steps)]
+
+    def emit(first, taus, steps):
+        rows = finals[first : first + len(steps)]
         # segment by segment from zero, the order simulate_flight sums in
         for j in range(p.n + 1):
             rows += steps[:, j]
+
+    _run(p, master_seed, step, bounds, emit)
     return finals
 
 
@@ -234,5 +308,13 @@ def simulate_trajectories(p: FlightParams, count: int, master_seed: int) -> Traj
     """Breakpoints (count, n+2, d) and epochs (count, n+2) of batch rows
     0..count-1: trajectory i is bit-identical to :func:`simulate_flight` on
     ``replicate_stream(p, master_seed, i)``, its end to batch row i."""
-    taus, steps = zip(*(segs for _, segs in _chunks(p, count, master_seed)))
-    return _paths(np.concatenate(taus), np.concatenate(steps))
+    step, bounds = _split(p, count, master_seed, None)
+    taus = np.empty((count, p.n + 1))
+    steps = np.empty((count, p.n + 1, p.d))
+
+    def emit(first, chunk_taus, chunk_steps):
+        taus[first : first + len(chunk_taus)] = chunk_taus
+        steps[first : first + len(chunk_steps)] = chunk_steps
+
+    _run(p, master_seed, step, bounds, emit)
+    return _paths(taus, steps)

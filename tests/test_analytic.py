@@ -746,6 +746,23 @@ def test_mixture_density_normalizes():
     assert total == pytest.approx(1.0, abs=1e-6)
 
 
+@pytest.mark.parametrize("d,m,nu,lam", [(3, 2, 0.5, 1.5), (2, 1, 0.0, 3.0), (5, 3, 1.3, 0.7)])
+def test_mixture_equals_sum_of_conditional_densities(d, m, nu, lam):
+    # the mixture is one array over n; against the per-n sum of
+    # density_projection with the pmf renormalized over n >= 1
+    mp = MixtureParams(lam=lam, base=FlightParams(d=d, n=1, nu=nu, m=m))
+    x = _rng(8).uniform(-0.7, 0.7, size=(25, m))
+    p0 = fractional_poisson_pmf(mp, 0)
+    explicit = [
+        math.fsum(
+            fractional_poisson_pmf(mp, n) / (1.0 - p0) * density_projection(replace(mp.base, n=n), pt)
+            for n in range(1, mp.n_max + 1)
+        )
+        for pt in x
+    ]
+    np.testing.assert_allclose(unconditional_density_projection(mp, x), explicit, rtol=1e-14, atol=0.0)
+
+
 def test_mixture_truncation_stability():
     base = FlightParams(d=3, n=1, nu=1.0, m=2)
     x = np.array([0.3, -0.2])

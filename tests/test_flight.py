@@ -1,15 +1,21 @@
 import math
+import multiprocessing
+import os
+import sys
+import threading
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from driftflight import flight
 from driftflight.analytic import radial_moment
 from driftflight.angular import angles_to_direction, sample_angles
 from driftflight.flight import (
     _CHUNK_DRAWS,
     FlightParams,
+    _cpus,
     _padded_draws,
     _segments,
     draws_per_flight,
@@ -150,6 +156,131 @@ def test_batch_contract_at_non_integer_two_nu():
         assert np.array_equal(base, simulate_batch(p, 1_000, 7, chunk_size=chunk))
     for i in (0, 1, 500, 999):
         assert np.array_equal(simulate_flight(p, replicate_stream(p, 7, i)).final, base[i])
+
+
+def _threads_seen(monkeypatch, workers: int) -> set:
+    """Give later sampler calls ``workers`` workers from two chunks on;
+    returns the set that collects the ids of the threads running the
+    kernel."""
+    seen = set()
+    kernel = flight._segments
+
+    def traced(p, U):
+        seen.add(threading.get_ident())
+        return kernel(p, U)
+
+    monkeypatch.setattr(flight, "_segments", traced)
+    monkeypatch.setattr(flight, "_cpus", lambda: workers)
+    monkeypatch.setattr(flight, "_MIN_THREADED_DRAWS", 0)
+    return seen
+
+
+@pytest.mark.parametrize("d,n,nu", _CELLS)
+def test_output_does_not_depend_on_worker_count(d, n, nu, monkeypatch):
+    p = FlightParams(d=d, n=n, nu=nu, c=0.7, t=1.4)
+    chunk = _CHUNK_DRAWS // _padded_draws(p)
+    # one chunk, one chunk and a row, and an odd count over three chunks
+    for count in (chunk, chunk + 1, 3 * chunk + 1 + chunk % 2):
+        runs = []
+        for workers in (1, 2):
+            seen = _threads_seen(monkeypatch, workers)
+            batch = simulate_batch(p, count, 4242)
+            tr = simulate_trajectories(p, count, 4242)
+            # a call that fits in one chunk stays on the calling thread
+            assert len(seen) == (2 if workers == 2 and count > chunk else 1), (workers, count)
+            runs.append((batch.tobytes(), tr.breakpoints.tobytes(), tr.times.tobytes()))
+        assert runs[0] == runs[1], count
+
+
+def test_sampler_falls_back_to_one_worker_on_one_cpu(monkeypatch):
+    p = FlightParams(d=3, n=2, nu=1.0)
+    count = 4 * _CHUNK_DRAWS // _padded_draws(p)
+    seen = _threads_seen(monkeypatch, 2)
+    threaded = simulate_batch(p, count, 5)
+    assert len(seen) == 2
+    seen.clear()
+    monkeypatch.setattr(flight, "_cpus", _cpus)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert _cpus() == 1
+    assert simulate_batch(p, count, 5).tobytes() == threaded.tobytes()
+    assert seen == {threading.get_ident()}
+    # without an affinity call the machine's CPU count decides
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    assert _cpus() == 3
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert _cpus() == 1
+
+
+def test_worker_error_is_raised_on_the_calling_thread(monkeypatch):
+    p = FlightParams(d=3, n=2, nu=1.0)
+    caller = threading.get_ident()
+    _threads_seen(monkeypatch, 2)
+    kernel = flight._segments
+
+    def failing(p, U):
+        if threading.get_ident() != caller:
+            raise FloatingPointError("worker")
+        return kernel(p, U)
+
+    monkeypatch.setattr(flight, "_segments", failing)
+    with pytest.raises(FloatingPointError, match="worker"):
+        simulate_batch(p, 3 * _CHUNK_DRAWS // _padded_draws(p), 5)
+
+
+def test_concurrent_callers_share_the_pool(monkeypatch):
+    # more workers than cores, several callers at once and a short switch
+    # interval: a row written twice or not at all changes the bits
+    p = FlightParams(d=3, n=2, nu=0.3)
+    count, chunk = 2_000, 37
+    expected = simulate_batch(p, count, 3, chunk_size=chunk).tobytes()
+    _threads_seen(monkeypatch, 8)
+    results = {}
+
+    def call(k):
+        results[k] = simulate_batch(p, count, 3, chunk_size=chunk).tobytes()
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        callers = [threading.Thread(target=call, args=(k,)) for k in range(4)]
+        for th in callers:
+            th.start()
+        for th in callers:
+            th.join(60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(th.is_alive() for th in callers)
+    assert results == {k: expected for k in range(4)}
+
+
+def _forked_batch(conn, p, count, seed, seen):
+    conn.send((simulate_batch(p, count, seed).tobytes(), len(seen)))
+    conn.close()
+
+
+@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(), reason="no fork")
+def test_forked_child_runs_threaded_batch(monkeypatch):
+    p = FlightParams(d=3, n=2, nu=1.0)
+    count = 3 * _CHUNK_DRAWS // _padded_draws(p) + 1
+    seen = _threads_seen(monkeypatch, 2)
+    parent = simulate_batch(p, count, 11).tobytes()
+    assert len(seen) == 2
+    seen.clear()
+    ctx = multiprocessing.get_context("fork")
+    receiver, sender = ctx.Pipe(duplex=False)
+    child = ctx.Process(target=_forked_batch, args=(sender, p, count, 11, seen))
+    child.start()
+    sender.close()
+    try:
+        assert receiver.poll(60), "the forked child did not answer within 60 s"
+        rows, threads = receiver.recv()
+    finally:
+        child.join(10)
+        if child.is_alive():
+            child.kill()
+    assert child.exitcode == 0
+    assert rows == parent and threads == 2
 
 
 def test_batch_prefix_stability():

@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 from scipy.integrate import trapezoid
 
-from driftflight.flight import FlightParams, simulate_batch
+from driftflight.flight import FlightParams, _cpus, simulate_batch
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
@@ -55,7 +55,14 @@ def test_sampler_layers(capsys, monkeypatch):
     script = runpy.run_path(str(SCRIPTS / "sampler_layers.py"))
     monkeypatch.setattr(sys, "argv", ["sampler_layers.py", "--flights", "8", "--repeats", "1"])
     assert script["main"]() == 0
-    rows = [line for line in capsys.readouterr().out.splitlines() if line.startswith("| d")]
+    out = capsys.readouterr().out.splitlines()
+    # simulate_batch at one worker and at the default worker count
+    header = out[0].strip("| ").split(" | ")
+    assert header[1:-1] == [
+        f"simulate_batch (up to {_cpus()} workers)" if k == "simulate_batch" else k for k in script["LAYERS"]
+    ]
+    assert {"one_worker", "simulate_batch"} <= set(script["LAYERS"])
+    rows = [line for line in out if line.startswith("| d")]
     assert [row.split(" | ")[0] for row in rows] == [
         f"| d{d} n{n} nu{nu:g}" for d, n, nu in script["CELLS"]
     ]
