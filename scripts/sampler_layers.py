@@ -4,8 +4,9 @@
 Usage:
     python scripts/sampler_layers.py [--flights 20000] [--repeats 5]
 
-For each (d, n, nu) cell the batch is cut into default-size chunks, and
-every layer is timed over all of them (best of ``--repeats``):
+For each (d, n, nu) cell the batch is cut into the chunks of rows the
+sampler cuts it into, and every layer is timed over all of them (best of
+``--repeats``):
 
 * ``philox``: the Philox uniforms of the chunk rows;
 * ``waiting_times``: ``temporal.waiting_times`` on their leading columns;
@@ -60,9 +61,9 @@ def _best(fn, repeats: int) -> float:
 
 def layer_times(p: FlightParams, flights: int, repeats: int, seed: int = 1) -> dict[str, float]:
     """Seconds per flight of each of ``LAYERS`` on ``flights`` flights of ``p``."""
-    L = draws_per_flight(p)
-    Lpad = -(-L // 4) * 4
-    rows = max(1, flight._CHUNK_DRAWS // Lpad)
+    # the sampler's own padded width and rows per chunk
+    L, Lpad = draws_per_flight(p), flight._padded_draws(p)
+    rows, _ = flight._split(p, flights, seed)
     sizes = [min(rows, flights - done) for done in range(0, flights, rows)]
     col = (p.n + 1) * time_draws(p.d, p.nu) if p.n >= 1 else 0
     gen = np.random.Generator(np.random.Philox(key=seed))

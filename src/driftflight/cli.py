@@ -103,18 +103,17 @@ def _load_config_file(path: str | None) -> dict:
     return data
 
 
-def _resolved(args, keys: list[str]) -> dict:
-    """Merge config-file values with flags; flags win when provided."""
-    base = _load_config_file(getattr(args, "config", None))
-    out = dict(base)
-    for key in keys:
-        val = getattr(args, key.replace("-", "_"), None)
-        if val is not None:
-            out[key] = val
+def _resolved(args) -> dict:
+    """Merge config-file values with the command's flags, keyed by flag
+    name; flags win when provided."""
+    out = _load_config_file(args.config)
+    for name, val in vars(args).items():
+        if val is not None and name not in ("command", "func", "config"):
+            out[name.replace("_", "-")] = val
     return out
 
 
-_DEFAULTS = {"d": 2, "n": 1, "nu": 0.0, "c": 1.0, "t": 1.0, "seed": 0}
+_DEFAULTS = {"d": 2, "n": 1, "nu": 0.0, "c": 1.0, "t": 1.0}
 
 
 def _integer(value, key: str) -> int:
@@ -156,20 +155,15 @@ def _echo(command: str, p: FlightParams, **extra) -> dict:
     }
 
 
-def _add_common(sub) -> None:
-    sub.add_argument("--d", type=int, default=None)
-    sub.add_argument("--m", type=int, default=None)
-    sub.add_argument("--n", type=int, default=None)
-    sub.add_argument("--nu", type=float, default=None)
-    sub.add_argument("--c", type=float, default=None)
-    sub.add_argument("--t", type=float, default=None)
-    sub.add_argument("--seed", type=int, default=None)
-    sub.add_argument("--count", type=int, default=None)
+def _add_law(sub, *names: str) -> None:
+    """Add the integer flags ``names`` (of d, m, n), --nu, --c, --t,
+    --out and --config to a command."""
+    for name in names:
+        sub.add_argument(f"--{name}", type=int, default=None)
+    for name in ("nu", "c", "t"):
+        sub.add_argument(f"--{name}", type=float, default=None)
     sub.add_argument("--out", type=str, default=None)
     sub.add_argument("--config", type=str, default=None)
-
-
-_COMMON_KEYS = ["d", "m", "n", "nu", "c", "t", "seed", "count", "out"]
 
 
 def _require_out(cfg: dict) -> str:
@@ -192,7 +186,8 @@ def _r_grid(cfg: dict, p: FlightParams) -> np.ndarray:
 
 
 def _cmd_simulate(args) -> int:
-    cfg = _resolved(args, _COMMON_KEYS + ["trajectories", "trajectories-out"])
+    cfg = _resolved(args)
+    cfg.pop("m", None)  # positions are in all d coordinates
     count = _integer(cfg.get("count", 0) or 0, "count")
     if count < 1:
         raise _UsageError("--count must be >= 1")
@@ -225,9 +220,7 @@ _DENSITY_FORMULAS = ("projected", "nu1", "nu1-closed", "radial-projected", "radi
 
 
 def _cmd_density(args) -> int:
-    cfg = _resolved(
-        args, _COMMON_KEYS + ["formula", "x", "r-min", "r-max", "r-points"]
-    )
+    cfg = _resolved(args)
     formula = cfg.get("formula")
     if formula not in _DENSITY_FORMULAS:
         raise _UsageError(f"--formula must be one of {_DENSITY_FORMULAS}")
@@ -254,7 +247,7 @@ def _cmd_density(args) -> int:
 
 
 def _cmd_cf(args) -> int:
-    cfg = _resolved(args, _COMMON_KEYS + ["formula", "alpha", "anorm"])
+    cfg = _resolved(args)
     formula = cfg.get("formula")
     if formula not in ("projected", "nu1"):
         raise _UsageError("--formula must be 'projected' or 'nu1'")
@@ -279,7 +272,7 @@ def _cmd_cf(args) -> int:
 
 
 def _cmd_cdf(args) -> int:
-    cfg = _resolved(args, _COMMON_KEYS + ["r-min", "r-max", "r-points"])
+    cfg = _resolved(args)
     p = _flight_params(cfg, need_m=True)
     out = _require_out(cfg)
     cfg_echo = _echo("cdf", p)
@@ -290,7 +283,7 @@ def _cmd_cdf(args) -> int:
 
 
 def _cmd_moments(args) -> int:
-    cfg = _resolved(args, _COMMON_KEYS + ["orders"])
+    cfg = _resolved(args)
     p = _flight_params(cfg, need_m=True)
     out = _require_out(cfg)
     orders_raw = cfg.get("orders", "1,2,4")
@@ -307,7 +300,7 @@ def _cmd_moments(args) -> int:
 
 
 def _cmd_mixture(args) -> int:
-    cfg = _resolved(args, _COMMON_KEYS + ["lam", "n-max", "x"])
+    cfg = _resolved(args)
     p = _flight_params(cfg, need_m=True)
     lam = cfg.get("lam")
     if lam is None:
@@ -328,7 +321,7 @@ def _cmd_validate(args) -> int:
     # python -X importtime) and 2 MB; no other command needs it
     from .validation import SuiteConfig, run_suite
 
-    cfg = _resolved(args, ["seed", "out", "profile", "only"])
+    cfg = _resolved(args)
     only = cfg.get("only")
     if only not in (None, "identities", "gof"):
         raise _UsageError("--only must be 'identities' or 'gof'")
@@ -354,14 +347,16 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     ps = sub.add_parser("simulate", help="simulate flights, write final positions")
-    _add_common(ps)
+    _add_law(ps, "d", "n")
+    ps.add_argument("--seed", type=int, default=None)
+    ps.add_argument("--count", type=int, default=None)
     ps.add_argument("--trajectories", type=int, default=None,
                     help="also export breakpoints for replicates 0..K-1, 0 <= K <= --count")
     ps.add_argument("--trajectories-out", type=str, default=None)
     ps.set_defaults(func=_cmd_simulate)
 
     pd = sub.add_parser("density", help="evaluate a density formula on points or a radial grid")
-    _add_common(pd)
+    _add_law(pd, "d", "m", "n")
     pd.add_argument("--formula", type=str, default=None, choices=_DENSITY_FORMULAS)
     pd.add_argument("--x", action="append", default=None,
                     help="comma-separated point, repeatable")
@@ -371,7 +366,7 @@ def build_parser() -> argparse.ArgumentParser:
     pd.set_defaults(func=_cmd_density)
 
     pc = sub.add_parser("cf", help="evaluate a characteristic function")
-    _add_common(pc)
+    _add_law(pc, "d", "m", "n")
     pc.add_argument("--formula", type=str, default=None, choices=("projected", "nu1"))
     pc.add_argument("--alpha", action="append", default=None,
                     help="comma-separated frequency vector, repeatable")
@@ -380,19 +375,19 @@ def build_parser() -> argparse.ArgumentParser:
     pc.set_defaults(func=_cmd_cf)
 
     pf = sub.add_parser("cdf", help="radial CDF of the projection on a grid")
-    _add_common(pf)
+    _add_law(pf, "d", "m", "n")
     pf.add_argument("--r-min", type=float, default=None)
     pf.add_argument("--r-max", type=float, default=None)
     pf.add_argument("--r-points", type=int, default=None)
     pf.set_defaults(func=_cmd_cdf)
 
     pm = sub.add_parser("moments", help="radial moments of the projection")
-    _add_common(pm)
+    _add_law(pm, "d", "m", "n")
     pm.add_argument("--orders", type=str, default=None)
     pm.set_defaults(func=_cmd_moments)
 
     px = sub.add_parser("mixture", help="projected density with a random change count")
-    _add_common(px)
+    _add_law(px, "d", "m", "n")
     px.add_argument("--lam", type=float, default=None)
     px.add_argument("--n-max", type=int, default=None)
     px.add_argument("--x", action="append", default=None)

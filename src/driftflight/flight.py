@@ -13,7 +13,9 @@ built once per shape (:func:`driftflight.temporal.gamma_quantile`).
 Reproducibility contract
 ------------------------
 ``simulate_batch(p, count, master_seed)`` is bit-deterministic given its
-arguments and independent of how the work is chunked or distributed.
+arguments and independent of how the work is cut into chunks of rows
+(about 2^15 uniforms each, to bound working memory) or spread over
+threads.
 Replicate i owns a dedicated counter-offset substream of a Philox stream
 keyed by the master seed (see :func:`replicate_stream`), and every
 replicate consumes the same fixed number of uniforms.  All entry points
@@ -64,17 +66,17 @@ __all__ = [
     "simulate_trajectories",
 ]
 
-# uniforms per simulate_batch chunk (256 KiB): the default chunk holds this
-# many over its rows, so working memory stays flat however many uniforms a
-# flight consumes; the kernel's temporaries scale with the whole chunk
+# uniforms per sampler chunk (256 KiB): a chunk holds this many over its
+# rows (at least one row), so working memory stays flat however many
+# uniforms a flight consumes; the kernel's temporaries scale with the chunk
 _CHUNK_DRAWS = 1 << 15
 
 # calls of fewer uniforms run on the calling thread alone.  On 2 vCPUs,
 # alternating 1- and 2-worker calls over the mc_batch cells and d8 n9 nu1,
 # a second worker lost 5-16% at 33 000 uniforms in two chunks, gained
-# 7-18% at 50 000 and 14-35% at 65 536 in default chunks; the kernel's
-# small numpy calls contend for the GIL, and calls cut into short chunks
-# (chunk_size) still lost at 100 000
+# 7-18% at 50 000 and 14-35% at 65 536; the kernel's small numpy calls
+# contend for the GIL, and calls cut into eight shorter chunks lost at up
+# to 100 000
 _MIN_THREADED_DRAWS = 2 * _CHUNK_DRAWS
 
 
@@ -213,15 +215,16 @@ def _cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _split(p: FlightParams, count: int, master_seed: int, chunk_size: int | None):
+def _split(p: FlightParams, count: int, master_seed: int):
     """Check the arguments of a call on batch rows 0..count-1; return its
-    rows per chunk and the bounds of one contiguous, balanced range of rows
-    per worker.  A call of ``_MIN_THREADED_DRAWS`` uniforms or more gets a
-    worker per CPU, but no more workers than chunks; others get one."""
+    rows per chunk, the rows that hold ``_CHUNK_DRAWS`` uniforms, and the
+    bounds of one contiguous, balanced range of rows per worker.  A call of
+    ``_MIN_THREADED_DRAWS`` uniforms or more gets a worker per CPU, but no
+    more workers than chunks; others get one."""
     Lpad = _padded_draws(p)
-    step = max(1, _CHUNK_DRAWS // Lpad) if chunk_size is None else chunk_size
-    if count < 1 or step < 1:
-        raise ValueError("a batch requires count >= 1 and chunk_size >= 1")
+    step = max(1, _CHUNK_DRAWS // Lpad)
+    if count < 1:
+        raise ValueError("a batch requires count >= 1")
     _check_seed(master_seed)
     workers = 1 if count * Lpad < _MIN_THREADED_DRAWS else min(_cpus(), -(-count // step))
     return step, [count * k // workers for k in range(workers + 1)]
@@ -278,20 +281,15 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_forget_pool)
 
 
-def simulate_batch(
-    p: FlightParams,
-    count: int,
-    master_seed: int,
-    chunk_size: int | None = None,
-) -> np.ndarray:
+def simulate_batch(p: FlightParams, count: int, master_seed: int) -> np.ndarray:
     """Final positions of ``count`` independent flights, shape (count, d).
 
     Output is bit-deterministic given (p, count, master_seed), with
     ``master_seed`` an integer in [0, 2**128), and invariant under the
-    worker count and under ``chunk_size``, the rows per chunk, which only
-    bounds working memory; by default a chunk holds about 2^15 uniforms.
+    worker count and the rows per chunk; a chunk holds about 2^15
+    uniforms, which bounds working memory.
     """
-    step, bounds = _split(p, count, master_seed, chunk_size)
+    step, bounds = _split(p, count, master_seed)
     finals = np.zeros((count, p.d), dtype=float)
 
     def emit(first, taus, steps):
@@ -308,7 +306,7 @@ def simulate_trajectories(p: FlightParams, count: int, master_seed: int) -> Traj
     """Breakpoints (count, n+2, d) and epochs (count, n+2) of batch rows
     0..count-1: trajectory i is bit-identical to :func:`simulate_flight` on
     ``replicate_stream(p, master_seed, i)``, its end to batch row i."""
-    step, bounds = _split(p, count, master_seed, None)
+    step, bounds = _split(p, count, master_seed)
     taus = np.empty((count, p.n + 1))
     steps = np.empty((count, p.n + 1, p.d))
 

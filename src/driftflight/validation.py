@@ -24,7 +24,8 @@ Everything is deterministic given the master seed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
+from numbers import Integral
 
 import numpy as np
 
@@ -63,6 +64,10 @@ _BESSEL_X_CAP = 58.0
 # semi-infinite identity, is truncated at its tail bound and gets the looser
 _IDENTITY_TOL = 1e-7
 _FORMULA3_TOL = 1e-5
+# absolute error each quadrature of an identity's lhs is taken to
+_QUADRATURE_TOL = 1e-10
+# standard errors a gof_cf deviation passes below
+_SE_MULTIPLE = 3.0
 
 
 @dataclass(frozen=True)
@@ -318,23 +323,35 @@ def _formula3_lhs(
     return float(s[-1]), tail
 
 
-def check_identity(
-    identity_id: str, params: dict, quadrature_tolerance: float = 1e-10
-) -> IdentityReport:
+def _azimuthal_point(pid: dict, n) -> tuple[float, float, float]:
+    """z, alpha and beta of an identity with weight sin^(2n), checked
+    against its validity region: an integer n >= 0, z hypot(alpha, beta)
+    within the validated Bessel range, and nonzero where n >= 1, as the
+    closed form divides by it."""
+    z, alpha, beta = pid["z"], pid["alpha"], pid["beta"]
+    if not (isinstance(n, Integral) and n >= 0):
+        raise ValueError(f"{n!r} is not an integer n >= 0")
+    w = abs(z) * math.hypot(alpha, beta)
+    if w > _BESSEL_X_CAP:
+        raise ValueError("parameters exceed the validated Bessel range")
+    if n >= 1 and w == 0.0:
+        raise ValueError("n >= 1 requires z hypot(alpha, beta) != 0")
+    return z, alpha, beta
+
+
+def check_identity(identity_id: str, params: dict) -> IdentityReport:
     """Verify one Bessel-integral identity at one parameter point.
 
     lhs comes from quadrature of the defining integral, rhs from the
     closed form evaluated with the special-function kernel.  Parameters
     outside the validity region raise ValueError.
     """
-    tol = quadrature_tolerance
+    tol = _QUADRATURE_TOL
     pid = dict(params)
 
     if identity_id in ("int0", "int_nu1", "int_nu2", "int_nu3"):
-        z, alpha, beta = pid["z"], pid["alpha"], pid["beta"]
         n = ("int0", "int_nu1", "int_nu2", "int_nu3").index(identity_id)
-        if abs(z) * math.hypot(alpha, beta) > _BESSEL_X_CAP:
-            raise ValueError("parameters exceed the validated Bessel range")
+        z, alpha, beta = _azimuthal_point(pid, n)
         re, im = _azimuthal_lhs(z, alpha, beta, n, tol)
         s = math.hypot(alpha, beta)
         w = z * s
@@ -375,11 +392,8 @@ def check_identity(
                 tol,
             )
             return IdentityReport(identity_id, pid, lhs, 0.0, abs(lhs))
-        z, alpha, beta, n = pid["z"], pid["alpha"], pid["beta"], pid["n"]
-        if n < 0:
-            raise ValueError("int_general requires n >= 0")
-        if abs(z) * math.hypot(alpha, beta) > _BESSEL_X_CAP:
-            raise ValueError("parameters exceed the validated Bessel range")
+        n = pid["n"]
+        z, alpha, beta = _azimuthal_point(pid, n)
         re, im = _azimuthal_lhs(z, alpha, beta, n, tol)
         rhs = _azimuthal_rhs(z, alpha, beta, n)
         return IdentityReport(identity_id, pid, re, rhs, math.hypot(re - rhs, im))
@@ -429,8 +443,8 @@ def check_identity(
         nu, a, b = pid["nu"], pid["a"], pid["b"]
         if nu <= -1.0:
             raise ValueError("gr_6688_2 requires nu > -1")
-        if math.hypot(a, b) > _BESSEL_X_CAP:
-            raise ValueError("parameters exceed the validated Bessel range")
+        if not 0.0 < math.hypot(a, b) <= _BESSEL_X_CAP:
+            raise ValueError("gr_6688_2 requires 0 < hypot(a, b) within the validated Bessel range")
         lhs = _quad_chunked(
             lambda x: np.sin(x) ** (nu + 1.0)
             * np.cos(b * np.cos(x))
@@ -501,18 +515,13 @@ def gof_radial(
     )
 
 
-def gof_cf(
-    p: FlightParams,
-    alphas,
-    sample_count: int,
-    master_seed: int,
-    se_multiple: float = 3.0,
-) -> dict:
+def gof_cf(p: FlightParams, alphas, sample_count: int, master_seed: int) -> dict:
     """Empirical characteristic function versus the nu = 1 closed form.
 
-    The real part is compared at each frequency vector; the imaginary
-    part must be within ``se_multiple`` standard errors of zero (the law
-    is even in x_d, and the remaining coordinates enter isotropically).
+    At each frequency vector the real part must be within ``_SE_MULTIPLE``
+    standard errors of the closed form and the imaginary part within as
+    many of zero (the law is even in x_d, and the remaining coordinates
+    enter isotropically).
     """
     if abs(p.nu - 1.0) > 1e-12 or p.n < 1:
         raise ValueError("gof_cf requires nu = 1 and n >= 1")
@@ -523,20 +532,21 @@ def gof_cf(
     alphas = np.asarray(alphas, dtype=float)
     for alpha, target in zip(alphas, cf_nu1(p, alphas).tolist()):
         dot = finals @ alpha
-        re, im = np.cos(dot), np.sin(dot)
-        se_re = float(re.std(ddof=1)) / math.sqrt(sample_count)
-        se_im = float(im.std(ddof=1)) / math.sqrt(sample_count)
-        diff_re = float(re.mean()) - target
-        re_dev = abs(diff_re) / se_re if se_re > 0 else (0.0 if diff_re == 0 else math.inf)
-        im_mean = float(im.mean())
-        im_dev = abs(im_mean) / se_im if se_im > 0 else (0.0 if im_mean == 0 else math.inf)
+        parts = np.stack([np.cos(dot), np.sin(dot)])
+        mean = parts.mean(axis=1)
+        se = parts.std(axis=1, ddof=1) / math.sqrt(sample_count)
+        # the re and im deviations in standard errors: none where the mean
+        # is exact, infinite where it is not and the standard error is 0
+        diff = np.abs(mean - (target, 0.0))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            re_dev, im_dev = np.where(diff == 0.0, 0.0, diff / se).tolist()
         max_re_dev = max(max_re_dev, re_dev)
         max_im_dev = max(max_im_dev, im_dev)
         entries.append(
             {
-                "alpha": [float(v) for v in alpha],
-                "empirical_re": float(re.mean()),
-                "empirical_im": im_mean,
+                "alpha": alpha.tolist(),
+                "empirical_re": float(mean[0]),
+                "empirical_im": float(mean[1]),
                 "cf": target,
                 "re_dev_se": re_dev,
                 "im_dev_se": im_dev,
@@ -548,8 +558,8 @@ def gof_cf(
         "entries": entries,
         "max_re_dev_se": max_re_dev,
         "max_im_dev_se": max_im_dev,
-        "threshold_se": se_multiple,
-        "passed": bool(max_re_dev < se_multiple and max_im_dev < se_multiple),
+        "threshold_se": _SE_MULTIPLE,
+        "passed": bool(max_re_dev < _SE_MULTIPLE and max_im_dev < _SE_MULTIPLE),
     }
 
 
@@ -657,6 +667,20 @@ class SuiteConfig:
             raise ValueError("profile must be 'quick' or 'full'")
 
 
+def _check(check_id: str, kind: str, params: dict, metric: float, threshold: float,
+           passed: bool, negative_control: bool = False) -> dict:
+    """One entry of the suite report's ``checks`` list."""
+    return {
+        "check_id": check_id,
+        "kind": kind,
+        "params": params,
+        "metric": metric,
+        "threshold": threshold,
+        "passed": bool(passed),
+        "negative_control": negative_control,
+    }
+
+
 def run_suite(config: SuiteConfig | None = None) -> dict:
     """Run the configured checks and aggregate a machine-readable report.
 
@@ -671,34 +695,14 @@ def run_suite(config: SuiteConfig | None = None) -> dict:
         for ident, params in identity_grid():
             rep = check_identity(ident, params)
             tol = _FORMULA3_TOL if ident == "gr_6575_1" else _IDENTITY_TOL
-            checks.append(
-                {
-                    "check_id": f"identity:{ident}",
-                    "kind": "identity",
-                    "params": rep.params,
-                    "metric": rep.abs_err,
-                    "threshold": tol,
-                    "passed": bool(rep.abs_err < tol),
-                    "negative_control": False,
-                }
-            )
+            checks.append(_check(f"identity:{ident}", "identity", rep.params, rep.abs_err,
+                                 tol, rep.abs_err < tol))
 
     if config.include_gof:
         for p, count, threshold in gof_radial_grid(config.profile):
             rep = gof_radial(p, count, config.master_seed, threshold)
-            checks.append(
-                {
-                    "check_id": (
-                        f"gof_radial:d{p.d}m{p.m}n{p.n}nu{p.nu:g}"
-                    ),
-                    "kind": "gof_radial",
-                    "params": rep.params,
-                    "metric": rep.ks_distance,
-                    "threshold": rep.threshold,
-                    "passed": rep.passed,
-                    "negative_control": False,
-                }
-            )
+            checks.append(_check(f"gof_radial:d{p.d}m{p.m}n{p.n}nu{p.nu:g}", "gof_radial",
+                                 rep.params, rep.ks_distance, rep.threshold, rep.passed))
         p = FlightParams(d=3, n=1, nu=1.0, m=1)
         rep = gof_radial(
             p,
@@ -707,39 +711,18 @@ def run_suite(config: SuiteConfig | None = None) -> dict:
             threshold=0.05,
             cdf_params=replace(p, nu=0.0),
         )
-        checks.append(
-            {
-                "check_id": "gof_radial:negative_control",
-                "kind": "gof_radial",
-                "params": rep.params,
-                "metric": rep.ks_distance,
-                "threshold": rep.threshold,
-                # the control passes when the mismatch is detected
-                "passed": bool(rep.ks_distance > rep.threshold),
-                "negative_control": True,
-            }
-        )
+        # the control passes when the mismatch is detected
+        checks.append(_check("gof_radial:negative_control", "gof_radial", rep.params,
+                             rep.ks_distance, rep.threshold, rep.ks_distance > rep.threshold,
+                             negative_control=True))
         for p, alphas, count in gof_cf_grid(config.profile):
             rep = gof_cf(p, alphas, count, config.master_seed)
-            checks.append(
-                {
-                    "check_id": f"gof_cf:d{p.d}n{p.n}",
-                    "kind": "gof_cf",
-                    "params": rep["params"],
-                    "metric": max(rep["max_re_dev_se"], rep["max_im_dev_se"]),
-                    "threshold": rep["threshold_se"],
-                    "passed": rep["passed"],
-                    "negative_control": False,
-                }
-            )
+            checks.append(_check(f"gof_cf:d{p.d}n{p.n}", "gof_cf", rep["params"],
+                                 max(rep["max_re_dev_se"], rep["max_im_dev_se"]),
+                                 rep["threshold_se"], rep["passed"]))
 
     return {
-        "config": {
-            "master_seed": config.master_seed,
-            "profile": config.profile,
-            "include_identities": config.include_identities,
-            "include_gof": config.include_gof,
-        },
+        "config": asdict(config),
         "checks": checks,
         "passed": all(c["passed"] for c in checks),
     }

@@ -454,6 +454,35 @@ def test_config_numbers_are_not_truncated(tmp_path):
     assert out.read_bytes() == ref.read_bytes()
 
 
+_COMMAND_SET = {cmd[0]: cmd for cmd in CLI_COMMAND_SETS}
+
+
+@pytest.mark.parametrize(
+    "command,flag",
+    [("simulate", ["--m", "2"])]
+    + [
+        (command, flag)
+        for command in ("density", "cf", "cdf", "moments", "mixture")
+        for flag in (["--seed", "3"], ["--count", "10"])
+    ],
+)
+def test_flag_the_command_does_not_read_is_a_usage_error(tmp_path, command, flag):
+    # each once parsed and was ignored; simulate --m put a false m in the header
+    out = tmp_path / "out.csv"
+    assert main(_COMMAND_SET[command] + flag + ["--out", str(out)]) == USAGE_ERROR
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_simulate_echoes_m_equal_to_d(tmp_path):
+    # positions are in all d coordinates, whatever m a config file holds
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"d": 3, "m": 2, "n": 1, "count": 4}))
+    out = tmp_path / "out.csv"
+    assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+    assert json.loads((tmp_path / "out.csv.meta.json").read_text())["config"]["m"] == 3
+    assert out.read_text().splitlines()[1] == "# columns: replicate,x1,x2,x3"
+
+
 @pytest.mark.parametrize("command", ["simulate", "validate"])
 @pytest.mark.parametrize("seed", [True, 1.5, -1, 2**128])
 def test_seed_outside_the_philox_keys_is_a_usage_error(tmp_path, capsys, command, seed):

@@ -141,19 +141,27 @@ def test_trajectories_equal_sequential_flights(d, n, nu, count):
     assert tr.final.tobytes() == simulate_batch(p, count, seed).tobytes()
 
 
-def test_batch_chunking_does_not_change_output():
+def _chunk_rows(monkeypatch, p: FlightParams, rows: int) -> None:
+    """Cut later sampler calls on ``p`` into chunks of ``rows`` rows."""
+    monkeypatch.setattr(flight, "_CHUNK_DRAWS", rows * _padded_draws(p))
+    assert flight._split(p, 1, 0)[0] == rows
+
+
+def test_batch_chunking_does_not_change_output(monkeypatch):
     p = FlightParams(d=3, n=1, nu=1.0)
     base = simulate_batch(p, 1_000, 7)
-    for chunk in (1, 7, 64, 999, 1_000, 4_096):
-        assert np.array_equal(base, simulate_batch(p, 1_000, 7, chunk_size=chunk))
+    for rows in (1, 7, 64, 999, 1_000, 4_096):
+        _chunk_rows(monkeypatch, p, rows)
+        assert np.array_equal(base, simulate_batch(p, 1_000, 7))
 
 
-def test_batch_contract_at_non_integer_two_nu():
+def test_batch_contract_at_non_integer_two_nu(monkeypatch):
     # 2 nu = 0.6 runs every Gamma variate through gamma_quantile
     p = FlightParams(d=3, n=2, nu=0.3)
     base = simulate_batch(p, 1_000, 7)
-    for chunk in (1, 7, 999):
-        assert np.array_equal(base, simulate_batch(p, 1_000, 7, chunk_size=chunk))
+    for rows in (1, 7, 999):
+        _chunk_rows(monkeypatch, p, rows)
+        assert np.array_equal(base, simulate_batch(p, 1_000, 7))
     for i in (0, 1, 500, 999):
         assert np.array_equal(simulate_flight(p, replicate_stream(p, 7, i)).final, base[i])
 
@@ -232,13 +240,14 @@ def test_concurrent_callers_share_the_pool(monkeypatch):
     # more workers than cores, several callers at once and a short switch
     # interval: a row written twice or not at all changes the bits
     p = FlightParams(d=3, n=2, nu=0.3)
-    count, chunk = 2_000, 37
-    expected = simulate_batch(p, count, 3, chunk_size=chunk).tobytes()
+    count = 2_000
+    _chunk_rows(monkeypatch, p, 37)
+    expected = simulate_batch(p, count, 3).tobytes()
     _threads_seen(monkeypatch, 8)
     results = {}
 
     def call(k):
-        results[k] = simulate_batch(p, count, 3, chunk_size=chunk).tobytes()
+        results[k] = simulate_batch(p, count, 3).tobytes()
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -374,9 +383,6 @@ def test_batch_count_validation():
         simulate_batch(FlightParams(d=2, n=1, nu=0.0), 0, 1)
     with pytest.raises(ValueError):
         simulate_trajectories(FlightParams(d=2, n=1, nu=0.0), 0, 1)
-    for chunk in (0, -1):  # only None picks the default chunk
-        with pytest.raises(ValueError):
-            simulate_batch(FlightParams(d=2, n=1, nu=0.0), 5, 1, chunk_size=chunk)
 
 
 @pytest.mark.parametrize("seed", [True, 1.5, -1, 2**128])

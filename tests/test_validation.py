@@ -158,6 +158,35 @@ def test_identity_domain_errors():
         check_identity("no_such_identity", {})
 
 
+_AZ = {"z": 1.0, "alpha": 1.0, "beta": 0.5}
+
+
+@pytest.mark.parametrize(
+    "ident,params",
+    # the closed forms for n >= 1 divide by z, by hypot(alpha, beta) or by
+    # hypot(a, b): each point once gave NaN, ZeroDivisionError or TypeError
+    [(ident, {**_AZ, "z": 0.0}) for ident in ("int_nu1", "int_nu2", "int_nu3")]
+    + [(ident, {**_AZ, "alpha": 0.0, "beta": 0.0}) for ident in ("int_nu1", "int_nu2", "int_nu3")]
+    + [
+        ("int_general", {**_AZ, "z": 0.0, "n": 1}),
+        ("int_general", {**_AZ, "alpha": 0.0, "beta": 0.0, "n": 3}),
+        ("int_general", {**_AZ, "n": 1.5}),
+        ("int_general", {**_AZ, "n": -1}),
+        ("gr_6688_2", {"nu": 1.0, "a": 0.0, "b": 0.0}),
+    ],
+)
+def test_identity_outside_its_validity_region_raises(ident, params):
+    with pytest.raises(ValueError):
+        check_identity(ident, params)
+
+
+def test_identity_at_zero_argument_with_n_zero():
+    # n = 0 has no division: J_0(0) = 1
+    for ident, params in [("int0", {**_AZ, "z": 0.0}), ("int_general", {**_AZ, "z": 0.0, "n": 0})]:
+        rep = check_identity(ident, params)
+        assert rep.rhs == 2.0 * math.pi and rep.abs_err < 1e-12
+
+
 def test_identity_grid_covers_every_id_three_times():
     counts = {ident: 0 for ident in IDENTITY_IDS}
     for ident, _ in identity_grid():
