@@ -124,7 +124,7 @@ def main() -> int:
     for d, n, nu in CELLS:
         t = layer_times(FlightParams(d=d, n=n, nu=nu), args.flights, args.repeats)
         cells = " | ".join(f"{1e9 * t[k]:,.0f}" for k in LAYERS)
-        print(f"| d{d} n{n} nu{nu:g} | {cells} | {1e-6 / t['simulate_batch']:.2f} |")
+        print(f"| d{d} n{n} nu{nu:g} | {cells} | {1e-6 / t['simulate_batch']:.3g} |")
     return 0
 
 

@@ -1,8 +1,9 @@
 """Closed-form laws of the drifted random flight.
 
-Projection results (any nu >= 0): characteristic function, density,
-radial density/CDF/moments of the first m < d coordinates, all driven by
-the half order K = (n+1)(2 nu + d - 1)/2.  The projected radius obeys
+Projection results: characteristic function, density, radial
+density/CDF/moments of the first m coordinates, for m < d at any nu >= 0
+and for m = d at nu = 0, where the full flight is isotropic; all driven
+by the half order K = (n+1)(2 nu + d - 1)/2.  The projected radius obeys
 (R / c t)^2 ~ Beta(m/2, q + 1) with q = K - (m+1)/2, so its CDF is a
 regularized incomplete beta function.
 
@@ -73,8 +74,9 @@ _EPS = np.finfo(float).eps
 _lgamma = np.vectorize(math.lgamma, otypes=[float])
 
 
-def _half_order(p: FlightParams) -> float:
-    return 0.5 * (p.n + 1) * (2.0 * p.nu + p.d - 1.0)
+def _half_order(p: FlightParams, n):
+    """K at n direction changes (a number or an array) in place of p.n."""
+    return 0.5 * (n + 1) * (2.0 * p.nu + p.d - 1.0)
 
 
 def _require_n(p: FlightParams) -> None:
@@ -82,16 +84,12 @@ def _require_n(p: FlightParams) -> None:
         raise ValueError("this law requires n >= 1 direction changes")
 
 
-def _require_isotropic(p: FlightParams) -> None:
+def _require_beta_law(p: FlightParams) -> None:
+    # the domain of every projected law: the Beta law of the radius holds
+    # for m < d, and at m = d for the isotropic nu = 0 flight
     _require_n(p)
     if p.m == p.d and p.nu != 0.0:
         raise ValueError("this law at m = d requires nu = 0")
-
-
-def _require_projection(p: FlightParams) -> None:
-    _require_n(p)
-    if p.m >= p.d:
-        raise ValueError("this law requires m < d")
 
 
 def _require_nu1(p: FlightParams) -> None:
@@ -197,91 +195,82 @@ def cf_projection(p: FlightParams, alpha):
     """Characteristic function of the projected flight at frequencies alpha.
 
     Depends on each frequency vector only through its norm; the vectors
-    (last axis of alpha) may have any length up to m.  At m = d only for
-    nu = 0, where the full flight is isotropic.  Real, 1 at alpha = 0.
+    (last axis of alpha) may have any length up to m.  Real, 1 at
+    alpha = 0.
     """
-    _require_isotropic(p)
+    _require_beta_law(p)
     if (alpha := _vectors(alpha)).shape[-1] > p.m:
         raise ValueError(f"expected vectors of length <= m = {p.m}, got shape {alpha.shape}")
     alpha, s = _rescaled(alpha)
     w = _finite_or_nan(p.c * p.t * np.sqrt(_sq_norm(alpha)) * s)
-    K = _half_order(p)
+    K = _half_order(p, p.n)
     mu = K - 0.5
     vals = bessel_j_ratio(mu, w, mu * _LN_2 + math.lgamma(K + 0.5))
     return np.where(w == 0.0, 1.0, vals)[()]
 
 
 def density_projection(p: FlightParams, x):
-    """Density of the m-dimensional projection at the points x (m < d).
+    """Density of the m-dimensional projection at the points x.
 
     Zero outside the open ball of radius c t.
     """
-    _require_projection(p)
-    return _projection_densities(p, [p.n], np.sqrt(_sq_norm(_vectors(x, p.m))))[0]
+    _require_beta_law(p)
+    return _projection_densities(p, p.n, np.sqrt(_sq_norm(_vectors(x, p.m))))[0]
 
 
-def _projection_densities(p: FlightParams, ns, r) -> np.ndarray:
+def _projection_densities(p: FlightParams, ns, r, log_scale=0.0) -> np.ndarray:
     """Densities (N, ...) of the m-dimensional projection at radii r (...)
-    for each number of changes in ns (N,) in place of p.n: one array, in
-    which each n keeps the bits it has alone."""
+    for each number of changes in ns (N,) in place of p.n, times
+    exp(log_scale): one array, in which each n keeps the bits it has
+    alone."""
     ct, m = p.c * p.t, p.m
-    half = [0.5 * (n + 1) * (2.0 * p.nu + p.d - 1.0) for n in ns]  # K per n
+    K = _half_order(p, np.atleast_1d(ns))
     log_norm = [
-        math.lgamma(K + 0.5)
-        - math.lgamma(K - 0.5 * m + 0.5)
+        math.lgamma(k + 0.5)
+        - math.lgamma(k - 0.5 * m + 0.5)
         - 0.5 * m * _LN_PI
-        - (2.0 * K - 1.0) * math.log(ct)
-        for K in half
+        - (2.0 * k - 1.0) * math.log(ct)
+        for k in K.tolist()
     ]
-    per_n = (len(half),) + (1,) * r.ndim
-    q = np.array(half).reshape(per_n) - 0.5 * (m + 1)
+    per_n = (-1,) + (1,) * np.ndim(r)
+    q = K.reshape(per_n) - 0.5 * (m + 1)
     with np.errstate(divide="ignore", invalid="ignore"):
-        vals = np.exp(np.array(log_norm).reshape(per_n) + q * np.log(ct * ct - r * r))
+        vals = np.exp(np.reshape(log_norm, per_n) + log_scale + q * np.log(ct * ct - r * r))
     return np.where(r >= ct, 0.0, vals)
 
 
 def radial_density_projection(p: FlightParams, r):
-    """Density of the radius of the projection, supported on (0, c t)."""
-    _require_projection(p)
-    ct = p.c * p.t
-    r, outside = _in_support(r, ct)
-    K = _half_order(p)
+    """Density of the radius of the projection, supported on (0, c t):
+    the density times |S^(m-1)| r^(m-1)."""
+    _require_beta_law(p)
+    r, outside = _in_support(r, p.c * p.t)
     m = p.m
-    q = K - 0.5 * (m + 1)
     with np.errstate(divide="ignore", invalid="ignore"):
-        vals = np.exp(
-            _LN_2
-            + math.lgamma(K + 0.5)
-            - math.lgamma(K - 0.5 * m + 0.5)
-            - math.lgamma(0.5 * m)
-            - (2.0 * K - 1.0) * math.log(ct)
-            + (m - 1.0) * np.log(r)
-            + q * np.log(ct * ct - r * r)
-        )
-    return _supported(outside, vals)
+        # log |S^(m-1)| r^(m-1), with |S^(m-1)| = 2 pi^(m/2) / Gamma(m/2)
+        log_sphere = _LN_2 + 0.5 * m * _LN_PI - math.lgamma(0.5 * m) + (m - 1.0) * np.log(r)
+    return _supported(outside, _projection_densities(p, p.n, r, log_sphere)[0])
 
 
 def cdf_radial_projection(p: FlightParams, r):
     """CDF of the projected radius.
 
-    (R / c t)^2 is Beta(m/2, q + 1) distributed with q = K - (m+1)/2, which
-    is non-negative whenever m < d, so the CDF is the regularized
-    incomplete beta function I_{(r/ct)^2}(m/2, q + 1) for every nu.
+    (R / c t)^2 is Beta(m/2, q + 1) distributed with q = K - (m+1)/2, so
+    the CDF is the regularized incomplete beta function
+    I_{(r/ct)^2}(m/2, q + 1) for every nu.  q >= 0 for every m < d, and
+    q >= -1/2 at m = d, nu = 0.
     """
-    _require_projection(p)
-    q = _half_order(p) - 0.5 * (p.m + 1)
+    _require_beta_law(p)
+    q = _half_order(p, p.n) - 0.5 * (p.m + 1)
     y = np.square(np.clip(np.asarray(r, dtype=float) / (p.c * p.t), 0.0, 1.0))
     return betainc(0.5 * p.m, q + 1.0, y)[()]
 
 
 def radial_moment(p: FlightParams, order: int) -> float:
-    """E[R^order] for the projected radius; strictly below (c t)^order.
-
-    At m = d only for nu = 0, where the full flight is isotropic."""
-    _require_isotropic(p)
+    """E[R^order] for the projected radius; strictly below (c t)^order."""
+    _require_beta_law(p)
     if order < 1:
         raise ValueError("radial_moment requires order >= 1")
-    K = _half_order(p)
+    K = _half_order(p, p.n)
     m = p.m
     return math.exp(
         math.lgamma(K + 0.5)
@@ -470,8 +459,7 @@ class MixtureParams:
 def _log_series_terms(mp: MixtureParams, n, uncorrected: bool = False):
     # log of (lam t)^n / (n! Gamma((n+1)(2 nu + d - 1)/2 + 1/2)), the terms
     # of the Mittag-Leffler series that normalizes the pmf
-    d, nu = mp.base.d, mp.base.nu
-    log_den = _lgamma(0.5 * (n + 1) * (2.0 * nu + d - 1.0) + 0.5)
+    log_den = _lgamma(_half_order(mp.base, n) + 0.5)
     if not uncorrected:
         log_den = log_den + _lgamma(n + 1.0)
     return n * math.log(mp.lam * mp.base.t) - log_den
@@ -505,8 +493,10 @@ def _mixture_weights(mp: MixtureParams, n):
 
 
 def _retained_weights(mp: MixtureParams) -> np.ndarray:
-    """The mixture weights of n = 1 .. n_max; raises ValueError when they
-    keep less than 1 - MIXTURE_MASS_TOL of the n >= 1 mass."""
+    """The mixture weights of n = 1 .. n_max; raises ValueError outside the
+    projected laws' domain and when the weights keep less than
+    1 - MIXTURE_MASS_TOL of the n >= 1 mass."""
+    _require_beta_law(replace(mp.base, n=1))
     weights = _mixture_weights(mp, np.arange(1, mp.n_max + 1))
     retained = float(weights.sum())
     if not 1.0 - retained <= MIXTURE_MASS_TOL:
@@ -527,10 +517,9 @@ def unconditional_density_projection(mp: MixtureParams, x):
     more than ``MIXTURE_MASS_TOL``.
     """
     weights = _retained_weights(mp)
-    p = replace(mp.base, n=1)
-    _require_projection(p)
-    r = np.sqrt(_sq_norm(_vectors(x, p.m)))
-    terms = weights.reshape((-1,) + (1,) * r.ndim) * _projection_densities(p, range(1, mp.n_max + 1), r)
+    r = np.sqrt(_sq_norm(_vectors(x, mp.base.m)))
+    ns = np.arange(1, mp.n_max + 1)
+    terms = weights.reshape((-1,) + (1,) * r.ndim) * _projection_densities(mp.base, ns, r)
     # term after term, as _checked_sum sums, so one point keeps its bits in a batch
     return reduce(np.add, terms)[()]
 
@@ -544,19 +533,10 @@ def mixture_tail_bound(mp: MixtureParams) -> float:
     kept weights fall short of 1 by more than ``MIXTURE_MASS_TOL``.
     """
     _retained_weights(mp)
-    base = mp.base
-    ns = (mp.n_max + 1, mp.n_max + 2)
-    terms = []
-    for n, weight in zip(ns, _mixture_weights(mp, ns)):
-        pn = replace(base, n=n)
-        if _half_order(pn) - 0.5 * (base.m + 1) <= 0.0:
-            raise RuntimeError(
-                "n_max too small: omitted conditional densities are unbounded"
-            )
-        # with a positive boundary exponent the conditional density peaks
-        # at the origin, so this is w_n * sup_x p_n
-        terms.append(weight * density_projection(pn, np.zeros(base.m)))
-    b1, b2 = terms
+    ns = np.array([mp.n_max + 1, mp.n_max + 2])
+    # for n >= 2 the exponent q = K - (m+1)/2 of c^2 t^2 - r^2 is >= 0 in
+    # the whole domain, so each density peaks at the origin: w_n sup_x p_n
+    b1, b2 = _mixture_weights(mp, ns) * _projection_densities(mp.base, ns, 0.0)
     if b1 == 0.0:
         return 0.0
     r = b2 / b1

@@ -1,7 +1,8 @@
 """Batch command-line front end.
 
 Commands: simulate | density | cf | cdf | moments | mixture | validate.
-Flags override values from an optional JSON config file; the fully
+Flags override values from an optional JSON config file, whose keys are
+flag names (without the dashes) of any command; the fully
 resolved configuration (including the seed) is echoed as a header
 comment in every CSV and into a ``<out>.meta.json`` sidecar, so reruns
 with the same inputs are byte-identical.  An existing output is
@@ -23,6 +24,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from functools import lru_cache
 
@@ -100,7 +102,25 @@ def _load_config_file(path: str | None) -> dict:
         data = json.load(fh)
     if not isinstance(data, dict):
         raise _UsageError("config file must hold a JSON object")
+    unknown = ", ".join(repr(key) for key in sorted(set(data) - _config_keys()))
+    if unknown:
+        raise _UsageError(f"config keys that are no command's flag: {unknown}")
     return data
+
+
+@lru_cache(maxsize=1)
+def _config_keys() -> frozenset[str]:
+    # the flag names of every command: a shared config file may hold keys
+    # that only other commands read
+    commands = next(a for a in _parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return frozenset(
+        opt[2:]
+        for command in commands.choices.values()
+        for action in command._actions
+        if action.dest != "help"
+        for opt in action.option_strings
+        if opt.startswith("--")
+    )
 
 
 def _resolved(args) -> dict:
@@ -197,6 +217,9 @@ def _cmd_simulate(args) -> int:
     p = _flight_params(cfg)
     seed = _seed(cfg, 0)
     out = _require_out(cfg)
+    traj_out = str(cfg.get("trajectories-out") or (out + ".trajectories.csv"))
+    if n_traj > 0 and os.path.realpath(traj_out) == os.path.realpath(out):
+        raise _UsageError(f"--trajectories-out {traj_out!r} names the --out file")
     cfg_echo = _echo("simulate", p, seed=seed, count=count)
     finals = simulate_batch(p, count, seed)
     cols = ["replicate"] + [f"x{i}" for i in range(1, p.d + 1)]
@@ -204,15 +227,14 @@ def _cmd_simulate(args) -> int:
     _write_sidecar(out, cfg_echo)
 
     if n_traj > 0:
-        traj_out = cfg.get("trajectories-out") or (out + ".trajectories.csv")
         tcols = ["replicate", "segment", "t_k"] + cols[1:]
         tr, segs = simulate_trajectories(p, n_traj, seed), p.n + 2
         _write_csv(  # one row per breakpoint, replicate by replicate
-            str(traj_out), tcols, cfg_echo,
+            traj_out, tcols, cfg_echo,
             np.repeat(np.arange(n_traj), segs), np.tile(np.arange(segs), n_traj),
             tr.times.ravel(), tr.breakpoints.reshape(-1, p.d),
         )
-        _write_sidecar(str(traj_out), cfg_echo)
+        _write_sidecar(traj_out, cfg_echo)
     return 0
 
 

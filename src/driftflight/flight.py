@@ -113,6 +113,8 @@ class FlightParams:
             raise ValueError("FlightParams requires nu >= 0")
         if self.c <= 0.0 or self.t <= 0.0:
             raise ValueError("FlightParams requires c > 0 and t > 0")
+        if not 0.0 < self.c * self.t < math.inf:
+            raise ValueError(f"FlightParams requires 0 < c t < inf, got c t = {self.c * self.t!r}")
 
 
 @dataclass(frozen=True)

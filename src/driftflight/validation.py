@@ -490,13 +490,13 @@ def gof_radial(
     """KS test of simulated projected radii against the analytic CDF.
 
     ``cdf_params`` overrides the parameters of the reference CDF, which is
-    how negative controls are built.
+    how negative controls are built.  Raises ValueError outside the CDF's
+    domain before any flight is drawn.
     """
-    if p.m >= p.d or p.n < 1:
-        raise ValueError("gof_radial requires m < d and n >= 1")
+    q = cdf_params if cdf_params is not None else p
+    cdf_radial_projection(q, 0.0)
     finals = simulate_batch(p, sample_count, master_seed)
     radii = np.sort(np.linalg.norm(finals[:, : p.m], axis=1))
-    q = cdf_params if cdf_params is not None else p
     ks = ks_distance(radii, cdf_radial_projection(q, radii))
     return GofReport(
         params={
@@ -523,14 +523,13 @@ def gof_cf(p: FlightParams, alphas, sample_count: int, master_seed: int) -> dict
     many of zero (the law is even in x_d, and the remaining coordinates
     enter isotropically).
     """
-    if abs(p.nu - 1.0) > 1e-12 or p.n < 1:
-        raise ValueError("gof_cf requires nu = 1 and n >= 1")
+    alphas = np.asarray(alphas, dtype=float)
+    targets = cf_nu1(p, alphas).tolist()  # raises outside its domain, before sampling
     finals = simulate_batch(p, sample_count, master_seed)
     entries = []
     max_re_dev = 0.0
     max_im_dev = 0.0
-    alphas = np.asarray(alphas, dtype=float)
-    for alpha, target in zip(alphas, cf_nu1(p, alphas).tolist()):
+    for alpha, target in zip(alphas, targets):
         dot = finals @ alpha
         parts = np.stack([np.cos(dot), np.sin(dot)])
         mean = parts.mean(axis=1)

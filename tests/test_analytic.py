@@ -24,6 +24,7 @@ from driftflight.analytic import (
 )
 from driftflight.flight import FlightParams, simulate_batch
 from driftflight.specfun import bessel_j_ratio
+from driftflight.validation import _integrate
 from _oracles import (
     bessel_j_mp,
     cf_nu1_mp,
@@ -139,8 +140,9 @@ def test_density_projection_isotropy():
 
 def test_density_projection_nu0_reduction():
     # at nu = 0 the law depends on K0 = (n+1)(d-1)/2 only; compare against
-    # an independent transcription of that special case
-    for d, m, n in ((3, 1, 1), (4, 2, 2), (5, 2, 3)):
+    # an independent transcription of that special case, which holds at
+    # m = d too (the exponent K0 - (m+1)/2 is -1/2 at d2 n1)
+    for d, m, n in ((3, 1, 1), (4, 2, 2), (5, 2, 3), (2, 2, 1), (3, 3, 2), (4, 4, 3)):
         p = FlightParams(d=d, n=n, nu=0.0, m=m)
         K0 = 0.5 * (n + 1) * (d - 1)
         for r in np.linspace(0.01, 0.97, 20):
@@ -158,8 +160,9 @@ def test_density_projection_support_and_domain():
     p = FlightParams(d=3, n=1, nu=0.0, m=2)
     assert density_projection(p, [1.2, 0.0]) == 0.0
     assert density_projection(p, [1.0, 0.0]) == 0.0  # boundary excluded
-    with pytest.raises(ValueError):
-        density_projection(FlightParams(d=3, n=1, nu=0.0, m=3), [0.1, 0.1, 0.1])
+    for nu in (1.0, 0.3):  # the full flight with drift is not isotropic
+        with pytest.raises(ValueError, match="m = d requires nu = 0"):
+            density_projection(FlightParams(d=3, n=1, nu=nu, m=3), [0.1, 0.1, 0.1])
     with pytest.raises(ValueError):
         density_projection(p, [0.1])  # wrong point length
     with pytest.raises(ValueError):
@@ -379,6 +382,26 @@ def test_radial_densities_far_outside_the_support():
 def test_radial_moment_known_value():
     p = FlightParams(d=3, n=1, nu=0.0, m=2)
     assert radial_moment(p, 2) == pytest.approx(0.4, rel=1e-12)
+
+
+@pytest.mark.parametrize("d,n", [(2, 1), (3, 2), (4, 3), (2, 3)])
+def test_radial_density_at_m_d_integrates_to_the_cdf(d, n):
+    # the full nu = 0 flight: the package's Gauss-Kronrod kernel over
+    # [0, r] against the Beta CDF, and CDF(c t) = 1.  r = c t sin(u)
+    # absorbs the (c^2 t^2 - r^2)^(-1/2) of d2 n1 at the end of the support
+    p = FlightParams(d=d, n=n, nu=0.0, c=1.3, t=0.9)
+    ct = p.c * p.t
+    edges = np.linspace(0.0, 0.5 * math.pi, 9)
+    pieces = _integrate(lambda u: radial_density_projection(p, ct * np.sin(u)) * ct * np.cos(u), edges, 1e-13)
+    np.testing.assert_allclose(
+        np.cumsum(pieces), cdf_radial_projection(p, ct * np.sin(edges[1:])), rtol=0.0, atol=1e-12
+    )
+    assert cdf_radial_projection(p, p.c * p.t) == 1.0
+    for nu in (1.0, 0.3):
+        with pytest.raises(ValueError, match="m = d requires nu = 0"):
+            radial_density_projection(replace(p, nu=nu), 0.5)
+        with pytest.raises(ValueError, match="m = d requires nu = 0"):
+            cdf_radial_projection(replace(p, nu=nu), 0.5)
 
 
 def test_radial_moment_matches_quadrature():
@@ -746,6 +769,23 @@ def test_mixture_density_normalizes():
     assert total == pytest.approx(1.0, abs=1e-6)
 
 
+@pytest.mark.parametrize("d,lam", [(2, 1.5), (3, 0.7)])
+def test_mixture_at_m_d_nu0_normalizes(d, lam):
+    # the full nu = 0 flight with a random change count: the density
+    # integrated over the ball of radius c t = 1 by polar quadrature in
+    # r = sin u, which absorbs the (1 - r^2)^(-1/2) of n = 1 at d = 2
+    mp = MixtureParams(lam=lam, base=FlightParams(d=d, n=1, nu=0.0))
+    sphere = 2.0 * math.pi ** (0.5 * d) / math.gamma(0.5 * d)
+
+    def shell(u):
+        r = math.sin(u)
+        return sphere * r ** (d - 1) * unconditional_density_projection(mp, [r] + [0.0] * (d - 1)) * math.cos(u)
+
+    total, _ = quad(shell, 0.0, 0.5 * math.pi, limit=200)
+    assert total == pytest.approx(1.0, abs=1e-8)
+    assert 0.0 <= mixture_tail_bound(mp) < 1e-10
+
+
 @pytest.mark.parametrize("d,m,nu,lam", [(3, 2, 0.5, 1.5), (2, 1, 0.0, 3.0), (5, 3, 1.3, 0.7)])
 def test_mixture_equals_sum_of_conditional_densities(d, m, nu, lam):
     # the mixture is one array over n; against the per-n sum of
@@ -822,10 +862,14 @@ def test_mixture_non_negative_and_domain():
         assert unconditional_density_projection(mp, [x]) >= 0.0
     with pytest.raises(ValueError):
         MixtureParams(lam=0.0, base=FlightParams(d=2, n=1, nu=0.0, m=1))
-    with pytest.raises(ValueError):
-        unconditional_density_projection(
-            MixtureParams(1.0, FlightParams(d=2, n=1, nu=0.0)), [0.1, 0.1]
-        )
+    for nu in (1.0, 0.3):  # m = d requires the isotropic nu = 0 flight
+        mp = MixtureParams(1.0, FlightParams(d=2, n=1, nu=nu))
+        for call in (
+            lambda: unconditional_density_projection(mp, [0.1, 0.1]),
+            lambda: mixture_tail_bound(mp),
+        ):
+            with pytest.raises(ValueError, match="m = d requires nu = 0"):
+                call()
 
 
 # --------------------------------------- fourier self-consistency

@@ -211,6 +211,38 @@ def test_cdf_grid_monotone(tmp_path):
     assert rows[0, 1] >= 0.0 and rows[-1, 1] <= 1.0
 
 
+def test_cdf_of_the_full_flight_at_nu0(tmp_path, capsys):
+    # d3 n2 nu0: (R / c t)^2 ~ Beta(3/2, 2), and I_{1/4}(3/2, 2) = 17/64
+    out = tmp_path / "cdf.csv"
+    args = ["cdf", "--d", "3", "--m", "3", "--n", "2", "--r-points", "3", "--out", str(out)]
+    assert main(args + ["--nu", "0"]) == 0
+    rows = _read_rows(out)
+    assert rows[1, 0] == 0.5
+    assert rows[1, 1] == pytest.approx(17.0 / 64.0, rel=1e-14)
+    out.unlink()
+    assert main(args + ["--nu", "1"]) == USAGE_ERROR
+    assert "m = d requires nu = 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["density", "--formula", "projected", "--x", "0.3,0.2"],
+        ["density", "--formula", "radial-projected", "--r-points", "5"],
+        ["mixture", "--lam", "1.0", "--x", "0.3,0.2"],
+    ],
+)
+def test_projected_laws_of_the_full_flight_at_nu0(tmp_path, command):
+    out = tmp_path / "o.csv"
+    args = command + ["--d", "2", "--m", "2", "--n", "1", "--out", str(out)]
+    assert main(args + ["--nu", "0"]) == 0
+    assert np.all(_read_rows(out)[:, -1] >= 0.0)
+    out.unlink()
+    assert main(args + ["--nu", "0.3"]) == USAGE_ERROR
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "command", [["cdf", "--m", "2"], ["density", "--formula", "radial-nu1", "--nu", "1"]]
 )
@@ -471,6 +503,45 @@ def test_flag_the_command_does_not_read_is_a_usage_error(tmp_path, command, flag
     out = tmp_path / "out.csv"
     assert main(_COMMAND_SET[command] + flag + ["--out", str(out)]) == USAGE_ERROR
     assert list(tmp_path.iterdir()) == []
+
+
+def test_config_key_that_no_command_has_is_a_usage_error(tmp_path, capsys):
+    # "nu_" once was ignored, and cdf wrote the nu = 0 law
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"d": 3, "m": 2, "n": 2, "nu_": 1.0}))
+    out = tmp_path / "out.csv"
+    assert main(["cdf", "--config", str(cfg), "--out", str(out)]) == USAGE_ERROR
+    assert "'nu_'" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [cfg]
+
+
+@pytest.mark.parametrize("scale", ["1e200", "1e-200"])
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["simulate", "--count", "4"],
+        ["moments", "--m", "2"],
+        ["density", "--formula", "projected", "--m", "2", "--x", "0.1,0.1"],
+    ],
+)
+def test_c_t_outside_the_double_range_is_a_usage_error(tmp_path, capsys, command, scale):
+    # c = t = 1e200 once wrote nan and inf rows and exited 0
+    out = tmp_path / "out.csv"
+    args = command + ["--d", "3", "--n", "1", "--c", scale, "--t", scale, "--out", str(out)]
+    assert main(args) == USAGE_ERROR
+    assert "0 < c t < inf" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_trajectories_out_naming_the_out_file_is_a_usage_error(tmp_path):
+    # the trajectories once overwrote the final positions
+    out = tmp_path / "same.csv"
+    args = ["simulate", "--d", "2", "--n", "1", "--count", "4", "--trajectories", "2", "--out", str(out)]
+    assert main(args + ["--trajectories-out", str(out)]) == USAGE_ERROR
+    link = tmp_path / "link.csv"
+    link.symlink_to(out)
+    assert main(args + ["--trajectories-out", str(link)]) == USAGE_ERROR
+    assert list(tmp_path.iterdir()) == [link] and not out.exists()
 
 
 def test_simulate_echoes_m_equal_to_d(tmp_path):

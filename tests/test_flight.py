@@ -48,6 +48,9 @@ def test_params_validation():
         FlightParams(d=3, n=1, nu=math.nan)
     with pytest.raises(ValueError):
         FlightParams(d=3, n=1, nu=0.0, c=math.inf)
+    for scale in (1e200, 1e-200):  # finite c and t whose product leaves the doubles
+        with pytest.raises(ValueError, match="0 < c t < inf"):
+            FlightParams(d=3, n=1, nu=0.0, c=scale, t=scale)
     with pytest.raises(ValueError):
         FlightParams(d=2.5, n=1, nu=0.0)
     with pytest.raises(ValueError):

@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -224,10 +225,32 @@ def test_gof_radial_negative_control_detected():
 
 
 def test_gof_radial_domain():
-    with pytest.raises(ValueError):
-        gof_radial(FlightParams(d=3, n=1, nu=0.0, m=3), 100, 0)
+    for nu in (1.0, 0.3):  # at m = d the Beta law needs the isotropic nu = 0 flight
+        with pytest.raises(ValueError, match="m = d requires nu = 0"):
+            gof_radial(FlightParams(d=3, n=1, nu=nu, m=3), 100, 0)
     with pytest.raises(ValueError):
         gof_radial(FlightParams(d=3, n=0, nu=0.0, m=1), 100, 0)
+
+
+@pytest.mark.parametrize("d,n", [(2, 1), (3, 2), (4, 3)])
+def test_gof_radial_full_flight_at_nu0(d, n):
+    # at nu = 0 the flight is isotropic and its radius obeys the Beta law
+    # of the projections at m = d; nu = 1 radii fail against that law
+    p = FlightParams(d=d, n=n, nu=0.0)
+    assert gof_radial(p, 100_000, 11 + d, threshold=0.01).passed
+    control = gof_radial(replace(p, nu=1.0), 100_000, 11 + d, threshold=0.05, cdf_params=p)
+    assert control.ks_distance > 0.05
+
+
+def test_gof_domain_is_checked_before_sampling(monkeypatch):
+    def no_sampling(*args):
+        raise AssertionError("simulate_batch called outside the law's domain")
+
+    monkeypatch.setattr(validation, "simulate_batch", no_sampling)
+    with pytest.raises(ValueError):
+        gof_cf(FlightParams(d=2, n=1, nu=0.5), [[1.0, 0.0]], 1_000, 0)
+    with pytest.raises(ValueError):
+        gof_radial(FlightParams(d=3, n=2, nu=1.0), 1_000, 0)
 
 
 def test_gof_cf_zero_frequency_is_exact():
