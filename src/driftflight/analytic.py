@@ -71,6 +71,8 @@ def __getattr__(name):
 _LN_PI = math.log(math.pi)
 _LN_2 = math.log(2.0)
 _EPS = np.finfo(float).eps
+# largest rounding loss an alternating nu = 1 sum may carry before it raises
+_SUM_TOL = 1e-9
 _lgamma = np.vectorize(math.lgamma, otypes=[float])
 
 
@@ -163,14 +165,14 @@ def _log_size(pieces) -> float:
     return sum(abs(v) for v in pieces)
 
 
-def _checked_sum(terms, sizes, log_pref: float, tol: float, name: str, kind: str):
+def _checked_sum(terms, sizes, log_pref: float, name: str, kind: str):
     """Sum the terms (T, ...) of an alternating series over the first axis.
 
     Each term is exp of a sum of logs of size ``sizes`` (T, ...) plus the
     common ``log_pref``, so, summed, it carries a relative rounding error
     of about eps (size + T); the common part scales the total and is not
     amplified by cancellation.  Raises ValueError where the error bound
-    exceeds ``tol`` (``kind`` is "absolute" or "relative" to the total).
+    exceeds ``_SUM_TOL`` (``kind`` is "absolute" or "relative" to the total).
     """
     # term after term: numpy sums one point's 1-D terms pairwise but a
     # batch row by row, which would give one point other bits
@@ -179,10 +181,10 @@ def _checked_sum(terms, sizes, log_pref: float, tol: float, name: str, kind: str
     err = _EPS * (spread.sum(axis=0) + np.abs(total) * abs(log_pref))
     with np.errstate(divide="ignore", invalid="ignore"):
         loss = err / np.abs(total) if kind == "relative" else err
-        if np.any(loss > tol):
+        if np.any(loss > _SUM_TOL):
             raise ValueError(
                 f"{name}: cancellation in the alternating sum may lose up to "
-                f"{np.nanmax(loss):.1e} {kind} (tolerance {tol:g})"
+                f"{np.nanmax(loss):.1e} {kind} (tolerance {_SUM_TOL:g})"
             )
     return total
 
@@ -266,18 +268,28 @@ def cdf_radial_projection(p: FlightParams, r):
 
 
 def radial_moment(p: FlightParams, order: int) -> float:
-    """E[R^order] for the projected radius; strictly below (c t)^order."""
+    """E[R^order] for the projected radius; strictly below (c t)^order.
+
+    Raises ValueError where (c t)^order passes the double range.
+    """
     _require_beta_law(p)
     if order < 1:
         raise ValueError("radial_moment requires order >= 1")
     K = _half_order(p, p.n)
     m = p.m
-    return math.exp(
+    # E[(R / c t)^order] <= 1, so only the scale can overflow
+    beta_moment = math.exp(
         math.lgamma(K + 0.5)
         + math.lgamma(0.5 * (order + m))
         - math.lgamma(K + 0.5 * (order + 1))
         - math.lgamma(0.5 * m)
-    ) * (p.c * p.t) ** order
+    )
+    try:
+        return beta_moment * (p.c * p.t) ** order
+    except OverflowError:
+        raise ValueError(
+            f"radial_moment of order {order}: (c t)^{order} passes the double range"
+        ) from None
 
 
 # ----------------------------------------------------------------------
@@ -317,7 +329,7 @@ def cf_nu1(p: FlightParams, alpha):
         # the ratio adds -lgamma(mu_j + 1) - mu_j log 2 of its own
         own = math.lgamma(mu_j + 1.0) + mu_j * _LN_2
         sizes.append(_log_size(pieces) + own + np.abs(log_w_part))
-    total = _checked_sum(np.array(terms), np.array(sizes), log_pref, 1e-9, "cf_nu1", "absolute")
+    total = _checked_sum(np.array(terms), np.array(sizes), log_pref, "cf_nu1", "absolute")
     return np.where(rho2 == 0.0, 1.0, total)[()]
 
 
@@ -351,7 +363,7 @@ def _nu1_sum(p: FlightParams, xx, Q, log_weight, name: str):
     with np.errstate(divide="ignore", invalid="ignore"):
         log_point = e * np.log(Q / ct**2) + np.where(k > 0, k * np.log(xx / ct**2), 0.0)
         terms = sign * np.exp(log_pref + log_c + log_point)
-        return _checked_sum(terms, size + np.abs(log_point), log_pref, 1e-9, name, "relative")
+        return _checked_sum(terms, size + np.abs(log_point), log_pref, name, "relative")
 
 
 def density_nu1(p: FlightParams, x):
@@ -527,10 +539,14 @@ def unconditional_density_projection(mp: MixtureParams, x):
 def mixture_tail_bound(mp: MixtureParams) -> float:
     """Upper bound on the density mass dropped by truncating at n_max.
 
-    Bounds sum_{n > n_max} w_n * sup_x p_n by a geometric comparison at
-    the first omitted term (the terms decay factorially in n).  Raises
-    ValueError, like :func:`unconditional_density_projection`, when the
-    kept weights fall short of 1 by more than ``MIXTURE_MASS_TOL``.
+    Bounds the tail sum_{n > n_max} b_n, b_n = w_n sup_x p_n, by twice the
+    geometric series b1 / (1 - r) from the first omitted term b1 and the
+    ratio r = b2 / b1 of the first two.  log b_n is concave in n (it is
+    linear in n minus lgamma(n + 1) and lgamma of a linear function of n,
+    both convex), so the ratios of successive terms never increase and
+    the tail is at most b1 / (1 - r) for every r < 1.  Raises ValueError
+    at r >= 1 and, like :func:`unconditional_density_projection`, when
+    the kept weights fall short of 1 by more than ``MIXTURE_MASS_TOL``.
     """
     _retained_weights(mp)
     ns = np.array([mp.n_max + 1, mp.n_max + 2])
@@ -540,6 +556,8 @@ def mixture_tail_bound(mp: MixtureParams) -> float:
     if b1 == 0.0:
         return 0.0
     r = b2 / b1
-    if r >= 0.5:
-        raise RuntimeError("mixture truncation index too small for a tail bound")
+    if r >= 1.0:
+        raise ValueError(
+            f"the mixture terms still grow past n_max = {mp.n_max} (ratio {r:.3g}); raise n_max"
+        )
     return float(2.0 * b1 / (1.0 - r))

@@ -1,18 +1,18 @@
 """Batch command-line front end.
 
 Commands: simulate | density | cf | cdf | moments | mixture | validate.
-Flags override values from an optional JSON config file, whose keys are
-flag names (without the dashes) of any command; the fully
-resolved configuration (including the seed) is echoed as a header
-comment in every CSV and into a ``<out>.meta.json`` sidecar, so reruns
-with the same inputs are byte-identical.  An existing output is
-overwritten in place and then cut to the written length, never
-truncated first, so a rerun leaves the same bytes as a fresh run.
-Every CSV value is the text ``"%.17g" % v`` gives, 17 significant
-digits that read back bit for bit;
-``csvtext`` computes it for blocks of rows in numpy, with ``%`` itself
-only for values outside [1e-4, 1e17), exact rounding ties and small
-blocks.
+density, cf and cdf evaluate the law that one table, ``_LAWS``, names
+for the command and its --formula, at the radii, points or frequencies
+the table says.  Flags override values from an optional JSON config
+file, whose keys are flag names (without the dashes) of any command;
+the fully resolved configuration (including the seed) is echoed as a
+header comment in every CSV and into a ``<out>.meta.json`` sidecar, so
+reruns with the same inputs are byte-identical.  A command opens its
+outputs only after it has computed all their values, so one that fails
+leaves no file.  An existing output is overwritten in place and then
+cut to the written length, never truncated first, so a rerun leaves the
+same bytes as a fresh run.  Every CSV value is the text ``"%.17g" % v``
+gives, 17 significant digits that read back bit for bit (``csvtext``).
 ``simulate --trajectories K`` (0 <= K <= --count) also writes the
 breakpoints of replicates 0..K-1.
 
@@ -52,24 +52,17 @@ class _UsageError(Exception):
     pass
 
 
-def _canonical_json(obj) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
-
-
-def _write_csv(path: str, names: list[str], config: dict, *columns) -> None:
-    """Write the columns (1-D, or 2-D for several) side by side as rows."""
+def _write_outputs(path: str, names: list[str], config: dict, *columns, extra=None) -> None:
+    """Write the columns (1-D, or 2-D for several) side by side as the
+    rows of the CSV ``path``, then its ``.meta.json`` sidecar: the config
+    and the ``extra`` entries."""
     rows = np.column_stack(columns)
+    header = json.dumps(config, sort_keys=True, separators=(",", ":"))
     with open_output(path, "wb") as fh:
-        fh.write(f"# config: {_canonical_json(config)}\n# columns: {','.join(names)}\n".encode())
+        fh.write(f"# config: {header}\n# columns: {','.join(names)}\n".encode())
         write_rows(fh, rows)
-
-
-def _write_sidecar(path: str, config: dict, extra: dict | None = None) -> None:
-    payload = {"config": config}
-    if extra:
-        payload.update(extra)
     with open_output(path + ".meta.json", "w") as fh:
-        fh.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+        fh.write(json.dumps({"config": config, **(extra or {})}, sort_keys=True, indent=2) + "\n")
 
 
 def _parse_vector(text: str) -> list[float]:
@@ -194,9 +187,8 @@ def _require_out(cfg: dict) -> str:
 
 
 def _r_grid(cfg: dict, p: FlightParams) -> np.ndarray:
-    rmax_default = p.c * p.t
     rmin = float(cfg.get("r-min", 0.0))
-    rmax = float(cfg.get("r-max", rmax_default))
+    rmax = float(cfg.get("r-max", p.c * p.t))
     if not (math.isfinite(rmin) and math.isfinite(rmax)):
         raise _UsageError(f"--r-min {rmin} and --r-max {rmax} must be finite")
     npts = _integer(cfg.get("r-points", 200), "r-points")
@@ -222,85 +214,76 @@ def _cmd_simulate(args) -> int:
         raise _UsageError(f"--trajectories-out {traj_out!r} names the --out file")
     cfg_echo = _echo("simulate", p, seed=seed, count=count)
     finals = simulate_batch(p, count, seed)
+    tr = simulate_trajectories(p, n_traj, seed) if n_traj > 0 else None
     cols = ["replicate"] + [f"x{i}" for i in range(1, p.d + 1)]
-    _write_csv(out, cols, cfg_echo, np.arange(count), finals)
-    _write_sidecar(out, cfg_echo)
-
-    if n_traj > 0:
-        tcols = ["replicate", "segment", "t_k"] + cols[1:]
-        tr, segs = simulate_trajectories(p, n_traj, seed), p.n + 2
-        _write_csv(  # one row per breakpoint, replicate by replicate
-            traj_out, tcols, cfg_echo,
+    _write_outputs(out, cols, cfg_echo, np.arange(count), finals)
+    if tr is not None:
+        segs = p.n + 2
+        _write_outputs(  # one row per breakpoint, replicate by replicate
+            traj_out, ["replicate", "segment", "t_k"] + cols[1:], cfg_echo,
             np.repeat(np.arange(n_traj), segs), np.tile(np.arange(segs), n_traj),
             tr.times.ravel(), tr.breakpoints.reshape(-1, p.d),
         )
-        _write_sidecar(traj_out, cfg_echo)
     return 0
 
 
-_DENSITY_FORMULAS = ("projected", "nu1", "nu1-closed", "radial-projected", "radial-nu1")
+# (command, --formula) -> (the law's name on ``analytic``, its inputs):
+# "r" radii on the --r-* grid, "x" the --x points, "alpha" the --alpha
+# vectors or "anorm" the --anorm norms, in R^m for a projected law (one
+# named *_projection, which needs --m) and in R^d otherwise.  A name,
+# looked up at each call, lets a wrapper placed on ``analytic``
+# (bench/tracing.py) see the call.
+_LAWS = {
+    ("density", "projected"): ("density_projection", "x"),
+    ("density", "nu1"): ("density_nu1", "x"),
+    ("density", "nu1-closed"): ("density_nu1_closed", "x"),
+    ("density", "radial-projected"): ("radial_density_projection", "r"),
+    ("density", "radial-nu1"): ("radial_density_nu1", "r"),
+    ("cf", "projected"): ("cf_projection", "anorm"),
+    ("cf", "nu1"): ("cf_nu1", "alpha"),
+    ("cdf", None): ("cdf_radial_projection", "r"),
+}
 
 
-def _cmd_density(args) -> int:
+def _formulas(command: str) -> tuple:
+    return tuple(formula for cmd, formula in _LAWS if cmd == command)
+
+
+def _anorm_vectors(cfg: dict, dim: int) -> np.ndarray:
+    """The --anorm norms as the frequency vectors (norm, 0, ..., 0)."""
+    anorms = cfg.get("anorm")
+    if not anorms:
+        raise _UsageError("--anorm values are required for the projected cf")
+    if isinstance(anorms, (int, float, str)):
+        anorms = [anorms]
+    alphas = np.zeros((len(anorms), dim))
+    alphas[:, 0] = [float(a) for a in anorms]
+    return alphas
+
+
+def _cmd_law(args) -> int:
     cfg = _resolved(args)
-    formula = cfg.get("formula")
-    if formula not in _DENSITY_FORMULAS:
-        raise _UsageError(f"--formula must be one of {_DENSITY_FORMULAS}")
-    p = _flight_params(cfg, need_m=formula.endswith("projected"))
+    command = args.command
+    # cdf has one law and no --formula: a formula key in its config is
+    # another command's
+    formula = None if (command, None) in _LAWS else cfg.get("formula")
+    if formula not in _formulas(command):
+        raise _UsageError(f"--formula must be one of {_formulas(command)}")
+    law, inputs = _LAWS[command, formula]
+    projected = law.endswith("projection")
+    p = _flight_params(cfg, need_m=projected)
     out = _require_out(cfg)
-    cfg_echo = _echo("density", p, formula=formula)
-    fn = {
-        "projected": analytic.density_projection,
-        "nu1": analytic.density_nu1,
-        "nu1-closed": analytic.density_nu1_closed,
-        "radial-projected": analytic.radial_density_projection,
-        "radial-nu1": analytic.radial_density_nu1,
-    }[formula]
-    if formula.startswith("radial"):
-        grid = _r_grid(cfg, p)
-        _write_csv(out, ["r", "density"], cfg_echo, grid, fn(p, grid))
-    else:
-        dim = p.m if formula == "projected" else p.d
-        points = _vector_args(cfg, "x", dim)
-        cols = [f"x{i}" for i in range(1, dim + 1)] + ["density"]
-        _write_csv(out, cols, cfg_echo, points, fn(p, points))
-    _write_sidecar(out, cfg_echo)
-    return 0
-
-
-def _cmd_cf(args) -> int:
-    cfg = _resolved(args)
-    formula = cfg.get("formula")
-    if formula not in ("projected", "nu1"):
-        raise _UsageError("--formula must be 'projected' or 'nu1'")
-    p = _flight_params(cfg, need_m=(formula == "projected"))
-    out = _require_out(cfg)
-    cfg_echo = _echo("cf", p, formula=formula)
-    if formula == "projected":
-        anorms = cfg.get("anorm")
-        if not anorms:
-            raise _UsageError("--anorm values are required for the projected cf")
-        if isinstance(anorms, (int, float, str)):
-            anorms = [anorms]
-        alphas = np.zeros((len(anorms), p.m))
-        alphas[:, 0] = [float(a) for a in anorms]
-        _write_csv(out, ["anorm", "cf"], cfg_echo, alphas[:, 0], analytic.cf_projection(p, alphas))
-    else:
-        alphas = _vector_args(cfg, "alpha", p.d)
-        cols = [f"a{i}" for i in range(1, p.d + 1)] + ["cf"]
-        _write_csv(out, cols, cfg_echo, alphas, analytic.cf_nu1(p, alphas))
-    _write_sidecar(out, cfg_echo)
-    return 0
-
-
-def _cmd_cdf(args) -> int:
-    cfg = _resolved(args)
-    p = _flight_params(cfg, need_m=True)
-    out = _require_out(cfg)
-    cfg_echo = _echo("cdf", p)
-    grid = _r_grid(cfg, p)
-    _write_csv(out, ["r", "cdf"], cfg_echo, grid, analytic.cdf_radial_projection(p, grid))
-    _write_sidecar(out, cfg_echo)
+    dim = p.m if projected else p.d
+    if inputs == "r":
+        names, at = ["r"], _r_grid(cfg, p)
+    elif inputs == "anorm":
+        names, at = ["anorm"], _anorm_vectors(cfg, dim)
+    else:  # x1..x<dim> or a1..a<dim>
+        names, at = [f"{inputs[0]}{i}" for i in range(1, dim + 1)], _vector_args(cfg, inputs, dim)
+    values = getattr(analytic, law)(p, at)
+    shown = at[:, 0] if inputs == "anorm" else at
+    cfg_echo = _echo(command, p, **({"formula": formula} if formula else {}))
+    _write_outputs(out, names + [command], cfg_echo, shown, values)
     return 0
 
 
@@ -316,8 +299,7 @@ def _cmd_moments(args) -> int:
     orders = [_integer(k, "orders") for k in orders_raw]
     cfg_echo = _echo("moments", p, orders=orders)
     moments = [analytic.radial_moment(p, k) for k in orders]
-    _write_csv(out, ["order", "moment"], cfg_echo, orders, moments)
-    _write_sidecar(out, cfg_echo)
+    _write_outputs(out, ["order", "moment"], cfg_echo, orders, moments)
     return 0
 
 
@@ -332,9 +314,10 @@ def _cmd_mixture(args) -> int:
     points = _vector_args(cfg, "x", p.m)
     cfg_echo = _echo("mixture", p, lam=mp.lam, n_max=mp.n_max)
     del cfg_echo["n"]  # the mixture randomizes n
+    density = analytic.unconditional_density_projection(mp, points)
+    bound = analytic.mixture_tail_bound(mp)
     cols = [f"x{i}" for i in range(1, p.m + 1)] + ["density"]
-    _write_csv(out, cols, cfg_echo, points, analytic.unconditional_density_projection(mp, points))
-    _write_sidecar(out, cfg_echo, extra={"truncation_tail_bound": analytic.mixture_tail_bound(mp)})
+    _write_outputs(out, cols, cfg_echo, points, density, extra={"truncation_tail_bound": bound})
     return 0
 
 
@@ -379,29 +362,29 @@ def build_parser() -> argparse.ArgumentParser:
 
     pd = sub.add_parser("density", help="evaluate a density formula on points or a radial grid")
     _add_law(pd, "d", "m", "n")
-    pd.add_argument("--formula", type=str, default=None, choices=_DENSITY_FORMULAS)
+    pd.add_argument("--formula", type=str, default=None, choices=_formulas("density"))
     pd.add_argument("--x", action="append", default=None,
                     help="comma-separated point, repeatable")
     pd.add_argument("--r-min", type=float, default=None)
     pd.add_argument("--r-max", type=float, default=None)
     pd.add_argument("--r-points", type=int, default=None)
-    pd.set_defaults(func=_cmd_density)
+    pd.set_defaults(func=_cmd_law)
 
     pc = sub.add_parser("cf", help="evaluate a characteristic function")
     _add_law(pc, "d", "m", "n")
-    pc.add_argument("--formula", type=str, default=None, choices=("projected", "nu1"))
+    pc.add_argument("--formula", type=str, default=None, choices=_formulas("cf"))
     pc.add_argument("--alpha", action="append", default=None,
                     help="comma-separated frequency vector, repeatable")
     pc.add_argument("--anorm", action="append", default=None,
                     help="frequency norm for the projected cf, repeatable")
-    pc.set_defaults(func=_cmd_cf)
+    pc.set_defaults(func=_cmd_law)
 
     pf = sub.add_parser("cdf", help="radial CDF of the projection on a grid")
     _add_law(pf, "d", "m", "n")
     pf.add_argument("--r-min", type=float, default=None)
     pf.add_argument("--r-max", type=float, default=None)
     pf.add_argument("--r-points", type=int, default=None)
-    pf.set_defaults(func=_cmd_cdf)
+    pf.set_defaults(func=_cmd_law)
 
     pm = sub.add_parser("moments", help="radial moments of the projection")
     _add_law(pm, "d", "m", "n")
@@ -439,10 +422,7 @@ def main(argv=None) -> int:
     try:
         args = _parser().parse_args(argv)
         return args.func(args)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
-    except (ValueError, KeyError, TypeError) as exc:
+    except (_UsageError, ValueError, KeyError, TypeError) as exc:
         # TypeError: a config-file value of the wrong JSON type
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR

@@ -240,14 +240,14 @@ def _integrate(f, edges, tol: float) -> np.ndarray:
     return value
 
 
-def _quad_chunked(f, a: float, b: float, cycles: float, tol: float) -> float:
+def _quad_chunked(f, a: float, b: float, cycles: float) -> float:
     """Integral of f over [a, b], split into sub-periods when the integrand
-    oscillates through many cycles, each sub-period to tol."""
+    oscillates through many cycles, each sub-period to _QUADRATURE_TOL."""
     edges = np.linspace(a, b, max(1, int(math.ceil(2.0 * cycles))) + 1)
-    return float(np.sum(_integrate(f, edges, tol)))
+    return float(np.sum(_integrate(f, edges, _QUADRATURE_TOL)))
 
 
-def _azimuthal_lhs(z: float, alpha: float, beta: float, n: int, tol: float):
+def _azimuthal_lhs(z: float, alpha: float, beta: float, n: int):
     # real and imaginary parts of the oscillatory circle integral with
     # weight sin^(2n)
     def phase(th):
@@ -255,10 +255,10 @@ def _azimuthal_lhs(z: float, alpha: float, beta: float, n: int, tol: float):
 
     cycles = abs(z) * math.hypot(alpha, beta)  # over a 2 pi interval
     re = _quad_chunked(
-        lambda th: np.cos(phase(th)) * np.sin(th) ** (2 * n), 0.0, 2.0 * math.pi, cycles, tol
+        lambda th: np.cos(phase(th)) * np.sin(th) ** (2 * n), 0.0, 2.0 * math.pi, cycles
     )
     im = _quad_chunked(
-        lambda th: np.sin(phase(th)) * np.sin(th) ** (2 * n), 0.0, 2.0 * math.pi, cycles, tol
+        lambda th: np.sin(phase(th)) * np.sin(th) ** (2 * n), 0.0, 2.0 * math.pi, cycles
     )
     return re, im
 
@@ -281,29 +281,27 @@ def _azimuthal_rhs(z: float, alpha: float, beta: float, n: int) -> float:
     return 2.0 * math.pi * total
 
 
-def _convolution_lhs(g, mu: float, nu: float, a: float, tol: float) -> float:
+def _convolution_lhs(g, mu: float, nu: float, a: float) -> float:
     """int_0^a g(mu, x) g(nu, a - x) dx as two integrals over [0, a/2], the
     second in y = a - x.  Each factor that is singular at an end of [0, a]
     then takes its argument near 0, where the doubles are dense enough to
     resolve it; near a they are not."""
 
     def half(m: float, n: float) -> float:
-        return _quad_chunked(lambda x: g(m, x) * g(n, a - x), 0.0, 0.5 * a, 0.5 * a / math.pi, tol)
+        return _quad_chunked(lambda x: g(m, x) * g(n, a - x), 0.0, 0.5 * a, 0.5 * a / math.pi)
 
     return half(mu, nu) + half(nu, mu)
 
 
-def _formula3_lhs(
-    mu: float, nu: float, a: float, b: float, tol: float, x_cap: float = _BESSEL_X_CAP
-):
+def _formula3_lhs(mu: float, nu: float, a: float, b: float):
     """Truncated semi-infinite integral of x^(mu-nu) J_{nu+1}(ax) J_mu(bx).
 
     Returns (estimate, tail_bound).  The truncation point keeps every
-    Bessel argument below ``x_cap``; the tail is bounded through the
+    Bessel argument below ``_BESSEL_X_CAP``; the tail is bounded through the
     envelope |J(x)| <= sqrt(2/(pi x)) with a 1.5 safety factor, valid
     deep in the oscillatory region where the cut happens.
     """
-    T = x_cap / max(a, b)
+    T = _BESSEL_X_CAP / max(a, b)
     h = math.pi / (a + b)
     n_chunks = max(8, int(T / h))
     edges = np.linspace(0.0, T, n_chunks + 1)
@@ -311,7 +309,7 @@ def _formula3_lhs(
         _integrate(
             lambda x: x ** (mu - nu) * bessel_j(nu + 1.0, a * x) * bessel_j(mu, b * x),
             edges,
-            tol,
+            _QUADRATURE_TOL,
         )
     )
     s = partials[-17:]
@@ -346,13 +344,12 @@ def check_identity(identity_id: str, params: dict) -> IdentityReport:
     closed form evaluated with the special-function kernel.  Parameters
     outside the validity region raise ValueError.
     """
-    tol = _QUADRATURE_TOL
     pid = dict(params)
 
     if identity_id in ("int0", "int_nu1", "int_nu2", "int_nu3"):
         n = ("int0", "int_nu1", "int_nu2", "int_nu3").index(identity_id)
         z, alpha, beta = _azimuthal_point(pid, n)
-        re, im = _azimuthal_lhs(z, alpha, beta, n, tol)
+        re, im = _azimuthal_lhs(z, alpha, beta, n)
         s = math.hypot(alpha, beta)
         w = z * s
         if identity_id == "int0":
@@ -389,12 +386,11 @@ def check_identity(identity_id: str, params: dict) -> IdentityReport:
                 0.0,
                 math.pi,
                 max(abs(a), abs(b)),
-                tol,
             )
             return IdentityReport(identity_id, pid, lhs, 0.0, abs(lhs))
         n = pid["n"]
         z, alpha, beta = _azimuthal_point(pid, n)
-        re, im = _azimuthal_lhs(z, alpha, beta, n, tol)
+        re, im = _azimuthal_lhs(z, alpha, beta, n)
         rhs = _azimuthal_rhs(z, alpha, beta, n)
         return IdentityReport(identity_id, pid, re, rhs, math.hypot(re - rhs, im))
 
@@ -404,7 +400,7 @@ def check_identity(identity_id: str, params: dict) -> IdentityReport:
             raise ValueError("gr_6581_3 requires mu > -1/2 and nu > -1/2")
         if a <= 0 or a > _BESSEL_X_CAP:
             raise ValueError("a outside the validated range")
-        lhs = _convolution_lhs(lambda m, x: x**m * bessel_j(m, x), mu, nu, a, tol)
+        lhs = _convolution_lhs(lambda m, x: x**m * bessel_j(m, x), mu, nu, a)
         rhs = (
             math.gamma(mu + 0.5)
             * math.gamma(nu + 0.5)
@@ -420,7 +416,7 @@ def check_identity(identity_id: str, params: dict) -> IdentityReport:
             raise ValueError("gr_6533_2 requires mu > 0 and nu > 0")
         if a <= 0 or a > _BESSEL_X_CAP:
             raise ValueError("a outside the validated range")
-        lhs = _convolution_lhs(lambda m, x: bessel_j(m, x) / x, mu, nu, a, tol)
+        lhs = _convolution_lhs(lambda m, x: bessel_j(m, x) / x, mu, nu, a)
         rhs = (1.0 / mu + 1.0 / nu) * bessel_j(mu + nu, a) / a
         return IdentityReport(identity_id, pid, lhs, rhs, abs(lhs - rhs))
 
@@ -430,7 +426,7 @@ def check_identity(identity_id: str, params: dict) -> IdentityReport:
             raise ValueError("gr_6575_1 requires nu + 1 > mu > 0")
         if not a >= b > 0.0:
             raise ValueError("gr_6575_1 requires a >= b > 0")
-        lhs, tail = _formula3_lhs(mu, nu, a, b, tol)
+        lhs, tail = _formula3_lhs(mu, nu, a, b)
         rhs = (
             (a * a - b * b) ** (nu - mu)
             * b**mu
@@ -452,7 +448,6 @@ def check_identity(identity_id: str, params: dict) -> IdentityReport:
             0.0,
             0.5 * math.pi,
             0.5 * max(abs(a), abs(b)),
-            tol,
         )
         sab = math.hypot(a, b)
         rhs = (

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import dblquad, quad
 
+from driftflight import analytic
 from driftflight.analytic import (
     MixtureParams,
     cdf_radial_projection,
@@ -429,6 +430,14 @@ def test_radial_moment_decays_relative_to_ct_power():
     assert rel[-1] > 0.0
 
 
+def test_radial_moment_past_the_double_range_raises():
+    # (c t)^order once overflowed as an OverflowError from float **
+    p = FlightParams(d=3, n=1, nu=0.0, m=2, c=1e10)
+    assert radial_moment(p, 30) == 2.0299467158400729e298
+    with pytest.raises(ValueError, match="order 40"):
+        radial_moment(p, 40)
+
+
 def test_radial_moment_validation():
     with pytest.raises(ValueError):
         radial_moment(FlightParams(d=3, n=1, nu=0.0, m=1), 0)
@@ -815,6 +824,53 @@ def test_mixture_tail_bound_small():
     mp = MixtureParams(lam=1.0, base=FlightParams(d=2, n=1, nu=0.0, m=1), n_max=50)
     bound = mixture_tail_bound(mp)
     assert 0.0 <= bound < 1e-10
+
+
+def _brute_force_tail(mp: MixtureParams) -> float:
+    """sum_{n > n_max} w_n sup_x p_n summed until its terms vanish, from
+    log b_n = n log(lam t) - lgamma(n + 1) - lgamma(q_n + 1)
+    - (m/2) log pi - m log(c t) - log S, with q_n + 1 = K_n + (1 - m)/2 and
+    S = sum_{k >= 1} (lam t)^k / (k! Gamma(K_k + 1/2))."""
+    b = mp.base
+    lt, ct = mp.lam * b.t, b.c * b.t
+
+    def half_order(n):
+        return 0.5 * (n + 1) * (2.0 * b.nu + b.d - 1.0)
+
+    log_s = [k * math.log(lt) - math.lgamma(k + 1.0) - math.lgamma(half_order(k) + 0.5)
+             for k in range(1, 20 * mp.n_max)]
+    top = max(log_s)
+    log_norm = top + math.log(math.fsum(math.exp(v - top) for v in log_s))
+    terms = []
+    for n in range(mp.n_max + 1, 20 * mp.n_max):
+        log_b = (n * math.log(lt) - math.lgamma(n + 1.0)
+                 - math.lgamma(half_order(n) + 0.5 * (1 - b.m))
+                 - 0.5 * b.m * math.log(math.pi) - b.m * math.log(ct) - log_norm)
+        terms.append(math.exp(log_b))
+        if terms[-1] < 1e-30 * terms[0]:
+            return math.fsum(terms)
+    raise AssertionError("the tail terms did not vanish")
+
+
+@pytest.mark.parametrize(
+    "d,m,lam,n_max", [(2, 1, 750.0, 157), (3, 2, 17782.8, 185), (2, 1, 1.0, 50), (4, 2, 3.0, 20)]
+)
+def test_mixture_tail_bound_against_the_brute_force_tail(d, m, lam, n_max):
+    # the first two points have a first ratio b2 / b1 above 0.5 (0.530 and
+    # 0.510), where the bound once raised RuntimeError
+    mp = MixtureParams(lam=lam, base=FlightParams(d=d, n=1, nu=0.0, m=m), n_max=n_max)
+    tail, bound = _brute_force_tail(mp), mixture_tail_bound(mp)
+    assert 0.0 < tail <= bound <= 4.0 * tail
+
+
+def test_mixture_tail_bound_raises_where_the_terms_still_grow(monkeypatch):
+    # n_max = 2 at lam t = 30 keeps a fraction of the mass, so the kept
+    # weight check raises first; without it the ratio check must (b4 / b3
+    # is about 5.6)
+    monkeypatch.setattr(analytic, "_retained_weights", lambda mp: None)
+    mp = MixtureParams(lam=30.0, base=FlightParams(d=2, n=1, nu=0.0, m=1), n_max=2)
+    with pytest.raises(ValueError, match="grow past n_max = 2"):
+        mixture_tail_bound(mp)
 
 
 @pytest.mark.parametrize("lam", [1e3, 1e4, 1e5])

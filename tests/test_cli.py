@@ -7,7 +7,7 @@ import stat
 import numpy as np
 import pytest
 
-from driftflight import cli
+from driftflight import analytic, cli
 from driftflight.cli import IO_ERROR, USAGE_ERROR, VALIDATION_FAILURE, build_parser, main
 from driftflight.csvtext import BLOCK_VALUES, write_rows
 from driftflight.flight import FlightParams, replicate_stream, simulate_batch, simulate_flight
@@ -282,6 +282,134 @@ def test_mixture_command_reports_tail_bound(tmp_path):
     assert rows[0, 1] > 0.0
     meta = json.loads((out.parent / "mix.csv.meta.json").read_text())
     assert meta["truncation_tail_bound"] < 1e-8
+
+
+def test_mixture_past_the_former_ratio_cap(tmp_path):
+    # the tail bound's first ratio is 0.53 here; it once raised
+    # RuntimeError after the CSV was written, leaving it without a sidecar
+    out = tmp_path / "mix.csv"
+    args = ["mixture", "--d", "2", "--m", "1", "--nu", "0", "--lam", "750", "--n-max", "157"]
+    assert main(args + ["--x", "0.1", "--out", str(out)]) == 0
+    assert _read_rows(out).shape == (1, 2)
+    meta = json.loads((tmp_path / "mix.csv.meta.json").read_text())
+    assert 0.0 < meta["truncation_tail_bound"] < 1e-8
+
+
+def test_mixture_whose_tail_bound_fails_writes_no_file(tmp_path, monkeypatch):
+    def fail(mp):
+        raise ValueError("no tail bound")
+
+    monkeypatch.setattr(analytic, "mixture_tail_bound", fail)
+    out = tmp_path / "mix.csv"
+    assert main(_COMMAND_SET["mixture"] + ["--out", str(out)]) == USAGE_ERROR
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_simulate_whose_trajectories_fail_writes_no_file(tmp_path, monkeypatch):
+    def fail(p, count, seed):
+        raise ValueError("no trajectories")
+
+    monkeypatch.setattr(cli, "simulate_trajectories", fail)
+    out = tmp_path / "pos.csv"
+    assert main(_COMMAND_SET["simulate"] + ["--out", str(out)]) == USAGE_ERROR
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_moments_past_the_double_range_is_a_usage_error(tmp_path, capsys):
+    out = tmp_path / "m.csv"
+    args = ["moments", "--d", "3", "--m", "2", "--n", "1", "--c", "1e10", "--out", str(out)]
+    assert main(args + ["--orders", "30"]) == 0
+    assert out.read_text().splitlines()[-1] == "30,2.0299467158400729e+298"
+    out.unlink()
+    (tmp_path / "m.csv.meta.json").unlink()
+    assert main(args + ["--orders", "1,40"]) == USAGE_ERROR
+    assert "order 40" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+# one case per row of cli._LAWS: the flags, the FlightParams, what the law
+# is evaluated at and the input columns the CSV shows
+_LAW_CASES = {
+    ("density", "projected"): (
+        ["--d", "3", "--m", "2", "--n", "1", "--nu", "0.5", "--x", "0.2,0.1", "--x", "0.9,0.4"],
+        FlightParams(d=3, m=2, n=1, nu=0.5), np.array([[0.2, 0.1], [0.9, 0.4]]), None,
+    ),
+    ("density", "nu1"): (
+        ["--d", "3", "--n", "3", "--nu", "1", "--x", "0.2,0.1,0.3", "--x=-0.4,0.1,0.1"],
+        FlightParams(d=3, n=3, nu=1.0), np.array([[0.2, 0.1, 0.3], [-0.4, 0.1, 0.1]]), None,
+    ),
+    ("density", "nu1-closed"): (
+        ["--d", "2", "--n", "2", "--nu", "1", "--t", "2", "--x", "0.3,-0.5"],
+        FlightParams(d=2, n=2, nu=1.0, t=2.0), np.array([[0.3, -0.5]]), None,
+    ),
+    ("density", "radial-projected"): (
+        ["--d", "4", "--m", "2", "--n", "2", "--nu", "0.3", "--c", "2", "--r-points", "9"],
+        FlightParams(d=4, m=2, n=2, nu=0.3, c=2.0), np.linspace(0.0, 2.0, 9), None,
+    ),
+    ("density", "radial-nu1"): (
+        ["--d", "3", "--n", "2", "--nu", "1", "--r-min", "0.1", "--r-max", "0.9",
+         "--r-points", "7"],
+        FlightParams(d=3, n=2, nu=1.0), np.linspace(0.1, 0.9, 7), None,
+    ),
+    ("cf", "projected"): (
+        ["--d", "3", "--m", "2", "--n", "1", "--nu", "0.5", "--anorm", "2.0", "--anorm", "0.5"],
+        FlightParams(d=3, m=2, n=1, nu=0.5), np.array([[2.0, 0.0], [0.5, 0.0]]), [2.0, 0.5],
+    ),
+    ("cf", "nu1"): (
+        ["--d", "2", "--n", "1", "--nu", "1", "--alpha", "1.0,2.0", "--alpha", "0.5,0.0"],
+        FlightParams(d=2, n=1, nu=1.0), np.array([[1.0, 2.0], [0.5, 0.0]]), None,
+    ),
+    ("cdf", None): (
+        ["--d", "3", "--m", "1", "--n", "1", "--nu", "0.37", "--r-points", "11"],
+        FlightParams(d=3, m=1, n=1, nu=0.37), np.linspace(0.0, 1.0, 11), None,
+    ),
+}
+
+
+def _law_argv(key, out):
+    command, formula = key
+    argv = [command] + (["--formula", formula] if formula else [])
+    return argv + _LAW_CASES[key][0] + ["--out", str(out)]
+
+
+_LAW_IDS = [f"{command}-{formula}" for command, formula in cli._LAWS]
+
+
+@pytest.mark.parametrize("key", list(cli._LAWS), ids=_LAW_IDS)
+def test_every_law_of_the_table_writes_the_analytic_values(tmp_path, key):
+    _, p, at, shown = _LAW_CASES[key]
+    out = tmp_path / "law.csv"
+    assert main(_law_argv(key, out)) == 0
+    rows = _read_rows(out)
+    shown = at if shown is None else shown
+    np.testing.assert_array_equal(rows[:, :-1], np.reshape(shown, (len(rows), -1)))
+    np.testing.assert_array_equal(rows[:, -1], getattr(analytic, cli._LAWS[key][0])(p, at))
+    assert out.read_text().splitlines()[1].endswith("," + key[0])
+
+
+@pytest.mark.parametrize("key", list(cli._LAWS), ids=_LAW_IDS)
+def test_every_law_is_looked_up_on_analytic_when_called(tmp_path, monkeypatch, key):
+    # a wrapper placed on the module (as the benchmark's tracer places its
+    # timers) must see the CLI's call
+    name = cli._LAWS[key][0]
+    law, calls = getattr(analytic, name), []
+    monkeypatch.setattr(analytic, name, lambda p, at: calls.append(p) or law(p, at))
+    assert main(_law_argv(key, tmp_path / "law.csv")) == 0
+    assert calls == [_LAW_CASES[key][1]]
+
+
+def test_cdf_ignores_the_formula_of_a_shared_config(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    # the keys of _COMMAND_SET["cdf"], plus the formula of a cf or density
+    settings = {"d": 4, "m": 2, "n": 2, "nu": 1.0, "r-points": 40, "formula": "nu1"}
+    cfg.write_text(json.dumps(settings))
+    shared, ref = tmp_path / "shared.csv", tmp_path / "ref.csv"
+    assert main(["cdf", "--config", str(cfg), "--out", str(shared)]) == 0
+    assert main(_COMMAND_SET["cdf"] + ["--out", str(ref)]) == 0
+    assert b"formula" not in shared.read_bytes()
+    for suffix in ("", ".meta.json"):
+        got, want = (tmp_path / f"{name}.csv{suffix}" for name in ("shared", "ref"))
+        assert got.read_bytes() == want.read_bytes()
 
 
 def test_validate_only_identities(tmp_path):

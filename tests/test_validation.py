@@ -119,12 +119,15 @@ def test_formula3_points_and_tail():
         assert rep.params["tail_bound"] > 0.0
 
 
-def test_formula3_truncation_bound_honored():
+def test_formula3_truncation_bound_honored(monkeypatch):
     # doubling the truncation radius moves the estimate by less than the
     # tail bound reported at the shorter radius
     mu, nu, a, b = 1.0, 4.0, 2.5, 1.5
-    short, short_tail = _formula3_lhs(mu, nu, a, b, tol=1e-12, x_cap=29.0)
-    long, _ = _formula3_lhs(mu, nu, a, b, tol=1e-12, x_cap=58.0)
+    monkeypatch.setattr(validation, "_QUADRATURE_TOL", 1e-12)
+    monkeypatch.setattr(validation, "_BESSEL_X_CAP", 29.0)
+    short, short_tail = _formula3_lhs(mu, nu, a, b)
+    monkeypatch.setattr(validation, "_BESSEL_X_CAP", 58.0)
+    long, _ = _formula3_lhs(mu, nu, a, b)
     assert abs(long - short) < short_tail
 
 
