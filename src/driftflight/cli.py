@@ -25,6 +25,7 @@ import argparse
 import json
 import math
 import os
+import re
 import sys
 from functools import lru_cache
 
@@ -42,6 +43,13 @@ IO_ERROR = 3
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # an argument that starts with a minus and a digit is a value, as in
+        # --x -0.4,0.1,0.1 or --anorm -1e-3 (argparse's own pattern takes
+        # only a plain number like -0.4); no flag here looks like one
+        self._negative_number_matcher = re.compile(r"-\.?\d")
+
     # argparse exits with 2 on usage errors; the contract here is 1
     def error(self, message):
         self.print_usage(sys.stderr)

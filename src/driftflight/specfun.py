@@ -15,8 +15,8 @@ two Hankel terms sqrt(2 / (pi x)) (cos chi - (4 mu^2 - 1) sin chi / (8 x)),
 chi = x - mu pi / 2 - pi / 4, with x reduced exactly by libm's cos and
 sin; that raises ValueError where the dropped x^-2 term could pass 1e-12
 of the envelope sqrt(2 / (pi x)) (orders above about 56000).
-:func:`bessel_j` is that J on an array of x with the domain checks and
-the values at x = 0 and x = inf.
+:func:`bessel_j` is that J on an array of x, at one order or an array
+of orders, with the domain checks and the values at x = 0 and x = inf.
 :func:`bessel_j_ratio`, exp(log_scale) J_mu(x) / x^mu, takes arrays too:
 it is formed from log|J| wherever J is a normal double, and from
 the log-scaled ascending series where J underflows (large order and
@@ -64,53 +64,66 @@ _HANKEL_X = 2.0**50
 _HANKEL_TOL = 1e-12
 
 
-def _check_order(name: str, mu: float) -> None:
-    # the chained comparison is False for NaN as well as for +-inf
-    if not -0.5 <= mu < math.inf:
-        raise ValueError(f"{name} requires a finite order mu >= -1/2, got mu = {mu}")
+def _check_order(name: str, mu) -> None:
+    # mu is one order or an array of them; the comparisons are False for
+    # NaN as well as for +-inf, and give a bool for one Python number
+    ok = (-0.5 <= mu) & (mu < math.inf)
+    if not (ok if isinstance(ok, bool) else ok.all()):
+        bad = np.extract(~np.asarray(ok), mu)[0]
+        raise ValueError(f"{name} requires a finite order mu >= -1/2, got mu = {bad}")
 
 
-def _jv(name: str, mu: float, x: np.ndarray) -> np.ndarray:
+def _jv(name: str, mu, x: np.ndarray) -> np.ndarray:
     # jv, and at finite x >= 2^50, where jv loses its digits (none are left
-    # past x = 1e16), the first two Hankel terms
+    # past x = 1e16), the first two Hankel terms; mu is one order or an
+    # array of them that broadcasts with x
     j = jv(mu, x)
     far = (x >= _HANKEL_X) & (x < math.inf)  # False at a NaN x
     if not far.any():
         return j
-    xf = np.where(far, x, _HANKEL_X)
-    # the dropped x^-2 term of P, relative to the envelope sqrt(2 / (pi x))
+    mu, xf = np.broadcast_arrays(np.asarray(mu, dtype=float), np.where(far, x, _HANKEL_X))
+    far = np.broadcast_to(far, xf.shape)
+    # the dropped x^-2 term of P, relative to the envelope sqrt(2 / (pi x));
+    # at one order the largest is at the smallest far x
     a1 = (4.0 * mu * mu - 1.0) / 8.0
     a2 = a1 * (4.0 * mu * mu - 9.0) / 16.0
-    x_min = float(np.min(x[far]))
-    drop = abs(a2) / x_min / x_min
-    if drop > _HANKEL_TOL:
+    drop = np.where(far, np.abs(a2) / xf / xf, 0.0)
+    at = np.argmax(drop)
+    if drop.flat[at] > _HANKEL_TOL:
         raise ValueError(
-            f"{name}: the Hankel expansion at mu = {mu}, x = {x_min:g} may lose "
-            f"{drop:.1e} of its envelope (tolerance {_HANKEL_TOL:g})"
+            f"{name}: the Hankel expansion at mu = {mu.flat[at]}, x = {xf.flat[at]:g} may lose "
+            f"{drop.flat[at]:.1e} of its envelope (tolerance {_HANKEL_TOL:g})"
         )
     # chi = x - phi, phi = mu pi / 2 + pi / 4 reduced mod 2 pi (fmod is
-    # exact); libm reduces x itself exactly
-    phi = (0.5 * math.fmod(mu, 4.0) + 0.25) * math.pi
+    # exact); libm reduces x itself exactly, and gives cos and sin of phi
+    # as math.cos and math.sin do
+    phi = (0.5 * np.fmod(mu, 4.0) + 0.25) * math.pi
+    cos_phi = np.vectorize(math.cos, otypes=[float])(phi)
+    sin_phi = np.vectorize(math.sin, otypes=[float])(phi)
     cos_x, sin_x = np.cos(xf), np.sin(xf)
-    cos_chi = cos_x * math.cos(phi) + sin_x * math.sin(phi)
-    sin_chi = sin_x * math.cos(phi) - cos_x * math.sin(phi)
+    cos_chi = cos_x * cos_phi + sin_x * sin_phi
+    sin_chi = sin_x * cos_phi - cos_x * sin_phi
     hankel = math.sqrt(2.0 / math.pi) / np.sqrt(xf) * (cos_chi - a1 / xf * sin_chi)
     return np.where(far, hankel, j)
 
 
-def bessel_j(mu: float, x):
+def bessel_j(mu, x):
     """Bessel function of the first kind, real order mu >= -1/2, on an
-    array of x >= 0 (one x gives one number).
+    array of x >= 0 (one x gives one number).  mu is one order, or an
+    array of orders that broadcasts with x; each element is the value the
+    one-order call gives there, bit for bit, and any invalid order or x
+    raises ValueError.
 
     ``scipy.special.jv``, and two Hankel terms at x >= 2^50 (see the
     module docstring); at x = 0 the limit (1 at mu = 0, 0 above, inf
     below), 0.0 (the limit) at x = inf and NaN at a NaN x.
     """
+    mu = np.asarray(mu, dtype=float)
     _check_order("bessel_j", mu)
     x = np.asarray(x, dtype=float)
     if np.any(x < 0.0):
         raise ValueError(f"bessel_j requires x >= 0, got {x[x < 0.0].flat[0]}")
-    origin = 1.0 if mu == 0.0 else (0.0 if mu > 0.0 else math.inf)
+    origin = np.where(mu == 0.0, 1.0, np.where(mu > 0.0, 0.0, math.inf))
     j = _jv("bessel_j", mu, x)
     return np.where(x == 0.0, origin, np.where(x == math.inf, 0.0, j))[()]
 

@@ -4,14 +4,20 @@ Two families of checks:
 
 * Bessel-integral identities: each closed form used by the analytic
   module is compared against quadrature of its defining integral.  The
-  quadrature is one array kernel, :func:`_integrate`: the 21-point
-  Gauss-Kronrod rule applied to every piece of every interval in one
-  call of the integrand, bisecting only the pieces of intervals whose
-  error estimate is still above tolerance.  Finite intervals are split
-  into sub-periods when the integrand oscillates; the one semi-infinite
-  identity (``gr_6575_1``) is truncated where a rigorous envelope bound
-  on the tail drops below tolerance, with a mild averaging acceleration
-  of the partial sums.
+  points checked together (the whole suite, or the one point of
+  :func:`check_identity`) are integrated in one call of one array
+  kernel, :func:`_integrate`: the 21-point Gauss-Kronrod rule applied to
+  every piece of every interval of every point in one call of the
+  integrand, bisecting only the pieces of intervals whose error estimate
+  is still above tolerance.  Each interval carries its integrand's kind
+  and parameters and is integrated on its own, so a point's report is
+  the same bit for bit whatever else shares the batch.  The suite's 32
+  points take 5 passes.  Finite intervals are split into sub-periods
+  when the integrand oscillates; the one semi-infinite identity
+  (``gr_6575_1``) is truncated where a rigorous envelope bound on the
+  tail drops below tolerance, with a mild averaging acceleration of the
+  partial sums.  The Bessel values of all right sides come from one
+  array-order call of ``bessel_j``.
 
 * Goodness of fit: Monte Carlo batches from :mod:`driftflight.flight`
   against the analytic radial CDF (Kolmogorov-Smirnov distance) and the
@@ -24,8 +30,10 @@ Everything is deterministic given the master seed.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import asdict, dataclass, replace
 from numbers import Integral
+from typing import NamedTuple
 
 import numpy as np
 
@@ -38,6 +46,7 @@ __all__ = [
     "IDENTITY_IDS",
     "IdentityReport",
     "SuiteConfig",
+    "check_identities",
     "check_identity",
     "gof_cf",
     "gof_radial",
@@ -133,27 +142,29 @@ _KRONROD = np.concatenate([_WGK[:10], _WGK[::-1]])
 _GAUSS = np.zeros(11)
 _GAUSS[1::2] = _WG
 _GAUSS = np.concatenate([_GAUSS[:10], _GAUSS[::-1]])
-_WEIGHTS = np.stack([_KRONROD, _GAUSS], axis=1)
 
 _EPS = np.finfo(float).eps
-# the budget of _integrate: passes, pieces in one pass, and the narrowest
-# piece as a fraction of its interval
+# the budget of _integrate: passes, pieces of one interval in one pass, and
+# the narrowest piece as a fraction of its interval
 _MAX_PASSES = 100
 _MAX_PIECES = 1 << 14
 _MIN_WIDTH = 2.0**-1000
 
 
-def _gk21(f, lo: np.ndarray, hi: np.ndarray):
+def _gk21(f, lo: np.ndarray, hi: np.ndarray, args):
     """Kronrod estimate, QUADPACK's error estimate and the rounding level
     of the integral of f over each piece [lo, hi], in one call of f on all
-    21 nodes of all pieces."""
+    21 nodes of all pieces.  Each row of nodes is summed on its own (a
+    numpy sum along the row, where a BLAS product would block the rows), so
+    a piece's numbers do not depend on the other pieces in the call."""
     half = 0.5 * (hi - lo)
-    fx = f(0.5 * (lo + hi)[:, None] + half[:, None] * _NODES)
+    fx = f(0.5 * (lo + hi)[:, None] + half[:, None] * _NODES, *args)
     if not np.isfinite(fx).all():
         raise ValueError("quadrature: the integrand is not finite at a node")
-    kronrod, gauss = (fx @ _WEIGHTS).T
-    resabs = np.abs(fx) @ _KRONROD * half
-    resasc = np.abs(fx - 0.5 * kronrod[:, None]) @ _KRONROD * half
+    kronrod = np.sum(fx * _KRONROD, axis=1)
+    gauss = np.sum(fx * _GAUSS, axis=1)
+    resabs = np.sum(np.abs(fx) * _KRONROD, axis=1) * half
+    resasc = np.sum(np.abs(fx - 0.5 * kronrod[:, None]) * _KRONROD, axis=1) * half
     err = np.abs(kronrod - gauss) * half
     # QUADPACK's scaled estimate resasc min(1, (200 err / resasc)^1.5), and
     # the rounding level of the sum, below which splitting cannot take it
@@ -163,41 +174,46 @@ def _gk21(f, lo: np.ndarray, hi: np.ndarray):
     return kronrod * half, err, 50.0 * _EPS * resabs
 
 
-def _integrate(f, edges, tol: float) -> np.ndarray:
-    """Integral of f over each interval [edges[i], edges[i+1]] to absolute
+def _integrate(f, starts, ends, tol: float, *args) -> np.ndarray:
+    """Integral of f over each interval [starts[i], ends[i]] to absolute
     error tol.
 
-    f maps an array of points to the integrand there, elementwise.  Each
-    pass applies the 21-point Gauss-Kronrod rule to every live piece of
-    every interval in one call of f.  An interval whose pieces' error
-    estimates sum to tol or less is done.  In the others, each piece whose
-    estimate exceeds half its share of tol (by width) and its rounding
-    level is split, and the rest are kept.  A split is a bisection, except
-    at an endpoint singularity: a piece of width w at one end of its
-    interval whose estimate fell by less than 1/8 when it was last halved
-    goes like a power of the distance to that end.  With k the halvings
-    that take its estimate below tol / 4 at that rate, it is cut at once at
+    f maps points x of shape (pieces, 21), and for each array of ``args``
+    (one row per interval) the rows of the pieces' intervals, to the
+    integrand at x, elementwise.  Each pass applies the 21-point
+    Gauss-Kronrod rule to every live piece of every interval in one call
+    of f.  Every decision below is taken per interval, from its own pieces,
+    so an interval's value does not depend, to the bit, on the other
+    intervals of the call.  An interval whose pieces' error estimates sum
+    to tol or less is done.  In the others, each piece whose estimate
+    exceeds half its share of tol (by width) and its rounding level is
+    split, and the rest are kept.  A split is a bisection, except at an
+    endpoint singularity: a piece of width w at one end of its interval
+    whose estimate fell by less than 1/8 when it was last halved goes like
+    a power of the distance to that end.  With k the halvings that take its
+    estimate below tol / 4 at that rate, it is cut at once at
     end + w 2^-j for j = k, k - 2, ... > 0: the pieces that k halvings
     towards that end would make, merged in pairs, which the rule resolves
     as well.
 
     Raises ValueError where f is not finite at a node, and where an
-    interval is not done within _MAX_PASSES passes, _MAX_PIECES pieces a
-    pass and pieces of 1024 ulps or _MIN_WIDTH of the interval: it never
+    interval is not done within _MAX_PASSES passes, _MAX_PIECES pieces of
+    it in a pass and pieces of 1024 ulps or _MIN_WIDTH of it: it never
     returns an unconverged value.
     """
-    edges = np.asarray(edges, dtype=float)
-    if not np.all(edges[1:] > edges[:-1]):
-        raise ValueError("quadrature: the edges must increase strictly")
-    n = edges.size - 1
-    lo, hi, owner = edges[:-1], edges[1:], np.arange(n)
+    starts = np.asarray(starts, dtype=float)
+    ends = np.asarray(ends, dtype=float)
+    if not np.all(ends > starts):
+        raise ValueError("quadrature: the interval ends must increase strictly")
+    n = starts.size
+    lo, hi, owner = starts, ends, np.arange(n)
     width = hi - lo
     allowance = 0.5 * tol / width  # per unit of width
     prev = np.full(n, np.inf)  # each piece's estimate before its last halving
     value = np.zeros(n)
     kept_err = np.zeros(n)
     for _ in range(_MAX_PASSES):
-        val, err, floor = _gk21(f, lo, hi)
+        val, err, floor = _gk21(f, lo, hi, [arg[owner] for arg in args])
         split = err > floor
         err = np.maximum(err, floor)
         over = kept_err + np.bincount(owner, err, n) > tol
@@ -209,8 +225,8 @@ def _integrate(f, edges, tol: float) -> np.ndarray:
             break
         lo, hi, owner, err = lo[split], hi[split], owner[split], err[split]
         rate = err / prev[split]
-        at_hi = hi == edges[owner + 1]
-        graded = (rate > 0.125) & (rate < 1.0) & ((lo == edges[owner]) != at_hi)
+        at_hi = hi == ends[owner]
+        graded = (rate > 0.125) & (rate < 1.0) & ((lo == starts[owner]) != at_hi)
         with np.errstate(divide="ignore", invalid="ignore"):
             halvings = np.ceil(np.log(0.25 * tol / err) / np.log(rate))
         k = np.where(graded, np.clip(halvings, 1, 40), 1).astype(int)
@@ -229,7 +245,7 @@ def _integrate(f, edges, tol: float) -> np.ndarray:
         lo, hi, owner = np.minimum(a, b), np.maximum(a, b), owner[piece]
         # a piece of fewer than 1024 ulps could have nodes on its ends
         narrow = np.maximum(1024.0 * _EPS * np.maximum(-lo, hi), _MIN_WIDTH * width[owner])
-        if np.any(hi - lo <= narrow) or lo.size > _MAX_PIECES:
+        if np.any(hi - lo <= narrow) or np.bincount(owner).max() > _MAX_PIECES:
             raise ValueError("quadrature: the pieces cannot be split further")
         # the innermost cut piece, as if halved k times at the same rate
         prev = err[piece] * np.where(j == 0, rate[piece] ** (k - 1.0), 1.0)
@@ -240,225 +256,300 @@ def _integrate(f, edges, tol: float) -> np.ndarray:
     return value
 
 
-def _quad_chunked(f, a: float, b: float, cycles: float) -> float:
-    """Integral of f over [a, b], split into sub-periods when the integrand
-    oscillates through many cycles, each sub-period to _QUADRATURE_TOL."""
-    edges = np.linspace(a, b, max(1, int(math.ceil(2.0 * cycles))) + 1)
-    return float(np.sum(_integrate(f, edges, _QUADRATURE_TOL)))
+# ----------------------------------------------------------------------
+# Bessel-integral identities
+# ----------------------------------------------------------------------
+
+# The integrands of the identities' left sides, by kind.  Each maps points
+# x and the four parameters of their interval, as columns that broadcast
+# against x, to the integrand there.
+_INTEGRANDS = (
+    # int0 .. int_nu3 and int_general: the real and imaginary parts of the
+    # circle integral of exp(i z (alpha cos + beta sin)) sin^(2n)
+    lambda x, z, alpha, beta, n: (
+        np.cos(z * (alpha * np.cos(x) + beta * np.sin(x))) * np.sin(x) ** (2.0 * n)
+    ),
+    lambda x, z, alpha, beta, n: (
+        np.sin(z * (alpha * np.cos(x) + beta * np.sin(x))) * np.sin(x) ** (2.0 * n)
+    ),
+    # the int_general companion, odd about pi / 2, and gr_6688_2
+    lambda x, nu, a, b, _: (
+        np.sin(b * np.cos(x)) * np.sin(x) ** (nu + 1.0) * bessel_j(nu, a * np.sin(x))
+    ),
+    lambda x, nu, a, b, _: (
+        np.sin(x) ** (nu + 1.0) * np.cos(b * np.cos(x)) * bessel_j(nu, a * np.sin(x))
+    ),
+    # gr_6581_3 and gr_6533_2: g(m, x) g(n, a - x) with g(m, x) = x^m J_m(x)
+    # and J_m(x) / x
+    lambda x, m, n, a, _: x**m * bessel_j(m, x) * ((a - x) ** n * bessel_j(n, a - x)),
+    lambda x, m, n, a, _: bessel_j(m, x) / x * (bessel_j(n, a - x) / (a - x)),
+    # gr_6575_1
+    lambda x, mu, nu, a, b: x ** (mu - nu) * bessel_j(nu + 1.0, a * x) * bessel_j(mu, b * x),
+)
+_AZ_RE, _AZ_IM, _COMPANION, _GR_6688_2, _POWER_PAIR, _QUOTIENT_PAIR, _GR_6575_1 = range(7)
+_AZIMUTHAL = ("int0", "int_nu1", "int_nu2", "int_nu3")
 
 
-def _azimuthal_lhs(z: float, alpha: float, beta: float, n: int):
-    # real and imaginary parts of the oscillatory circle integral with
-    # weight sin^(2n)
-    def phase(th):
-        return z * (alpha * np.cos(th) + beta * np.sin(th))
-
-    cycles = abs(z) * math.hypot(alpha, beta)  # over a 2 pi interval
-    re = _quad_chunked(
-        lambda th: np.cos(phase(th)) * np.sin(th) ** (2 * n), 0.0, 2.0 * math.pi, cycles
-    )
-    im = _quad_chunked(
-        lambda th: np.sin(phase(th)) * np.sin(th) ** (2 * n), 0.0, 2.0 * math.pi, cycles
-    )
-    return re, im
+def _lhs_integrand(x, kind, prm):
+    # each kind's integrand on the rows of its pieces
+    out = np.empty_like(x)
+    for k, integrand in enumerate(_INTEGRANDS):
+        rows = kind == k
+        if rows.any():
+            out[rows] = integrand(x[rows], *prm[rows].T[:, :, None])
+    return out
 
 
-def _azimuthal_rhs(z: float, alpha: float, beta: float, n: int) -> float:
-    s = math.hypot(alpha, beta)
-    w = z * s
-    if n == 0:
-        return 2.0 * math.pi * bessel_j(0.0, w)
-    coeffs = falling_factorial_coeffs(n).coeffs
-    total = 0.0
-    for j in range(n + 1):
-        total += (
-            (-1.0) ** j
-            * coeffs[j]
-            * beta ** (2 * j)
-            / (2.0**j * z ** (n - j) * s ** (n + j))
-            * bessel_j(n + j, w)
-        )
-    return 2.0 * math.pi * total
+class _Plan(NamedTuple):
+    """One identity point inside its validity region: the integrals of
+    its left side, each a (kind, parameters, sub-interval ends) triple;
+    the Bessel orders its right side needs, all at ``arg``; ``lhs``, which
+    makes the left side from each integral's sub-interval values (complex
+    where the integral is), and ``rhs``, which makes the right side from
+    the Bessel values."""
+
+    identity_id: str
+    pid: dict
+    parts: tuple
+    orders: tuple
+    arg: float
+    lhs: Callable
+    rhs: Callable
 
 
-def _convolution_lhs(g, mu: float, nu: float, a: float) -> float:
-    """int_0^a g(mu, x) g(nu, a - x) dx as two integrals over [0, a/2], the
-    second in y = a - x.  Each factor that is singular at an end of [0, a]
-    then takes its argument near 0, where the doubles are dense enough to
-    resolve it; near a they are not."""
-
-    def half(m: float, n: float) -> float:
-        return _quad_chunked(lambda x: g(m, x) * g(n, a - x), 0.0, 0.5 * a, 0.5 * a / math.pi)
-
-    return half(mu, nu) + half(nu, mu)
+def _chunks(end: float, cycles: float) -> np.ndarray:
+    """The ends of the sub-periods of [0, end] for an integrand that
+    oscillates through ``cycles`` cycles there."""
+    return np.linspace(0.0, end, max(1, int(math.ceil(2.0 * cycles))) + 1)
 
 
-def _formula3_lhs(mu: float, nu: float, a: float, b: float):
-    """Truncated semi-infinite integral of x^(mu-nu) J_{nu+1}(ax) J_mu(bx).
+def _sum(values) -> float:
+    # the left side that is the sum of its integrals
+    return sum(float(np.sum(v)) for v in values)
 
-    Returns (estimate, tail_bound).  The truncation point keeps every
-    Bessel argument below ``_BESSEL_X_CAP``; the tail is bounded through the
-    envelope |J(x)| <= sqrt(2/(pi x)) with a 1.5 safety factor, valid
-    deep in the oscillatory region where the cut happens.
-    """
-    T = _BESSEL_X_CAP / max(a, b)
-    h = math.pi / (a + b)
-    n_chunks = max(8, int(T / h))
-    edges = np.linspace(0.0, T, n_chunks + 1)
-    partials = np.cumsum(
-        _integrate(
-            lambda x: x ** (mu - nu) * bessel_j(nu + 1.0, a * x) * bessel_j(mu, b * x),
-            edges,
-            _QUADRATURE_TOL,
-        )
-    )
-    s = partials[-17:]
-    for _ in range(2):  # averaging damps the residual oscillation
-        if len(s) < 2:
-            break
+
+def _averaged_partials(values) -> float:
+    # the partial sums over gr_6575_1's sub-intervals, of which the last 17
+    # are averaged pairwise twice, which damps the residual oscillation
+    s = np.cumsum(values[0])[-17:]
+    for _ in range(2):
         s = 0.5 * (s[1:] + s[:-1])
-    tail = 1.5 * 2.0 / (math.pi * math.sqrt(a * b) * (nu - mu)) * float(edges[-1]) ** (mu - nu)
-    return float(s[-1]), tail
+    return float(s[-1])
 
 
 def _azimuthal_point(pid: dict, n) -> tuple[float, float, float]:
     """z, alpha and beta of an identity with weight sin^(2n), checked
-    against its validity region: an integer n >= 0, z hypot(alpha, beta)
-    within the validated Bessel range, and nonzero where n >= 1, as the
-    closed form divides by it."""
+    against its validity region: an integer n >= 0, z >= 0 with
+    z hypot(alpha, beta) within the validated Bessel range, and nonzero
+    where n >= 1, as the closed form divides by it."""
     z, alpha, beta = pid["z"], pid["alpha"], pid["beta"]
     if not (isinstance(n, Integral) and n >= 0):
         raise ValueError(f"{n!r} is not an integer n >= 0")
-    w = abs(z) * math.hypot(alpha, beta)
-    if w > _BESSEL_X_CAP:
-        raise ValueError("parameters exceed the validated Bessel range")
+    w = z * math.hypot(alpha, beta)
+    if not (z >= 0.0 and w <= _BESSEL_X_CAP):
+        raise ValueError("z must be >= 0, with z hypot(alpha, beta) in the validated Bessel range")
     if n >= 1 and w == 0.0:
         raise ValueError("n >= 1 requires z hypot(alpha, beta) != 0")
     return z, alpha, beta
 
 
-def check_identity(identity_id: str, params: dict) -> IdentityReport:
-    """Verify one Bessel-integral identity at one parameter point.
+def _sine_power_point(identity_id: str, pid: dict) -> tuple[float, float, float]:
+    """nu, a and b of an integral of sin^(nu+1) x J_nu(a sin x) against
+    the sine or cosine of b cos x, checked against its validity region: a
+    finite nu >= -1/2 (the identities hold for nu > -1, the Bessel kernel
+    for nu >= -1/2), a >= 0, and a > 0 where nu < 0, as J_nu(0) is
+    infinite there, with hypot(a, b) within the validated Bessel range."""
+    nu, a, b = pid["nu"], pid["a"], pid["b"]
+    if not math.inf > nu >= -0.5:
+        raise ValueError(f"{identity_id} requires a finite nu >= -1/2")
+    if not ((a > 0.0 or a == 0.0 and nu >= 0.0) and math.hypot(a, b) <= _BESSEL_X_CAP):
+        raise ValueError(
+            f"{identity_id} requires a >= 0 (a > 0 where nu < 0) and hypot(a, b) "
+            "within the validated Bessel range"
+        )
+    return nu, a, b
 
-    lhs comes from quadrature of the defining integral, rhs from the
-    closed form evaluated with the special-function kernel.  Parameters
-    outside the validity region raise ValueError.
-    """
+
+def _azimuthal_rhs(identity_id: str, z: float, alpha: float, beta: float, n: int, J) -> float:
+    """The closed form of an identity with weight sin^(2n) from
+    J[j] = J_{n+j}(z hypot(alpha, beta)), j = 0..n: written out for int0 ..
+    int_nu3, and for int_general from the falling-factorial coefficients,
+    an independent route to the same values."""
+    s = math.hypot(alpha, beta)
+    w = z * s
+    if identity_id == "int0":
+        total = J[0]
+    elif identity_id == "int_nu1":
+        total = J[0] / w - beta**2 / s**2 * J[1]
+    elif identity_id == "int_nu2":
+        total = 3.0 / w**2 * J[0] - 6.0 * beta**2 / (z * s**3) * J[1] + beta**4 / s**4 * J[2]
+    elif identity_id == "int_nu3":
+        total = (
+            15.0 / w**3 * J[0]
+            - 45.0 * beta**2 / (z**2 * s**4) * J[1]
+            + 15.0 * beta**4 / (z * s**5) * J[2]
+            - beta**6 / s**6 * J[3]
+        )
+    else:
+        coeffs = falling_factorial_coeffs(n).coeffs
+        total = 0.0
+        for j in range(n + 1):
+            total += (
+                (-1.0) ** j
+                * coeffs[j]
+                * beta ** (2 * j)
+                / (2.0**j * z ** (n - j) * s ** (n + j))
+                * J[j]
+            )
+    return 2.0 * math.pi * total
+
+
+def _convolution_parts(kind: int, mu: float, nu: float, a: float) -> tuple:
+    """int_0^a g(mu, x) g(nu, a - x) dx as two integrals over [0, a/2], the
+    second in y = a - x.  Each factor that is singular at an end of [0, a]
+    then takes its argument near 0, where the doubles are dense enough to
+    resolve it; near a they are not."""
+    edges = _chunks(0.5 * a, 0.5 * a / math.pi)
+    return ((kind, (mu, nu, a), edges), (kind, (nu, mu, a), edges))
+
+
+def _plan(identity_id: str, params: dict) -> _Plan:
+    """The plan of one identity point; parameters outside the identity's
+    validity region raise ValueError."""
     pid = dict(params)
 
-    if identity_id in ("int0", "int_nu1", "int_nu2", "int_nu3"):
-        n = ("int0", "int_nu1", "int_nu2", "int_nu3").index(identity_id)
+    if identity_id in _AZIMUTHAL or identity_id == "int_general" and not pid.get("companion"):
+        n = pid["n"] if identity_id == "int_general" else _AZIMUTHAL.index(identity_id)
         z, alpha, beta = _azimuthal_point(pid, n)
-        re, im = _azimuthal_lhs(z, alpha, beta, n)
-        s = math.hypot(alpha, beta)
-        w = z * s
-        if identity_id == "int0":
-            rhs = 2.0 * math.pi * bessel_j(0.0, w)
-        elif identity_id == "int_nu1":
-            rhs = 2.0 * math.pi * (
-                bessel_j(1.0, w) / w - beta**2 / s**2 * bessel_j(2.0, w)
-            )
-        elif identity_id == "int_nu2":
-            rhs = 2.0 * math.pi * (
-                3.0 / w**2 * bessel_j(2.0, w)
-                - 6.0 * beta**2 / (z * s**3) * bessel_j(3.0, w)
-                + beta**4 / s**4 * bessel_j(4.0, w)
-            )
-        else:
-            rhs = 2.0 * math.pi * (
-                15.0 / w**3 * bessel_j(3.0, w)
-                - 45.0 * beta**2 / (z**2 * s**4) * bessel_j(4.0, w)
-                + 15.0 * beta**4 / (z * s**5) * bessel_j(5.0, w)
-                - beta**6 / s**6 * bessel_j(6.0, w)
-            )
-        lhs = re
-        abs_err = math.hypot(re - rhs, im)
-        return IdentityReport(identity_id, pid, lhs, rhs, abs_err)
+        w = z * math.hypot(alpha, beta)
+        prm, edges = (z, alpha, beta, n), _chunks(2.0 * math.pi, w)
+        return _Plan(
+            identity_id, pid, ((_AZ_RE, prm, edges), (_AZ_IM, prm, edges)),
+            tuple(range(n, 2 * n + 1)), w,
+            lambda values: complex(*(float(np.sum(v)) for v in values)),
+            lambda J: _azimuthal_rhs(identity_id, z, alpha, beta, n, J),
+        )
 
     if identity_id == "int_general":
-        if pid.get("companion"):
-            # odd-symmetry companion: the sine analogue integrates to zero
-            nu, a, b = pid["nu"], pid["a"], pid["b"]
-            lhs = _quad_chunked(
-                lambda x: np.sin(b * np.cos(x))
-                * np.sin(x) ** (nu + 1.0)
-                * bessel_j(nu, a * np.sin(x)),
-                0.0,
-                math.pi,
-                max(abs(a), abs(b)),
-            )
-            return IdentityReport(identity_id, pid, lhs, 0.0, abs(lhs))
-        n = pid["n"]
-        z, alpha, beta = _azimuthal_point(pid, n)
-        re, im = _azimuthal_lhs(z, alpha, beta, n)
-        rhs = _azimuthal_rhs(z, alpha, beta, n)
-        return IdentityReport(identity_id, pid, re, rhs, math.hypot(re - rhs, im))
+        # odd-symmetry companion: the sine analogue integrates to zero
+        nu, a, b = _sine_power_point(identity_id, pid)
+        parts = ((_COMPANION, (nu, a, b), _chunks(math.pi, max(abs(a), abs(b)))),)
+        return _Plan(identity_id, pid, parts, (), 0.0, _sum, lambda J: 0.0)
 
     if identity_id == "gr_6581_3":
         mu, nu, a = pid["mu"], pid["nu"], pid["a"]
-        if mu <= -0.5 or nu <= -0.5:
-            raise ValueError("gr_6581_3 requires mu > -1/2 and nu > -1/2")
-        if a <= 0 or a > _BESSEL_X_CAP:
+        if not (math.inf > mu > -0.5 and math.inf > nu > -0.5):
+            raise ValueError("gr_6581_3 requires finite mu > -1/2 and nu > -1/2")
+        if not 0.0 < a <= _BESSEL_X_CAP:
             raise ValueError("a outside the validated range")
-        lhs = _convolution_lhs(lambda m, x: x**m * bessel_j(m, x), mu, nu, a)
-        rhs = (
-            math.gamma(mu + 0.5)
-            * math.gamma(nu + 0.5)
-            / (math.sqrt(2.0 * math.pi) * math.gamma(mu + nu + 1.0))
-            * a ** (mu + nu + 0.5)
-            * bessel_j(mu + nu + 0.5, a)
+        return _Plan(
+            identity_id, pid, _convolution_parts(_POWER_PAIR, mu, nu, a), (mu + nu + 0.5,), a,
+            _sum,
+            lambda J: (
+                math.gamma(mu + 0.5)
+                * math.gamma(nu + 0.5)
+                / (math.sqrt(2.0 * math.pi) * math.gamma(mu + nu + 1.0))
+                * a ** (mu + nu + 0.5)
+                * J[0]
+            ),
         )
-        return IdentityReport(identity_id, pid, lhs, rhs, abs(lhs - rhs))
 
     if identity_id == "gr_6533_2":
         mu, nu, a = pid["mu"], pid["nu"], pid["a"]
-        if mu <= 0.0 or nu <= 0.0:
-            raise ValueError("gr_6533_2 requires mu > 0 and nu > 0")
-        if a <= 0 or a > _BESSEL_X_CAP:
+        if not (math.inf > mu > 0.0 and math.inf > nu > 0.0):
+            raise ValueError("gr_6533_2 requires finite mu > 0 and nu > 0")
+        if not 0.0 < a <= _BESSEL_X_CAP:
             raise ValueError("a outside the validated range")
-        lhs = _convolution_lhs(lambda m, x: bessel_j(m, x) / x, mu, nu, a)
-        rhs = (1.0 / mu + 1.0 / nu) * bessel_j(mu + nu, a) / a
-        return IdentityReport(identity_id, pid, lhs, rhs, abs(lhs - rhs))
+        return _Plan(
+            identity_id, pid, _convolution_parts(_QUOTIENT_PAIR, mu, nu, a), (mu + nu,), a, _sum,
+            lambda J: (1.0 / mu + 1.0 / nu) * J[0] / a,
+        )
 
     if identity_id == "gr_6575_1":
         mu, nu, a, b = pid["mu"], pid["nu"], pid["a"], pid["b"]
-        if not (nu + 1.0 > mu > 0.0):
-            raise ValueError("gr_6575_1 requires nu + 1 > mu > 0")
-        if not a >= b > 0.0:
-            raise ValueError("gr_6575_1 requires a >= b > 0")
-        lhs, tail = _formula3_lhs(mu, nu, a, b)
-        rhs = (
-            (a * a - b * b) ** (nu - mu)
-            * b**mu
-            / (2.0 ** (nu - mu) * a ** (nu + 1.0) * math.gamma(nu - mu + 1.0))
+        # the identity holds for nu + 1 > mu > 0; the tail bound below
+        # needs nu > mu, and the Bessel arguments a finite a
+        if not math.inf > nu > mu > 0.0:
+            raise ValueError("gr_6575_1 requires a finite nu > mu > 0")
+        if not math.inf > a >= b > 0.0:
+            raise ValueError("gr_6575_1 requires a finite a >= b > 0")
+        # the semi-infinite integral of x^(mu-nu) J_{nu+1}(ax) J_mu(bx),
+        # truncated where every Bessel argument reaches _BESSEL_X_CAP; the
+        # tail is bounded through the envelope |J(x)| <= sqrt(2/(pi x)) with
+        # a 1.5 safety factor, valid deep in the oscillatory region where
+        # the cut happens
+        T = _BESSEL_X_CAP / max(a, b)
+        edges = np.linspace(0.0, T, max(8, int(T / (math.pi / (a + b)))) + 1)
+        pid["tail_bound"] = (
+            1.5 * 2.0 / (math.pi * math.sqrt(a * b) * (nu - mu)) * float(edges[-1]) ** (mu - nu)
         )
-        pid["tail_bound"] = tail
-        return IdentityReport(identity_id, pid, lhs, rhs, abs(lhs - rhs))
+        return _Plan(
+            identity_id, pid, ((_GR_6575_1, (mu, nu, a, b), edges),), (), 0.0, _averaged_partials,
+            lambda J: (
+                (a * a - b * b) ** (nu - mu)
+                * b**mu
+                / (2.0 ** (nu - mu) * a ** (nu + 1.0) * math.gamma(nu - mu + 1.0))
+            ),
+        )
 
     if identity_id == "gr_6688_2":
-        nu, a, b = pid["nu"], pid["a"], pid["b"]
-        if nu <= -1.0:
-            raise ValueError("gr_6688_2 requires nu > -1")
-        if not 0.0 < math.hypot(a, b) <= _BESSEL_X_CAP:
-            raise ValueError("gr_6688_2 requires 0 < hypot(a, b) within the validated Bessel range")
-        lhs = _quad_chunked(
-            lambda x: np.sin(x) ** (nu + 1.0)
-            * np.cos(b * np.cos(x))
-            * bessel_j(nu, a * np.sin(x)),
-            0.0,
-            0.5 * math.pi,
-            0.5 * max(abs(a), abs(b)),
-        )
+        nu, a, b = _sine_power_point(identity_id, pid)
         sab = math.hypot(a, b)
-        rhs = (
-            math.sqrt(0.5 * math.pi)
-            * a**nu
-            * bessel_j(nu + 0.5, sab)
-            / sab ** (nu + 0.5)
+        if sab == 0.0:
+            raise ValueError("gr_6688_2 requires hypot(a, b) != 0")
+        parts = ((_GR_6688_2, (nu, a, b), _chunks(0.5 * math.pi, 0.5 * max(abs(a), abs(b)))),)
+        return _Plan(
+            identity_id, pid, parts, (nu + 0.5,), sab, _sum,
+            lambda J: math.sqrt(0.5 * math.pi) * a**nu * J[0] / sab ** (nu + 0.5),
         )
-        return IdentityReport(identity_id, pid, lhs, rhs, abs(lhs - rhs))
 
     raise ValueError(f"unknown identity id {identity_id!r}")
+
+
+def check_identities(points) -> list[IdentityReport]:
+    """Verify Bessel-integral identities, one at each (identity_id,
+    params) pair of ``points``.
+
+    lhs comes from quadrature of the defining integral, rhs from the
+    closed form evaluated with the special-function kernel.  Every point
+    is checked first: parameters outside the validity region raise
+    ValueError before any integrand is evaluated.  Then the left sides of
+    all points are integrated in one call of :func:`_integrate`, and every
+    Bessel value of the right sides comes from one call of ``bessel_j``.
+    Each interval is integrated on its own, so a point's report is the
+    same bit for bit in any batch and in any order.
+    """
+    plans = [_plan(identity_id, params) for identity_id, params in points]
+    parts = [part for plan in plans for part in plan.parts]
+    if not parts:
+        return []
+    sizes = [edges.size - 1 for _, _, edges in parts]
+    values = _integrate(
+        _lhs_integrand,
+        np.concatenate([edges[:-1] for _, _, edges in parts]),
+        np.concatenate([edges[1:] for _, _, edges in parts]),
+        _QUADRATURE_TOL,
+        np.repeat([kind for kind, _, _ in parts], sizes),
+        np.repeat([prm + (0.0,) * (4 - len(prm)) for _, prm, _ in parts], sizes, axis=0),
+    )
+    values = iter(np.split(values, np.cumsum(sizes)[:-1]))
+    counts = [len(plan.orders) for plan in plans]
+    bessel = bessel_j(
+        np.array([order for plan in plans for order in plan.orders], dtype=float),
+        np.repeat([plan.arg for plan in plans], counts),
+    )
+    reports = []
+    for plan, J in zip(plans, np.split(bessel, np.cumsum(counts)[:-1])):
+        lhs = plan.lhs([next(values) for _ in plan.parts])
+        rhs = float(plan.rhs(J.tolist()))
+        reports.append(IdentityReport(plan.identity_id, plan.pid, lhs.real, rhs, abs(lhs - rhs)))
+    return reports
+
+
+def check_identity(identity_id: str, params: dict) -> IdentityReport:
+    """Verify one Bessel-integral identity at one parameter point: the
+    one-point batch of :func:`check_identities`."""
+    return check_identities([(identity_id, params)])[0]
 
 
 # ----------------------------------------------------------------------
@@ -686,11 +777,10 @@ def run_suite(config: SuiteConfig | None = None) -> dict:
     checks: list[dict] = []
 
     if config.include_identities:
-        for ident, params in identity_grid():
-            rep = check_identity(ident, params)
-            tol = _FORMULA3_TOL if ident == "gr_6575_1" else _IDENTITY_TOL
-            checks.append(_check(f"identity:{ident}", "identity", rep.params, rep.abs_err,
-                                 tol, rep.abs_err < tol))
+        for rep in check_identities(identity_grid()):
+            tol = _FORMULA3_TOL if rep.identity_id == "gr_6575_1" else _IDENTITY_TOL
+            checks.append(_check(f"identity:{rep.identity_id}", "identity", rep.params,
+                                 rep.abs_err, tol, rep.abs_err < tol))
 
     if config.include_gof:
         for p, count, threshold in gof_radial_grid(config.profile):

@@ -393,7 +393,10 @@ def test_radial_density_at_m_d_integrates_to_the_cdf(d, n):
     p = FlightParams(d=d, n=n, nu=0.0, c=1.3, t=0.9)
     ct = p.c * p.t
     edges = np.linspace(0.0, 0.5 * math.pi, 9)
-    pieces = _integrate(lambda u: radial_density_projection(p, ct * np.sin(u)) * ct * np.cos(u), edges, 1e-13)
+    pieces = _integrate(
+        lambda u: radial_density_projection(p, ct * np.sin(u)) * ct * np.cos(u),
+        edges[:-1], edges[1:], 1e-13,
+    )
     np.testing.assert_allclose(
         np.cumsum(pieces), cdf_radial_projection(p, ct * np.sin(edges[1:])), rtol=0.0, atol=1e-12
     )

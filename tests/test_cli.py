@@ -412,6 +412,28 @@ def test_cdf_ignores_the_formula_of_a_shared_config(tmp_path):
         assert got.read_bytes() == want.read_bytes()
 
 
+@pytest.mark.parametrize(
+    "argv,flag,values",
+    [
+        (["density", "--formula", "nu1", "--d", "3", "--n", "3", "--nu", "1"], "--x",
+         ["-0.4,0.1,0.1", "0.2,-0.3,0.1"]),
+        (["cf", "--formula", "nu1", "--d", "2", "--n", "1", "--nu", "1"], "--alpha",
+         ["-1.0,2.0", "-.5,-3e-1"]),
+        (["cf", "--formula", "projected", "--d", "3", "--m", "2", "--n", "1", "--nu", "0.5"],
+         "--anorm", ["-1e-3", "-2.5"]),
+    ],
+    ids=["x", "alpha", "anorm"],
+)
+def test_value_with_a_leading_minus_after_its_flag(tmp_path, argv, flag, values):
+    # --x -0.4,0.1,0.1 writes what --x=-0.4,0.1,0.1 writes
+    spaced, joined = tmp_path / "spaced.csv", tmp_path / "joined.csv"
+    assert main(argv + [a for v in values for a in (flag, v)] + ["--out", str(spaced)]) == 0
+    assert main(argv + [f"{flag}={v}" for v in values] + ["--out", str(joined)]) == 0
+    for suffix in ("", ".meta.json"):
+        got, want = (tmp_path / f"{name}.csv{suffix}" for name in ("spaced", "joined"))
+        assert got.read_bytes() == want.read_bytes()
+
+
 def test_validate_only_identities(tmp_path):
     out = tmp_path / "report.json"
     code = main(["validate", "--only", "identities", "--out", str(out)])

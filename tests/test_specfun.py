@@ -220,6 +220,39 @@ def test_bessel_broadcasts_over_x():
         bessel_j(1.0, [1.0, -0.1])
 
 
+def test_bessel_array_of_orders_equals_the_one_order_calls():
+    # every element of an array-order call is the one-order call's double,
+    # at the limits, at NaN and on the Hankel side of 2^50 as well
+    mus = np.array([-0.5, -0.25, 0.0, 0.5, 1.0, 2.5, 7.0, 33.3])
+    x = np.array([0.0, math.inf, math.nan, 0.3, 7.5, 58.0, 2.0**50, 1.5 * 2.0**50, 1e17, 1e300])
+    each = np.array([bessel_j(mu, x) for mu in mus])
+    both = bessel_j(mus[:, None], x)
+    assert both.shape == each.shape
+    assert np.array_equal(both.view(np.int64), each.view(np.int64))
+    # one order per x, and one x for many orders
+    diagonal = np.array([bessel_j(mu, v) for mu, v in zip(mus, x[2:])])
+    assert np.array_equal(bessel_j(mus, x[2:]).view(np.int64), diagonal.view(np.int64))
+    assert np.array_equal(bessel_j(mus, 7.5), [bessel_j(mu, 7.5) for mu in mus])
+
+
+@pytest.mark.parametrize("bad", [-0.6, math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("at", [0, 2, 4])
+def test_bessel_array_of_orders_keeps_each_domain_error(bad, at):
+    mus = np.array([0.0, 1.0, 2.0, 3.0, 4.0])
+    mus[at] = bad
+    with pytest.raises(ValueError, match="order"):
+        bessel_j(mus, 1.0)
+
+
+def test_bessel_array_of_orders_keeps_the_x_and_hankel_errors():
+    with pytest.raises(ValueError, match="x >= 0"):
+        bessel_j(np.array([0.0, 1.0, 2.0]), [1.0, 2.0, -0.1])
+    # the Hankel bound at each order: 1e5 at 2^50 fails, 0 there does not
+    with pytest.raises(ValueError, match="Hankel"):
+        bessel_j(np.array([0.0, 1e5]), 2.0**50)
+    assert np.all(np.isfinite(bessel_j(np.array([0.0, 1e5]), [2.0**50, 2.0**60])))
+
+
 def test_bessel_domain_errors():
     with pytest.raises(ValueError):
         bessel_j(-0.6, 1.0)

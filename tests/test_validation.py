@@ -12,6 +12,7 @@ from driftflight.specfun import bessel_j
 from driftflight.validation import (
     IDENTITY_IDS,
     SuiteConfig,
+    check_identities,
     check_identity,
     gof_cf,
     gof_radial,
@@ -19,15 +20,19 @@ from driftflight.validation import (
     ks_distance,
     run_suite,
 )
-from driftflight.validation import _formula3_lhs, _integrate
+from driftflight.validation import _integrate
 
 
-def _quadpack(f, edges, tol):
+def _quadpack(f, starts, ends, tol, *args):
     # the oracle: QUADPACK's adaptive quad on each interval, one point at a
-    # time, at the settings the identity checks used with it
+    # time with that interval's rows of args, at the settings the identity
+    # checks used with it
     return np.array([
-        quad(lambda x: float(f(np.asarray(x))), lo, hi, epsabs=tol, epsrel=1e-11, limit=300)[0]
-        for lo, hi in zip(edges[:-1], edges[1:])
+        quad(
+            lambda x: float(f(np.full((1, 1), x), *(arg[i : i + 1] for arg in args))[0, 0]),
+            starts[i], ends[i], epsabs=tol, epsrel=1e-11, limit=300,
+        )[0]
+        for i in range(len(starts))
     ])
 
 
@@ -43,7 +48,7 @@ def test_identity_lhs_matches_quadpack(monkeypatch):
 
 def test_integrate_each_interval():
     edges = np.array([0.0, 1.0, 2.5, 7.0, 30.0])
-    got = _integrate(np.sin, edges, 1e-12)
+    got = _integrate(np.sin, edges[:-1], edges[1:], 1e-12)
     assert got.shape == (4,)
     assert np.allclose(got, np.cos(edges[:-1]) - np.cos(edges[1:]), rtol=0.0, atol=1e-12)
 
@@ -51,17 +56,17 @@ def test_integrate_each_interval():
 def test_integrate_endpoint_singularity():
     # |x|^-0.4 at either end of an interval: the pieces there are cut
     # towards it until the sum is within tol
-    assert abs(_integrate(lambda x: x**-0.4, [0.0, 1.0], 1e-10)[0] - 1.0 / 0.6) < 1e-10
-    assert abs(_integrate(lambda x: (-x) ** -0.4, [-1.0, 0.0], 1e-10)[0] - 1.0 / 0.6) < 1e-10
+    assert abs(_integrate(lambda x: x**-0.4, [0.0], [1.0], 1e-10)[0] - 1.0 / 0.6) < 1e-10
+    assert abs(_integrate(lambda x: (-x) ** -0.4, [-1.0], [0.0], 1e-10)[0] - 1.0 / 0.6) < 1e-10
 
 
 def test_integrate_raises_instead_of_returning_unconverged_values():
     with pytest.raises(ValueError, match="not finite"):
-        _integrate(lambda x: np.where(x > 0.7, np.nan, x), [0.0, 1.0], 1e-10)
+        _integrate(lambda x: np.where(x > 0.7, np.nan, x), [0.0], [1.0], 1e-10)
     with pytest.raises(ValueError, match="quadrature"):
-        _integrate(lambda x: 1.0 / x, [0.0, 1.0], 1e-10)  # not integrable
+        _integrate(lambda x: 1.0 / x, [0.0], [1.0], 1e-10)  # not integrable
     with pytest.raises(ValueError, match="increase"):
-        _integrate(np.sin, [0.0, 1.0, 1.0], 1e-10)
+        _integrate(np.sin, [0.0, 1.0], [1.0, 1.0], 1e-10)
 
 
 def test_int_nu1_classic_point():
@@ -122,12 +127,13 @@ def test_formula3_points_and_tail():
 def test_formula3_truncation_bound_honored(monkeypatch):
     # doubling the truncation radius moves the estimate by less than the
     # tail bound reported at the shorter radius
-    mu, nu, a, b = 1.0, 4.0, 2.5, 1.5
+    params = {"mu": 1.0, "nu": 4.0, "a": 2.5, "b": 1.5}
     monkeypatch.setattr(validation, "_QUADRATURE_TOL", 1e-12)
     monkeypatch.setattr(validation, "_BESSEL_X_CAP", 29.0)
-    short, short_tail = _formula3_lhs(mu, nu, a, b)
+    rep = check_identity("gr_6575_1", params)
+    short, short_tail = rep.lhs, rep.params["tail_bound"]
     monkeypatch.setattr(validation, "_BESSEL_X_CAP", 58.0)
-    long, _ = _formula3_lhs(mu, nu, a, b)
+    long = check_identity("gr_6575_1", params).lhs
     assert abs(long - short) < short_tail
 
 
@@ -293,3 +299,58 @@ def test_run_suite_identities_deterministic():
     a = run_suite(cm)
     b = run_suite(cm)
     assert a == b
+
+
+def _bits(rep):
+    return np.array([rep.lhs, rep.rhs, rep.abs_err]).view(np.int64).tolist()
+
+
+def test_check_identity_is_the_suite_entry_bit_for_bit():
+    # each point integrated alone, in the suite's batch and in the batch
+    # reversed gives the same lhs, rhs and abs_err to the bit
+    grid = identity_grid()
+    suite = run_suite(SuiteConfig(include_gof=False))["checks"]
+    batch = check_identities(grid)
+    reverse = check_identities(grid[::-1])[::-1]
+    for (ident, params), entry, rep, rev in zip(grid, suite, batch, reverse):
+        one = check_identity(ident, params)
+        assert _bits(one) == _bits(rep) == _bits(rev), (ident, params)
+        assert entry["check_id"] == f"identity:{ident}" and entry["metric"] == one.abs_err
+        assert entry["params"] == one.params == rep.params == rev.params
+
+
+def test_piece_budget_is_per_interval(monkeypatch):
+    # a pass of the suite holds hundreds of pieces, none of its intervals
+    # more than 16: a budget of 16 per interval leaves every report as it is
+    want = [_bits(rep) for rep in check_identities(identity_grid())]
+    monkeypatch.setattr(validation, "_MAX_PIECES", 16)
+    assert [_bits(rep) for rep in check_identities(identity_grid())] == want
+
+
+_INVALID = [
+    ("gr_6575_1", {"mu": 0.5, "nu": 3.5, "a": 1.0, "b": 2.0}),
+    ("gr_6575_1", {"mu": 1.0, "nu": 1.0, "a": 2.0, "b": 1.0}),  # no tail bound at nu = mu
+    ("gr_6581_3", {"mu": -0.6, "nu": 0.5, "a": 3.0}),
+    ("gr_6581_3", {"mu": 0.5, "nu": 0.5, "a": math.nan}),
+    ("gr_6533_2", {"mu": 0.0, "nu": 1.0, "a": 3.0}),
+    ("gr_6688_2", {"nu": -0.75, "a": 2.0, "b": 1.0}),  # below the kernel's orders
+    ("gr_6688_2", {"nu": 1.0, "a": -2.0, "b": 1.0}),
+    ("gr_6688_2", {"nu": -0.25, "a": 0.0, "b": 1.0}),  # J_nu(0) is infinite
+    ("int_general", {"companion": True, "nu": -0.75, "a": 2.0, "b": 3.0}),
+    ("int0", {"z": -1.0, "alpha": 1.0, "beta": 0.5}),
+    ("int_nu1", {"z": math.nan, "alpha": 1.0, "beta": 0.5}),
+    ("no_such_identity", {}),
+]
+
+
+@pytest.mark.parametrize("at", [0, 16, 32])
+@pytest.mark.parametrize("invalid", _INVALID, ids=lambda p: p[0])
+def test_invalid_point_anywhere_in_a_batch_raises_before_any_integrand(monkeypatch, invalid, at):
+    def no_quadrature(*args):
+        raise AssertionError("an integrand ran before every point was checked")
+
+    monkeypatch.setattr(validation, "_integrate", no_quadrature)
+    monkeypatch.setattr(validation, "bessel_j", no_quadrature)
+    grid = identity_grid()
+    with pytest.raises(ValueError):
+        check_identities(grid[:at] + [invalid] + grid[at:])
