@@ -10,14 +10,20 @@ regularized incomplete beta function.
 Full-flight results (nu = 1 only): characteristic function, density and
 radial density in dimension d, any n >= 1, as alternating Bessel/polynomial
 sums over one table of constants indexed by the falling-factorial
-coefficients; the radial law is the density's sum averaged over the
-sphere of radius r.  The paper's fully explicit n = 1, 2 density stays as
-an independent check of that table.
+coefficients, built once per (d, n) and kept as read-only arrays; the cf
+takes its n + 2 Bessel terms from one call with an array of orders, and
+the radial law is the density's sum averaged over the sphere of radius r.
+The paper's fully explicit n = 1, 2 density stays as an independent check
+of that table.
 
 Every law takes arrays and broadcasts.  Points and frequency vectors lie
 along the last axis, radii are elementwise; one point or radius gives a
 numpy scalar with the bits of its row in a batch.  The densities and the
-radial CDF return NaN at NaN inputs.
+radial CDF return NaN at NaN inputs.  Each law is evaluated at unit
+scale, at x / (c t) (a cf at c t |alpha|), and a density is taken to c t
+by (c t)^(-dim) as an exact power of 2 times one rounded factor, so the
+laws hold for every 0 < c t < inf that ``FlightParams`` accepts; a
+density raises ValueError where its value passes the double range.
 
 A fractional-Poisson mixture randomizes the number of direction changes.
 Without a factorial correction the natural weights do not sum to one
@@ -31,7 +37,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import lru_cache, reduce
+from functools import cached_property, lru_cache, reduce
 
 import numpy as np
 from scipy.special import betainc
@@ -71,8 +77,11 @@ def __getattr__(name):
 _LN_PI = math.log(math.pi)
 _LN_2 = math.log(2.0)
 _EPS = np.finfo(float).eps
+_TINY = np.finfo(float).tiny
 # largest rounding loss an alternating nu = 1 sum may carry before it raises
 _SUM_TOL = 1e-9
+# (d, n) term tables the nu = 1 laws keep, built once each
+_NU1_TABLES = 64
 _lgamma = np.vectorize(math.lgamma, otypes=[float])
 
 
@@ -129,14 +138,67 @@ def _sq_norm(x: np.ndarray) -> np.ndarray:
 
 
 def _rescaled(x: np.ndarray):
-    """Vectors y and factors s with x = s y.  s is 1 except where x @ x
-    overflows with finite entries; there it is the power of 2 at or below
-    max |x_i|, an exact scaling.  Every other vector keeps its bits."""
-    big = np.isinf(_sq_norm(x)) & np.isfinite(x).all(axis=-1)
-    if not big.any():
-        return x, 1.0
-    s = np.where(big, np.ldexp(1.0, np.frexp(np.abs(x).max(axis=-1))[1] - 1), 1.0)
-    return x / s[..., None], s
+    """Vectors y and integers k with x = 2^k y.  k is 0 except where x @ x
+    is not a normal double while x has finite, nonzero entries: where it
+    overflows or underflows.  There 2^k is the power of 2 at or below
+    max |x_i|, an exact scaling, after which y @ y is near 1.  Every other
+    vector keeps its bits."""
+    rho2 = _sq_norm(x)
+    odd = ~((rho2 >= _TINY) & (rho2 < math.inf))  # NaN as well
+    if not odd.any():
+        return x, 0
+    top = np.abs(x).max(axis=-1)
+    odd &= np.isfinite(x).all(axis=-1) & (top > 0.0)
+    k = np.where(odd, np.frexp(top)[1] - 1, 0)
+    return np.ldexp(x, -k[..., None]), k
+
+
+def _frequencies(alpha: np.ndarray, ct: float):
+    """Frequency vectors y (alpha rescaled by :func:`_rescaled`), their
+    squared norms and the norms w = c t |alpha|.  w is formed as
+    (g |y|) 2^(e + k) with c t = g 2^e, one rounding and an exact power of
+    2, so it is inf only past the double range and never loses bits to an
+    underflowing |alpha|^2; it is NaN where alpha is not finite (where,
+    rescaled or not, |y|^2 is not finite), as a cf is there."""
+    y, k = _rescaled(alpha)
+    rho2 = _sq_norm(y)
+    g, e = math.frexp(ct)
+    with np.errstate(over="ignore"):
+        w = np.ldexp(g * np.sqrt(rho2), e + k)
+    return y, rho2, np.where(np.isfinite(rho2), w, np.nan)
+
+
+def _unit(v, ct: float) -> np.ndarray:
+    """Points or radii v / (c t), where every law is at unit scale and
+    supported on the unit ball; inf where the quotient overflows, which
+    lies outside it."""
+    with np.errstate(over="ignore"):
+        return np.asarray(v, dtype=float) / ct
+
+
+def _times_ct_power(values, ct: float, dim: int):
+    """values * (c t)^(-dim), the density of a law at c t from its values
+    at unit scale (``values`` taken at the points divided by c t).
+
+    With c t = g 2^e, 1 <= g < 2, the factor is an exact 2^(-dim e) times
+    2^L, L = -dim log2 g in (-dim, 0], whose rounding is about dim eps
+    relative; at c t = 1 it is 1, and the values are returned as they
+    are.  Raises ValueError where a finite value passes the double range,
+    as :func:`radial_moment` does.
+    """
+    if ct == 1.0:
+        return values
+    g, e = math.frexp(ct)
+    L = -dim * math.log2(2.0 * g)
+    lo = math.floor(L)
+    with np.errstate(over="ignore"):
+        out = np.ldexp(values * 2.0 ** (L - lo), lo - dim * (e - 1))
+    if np.any(np.isinf(out) & np.isfinite(values)):
+        raise ValueError(
+            f"the law's value at c t = {ct:g} passes the double range "
+            f"((c t)^{-dim} scales it)"
+        )
+    return out
 
 
 def _supported(outside, values) -> np.ndarray:
@@ -146,18 +208,14 @@ def _supported(outside, values) -> np.ndarray:
 
 
 def _in_support(r, ct: float):
-    """Radii with those outside the open support (0, ct) set to 0, where
-    every law is finite, and the mask of those radii.  The others keep
-    their bits, and NaN passes through."""
+    """Unit-scale radii y = r / (c t) with those outside the open support
+    (0, 1) set to 0, where every law is finite, and the mask of those
+    radii.  A radius r > 0 whose y underflows to 0 stays inside.  The
+    others keep their bits, and NaN passes through."""
     r = np.asarray(r, dtype=float)
-    outside = (r <= 0.0) | (r >= ct)
-    return np.where(outside, 0.0, r), outside
-
-
-def _finite_or_nan(w: np.ndarray) -> np.ndarray:
-    """Frequency norms with NaN in place of inf: a cf is NaN at a
-    non-finite frequency."""
-    return np.where(np.isfinite(w), w, np.nan)
+    y = _unit(r, ct)
+    outside = (r <= 0.0) | (y >= 1.0)
+    return np.where(outside, 0.0, y), outside
 
 
 def _log_size(pieces) -> float:
@@ -177,9 +235,10 @@ def _checked_sum(terms, sizes, log_pref: float, name: str, kind: str):
     # term after term: numpy sums one point's 1-D terms pairwise but a
     # batch row by row, which would give one point other bits
     total = reduce(np.add, terms)
-    spread = np.where(terms == 0.0, 0.0, np.abs(terms) * (sizes + len(terms)))
-    err = _EPS * (spread.sum(axis=0) + np.abs(total) * abs(log_pref))
     with np.errstate(divide="ignore", invalid="ignore"):
+        # a term that is 0 adds no error, also where its size is inf
+        spread = np.where(terms == 0.0, 0.0, np.abs(terms) * (sizes + len(terms)))
+        err = _EPS * (spread.sum(axis=0) + np.abs(total) * abs(log_pref))
         loss = err / np.abs(total) if kind == "relative" else err
         if np.any(loss > _SUM_TOL):
             raise ValueError(
@@ -203,8 +262,7 @@ def cf_projection(p: FlightParams, alpha):
     _require_beta_law(p)
     if (alpha := _vectors(alpha)).shape[-1] > p.m:
         raise ValueError(f"expected vectors of length <= m = {p.m}, got shape {alpha.shape}")
-    alpha, s = _rescaled(alpha)
-    w = _finite_or_nan(p.c * p.t * np.sqrt(_sq_norm(alpha)) * s)
+    w = _frequencies(alpha, p.c * p.t)[2]
     K = _half_order(p, p.n)
     mu = K - 0.5
     vals = bessel_j_ratio(mu, w, mu * _LN_2 + math.lgamma(K + 0.5))
@@ -214,43 +272,45 @@ def cf_projection(p: FlightParams, alpha):
 def density_projection(p: FlightParams, x):
     """Density of the m-dimensional projection at the points x.
 
-    Zero outside the open ball of radius c t.
+    Zero outside the open ball of radius c t.  Raises ValueError where a
+    value passes the double range (c t near the bottom of it).
     """
     _require_beta_law(p)
-    return _projection_densities(p, p.n, np.sqrt(_sq_norm(_vectors(x, p.m))))[0]
+    y = np.sqrt(_sq_norm(_unit(_vectors(x, p.m), p.c * p.t)))
+    return _projection_densities(p, p.n, y, p.m)[0]
 
 
-def _projection_densities(p: FlightParams, ns, r, log_scale=0.0) -> np.ndarray:
-    """Densities (N, ...) of the m-dimensional projection at radii r (...)
-    for each number of changes in ns (N,) in place of p.n, times
-    exp(log_scale): one array, in which each n keeps the bits it has
-    alone."""
-    ct, m = p.c * p.t, p.m
+def _projection_densities(p: FlightParams, ns, y, dim: int, log_scale=0.0) -> np.ndarray:
+    """Densities (N, ...) at the unit-scale radii y = r / c t (...) for each
+    number of changes in ns (N,) in place of p.n, times exp(log_scale),
+    taken to c t by (c t)^(-dim): the m-dimensional density (dim = m) or,
+    with the sphere in log_scale, the radial one (dim = 1).  One array, in
+    which each n keeps the bits it has alone."""
+    m = p.m
     K = _half_order(p, np.atleast_1d(ns))
     log_norm = [
-        math.lgamma(k + 0.5)
-        - math.lgamma(k - 0.5 * m + 0.5)
-        - 0.5 * m * _LN_PI
-        - (2.0 * k - 1.0) * math.log(ct)
+        math.lgamma(k + 0.5) - math.lgamma(k - 0.5 * m + 0.5) - 0.5 * m * _LN_PI
         for k in K.tolist()
     ]
-    per_n = (-1,) + (1,) * np.ndim(r)
+    per_n = (-1,) + (1,) * np.ndim(y)
     q = K.reshape(per_n) - 0.5 * (m + 1)
     with np.errstate(divide="ignore", invalid="ignore"):
-        vals = np.exp(np.reshape(log_norm, per_n) + log_scale + q * np.log(ct * ct - r * r))
-    return np.where(r >= ct, 0.0, vals)
+        vals = np.exp(np.reshape(log_norm, per_n) + log_scale + q * np.log(1.0 - y * y))
+    return _times_ct_power(np.where(y >= 1.0, 0.0, vals), p.c * p.t, dim)
 
 
 def radial_density_projection(p: FlightParams, r):
     """Density of the radius of the projection, supported on (0, c t):
     the density times |S^(m-1)| r^(m-1)."""
     _require_beta_law(p)
-    r, outside = _in_support(r, p.c * p.t)
+    y, outside = _in_support(r, p.c * p.t)
     m = p.m
-    with np.errstate(divide="ignore", invalid="ignore"):
-        # log |S^(m-1)| r^(m-1), with |S^(m-1)| = 2 pi^(m/2) / Gamma(m/2)
-        log_sphere = _LN_2 + 0.5 * m * _LN_PI - math.lgamma(0.5 * m) + (m - 1.0) * np.log(r)
-    return _supported(outside, _projection_densities(p, p.n, r, log_sphere)[0])
+    with np.errstate(divide="ignore"):
+        # log |S^(m-1)| y^(m-1), with |S^(m-1)| = 2 pi^(m/2) / Gamma(m/2);
+        # y^0 is 1 also at a y that underflows to 0
+        log_y = (m - 1.0) * np.log(y) if m > 1 else 0.0
+        log_sphere = _LN_2 + 0.5 * m * _LN_PI - math.lgamma(0.5 * m) + log_y
+    return _supported(outside, _projection_densities(p, p.n, y, 1, log_sphere)[0])
 
 
 def cdf_radial_projection(p: FlightParams, r):
@@ -305,31 +365,21 @@ def cf_nu1(p: FlightParams, alpha):
     more than 1e-9 absolute to rounding.
     """
     _require_nu1(p)
-    alpha, s = _rescaled(_vectors(alpha, p.d))
-    rho2 = _sq_norm(alpha)
-    rho = np.sqrt(rho2)
-    d, n = p.d, p.n
-    with np.errstate(invalid="ignore"):
+    tab = _nu1_table(p.d, p.n)
+    alpha, rho2, w = _frequencies(_vectors(alpha, p.d), p.c * p.t)
+    per_j = (-1,) + (1,) * np.ndim(w)
+    nj, sign, order, log_j, size = (v.reshape(per_j) for v in tab.bessel)
+    with np.errstate(divide="ignore", invalid="ignore"):
         # an array, not a numpy scalar: the scalar ** rounds differently
-        ratio = np.asarray(alpha[..., -1] ** 2 / np.square(rho))
-    w = _finite_or_nan(p.c * p.t * rho * s)
-    with np.errstate(divide="ignore"):
-        log_w2 = 2.0 * np.log(w)
-    M = (n + 1) * (d + 1)
-    log_pref = 0.5 * _LN_PI + math.lgamma(M) - 0.5 * (M - 1) * _LN_2
-    terms, sizes = [], []
-    for j in range(n + 2):
-        nj = n + 1 - j
-        mu_j = 0.5 * ((n + 1) * (d + 3) - (2 * j + 1))
-        pieces = _nu1_logs(d, n, j)
+        ratio = np.asarray(alpha[..., -1] ** 2 / np.square(np.sqrt(rho2)))
         # the prefactor and w^(2 nj) ride in the Bessel ratio's log scale
-        log_w_part = nj * log_w2 if nj else np.zeros(w.shape)
-        t = ratio**nj * bessel_j_ratio(mu_j, w, log_pref + sum(pieces) + log_w_part)
-        terms.append((-1.0) ** nj * t)
-        # the ratio adds -lgamma(mu_j + 1) - mu_j log 2 of its own
-        own = math.lgamma(mu_j + 1.0) + mu_j * _LN_2
-        sizes.append(_log_size(pieces) + own + np.abs(log_w_part))
-    total = _checked_sum(np.array(terms), np.array(sizes), log_pref, "cf_nu1", "absolute")
+        log_w_part = np.where(nj > 0, nj * (2.0 * np.log(w)), 0.0)
+    ratios = bessel_j_ratio(order, w, tab.cf_pref + log_j + log_w_part)
+    # ratio^nj with a Python int exponent, as numpy rounds it for one term
+    powers = np.array([ratio**v for v in range(p.n + 1, -1, -1)])
+    terms = sign * (powers * ratios)
+    sizes = size + np.abs(log_w_part)
+    total = _checked_sum(terms, sizes, tab.cf_pref, "cf_nu1", "absolute")
     return np.where(rho2 == 0.0, 1.0, total)[()]
 
 
@@ -343,27 +393,88 @@ def _nu1_logs(d: int, n: int, j: int) -> list[float]:
     ]
 
 
-def _nu1_sum(p: FlightParams, xx, Q, log_weight, name: str):
-    """The nu = 1 density's double sum of terms c_jk x_d^(2k) Q^e at
-    x_d^2 = xx and Q = c^2 t^2 - |x|^2, each c_jk scaled by
-    exp(log_weight[k]); raises past 1e-9 relative rounding loss."""
-    d, n = p.d, p.n
-    ct = p.c * p.t
-    M = (n + 1) * (d + 1)
-    # x_d^(2k) Q^e = (c t)^(n (d+1)) (x_d^2 / c^2 t^2)^k (Q / c^2 t^2)^e
-    log_pref = math.lgamma(M) - 0.5 * (d - 1) * _LN_PI - (M - 1) * _LN_2 - d * math.log(ct)
-    rows = []  # per term: sign, log of its constant, that log's size, e, k
-    for j in range(n + 2):
-        nj = n + 1 - j
-        for k, a_k in enumerate(_coeff_row(nj)):
-            e = 0.5 * n * (d + 1) - k
-            pieces = _nu1_logs(d, n, j) + [math.log(a_k), -math.lgamma(e + 1.0), log_weight[k]]
-            rows.append(((-1.0) ** (nj + k), sum(pieces), _log_size(pieces), e, k))
-    sign, log_c, size, e, k = (np.reshape(v, (-1,) + (1,) * Q.ndim) for v in zip(*rows))
+class _Nu1Table:
+    """The constants of the nu = 1 sums at one (d, n), built once per
+    (d, n) by :func:`_nu1_table`, each part on its first use, as columns of
+    read-only arrays.
+
+    ``bessel`` holds, per Bessel term j = 0..n+1 of the cf: the exponent
+    nj = n+1-j of the direction ratio, the sign (-1)^nj, the order
+    (n+1)(d+3)/2 - j - 1/2, the log of the term's constant, and that log's
+    size plus the Bessel ratio's own lgamma(order + 1) + order log 2.
+    ``terms`` holds, per term c_jk x_d^(2k) Q^e of the densities,
+    j = 0..n+1 and k = 0..n+1-j: the sign, the log of c_jk, that log's
+    size, e and k.  ``cf_pref`` and ``density_pref`` are the logs of each
+    sum's common factor, the density's at c t = 1.
+    """
+
+    def __init__(self, d: int, n: int):
+        self.d, self.n = d, n
+        M = (n + 1) * (d + 1)
+        self.cf_pref = 0.5 * _LN_PI + math.lgamma(M) - 0.5 * (M - 1) * _LN_2
+        self.density_pref = math.lgamma(M) - 0.5 * (d - 1) * _LN_PI - (M - 1) * _LN_2
+
+    @cached_property
+    def bessel(self) -> tuple:
+        d, n = self.d, self.n
+        rows = []
+        for j in range(n + 2):
+            nj = n + 1 - j
+            pieces = _nu1_logs(d, n, j)
+            order = 0.5 * ((n + 1) * (d + 3) - (2 * j + 1))
+            own = math.lgamma(order + 1.0) + order * _LN_2
+            rows.append((nj, (-1.0) ** nj, order, sum(pieces), _log_size(pieces) + own))
+        return _read_only(rows)
+
+    @cached_property
+    def terms(self) -> tuple:
+        d, n = self.d, self.n
+        rows = []
+        for j in range(n + 2):
+            nj = n + 1 - j
+            pieces = _nu1_logs(d, n, j)
+            for k, a_k in enumerate(_coeff_row(nj)):
+                e = 0.5 * n * (d + 1) - k
+                logs = pieces + [math.log(a_k), -math.lgamma(e + 1.0)]
+                rows.append(((-1.0) ** (nj + k), sum(logs), _log_size(logs), e, k))
+        return _read_only(rows)
+
+
+def _read_only(rows) -> tuple:
+    """The columns of rows, each a read-only array."""
+    columns = tuple(np.array(c) for c in zip(*rows))
+    for c in columns:
+        c.flags.writeable = False
+    return columns
+
+
+@lru_cache(maxsize=_NU1_TABLES)
+def _nu1_table(d: int, n: int) -> _Nu1Table:
+    """The table at (d, n), kept for the last ``_NU1_TABLES`` (d, n) used."""
+    return _Nu1Table(d, n)
+
+
+def _nu1_point(tab: _Nu1Table, yy, Q) -> np.ndarray:
+    """Logs (T, ...) of the densities' point factors x_d^(2k) Q^e at unit
+    scale, at x_d^2 = yy and Q = 1 - |x|^2 (...)."""
+    per_term = (-1,) + (1,) * np.ndim(Q)
+    e, k = (v.reshape(per_term) for v in tab.terms[3:])
     with np.errstate(divide="ignore", invalid="ignore"):
-        log_point = e * np.log(Q / ct**2) + np.where(k > 0, k * np.log(xx / ct**2), 0.0)
-        terms = sign * np.exp(log_pref + log_c + log_point)
-        return _checked_sum(terms, size + np.abs(log_point), log_pref, name, "relative")
+        return e * np.log(Q) + np.where(k > 0, k * np.log(yy), 0.0)
+
+
+def _nu1_sum(tab: _Nu1Table, log_point, name: str, log_weight=0.0):
+    """The nu = 1 density's double sum of the terms c_jk F_jk at unit
+    scale, from the logs (T, ...) of the per-term point factors F_jk, each
+    c_jk scaled by exp(log_weight) (per term); raises past 1e-9 relative
+    rounding loss."""
+    sign, log_c, size = tab.terms[:3]
+    per_term = (-1,) + (1,) * (np.ndim(log_point) - 1)
+    log_c = (log_c + log_weight).reshape(per_term)
+    size = (size + np.abs(log_weight)).reshape(per_term)
+    with np.errstate(invalid="ignore"):
+        terms = sign.reshape(per_term) * np.exp(tab.density_pref + log_c + log_point)
+        return _checked_sum(terms, size + np.abs(log_point), tab.density_pref, name, "relative")
 
 
 def density_nu1(p: FlightParams, x):
@@ -371,32 +482,36 @@ def density_nu1(p: FlightParams, x):
 
     A double sum over the falling-factorial coefficient tables; even in
     x_d and invariant under rotations fixing the x_d axis.  Raises
-    ValueError where the sum may lose more than 1e-9 relative to rounding.
+    ValueError where the sum may lose more than 1e-9 relative to rounding,
+    and where a value passes the double range.
     """
     _require_nu1(p)
-    rho2 = _sq_norm(x := _vectors(x, p.d))
     ct = p.c * p.t
+    tab = _nu1_table(p.d, p.n)
+    rho2 = _sq_norm(y := _unit(_vectors(x, p.d), ct))
     with np.errstate(over="ignore"):  # an overflow lies outside the support
-        xx = x[..., -1] ** 2
-    total = _nu1_sum(p, xx, ct**2 - rho2, np.zeros(p.n + 2), "density_nu1")
-    return _supported(rho2 >= ct * ct, total)
+        yy = y[..., -1] ** 2
+    total = _nu1_sum(tab, _nu1_point(tab, yy, 1.0 - rho2), "density_nu1")
+    return _times_ct_power(_supported(rho2 >= 1.0, total), ct, p.d)
 
 
 def density_nu1_closed(p: FlightParams, x):
-    """Fully explicit nu = 1 density, available for n = 1 and n = 2 only."""
+    """Fully explicit nu = 1 density, available for n = 1 and n = 2 only.
+
+    Raises ValueError where a value passes the double range."""
     _require_closed(p)
-    rho2 = _sq_norm(x := _vectors(x, p.d))
-    d = p.d
     ct = p.c * p.t
+    rho2 = _sq_norm(y := _unit(_vectors(x, p.d), ct))
+    d = p.d
     # arrays, not numpy scalars: the scalar ** rounds differently
     with np.errstate(over="ignore"):  # an overflow lies outside the support
-        xx, Q = np.asarray(x[..., -1] ** 2), np.asarray(ct * ct - rho2)
+        xx, Q = np.asarray(y[..., -1] ** 2), np.asarray(1.0 - rho2)
     with np.errstate(divide="ignore", invalid="ignore"):
         if p.n == 1:
             pref = math.exp(
                 math.lgamma(2.0 * (d + 1))
                 - 0.5 * (d - 1) * _LN_PI
-                - (2 * d + 1) * math.log(2.0 * ct)
+                - (2 * d + 1) * _LN_2
                 - math.log(d + 2.0)
                 - math.lgamma(d + 1.0)
                 - math.lgamma(0.5 * (d - 1))
@@ -411,7 +526,7 @@ def density_nu1_closed(p: FlightParams, x):
                 math.lgamma(3.0 * d + 3.0)
                 + math.log(d + 1.0)
                 - 0.5 * (d - 1) * _LN_PI
-                - (3 * d + 2) * math.log(2.0 * ct)
+                - (3 * d + 2) * _LN_2
                 - math.lgamma(d - 1.0)
                 - math.lgamma(1.5 * (d + 3) - 3.0)
                 - math.log((3.0 * d + 7) * (3.0 * d + 5))
@@ -422,7 +537,7 @@ def density_nu1_closed(p: FlightParams, x):
                 - 8.0 * xx**2 * Q ** (d - 1)
                 + 8.0 / 3.0 * (d + 1) * xx**3 * Q ** (d - 2)
             )
-        return _supported(rho2 >= ct * ct, pref * bracket)
+        return _times_ct_power(_supported(rho2 >= 1.0, pref * bracket), ct, d)
 
 
 def radial_density_nu1(p: FlightParams, r):
@@ -430,17 +545,20 @@ def radial_density_nu1(p: FlightParams, r):
 
     The density integrated over the sphere of radius r: its sum with
     x_d^(2k) averaged to r^(2k) |S^(d-1)| E[u_d^(2k)], times r^(d-1).
-    Raises ValueError where the sum may lose more than 1e-9 relative.
+    Raises ValueError where the sum may lose more than 1e-9 relative, and
+    where a value passes the double range.
     """
     _require_nu1(p)
     d = p.d
     ct = p.c * p.t
-    r, outside = _in_support(r, ct)
+    tab = _nu1_table(d, p.n)
+    y, outside = _in_support(r, ct)
     k = np.arange(p.n + 2)
     # |S^(d-1)| E[u_d^(2k)] = 2 pi^((d-1)/2) Gamma(k + 1/2) / Gamma(k + d/2)
     sphere = _LN_2 + 0.5 * (d - 1) * _LN_PI + _lgamma(k + 0.5) - _lgamma(k + 0.5 * d)
-    total = _nu1_sum(p, r * r, ct * ct - r * r, sphere, "radial_density_nu1")
-    return _supported(outside, r ** (d - 1) * total)
+    yy = y * y
+    total = _nu1_sum(tab, _nu1_point(tab, yy, 1.0 - yy), "radial_density_nu1", sphere[tab.terms[4]])
+    return _times_ct_power(_supported(outside, y ** (d - 1) * total), ct, 1)
 
 
 # ----------------------------------------------------------------------
@@ -529,9 +647,10 @@ def unconditional_density_projection(mp: MixtureParams, x):
     more than ``MIXTURE_MASS_TOL``.
     """
     weights = _retained_weights(mp)
-    r = np.sqrt(_sq_norm(_vectors(x, mp.base.m)))
+    p = mp.base
+    y = np.sqrt(_sq_norm(_unit(_vectors(x, p.m), p.c * p.t)))
     ns = np.arange(1, mp.n_max + 1)
-    terms = weights.reshape((-1,) + (1,) * r.ndim) * _projection_densities(mp.base, ns, r)
+    terms = weights.reshape((-1,) + (1,) * y.ndim) * _projection_densities(p, ns, y, p.m)
     # term after term, as _checked_sum sums, so one point keeps its bits in a batch
     return reduce(np.add, terms)[()]
 
@@ -552,7 +671,7 @@ def mixture_tail_bound(mp: MixtureParams) -> float:
     ns = np.array([mp.n_max + 1, mp.n_max + 2])
     # for n >= 2 the exponent q = K - (m+1)/2 of c^2 t^2 - r^2 is >= 0 in
     # the whole domain, so each density peaks at the origin: w_n sup_x p_n
-    b1, b2 = _mixture_weights(mp, ns) * _projection_densities(mp.base, ns, 0.0)
+    b1, b2 = _mixture_weights(mp, ns) * _projection_densities(mp.base, ns, 0.0, mp.base.m)
     if b1 == 0.0:
         return 0.0
     r = b2 / b1

@@ -34,7 +34,7 @@ import numpy as np
 from . import analytic
 from .analytic import MixtureParams
 from .csvtext import open_output, write_rows
-from .flight import FlightParams, _check_seed, simulate_batch, simulate_trajectories
+from .flight import FlightParams, _check_seed, _finals, simulate_batch, simulate_trajectories
 from .flight import simulate_flight  # noqa: F401  (unused; bench/tracing.py wraps it here)
 
 USAGE_ERROR = 1
@@ -221,8 +221,13 @@ def _cmd_simulate(args) -> int:
     if n_traj > 0 and os.path.realpath(traj_out) == os.path.realpath(out):
         raise _UsageError(f"--trajectories-out {traj_out!r} names the --out file")
     cfg_echo = _echo("simulate", p, seed=seed, count=count)
-    finals = simulate_batch(p, count, seed)
-    tr = simulate_trajectories(p, n_traj, seed) if n_traj > 0 else None
+    if n_traj == 0:
+        tr, finals = None, simulate_batch(p, count, seed)
+    else:
+        tr = simulate_trajectories(p, n_traj, seed)
+        # replicates 0..K-1 end where their trajectories do, bit for bit
+        # (the reproducibility contract), so the batch kernel starts at row K
+        finals = np.concatenate([tr.final, _finals(p, count, seed, n_traj)])
     cols = ["replicate"] + [f"x{i}" for i in range(1, p.d + 1)]
     _write_outputs(out, cols, cfg_echo, np.arange(count), finals)
     if tr is not None:

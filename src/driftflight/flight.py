@@ -217,10 +217,11 @@ def _cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _split(p: FlightParams, count: int, master_seed: int):
-    """Check the arguments of a call on batch rows 0..count-1; return its
+def _split(p: FlightParams, count: int, master_seed: int, start: int = 0):
+    """Check the arguments of a call on batch rows 0..count-1; return the
     rows per chunk, the rows that hold ``_CHUNK_DRAWS`` uniforms, and the
-    bounds of one contiguous, balanced range of rows per worker.  A call of
+    bounds of one contiguous, balanced range of rows per worker over rows
+    start..count-1 (none when start = count).  A call of
     ``_MIN_THREADED_DRAWS`` uniforms or more gets a worker per CPU, but no
     more workers than chunks; others get one."""
     Lpad = _padded_draws(p)
@@ -228,8 +229,9 @@ def _split(p: FlightParams, count: int, master_seed: int):
     if count < 1:
         raise ValueError("a batch requires count >= 1")
     _check_seed(master_seed)
-    workers = 1 if count * Lpad < _MIN_THREADED_DRAWS else min(_cpus(), -(-count // step))
-    return step, [count * k // workers for k in range(workers + 1)]
+    rows = count - start
+    workers = 1 if rows * Lpad < _MIN_THREADED_DRAWS else min(_cpus(), -(-rows // step))
+    return step, [start + rows * k // workers for k in range(workers + 1)]
 
 
 def _run(p: FlightParams, master_seed: int, step: int, bounds: list[int], emit) -> None:
@@ -291,11 +293,16 @@ def simulate_batch(p: FlightParams, count: int, master_seed: int) -> np.ndarray:
     worker count and the rows per chunk; a chunk holds about 2^15
     uniforms, which bounds working memory.
     """
-    step, bounds = _split(p, count, master_seed)
-    finals = np.zeros((count, p.d), dtype=float)
+    return _finals(p, count, master_seed)
+
+
+def _finals(p: FlightParams, count: int, master_seed: int, start: int = 0) -> np.ndarray:
+    """Final positions of batch rows start..count-1, shape (count - start, d)."""
+    step, bounds = _split(p, count, master_seed, start)
+    finals = np.zeros((count - start, p.d), dtype=float)
 
     def emit(first, taus, steps):
-        rows = finals[first : first + len(steps)]
+        rows = finals[first - start : first - start + len(steps)]
         # segment by segment from zero, the order simulate_flight sums in
         for j in range(p.n + 1):
             rows += steps[:, j]

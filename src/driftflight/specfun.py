@@ -17,11 +17,13 @@ sin; that raises ValueError where the dropped x^-2 term could pass 1e-12
 of the envelope sqrt(2 / (pi x)) (orders above about 56000).
 :func:`bessel_j` is that J on an array of x, at one order or an array
 of orders, with the domain checks and the values at x = 0 and x = inf.
-:func:`bessel_j_ratio`, exp(log_scale) J_mu(x) / x^mu, takes arrays too:
-it is formed from log|J| wherever J is a normal double, and from
-the log-scaled ascending series where J underflows (large order and
-small x, e.g. order 236 at x = 0.5), where the series terms shrink from
-the first on.  Against 40-digit mpmath, ``bessel_j`` is tested to 1e-13
+:func:`bessel_j_ratio`, exp(log_scale) J_mu(x) / x^mu, takes the same
+orders and arrays of x: it is formed from log|J| wherever J is a normal
+double, and from the log-scaled ascending series, each point at its own
+order, where J underflows (large order and small x, e.g. order 236 at
+x = 0.5), where the series terms shrink from the first on.  With an
+array of orders every element is the one-order call's double.  Against
+40-digit mpmath, ``bessel_j`` is tested to 1e-13
 absolute for mu <= 60, x <= 60, and the ratio, scaled to 1 at the
 origin, to 1e-12 for mu <= 300, x <= 100; past x = 2^50, against
 60-digit mpmath, ``bessel_j`` is tested to 1e-14 of the envelope at x up
@@ -57,6 +59,7 @@ def gamma(x: float) -> float:
 
 _TINY = np.finfo(float).tiny
 _EPS = np.finfo(float).eps
+_lgamma = np.vectorize(math.lgamma, otypes=[float])
 _SERIES_TOL = 1e-12
 # at x >= 2^50 J is sqrt(2 / (pi x)) (cos chi - a_1 sin chi / x), to
 # _HANKEL_TOL of that envelope
@@ -128,10 +131,12 @@ def bessel_j(mu, x):
     return np.where(x == 0.0, origin, np.where(x == math.inf, 0.0, j))[()]
 
 
-def _ratio_series(mu: float, x: np.ndarray, log_t0: np.ndarray) -> np.ndarray:
-    # t0 sum_k (-1)^k (x/2)^(2k) / (k! (mu+1)_k) with t0 = exp(log_t0), summed
-    # relative to t0 over all points at once; the rounding error is about
-    # eps sum_k |t_k| and the truncation error the last term
+def _ratio_series(mu: np.ndarray, x: np.ndarray, log_t0: np.ndarray) -> np.ndarray:
+    # t0 sum_k (-1)^k (x/2)^(2k) / (k! (mu+1)_k) with t0 = exp(log_t0), each
+    # point at its own order mu, summed relative to t0 over all points at
+    # once; the rounding error is about eps sum_k |t_k| and the truncation
+    # error the last term.  A point that has converged adds terms below half
+    # an ulp of its sum, which leave it unchanged, while others go on
     q = 0.25 * x * x
     term = np.ones_like(x)
     total = term.copy()
@@ -146,14 +151,14 @@ def _ratio_series(mu: float, x: np.ndarray, log_t0: np.ndarray) -> np.ndarray:
     if np.any(err > _SERIES_TOL):
         at = np.argmax(err)
         raise ValueError(
-            f"bessel_j_ratio: the series at mu = {mu}, x = {x[at]} may lose "
+            f"bessel_j_ratio: the series at mu = {mu[at]}, x = {x[at]} may lose "
             f"{err[at]:.1e} of its value at the origin (tolerance {_SERIES_TOL:g})"
         )
     with np.errstate(under="ignore"):
         return total * np.exp(log_t0)
 
 
-def bessel_j_ratio(mu: float, x, log_scale=0.0):
+def bessel_j_ratio(mu, x, log_scale=0.0):
     """exp(log_scale) J_mu(x) / x^mu on an array of x >= 0, finite at x = 0
     where J_mu(x) / x^mu equals 1 / (2^mu Gamma(mu+1)).
 
@@ -161,7 +166,10 @@ def bessel_j_ratio(mu: float, x, log_scale=0.0):
     evaluating it directly avoids the 0/0 at the origin.  A caller that
     multiplies the ratio by a large factor passes its logarithm as
     ``log_scale`` (broadcast with x), so that neither factor overflows or
-    underflows alone.  The order mu is one number.
+    underflows alone.  mu is one order, or an array of orders that
+    broadcasts with x and ``log_scale``; each element is the value the
+    one-order call gives there, bit for bit, and any invalid order or x
+    raises ValueError.
 
     Where J (as :func:`bessel_j`) is a normal double the value is formed
     from log|J|.  Where J underflows (large order and small x, and x = 0)
@@ -169,6 +177,7 @@ def bessel_j_ratio(mu: float, x, log_scale=0.0):
     on; the series raises ValueError where its error could pass 1e-12 of
     the value at the origin (orders above about 600).  NaN at a NaN x and 0.0 at x = inf.
     """
+    mu = np.asarray(mu, dtype=float)
     _check_order("bessel_j_ratio", mu)
     x = np.asarray(x, dtype=float)
     if np.any(x < 0.0):
@@ -180,17 +189,19 @@ def bessel_j_ratio(mu: float, x, log_scale=0.0):
         out = np.sign(j) * np.exp(np.log(np.abs(j)) + log_scale - mu * np.log(x))
     normal = (np.abs(j) >= _TINY) & (x > 0.0)
     if not normal.all():
-        log_t0 = np.asarray(log_scale) - mu * math.log(2.0) - math.lgamma(mu + 1.0)
+        log_t0 = np.asarray(log_scale) - mu * math.log(2.0) - _lgamma(mu + 1.0)
         with np.errstate(under="ignore"):
-            # at x = 0 the series is its first term, exp(log_t0), exactly;
-            # at x >= mu, J is not small, and is 0 only at x = inf, where
-            # the ratio is 0 as well
-            edge = np.where(x == 0.0, np.exp(log_t0), np.where(x >= mu, 0.0, np.nan))
+            # at x = 0 the series is its first term, exp(log_t0), exactly
+            # (taken there alone, so that a large log_scale elsewhere cannot
+            # overflow); at x >= mu, J is not small, and is 0 only at
+            # x = inf, where the ratio is 0 as well
+            origin = np.exp(np.where(x == 0.0, log_t0, -math.inf))
+            edge = np.where(x == 0.0, origin, np.where(x >= mu, 0.0, np.nan))
         out = np.where(normal, out, edge)
         series = ~normal & (x > 0.0) & (x < mu)  # underflow; NaN x fails the tests
         if series.any():
-            x, log_t0, series = np.broadcast_arrays(x, log_t0, series)
-            out[series] = _ratio_series(mu, x[series], log_t0[series])
+            x, mu, log_t0, series = np.broadcast_arrays(x, mu, log_t0, series)
+            out[series] = _ratio_series(mu[series], x[series], log_t0[series])
     return out[()]
 
 

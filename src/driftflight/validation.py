@@ -440,6 +440,10 @@ def _plan(identity_id: str, params: dict) -> _Plan:
         mu, nu, a = pid["mu"], pid["nu"], pid["a"]
         if not (math.inf > mu > -0.5 and math.inf > nu > -0.5):
             raise ValueError("gr_6581_3 requires finite mu > -1/2 and nu > -1/2")
+        if not mu + nu <= 170.0:
+            raise ValueError(
+                "gr_6581_3 requires mu + nu <= 170, where Gamma(mu + nu + 1) is a double"
+            )
         if not 0.0 < a <= _BESSEL_X_CAP:
             raise ValueError("a outside the validated range")
         return _Plan(

@@ -356,6 +356,92 @@ def test_laws_where_the_squared_norm_overflows():
     assert math.isnan(cf_nu1(full, [math.inf, 0.0, 0.0]))
 
 
+# c t at both ends of the double range, where (c t)^(-dim) and |alpha|^2
+# leave it for the laws' usual dimensions
+_EXTREME_CT = [1e-300, 1e-150, 1e150, 1e300]
+
+
+def _at_ct(p, ct):
+    # the law's parameters with c t = ct (through c, at t = 1)
+    if isinstance(p, MixtureParams):
+        return replace(p, base=replace(p.base, c=ct))
+    return replace(p, c=ct)
+
+
+@pytest.mark.parametrize("ct", _EXTREME_CT)
+def test_densities_follow_the_scaling_law_at_extreme_ct(ct):
+    # f_ct(x) = (c t)^(-dim) f_1(x / c t), the scale taken at 40 digits: to
+    # 1e-13 where that is a normal double, ValueError where it passes the
+    # double range, and no NaN at any finite point
+    mp = pytest.importorskip("mpmath")
+    full = FlightParams(d=2, n=2, nu=1.0)
+    proj = FlightParams(d=3, n=2, nu=0.5, m=2)
+    rng = _rng(47)
+    v = rng.normal(size=(6, 2))
+    unit = v / np.linalg.norm(v, axis=1)[:, None] * rng.uniform(0.0, 0.95, (6, 1))
+    points = list(unit) + [np.zeros(2), np.array([0.6, 0.9]), np.array([1e200, 0.0])]
+    radii = [0.02, 0.3, 0.7, 0.97, 0.0, 1.5, 1e200]
+    cases = [
+        (density_nu1, full, points, 2),
+        (density_nu1_closed, full, points, 2),
+        (density_nu1_closed, replace(full, n=1), points, 2),
+        (density_projection, proj, points, 2),
+        (unconditional_density_projection, MixtureParams(lam=1.5, base=proj), points, 2),
+        (radial_density_nu1, full, radii, 1),
+        (radial_density_projection, proj, radii, 1),
+    ]
+    normal = 0
+    for law, p, unit_points, dim in cases:
+        for y in unit_points:
+            with np.errstate(over="ignore"):
+                x = np.multiply(y, ct)
+                one = law(p, np.asarray(x) / ct)  # f_1 where the law takes it
+            with mp.workdps(40):
+                ref = mp.mpf(float(one)) * mp.mpf(ct) ** (-dim)
+            if abs(ref) > np.finfo(float).max:
+                with pytest.raises(ValueError, match="double range"):
+                    law(_at_ct(p, ct), x)
+                continue
+            got = law(_at_ct(p, ct), x)
+            assert not math.isnan(got), (law.__name__, y)
+            if abs(ref) >= np.finfo(float).tiny:
+                normal += 1
+                assert abs(got - ref) <= 1e-13 * abs(ref), (law.__name__, y, got, ref)
+            else:
+                assert abs(got - ref) <= 1e-13 * abs(ref) + 1e-323, (law.__name__, y, got, ref)
+    # at c t = 1e+-300 only the radial laws' values, at 1e+-150 all but
+    # the overflowing or underflowing full-flight ones, are normal doubles
+    assert normal >= (8 if abs(math.log10(ct)) > 200 else 40)
+
+
+@pytest.mark.parametrize("ct", _EXTREME_CT)
+def test_cfs_follow_the_scaling_law_at_extreme_ct(ct):
+    # cf_ct(alpha) = cf_1(c t alpha), to 1e-12, where |alpha|^2 underflows
+    # (c t = 1e150, 1e300) or c t |alpha| nears the top of the range
+    full = FlightParams(d=3, n=2, nu=1.0)
+    proj = FlightParams(d=3, n=2, nu=0.5, m=2)
+    rng = _rng(53)
+    v = rng.normal(size=(8, 3))
+    beta = v / np.linalg.norm(v, axis=1)[:, None] * rng.uniform(0.2, 3.0, (8, 1))
+    for law, p, b in ((cf_nu1, full, beta), (cf_projection, proj, beta[:, :2])):
+        alpha = b / ct
+        got = law(_at_ct(p, ct), alpha)
+        np.testing.assert_allclose(got, law(p, ct * alpha), rtol=1e-12, atol=0.0)
+        assert np.all(got < 1.0), law.__name__
+        # far out the cf is about 0, and near the origin about 1; never NaN
+        ends = law(_at_ct(p, ct), np.array([[1e308, 0.0, 0.0], [1e-308, 0.0, 0.0]])[:, : b.shape[1]])
+        assert abs(ends[0]) < 1e-6 and abs(ends[1] - 1.0) < 1e-12, (law.__name__, ends)
+
+
+def test_radial_density_where_r_over_ct_underflows():
+    # r / c t underflows to 0 at r = 1e-300, c t = 1e30; r is still inside
+    # the support, where the m = 1 radial density is about 2 f(0) / c t
+    p = FlightParams(d=3, n=2, nu=0.5, m=1, c=1e30)
+    want = radial_density_projection(replace(p, c=1.0), 1e-300) / 1e30
+    assert radial_density_projection(p, 1e-300) == pytest.approx(want, rel=1e-13)
+    assert radial_density_projection(p, [1e-300, 0.0])[1] == 0.0
+
+
 def test_cf_projection_at_the_top_of_the_double_range():
     # near the top of the double range the cf is about 0, as it is at
     # [1e300, 1e300], and the small-x series of bessel_j_ratio (where
@@ -376,6 +462,68 @@ def test_radial_densities_far_outside_the_support():
         vals = law(p, r)
         assert vals[0] == 0.0 and vals[1] == 0.0, law.__name__
         assert vals[2] == law(p, 0.4) > 0.0, law.__name__
+
+
+def test_nu1_table_is_built_once_and_read_only():
+    analytic._nu1_table.cache_clear()
+    p = FlightParams(d=3, n=4, nu=1.0)
+    pts = np.array([[0.1, -0.3, 0.2], [0.5, 0.2, -0.6]])
+    radii = np.array([0.2, 0.75])
+    laws = ((density_nu1, pts), (cf_nu1, 7.0 * pts), (radial_density_nu1, radii))
+    first = [law(p, arr).tobytes() for law, arr in laws]
+    table = analytic._nu1_table(3, 4)
+    assert analytic._nu1_table.cache_info().maxsize == analytic._NU1_TABLES
+    columns = table.bessel + table.terms
+    assert len(table.bessel[0]) == 4 + 2 and len(table.terms[0]) == (4 + 2) * (4 + 3) // 2
+    for column in columns:
+        assert not column.flags.writeable
+        with pytest.raises(ValueError):
+            column[0] = 0
+    # a second call, from the cache, gives the first call's bits
+    assert analytic._nu1_table(3, 4) is table
+    assert [law(p, arr).tobytes() for law, arr in laws] == first
+    # and so does a table built again
+    analytic._nu1_table.cache_clear()
+    again = analytic._nu1_table(3, 4)
+    assert again is not table
+    assert [a.tobytes() for a in again.bessel + again.terms] == [a.tobytes() for a in columns]
+    assert [law(p, arr).tobytes() for law, arr in laws] == first
+
+
+# the law_eval benchmark's cells (bench/workloads.py): nu = 1 density and
+# cf at d, n <= 8 on 12 points, radial nu = 1, the two CDFs and the mixture
+_BENCH_NU1_CELLS = [(d, n) for d in (2, 3, 5, 8) for n in (1, 2, 4, 8)]
+
+
+@pytest.mark.parametrize("d,n", _BENCH_NU1_CELLS)
+def test_one_point_has_its_batch_row_bits_at_the_bench_nu1_cells(d, n):
+    p = FlightParams(d=d, n=n, nu=1.0)
+    rng = _rng(10 * d + n)
+    v = rng.normal(size=(12, d))
+    u = v / np.linalg.norm(v, axis=1)[:, None]
+    xs = u * rng.uniform(0.0, 1.0, (12, 1)) ** (1.0 / d)
+    alphas = u * rng.uniform(0.0, 40.0, (12, 1))
+    for law, pts in ((density_nu1, xs), (cf_nu1, alphas)):
+        batch = law(p, pts)
+        ones = np.array([law(p, a) for a in pts])
+        assert ones.tobytes() == batch.tobytes(), law.__name__
+
+
+def test_one_point_has_its_batch_row_bits_at_the_other_bench_cells():
+    rng = _rng(61)
+    radii = np.linspace(rng.uniform(0.0, 0.05), rng.uniform(0.95, 1.0), 200)
+    proj = FlightParams(d=3, n=2, nu=0.5, m=2)
+    pts = rng.uniform(-0.6, 0.6, (40, 2))
+    cases = [
+        (radial_density_nu1, FlightParams(d=3, n=1, nu=1.0), radii),
+        (radial_density_nu1, FlightParams(d=3, n=2, nu=1.0), radii),
+        (cdf_radial_projection, FlightParams(d=3, n=1, nu=1.0, m=1), radii),
+        (cdf_radial_projection, FlightParams(d=3, n=2, nu=0.3, m=2), radii),
+        (unconditional_density_projection, MixtureParams(lam=2.2, base=proj), pts),
+    ]
+    for law, p, arr in cases:
+        ones = np.array([law(p, a) for a in arr])
+        assert ones.tobytes() == law(p, arr).tobytes(), law.__name__
 
 
 # -------------------------------------------------------- moments

@@ -7,7 +7,7 @@ import stat
 import numpy as np
 import pytest
 
-from driftflight import analytic, cli
+from driftflight import analytic, cli, flight
 from driftflight.cli import IO_ERROR, USAGE_ERROR, VALIDATION_FAILURE, build_parser, main
 from driftflight.csvtext import BLOCK_VALUES, write_rows
 from driftflight.flight import FlightParams, replicate_stream, simulate_batch, simulate_flight
@@ -99,6 +99,34 @@ def test_simulate_trajectory_rows_match_per_replicate_flights(tmp_path, d, n, nu
     lines = [",".join("%.17g" % v for v in [i, *finals[i]]) for i in range(count)]
     body = [line for line in (tmp_path / "pos.csv").read_text().splitlines() if not line.startswith("#")]
     assert body == lines
+
+
+def test_simulate_positions_do_not_depend_on_the_trajectories(tmp_path, monkeypatch):
+    # the finals of replicates 0..K-1 come from their trajectories and the
+    # batch kernel runs from row K on, so each row is sampled once, and
+    # the positions are byte for byte those of a run without trajectories
+    rows = []
+    kernel = flight._segments
+
+    def counted(p, U):
+        rows.append(len(U))
+        return kernel(p, U)
+
+    monkeypatch.setattr(flight, "_segments", counted)
+    monkeypatch.setattr(flight, "_cpus", lambda: 2)
+    p = FlightParams(d=3, n=2, nu=1.0)
+    count = 6000
+    # two workers for the batch rows at K = 0 and at K = count / 2
+    assert (count // 2) * flight._padded_draws(p) >= flight._MIN_THREADED_DRAWS
+    args = ["simulate", "--d", "3", "--n", "2", "--nu", "1", "--count", str(count), "--seed", "11"]
+    positions = []
+    for k in (0, 1, count // 2, count):
+        rows.clear()
+        out = tmp_path / f"pos{k}.csv"
+        assert main(args + ["--trajectories", str(k), "--out", str(out)]) == 0
+        assert sum(rows) == count, k
+        positions.append(out.read_bytes())
+    assert all(body == positions[0] for body in positions[1:])
 
 
 @pytest.mark.parametrize("k", ["11", "-1"])

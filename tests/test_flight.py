@@ -203,6 +203,19 @@ def test_output_does_not_depend_on_worker_count(d, n, nu, monkeypatch):
         assert runs[0] == runs[1], count
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+def test_batch_rows_from_a_start_row(monkeypatch, workers):
+    # the rows start..count-1 of a batch, at any start, have the batch's bits
+    p = FlightParams(d=3, n=2, nu=1.0)
+    count = 3 * _CHUNK_DRAWS // _padded_draws(p) + 5
+    monkeypatch.setattr(flight, "_cpus", lambda: workers)
+    batch = simulate_batch(p, count, 77)
+    for start in (0, 1, 1000, count // 2, count - 1, count):
+        rows = flight._finals(p, count, 77, start)
+        assert rows.shape == (count - start, 3)
+        assert rows.tobytes() == batch[start:].tobytes(), start
+
+
 def test_sampler_falls_back_to_one_worker_on_one_cpu(monkeypatch):
     p = FlightParams(d=3, n=2, nu=1.0)
     count = 4 * _CHUNK_DRAWS // _padded_draws(p)

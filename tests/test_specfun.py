@@ -253,6 +253,48 @@ def test_bessel_array_of_orders_keeps_the_x_and_hankel_errors():
     assert np.all(np.isfinite(bessel_j(np.array([0.0, 1e5]), [2.0**50, 2.0**60])))
 
 
+def test_bessel_ratio_array_of_orders_equals_the_one_order_calls():
+    # every element of an array-order ratio is the one-order call's double:
+    # at x = 0, NaN and inf, in the series lanes where J underflows (order
+    # 236 at x = 0.5, 212 at 0.12), on the jv side and past 2^50
+    mus = np.array([-0.5, 0.0, 0.5, 7.0, 33.3, 49.0, 212.0, 236.0])
+    x = np.array([0.0, math.nan, math.inf, 0.12, 0.5, 3.0, 58.0, 150.0, 2.0**50, 1e17, 1e300])
+    log_scale = np.linspace(-2.0, 5.0, x.size)
+    each = np.array([bessel_j_ratio(mu, x, log_scale) for mu in mus])
+    assert np.any(jv(mus[:, None], x[3:5]) == 0.0)  # the series lanes are there
+    both = bessel_j_ratio(mus[:, None], x, log_scale)
+    assert both.shape == each.shape
+    assert np.array_equal(both.view(np.int64), each.view(np.int64))
+    # one order per x, a log scale per order, and one x for many orders
+    diagonal = np.array([bessel_j_ratio(mu, v, 1.5) for mu, v in zip(mus, x[3:])])
+    assert np.array_equal(bessel_j_ratio(mus, x[3:], 1.5).view(np.int64), diagonal.view(np.int64))
+    scales = np.arange(mus.size, dtype=float)
+    one_x = [bessel_j_ratio(mu, 0.5, s) for mu, s in zip(mus, scales)]
+    assert np.array_equal(bessel_j_ratio(mus, 0.5, scales), one_x)
+
+
+@pytest.mark.parametrize("bad", [-0.6, math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("at", [0, 2, 4])
+def test_bessel_ratio_array_of_orders_keeps_each_domain_error(bad, at):
+    mus = np.array([0.0, 1.0, 2.0, 3.0, 4.0])
+    mus[at] = bad
+    with pytest.raises(ValueError, match="order"):
+        bessel_j_ratio(mus, 1.0)
+
+
+def test_bessel_ratio_array_of_orders_keeps_the_x_hankel_and_series_errors():
+    with pytest.raises(ValueError, match="x >= 0"):
+        bessel_j_ratio(np.array([0.0, 1.0, 2.0]), [1.0, 2.0, -0.1])
+    with pytest.raises(ValueError, match="Hankel"):
+        bessel_j_ratio(np.array([0.0, 1e5]), 2.0**50)
+    # the series fails at order 1000 alone, with the others beside it
+    with pytest.raises(ValueError, match="series at mu = 1000.0"):
+        mus = np.array([236.0, 1000.0, 3.0])
+        bessel_j_ratio(mus, 380.0, [_unit_at_origin(mu) for mu in mus])
+    # two series lanes, each summed at its own order
+    assert np.isfinite(bessel_j_ratio(np.array([236.0, 212.0]), [0.5, 0.12])).all()
+
+
 def test_bessel_domain_errors():
     with pytest.raises(ValueError):
         bessel_j(-0.6, 1.0)

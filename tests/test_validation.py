@@ -162,6 +162,9 @@ def test_identity_domain_errors():
         check_identity("gr_6575_1", {"mu": 0.5, "nu": 3.5, "a": 1.0, "b": 2.0})
     with pytest.raises(ValueError):
         check_identity("gr_6581_3", {"mu": -0.6, "nu": 0.5, "a": 3.0})
+    # Gamma(mu + nu + 1) of the right side passes the double range
+    with pytest.raises(ValueError, match="mu \\+ nu <= 170"):
+        check_identity("gr_6581_3", {"mu": 100.0, "nu": 100.0, "a": 3.0})
     with pytest.raises(ValueError):
         check_identity("gr_6533_2", {"mu": 0.0, "nu": 1.0, "a": 3.0})
     with pytest.raises(ValueError):
@@ -340,6 +343,7 @@ _INVALID = [
     ("int0", {"z": -1.0, "alpha": 1.0, "beta": 0.5}),
     ("int_nu1", {"z": math.nan, "alpha": 1.0, "beta": 0.5}),
     ("no_such_identity", {}),
+    ("gr_6581_3", {"mu": 100.0, "nu": 100.0, "a": 3.0}),  # Gamma(201) is not a double
 ]
 
 
