@@ -361,8 +361,9 @@ def cf_nu1(p: FlightParams, alpha):
 
     Alternating sum of n+2 Bessel terms; the dependence on the direction
     of alpha enters only through alpha_d^2 / ||alpha||^2.  Equals 1 at
-    alpha = 0 (series limit).  Raises ValueError where the sum may lose
-    more than 1e-9 absolute to rounding.
+    alpha = 0 (series limit) and lies in [-1, 1]: near the origin the sum
+    rounds to just above 1, and is clipped.  Raises ValueError where the
+    sum may lose more than 1e-9 absolute to rounding.
     """
     _require_nu1(p)
     tab = _nu1_table(p.d, p.n)
@@ -380,7 +381,7 @@ def cf_nu1(p: FlightParams, alpha):
     terms = sign * (powers * ratios)
     sizes = size + np.abs(log_w_part)
     total = _checked_sum(terms, sizes, tab.cf_pref, "cf_nu1", "absolute")
-    return np.where(rho2 == 0.0, 1.0, total)[()]
+    return np.where(rho2 == 0.0, 1.0, np.clip(total, -1.0, 1.0))[()]
 
 
 def _nu1_logs(d: int, n: int, j: int) -> list[float]:

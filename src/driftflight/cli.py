@@ -1,6 +1,9 @@
 """Batch command-line front end.
 
 Commands: simulate | density | cf | cdf | moments | mixture | validate.
+One table, ``_COMMANDS``, holds the commands and their flags (``--help``
+prints it); a flag may be cut to a prefix that no other flag of its
+command shares, and any other argument is a usage error.
 density, cf and cdf evaluate the law that one table, ``_LAWS``, names
 for the command and its --formula, at the radii, points or frequencies
 the table says.  Flags override values from an optional JSON config
@@ -21,13 +24,12 @@ Exit codes: 0 success, 1 usage error, 2 validation failure, 3 I/O error.
 
 from __future__ import annotations
 
-import argparse
 import json
 import math
 import os
 import re
 import sys
-from functools import lru_cache
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -40,20 +42,6 @@ from .flight import simulate_flight  # noqa: F401  (unused; bench/tracing.py wra
 USAGE_ERROR = 1
 VALIDATION_FAILURE = 2
 IO_ERROR = 3
-
-
-class _Parser(argparse.ArgumentParser):
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        # an argument that starts with a minus and a digit is a value, as in
-        # --x -0.4,0.1,0.1 or --anorm -1e-3 (argparse's own pattern takes
-        # only a plain number like -0.4); no flag here looks like one
-        self._negative_number_matcher = re.compile(r"-\.?\d")
-
-    # argparse exits with 2 on usage errors; the contract here is 1
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        raise _UsageError(message)
 
 
 class _UsageError(Exception):
@@ -103,25 +91,10 @@ def _load_config_file(path: str | None) -> dict:
         data = json.load(fh)
     if not isinstance(data, dict):
         raise _UsageError("config file must hold a JSON object")
-    unknown = ", ".join(repr(key) for key in sorted(set(data) - _config_keys()))
+    unknown = ", ".join(repr(key) for key in sorted(set(data) - _CONFIG_KEYS))
     if unknown:
         raise _UsageError(f"config keys that are no command's flag: {unknown}")
     return data
-
-
-@lru_cache(maxsize=1)
-def _config_keys() -> frozenset[str]:
-    # the flag names of every command: a shared config file may hold keys
-    # that only other commands read
-    commands = next(a for a in _parser()._actions if isinstance(a, argparse._SubParsersAction))
-    return frozenset(
-        opt[2:]
-        for command in commands.choices.values()
-        for action in command._actions
-        if action.dest != "help"
-        for opt in action.option_strings
-        if opt.startswith("--")
-    )
 
 
 def _resolved(args) -> dict:
@@ -174,17 +147,6 @@ def _echo(command: str, p: FlightParams, **extra) -> dict:
         "command": command, "d": p.d, "m": p.m, "n": p.n, "nu": p.nu,
         "c": p.c, "t": p.t, **extra,
     }
-
-
-def _add_law(sub, *names: str) -> None:
-    """Add the integer flags ``names`` (of d, m, n), --nu, --c, --t,
-    --out and --config to a command."""
-    for name in names:
-        sub.add_argument(f"--{name}", type=int, default=None)
-    for name in ("nu", "c", "t"):
-        sub.add_argument(f"--{name}", type=float, default=None)
-    sub.add_argument("--out", type=str, default=None)
-    sub.add_argument("--config", type=str, default=None)
 
 
 def _require_out(cfg: dict) -> str:
@@ -360,80 +322,118 @@ def _cmd_validate(args) -> int:
     return 0 if report["passed"] else VALIDATION_FAILURE
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="driftflight", description=__doc__)
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    ps = sub.add_parser("simulate", help="simulate flights, write final positions")
-    _add_law(ps, "d", "n")
-    ps.add_argument("--seed", type=int, default=None)
-    ps.add_argument("--count", type=int, default=None)
-    ps.add_argument("--trajectories", type=int, default=None,
-                    help="also export breakpoints for replicates 0..K-1, 0 <= K <= --count")
-    ps.add_argument("--trajectories-out", type=str, default=None)
-    ps.set_defaults(func=_cmd_simulate)
-
-    pd = sub.add_parser("density", help="evaluate a density formula on points or a radial grid")
-    _add_law(pd, "d", "m", "n")
-    pd.add_argument("--formula", type=str, default=None, choices=_formulas("density"))
-    pd.add_argument("--x", action="append", default=None,
-                    help="comma-separated point, repeatable")
-    pd.add_argument("--r-min", type=float, default=None)
-    pd.add_argument("--r-max", type=float, default=None)
-    pd.add_argument("--r-points", type=int, default=None)
-    pd.set_defaults(func=_cmd_law)
-
-    pc = sub.add_parser("cf", help="evaluate a characteristic function")
-    _add_law(pc, "d", "m", "n")
-    pc.add_argument("--formula", type=str, default=None, choices=_formulas("cf"))
-    pc.add_argument("--alpha", action="append", default=None,
-                    help="comma-separated frequency vector, repeatable")
-    pc.add_argument("--anorm", action="append", default=None,
-                    help="frequency norm for the projected cf, repeatable")
-    pc.set_defaults(func=_cmd_law)
-
-    pf = sub.add_parser("cdf", help="radial CDF of the projection on a grid")
-    _add_law(pf, "d", "m", "n")
-    pf.add_argument("--r-min", type=float, default=None)
-    pf.add_argument("--r-max", type=float, default=None)
-    pf.add_argument("--r-points", type=int, default=None)
-    pf.set_defaults(func=_cmd_law)
-
-    pm = sub.add_parser("moments", help="radial moments of the projection")
-    _add_law(pm, "d", "m", "n")
-    pm.add_argument("--orders", type=str, default=None)
-    pm.set_defaults(func=_cmd_moments)
-
-    px = sub.add_parser("mixture", help="projected density with a random change count")
-    _add_law(px, "d", "m", "n")
-    px.add_argument("--lam", type=float, default=None)
-    px.add_argument("--n-max", type=int, default=None)
-    px.add_argument("--x", action="append", default=None)
-    px.set_defaults(func=_cmd_mixture)
-
-    pv = sub.add_parser("validate", help="run the verification suite")
-    pv.add_argument("--seed", type=int, default=None)
-    pv.add_argument("--out", type=str, default=None)
-    pv.add_argument("--profile", type=str, default=None, choices=("quick", "full"))
-    pv.add_argument("--only", type=str, default=None, choices=("identities", "gof"))
-    pv.add_argument("--config", type=str, default=None)
-    pv.set_defaults(func=_cmd_validate)
-
-    return parser
+# command -> (help line, {flag: type}, handler).  A flag's text goes
+# through its type; a tuple is the flag's choices, and a list flag may
+# repeat, each use appending its text.  Config keys are these flags.
+_IO = {"out": str, "config": str}
+_LAW = {"d": int, "m": int, "n": int, "nu": float, "c": float, "t": float}
+_GRID = {"r-min": float, "r-max": float, "r-points": int}
+_COMMANDS = {
+    "simulate": ("simulate flights, write final positions", {
+        "d": int, "n": int, "nu": float, "c": float, "t": float, "seed": int, "count": int,
+        "trajectories": int, "trajectories-out": str, **_IO}, _cmd_simulate),
+    "density": ("evaluate a density formula on points or a radial grid", {
+        **_LAW, "formula": _formulas("density"), "x": list, **_GRID, **_IO}, _cmd_law),
+    "cf": ("evaluate a characteristic function", {
+        **_LAW, "formula": _formulas("cf"), "alpha": list, "anorm": list, **_IO}, _cmd_law),
+    "cdf": ("radial CDF of the projection on a grid", {**_LAW, **_GRID, **_IO}, _cmd_law),
+    "moments": ("radial moments of the projection", {**_LAW, "orders": str, **_IO}, _cmd_moments),
+    "mixture": ("projected density with a random change count", {
+        **_LAW, "lam": float, "n-max": int, "x": list, **_IO}, _cmd_mixture),
+    "validate": ("run the verification suite", {
+        "seed": int, "profile": ("quick", "full"), "only": ("identities", "gof"), **_IO},
+        _cmd_validate),
+}
+_CONFIG_KEYS = frozenset(flag for _, flags, _ in _COMMANDS.values() for flag in flags)
+# after one minus, a digit makes a value (--x -0.4,0.1): no flag has one
+_NEGATIVE = re.compile(r"-\.?\d")
 
 
-@lru_cache(maxsize=1)
-def _parser() -> argparse.ArgumentParser:
-    # Built once per process: construction costs milliseconds, more than a
-    # law evaluation.  Reuse is safe because parse_args only reads the
-    # parser: every "append" default is None (a fresh list per call), the
-    # defaults set_defaults stores are read, and error() raises.
-    return build_parser()
+def _usage(command: str | None) -> str:
+    if command is None:
+        return "usage: driftflight {%s}" % ",".join(_COMMANDS)
+    flags = " ".join(f"[--{flag} {flag.upper()}]" for flag in _COMMANDS[command][1])
+    return f"usage: driftflight {command} {flags}"
+
+
+def _help(command: str | None) -> str:
+    rows = {command: _COMMANDS[command]} if command else _COMMANDS
+    return _usage(command) + "\n" + "".join(
+        f"\n{name}: {text}\n  --" + " --".join(flags) for name, (text, flags, _) in rows.items())
+
+
+def _flag(flags: dict, token: str):
+    """What argv ``token`` is to a command with ``flags``: (flag, its
+    ``=value`` or None) for one of them, or a unique prefix of one or of
+    "help"; (None, None) for any other flag; None for a value."""
+    if token[:1] != "-" or token in ("-", "--"):
+        return None
+    if token[1] != "-":  # -h; a negative number, or a value with a space
+        if token[1] == "h":
+            return "help", token[2:] or None
+        return None if _NEGATIVE.match(token) or " " in token else (None, None)
+    name, eq, text = token[2:].partition("=")
+    names = [name] if name in flags or name == "help" else [
+        flag for flag in (*flags, "help") if flag.startswith(name)]
+    if len(names) > 1:
+        raise _UsageError(f"ambiguous option: --{name} could match --{', --'.join(names)}")
+    if not names:
+        return None if " " in token else (None, None)
+    return names[0], text if eq else None
+
+
+def _parse(argv: list[str]) -> SimpleNamespace:
+    """The command of ``argv`` and one attribute per flag (None if not given)."""
+    command, flags, func, values, extras = None, {}, None, {}, []
+    tokens = iter(argv)
+    try:
+        for token in tokens:
+            if token == "--" and command:
+                extras += [token, *tokens]  # no command takes a positional argument
+            elif (found := _flag(flags, token)) is None and command is None:
+                if token not in _COMMANDS:
+                    raise _UsageError(f"unknown command {token!r}")
+                command, (_, flags, func) = token, _COMMANDS[token]
+            elif found is None or found[0] is None:
+                extras.append(token)
+            elif found[0] == "help":
+                if found[1] is not None:
+                    raise _UsageError(f"--help takes no value, got {found[1]!r}")
+                for later in tokens:  # an ambiguous flag anywhere is still an error
+                    if later == "--":
+                        break
+                    _flag(flags, later)
+                sys.stdout.write(_help(command) + "\n")  # one write: `| head -1` breaks no pipe
+                raise SystemExit(0)
+            else:
+                name, text = found
+                if text is None:
+                    text = next(tokens, "--")
+                    if text == "--" or _flag(flags, text) is not None:
+                        raise _UsageError(f"--{name} expects a value")
+                kind = flags[name]
+                if kind is list:
+                    values.setdefault(name, []).append(text)
+                    continue
+                try:  # a choice not in the tuple fails its index
+                    values[name] = kind[kind.index(text)] if isinstance(kind, tuple) else kind(text)
+                except ValueError:
+                    want = getattr(kind, "__name__", kind)
+                    raise _UsageError(f"--{name} takes {want}, not {text!r}") from None
+        if command is None:
+            raise _UsageError("a command is required")
+        if extras:
+            raise _UsageError(f"unrecognized arguments: {' '.join(extras)}")
+    except _UsageError:
+        print(_usage(command), file=sys.stderr)
+        raise
+    named = {flag.replace("-", "_"): values.get(flag) for flag in flags}
+    return SimpleNamespace(command=command, func=func, **named)
 
 
 def main(argv=None) -> int:
     try:
-        args = _parser().parse_args(argv)
+        args = _parse(sys.argv[1:] if argv is None else argv)
         return args.func(args)
     except (_UsageError, ValueError, KeyError, TypeError) as exc:
         # TypeError: a config-file value of the wrong JSON type

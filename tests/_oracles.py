@@ -2,10 +2,13 @@
 
 Everything here is deliberately written against the definitions (direct
 series summation, brute-force quadrature), not against the library code
-paths it is used to check.
+paths it is used to check.  ``argparse_cli_parser`` is the reference for
+the command line: the argparse parser it replaced.
 """
 
+import argparse
 import math
+import re
 
 import numpy as np
 from scipy.integrate import quad
@@ -232,3 +235,88 @@ def fractional_pmf_mp(mp, lam_t: float, d: int, nu: float, n) -> list[float]:
             float(mp.exp(k * log_x - mp.loggamma(k + 1) - mp.loggamma(alpha * k + beta) - log_sum))
             for k in n
         ]
+
+
+class ArgparseUsageError(Exception):
+    """A usage error of ``argparse_cli_parser``."""
+
+
+def argparse_cli_parser():
+    """The command-line parser ``driftflight.cli`` had before its flag
+    table: argparse, whose subparsers read the same flags, with a value
+    that starts with a minus and a digit (``-\\.?\\d``) taken as a value.
+    ``error`` raises ArgparseUsageError; ``--help`` exits 0.  The
+    handlers come from ``driftflight.cli``, so namespaces compare equal."""
+    from driftflight import cli
+
+    class Parser(argparse.ArgumentParser):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            self._negative_number_matcher = re.compile(r"-\.?\d")
+
+        def error(self, message):
+            raise ArgparseUsageError(message)
+
+    def add_law(sub, *names):
+        for name in names:
+            sub.add_argument(f"--{name}", type=int, default=None)
+        for name in ("nu", "c", "t"):
+            sub.add_argument(f"--{name}", type=float, default=None)
+        sub.add_argument("--out", type=str, default=None)
+        sub.add_argument("--config", type=str, default=None)
+
+    parser = Parser(prog="driftflight")
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    ps = sub.add_parser("simulate")
+    add_law(ps, "d", "n")
+    ps.add_argument("--seed", type=int, default=None)
+    ps.add_argument("--count", type=int, default=None)
+    ps.add_argument("--trajectories", type=int, default=None)
+    ps.add_argument("--trajectories-out", type=str, default=None)
+    ps.set_defaults(func=cli._cmd_simulate)
+
+    pd = sub.add_parser("density")
+    add_law(pd, "d", "m", "n")
+    pd.add_argument("--formula", type=str, default=None, choices=cli._formulas("density"))
+    pd.add_argument("--x", action="append", default=None)
+    pd.add_argument("--r-min", type=float, default=None)
+    pd.add_argument("--r-max", type=float, default=None)
+    pd.add_argument("--r-points", type=int, default=None)
+    pd.set_defaults(func=cli._cmd_law)
+
+    pc = sub.add_parser("cf")
+    add_law(pc, "d", "m", "n")
+    pc.add_argument("--formula", type=str, default=None, choices=cli._formulas("cf"))
+    pc.add_argument("--alpha", action="append", default=None)
+    pc.add_argument("--anorm", action="append", default=None)
+    pc.set_defaults(func=cli._cmd_law)
+
+    pf = sub.add_parser("cdf")
+    add_law(pf, "d", "m", "n")
+    pf.add_argument("--r-min", type=float, default=None)
+    pf.add_argument("--r-max", type=float, default=None)
+    pf.add_argument("--r-points", type=int, default=None)
+    pf.set_defaults(func=cli._cmd_law)
+
+    pm = sub.add_parser("moments")
+    add_law(pm, "d", "m", "n")
+    pm.add_argument("--orders", type=str, default=None)
+    pm.set_defaults(func=cli._cmd_moments)
+
+    px = sub.add_parser("mixture")
+    add_law(px, "d", "m", "n")
+    px.add_argument("--lam", type=float, default=None)
+    px.add_argument("--n-max", type=int, default=None)
+    px.add_argument("--x", action="append", default=None)
+    px.set_defaults(func=cli._cmd_mixture)
+
+    pv = sub.add_parser("validate")
+    pv.add_argument("--seed", type=int, default=None)
+    pv.add_argument("--out", type=str, default=None)
+    pv.add_argument("--profile", type=str, default=None, choices=("quick", "full"))
+    pv.add_argument("--only", type=str, default=None, choices=("identities", "gof"))
+    pv.add_argument("--config", type=str, default=None)
+    pv.set_defaults(func=cli._cmd_validate)
+
+    return parser

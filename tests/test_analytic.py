@@ -430,7 +430,7 @@ def test_cfs_follow_the_scaling_law_at_extreme_ct(ct):
         assert np.all(got < 1.0), law.__name__
         # far out the cf is about 0, and near the origin about 1; never NaN
         ends = law(_at_ct(p, ct), np.array([[1e308, 0.0, 0.0], [1e-308, 0.0, 0.0]])[:, : b.shape[1]])
-        assert abs(ends[0]) < 1e-6 and abs(ends[1] - 1.0) < 1e-12, (law.__name__, ends)
+        assert abs(ends[0]) < 1e-6 and 1.0 - 1e-12 <= ends[1] <= 1.0, (law.__name__, ends)
 
 
 def test_radial_density_where_r_over_ct_underflows():
@@ -610,6 +610,15 @@ def test_cf_nu1_at_zero_and_symmetry():
     flipped = a.copy()
     flipped[-1] = -flipped[-1]
     assert cf_nu1(p, a) == pytest.approx(cf_nu1(p, flipped), rel=1e-14)
+
+
+@pytest.mark.parametrize(
+    "d,n,alpha",
+    [(2, 8, [1e-9, 0.0]), (3, 2, [1e-150, 0.0, 0.0]), (2, 1, [1e-150, 0.0]), (3, 2, [0.0, 0.0, 1e-9])],
+)
+def test_cf_nu1_never_exceeds_one_near_the_origin(d, n, alpha):
+    # the sum once rounded to 1 + 5.7e-14 at d2 n8, alpha = (1e-9, 0)
+    assert 1.0 - 1e-12 <= cf_nu1(FlightParams(d=d, n=n, nu=1.0), alpha) <= 1.0
 
 
 def test_cf_nu1_domain_errors():

@@ -1,16 +1,22 @@
+import argparse
 import errno
 import json
 import math
 import os
 import stat
+from contextlib import redirect_stderr, redirect_stdout
+from io import StringIO
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from driftflight import analytic, cli, flight
-from driftflight.cli import IO_ERROR, USAGE_ERROR, VALIDATION_FAILURE, build_parser, main
+from driftflight.cli import IO_ERROR, USAGE_ERROR, VALIDATION_FAILURE, main
 from driftflight.csvtext import BLOCK_VALUES, write_rows
 from driftflight.flight import FlightParams, replicate_stream, simulate_batch, simulate_flight
+from _oracles import ArgparseUsageError, argparse_cli_parser
 from test_acceptance import CLI_COMMAND_SETS
 
 
@@ -768,5 +774,92 @@ def test_help_exits_zero_on_repeated_calls(capsys):
         assert "validate" in capsys.readouterr().out
 
 
-def test_build_parser_returns_a_fresh_parser():
-    assert build_parser() is not build_parser()
+_ARGPARSE = argparse_cli_parser()
+_SUBPARSERS = next(a for a in _ARGPARSE._actions if isinstance(a, argparse._SubParsersAction))
+
+
+def _parsed(parse, argv):
+    """What a parser makes of argv: ("ok", the repr of its namespace),
+    ("exit", code) for help, or ("error",)."""
+    try:
+        with redirect_stdout(StringIO()), redirect_stderr(StringIO()):
+            return "ok", repr(sorted(vars(parse(argv)).items()))  # nan == nan
+    except SystemExit as exc:
+        return "exit", exc.code
+    except (ArgparseUsageError, cli._UsageError):
+        return "error",
+
+
+def _same_as_argparse(argv):
+    want = _parsed(_ARGPARSE.parse_args, argv)
+    assert _parsed(cli._parse, argv) == want, argv
+    if want[0] == "error":
+        with redirect_stderr(StringIO()):
+            assert main(argv) == USAGE_ERROR, argv
+
+
+# values that each type of flag takes or refuses, and tokens that are no value
+_VALUES = {
+    int: ["3", "-2", "0", " 4 ", "+7", "1_000", "1.5", "x", "", "-e"],
+    float: ["0.5", "-1e-3", "-.5", "inf", "1e400", "nan", "-inf", "abc", "", "1,2"],
+    str: ["a.csv", "-1,2", "b c", "-x y", "-", "=", "--", "-q", "--d", "--r", "-h"],
+}
+
+
+def _unique_prefixes(options, flag):
+    """``flag`` and each shorter prefix of it that no other option shares."""
+    return [flag] + [flag[:k] for k in range(3, len(flag))
+                     if [o for o in options if o.startswith(flag[:k])] == [flag]]
+
+
+@st.composite
+def _argvs(draw, command):
+    """argvs of ``command`` mixing every form of its flags with the
+    tokens argparse refuses: ambiguous prefixes, unknown flags,
+    positional arguments, --, missing and bad values, bad choices."""
+    sub = _SUBPARSERS.choices[command]
+    options = [o for o in sub._option_string_actions if o.startswith("--")]
+    ambiguous = ["--="] + sorted({o[:k] for o in options for k in range(3, len(o))
+                                  if sum(p.startswith(o[:k]) for p in options) > 1
+                                  and o[:k] not in options})
+    argv = [command]
+    for _ in range(draw(st.integers(0, 6))):
+        kind = draw(st.sampled_from(["flag"] * 6 + ["bare", "ambiguous", "unknown", "other"]))
+        if kind in ("flag", "bare"):
+            action = sub._option_string_actions[draw(st.sampled_from(options[1:]))]  # not --help
+            flag = action.option_strings[0]
+            form = draw(st.sampled_from(_unique_prefixes(options, flag)))
+            good = [str(c) for c in action.choices or ()] or _VALUES[action.type or str]
+            value = draw(st.sampled_from(good + _VALUES[str] + ["bogus"]))
+            if kind == "bare":
+                argv.append(form)
+            elif draw(st.booleans()):
+                argv += [form, value]
+            elif value != "--":  # argparse 3.11 turns --flag=-- into --flag=[] (a defect)
+                argv.append(f"{form}={value}")
+        elif kind == "ambiguous":
+            argv.append(draw(st.sampled_from(ambiguous)) + draw(st.sampled_from(["", "=1"])))
+        elif kind == "unknown":
+            argv.append(draw(st.sampled_from(["--bogus", "-q", "--dd=1", "-x 1", "---d"])))
+        else:
+            argv.append(draw(st.sampled_from(["3", "pos", "--", "-5", "-h", "--help", "--he"])))
+    return argv
+
+
+@pytest.mark.parametrize("command", list(_SUBPARSERS.choices))
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_parser_reads_argv_as_argparse_did(command, data):
+    _same_as_argparse(data.draw(_argvs(command)))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [[], ["bogus"], ["--help"], ["-h", "bogus"], ["--he"], ["--h=x"], ["--d", "3", "cdf"],
+     ["--bogus", "--help"], ["--", "cdf"], ["cdf", "--help", "--r"], ["cdf", "--help", "--", "--r"],
+     ["cdf", "--d", "x", "--help"], ["cdf", "--bogus", "--help"], ["cdf", "-h", "--d"],
+     ["cdf", "-hx"], ["cdf", "--help="], ["cdf", "--", "--help"], ["cdf", "--d", "--", "3"],
+     ["cdf", "--=1"], ["simulate", "--c", "1", "--co=2"], ["mixture", "--n", "1", "--n-", "2"]],
+)
+def test_parser_reads_edge_argv_as_argparse_did(argv):
+    _same_as_argparse(argv)
