@@ -24,10 +24,7 @@ from .analytic import (
 from .angular import angles_to_direction, angular_density, marginal_angular_density, sample_angles
 from .flight import (
     FlightParams,
-    Trajectory,
     draws_per_flight,
-    project,
-    radial,
     replicate_stream,
     simulate_batch,
     simulate_flight,
@@ -39,7 +36,6 @@ from .specfun import (
     bessel_j_ratio,
     double_factorial_odd,
     falling_factorial_coeffs,
-    gamma,
     mittag_leffler_paper,
 )
 from .temporal import intertime_density, sample_intertimes

@@ -7,10 +7,13 @@ command shares, and any other argument is a usage error.
 density, cf and cdf evaluate the law that one table, ``_LAWS``, names
 for the command and its --formula, at the radii, points or frequencies
 the table says.  Flags override values from an optional JSON config
-file, whose keys are flag names (without the dashes) of any command;
-the fully resolved configuration (including the seed) is echoed as a
-header comment in every CSV and into a ``<out>.meta.json`` sidecar, so
-reruns with the same inputs are byte-identical.  A command opens its
+file, whose keys are flag names (without the dashes) of any command.
+A config value takes its flag's kind, as the flag's text does (an
+integral float is an integer, a boolean is no number), and a key of a
+flag this command lacks is ignored.  The fully resolved configuration
+(including the seed) is echoed as a header comment in every CSV and
+into a ``<out>.meta.json`` sidecar, so reruns with the same inputs are
+byte-identical.  A command opens its
 outputs only after it has computed all their values, so one that fails
 leaves no file.  An existing output is overwritten in place and then
 cut to the written length, never truncated first, so a rerun leaves the
@@ -29,7 +32,6 @@ import math
 import os
 import re
 import sys
-from types import SimpleNamespace
 
 import numpy as np
 
@@ -61,11 +63,11 @@ def _write_outputs(path: str, names: list[str], config: dict, *columns, extra=No
         fh.write(json.dumps({"config": config, **(extra or {})}, sort_keys=True, indent=2) + "\n")
 
 
-def _parse_vector(text: str) -> list[float]:
-    try:
-        return [float(tok) for tok in text.split(",") if tok.strip() != ""]
-    except ValueError as exc:
-        raise _UsageError(f"cannot parse vector {text!r}") from exc
+def _floats(key: str, values) -> list[float]:
+    """A --<key> vector: comma-separated text or a list of numbers."""
+    if isinstance(values, str):
+        values = [tok for tok in values.split(",") if tok.strip()]
+    return [_typed(key, float, v) for v in values]
 
 
 def _vector_args(cfg: dict, key: str, dim: int) -> np.ndarray:
@@ -77,7 +79,7 @@ def _vector_args(cfg: dict, key: str, dim: int) -> np.ndarray:
     flat = isinstance(raw, list) and all(isinstance(v, (int, float)) for v in raw)
     if isinstance(raw, str) or flat:
         raw = [raw]  # one vector: a comma-separated string or a flat list of numbers
-    vecs = [_parse_vector(v) if isinstance(v, str) else list(map(float, v)) for v in raw]
+    vecs = [_floats(key, v) for v in raw]
     for vec in vecs:
         if len(vec) != dim:
             raise _UsageError(f"--{key} {vec} must have length {dim}")
@@ -97,28 +99,28 @@ def _load_config_file(path: str | None) -> dict:
     return data
 
 
-def _resolved(args) -> dict:
-    """Merge config-file values with the command's flags, keyed by flag
-    name; flags win when provided."""
-    out = _load_config_file(args.config)
-    for name, val in vars(args).items():
-        if val is not None and name not in ("command", "func", "config"):
-            out[name.replace("_", "-")] = val
-    return out
-
-
 _DEFAULTS = {"d": 2, "n": 1, "nu": 0.0, "c": 1.0, "t": 1.0}
 
 
-def _integer(value, key: str) -> int:
-    """An integer setting; a non-integral number or a boolean is a usage error."""
-    if isinstance(value, bool) or isinstance(value, float) and not value.is_integer():
-        raise _UsageError(f"--{key} must be an integer, got {value!r}")
-    return int(value)
+def _typed(name: str, kind, value):
+    """``value``, a flag's text or a config value, as the setting
+    ``--name`` of ``kind``: an int (an integral float too), a float or
+    one of a tuple's choices, never a boolean; a str or list setting's
+    value as it is."""
+    if kind in (str, list):
+        return value
+    try:
+        fraction = kind is int and isinstance(value, float) and not value.is_integer()
+        if fraction or isinstance(value, bool):
+            raise ValueError
+        return kind[kind.index(value)] if isinstance(kind, tuple) else kind(value)
+    except (ValueError, TypeError, OverflowError):
+        want = {int: "an integer", float: "a number"}.get(kind, f"one of {kind}")
+        raise _UsageError(f"--{name} must be {want}, got {value!r}") from None
 
 
 def _seed(cfg: dict, default: int) -> int:
-    seed = _integer(cfg.get("seed", default), "seed")
+    seed = cfg.get("seed", default)
     try:
         _check_seed(seed)
     except ValueError as exc:
@@ -132,13 +134,7 @@ def _flight_params(cfg: dict, need_m: bool = False) -> FlightParams:
     if need_m and m is None:
         raise _UsageError("this command requires --m")
     return FlightParams(
-        d=_integer(merged["d"], "d"),
-        n=_integer(merged["n"], "n"),
-        nu=float(merged["nu"]),
-        c=float(merged["c"]),
-        t=float(merged["t"]),
-        m=_integer(m, "m") if m is not None else None,
-    )
+        d=merged["d"], n=merged["n"], nu=merged["nu"], c=merged["c"], t=merged["t"], m=m)
 
 
 def _echo(command: str, p: FlightParams, **extra) -> dict:
@@ -157,23 +153,21 @@ def _require_out(cfg: dict) -> str:
 
 
 def _r_grid(cfg: dict, p: FlightParams) -> np.ndarray:
-    rmin = float(cfg.get("r-min", 0.0))
-    rmax = float(cfg.get("r-max", p.c * p.t))
+    rmin = cfg.get("r-min", 0.0)
+    rmax = cfg.get("r-max", p.c * p.t)
     if not (math.isfinite(rmin) and math.isfinite(rmax)):
         raise _UsageError(f"--r-min {rmin} and --r-max {rmax} must be finite")
-    npts = _integer(cfg.get("r-points", 200), "r-points")
+    npts = cfg.get("r-points", 200)
     if npts < 2:
         raise _UsageError("--r-points must be >= 2")
     return np.linspace(rmin, rmax, npts)
 
 
-def _cmd_simulate(args) -> int:
-    cfg = _resolved(args)
-    cfg.pop("m", None)  # positions are in all d coordinates
-    count = _integer(cfg.get("count", 0) or 0, "count")
+def _cmd_simulate(command: str, cfg: dict) -> int:
+    count = cfg.get("count", 0)
     if count < 1:
         raise _UsageError("--count must be >= 1")
-    n_traj = _integer(cfg.get("trajectories", 0) or 0, "trajectories")
+    n_traj = cfg.get("trajectories", 0)
     if not 0 <= n_traj <= count:
         raise _UsageError(f"--trajectories must be in 0..{count}, the --count")
     p = _flight_params(cfg)
@@ -182,7 +176,7 @@ def _cmd_simulate(args) -> int:
     traj_out = str(cfg.get("trajectories-out") or (out + ".trajectories.csv"))
     if n_traj > 0 and os.path.realpath(traj_out) == os.path.realpath(out):
         raise _UsageError(f"--trajectories-out {traj_out!r} names the --out file")
-    cfg_echo = _echo("simulate", p, seed=seed, count=count)
+    cfg_echo = _echo(command, p, seed=seed, count=count)
     if n_traj == 0:
         tr, finals = None, simulate_batch(p, count, seed)
     else:
@@ -232,18 +226,14 @@ def _anorm_vectors(cfg: dict, dim: int) -> np.ndarray:
     if isinstance(anorms, (int, float, str)):
         anorms = [anorms]
     alphas = np.zeros((len(anorms), dim))
-    alphas[:, 0] = [float(a) for a in anorms]
+    alphas[:, 0] = _floats("anorm", anorms)
     return alphas
 
 
-def _cmd_law(args) -> int:
-    cfg = _resolved(args)
-    command = args.command
-    # cdf has one law and no --formula: a formula key in its config is
-    # another command's
-    formula = None if (command, None) in _LAWS else cfg.get("formula")
-    if formula not in _formulas(command):
-        raise _UsageError(f"--formula must be one of {_formulas(command)}")
+def _cmd_law(command: str, cfg: dict) -> int:
+    formula = cfg.get("formula")
+    if (command, formula) not in _LAWS:
+        raise _UsageError(f"--formula is required: one of {_formulas(command)}")
     law, inputs = _LAWS[command, formula]
     projected = law.endswith("projection")
     p = _flight_params(cfg, need_m=projected)
@@ -262,8 +252,7 @@ def _cmd_law(args) -> int:
     return 0
 
 
-def _cmd_moments(args) -> int:
-    cfg = _resolved(args)
+def _cmd_moments(command: str, cfg: dict) -> int:
     p = _flight_params(cfg, need_m=True)
     out = _require_out(cfg)
     orders_raw = cfg.get("orders", "1,2,4")
@@ -271,23 +260,22 @@ def _cmd_moments(args) -> int:
         orders_raw = orders_raw.split(",")
     elif isinstance(orders_raw, (int, float)):
         orders_raw = [orders_raw]  # one order
-    orders = [_integer(k, "orders") for k in orders_raw]
-    cfg_echo = _echo("moments", p, orders=orders)
+    orders = [_typed("orders", int, k) for k in orders_raw]
+    cfg_echo = _echo(command, p, orders=orders)
     moments = [analytic.radial_moment(p, k) for k in orders]
     _write_outputs(out, ["order", "moment"], cfg_echo, orders, moments)
     return 0
 
 
-def _cmd_mixture(args) -> int:
-    cfg = _resolved(args)
+def _cmd_mixture(command: str, cfg: dict) -> int:
     p = _flight_params(cfg, need_m=True)
     lam = cfg.get("lam")
     if lam is None:
         raise _UsageError("--lam is required")
-    mp = MixtureParams(lam=float(lam), base=p, n_max=_integer(cfg.get("n-max", 50), "n-max"))
+    mp = MixtureParams(lam=lam, base=p, n_max=cfg.get("n-max", 50))
     out = _require_out(cfg)
     points = _vector_args(cfg, "x", p.m)
-    cfg_echo = _echo("mixture", p, lam=mp.lam, n_max=mp.n_max)
+    cfg_echo = _echo(command, p, lam=mp.lam, n_max=mp.n_max)
     del cfg_echo["n"]  # the mixture randomizes n
     density = analytic.unconditional_density_projection(mp, points)
     bound = analytic.mixture_tail_bound(mp)
@@ -296,18 +284,15 @@ def _cmd_mixture(args) -> int:
     return 0
 
 
-def _cmd_validate(args) -> int:
+def _cmd_validate(command: str, cfg: dict) -> int:
     # validation's own import costs about 5 ms (16 ms when it compiles;
     # python -X importtime) and 2 MB; no other command needs it
     from .validation import SuiteConfig, run_suite
 
-    cfg = _resolved(args)
     only = cfg.get("only")
-    if only not in (None, "identities", "gof"):
-        raise _UsageError("--only must be 'identities' or 'gof'")
     config = SuiteConfig(
         master_seed=_seed(cfg, 20260808),
-        profile=str(cfg.get("profile", "quick")),
+        profile=cfg.get("profile", "quick"),
         include_identities=only in (None, "identities"),
         include_gof=only in (None, "gof"),
     )
@@ -322,9 +307,10 @@ def _cmd_validate(args) -> int:
     return 0 if report["passed"] else VALIDATION_FAILURE
 
 
-# command -> (help line, {flag: type}, handler).  A flag's text goes
-# through its type; a tuple is the flag's choices, and a list flag may
-# repeat, each use appending its text.  Config keys are these flags.
+# command -> (help line, {flag: kind}, handler(command, settings)).  A
+# flag's text and a config value go through its kind (``_typed``); a
+# tuple is the flag's choices, and a list flag may repeat, each use
+# appending its text.  Config keys are these flags.
 _IO = {"out": str, "config": str}
 _LAW = {"d": int, "m": int, "n": int, "nu": float, "c": float, "t": float}
 _GRID = {"r-min": float, "r-max": float, "r-points": int}
@@ -382,9 +368,9 @@ def _flag(flags: dict, token: str):
     return names[0], text if eq else None
 
 
-def _parse(argv: list[str]) -> SimpleNamespace:
-    """The command of ``argv`` and one attribute per flag (None if not given)."""
-    command, flags, func, values, extras = None, {}, None, {}, []
+def _parse(argv: list[str]) -> tuple[str, dict]:
+    """The command of ``argv`` and its given flags' values by name."""
+    command, flags, values, extras = None, {}, {}, []
     tokens = iter(argv)
     try:
         for token in tokens:
@@ -393,7 +379,7 @@ def _parse(argv: list[str]) -> SimpleNamespace:
             elif (found := _flag(flags, token)) is None and command is None:
                 if token not in _COMMANDS:
                     raise _UsageError(f"unknown command {token!r}")
-                command, (_, flags, func) = token, _COMMANDS[token]
+                command, (_, flags, _) = token, _COMMANDS[token]
             elif found is None or found[0] is None:
                 extras.append(token)
             elif found[0] == "help":
@@ -411,15 +397,10 @@ def _parse(argv: list[str]) -> SimpleNamespace:
                     text = next(tokens, "--")
                     if text == "--" or _flag(flags, text) is not None:
                         raise _UsageError(f"--{name} expects a value")
-                kind = flags[name]
-                if kind is list:
+                if flags[name] is list:
                     values.setdefault(name, []).append(text)
-                    continue
-                try:  # a choice not in the tuple fails its index
-                    values[name] = kind[kind.index(text)] if isinstance(kind, tuple) else kind(text)
-                except ValueError:
-                    want = getattr(kind, "__name__", kind)
-                    raise _UsageError(f"--{name} takes {want}, not {text!r}") from None
+                else:
+                    values[name] = _typed(name, flags[name], text)
         if command is None:
             raise _UsageError("a command is required")
         if extras:
@@ -427,14 +408,17 @@ def _parse(argv: list[str]) -> SimpleNamespace:
     except _UsageError:
         print(_usage(command), file=sys.stderr)
         raise
-    named = {flag.replace("-", "_"): values.get(flag) for flag in flags}
-    return SimpleNamespace(command=command, func=func, **named)
+    return command, values
 
 
 def main(argv=None) -> int:
     try:
-        args = _parse(sys.argv[1:] if argv is None else argv)
-        return args.func(args)
+        command, given = _parse(sys.argv[1:] if argv is None else argv)
+        _, flags, handler = _COMMANDS[command]
+        config = _load_config_file(given.get("config"))
+        # a config key of another command's flag is not this command's
+        cfg = {key: _typed(key, flags[key], value) for key, value in config.items() if key in flags}
+        return handler(command, {**cfg, **given})
     except (_UsageError, ValueError, KeyError, TypeError) as exc:
         # TypeError: a config-file value of the wrong JSON type
         print(f"error: {exc}", file=sys.stderr)

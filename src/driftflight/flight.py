@@ -58,8 +58,6 @@ __all__ = [
     "FlightParams",
     "Trajectory",
     "draws_per_flight",
-    "project",
-    "radial",
     "replicate_stream",
     "simulate_batch",
     "simulate_flight",
@@ -193,20 +191,6 @@ def simulate_flight(p: FlightParams, rng: np.random.Generator) -> Trajectory:
     segment of length c t."""
     tr = _paths(*_segments(p, rng.random((1, draws_per_flight(p)))))
     return Trajectory(tr.breakpoints[0], tr.times[0])
-
-
-def project(tr: Trajectory, m: int) -> np.ndarray:
-    """First m coordinates of the final position(s)."""
-    d = tr.breakpoints.shape[-1]
-    if not 1 <= m <= d:
-        raise ValueError(f"projection dimension must be in [1, {d}], got {m}")
-    return np.array(tr.final[..., :m], dtype=float)
-
-
-def radial(x):
-    """Euclidean norm of each vector along the last axis; one vector gives
-    a numpy scalar."""
-    return np.linalg.norm(np.asarray(x, dtype=float), axis=-1)[()]
 
 
 def _cpus() -> int:

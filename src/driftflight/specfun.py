@@ -1,11 +1,10 @@
 """Special functions for the closed-form laws.
 
-The gamma function (positive arguments only), Bessel functions of the
-first kind with real order mu >= -1/2, a Wright-type Mittag-Leffler
-series and its log (note: with an extra k! in the denominator, see
-:func:`mittag_leffler_paper`), odd double factorials, and the exact
-integer coefficients that expand the odd product polynomial
-prod_i (2m + 2i - 1) in the falling-factorial basis.
+Bessel functions of the first kind with real order mu >= -1/2, a
+Wright-type Mittag-Leffler series and its log (note: with an extra k! in
+the denominator, see :func:`mittag_leffler_paper`), odd double
+factorials, and the exact integer coefficients that expand the odd
+product polynomial prod_i (2m + 2i - 1) in the falling-factorial basis.
 
 Bessel evaluation
 -----------------
@@ -44,17 +43,9 @@ __all__ = [
     "bessel_j_ratio",
     "double_factorial_odd",
     "falling_factorial_coeffs",
-    "gamma",
     "log_mittag_leffler_paper",
     "mittag_leffler_paper",
 ]
-
-
-def gamma(x: float) -> float:
-    """Gamma function restricted to strictly positive real arguments."""
-    if not x > 0.0:
-        raise ValueError(f"gamma requires x > 0, got {x}")
-    return math.gamma(x)
 
 
 _TINY = np.finfo(float).tiny
@@ -68,11 +59,11 @@ _HANKEL_TOL = 1e-12
 
 
 def _check_order(name: str, mu) -> None:
-    # mu is one order or an array of them; the comparisons are False for
-    # NaN as well as for +-inf, and give a bool for one Python number
+    # mu is an array of one order or of several; the comparisons are
+    # False for NaN as well as for +-inf
     ok = (-0.5 <= mu) & (mu < math.inf)
-    if not (ok if isinstance(ok, bool) else ok.all()):
-        bad = np.extract(~np.asarray(ok), mu)[0]
+    if not np.all(ok):
+        bad = np.extract(~ok, mu)[0]
         raise ValueError(f"{name} requires a finite order mu >= -1/2, got mu = {bad}")
 
 
@@ -270,10 +261,7 @@ def double_factorial_odd(n: int) -> int:
     """(2n-1)!! as an exact integer, with the empty-product convention at n=0."""
     if n < 0:
         raise ValueError(f"double_factorial_odd requires n >= 0, got {n}")
-    out = 1
-    for i in range(1, n + 1):
-        out *= 2 * i - 1
-    return out
+    return _odd_product(n, 0)
 
 
 @dataclass(frozen=True)

@@ -608,6 +608,7 @@ _CONFIG_BASE = {
         ("cf", {"anorm": [[1.0]]}, None),  # malformed: a usage error
         ("mixture", {"x": [[0.3], {"x": 0.3}]}, None),
         ("moments", {"c": [1.0]}, None),
+        ("moments", {"c": 10**400}, None),  # once an OverflowError traceback
     ],
 )
 def test_config_values_of_other_json_types(tmp_path, capsys, command, config, flags):
@@ -668,6 +669,46 @@ def test_config_numbers_are_not_truncated(tmp_path):
     flags = ["simulate", "--d", "3", "--n", "1", "--count", "4", "--seed", "7"]
     assert main(flags + ["--out", str(ref)]) == 0
     assert out.read_bytes() == ref.read_bytes()
+
+
+_NUMBER_SETTINGS = {
+    "cdf": {"d": 3, "m": 2, "n": 1, "nu": 1.0, "r-points": 5},
+    "mixture": {"d": 2, "m": 1, "nu": 0.0, "lam": 1.0, "x": [0.3]},
+    "cf": {"formula": "projected", "d": 3, "m": 2, "n": 1, "anorm": [1.0]},
+}
+
+
+@pytest.mark.parametrize(
+    "command,key,value",
+    [("cdf", key, True) for key in ("nu", "c", "t", "r-min", "r-max")]
+    + [("mixture", "lam", True), ("mixture", "x", [True]), ("cf", "anorm", [True])],
+)
+def test_boolean_config_value_for_a_number_is_a_usage_error(tmp_path, capsys, command, key, value):
+    # {"nu": true} once wrote the nu = 1 law and {"r-max": true} a grid to 1.0
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({**_NUMBER_SETTINGS[command], key: value}))
+    out = tmp_path / "out.csv"
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == USAGE_ERROR
+    assert f"--{key} must be a number, got True" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [cfg]
+
+
+@pytest.mark.parametrize(
+    "command,settings",
+    [
+        ("validate", {"only": "all"}), ("validate", {"profile": "slow"}),
+        ("validate", {"only": None}), ("density", {**_NUMBER_SETTINGS["cdf"], "formula": "cdf"}),
+        ("cf", {**_NUMBER_SETTINGS["cf"], "formula": 1}),
+    ],
+)
+def test_config_value_outside_its_choices_is_a_usage_error(tmp_path, capsys, command, settings):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(settings))
+    out = tmp_path / "out.csv"
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == USAGE_ERROR
+    (key,) = set(settings) & {"only", "profile", "formula"}
+    assert f"--{key} must be one of" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [cfg]
 
 
 _COMMAND_SET = {cmd[0]: cmd for cmd in CLI_COMMAND_SETS}
@@ -778,12 +819,22 @@ _ARGPARSE = argparse_cli_parser()
 _SUBPARSERS = next(a for a in _ARGPARSE._actions if isinstance(a, argparse._SubParsersAction))
 
 
+def _argparse_given(argv):
+    """The command of argv and its given flags by name, as argparse reads
+    them; the handler is left out, as the command fixes it."""
+    args = vars(_ARGPARSE.parse_args(argv))
+    given = {name.replace("_", "-"): value for name, value in args.items()
+             if value is not None and name not in ("command", "func")}
+    return args["command"], given
+
+
 def _parsed(parse, argv):
-    """What a parser makes of argv: ("ok", the repr of its namespace),
-    ("exit", code) for help, or ("error",)."""
+    """What a parser makes of argv: ("ok", the repr of its command and
+    given values), ("exit", code) for help, or ("error",)."""
     try:
         with redirect_stdout(StringIO()), redirect_stderr(StringIO()):
-            return "ok", repr(sorted(vars(parse(argv)).items()))  # nan == nan
+            command, given = parse(argv)
+            return "ok", repr((command, sorted(given.items())))  # nan == nan
     except SystemExit as exc:
         return "exit", exc.code
     except (ArgparseUsageError, cli._UsageError):
@@ -791,7 +842,7 @@ def _parsed(parse, argv):
 
 
 def _same_as_argparse(argv):
-    want = _parsed(_ARGPARSE.parse_args, argv)
+    want = _parsed(_argparse_given, argv)
     assert _parsed(cli._parse, argv) == want, argv
     if want[0] == "error":
         with redirect_stderr(StringIO()):

@@ -19,8 +19,6 @@ from driftflight.flight import (
     _padded_draws,
     _segments,
     draws_per_flight,
-    project,
-    radial,
     replicate_stream,
     simulate_batch,
     simulate_flight,
@@ -63,7 +61,7 @@ def test_n0_single_segment_has_radius_ct():
     p = FlightParams(d=3, n=0, nu=1.0, c=2.0, t=1.5)
     tr = simulate_flight(p, _rng(5))
     assert tr.breakpoints.shape == (2, 3)
-    assert radial(tr.final) == pytest.approx(p.c * p.t, rel=1e-12)
+    assert np.linalg.norm(tr.final) == pytest.approx(p.c * p.t, rel=1e-12)
 
 
 def test_trajectory_segments_match_intertimes():
@@ -371,29 +369,6 @@ def test_segments_finite_at_extreme_uniforms(d, n, nu, u):
     assert np.all(np.linalg.norm(total, axis=1) <= p.c * p.t * (1.0 + 1e-12))
 
 
-def test_project_and_radial():
-    p = FlightParams(d=4, n=1, nu=0.0)
-    tr = simulate_flight(p, _rng(2))
-    np.testing.assert_array_equal(project(tr, 4), tr.final)
-    assert project(tr, 1)[0] == tr.final[0]
-    with pytest.raises(ValueError):
-        project(tr, 5)
-    assert radial([3.0, 4.0]) == pytest.approx(5.0)
-    assert radial(np.zeros(3)) == 0.0
-    assert radial(tr.final) <= p.c * p.t + 1e-9
-    # a leading replicate axis: one projection and one radius per trajectory
-    many = simulate_trajectories(p, 3, 2)
-    np.testing.assert_array_equal(project(many, 2), simulate_batch(p, 3, 2)[:, :2])
-    radii = radial(project(many, 4))
-    assert radii.shape == (3,) and np.all(radii <= p.c * p.t + 1e-9)
-    assert radii.tobytes() == np.array([radial(x) for x in project(many, 4)]).tobytes()
-    finals = simulate_batch(FlightParams(d=3, n=2, nu=1.0), 4, 1)
-    np.testing.assert_allclose(radial(finals), np.linalg.norm(finals, axis=1), rtol=1e-15)
-    assert np.all(radial(finals) <= 1.0 + 1e-12)
-    with pytest.raises(ValueError):
-        project(many, 5)
-
-
 def test_batch_count_validation():
     with pytest.raises(ValueError):
         simulate_batch(FlightParams(d=2, n=1, nu=0.0), 0, 1)
@@ -427,4 +402,4 @@ def test_flight_invariants_property(d, n, nu, seed):
     assert tr.breakpoints.shape == (n + 2, d)
     assert np.all(np.diff(tr.times) > 0.0)
     assert np.linalg.norm(tr.breakpoints[0]) == 0.0
-    assert radial(tr.final) <= p.c * p.t + 1e-9
+    assert np.linalg.norm(tr.final) <= p.c * p.t + 1e-9

@@ -14,10 +14,10 @@ PACKAGE_NAMES = [
     "mixture_tail_bound", "radial_density_nu1", "radial_density_projection",
     "radial_moment", "unconditional_density_projection",
     "angles_to_direction", "angular_density", "marginal_angular_density", "sample_angles",
-    "FlightParams", "Trajectory", "draws_per_flight", "project", "radial",
-    "replicate_stream", "simulate_batch", "simulate_flight", "simulate_trajectories",
+    "FlightParams", "draws_per_flight", "replicate_stream", "simulate_batch", "simulate_flight",
+    "simulate_trajectories",
     "CoeffTable", "bessel_j", "bessel_j_ratio", "double_factorial_odd",
-    "falling_factorial_coeffs", "gamma", "mittag_leffler_paper",
+    "falling_factorial_coeffs", "mittag_leffler_paper",
     "intertime_density", "sample_intertimes",
     "GofReport", "IdentityReport", "SuiteConfig", "check_identity", "gof_cf",
     "gof_radial", "ks_distance", "run_suite",

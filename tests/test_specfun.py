@@ -12,7 +12,6 @@ from driftflight.specfun import (
     bessel_j_ratio,
     double_factorial_odd,
     falling_factorial_coeffs,
-    gamma,
     log_mittag_leffler_paper,
     mittag_leffler_paper,
 )
@@ -22,28 +21,6 @@ from _oracles import (
     log_mittag_leffler_mp,
     mittag_leffler_oracle,
 )
-
-
-# ---------------------------------------------------------------- gamma
-
-def test_gamma_classical_values():
-    assert gamma(0.5) == pytest.approx(math.sqrt(math.pi), rel=1e-15)
-    assert gamma(5.0) == 24.0
-    # recurrence from gamma(0.5): 1.5 * 0.5 * sqrt(pi)
-    assert gamma(2.5) == pytest.approx(1.3293403881791370, rel=1e-12)
-
-
-def test_gamma_domain_errors():
-    with pytest.raises(ValueError):
-        gamma(0.0)
-    with pytest.raises(ValueError):
-        gamma(-1.5)
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.floats(min_value=0.1, max_value=30.0))
-def test_gamma_recurrence(x):
-    assert gamma(x + 1.0) == pytest.approx(x * gamma(x), rel=1e-12)
 
 
 # -------------------------------------------------------------- bessel_j
@@ -307,7 +284,7 @@ def test_bessel_domain_errors():
 def test_bessel_ratio_limit_and_consistency():
     for mu in (0.0, 0.5, 2.5, 6.0):
         assert bessel_j_ratio(mu, 0.0) == pytest.approx(
-            1.0 / (2.0**mu * gamma(mu + 1.0)), rel=1e-14
+            1.0 / (2.0**mu * math.gamma(mu + 1.0)), rel=1e-14
         )
         for x in (0.3, 3.0, 17.0, 45.0):
             assert bessel_j_ratio(mu, x) == pytest.approx(
@@ -337,7 +314,7 @@ def test_bessel_recurrence_property(mu, x):
 def test_ml_at_zero_is_one_over_gamma_beta():
     for alpha, beta in ((1.0, 1.0), (0.7, 2.3), (1.5, 0.4)):
         assert mittag_leffler_paper(alpha, beta, 0.0) == pytest.approx(
-            1.0 / gamma(beta), rel=1e-14
+            1.0 / math.gamma(beta), rel=1e-14
         )
 
 
