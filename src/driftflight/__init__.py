@@ -31,7 +31,6 @@ from .flight import (
     simulate_trajectories,
 )
 from .specfun import (
-    CoeffTable,
     bessel_j,
     bessel_j_ratio,
     double_factorial_odd,

@@ -8,10 +8,10 @@ by the half order K = (n+1)(2 nu + d - 1)/2.  The projected radius obeys
 regularized incomplete beta function.
 
 Full-flight results (nu = 1 only): characteristic function, density and
-radial density in dimension d, any n >= 1, as alternating Bessel/polynomial
-sums over one table of constants indexed by the falling-factorial
-coefficients, built once per (d, n) and kept as read-only arrays; the cf
-takes its n + 2 Bessel terms from one call with an array of orders, and
+radial density in dimension d, any n >= 1, as alternating sums of n + 2
+terms over one table of constants, built once per (d, n) and kept as
+read-only arrays: the cf's Bessel terms, from one call with an array of
+orders, and the density's powers x_d^(2k), with exact integer constants;
 the radial law is the density's sum averaged over the sphere of radius r.
 The paper's fully explicit n = 1, 2 density stays as an independent check
 of that table.
@@ -113,11 +113,6 @@ def _require_closed(p: FlightParams) -> None:
     _require_nu1(p)
     if p.n not in (1, 2):
         raise ValueError("the explicit nu = 1 forms are only available for n in {1, 2}")
-
-
-@lru_cache(maxsize=None)
-def _coeff_row(n: int) -> tuple[int, ...]:
-    return falling_factorial_coeffs(n).coeffs
 
 
 def _vectors(x, dim: int | None = None) -> np.ndarray:
@@ -384,16 +379,6 @@ def cf_nu1(p: FlightParams, alpha):
     return np.where(rho2 == 0.0, 1.0, np.clip(total, -1.0, 1.0))[()]
 
 
-def _nu1_logs(d: int, n: int, j: int) -> list[float]:
-    """Logs of C(n+1, j), ((d+1)/2)^(n+1-j) and 1 / Gamma((n+1)(d+3)/2 - j),
-    the constant of term j in the nu = 1 cf and density sums."""
-    return [
-        math.log(math.comb(n + 1, j)),
-        (n + 1 - j) * math.log(0.5 * (d + 1)),
-        -math.lgamma(0.5 * (n + 1) * (d + 3) - j),
-    ]
-
-
 class _Nu1Table:
     """The constants of the nu = 1 sums at one (d, n), built once per
     (d, n) by :func:`_nu1_table`, each part on its first use, as columns of
@@ -401,19 +386,23 @@ class _Nu1Table:
 
     ``bessel`` holds, per Bessel term j = 0..n+1 of the cf: the exponent
     nj = n+1-j of the direction ratio, the sign (-1)^nj, the order
-    (n+1)(d+3)/2 - j - 1/2, the log of the term's constant, and that log's
-    size plus the Bessel ratio's own lgamma(order + 1) + order log 2.
-    ``terms`` holds, per term c_jk x_d^(2k) Q^e of the densities,
-    j = 0..n+1 and k = 0..n+1-j: the sign, the log of c_jk, that log's
-    size, e and k.  ``cf_pref`` and ``density_pref`` are the logs of each
-    sum's common factor, the density's at c t = 1.
+    (n+1)(d+3)/2 - j - 1/2, the log of the term's constant
+    C(n+1, j) ((d+1)/2)^nj / Gamma((n+1)(d+3)/2 - j), and that log's size
+    plus the Bessel ratio's own lgamma(order + 1) + order log 2.
+    ``terms`` holds, per power x_d^(2k) Q^e of the densities, k = 0..n+1:
+    the sign of R_k (:func:`_nu1_constants`), the log of
+    |R_k| / Gamma(e + 1), that log's size, e and k.  ``cf_pref`` and
+    ``density_pref`` are the logs of each sum's common factor, the
+    density's at c t = 1.
     """
 
     def __init__(self, d: int, n: int):
         self.d, self.n = d, n
         M = (n + 1) * (d + 1)
         self.cf_pref = 0.5 * _LN_PI + math.lgamma(M) - 0.5 * (M - 1) * _LN_2
-        self.density_pref = math.lgamma(M) - 0.5 * (d - 1) * _LN_PI - (M - 1) * _LN_2
+        # with the 1 / (2^(n+1) Gamma((n+1)(d+3)/2)) of every term's R_k
+        lg_x = math.lgamma(0.5 * (n + 1) * (d + 3))
+        self.density_pref = math.lgamma(M) - lg_x - 0.5 * (d - 1) * _LN_PI - (M + n) * _LN_2
 
     @cached_property
     def bessel(self) -> tuple:
@@ -421,7 +410,11 @@ class _Nu1Table:
         rows = []
         for j in range(n + 2):
             nj = n + 1 - j
-            pieces = _nu1_logs(d, n, j)
+            pieces = [
+                math.log(math.comb(n + 1, j)),
+                nj * math.log(0.5 * (d + 1)),
+                -math.lgamma(0.5 * (n + 1) * (d + 3) - j),
+            ]
             order = 0.5 * ((n + 1) * (d + 3) - (2 * j + 1))
             own = math.lgamma(order + 1.0) + order * _LN_2
             rows.append((nj, (-1.0) ** nj, order, sum(pieces), _log_size(pieces) + own))
@@ -431,14 +424,29 @@ class _Nu1Table:
     def terms(self) -> tuple:
         d, n = self.d, self.n
         rows = []
-        for j in range(n + 2):
-            nj = n + 1 - j
-            pieces = _nu1_logs(d, n, j)
-            for k, a_k in enumerate(_coeff_row(nj)):
-                e = 0.5 * n * (d + 1) - k
-                logs = pieces + [math.log(a_k), -math.lgamma(e + 1.0)]
-                rows.append(((-1.0) ** (nj + k), sum(logs), _log_size(logs), e, k))
+        for k, r in enumerate(_nu1_constants(d, n)):
+            e = 0.5 * n * (d + 1) - k
+            # |R_k| may pass the double range: no float holds it
+            logs = [math.log(abs(r)), -math.lgamma(e + 1.0)]
+            rows.append((1.0 if r > 0 else -1.0, sum(logs), _log_size(logs), e, k))
         return _read_only(rows)
+
+
+def _nu1_constants(d: int, n: int) -> list[int]:
+    """The exact integers R_k, k = 0..n+1, of the nu = 1 density: its term
+    k is R_k x_d^(2k) Q^e / (2^(n+1) Gamma(X) Gamma(e + 1)), X = (n+1)(d+3)/2,
+    e = n(d+1)/2 - k.  The x_d^(2k) parts of the cf's inverted terms j,
+    sum_j (-1)^(nj+k) C(n+1, j) ((d+1)/2)^nj a_{k,nj} / Gamma(X - j) over
+    nj = n+1-j >= k, gathered over 2^(n+1) Gamma(X): with 2X an integer and
+    1 / Gamma(X - j) = prod_{i=1..j} (X - i) / Gamma(X),
+    R_k = sum_j (-1)^(nj+k) C(n+1, j) (d+1)^nj a_{k,nj} prod_{i=1..j} (2X - 2i)."""
+    two_x = (n + 1) * (d + 3)
+    coeffs = [falling_factorial_coeffs(nj) for nj in range(n + 2)]
+    return [
+        sum((-1) ** (nj + k) * math.comb(n + 1, nj) * (d + 1) ** nj * coeffs[nj][k]
+            * math.prod(range(two_x - 2 * (n + 1 - nj), two_x, 2)) for nj in range(k, n + 2))
+        for k in range(n + 2)
+    ]
 
 
 def _read_only(rows) -> tuple:
@@ -465,10 +473,9 @@ def _nu1_point(tab: _Nu1Table, yy, Q) -> np.ndarray:
 
 
 def _nu1_sum(tab: _Nu1Table, log_point, name: str, log_weight=0.0):
-    """The nu = 1 density's double sum of the terms c_jk F_jk at unit
-    scale, from the logs (T, ...) of the per-term point factors F_jk, each
-    c_jk scaled by exp(log_weight) (per term); raises past 1e-9 relative
-    rounding loss."""
+    """The nu = 1 density's sum of the terms c_k F_k at unit scale, from
+    the logs (T, ...) of the per-term point factors F_k, each c_k scaled by
+    exp(log_weight) (per term); raises past 1e-9 relative rounding loss."""
     sign, log_c, size = tab.terms[:3]
     per_term = (-1,) + (1,) * (np.ndim(log_point) - 1)
     log_c = (log_c + log_weight).reshape(per_term)
@@ -481,10 +488,10 @@ def _nu1_sum(tab: _Nu1Table, log_point, name: str, log_weight=0.0):
 def density_nu1(p: FlightParams, x):
     """Density of the full flight at nu = 1, any n >= 1.
 
-    A double sum over the falling-factorial coefficient tables; even in
-    x_d and invariant under rotations fixing the x_d axis.  Raises
-    ValueError where the sum may lose more than 1e-9 relative to rounding,
-    and where a value passes the double range.
+    A sum of n + 2 terms, one per power x_d^(2k); even in x_d and
+    invariant under rotations fixing the x_d axis.  Raises ValueError
+    where the sum may lose more than 1e-9 relative to rounding, and where
+    a value passes the double range.
     """
     _require_nu1(p)
     ct = p.c * p.t

@@ -7,13 +7,13 @@ command shares, and any other argument is a usage error.
 density, cf and cdf evaluate the law that one table, ``_LAWS``, names
 for the command and its --formula, at the radii, points or frequencies
 the table says.  Flags override values from an optional JSON config
-file, whose keys are flag names (without the dashes) of any command.
-A config value takes its flag's kind, as the flag's text does (an
-integral float is an integer, a boolean is no number), and a key of a
-flag this command lacks is ignored.  The fully resolved configuration
-(including the seed) is echoed as a header comment in every CSV and
-into a ``<out>.meta.json`` sidecar, so reruns with the same inputs are
-byte-identical.  A command opens its
+file, whose keys are flag names (without the dashes) of any command
+but config.  A config value takes its flag's kind, as the flag's text
+does (an integral float is an integer, a boolean is no number, a path is
+a non-empty string), and a key of a flag this command lacks is ignored.
+The fully resolved configuration (including the seed) is echoed as a
+header comment in every CSV and into a ``<out>.meta.json`` sidecar, so
+reruns with the same inputs are byte-identical.  A command opens its
 outputs only after it has computed all their values, so one that fails
 leaves no file.  An existing output is overwritten in place and then
 cut to the written length, never truncated first, so a rerun leaves the
@@ -96,6 +96,8 @@ def _load_config_file(path: str | None) -> dict:
     unknown = ", ".join(repr(key) for key in sorted(set(data) - _CONFIG_KEYS))
     if unknown:
         raise _UsageError(f"config keys that are no command's flag: {unknown}")
+    if "config" in data:
+        raise _UsageError("a config file cannot name another config file (key 'config')")
     return data
 
 
@@ -105,10 +107,14 @@ _DEFAULTS = {"d": 2, "n": 1, "nu": 0.0, "c": 1.0, "t": 1.0}
 def _typed(name: str, kind, value):
     """``value``, a flag's text or a config value, as the setting
     ``--name`` of ``kind``: an int (an integral float too), a float or
-    one of a tuple's choices, never a boolean; a str or list setting's
-    value as it is."""
-    if kind in (str, list):
+    one of a tuple's choices, never a boolean; a str setting (a path) a
+    non-empty string; a list or object setting's value as it is."""
+    if kind in (list, object):
         return value
+    if kind is str:
+        if isinstance(value, str) and value:
+            return value
+        raise _UsageError(f"--{name} must be a non-empty string, got {value!r}")
     try:
         fraction = kind is int and isinstance(value, float) and not value.is_integer()
         if fraction or isinstance(value, bool):
@@ -147,9 +153,9 @@ def _echo(command: str, p: FlightParams, **extra) -> dict:
 
 def _require_out(cfg: dict) -> str:
     out = cfg.get("out")
-    if not out:
+    if out is None:
         raise _UsageError("an output path is required (--out)")
-    return str(out)
+    return out
 
 
 def _r_grid(cfg: dict, p: FlightParams) -> np.ndarray:
@@ -173,7 +179,7 @@ def _cmd_simulate(command: str, cfg: dict) -> int:
     p = _flight_params(cfg)
     seed = _seed(cfg, 0)
     out = _require_out(cfg)
-    traj_out = str(cfg.get("trajectories-out") or (out + ".trajectories.csv"))
+    traj_out = cfg.get("trajectories-out", out + ".trajectories.csv")
     if n_traj > 0 and os.path.realpath(traj_out) == os.path.realpath(out):
         raise _UsageError(f"--trajectories-out {traj_out!r} names the --out file")
     cfg_echo = _echo(command, p, seed=seed, count=count)
@@ -299,8 +305,8 @@ def _cmd_validate(command: str, cfg: dict) -> int:
     report = run_suite(config)
     text = json.dumps(report, sort_keys=True, indent=2) + "\n"
     out = cfg.get("out")
-    if out:
-        with open_output(str(out), "w") as fh:
+    if out is not None:
+        with open_output(out, "w") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
@@ -309,8 +315,9 @@ def _cmd_validate(command: str, cfg: dict) -> int:
 
 # command -> (help line, {flag: kind}, handler(command, settings)).  A
 # flag's text and a config value go through its kind (``_typed``); a
-# tuple is the flag's choices, and a list flag may repeat, each use
-# appending its text.  Config keys are these flags.
+# tuple is the flag's choices, a list flag may repeat, each use
+# appending its text, and an object flag's handler types its value.
+# Config keys are these flags.
 _IO = {"out": str, "config": str}
 _LAW = {"d": int, "m": int, "n": int, "nu": float, "c": float, "t": float}
 _GRID = {"r-min": float, "r-max": float, "r-points": int}
@@ -323,7 +330,8 @@ _COMMANDS = {
     "cf": ("evaluate a characteristic function", {
         **_LAW, "formula": _formulas("cf"), "alpha": list, "anorm": list, **_IO}, _cmd_law),
     "cdf": ("radial CDF of the projection on a grid", {**_LAW, **_GRID, **_IO}, _cmd_law),
-    "moments": ("radial moments of the projection", {**_LAW, "orders": str, **_IO}, _cmd_moments),
+    "moments": ("radial moments of the projection", {
+        **_LAW, "orders": object, **_IO}, _cmd_moments),
     "mixture": ("projected density with a random change count", {
         **_LAW, "lam": float, "n-max": int, "x": list, **_IO}, _cmd_mixture),
     "validate": ("run the verification suite", {

@@ -3,8 +3,9 @@
 Bessel functions of the first kind with real order mu >= -1/2, a
 Wright-type Mittag-Leffler series and its log (note: with an extra k! in
 the denominator, see :func:`mittag_leffler_paper`), odd double
-factorials, and the exact integer coefficients that expand the odd
-product polynomial prod_i (2m + 2i - 1) in the falling-factorial basis.
+factorials, and the exact integer coefficients, in closed form, that
+expand the odd product polynomial prod_i (2m + 2i - 1) in the
+falling-factorial basis.
 
 Bessel evaluation
 -----------------
@@ -32,13 +33,11 @@ to 1e300.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import jv
 
 __all__ = [
-    "CoeffTable",
     "bessel_j",
     "bessel_j_ratio",
     "double_factorial_odd",
@@ -261,50 +260,20 @@ def double_factorial_odd(n: int) -> int:
     """(2n-1)!! as an exact integer, with the empty-product convention at n=0."""
     if n < 0:
         raise ValueError(f"double_factorial_odd requires n >= 0, got {n}")
-    return _odd_product(n, 0)
+    return math.prod(range(1, 2 * n, 2))
 
 
-@dataclass(frozen=True)
-class CoeffTable:
-    """Coefficients a_{0,n} .. a_{n,n} expanding prod_i (2m + 2i - 1) in
-    the falling-factorial basis m (m-1) ... (m-j+1)."""
+def falling_factorial_coeffs(n: int) -> tuple[int, ...]:
+    """The integers a_{j,n}, j = 0..n, with
+    prod_{i=1..n} (2m + 2i - 1) = sum_j a_{j,n} m!/(m-j)! for all m >= 0:
+    a_{j,n} = C(n, j) 2^j (2n-1)!! / (2j-1)!!.
 
-    n: int
-    coeffs: tuple[int, ...]
-
-    def __post_init__(self):
-        if self.n < 0:
-            raise ValueError("CoeffTable.n must be >= 0")
-        if len(self.coeffs) != self.n + 1:
-            raise ValueError("CoeffTable needs exactly n + 1 coefficients")
-        if any(c <= 0 for c in self.coeffs):
-            raise ValueError("CoeffTable coefficients must be positive")
-
-
-def _odd_product(n: int, m: int) -> int:
-    # (2m + 2n - 1)(2m + 2n - 3) ... (2m + 1), exact integer
-    out = 1
-    for i in range(1, n + 1):
-        out *= 2 * m + 2 * i - 1
-    return out
-
-
-def falling_factorial_coeffs(n: int) -> CoeffTable:
-    """Solve exactly for the integers a_{j,n} with
-    prod_{i=1..n} (2m + 2i - 1) = sum_j a_{j,n} m!/(m-j)! for all m >= 0.
-
-    The system is triangular when the polynomial is evaluated at
-    m = 0..n, so forward substitution over Python integers is exact.
+    The product is 2^n (m + 1/2)(m + 3/2) ... (m + n - 1/2), 2^n times the
+    falling factorial of m + n - 1/2 of length n; Vandermonde's identity
+    splits that into falling factorials of m and of n - 1/2, and the
+    latter, of length n - j, is (2n-1)!! / ((2j-1)!! 2^(n-j)).
     """
     if n < 0:
         raise ValueError(f"falling_factorial_coeffs requires n >= 0, got {n}")
-    coeffs: list[int] = []
-    for j in range(n + 1):
-        acc = _odd_product(n, j) - sum(
-            coeffs[l] * math.perm(j, l) for l in range(j)
-        )
-        q, r = divmod(acc, math.factorial(j))
-        if r != 0:
-            raise ArithmeticError(f"non-integer coefficient at n={n}, j={j}")
-        coeffs.append(q)
-    return CoeffTable(n, tuple(coeffs))
+    top = double_factorial_odd(n)
+    return tuple(math.comb(n, j) * 2**j * (top // double_factorial_odd(j)) for j in range(n + 1))

@@ -391,7 +391,7 @@ def _azimuthal_rhs(identity_id: str, z: float, alpha: float, beta: float, n: int
             - beta**6 / s**6 * J[3]
         )
     else:
-        coeffs = falling_factorial_coeffs(n).coeffs
+        coeffs = falling_factorial_coeffs(n)
         total = 0.0
         for j in range(n + 1):
             total += (

@@ -65,12 +65,12 @@ def mc_radii():
 
 def test_criterion_01_coefficient_tables():
     t0 = time.perf_counter()
-    assert falling_factorial_coeffs(0).coeffs == (1,)
-    assert falling_factorial_coeffs(1).coeffs == (1, 2)
-    assert falling_factorial_coeffs(2).coeffs == (3, 12, 4)
-    assert falling_factorial_coeffs(3).coeffs == (15, 90, 60, 8)
+    assert falling_factorial_coeffs(0) == (1,)
+    assert falling_factorial_coeffs(1) == (1, 2)
+    assert falling_factorial_coeffs(2) == (3, 12, 4)
+    assert falling_factorial_coeffs(3) == (15, 90, 60, 8)
     for n in range(9):
-        coeffs = falling_factorial_coeffs(n).coeffs
+        coeffs = falling_factorial_coeffs(n)
         assert coeffs[0] == double_factorial_odd(n)
         assert coeffs[-1] == 2**n
         for m in range(21):

@@ -1,5 +1,6 @@
 import math
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -474,7 +475,7 @@ def test_nu1_table_is_built_once_and_read_only():
     table = analytic._nu1_table(3, 4)
     assert analytic._nu1_table.cache_info().maxsize == analytic._NU1_TABLES
     columns = table.bessel + table.terms
-    assert len(table.bessel[0]) == 4 + 2 and len(table.terms[0]) == (4 + 2) * (4 + 3) // 2
+    assert len(table.bessel[0]) == 4 + 2 and len(table.terms[0]) == 4 + 2
     for column in columns:
         assert not column.flags.writeable
         with pytest.raises(ValueError):
@@ -747,6 +748,47 @@ def test_density_nu1_agrees_with_closed_forms():
                 assert a == pytest.approx(b, rel=1e-10)
 
 
+def _closed_brackets(d, n):
+    # the coefficients of x_d^(2k) Q^e in the brackets of density_nu1_closed
+    if n == 1:
+        return [Fraction(3, d - 1), Fraction(-2), Fraction(d + 1)]
+    den = (d + 1) * d * (d - 1)
+    return [
+        Fraction(4 * (d + 4), den),
+        Fraction(2 * (6 * d * d + 6 * d + 8), den),
+        Fraction(-8),
+        Fraction(8 * (d + 1), 3),
+    ]
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("d", range(2, 15))
+def test_nu1_constants_stand_in_the_ratios_of_the_closed_brackets(d, n):
+    # term k is R_k / Gamma(e_0 - k + 1) times a factor common to every k,
+    # so term k / term 0 = R_k / R_0 * e_0 (e_0 - 1) ... (e_0 - k + 1), exactly
+    consts = analytic._nu1_constants(d, n)
+    brackets = _closed_brackets(d, n)
+    assert len(consts) == len(brackets) == n + 2
+    e0 = Fraction(n * (d + 1), 2)
+    for k, (r, b) in enumerate(zip(consts, brackets)):
+        falling = math.prod((e0 - i for i in range(k)), start=Fraction(1))
+        assert Fraction(r, consts[0]) * falling == b / brackets[0], k
+    # and the table's signs and logs are those integers': each term's
+    # constant is the closed form's to rounding
+    tab = analytic._nu1_table(d, n)
+    sign, log_c, e = tab.terms[0], tab.terms[1], tab.terms[3]
+    assert list(sign) == [1.0 if r > 0 else -1.0 for r in consts]
+    x = np.zeros(d)
+    x[-1] = 0.5
+    closed_pref = density_nu1_closed(FlightParams(d=d, n=n, nu=1.0), x) / math.fsum(
+        float(b) * 0.25**k * 0.75 ** float(e_k) for k, (b, e_k) in enumerate(zip(brackets, e))
+    )
+    np.testing.assert_allclose(
+        sign * np.exp(tab.density_pref + log_c), closed_pref * np.array(brackets, dtype=float),
+        rtol=1e-12,
+    )
+
+
 def test_density_nu1_reference_point():
     # value at the origin for d=2, n=1: 45/(32 pi)
     p = FlightParams(d=2, n=1, nu=1.0)
@@ -784,12 +826,10 @@ def test_density_nu1_support_and_domain():
         density_nu1_closed(FlightParams(d=2, n=3, nu=1.0), [0.1, 0.1])
 
 
-def test_density_nu1_large_d_n_matches_mpmath_or_raises():
-    # Gamma(231) at d = 10, n = 20 overflows a double on its own; every
-    # point is within 1e-9 relative of a 60-digit sum, or the call raises
-    # ValueError for the digits the alternating sum would lose
-    mp = pytest.importorskip("mpmath")
-    p = FlightParams(d=10, n=20, nu=1.0, c=1.3, t=0.9)
+def _density_nu1_against_mpmath(mp, p):
+    # (matched, raised) over 12 points: every value is within 1e-9 relative
+    # of a 60-digit sum, or the call raises ValueError for the digits the
+    # alternating sum would lose
     ct = p.c * p.t
     matched = raised = 0
     for r in (0.0, 0.3, 0.6, 0.9):
@@ -803,7 +843,20 @@ def test_density_nu1_large_d_n_matches_mpmath_or_raises():
                 continue
             assert v == pytest.approx(density_nu1_mp(mp, p.d, p.n, ct, x), rel=1e-9, abs=0)
             matched += 1
+    return matched, raised
+
+
+def test_density_nu1_large_d_n_matches_mpmath_or_raises():
+    # Gamma(341) at d = 10, n = 30 overflows a double on its own
+    mp = pytest.importorskip("mpmath")
+    matched, raised = _density_nu1_against_mpmath(mp, FlightParams(d=10, n=30, nu=1.0, c=1.3, t=0.9))
     assert matched and raised
+
+
+def test_density_nu1_at_d10_n20_matches_mpmath_everywhere():
+    mp = pytest.importorskip("mpmath")
+    p = FlightParams(d=10, n=20, nu=1.0, c=1.3, t=0.9)
+    assert _density_nu1_against_mpmath(mp, p) == (12, 0)
 
 
 def test_density_nu1_closed_non_negative():
@@ -819,7 +872,7 @@ def test_density_nu1_closed_non_negative():
 
 def test_radial_density_nu1_normalizes():
     for d in (2, 3, 4):
-        for n in (1, 2, 3, 4, 8):
+        for n in (1, 2, 3, 4, 8) + ((12,) if d == 4 else ()):
             p = FlightParams(d=d, n=n, nu=1.0)
             ct = p.c * p.t
             total, _ = quad(
@@ -884,7 +937,7 @@ def test_radial_density_nu1_outside_support():
 
 def test_radial_density_nu1_raises_on_cancellation():
     with pytest.raises(ValueError, match="radial_density_nu1: cancellation"):
-        radial_density_nu1(FlightParams(d=4, n=12, nu=1.0), np.linspace(0.0, 1.0, 301))
+        radial_density_nu1(FlightParams(d=4, n=60, nu=1.0), np.linspace(0.0, 1.0, 301))
 
 
 # --------------------------------------------- fractional mixture

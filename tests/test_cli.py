@@ -711,6 +711,41 @@ def test_config_value_outside_its_choices_is_a_usage_error(tmp_path, capsys, com
     assert list(tmp_path.iterdir()) == [cfg]
 
 
+@pytest.mark.parametrize(
+    "command,settings,key",
+    [
+        ("validate", {"only": "identities", "out": True}, "out"),
+        ("cdf", {**_NUMBER_SETTINGS["cdf"], "out": True}, "out"),
+        ("cdf", {**_NUMBER_SETTINGS["cdf"], "out": ["r.json"]}, "out"),
+        ("cdf", {**_NUMBER_SETTINGS["cdf"], "out": ""}, "out"),
+        ("simulate", {"d": 2, "n": 1, "count": 4, "trajectories": 2, "out": "s.csv",
+                      "trajectories-out": 7}, "trajectories-out"),
+    ],
+)
+def test_config_path_that_is_no_string_is_a_usage_error(
+        tmp_path, monkeypatch, capsys, command, settings, key):
+    # {"out": true} once wrote the files True and True.meta.json, and
+    # {"trajectories-out": 7} the file 7
+    monkeypatch.chdir(tmp_path)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(settings))
+    assert main([command, "--config", str(cfg)]) == USAGE_ERROR
+    assert f"--{key} must be a non-empty string" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [cfg]
+
+
+def test_config_key_config_is_a_usage_error(tmp_path, capsys):
+    # a config file's own "config" key was once ignored, its file unread
+    other = tmp_path / "other.json"
+    other.write_text(json.dumps({"nu": 0.5}))
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({**_NUMBER_SETTINGS["cdf"], "config": str(other)}))
+    out = tmp_path / "out.csv"
+    assert main(["cdf", "--config", str(cfg), "--out", str(out)]) == USAGE_ERROR
+    assert "key 'config'" in capsys.readouterr().err
+    assert sorted(tmp_path.iterdir()) == [cfg, other]
+
+
 _COMMAND_SET = {cmd[0]: cmd for cmd in CLI_COMMAND_SETS}
 
 

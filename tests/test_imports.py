@@ -16,7 +16,7 @@ PACKAGE_NAMES = [
     "angles_to_direction", "angular_density", "marginal_angular_density", "sample_angles",
     "FlightParams", "draws_per_flight", "replicate_stream", "simulate_batch", "simulate_flight",
     "simulate_trajectories",
-    "CoeffTable", "bessel_j", "bessel_j_ratio", "double_factorial_odd",
+    "bessel_j", "bessel_j_ratio", "double_factorial_odd",
     "falling_factorial_coeffs", "mittag_leffler_paper",
     "intertime_density", "sample_intertimes",
     "GofReport", "IdentityReport", "SuiteConfig", "check_identity", "gof_cf",

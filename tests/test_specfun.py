@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from scipy.special import jv
 
 from driftflight.specfun import (
-    CoeffTable,
     bessel_j,
     bessel_j_ratio,
     double_factorial_odd,
@@ -16,6 +15,7 @@ from driftflight.specfun import (
     mittag_leffler_paper,
 )
 from _oracles import (
+    _falling_factorial_oracle,
     bessel_j_mp,
     bessel_series_oracle,
     log_mittag_leffler_mp,
@@ -382,29 +382,29 @@ def test_ml_domain_errors():
 # ------------------------------------------------ coefficient tables
 
 def test_coeff_tables_match_known_scheme():
-    assert falling_factorial_coeffs(0).coeffs == (1,)
-    assert falling_factorial_coeffs(1).coeffs == (1, 2)
-    assert falling_factorial_coeffs(2).coeffs == (3, 12, 4)
-    assert falling_factorial_coeffs(3).coeffs == (15, 90, 60, 8)
+    assert falling_factorial_coeffs(0) == (1,)
+    assert falling_factorial_coeffs(1) == (1, 2)
+    assert falling_factorial_coeffs(2) == (3, 12, 4)
+    assert falling_factorial_coeffs(3) == (15, 90, 60, 8)
 
 
 def test_coeff_n4_endpoints():
     table = falling_factorial_coeffs(4)
-    assert table.coeffs[0] == 105
-    assert table.coeffs[-1] == 16
+    assert table[0] == 105
+    assert table[-1] == 16
 
 
 def test_coeff_endpoints_general():
     for n in range(13):
         table = falling_factorial_coeffs(n)
-        assert table.coeffs[0] == double_factorial_odd(n)
-        assert table.coeffs[-1] == 2**n
+        assert table[0] == double_factorial_odd(n)
+        assert table[-1] == 2**n
 
 
 def test_coeff_defining_identity_exact():
     # (2m+2n-1)(2m+2n-3)...(2m+1) == sum_j a_j m!/(m-j)! in exact ints
     for n in range(9):
-        coeffs = falling_factorial_coeffs(n).coeffs
+        coeffs = falling_factorial_coeffs(n)
         for m in range(21):
             lhs = 1
             for i in range(1, n + 1):
@@ -416,7 +416,7 @@ def test_coeff_defining_identity_exact():
 @settings(max_examples=60, deadline=None)
 @given(st.integers(min_value=0, max_value=8), st.integers(min_value=0, max_value=20))
 def test_coeff_identity_property(n, m):
-    coeffs = falling_factorial_coeffs(n).coeffs
+    coeffs = falling_factorial_coeffs(n)
     lhs = 1
     for i in range(1, n + 1):
         lhs *= 2 * m + 2 * i - 1
@@ -425,11 +425,14 @@ def test_coeff_identity_property(n, m):
 
 def test_coeff_table_validation():
     with pytest.raises(ValueError):
-        CoeffTable(1, (1,))
-    with pytest.raises(ValueError):
-        CoeffTable(1, (1, -2))
-    with pytest.raises(ValueError):
         falling_factorial_coeffs(-1)
+
+
+def test_coeff_closed_form_matches_forward_differences():
+    # a_{j,n} = Delta^j P(0) / j! of P(m) = prod_i (2m + 2i - 1), computed
+    # from P's values alone, against the closed form
+    for n in range(61):
+        assert list(falling_factorial_coeffs(n)) == _falling_factorial_oracle(n), n
 
 
 # -------------------------------------------------- double factorial
