@@ -37,9 +37,10 @@ def main() -> int:
     args = ap.parse_args()
     os.makedirs(args.out_dir, exist_ok=True)
 
-    # planar angular densities for a few drift levels
+    # planar angular densities for a few drift levels (n is not read)
     phis = np.linspace(0.0, 2.0 * math.pi, 721)
-    rows = np.column_stack([phis] + [angular_density((), phis, nu) for nu in (0.0, 1.0, 2.0, 4.0)])
+    dens = [angular_density(FlightParams(d=2, n=0, nu=nu), (), phis) for nu in (0.0, 1.0, 2.0, 4.0)]
+    rows = np.column_stack([phis] + dens)
     write_csv(
         os.path.join(args.out_dir, "angular_density_d2.csv"),
         "phi,nu0,nu1,nu2,nu4",

@@ -65,10 +65,10 @@ def layer_times(p: FlightParams, flights: int, repeats: int, seed: int = 1) -> d
     L, Lpad = draws_per_flight(p), flight._padded_draws(p)
     rows, _ = flight._split(p, flights, seed)
     sizes = [min(rows, flights - done) for done in range(0, flights, rows)]
-    col = (p.n + 1) * time_draws(p.d, p.nu) if p.n >= 1 else 0
+    col = (p.n + 1) * time_draws(p) if p.n >= 1 else 0
     gen = np.random.Generator(np.random.Philox(key=seed))
     chunks = [gen.random((size, Lpad))[:, :L] for size in sizes]
-    segs = [U[:, col:].reshape(len(U), p.n + 1, direction_draws(p.d, p.nu)) for U in chunks]
+    segs = [U[:, col:].reshape(len(U), p.n + 1, direction_draws(p)) for U in chunks]
 
     def philox():
         g = np.random.Generator(np.random.Philox(key=seed))
@@ -78,11 +78,11 @@ def layer_times(p: FlightParams, flights: int, repeats: int, seed: int = 1) -> d
     def times():
         if col:
             for U in chunks:
-                waiting_times(U[:, :col], p.d, p.nu, p.t)
+                waiting_times(p, U[:, :col])
 
     def dirs():
         for u in segs:
-            directions(u, p.d, p.nu)
+            directions(p, u)
 
     out = {
         "philox": _best(philox, repeats),

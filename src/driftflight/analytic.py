@@ -38,6 +38,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache, reduce
+from numbers import Integral
 
 import numpy as np
 from scipy.special import betainc
@@ -328,8 +329,8 @@ def radial_moment(p: FlightParams, order: int) -> float:
     Raises ValueError where (c t)^order passes the double range.
     """
     _require_beta_law(p)
-    if order < 1:
-        raise ValueError("radial_moment requires order >= 1")
+    if not math.inf > order >= 1:  # NaN fails
+        raise ValueError(f"radial_moment requires a finite order >= 1, got {order!r}")
     K = _half_order(p, p.n)
     m = p.m
     # E[(R / c t)^order] <= 1, so only the scale can overflow
@@ -590,8 +591,9 @@ class MixtureParams:
     def __post_init__(self):
         if not 0.0 < self.lam < math.inf:
             raise ValueError("MixtureParams requires a finite lam > 0")
-        if self.n_max < 1:
-            raise ValueError("MixtureParams requires n_max >= 1")
+        integral = isinstance(self.n_max, Integral) and not isinstance(self.n_max, bool)
+        if not (integral and self.n_max >= 1):
+            raise ValueError(f"MixtureParams requires an integer n_max >= 1, got {self.n_max!r}")
 
 
 def _log_series_terms(mp: MixtureParams, n, uncorrected: bool = False):
@@ -619,8 +621,8 @@ def fractional_poisson_pmf(mp: MixtureParams, n, uncorrected: bool = False):
     series, so large lam t gives the pmf's values, not 0 from an inf.
     """
     n = np.asarray(n)
-    if np.any(n < 0):
-        raise ValueError("fractional_poisson_pmf requires n >= 0")
+    if not np.all((n < np.inf) & (n >= 0) & (n == np.floor(n))):
+        raise ValueError("fractional_poisson_pmf requires integral n >= 0")
     return np.exp(_log_series_terms(mp, n, uncorrected) - _log_series(mp, 0))[()]
 
 

@@ -8,7 +8,9 @@ increasing nu concentrates the azimuth near pi/2 and 3 pi/2.
 The laws take arrays with the angles on the last axis and broadcast; one
 point gives the bits of its row in a batch.  :func:`angular_density` is
 the m = d-1 case of :func:`marginal_angular_density`, and
-:func:`angles_to_direction` inverts :func:`direction_angles`.
+:func:`angles_to_direction` inverts :func:`direction_angles`.  A law or
+sampler takes one :class:`driftflight.flight.FlightParams` first, which
+checks d and nu, and ignores its n, c and t (pass n = 0 without a flight).
 
 On the sphere this density is the uniform surface element times
 (sin theta_1 ... sin theta_{d-2} sin phi)^(2 nu) = |x_d|^(2 nu), so a
@@ -30,11 +32,15 @@ from __future__ import annotations
 
 import math
 from functools import reduce
+from typing import TYPE_CHECKING
 
 import numpy as np
 from scipy.special import ndtri
 
 from .temporal import _MAX_SUM_DRAWS, _U_FLOOR, _log_sum, gamma_quantile
+
+if TYPE_CHECKING:
+    from .flight import FlightParams
 
 # unused here, but bench/tracing.py wraps this name on this module
 from scipy.special import betaincinv  # noqa: F401
@@ -73,18 +79,15 @@ def _check_angles(angles: np.ndarray, full: bool) -> None:
         raise ValueError("azimuths must lie in [0, 2 pi]")
 
 
-def marginal_angular_density(angles, d: int, m: int, nu: float):
-    """Marginal density of the first m angles of the d-dimensional law at
-    ``angles`` (..., m), angle j carrying sin^(2 nu + d - 1 - j).  For
-    m = d-1 the last entry is the azimuth in [0, 2 pi], every other entry
-    is a colatitude in [0, pi]."""
-    if nu < 0.0:
-        raise ValueError("marginal_angular_density requires nu >= 0")
-    if not 1 <= m < d:
-        raise ValueError(f"requires 1 <= m < d, got m={m}, d={d}")
+def marginal_angular_density(p: FlightParams, angles):
+    """Marginal density of the first m angles of the law of ``p`` at
+    ``angles`` (..., m), 1 <= m < d read off the last axis, angle j
+    carrying sin^(2 nu + d - 1 - j).  For m = d-1 the last entry is the
+    azimuth in [0, 2 pi], every other entry is a colatitude in [0, pi]."""
     angles = np.atleast_1d(np.asarray(angles, dtype=float))
-    if angles.shape[-1] != m:
-        raise ValueError(f"expected {m} angles on the last axis, got shape {angles.shape}")
+    d, m, nu = p.d, angles.shape[-1], p.nu
+    if not 1 <= m < d:
+        raise ValueError(f"requires 1 <= m < d angles on the last axis, got {m} at d = {d}")
     _check_angles(angles, full := m == d - 1)
     # the azimuth spans [0, 2 pi], twice a colatitude's range
     log_norm = math.lgamma(nu + 0.5 * d) - math.lgamma(nu + 0.5 * (d - m))
@@ -96,13 +99,14 @@ def marginal_angular_density(angles, d: int, m: int, nu: float):
     return (math.exp(log_norm) * reduce(np.multiply, np.moveaxis(powers, -1, 0)))[()]
 
 
-def angular_density(thetas, phi, nu: float):
-    """Joint density of the d-1 angles at colatitudes ``thetas`` (..., d-2)
-    and azimuths ``phi`` (...), broadcast together; d = 2 takes
+def angular_density(p: FlightParams, thetas, phi):
+    """Joint density of the d-1 angles of ``p`` at colatitudes ``thetas``
+    (..., d-2) and azimuths ``phi`` (...), broadcast together; d = 2 takes
     ``thetas = ()``.  The m = d-1 case of :func:`marginal_angular_density`."""
     angles = _angles(thetas, phi)
-    d = angles.shape[-1] + 1
-    return marginal_angular_density(angles, d, d - 1, nu)
+    if angles.shape[-1] != p.d - 1:
+        raise ValueError(f"expected d-2 = {p.d - 2} colatitudes, got {angles.shape[-1] - 1}")
+    return marginal_angular_density(p, angles)
 
 
 def _chi_logs(nu: float) -> int:
@@ -116,13 +120,13 @@ def _chi_logs(nu: float) -> int:
     return k if k <= _MAX_SUM_DRAWS else -1
 
 
-def direction_draws(d: int, nu: float) -> int:
+def direction_draws(p: FlightParams) -> int:
     """Uniforms one direction consumes: d + nu at integer nu (d normals and
     nu logs), d + nu + 1/2 at half-integer nu (d - 1 normals, nu + 1/2
     logs and a sign), else d + 1 (d - 1 normals, one gamma_quantile value
     and a sign); a sum of more than 4 logs takes the last form."""
-    k = _chi_logs(nu)
-    return d + (k if k >= 0 else 1)
+    k = _chi_logs(p.nu)
+    return p.d + (k if k >= 0 else 1)
 
 
 def _scaled_directions(u, d: int, nu: float, scale) -> np.ndarray:
@@ -166,23 +170,23 @@ def _scaled_directions(u, d: int, nu: float, scale) -> np.ndarray:
     return y
 
 
-def directions(u, d: int, nu: float) -> np.ndarray:
-    """Structural transform: uniforms (..., direction_draws(d, nu)) to unit
+def directions(p: FlightParams, u) -> np.ndarray:
+    """Structural transform: uniforms (..., direction_draws(p)) to unit
     vectors (..., d), Y / |Y|.  At integer nu the first nu uniforms give
     -2 sum log U and the last d the normals Z_1 .. Z_d, with Y_i = Z_i for
     i < d and Y_d = copysign(sqrt(Z_d^2 - 2 sum log U), Z_d).  Otherwise
     the first d - 1 give Y_1 .. Y_{d-1}, the next ones |Y_d| and the last
     the sign of Y_d.  Where every Y_i is 0 (nu = 0 and d uniforms of
     exactly 1/2) the vector is e_d."""
-    return _scaled_directions(u, d, nu, 1.0)
+    if np.shape(u)[-1] != direction_draws(p):
+        raise ValueError(f"expected direction_draws(p) uniforms, got shape {np.shape(u)}")
+    return _scaled_directions(u, p.d, p.nu, 1.0)
 
 
-def sample_angles(d: int, nu: float, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+def sample_angles(p: FlightParams, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     """The colatitudes (d-2,) and azimuth of one :func:`directions` vector;
-    consumes exactly direction_draws(d, nu) uniforms from ``rng``."""
-    if d < 2 or nu < 0.0:
-        raise ValueError("sample_angles requires d >= 2 and nu >= 0")
-    return direction_angles(directions(rng.random(direction_draws(d, nu)), d, nu))
+    consumes exactly direction_draws(p) uniforms from ``rng``."""
+    return direction_angles(directions(p, rng.random(direction_draws(p))))
 
 
 def direction_angles(x) -> tuple[np.ndarray, np.ndarray]:

@@ -38,7 +38,7 @@ import numpy as np
 from . import analytic
 from .analytic import MixtureParams
 from .csvtext import open_output, write_rows
-from .flight import FlightParams, _check_seed, _finals, simulate_batch, simulate_trajectories
+from .flight import FlightParams, _check_seed, _simulate, simulate_batch
 from .flight import simulate_flight  # noqa: F401  (unused; bench/tracing.py wraps it here)
 
 USAGE_ERROR = 1
@@ -183,13 +183,10 @@ def _cmd_simulate(command: str, cfg: dict) -> int:
     if n_traj > 0 and os.path.realpath(traj_out) == os.path.realpath(out):
         raise _UsageError(f"--trajectories-out {traj_out!r} names the --out file")
     cfg_echo = _echo(command, p, seed=seed, count=count)
-    if n_traj == 0:
+    if n_traj == 0:  # through the name bench/tracing.py wraps on this module
         tr, finals = None, simulate_batch(p, count, seed)
     else:
-        tr = simulate_trajectories(p, n_traj, seed)
-        # replicates 0..K-1 end where their trajectories do, bit for bit
-        # (the reproducibility contract), so the batch kernel starts at row K
-        finals = np.concatenate([tr.final, _finals(p, count, seed, n_traj)])
+        finals, tr = _simulate(p, count, seed, n_traj)
     cols = ["replicate"] + [f"x{i}" for i in range(1, p.d + 1)]
     _write_outputs(out, cols, cfg_echo, np.arange(count), finals)
     if tr is not None:
@@ -225,14 +222,16 @@ def _formulas(command: str) -> tuple:
 
 
 def _anorm_vectors(cfg: dict, dim: int) -> np.ndarray:
-    """The --anorm norms as the frequency vectors (norm, 0, ..., 0)."""
-    anorms = cfg.get("anorm")
-    if not anorms:
-        raise _UsageError("--anorm values are required for the projected cf")
-    if isinstance(anorms, (int, float, str)):
+    """The --anorm norms, each value a number or comma-separated text, as
+    the frequency vectors (norm, 0, ..., 0)."""
+    anorms = cfg.get("anorm", [])
+    if not isinstance(anorms, list):
         anorms = [anorms]
-    alphas = np.zeros((len(anorms), dim))
-    alphas[:, 0] = _floats("anorm", anorms)
+    norms = [a for v in anorms for a in _floats("anorm", v if isinstance(v, str) else [v])]
+    if not norms:
+        raise _UsageError("--anorm values are required for the projected cf")
+    alphas = np.zeros((len(norms), dim))
+    alphas[:, 0] = norms
     return alphas
 
 

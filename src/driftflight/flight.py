@@ -15,21 +15,23 @@ Reproducibility contract
 ``simulate_batch(p, count, master_seed)`` is bit-deterministic given its
 arguments and independent of how the work is cut into chunks of rows
 (about 2^15 uniforms each, to bound working memory) or spread over
-threads.
-Replicate i owns a dedicated counter-offset substream of a Philox stream
-keyed by the master seed (see :func:`replicate_stream`), and every
-replicate consumes the same fixed number of uniforms.  All entry points
-run one sampler kernel on rows of those uniforms: ``simulate_batch`` and
-``simulate_trajectories`` on chunks of rows, ``simulate_flight`` on one
-row.  A call of ``_MIN_THREADED_DRAWS`` uniforms or more cuts its rows
-into one contiguous range per worker thread, up to one per CPU of
+threads.  Replicate i owns a dedicated counter-offset substream of a
+Philox stream keyed by the master seed (see :func:`replicate_stream`),
+and every replicate consumes the same fixed number of uniforms.  All
+entry points run one sampler kernel on rows of those uniforms:
+``simulate_flight`` on one row, and one runner on chunks of rows that
+sums each row's final position and keeps the trajectories of rows below
+K (``simulate_batch`` at K = 0, ``simulate_trajectories`` at K = count,
+``driftflight simulate`` at its --trajectories).  A call of
+``_MIN_THREADED_DRAWS`` uniforms or more cuts its rows into one
+contiguous range per worker thread, up to one per CPU of
 ``os.sched_getaffinity``; each range starts its own Philox at its first
 row's substream, so the output does not depend on the worker count.  The
 kernel transforms all n+1 segments of a row at once, summing over short
 axes column by column, so a row's arithmetic does not depend on how many
 rows share the call; positions and epochs are then cumulative sums from
-zero in segment order.  Row i of
-a batch, trajectory i of ``simulate_trajectories`` and
+zero in segment order.  Row i of a batch, trajectory i of
+``simulate_trajectories`` and
 ``simulate_flight(p, replicate_stream(p, seed, i))`` are therefore the
 same kernel on the same uniforms, and bit-identical.
 """
@@ -84,7 +86,7 @@ class FlightParams:
 
     d is the ambient dimension, m the projection dimension (defaults to d),
     n the number of direction changes, nu >= 0 the drift exponent, c the
-    speed and t the time horizon.
+    speed and t the time horizon, checked here once for the package.
     """
 
     d: int
@@ -97,6 +99,8 @@ class FlightParams:
     def __post_init__(self):
         if self.m is None:
             object.__setattr__(self, "m", self.d)
+        if any(isinstance(v, (bool, np.bool_)) for v in vars(self).values()):
+            raise ValueError("FlightParams takes no booleans")
         if not all(isinstance(v, Integral) for v in (self.d, self.n, self.m)):
             raise ValueError("FlightParams requires integral d, n and m")
         if not all(math.isfinite(v) for v in (self.nu, self.c, self.t)):
@@ -130,10 +134,10 @@ class Trajectory:
 
 def draws_per_flight(p: FlightParams) -> int:
     """Uniform variates one flight consumes: the n+1 waiting times first,
-    ``time_draws(d, nu)`` each (none when n = 0), then the n+1 directions,
-    ``direction_draws(d, nu)`` each."""
-    times = (p.n + 1) * time_draws(p.d, p.nu) if p.n >= 1 else 0
-    return times + (p.n + 1) * direction_draws(p.d, p.nu)
+    ``time_draws(p)`` each (none when n = 0), then the n+1 directions,
+    ``direction_draws(p)`` each."""
+    times = (p.n + 1) * time_draws(p) if p.n >= 1 else 0
+    return times + (p.n + 1) * direction_draws(p)
 
 
 def _padded_draws(p: FlightParams) -> int:
@@ -167,15 +171,14 @@ def _segments(p: FlightParams, U: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The sampler kernel: uniform rows (count, draws_per_flight(p)) to the
     waiting times (count, n+1) and displacements (count, n+1, d) of every
     segment, all segments in one transform."""
-    n, d, nu = p.n, p.d, p.nu
-    if n >= 1:
-        col = (n + 1) * time_draws(d, nu)
-        taus = waiting_times(U[:, :col], d, nu, p.t)
+    if p.n >= 1:
+        col = (p.n + 1) * time_draws(p)
+        taus = waiting_times(p, U[:, :col])
     else:
         col, taus = 0, np.full((len(U), 1), p.t)
     # splitting the row axis is a view, also of a strided chunk
-    u = U[:, col:].reshape(len(U), n + 1, direction_draws(d, nu))
-    return taus, _scaled_directions(u, d, nu, p.c * taus)
+    u = U[:, col:].reshape(len(U), p.n + 1, direction_draws(p))
+    return taus, _scaled_directions(u, p.d, p.nu, p.c * taus)
 
 
 def _paths(taus: np.ndarray, steps: np.ndarray) -> Trajectory:
@@ -201,21 +204,19 @@ def _cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _split(p: FlightParams, count: int, master_seed: int, start: int = 0):
+def _split(p: FlightParams, count: int, master_seed: int):
     """Check the arguments of a call on batch rows 0..count-1; return the
     rows per chunk, the rows that hold ``_CHUNK_DRAWS`` uniforms, and the
-    bounds of one contiguous, balanced range of rows per worker over rows
-    start..count-1 (none when start = count).  A call of
-    ``_MIN_THREADED_DRAWS`` uniforms or more gets a worker per CPU, but no
-    more workers than chunks; others get one."""
+    bounds of one contiguous, balanced range of rows per worker.  A call
+    of ``_MIN_THREADED_DRAWS`` uniforms or more gets a worker per CPU, but
+    no more workers than chunks; others get one."""
     Lpad = _padded_draws(p)
     step = max(1, _CHUNK_DRAWS // Lpad)
     if count < 1:
         raise ValueError("a batch requires count >= 1")
     _check_seed(master_seed)
-    rows = count - start
-    workers = 1 if rows * Lpad < _MIN_THREADED_DRAWS else min(_cpus(), -(-rows // step))
-    return step, [start + rows * k // workers for k in range(workers + 1)]
+    workers = 1 if count * Lpad < _MIN_THREADED_DRAWS else min(_cpus(), -(-count // step))
+    return step, [count * k // workers for k in range(workers + 1)]
 
 
 def _run(p: FlightParams, master_seed: int, step: int, bounds: list[int], emit) -> None:
@@ -277,35 +278,33 @@ def simulate_batch(p: FlightParams, count: int, master_seed: int) -> np.ndarray:
     worker count and the rows per chunk; a chunk holds about 2^15
     uniforms, which bounds working memory.
     """
-    return _finals(p, count, master_seed)
-
-
-def _finals(p: FlightParams, count: int, master_seed: int, start: int = 0) -> np.ndarray:
-    """Final positions of batch rows start..count-1, shape (count - start, d)."""
-    step, bounds = _split(p, count, master_seed, start)
-    finals = np.zeros((count - start, p.d), dtype=float)
-
-    def emit(first, taus, steps):
-        rows = finals[first - start : first - start + len(steps)]
-        # segment by segment from zero, the order simulate_flight sums in
-        for j in range(p.n + 1):
-            rows += steps[:, j]
-
-    _run(p, master_seed, step, bounds, emit)
-    return finals
+    return _simulate(p, count, master_seed, 0)[0]
 
 
 def simulate_trajectories(p: FlightParams, count: int, master_seed: int) -> Trajectory:
     """Breakpoints (count, n+2, d) and epochs (count, n+2) of batch rows
     0..count-1: trajectory i is bit-identical to :func:`simulate_flight` on
     ``replicate_stream(p, master_seed, i)``, its end to batch row i."""
+    return _simulate(p, count, master_seed, count)[1]
+
+
+def _simulate(p: FlightParams, count: int, master_seed: int, keep: int):
+    """The final positions (count, d) of batch rows 0..count-1 and the
+    :class:`Trajectory` of rows 0..keep-1 (None at keep = 0), every row
+    sampled once."""
     step, bounds = _split(p, count, master_seed)
-    taus = np.empty((count, p.n + 1))
-    steps = np.empty((count, p.n + 1, p.d))
+    finals = np.zeros((count, p.d))
+    taus = np.empty((keep, p.n + 1))
+    steps = np.empty((keep, p.n + 1, p.d))
 
     def emit(first, chunk_taus, chunk_steps):
-        taus[first : first + len(chunk_taus)] = chunk_taus
-        steps[first : first + len(chunk_steps)] = chunk_steps
+        rows = finals[first : first + len(chunk_steps)]
+        # segment by segment from zero, the order simulate_flight sums in
+        for j in range(p.n + 1):
+            rows += chunk_steps[:, j]
+        if first < keep:
+            taus[first : first + len(chunk_taus)] = chunk_taus[: keep - first]
+            steps[first : first + len(chunk_steps)] = chunk_steps[: keep - first]
 
     _run(p, master_seed, step, bounds, emit)
-    return _paths(taus, steps)
+    return finals, _paths(taus, steps) if keep else None

@@ -208,10 +208,10 @@ def log_mittag_leffler_paper(alpha: float, beta: float, x: float, start: int = 0
     50-digit sums up to x = 1e6 and about 1e-16 for x <= 10.  Returns -inf
     only at x = 0 with start > 0.
     """
-    if alpha <= 0.0 or beta <= 0.0:
-        raise ValueError("mittag_leffler_paper requires alpha > 0 and beta > 0")
-    if x < 0.0:
-        raise ValueError("mittag_leffler_paper requires x >= 0")
+    if not (math.inf > alpha > 0.0 and math.inf > beta > 0.0):
+        raise ValueError("mittag_leffler_paper requires finite alpha > 0 and beta > 0")
+    if not math.inf > x >= 0.0:
+        raise ValueError("mittag_leffler_paper requires a finite x >= 0")
     if x == 0.0:
         return -math.lgamma(beta) if start == 0 else -math.inf
     log_x = math.log(x)

@@ -7,10 +7,11 @@ When the shape 2 nu + d - 1 is an integer of at most 4 (the paper's nu = 0
 for d <= 5 and nu = 1 for d <= 3), each Gamma variate is a sum of -log U
 over that many uniforms (Devroye 1986, ch. IX); otherwise it is one
 inverse-CDF value, :func:`gamma_quantile`, which costs about as much as a
-sum of 4 terms.  Either way the draw count per sample is fixed.  :func:`waiting_times` is that
-transform on arrays of uniforms, and :func:`intertime_density` the law on
-arrays of waiting-time vectors (..., n+1), one point with the bits of its
-row in a batch.
+sum of 4 terms.  Either way the draw count per sample is fixed.
+:func:`waiting_times` is that transform on arrays of uniforms, and
+:func:`intertime_density` the law on arrays of waiting-time vectors
+(..., n+1), one point with the bits of its row in a batch.  They take a
+:class:`driftflight.flight.FlightParams` first, which checks d, nu and t.
 
 :func:`gamma_quantile` inverts the Gamma CDF from a table built once per
 shape (Devroye 1986, ch. IX, inversion on tabulated quantiles): log Q_a
@@ -24,9 +25,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import TYPE_CHECKING
 
 import numpy as np
 from scipy.special import gammainccinv, gammaincinv, ndtr, ndtri
+
+if TYPE_CHECKING:
+    from .flight import FlightParams
 
 __all__ = [
     "gamma_quantile",
@@ -170,21 +175,14 @@ def gamma_quantile(a: float, u) -> np.ndarray:
     return q.reshape(u.shape)
 
 
-def _shape(d: int, nu: float) -> float:
-    return 2.0 * nu + d - 1.0
-
-
-def intertime_density(taus, d: int, nu: float, t: float):
-    """Joint density of the n >= 1 free waiting times on the open simplex,
-    at waiting-time vectors ``taus`` (..., n+1); 0 outside the support (a
-    non-positive component or a sum off the horizon t by over 1e-9 t)."""
-    if d < 2 or nu < 0.0 or not 0.0 < t < math.inf:
-        raise ValueError("intertime_density requires d >= 2, nu >= 0 and a finite t > 0")
+def intertime_density(p: FlightParams, taus):
+    """Joint density of the n+1 waiting times of ``p`` (n >= 1) at vectors
+    ``taus`` (..., n+1); 0 off the open simplex (a non-positive component
+    or a sum off the horizon t by over 1e-9 t)."""
     taus = np.atleast_1d(np.asarray(taus, dtype=float))
-    n = taus.shape[-1] - 1
-    if n < 1:
-        raise ValueError("intertime_density requires n >= 1 free coordinates")
-    a = _shape(d, nu)
+    if not 1 <= p.n == taus.shape[-1] - 1:
+        raise ValueError(f"intertime_density requires n >= 1 and n+1 taus, got {taus.shape}")
+    n, t, a = p.n, p.t, 2.0 * p.nu + p.d - 1.0
     log_norm = math.lgamma((n + 1) * a) - (n + 1) * math.lgamma(a)
     log_norm -= ((n + 1) * a - 1.0) * math.log(t)
     # component after component, so one vector and a batch row sum alike
@@ -196,10 +194,8 @@ def intertime_density(taus, d: int, nu: float, t: float):
 
 
 def _col_sum(a: np.ndarray) -> np.ndarray:
-    """Sum over the last axis, column after column: cheaper than a
-    reduction over a short axis, and one row sums like a batch row."""
-    if a.shape[-1] == 0:
-        return np.zeros(a.shape[:-1])
+    """Sum over the last (non-empty) axis column after column: cheaper than
+    a reduction over a short axis, and one row sums like a batch row."""
     total = a[..., 0].copy()
     for j in range(1, a.shape[-1]):
         total += a[..., j]
@@ -215,35 +211,34 @@ def _log_sum(u) -> np.ndarray:
     return _col_sum(logs)
 
 
-def time_draws(d: int, nu: float) -> int:
+def time_draws(p: FlightParams) -> int:
     """Uniforms one waiting time consumes: the shape 2 nu + d - 1 when it is
     an integer up to 4 (a sum of -log U), else 1 (one gamma_quantile
     value)."""
-    a = _shape(d, nu)
+    a = 2.0 * p.nu + p.d - 1.0
     return int(a) if a.is_integer() and a <= _MAX_SUM_DRAWS else 1
 
 
-def waiting_times(u, d: int, nu: float, t: float) -> np.ndarray:
-    """Transform uniforms (..., (n+1) k) with k = time_draws(d, nu) to
+def waiting_times(p: FlightParams, u) -> np.ndarray:
+    """Transform uniforms (..., (n+1) k), k = time_draws(p), to the n+1 >= 2
     waiting times (..., n+1) summing to t; waiting time j reads uniforms
     j k .. j k + k-1, and the last one is the residual t - sum(rest)."""
     u = np.asarray(u)
-    a, k = _shape(d, nu), time_draws(d, nu)
+    a, k = 2.0 * p.nu + p.d - 1.0, time_draws(p)
+    if not (p.n >= 1 and u.shape[-1] == (p.n + 1) * k):
+        raise ValueError(f"waiting_times requires n >= 1 and (n+1) k uniforms, got {u.shape}")
     if k == a:
         g = -_log_sum(u.reshape(u.shape[:-1] + (-1, k)))
     else:
         g = gamma_quantile(a, u)
     # g becomes the waiting times in place
-    g *= (t / _col_sum(g))[..., None]
-    g[..., -1] = t - _col_sum(g[..., :-1])
+    g *= (p.t / _col_sum(g))[..., None]
+    g[..., -1] = p.t - _col_sum(g[..., :-1])
     return g
 
 
-def sample_intertimes(
-    n: int, d: int, nu: float, t: float, rng: np.random.Generator
-) -> np.ndarray:
-    """Draw the n+1 waiting times; consumes exactly
-    (n+1) time_draws(d, nu) uniforms."""
-    if n < 1 or d < 2 or nu < 0.0 or t <= 0.0:
-        raise ValueError("sample_intertimes requires n >= 1, d >= 2, nu >= 0, t > 0")
-    return waiting_times(rng.random((n + 1) * time_draws(d, nu)), d, nu, t)
+def sample_intertimes(p: FlightParams, rng: np.random.Generator) -> np.ndarray:
+    """The n+1 waiting times of ``p`` (n >= 1) from (n+1) time_draws(p) uniforms."""
+    if p.n < 1:  # before any draw
+        raise ValueError("sample_intertimes requires n >= 1")
+    return waiting_times(p, rng.random((p.n + 1) * time_draws(p)))

@@ -590,6 +590,13 @@ def test_radial_moment_past_the_double_range_raises():
         radial_moment(p, 40)
 
 
+def test_radial_moment_requires_a_finite_order():
+    p = FlightParams(d=3, n=1, nu=0.0, m=1)
+    for order in (math.nan, math.inf):  # once NaN
+        with pytest.raises(ValueError, match="finite order"):
+            radial_moment(p, order)
+
+
 def test_radial_moment_validation():
     with pytest.raises(ValueError):
         radial_moment(FlightParams(d=3, n=1, nu=0.0, m=1), 0)
@@ -962,6 +969,23 @@ def test_pmf_uncorrected_form_fails_normalization():
 def test_pmf_small_rate_concentrates_at_zero():
     mp = MixtureParams(lam=1e-12, base=FlightParams(d=3, n=1, nu=1.0, t=1.0))
     assert fractional_poisson_pmf(mp, 0) == pytest.approx(1.0, abs=1e-10)
+
+
+def test_pmf_requires_integral_n():
+    # a fractional, infinite or NaN count once gave a number (0.0687 at 1.5)
+    mp = MixtureParams(lam=1.0, base=FlightParams(d=3, n=1, nu=0.5, m=2))
+    for n in (1.5, [0, 2.5], math.inf, math.nan, -1):
+        with pytest.raises(ValueError, match="integral n >= 0"):
+            fractional_poisson_pmf(mp, n)
+    assert fractional_poisson_pmf(mp, 2.0) == fractional_poisson_pmf(mp, 2)
+
+
+def test_mixture_requires_an_integer_n_max():
+    base = FlightParams(d=2, n=1, nu=0.0, m=1)
+    for n_max in (2.5, True, math.nan, 0):
+        with pytest.raises(ValueError, match="n_max"):
+            MixtureParams(lam=1.0, base=base, n_max=n_max)
+    assert MixtureParams(lam=1.0, base=base, n_max=np.int64(3)).n_max == 3
 
 
 def test_pmf_successive_ratio():

@@ -17,6 +17,7 @@ from driftflight.angular import (
     marginal_angular_density,
     sample_angles,
 )
+from driftflight.flight import FlightParams
 from _oracles import gl_grid
 
 TWO_PI = 2.0 * math.pi
@@ -26,40 +27,47 @@ def _rng(seed=0):
     return np.random.default_rng(seed)
 
 
+def _params(d, nu):
+    # the angular laws read d and nu alone
+    return FlightParams(d=d, n=0, nu=nu)
+
+
 # ------------------------------------------------------------- density
 
 def test_density_uniform_circle():
     for phi in (0.0, 1.0, math.pi, 5.0):
-        assert angular_density((), phi, 0.0) == pytest.approx(1.0 / TWO_PI, rel=1e-14)
+        assert angular_density(_params(2, 0.0), (), phi) == pytest.approx(1.0 / TWO_PI, rel=1e-14)
 
 
 def test_density_drifted_values():
     # nu=1 planar density peaks at 1/pi; three-dimensional peak is 3/(4 pi)
-    assert angular_density((), math.pi / 2, 1.0) == pytest.approx(1.0 / math.pi, rel=1e-14)
-    assert angular_density([math.pi / 2], math.pi / 2, 1.0) == pytest.approx(
+    assert angular_density(_params(2, 1.0), (), math.pi / 2) == pytest.approx(
+        1.0 / math.pi, rel=1e-14
+    )
+    assert angular_density(_params(3, 1.0), [math.pi / 2], math.pi / 2) == pytest.approx(
         3.0 / (4.0 * math.pi), rel=1e-14
     )
 
 
 def test_angle_vector_validation():
     with pytest.raises(ValueError):
-        marginal_angular_density([0.5, 1.0], 2, 1, 0.0)  # too many angles
+        marginal_angular_density(_params(2, 0.0), [0.5, 1.0])  # too many angles
     # a negative colatitude, an azimuth beyond 2 pi, one bad row of a batch
-    for thetas, phi in (([-0.1], 1.0), ((), 7.0), ([[0.5], [4.0]], 1.0)):
+    for d, thetas, phi in ((3, [-0.1], 1.0), (2, (), 7.0), (3, [[0.5], [4.0]], 1.0)):
         with pytest.raises(ValueError):
-            angular_density(thetas, phi, 0.0)
+            angular_density(_params(d, 0.0), thetas, phi)
         with pytest.raises(ValueError):
             angles_to_direction(thetas, phi)
     with pytest.raises(ValueError):
-        angular_density((), 1.0, -0.5)
+        angular_density(_params(2, -0.5), (), 1.0)
 
 
 def test_normalization_d2_d3():
     for nu in (0.0, 0.5, 1.0, 2.0):
-        total, _ = quad(lambda phi: angular_density((), phi, nu), 0.0, TWO_PI)
+        total, _ = quad(lambda phi: angular_density(_params(2, nu), (), phi), 0.0, TWO_PI)
         assert total == pytest.approx(1.0, abs=1e-8)
         total3, _ = dblquad(
-            lambda phi, th: angular_density([th], phi, nu),
+            lambda phi, th: angular_density(_params(3, nu), [th], phi),
             0.0,
             math.pi,
             0.0,
@@ -90,7 +98,7 @@ def test_normalization_d4_tensor_product():
 # ------------------------------------------------------------ marginals
 
 def test_marginal_d3_m1_value():
-    assert marginal_angular_density([math.pi / 2], 3, 1, 0.0) == pytest.approx(
+    assert marginal_angular_density(_params(3, 0.0), [math.pi / 2]) == pytest.approx(
         0.5, rel=1e-14
     )
 
@@ -101,14 +109,14 @@ def test_marginal_m_equals_d_minus_one_is_full_density():
         th = rng.uniform(0.0, math.pi, size=2)
         phi = rng.uniform(0.0, TWO_PI)
         nu = rng.uniform(0.0, 3.0)
-        full = angular_density(th, phi, nu)
-        marg = marginal_angular_density([*th, phi], 4, 3, nu)
+        full = angular_density(_params(4, nu), th, phi)
+        marg = marginal_angular_density(_params(4, nu), [*th, phi])
         assert marg == pytest.approx(full, rel=1e-13)
 
 
 def test_marginal_d5_m2_normalizes():
     total, _ = dblquad(
-        lambda t2, t1: marginal_angular_density([t1, t2], 5, 2, 1.0),
+        lambda t2, t1: marginal_angular_density(_params(5, 1.0), [t1, t2]),
         0.0,
         math.pi,
         0.0,
@@ -119,11 +127,11 @@ def test_marginal_d5_m2_normalizes():
 
 def test_marginal_domain_errors():
     with pytest.raises(ValueError):
-        marginal_angular_density([0.5, 0.5, 0.5], 3, 3, 0.0)
+        marginal_angular_density(_params(3, 0.0), [0.5, 0.5, 0.5])
     with pytest.raises(ValueError):
-        marginal_angular_density([0.5], 3, 2, 0.0)  # length mismatch
+        angular_density(_params(3, 0.0), [0.5, 0.5], 0.5)  # length mismatch
     with pytest.raises(ValueError):
-        marginal_angular_density([4.0], 4, 1, 0.0)  # colatitude out of range
+        marginal_angular_density(_params(4, 0.0), [4.0])  # colatitude out of range
 
 
 # ------------------------------------------------------------ directions
@@ -148,10 +156,19 @@ def test_direction_unit_norm(data):
 
 
 def test_angles_to_direction_inverts_direction_angles():
-    x = directions(_rng(16).random((1000, direction_draws(5, 1.0))), 5, 1.0)
+    x = directions(_params(5, 1.0), _rng(16).random((1000, direction_draws(_params(5, 1.0)))))
     back = angles_to_direction(*direction_angles(x))
     assert back.shape == (1000, 5)
     np.testing.assert_allclose(back, x, rtol=0, atol=1e-15)
+
+
+def test_directions_require_direction_draws_uniforms():
+    p = _params(3, 0.3)
+    k = direction_draws(p)
+    assert directions(p, _rng().random((4, k))).shape == (4, 3)
+    for width in (k - 1, k + 1):
+        with pytest.raises(ValueError):
+            directions(p, _rng().random((4, width)))
 
 
 def test_angle_laws_point_is_batch_row():
@@ -160,9 +177,9 @@ def test_angle_laws_point_is_batch_row():
     phis = rng.uniform(0.0, TWO_PI, size=(4, 5))
     nu = 0.7
     for law, args in (
-        (angular_density, (thetas, phis, nu)),
-        (marginal_angular_density, (thetas, 5, 3, nu)),
-        (marginal_angular_density, (np.concatenate([thetas, phis[..., None]], -1), 5, 4, nu)),
+        (angular_density, (_params(5, nu), thetas, phis)),
+        (marginal_angular_density, (_params(5, nu), thetas)),
+        (marginal_angular_density, (_params(5, nu), np.concatenate([thetas, phis[..., None]], -1))),
         (angles_to_direction, (thetas, phis)),
     ):
         batch = law(*args)
@@ -170,11 +187,12 @@ def test_angle_laws_point_is_batch_row():
         for i, j in np.ndindex(4, 5):
             point = law(*(a[i, j] if isinstance(a, np.ndarray) else a for a in args))
             assert point.tobytes() == batch[i, j].tobytes(), law.__name__
-    assert isinstance(angular_density(thetas[0, 0], phis[0, 0], nu), np.float64)
+    p = _params(5, nu)
+    assert isinstance(angular_density(p, thetas[0, 0], phis[0, 0]), np.float64)
     # colatitudes broadcast against a batch of azimuths
     np.testing.assert_array_equal(
-        angular_density(thetas[0, 0], phis[0], nu),
-        [angular_density(thetas[0, 0], phi, nu) for phi in phis[0]],
+        angular_density(p, thetas[0, 0], phis[0]),
+        [angular_density(p, thetas[0, 0], phi) for phi in phis[0]],
     )
 
 
@@ -183,7 +201,8 @@ def test_angle_laws_point_is_batch_row():
 def _sample_directions(d, nu, count, seed):
     # the directions of `count` sample_angles calls on _rng(seed), in one
     # batch transform: rng.random draws in sequence, so row i is call i
-    return directions(_rng(seed).random((count, direction_draws(d, nu))), d, nu)
+    p = _params(d, nu)
+    return directions(p, _rng(seed).random((count, direction_draws(p))))
 
 
 def _sample_many(d, nu, count, seed):
@@ -196,7 +215,7 @@ def _sample_many(d, nu, count, seed):
 def test_sample_angles_is_a_batch_row(d, nu):
     # the batched samples of the tests below are the scalar calls' samples
     rng = _rng(9)
-    calls = [sample_angles(d, nu, rng) for _ in range(50)]
+    calls = [sample_angles(_params(d, nu), rng) for _ in range(50)]
     thetas, phis = _sample_many(d, nu, 50, 9)
     np.testing.assert_array_equal([th for th, _ in calls], thetas.reshape(50, d - 2))
     np.testing.assert_array_equal([phi for _, phi in calls], phis)
@@ -268,8 +287,8 @@ def test_sampler_marginal_ks(d, nu):
 def test_directions_last_coordinate_beta_ks(d, nu):
     # under density |x_d|^(2 nu) on the sphere, x_d^2 is
     # Beta((2 nu + 1)/2, (d - 1)/2); nu = 5 is past the cap of 4 logs
-    u = _rng(40 + 10 * d + int(10 * nu)).random((100_000, direction_draws(d, nu)))
-    x = directions(u, d, nu)
+    u = _rng(40 + 10 * d + int(10 * nu)).random((100_000, direction_draws(_params(d, nu))))
+    x = directions(_params(d, nu), u)
     np.testing.assert_allclose(np.linalg.norm(x, axis=1), 1.0, rtol=0, atol=1e-14)
     vals = np.sort(x[:, -1] ** 2)
     assert _ks(vals, betainc(nu + 0.5, 0.5 * (d - 1), vals)) < 0.01
@@ -301,6 +320,6 @@ def test_drift_concentration_increases_with_nu():
 
 def test_sampler_domain_errors():
     with pytest.raises(ValueError):
-        sample_angles(1, 0.0, _rng())
+        sample_angles(_params(1, 0.0), _rng())
     with pytest.raises(ValueError):
-        sample_angles(3, -1.0, _rng())
+        sample_angles(_params(3, -1.0), _rng())

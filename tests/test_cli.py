@@ -206,6 +206,20 @@ def test_density_requires_formula(tmp_path):
     assert code == USAGE_ERROR
 
 
+def test_anorm_reads_comma_separated_text(tmp_path):
+    # --anorm 0.5,1.0, a config value "0.5,1.0" and two flags write the
+    # same rows, as --x and --alpha read their text
+    base = ["cf", "--formula", "projected", "--d", "3", "--m", "2", "--n", "1"]
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"anorm": "0.5,1.0"}))
+    outs = [tmp_path / f"cf{i}.csv" for i in range(3)]
+    assert main(base + ["--anorm", "0.5,1.0", "--out", str(outs[0])]) == 0
+    assert main(base + ["--config", str(cfg), "--out", str(outs[1])]) == 0
+    assert main(base + ["--anorm", "0.5", "--anorm", "1.0", "--out", str(outs[2])]) == 0
+    assert _read_rows(outs[0])[:, 0].tolist() == [0.5, 1.0]
+    assert outs[0].read_bytes() == outs[1].read_bytes() == outs[2].read_bytes()
+
+
 def test_cf_projected_and_nu1(tmp_path):
     out = tmp_path / "cf.csv"
     code = main(
@@ -340,10 +354,10 @@ def test_mixture_whose_tail_bound_fails_writes_no_file(tmp_path, monkeypatch):
 
 
 def test_simulate_whose_trajectories_fail_writes_no_file(tmp_path, monkeypatch):
-    def fail(p, count, seed):
+    def fail(p, count, seed, keep):
         raise ValueError("no trajectories")
 
-    monkeypatch.setattr(cli, "simulate_trajectories", fail)
+    monkeypatch.setattr(cli, "_simulate", fail)
     out = tmp_path / "pos.csv"
     assert main(_COMMAND_SET["simulate"] + ["--out", str(out)]) == USAGE_ERROR
     assert list(tmp_path.iterdir()) == []

@@ -57,6 +57,18 @@ def test_params_validation():
     assert p.m == 3  # defaults to the ambient dimension
 
 
+@pytest.mark.parametrize("field", ["d", "n", "nu", "c", "t", "m"])
+def test_params_reject_booleans(field):
+    # True is an int to Python and 1.0 to math; a boolean is never a number
+    # here, as the CLI and the seed check have it
+    fields = {"d": 3, "n": 1, "nu": 1.0, "c": 1.0, "t": 1.0, "m": 1}
+    FlightParams(**fields)
+    with pytest.raises(ValueError, match="booleans"):
+        FlightParams(**{**fields, field: True})
+    with pytest.raises(ValueError, match="booleans"):
+        FlightParams(**{**fields, field: np.True_})
+
+
 def test_n0_single_segment_has_radius_ct():
     p = FlightParams(d=3, n=0, nu=1.0, c=2.0, t=1.5)
     tr = simulate_flight(p, _rng(5))
@@ -72,12 +84,12 @@ def test_trajectory_segments_match_intertimes():
     # angular module gives the exact waiting times and directions the
     # trajectory consumed
     replay = replicate_stream(p, seed, 0)
-    taus = sample_intertimes(p.n, p.d, p.nu, p.t, replay)
+    taus = sample_intertimes(p, replay)
     np.testing.assert_allclose(np.diff(tr.times), taus, rtol=0, atol=1e-15)
     steps = np.diff(tr.breakpoints, axis=0)
     for k in range(p.n + 1):
         assert np.linalg.norm(steps[k]) == pytest.approx(p.c * taus[k], abs=1e-9)
-        direction = angles_to_direction(*sample_angles(p.d, p.nu, replay))
+        direction = angles_to_direction(*sample_angles(p, replay))
         np.testing.assert_allclose(steps[k] / (p.c * taus[k]), direction, rtol=0, atol=1e-12)
     assert tr.times[-1] == pytest.approx(p.t, rel=1e-12)
     assert tr.breakpoints.shape == (p.n + 2, p.d)
@@ -202,16 +214,22 @@ def test_output_does_not_depend_on_worker_count(d, n, nu, monkeypatch):
 
 
 @pytest.mark.parametrize("workers", [1, 2])
-def test_batch_rows_from_a_start_row(monkeypatch, workers):
-    # the rows start..count-1 of a batch, at any start, have the batch's bits
+def test_batch_rows_beside_kept_trajectories(monkeypatch, workers):
+    # the finals of a run that keeps the trajectories of rows 0..keep-1,
+    # at any keep, have the batch's bits, and so do the rows keep..count-1
+    # that no trajectory covers
     p = FlightParams(d=3, n=2, nu=1.0)
     count = 3 * _CHUNK_DRAWS // _padded_draws(p) + 5
     monkeypatch.setattr(flight, "_cpus", lambda: workers)
     batch = simulate_batch(p, count, 77)
     for start in (0, 1, 1000, count // 2, count - 1, count):
-        rows = flight._finals(p, count, 77, start)
+        finals, tr = flight._simulate(p, count, 77, start)
+        rows = finals[start:]
         assert rows.shape == (count - start, 3)
         assert rows.tobytes() == batch[start:].tobytes(), start
+        assert (tr is None) == (start == 0)
+        if tr is not None:
+            assert tr.final.tobytes() == batch[:start].tobytes(), start
 
 
 def test_sampler_falls_back_to_one_worker_on_one_cpu(monkeypatch):

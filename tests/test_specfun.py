@@ -379,6 +379,20 @@ def test_ml_domain_errors():
         mittag_leffler_paper(1.0, 1.0, -0.5)
 
 
+@pytest.mark.parametrize(
+    "alpha,beta,x",
+    [
+        (math.nan, 1.0, 1.0), (1.0, math.nan, 1.0), (1.0, 1.0, math.nan),
+        (1.0, 1.0, math.inf), (math.inf, 1.0, 1.0), (1.0, math.inf, 1.0),
+    ],
+)
+def test_ml_rejects_nan_and_infinite_arguments(alpha, beta, x):
+    # each of these once returned NaN
+    for law in (mittag_leffler_paper, log_mittag_leffler_paper):
+        with pytest.raises(ValueError):
+            law(alpha, beta, x)
+
+
 # ------------------------------------------------ coefficient tables
 
 def test_coeff_tables_match_known_scheme():

@@ -8,6 +8,7 @@ from scipy.integrate import quad
 from scipy.special import betainc, gammaincinv
 
 from driftflight import temporal
+from driftflight.flight import FlightParams
 from driftflight.temporal import (
     gamma_quantile,
     intertime_density,
@@ -22,14 +23,19 @@ def _rng(seed=0):
     return np.random.default_rng(seed)
 
 
+def _params(n, d, nu, t=1.0):
+    return FlightParams(d=d, n=n, nu=nu, t=t)
+
+
 def _sample_many(n, d, nu, t, count, rng):
     # the waiting times of `count` sample_intertimes calls on rng, in one
     # batch transform: rng.random draws in sequence, so row i is call i
-    return waiting_times(rng.random((count, (n + 1) * time_draws(d, nu))), d, nu, t)
+    p = _params(n, d, nu, t)
+    return waiting_times(p, rng.random((count, (n + 1) * time_draws(p))))
 
 
 def test_density_uniform_case():
-    assert intertime_density([0.3, 0.7], 2, 0.0, 1.0) == pytest.approx(1.0, rel=1e-13)
+    assert intertime_density(_params(1, 2, 0.0), [0.3, 0.7]) == pytest.approx(1.0, rel=1e-13)
 
 
 def test_density_constant_on_simplex_for_shape_one():
@@ -38,36 +44,36 @@ def test_density_constant_on_simplex_for_shape_one():
     n, t = 3, 2.0
     for _ in range(10):
         free = rng.dirichlet(np.ones(n + 1)) * t
-        assert intertime_density(free, 2, 0.0, t) == pytest.approx(
+        assert intertime_density(_params(n, 2, 0.0, t), free) == pytest.approx(
             math.factorial(n) / t**n, rel=1e-12
         )
 
 
 def test_density_outside_support_is_zero():
-    assert intertime_density([-0.1, 1.1], 2, 0.0, 1.0) == 0.0
-    assert intertime_density([0.2, 0.2], 2, 0.0, 1.0) == 0.0
+    assert intertime_density(_params(1, 2, 0.0), [-0.1, 1.1]) == 0.0
+    assert intertime_density(_params(1, 2, 0.0), [0.2, 0.2]) == 0.0
 
 
 def test_density_requires_one_free_coordinate():
     with pytest.raises(ValueError):
-        intertime_density([1.0], 2, 0.0, 1.0)
+        intertime_density(_params(0, 2, 0.0), [1.0])
     with pytest.raises(ValueError):
-        intertime_density(np.empty((3, 0)), 2, 0.0, 1.0)
+        intertime_density(_params(0, 2, 0.0), np.empty((3, 0)))
     with pytest.raises(ValueError):
-        intertime_density([0.3, 0.7], 2, -0.5, 1.0)
+        intertime_density(_params(1, 2, -0.5), [0.3, 0.7])
     for t in (0.0, -1.0, math.inf, math.nan):
         with pytest.raises(ValueError):
-            intertime_density([0.3, 0.7], 2, 0.0, t)
+            intertime_density(_params(1, 2, 0.0, t), [0.3, 0.7])
 
 
 def test_intertime_density_point_is_batch_row():
     t = 1.7
     taus = _sample_many(3, 3, 0.3, t, 20, _rng(5)).reshape(4, 5, 4)
     taus[0, 0] = [-0.1, 0.6, 0.6, 0.6]  # outside the support
-    batch = intertime_density(taus, 3, 0.3, t)
+    batch = intertime_density(_params(3, 3, 0.3, t), taus)
     assert batch.shape == (4, 5) and batch[0, 0] == 0.0 and np.all(batch.ravel()[1:] > 0.0)
     for i, j in np.ndindex(4, 5):
-        point = intertime_density(taus[i, j], 3, 0.3, t)
+        point = intertime_density(_params(3, 3, 0.3, t), taus[i, j])
         assert isinstance(point, np.float64)
         assert point.tobytes() == batch[i, j].tobytes()
 
@@ -77,7 +83,7 @@ def test_density_n1_marginal_normalizes():
     for d, nu in ((2, 0.0), (3, 1.0), (4, 0.5)):
         t = 1.5
         total, _ = quad(
-            lambda x: intertime_density([x, t - x], d, nu, t),
+            lambda x: intertime_density(_params(1, d, nu, t), [x, t - x]),
             0.0,
             t,
         )
@@ -93,7 +99,7 @@ def test_density_n1_marginal_normalizes():
     st.integers(min_value=0, max_value=10_000),
 )
 def test_sample_sums_to_horizon(n, d, nu, t, seed):
-    taus = sample_intertimes(n, d, nu, t, _rng(seed))
+    taus = sample_intertimes(_params(n, d, nu, t), _rng(seed))
     assert len(taus) == n + 1
     assert np.all(taus > 0.0)
     assert abs(float(taus.sum()) - t) <= 1e-12 * t
@@ -138,15 +144,29 @@ def test_sample_intertimes_is_a_batch_row(d, nu):
     # the batched samples of the tests above are the scalar calls' samples
     n, t = 2, 1.7
     rng = _rng(9)
-    calls = np.array([sample_intertimes(n, d, nu, t, rng) for _ in range(50)])
+    calls = np.array([sample_intertimes(_params(n, d, nu, t), rng) for _ in range(50)])
     np.testing.assert_array_equal(calls, _sample_many(n, d, nu, t, 50, _rng(9)))
 
 
 def test_sample_domain_errors():
     with pytest.raises(ValueError):
-        sample_intertimes(0, 2, 0.0, 1.0, _rng())
+        sample_intertimes(_params(0, 2, 0.0, 1.0), _rng())
     with pytest.raises(ValueError):
-        sample_intertimes(1, 2, 0.0, -1.0, _rng())
+        sample_intertimes(_params(1, 2, 0.0, -1.0), _rng())
+
+
+def test_input_shapes_follow_the_params():
+    # n comes from the FlightParams, so arrays of another n are refused
+    p = _params(2, 3, 0.3, 1.5)
+    k = time_draws(p)
+    assert waiting_times(p, _rng().random((4, 3 * k))).shape == (4, 3)
+    for width in (2 * k, 4 * k):
+        with pytest.raises(ValueError):
+            waiting_times(p, _rng().random((4, width)))
+    with pytest.raises(ValueError):
+        waiting_times(_params(0, 3, 0.3), _rng().random(k))
+    with pytest.raises(ValueError):
+        intertime_density(p, [0.5, 1.0])
 
 
 # ------------------------------------------------------- gamma quantile
