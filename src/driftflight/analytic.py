@@ -329,7 +329,7 @@ def radial_moment(p: FlightParams, order: int) -> float:
     Raises ValueError where (c t)^order passes the double range.
     """
     _require_beta_law(p)
-    if not math.inf > order >= 1:  # NaN fails
+    if isinstance(order, (bool, np.bool_)) or not math.inf > order >= 1:  # NaN fails
         raise ValueError(f"radial_moment requires a finite order >= 1, got {order!r}")
     K = _half_order(p, p.n)
     m = p.m
@@ -589,8 +589,8 @@ class MixtureParams:
     n_max: int = 50
 
     def __post_init__(self):
-        if not 0.0 < self.lam < math.inf:
-            raise ValueError("MixtureParams requires a finite lam > 0")
+        if isinstance(self.lam, (bool, np.bool_)) or not 0.0 < self.lam < math.inf:
+            raise ValueError(f"MixtureParams requires a finite lam > 0, got {self.lam!r}")
         integral = isinstance(self.n_max, Integral) and not isinstance(self.n_max, bool)
         if not (integral and self.n_max >= 1):
             raise ValueError(f"MixtureParams requires an integer n_max >= 1, got {self.n_max!r}")
@@ -621,7 +621,7 @@ def fractional_poisson_pmf(mp: MixtureParams, n, uncorrected: bool = False):
     series, so large lam t gives the pmf's values, not 0 from an inf.
     """
     n = np.asarray(n)
-    if not np.all((n < np.inf) & (n >= 0) & (n == np.floor(n))):
+    if n.dtype == bool or not np.all((n < np.inf) & (n >= 0) & (n == np.floor(n))):
         raise ValueError("fractional_poisson_pmf requires integral n >= 0")
     return np.exp(_log_series_terms(mp, n, uncorrected) - _log_series(mp, 0))[()]
 

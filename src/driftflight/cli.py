@@ -20,7 +20,8 @@ cut to the written length, never truncated first, so a rerun leaves the
 same bytes as a fresh run.  Every CSV value is the text ``"%.17g" % v``
 gives, 17 significant digits that read back bit for bit (``csvtext``).
 ``simulate --trajectories K`` (0 <= K <= --count) also writes the
-breakpoints of replicates 0..K-1.
+breakpoints of replicates 0..K-1.  --x, --alpha, --anorm and --orders
+take comma-separated numbers, and an empty field is a usage error.
 
 Exit codes: 0 success, 1 usage error, 2 validation failure, 3 I/O error.
 """
@@ -63,11 +64,15 @@ def _write_outputs(path: str, names: list[str], config: dict, *columns, extra=No
         fh.write(json.dumps({"config": config, **(extra or {})}, sort_keys=True, indent=2) + "\n")
 
 
-def _floats(key: str, values) -> list[float]:
-    """A --<key> vector: comma-separated text or a list of numbers."""
-    if isinstance(values, str):
-        values = [tok for tok in values.split(",") if tok.strip()]
-    return [_typed(key, float, v) for v in values]
+def _numbers(key: str, kind, value) -> list:
+    """A --<key> value, comma-separated text or a lone number, as numbers
+    of ``kind``; an empty or malformed field is a usage error."""
+    if not isinstance(value, str):
+        return [_typed(key, kind, value)]
+    try:
+        return [kind(field) for field in value.split(",")]
+    except ValueError:  # _typed words the error of the first bad field
+        return [_typed(key, kind, field) for field in value.split(",")]
 
 
 def _vector_args(cfg: dict, key: str, dim: int) -> np.ndarray:
@@ -76,10 +81,10 @@ def _vector_args(cfg: dict, key: str, dim: int) -> np.ndarray:
     raw = cfg.get(key)
     if not raw:
         raise _UsageError(f"--{key} vectors are required for this command")
-    flat = isinstance(raw, list) and all(isinstance(v, (int, float)) for v in raw)
-    if isinstance(raw, str) or flat:
+    if isinstance(raw, str) or all(isinstance(v, (int, float)) for v in raw):
         raw = [raw]  # one vector: a comma-separated string or a flat list of numbers
-    vecs = [_floats(key, v) for v in raw]
+    vecs = [_numbers(key, float, v) if isinstance(v, str) else [_typed(key, float, a) for a in v]
+            for v in raw]
     for vec in vecs:
         if len(vec) != dim:
             raise _UsageError(f"--{key} {vec} must have length {dim}")
@@ -227,7 +232,7 @@ def _anorm_vectors(cfg: dict, dim: int) -> np.ndarray:
     anorms = cfg.get("anorm", [])
     if not isinstance(anorms, list):
         anorms = [anorms]
-    norms = [a for v in anorms for a in _floats("anorm", v if isinstance(v, str) else [v])]
+    norms = [a for v in anorms for a in _numbers("anorm", float, v)]
     if not norms:
         raise _UsageError("--anorm values are required for the projected cf")
     alphas = np.zeros((len(norms), dim))
@@ -260,12 +265,9 @@ def _cmd_law(command: str, cfg: dict) -> int:
 def _cmd_moments(command: str, cfg: dict) -> int:
     p = _flight_params(cfg, need_m=True)
     out = _require_out(cfg)
-    orders_raw = cfg.get("orders", "1,2,4")
-    if isinstance(orders_raw, str):
-        orders_raw = orders_raw.split(",")
-    elif isinstance(orders_raw, (int, float)):
-        orders_raw = [orders_raw]  # one order
-    orders = [_typed("orders", int, k) for k in orders_raw]
+    raw = cfg.get("orders", "1,2,4")  # comma-separated text, one order or a list
+    orders = ([_typed("orders", int, k) for k in raw] if isinstance(raw, list)
+              else _numbers("orders", int, raw))
     cfg_echo = _echo(command, p, orders=orders)
     moments = [analytic.radial_moment(p, k) for k in orders]
     _write_outputs(out, ["order", "moment"], cfg_echo, orders, moments)

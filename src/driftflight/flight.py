@@ -182,10 +182,12 @@ def _segments(p: FlightParams, U: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _paths(taus: np.ndarray, steps: np.ndarray) -> Trajectory:
-    # positions and epochs accumulate from zero in segment order
-    zero = ((0, 0), (1, 0))
-    bps = np.pad(steps, zero + ((0, 0),)).cumsum(axis=1)
-    return Trajectory(bps, np.pad(taus, zero).cumsum(axis=1))
+    # positions and epochs accumulate from zero in segment order, summed in
+    # place after a zero first row (so a -0.0 first step lands as 0.0)
+    rows, segs = taus.shape
+    bps, times = np.zeros((rows, segs + 1, steps.shape[2])), np.zeros((rows, segs + 1))
+    bps[:, 1:], times[:, 1:] = steps, taus
+    return Trajectory(bps.cumsum(axis=1, out=bps), times.cumsum(axis=1, out=times))
 
 
 def simulate_flight(p: FlightParams, rng: np.random.Generator) -> Trajectory:

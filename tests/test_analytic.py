@@ -597,6 +597,13 @@ def test_radial_moment_requires_a_finite_order():
             radial_moment(p, order)
 
 
+@pytest.mark.parametrize("order", [True, np.bool_(True)])
+def test_radial_moment_takes_no_boolean_order(order):
+    # True once returned the first moment, 0.37500000000000017
+    with pytest.raises(ValueError, match="finite order"):
+        radial_moment(FlightParams(d=3, n=1, nu=0.0, m=1), order)
+
+
 def test_radial_moment_validation():
     with pytest.raises(ValueError):
         radial_moment(FlightParams(d=3, n=1, nu=0.0, m=1), 0)
@@ -980,12 +987,27 @@ def test_pmf_requires_integral_n():
     assert fractional_poisson_pmf(mp, 2.0) == fractional_poisson_pmf(mp, 2)
 
 
+@pytest.mark.parametrize("n", [True, np.bool_(True), [False, True]])
+def test_pmf_takes_no_boolean_count(n):
+    # True once gave the pmf at n = 1, 0.3676274196957108
+    mp = MixtureParams(lam=1.0, base=FlightParams(d=3, n=1, nu=0.0, m=1))
+    with pytest.raises(ValueError, match="integral n >= 0"):
+        fractional_poisson_pmf(mp, n)
+
+
 def test_mixture_requires_an_integer_n_max():
     base = FlightParams(d=2, n=1, nu=0.0, m=1)
     for n_max in (2.5, True, math.nan, 0):
         with pytest.raises(ValueError, match="n_max"):
             MixtureParams(lam=1.0, base=base, n_max=n_max)
     assert MixtureParams(lam=1.0, base=base, n_max=np.int64(3)).n_max == 3
+
+
+@pytest.mark.parametrize("lam", [True, np.bool_(True)])
+def test_mixture_takes_no_boolean_rate(lam):
+    # lam=True was once accepted as rate 1
+    with pytest.raises(ValueError, match="finite lam > 0"):
+        MixtureParams(lam=lam, base=FlightParams(d=3, n=1, nu=0.0, m=1))
 
 
 def test_pmf_successive_ratio():

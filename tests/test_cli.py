@@ -482,6 +482,35 @@ def test_value_with_a_leading_minus_after_its_flag(tmp_path, argv, flag, values)
         assert got.read_bytes() == want.read_bytes()
 
 
+# flag -> (argv before it, its two fields a and b)
+_LIST_FLAGS = {
+    "x": (["density", "--formula", "projected", "--d", "3", "--m", "2", "--n", "1"], "0.2", "0.1"),
+    "alpha": (["cf", "--formula", "nu1", "--d", "2", "--n", "1", "--nu", "1"], "1.0", "2.0"),
+    "anorm": (["cf", "--formula", "projected", "--d", "3", "--m", "2", "--n", "1"], "0.5", "1.0"),
+    "orders": (["moments", "--d", "3", "--m", "2", "--n", "1"], "1", "2"),
+}
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+@pytest.mark.parametrize(
+    "shape", ["{a},,{b}", "{a},{b},", "{a}, ,{b}"], ids=["empty", "trailing", "blank"])
+@pytest.mark.parametrize("flag", list(_LIST_FLAGS))
+def test_empty_field_of_comma_separated_numbers_is_a_usage_error(
+        tmp_path, capsys, flag, shape, source):
+    # --x 0.2,,0.1 once evaluated the point (0.2, 0.1); so did a config
+    # value, and a trailing comma or blank field in --alpha or --anorm
+    argv, a, b = _LIST_FLAGS[flag]
+    text = shape.format(a=a, b=b)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({flag: text}))
+    given = [f"--{flag}", text] if source == "flag" else ["--config", str(cfg)]
+    out = tmp_path / "out.csv"
+    assert main(argv + given + ["--out", str(out)]) == USAGE_ERROR
+    assert f"--{flag} must be " in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [cfg]
+    assert main(argv + [f"--{flag}", f"{a},{b}", "--out", str(out)]) == 0
+
+
 def test_validate_only_identities(tmp_path):
     out = tmp_path / "report.json"
     code = main(["validate", "--only", "identities", "--out", str(out)])

@@ -17,6 +17,7 @@ from driftflight.flight import (
     FlightParams,
     _cpus,
     _padded_draws,
+    _paths,
     _segments,
     draws_per_flight,
     replicate_stream,
@@ -29,6 +30,20 @@ from driftflight.temporal import sample_intertimes
 
 def _rng(seed=0):
     return np.random.default_rng(seed)
+
+
+def test_paths_are_the_cumulative_sums_from_a_zero_row():
+    # bit for bit the sums of the steps and waiting times after a zero
+    # first row, also where a first step is -0.0
+    p = FlightParams(d=3, n=2, nu=1.0)
+    for rows in (1, 7):
+        taus, steps = _segments(p, _rng(rows).random((rows, draws_per_flight(p))))
+        steps[0, 0, 0] = -0.0
+        tr = _paths(taus, steps)
+        zero = ((0, 0), (1, 0))
+        want = np.pad(steps, zero + ((0, 0),)).cumsum(axis=1)
+        assert tr.breakpoints.tobytes() == want.tobytes()
+        assert tr.times.tobytes() == np.pad(taus, zero).cumsum(axis=1).tobytes()
 
 
 def test_params_validation():
