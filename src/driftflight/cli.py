@@ -69,10 +69,7 @@ def _numbers(key: str, kind, value) -> list:
     of ``kind``; an empty or malformed field is a usage error."""
     if not isinstance(value, str):
         return [_typed(key, kind, value)]
-    try:
-        return [kind(field) for field in value.split(",")]
-    except ValueError:  # _typed words the error of the first bad field
-        return [_typed(key, kind, field) for field in value.split(",")]
+    return [_typed(key, kind, field) for field in value.split(",")]
 
 
 def _vector_args(cfg: dict, key: str, dim: int) -> np.ndarray:
@@ -81,13 +78,19 @@ def _vector_args(cfg: dict, key: str, dim: int) -> np.ndarray:
     raw = cfg.get(key)
     if not raw:
         raise _UsageError(f"--{key} vectors are required for this command")
-    if isinstance(raw, str) or all(isinstance(v, (int, float)) for v in raw):
-        raw = [raw]  # one vector: a comma-separated string or a flat list of numbers
-    vecs = [_numbers(key, float, v) if isinstance(v, str) else [_typed(key, float, a) for a in v]
-            for v in raw]
-    for vec in vecs:
+    if not isinstance(raw, list) or all(isinstance(v, (int, float)) for v in raw):
+        raw = [raw]  # one vector: comma-separated text or a flat list of numbers
+    vecs = []
+    for v in raw:
+        if isinstance(v, str):
+            vec = _numbers(key, float, v)
+        elif isinstance(v, list):
+            vec = [_typed(key, float, a) for a in v]
+        else:
+            raise _UsageError(f"--{key} takes comma-separated text or lists of numbers, got {v!r}")
         if len(vec) != dim:
             raise _UsageError(f"--{key} {vec} must have length {dim}")
+        vecs.append(vec)
     return np.array(vecs, dtype=float)
 
 
@@ -265,9 +268,11 @@ def _cmd_law(command: str, cfg: dict) -> int:
 def _cmd_moments(command: str, cfg: dict) -> int:
     p = _flight_params(cfg, need_m=True)
     out = _require_out(cfg)
-    raw = cfg.get("orders", "1,2,4")  # comma-separated text, one order or a list
-    orders = ([_typed("orders", int, k) for k in raw] if isinstance(raw, list)
-              else _numbers("orders", int, raw))
+    orders = cfg.get("orders", "1,2,4")
+    if isinstance(orders, list):
+        orders = [_typed("orders", int, k) for k in orders]
+    else:  # comma-separated text or one order
+        orders = _numbers("orders", int, orders)
     cfg_echo = _echo(command, p, orders=orders)
     moments = [analytic.radial_moment(p, k) for k in orders]
     _write_outputs(out, ["order", "moment"], cfg_echo, orders, moments)

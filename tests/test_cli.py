@@ -650,6 +650,8 @@ _CONFIG_BASE = {
         ("moments", {"orders": 2}, ["--orders", "2"]),  # a scalar is one order
         ("cf", {"anorm": [[1.0]]}, None),  # malformed: a usage error
         ("mixture", {"x": [[0.3], {"x": 0.3}]}, None),
+        ("mixture", {"x": {"0.3": 1, "0.1": 2}}, None),  # an object is not read as its keys
+        ("moments", {"orders": {"1": 2}}, None),
         ("moments", {"c": [1.0]}, None),
         ("moments", {"c": 10**400}, None),  # once an OverflowError traceback
     ],
