@@ -37,7 +37,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 from scipy.special import ndtri
 
-from .temporal import _MAX_SUM_DRAWS, _U_FLOOR, _log_sum, gamma_quantile
+from .temporal import _MAX_SUM_DRAWS, _U_FLOOR, _check_uniforms, _log_sum, gamma_quantile
 
 if TYPE_CHECKING:
     from .flight import FlightParams
@@ -177,9 +177,11 @@ def directions(p: FlightParams, u) -> np.ndarray:
     i < d and Y_d = copysign(sqrt(Z_d^2 - 2 sum log U), Z_d).  Otherwise
     the first d - 1 give Y_1 .. Y_{d-1}, the next ones |Y_d| and the last
     the sign of Y_d.  Where every Y_i is 0 (nu = 0 and d uniforms of
-    exactly 1/2) the vector is e_d."""
-    if np.shape(u)[-1] != direction_draws(p):
-        raise ValueError(f"expected direction_draws(p) uniforms, got shape {np.shape(u)}")
+    exactly 1/2) the vector is e_d.  Raises ValueError for u outside [0, 1)."""
+    u = np.asarray(u)
+    if u.shape[-1] != direction_draws(p):
+        raise ValueError(f"expected direction_draws(p) uniforms, got shape {u.shape}")
+    _check_uniforms("directions", u)
     return _scaled_directions(u, p.d, p.nu, 1.0)
 
 

@@ -21,7 +21,8 @@ same bytes as a fresh run.  Every CSV value is the text ``"%.17g" % v``
 gives, 17 significant digits that read back bit for bit (``csvtext``).
 ``simulate --trajectories K`` (0 <= K <= --count) also writes the
 breakpoints of replicates 0..K-1.  --x, --alpha, --anorm and --orders
-take comma-separated numbers, and an empty field is a usage error.
+read argv and config alike: comma-separated text, a number or a JSON list
+of those, and an empty field or list is a usage error.
 
 Exit codes: 0 success, 1 usage error, 2 validation failure, 3 I/O error.
 """
@@ -65,32 +66,29 @@ def _write_outputs(path: str, names: list[str], config: dict, *columns, extra=No
 
 
 def _numbers(key: str, kind, value) -> list:
-    """A --<key> value, comma-separated text or a lone number, as numbers
-    of ``kind``; an empty or malformed field is a usage error."""
-    if not isinstance(value, str):
-        return [_typed(key, kind, value)]
-    return [_typed(key, kind, field) for field in value.split(",")]
+    """A --<key> value, comma-separated text, a number or a list of those,
+    as a non-empty list of numbers of ``kind``; an empty result, or a field
+    that is empty or no number, is a usage error."""
+    numbers = []
+    for item in value if isinstance(value, list) else [value]:
+        fields = item.split(",") if isinstance(item, str) else [item]
+        numbers += [_typed(key, kind, field) for field in fields]
+    if not numbers:
+        raise _UsageError(f"--{key} takes at least one number")
+    return numbers
 
 
 def _vector_args(cfg: dict, key: str, dim: int) -> np.ndarray:
-    """The repeatable ``--<key>`` vectors (flags or config lists) as a
-    (count, dim) array."""
-    raw = cfg.get(key)
-    if not raw:
-        raise _UsageError(f"--{key} vectors are required for this command")
+    """The repeatable --<key> vectors, each text or a list, as a (count, dim) array."""
+    raw = cfg.get(key, [])
     if not isinstance(raw, list) or all(isinstance(v, (int, float)) for v in raw):
         raw = [raw]  # one vector: comma-separated text or a flat list of numbers
-    vecs = []
-    for v in raw:
-        if isinstance(v, str):
-            vec = _numbers(key, float, v)
-        elif isinstance(v, list):
-            vec = [_typed(key, float, a) for a in v]
-        else:
-            raise _UsageError(f"--{key} takes comma-separated text or lists of numbers, got {v!r}")
+    if not all(isinstance(v, (str, list)) for v in raw):
+        raise _UsageError(f"--{key} takes comma-separated text or lists of numbers, got {raw!r}")
+    vecs = [_numbers(key, float, v) for v in raw]
+    for vec in vecs:
         if len(vec) != dim:
             raise _UsageError(f"--{key} {vec} must have length {dim}")
-        vecs.append(vec)
     return np.array(vecs, dtype=float)
 
 
@@ -230,14 +228,8 @@ def _formulas(command: str) -> tuple:
 
 
 def _anorm_vectors(cfg: dict, dim: int) -> np.ndarray:
-    """The --anorm norms, each value a number or comma-separated text, as
-    the frequency vectors (norm, 0, ..., 0)."""
-    anorms = cfg.get("anorm", [])
-    if not isinstance(anorms, list):
-        anorms = [anorms]
-    norms = [a for v in anorms for a in _numbers("anorm", float, v)]
-    if not norms:
-        raise _UsageError("--anorm values are required for the projected cf")
+    """The --anorm norms as the frequency vectors (norm, 0, ..., 0)."""
+    norms = _numbers("anorm", float, cfg.get("anorm", []))
     alphas = np.zeros((len(norms), dim))
     alphas[:, 0] = norms
     return alphas
@@ -268,11 +260,7 @@ def _cmd_law(command: str, cfg: dict) -> int:
 def _cmd_moments(command: str, cfg: dict) -> int:
     p = _flight_params(cfg, need_m=True)
     out = _require_out(cfg)
-    orders = cfg.get("orders", "1,2,4")
-    if isinstance(orders, list):
-        orders = [_typed("orders", int, k) for k in orders]
-    else:  # comma-separated text or one order
-        orders = _numbers("orders", int, orders)
+    orders = _numbers("orders", int, cfg.get("orders", "1,2,4"))
     cfg_echo = _echo(command, p, orders=orders)
     moments = [analytic.radial_moment(p, k) for k in orders]
     _write_outputs(out, ["order", "moment"], cfg_echo, orders, moments)

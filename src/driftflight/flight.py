@@ -47,7 +47,7 @@ from numbers import Integral
 import numpy as np
 
 from .angular import _scaled_directions, direction_draws
-from .temporal import time_draws, waiting_times
+from .temporal import _waiting_times, time_draws
 
 # unused here, but bench/tracing.py wraps these five names on this module;
 # the two draw wrappers sample_angles and sample_intertimes leave with them
@@ -155,11 +155,20 @@ def _check_seed(master_seed) -> None:
         raise ValueError(f"master_seed must be an integer in [0, 2**128), got {master_seed!r}")
 
 
+def _integer(name: str, value) -> int:
+    # any integer type, numpy's too, as a Python int, which Philox.advance
+    # needs; a boolean or a float would be read as an integer unannounced
+    if isinstance(value, Integral) and not isinstance(value, bool):
+        return int(value)
+    raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 def replicate_stream(p: FlightParams, master_seed: int, index: int) -> np.random.Generator:
     """Generator positioned at replicate ``index`` of a batch keyed by
     ``master_seed``; feeding it to :func:`simulate_flight` reproduces the
     corresponding batch row exactly."""
     _check_seed(master_seed)
+    index = _integer("replicate index", index)
     if index < 0:
         raise ValueError("replicate index must be >= 0")
     bg = np.random.Philox(key=master_seed)
@@ -173,7 +182,7 @@ def _segments(p: FlightParams, U: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     segment, all segments in one transform."""
     if p.n >= 1:
         col = (p.n + 1) * time_draws(p)
-        taus = waiting_times(p, U[:, :col])
+        taus = _waiting_times(p, U[:, :col])
     else:
         col, taus = 0, np.full((len(U), 1), p.t)
     # splitting the row axis is a view, also of a strided chunk
@@ -214,6 +223,7 @@ def _split(p: FlightParams, count: int, master_seed: int):
     no more workers than chunks; others get one."""
     Lpad = _padded_draws(p)
     step = max(1, _CHUNK_DRAWS // Lpad)
+    count = _integer("count", count)
     if count < 1:
         raise ValueError("a batch requires count >= 1")
     _check_seed(master_seed)

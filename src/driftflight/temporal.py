@@ -132,6 +132,12 @@ def _quantile_table(a: float) -> _QuantileTable:
     return _QuantileTable(z0, z1, 1.0 / h, coef, u_tail, gamma1, 1.0 / a, series)
 
 
+def _check_uniforms(name: str, u: np.ndarray) -> None:
+    # NaN fails both bounds
+    if not (np.all(u >= 0.0) and np.all(u < 1.0)):
+        raise ValueError(f"{name} requires 0 <= u < 1")
+
+
 def gamma_quantile(a: float, u) -> np.ndarray:
     """The Gamma(a) quantile Q_a(u), the value ``gammaincinv(a, u)``, for u
     in [0, 1) floored at 1e-300, elementwise and shaped like ``u``; raises
@@ -147,8 +153,7 @@ def gamma_quantile(a: float, u) -> np.ndarray:
     """
     tab = _quantile_table(float(a))
     u = np.asarray(u, dtype=float)
-    if not (np.all(u >= 0.0) and np.all(u < 1.0)):
-        raise ValueError("gamma_quantile requires 0 <= u < 1")
+    _check_uniforms("gamma_quantile", u)
     flat = np.maximum(u.ravel(), _U_FLOOR)
     # t runs over the grid in units of pieces, then over piece i in [-1, 1];
     # in place, so a call holds few arrays of u's size
@@ -222,8 +227,15 @@ def time_draws(p: FlightParams) -> int:
 def waiting_times(p: FlightParams, u) -> np.ndarray:
     """Transform uniforms (..., (n+1) k), k = time_draws(p), to the n+1 >= 2
     waiting times (..., n+1) summing to t; waiting time j reads uniforms
-    j k .. j k + k-1, and the last one is the residual t - sum(rest)."""
+    j k .. j k + k-1, and the last one is the residual t - sum(rest).
+    Raises ValueError for u outside [0, 1)."""
     u = np.asarray(u)
+    _check_uniforms("waiting_times", u)
+    return _waiting_times(p, u)
+
+
+def _waiting_times(p: FlightParams, u: np.ndarray) -> np.ndarray:
+    # waiting_times without the range check, for the sampler's own uniforms
     a, k = 2.0 * p.nu + p.d - 1.0, time_draws(p)
     if not (p.n >= 1 and u.shape[-1] == (p.n + 1) * k):
         raise ValueError(f"waiting_times requires n >= 1 and (n+1) k uniforms, got {u.shape}")

@@ -171,6 +171,17 @@ def test_directions_require_direction_draws_uniforms():
             directions(p, _rng().random((4, width)))
 
 
+@pytest.mark.parametrize("bad", [1.0, 1.5, -0.2, np.nan])
+@pytest.mark.parametrize("nu", [0.0, 0.3, 0.5, 1.0, 5.0])
+def test_directions_refuse_uniforms_outside_the_unit_interval(nu, bad):
+    # these once gave NaN, and a uniform of exactly 1 the vector (0, 0, nan)
+    p = _params(3, nu)
+    u = np.full((2, direction_draws(p)), 0.3)
+    u[1, -1] = bad
+    with pytest.raises(ValueError, match="directions requires 0 <= u < 1"):
+        directions(p, u)
+
+
 def test_angle_laws_point_is_batch_row():
     rng = _rng(17)
     thetas = rng.uniform(0.0, math.pi, size=(4, 5, 3))

@@ -511,6 +511,17 @@ def test_empty_field_of_comma_separated_numbers_is_a_usage_error(
     assert main(argv + [f"--{flag}", f"{a},{b}", "--out", str(out)]) == 0
 
 
+@pytest.mark.parametrize("flag", list(_LIST_FLAGS))
+def test_empty_config_list_is_a_usage_error(tmp_path, capsys, flag):
+    # {"orders": []} once exited 0 with a CSV of no data row
+    argv, _, _ = _LIST_FLAGS[flag]
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({flag: []}))
+    assert main(argv + ["--config", str(cfg), "--out", str(tmp_path / "out.csv")]) == USAGE_ERROR
+    assert f"--{flag} takes at least one number" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [cfg]
+
+
 def test_validate_only_identities(tmp_path):
     out = tmp_path / "report.json"
     code = main(["validate", "--only", "identities", "--out", str(out)])
@@ -640,6 +651,7 @@ _CONFIG_BASE = {
     "mixture": ["mixture", "--d", "2", "--m", "1", "--nu", "0", "--lam", "1.0"],
     "moments": ["moments", "--d", "3", "--m", "2", "--n", "1"],
     "cf": ["cf", "--formula", "projected", "--d", "3", "--m", "2", "--n", "1"],
+    "density": ["density", "--formula", "projected", "--d", "3", "--m", "2", "--n", "1"],
 }
 
 
@@ -648,6 +660,11 @@ _CONFIG_BASE = {
     [
         ("mixture", {"x": [0.3]}, ["--x", "0.3"]),  # a flat list is one vector
         ("moments", {"orders": 2}, ["--orders", "2"]),  # a scalar is one order
+        # a list item may be comma-separated text, in --orders as in --anorm
+        ("moments", {"orders": [1, "2,4"]}, ["--orders", "1,2,4"]),
+        ("cf", {"anorm": [0.5, "1.0,2.0"]}, ["--anorm", "0.5,1.0,2.0"]),
+        ("density", {"x": [["0.2,0.1"], [0.3, "0.1"]]}, ["--x", "0.2,0.1", "--x", "0.3,0.1"]),
+        ("mixture", {"x": [0.3, "0.1"]}, None),  # a number beside text
         ("cf", {"anorm": [[1.0]]}, None),  # malformed: a usage error
         ("mixture", {"x": [[0.3], {"x": 0.3}]}, None),
         ("mixture", {"x": {"0.3": 1, "0.1": 2}}, None),  # an object is not read as its keys

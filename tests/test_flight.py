@@ -409,6 +409,36 @@ def test_batch_count_validation():
         simulate_trajectories(FlightParams(d=2, n=1, nu=0.0), 0, 1)
 
 
+def test_numpy_integer_count_and_index_give_the_bits_of_python_ints(monkeypatch):
+    # Philox.advance refuses numpy integers: an np.int64 count or replicate
+    # index once raised OverflowError
+    p = FlightParams(d=3, n=1, nu=1.0)
+    np.testing.assert_array_equal(simulate_batch(p, np.int64(3), 5), simulate_batch(p, 3, 5))
+    got, want = simulate_trajectories(p, np.uint16(2), 1), simulate_trajectories(p, 2, 1)
+    np.testing.assert_array_equal(got.breakpoints, want.breakpoints)
+    np.testing.assert_array_equal(got.times, want.times)
+    np.testing.assert_array_equal(
+        replicate_stream(p, 5, np.int64(2)).random(4), replicate_stream(p, 5, 2).random(4))
+    # two workers, each range starting at a row of the count's type
+    monkeypatch.setattr(flight, "_cpus", lambda: 2)
+    count = flight._MIN_THREADED_DRAWS // _padded_draws(p) + 1
+    np.testing.assert_array_equal(
+        simulate_batch(p, np.int32(count), 5), simulate_batch(p, count, 5))
+
+
+@pytest.mark.parametrize("value", [True, np.bool_(True), 2.0, 1.5])
+def test_count_and_index_must_be_integers(value):
+    # replicate_stream(p, 1, True) once gave index 1's stream, and a
+    # boolean or float count failed deep inside with a TypeError
+    p = FlightParams(d=2, n=1, nu=0.0)
+    with pytest.raises(ValueError, match="count must be an integer"):
+        simulate_batch(p, value, 1)
+    with pytest.raises(ValueError, match="count must be an integer"):
+        simulate_trajectories(p, value, 1)
+    with pytest.raises(ValueError, match="replicate index must be an integer"):
+        replicate_stream(p, 1, value)
+
+
 @pytest.mark.parametrize("seed", [True, 1.5, -1, 2**128])
 def test_master_seed_must_be_a_philox_key(seed):
     # numpy keys Philox with int(seed): 1.5 and True once gave seed 1's rows

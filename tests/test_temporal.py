@@ -169,6 +169,18 @@ def test_input_shapes_follow_the_params():
         intertime_density(p, [0.5, 1.0])
 
 
+@pytest.mark.parametrize("bad", [1.0, 1.5, -0.2, np.nan])
+@pytest.mark.parametrize("d,nu", [(3, 1.0), (3, 0.3)])
+def test_waiting_times_refuse_uniforms_outside_the_unit_interval(d, nu, bad):
+    # at d3 nu1 (sums of logs) a first uniform of 1.5 once gave the
+    # valid-looking times [0.376, 0.624], and -0.2 or NaN gave NaN
+    p = _params(1, d, nu)
+    u = np.full((2, 2 * time_draws(p)), 0.3)
+    u[1, 0] = bad
+    with pytest.raises(ValueError, match="waiting_times requires 0 <= u < 1"):
+        waiting_times(p, u)
+
+
 # ------------------------------------------------------- gamma quantile
 
 # chi shapes nu + 1/2 (nu = 0.3, 0.6, 40) and waiting-time shapes
