@@ -63,7 +63,7 @@ def layer_times(p: FlightParams, flights: int, repeats: int, seed: int = 1) -> d
     """Seconds per flight of each of ``LAYERS`` on ``flights`` flights of ``p``."""
     # the sampler's own padded width and rows per chunk
     L, Lpad = draws_per_flight(p), flight._padded_draws(p)
-    rows, _ = flight._split(p, flights, seed)
+    rows = flight._rows_per_chunk(p)
     sizes = [min(rows, flights - done) for done in range(0, flights, rows)]
     col = (p.n + 1) * time_draws(p) if p.n >= 1 else 0
     gen = np.random.Generator(np.random.Philox(key=seed))

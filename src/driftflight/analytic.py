@@ -44,7 +44,7 @@ import numpy as np
 from scipy.special import betainc
 
 from .flight import FlightParams
-from .specfun import bessel_j_ratio, falling_factorial_coeffs, log_mittag_leffler_paper
+from .specfun import _lgamma, bessel_j_ratio, falling_factorial_coeffs, log_mittag_leffler_paper
 
 __all__ = [
     "MIXTURE_MASS_TOL",
@@ -83,7 +83,6 @@ _TINY = np.finfo(float).tiny
 _SUM_TOL = 1e-9
 # (d, n) term tables the nu = 1 laws keep, built once each
 _NU1_TABLES = 64
-_lgamma = np.vectorize(math.lgamma, otypes=[float])
 
 
 def _half_order(p: FlightParams, n):

@@ -16,16 +16,16 @@ On the sphere this density is the uniform surface element times
 (sin theta_1 ... sin theta_{d-2} sin phi)^(2 nu) = |x_d|^(2 nu), so a
 direction is Y / |Y| with Y_1 .. Y_{d-1} independent standard normals and
 Y_d = +-chi_{2 nu + 1} with a fair sign (Marsaglia 1972; Devroye 1986,
-ch. V).  Sampling is structural, not rejection, and uses chi^2_{2k+1} =
--2 sum_{i <= k} log U_i + Z^2 (Devroye 1986, ch. IX): at integer nu,
-Y_d = copysign(sqrt(Z_d^2 - 2 sum_{i <= nu} log U_i), Z_d), whose sign
-is the sign of the normal Z_d (at nu = 0, Y = Z); at half-integer nu,
-Y_d^2 = -2 sum log U over nu + 1/2 uniforms with a sign uniform;
-otherwise, or past 4 logs, Y_d^2 = 2 G with G one inverse-CDF
-Gamma(nu + 1/2) value (:func:`driftflight.temporal.gamma_quantile`) and
-a sign uniform.  Every draw consumes a fixed number of uniforms, which
-is what makes the batched simulation in :mod:`driftflight.flight`
-bit-reproducible replicate by replicate.
+ch. V).  Sampling is structural, not rejection, and uses
+chi^2_{2 nu + 1} = 2 Gamma(nu + 1/2) = Z^2 + 2 Gamma(nu) (Devroye 1986,
+ch. IX), with each Gamma variate drawn by the one rule of
+:mod:`driftflight.temporal`: a sum of -log U at an integer shape up to
+4, else one inverse-CDF value.  Where Gamma(nu) is such a sum (integer
+nu <= 4), Y_d = copysign(sqrt(Z_d^2 + 2 Gamma(nu)), Z_d), whose sign is
+the sign of the normal Z_d (at nu = 0, Y = Z); otherwise
+Y_d^2 = 2 Gamma(nu + 1/2) with a sign uniform.  Every draw consumes a
+fixed number of uniforms, which is what makes the batched simulation in
+:mod:`driftflight.flight` bit-reproducible replicate by replicate.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 from scipy.special import ndtri
 
-from .temporal import _MAX_SUM_DRAWS, _U_FLOOR, _check_uniforms, _log_sum, gamma_quantile
+from .temporal import _U_FLOOR, _check_uniforms, _gamma_draws, _gammas
 
 if TYPE_CHECKING:
     from .flight import FlightParams
@@ -109,53 +109,38 @@ def angular_density(p: FlightParams, thetas, phi):
     return marginal_angular_density(p, angles)
 
 
-def _chi_logs(nu: float) -> int:
-    # the -log U terms k of chi^2_{2 nu + 1} = -2 sum_{i <= k} log U_i, plus
-    # Z_d^2 when nu is an integer (Devroye 1986, ch. IX), k = floor(nu + 1/2);
-    # -1 for one gamma_quantile value, where 2 nu is not an integer or the
-    # sum would pass the cap
-    if not (2.0 * nu).is_integer():
-        return -1
-    k = math.floor(nu + 0.5)
-    return k if k <= _MAX_SUM_DRAWS else -1
-
-
 def direction_draws(p: FlightParams) -> int:
-    """Uniforms one direction consumes: d + nu at integer nu (d normals and
-    nu logs), d + nu + 1/2 at half-integer nu (d - 1 normals, nu + 1/2
-    logs and a sign), else d + 1 (d - 1 normals, one gamma_quantile value
-    and a sign); a sum of more than 4 logs takes the last form."""
-    k = _chi_logs(p.nu)
-    return p.d + (k if k >= 0 else 1)
+    """Uniforms one direction consumes: d + nu where Gamma(nu) is a sum of
+    -log U, at integer nu up to 4 (nu logs and d normals), else d - 1
+    normals, the uniforms of one Gamma(nu + 1/2) variate and a sign: d +
+    nu + 1/2 at half-integer nu up to 3.5, d + 1 past it or at any other
+    nu (one inverse-CDF value)."""
+    k = _gamma_draws(p.nu)
+    return p.d + (k if k == p.nu else _gamma_draws(p.nu + 0.5))
 
 
 def _scaled_directions(u, d: int, nu: float, scale) -> np.ndarray:
     # scale (...) times the unit vectors of uniforms u (..., direction_draws)
     u = np.asarray(u)
-    k = _chi_logs(nu)
-    if odd := k >= 0 and float(nu).is_integer():
-        # chi^2 of odd degree: nu logs, then the d normals, Z_d being a
-        # term of Y_d^2 and its sign
-        m, chi_u = d, u[..., :k]
+    k = _gamma_draws(nu)
+    if odd := k == nu:
+        # chi^2_{2 nu + 1} = Z_d^2 + 2 Gamma(nu): nu logs, then the d
+        # normals, Z_d being a term of Y_d^2 and its sign
+        m, shape, gamma_u, normal_u = d, nu, u[..., :k], u[..., k:]
     else:
-        # d - 1 normals, the uniforms of Y_d^2, then its sign
-        m, chi_u = d - 1, u[..., d - 1 : -1]
+        # chi^2_{2 nu + 1} = 2 Gamma(nu + 1/2): d - 1 normals, the uniforms
+        # of the Gamma variate, then the sign of Y_d
+        m, shape, gamma_u, normal_u = d - 1, nu + 0.5, u[..., d - 1 : -1], u[..., : d - 1]
     y = np.empty(u.shape[:-1] + (d,))
     # the normals in one call; the floor on ndtri's output is the floor on
     # its input, as ndtri increases
-    ndtri(u[..., -m:] if odd else u[..., :m], out=y[..., :m])
+    ndtri(normal_u, out=y[..., :m])
     np.maximum(y[..., :m], _Z_FLOOR, out=y[..., :m])
-    if k != 0:  # at nu = 0, Y = Z
-        if k > 0:
-            chi2 = -2.0 * _log_sum(chi_u)
-        else:
-            chi2 = 2.0 * gamma_quantile(nu + 0.5, chi_u[..., 0])
+    if nu != 0.0:  # at nu = 0, Y = Z
+        chi2 = 2.0 * _gammas(shape, gamma_u)
         if odd:
             chi2 += y[..., -1] ** 2
-            sign = y[..., -1]
-        else:
-            sign = u[..., -1] - 0.5
-        np.copysign(np.sqrt(chi2), sign, out=y[..., -1])
+        np.copysign(np.sqrt(chi2), y[..., -1] if odd else u[..., -1] - 0.5, out=y[..., -1])
     # column by column, as temporal._col_sum, but squaring as it goes
     r2 = y[..., 0] ** 2
     for j in range(1, d):
@@ -172,11 +157,12 @@ def _scaled_directions(u, d: int, nu: float, scale) -> np.ndarray:
 
 def directions(p: FlightParams, u) -> np.ndarray:
     """Structural transform: uniforms (..., direction_draws(p)) to unit
-    vectors (..., d), Y / |Y|.  At integer nu the first nu uniforms give
-    -2 sum log U and the last d the normals Z_1 .. Z_d, with Y_i = Z_i for
-    i < d and Y_d = copysign(sqrt(Z_d^2 - 2 sum log U), Z_d).  Otherwise
-    the first d - 1 give Y_1 .. Y_{d-1}, the next ones |Y_d| and the last
-    the sign of Y_d.  Where every Y_i is 0 (nu = 0 and d uniforms of
+    vectors (..., d), Y / |Y|.  At integer nu up to 4 the first nu
+    uniforms give 2 Gamma(nu) = -2 sum log U and the last d the normals
+    Z_1 .. Z_d, with Y_i = Z_i for i < d and
+    Y_d = copysign(sqrt(Z_d^2 + 2 Gamma(nu)), Z_d).  Otherwise the first
+    d - 1 give Y_1 .. Y_{d-1}, the next ones Y_d^2 = 2 Gamma(nu + 1/2) and
+    the last the sign of Y_d.  Where every Y_i is 0 (nu = 0 and d uniforms of
     exactly 1/2) the vector is e_d.  Raises ValueError for u outside [0, 1)."""
     u = np.asarray(u)
     if u.shape[-1] != direction_draws(p):

@@ -186,8 +186,11 @@ def _cmd_simulate(command: str, cfg: dict) -> int:
     seed = _seed(cfg, 0)
     out = _require_out(cfg)
     traj_out = cfg.get("trajectories-out", out + ".trajectories.csv")
-    if n_traj > 0 and os.path.realpath(traj_out) == os.path.realpath(out):
-        raise _UsageError(f"--trajectories-out {traj_out!r} names the --out file")
+    # the files written: each CSV and its sidecar, no two of them one file
+    written = [out] + ([traj_out] if n_traj > 0 else [])
+    written += [f + ".meta.json" for f in written]
+    if len({os.path.realpath(f) for f in written}) < len(written):
+        raise _UsageError(f"--out {out!r} and --trajectories-out {traj_out!r} name one file twice")
     cfg_echo = _echo(command, p, seed=seed, count=count)
     if n_traj == 0:  # through the name bench/tracing.py wraps on this module
         tr, finals = None, simulate_batch(p, count, seed)
@@ -289,12 +292,10 @@ def _cmd_validate(command: str, cfg: dict) -> int:
     # python -X importtime) and 2 MB; no other command needs it
     from .validation import SuiteConfig, run_suite
 
-    only = cfg.get("only")
     config = SuiteConfig(
         master_seed=_seed(cfg, 20260808),
         profile=cfg.get("profile", "quick"),
-        include_identities=only in (None, "identities"),
-        include_gof=only in (None, "gof"),
+        only=cfg.get("only"),
     )
     report = run_suite(config)
     text = json.dumps(report, sort_keys=True, indent=2) + "\n"

@@ -4,11 +4,11 @@ A flight makes n+1 straight segments: waiting times from
 :mod:`driftflight.temporal`, one independent direction per segment from
 :mod:`driftflight.angular`, position accumulated at constant speed c.
 The sampler is structural: normals normalized onto the sphere for the
-directions, with chi^2_{2 nu + 1} = Z^2 - 2 sum log U for the drifted
-coordinate, and sums of -log U for the Gamma variates of the waiting
-times.  Where 2 nu is not an integer, or a sum would take more than 4
-terms, a variate is one inverse-CDF Gamma value from a quantile table
-built once per shape (:func:`driftflight.temporal.gamma_quantile`).
+directions, with chi^2_{2 nu + 1} a Gamma variate for the drifted
+coordinate (Z^2 plus one where nu is an integer), and Gamma variates for
+the waiting times.  :mod:`driftflight.temporal` holds the one rule for
+both: a sum of -log U at an integer shape up to 4, else one inverse-CDF
+value from a quantile table built once per shape.
 
 Reproducibility contract
 ------------------------
@@ -19,10 +19,10 @@ threads.  Replicate i owns a dedicated counter-offset substream of a
 Philox stream keyed by the master seed (see :func:`replicate_stream`),
 and every replicate consumes the same fixed number of uniforms.  All
 entry points run one sampler kernel on rows of those uniforms:
-``simulate_flight`` on one row, and one runner on chunks of rows that
-sums each row's final position and keeps the trajectories of rows below
-K (``simulate_batch`` at K = 0, ``simulate_trajectories`` at K = count,
-``driftflight simulate`` at its --trajectories).  A call of
+``simulate_flight`` on one row, and ``_simulate`` on chunks of rows,
+summing each row's final position and keeping the trajectories of rows
+below K (``simulate_batch`` at K = 0, ``simulate_trajectories`` at
+K = count, ``driftflight simulate`` at its --trajectories).  A call of
 ``_MIN_THREADED_DRAWS`` uniforms or more cuts its rows into one
 contiguous range per worker thread, up to one per CPU of
 ``os.sched_getaffinity``; each range starts its own Philox at its first
@@ -215,48 +215,10 @@ def _cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _split(p: FlightParams, count: int, master_seed: int):
-    """Check the arguments of a call on batch rows 0..count-1; return the
-    rows per chunk, the rows that hold ``_CHUNK_DRAWS`` uniforms, and the
-    bounds of one contiguous, balanced range of rows per worker.  A call
-    of ``_MIN_THREADED_DRAWS`` uniforms or more gets a worker per CPU, but
-    no more workers than chunks; others get one."""
-    Lpad = _padded_draws(p)
-    step = max(1, _CHUNK_DRAWS // Lpad)
-    count = _integer("count", count)
-    if count < 1:
-        raise ValueError("a batch requires count >= 1")
-    _check_seed(master_seed)
-    workers = 1 if count * Lpad < _MIN_THREADED_DRAWS else min(_cpus(), -(-count // step))
-    return step, [count * k // workers for k in range(workers + 1)]
-
-
-def _run(p: FlightParams, master_seed: int, step: int, bounds: list[int], emit) -> None:
-    """Run the kernel on the rows of every range of ``bounds`` and hand each
-    chunk to ``emit(first row, taus, steps)``.
-
-    The calling thread runs the first range and the worker pool each other
-    one.  A range draws from its own Philox, positioned at its first row
-    as :func:`replicate_stream` positions it, and walks its rows ``step``
-    at a time, so every row gets the same uniforms, and the same bits,
-    whatever the worker count.  ``emit`` runs on every worker, on disjoint
-    rows.
-    """
-    L = draws_per_flight(p)
-    Lpad = _padded_draws(p)
-
-    def walk(start: int, stop: int) -> None:
-        gen = replicate_stream(p, master_seed, start)
-        for first in range(start, stop, step):
-            emit(first, *_segments(p, gen.random((min(step, stop - first), Lpad))[:, :L]))
-
-    futures = [_worker_pool().submit(walk, *r) for r in zip(bounds[1:-1], bounds[2:])]
-    try:
-        walk(bounds[0], bounds[1])
-    finally:
-        concurrent.futures.wait(futures)
-    for f in futures:
-        f.result()  # raises a worker's exception here
+def _rows_per_chunk(p: FlightParams) -> int:
+    """Rows of one sampler chunk: those that hold ``_CHUNK_DRAWS`` padded
+    uniforms, at least one."""
+    return max(1, _CHUNK_DRAWS // _padded_draws(p))
 
 
 _pool = None
@@ -303,20 +265,46 @@ def simulate_trajectories(p: FlightParams, count: int, master_seed: int) -> Traj
 def _simulate(p: FlightParams, count: int, master_seed: int, keep: int):
     """The final positions (count, d) of batch rows 0..count-1 and the
     :class:`Trajectory` of rows 0..keep-1 (None at keep = 0), every row
-    sampled once."""
-    step, bounds = _split(p, count, master_seed)
+    sampled once.
+
+    A call of ``_MIN_THREADED_DRAWS`` uniforms or more cuts the rows into
+    one contiguous, balanced range per worker, a worker per CPU but no
+    more workers than chunks; others run one range.  The calling thread
+    walks the first range and the worker pool each other one.  A range
+    draws from its own Philox, positioned at its first row as
+    :func:`replicate_stream` positions it, and walks its rows a chunk at a
+    time, so every row gets the same uniforms, and the same bits, whatever
+    the worker count.  Workers write disjoint rows of the outputs.
+    """
+    count = _integer("count", count)
+    if count < 1:
+        raise ValueError("a batch requires count >= 1")
+    _check_seed(master_seed)
+    L, Lpad, step = draws_per_flight(p), _padded_draws(p), _rows_per_chunk(p)
+    workers = 1 if count * Lpad < _MIN_THREADED_DRAWS else min(_cpus(), -(-count // step))
+    bounds = [count * k // workers for k in range(workers + 1)]
     finals = np.zeros((count, p.d))
     taus = np.empty((keep, p.n + 1))
     steps = np.empty((keep, p.n + 1, p.d))
 
-    def emit(first, chunk_taus, chunk_steps):
-        rows = finals[first : first + len(chunk_steps)]
-        # segment by segment from zero, the order simulate_flight sums in
-        for j in range(p.n + 1):
-            rows += chunk_steps[:, j]
-        if first < keep:
-            taus[first : first + len(chunk_taus)] = chunk_taus[: keep - first]
-            steps[first : first + len(chunk_steps)] = chunk_steps[: keep - first]
+    def walk(start: int, stop: int) -> None:
+        gen = replicate_stream(p, master_seed, start)
+        for first in range(start, stop, step):
+            size = min(step, stop - first)
+            chunk_taus, chunk_steps = _segments(p, gen.random((size, Lpad))[:, :L])
+            rows = finals[first : first + size]
+            # segment by segment from zero, the order simulate_flight sums in
+            for j in range(p.n + 1):
+                rows += chunk_steps[:, j]
+            if first < keep:
+                taus[first : first + size] = chunk_taus[: keep - first]
+                steps[first : first + size] = chunk_steps[: keep - first]
 
-    _run(p, master_seed, step, bounds, emit)
+    futures = [_worker_pool().submit(walk, *r) for r in zip(bounds[1:-1], bounds[2:])]
+    try:
+        walk(bounds[0], bounds[1])
+    finally:
+        concurrent.futures.wait(futures)
+    for f in futures:
+        f.result()  # raises a worker's exception here
     return finals, _paths(taus, steps) if keep else None

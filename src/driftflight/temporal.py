@@ -7,7 +7,10 @@ When the shape 2 nu + d - 1 is an integer of at most 4 (the paper's nu = 0
 for d <= 5 and nu = 1 for d <= 3), each Gamma variate is a sum of -log U
 over that many uniforms (Devroye 1986, ch. IX); otherwise it is one
 inverse-CDF value, :func:`gamma_quantile`, which costs about as much as a
-sum of 4 terms.  Either way the draw count per sample is fixed.
+sum of 4 terms.  Either way the draw count per sample is fixed.  That
+rule, for any shape, is ``_gamma_draws`` (the uniforms one variate takes)
+and ``_gammas`` (the variates), and :mod:`driftflight.angular` draws the
+Gamma variate of each direction's drifted coordinate through them too.
 :func:`waiting_times` is that transform on arrays of uniforms, and
 :func:`intertime_density` the law on arrays of waiting-time vectors
 (..., n+1), one point with the bits of its row in a batch.  They take a
@@ -216,12 +219,26 @@ def _log_sum(u) -> np.ndarray:
     return _col_sum(logs)
 
 
+def _gamma_draws(shape: float) -> int:
+    """Uniforms one Gamma(shape) variate consumes: the shape itself when it
+    is an integer up to 4 (a sum of -log U; none at shape 0), else 1 (one
+    gamma_quantile value)."""
+    return int(shape) if float(shape).is_integer() and shape <= _MAX_SUM_DRAWS else 1
+
+
+def _gammas(shape: float, u: np.ndarray) -> np.ndarray:
+    """Gamma(shape) variates (...) from uniforms (..., _gamma_draws(shape)),
+    shape > 0: -sum log U where the variate is a sum, else one
+    gamma_quantile value of the first uniform."""
+    if _gamma_draws(shape) == shape:
+        return -_log_sum(u)
+    return gamma_quantile(shape, u[..., 0])
+
+
 def time_draws(p: FlightParams) -> int:
-    """Uniforms one waiting time consumes: the shape 2 nu + d - 1 when it is
-    an integer up to 4 (a sum of -log U), else 1 (one gamma_quantile
-    value)."""
-    a = 2.0 * p.nu + p.d - 1.0
-    return int(a) if a.is_integer() and a <= _MAX_SUM_DRAWS else 1
+    """Uniforms one waiting time consumes: those of one Gamma(2 nu + d - 1)
+    variate (``_gamma_draws``)."""
+    return _gamma_draws(2.0 * p.nu + p.d - 1.0)
 
 
 def waiting_times(p: FlightParams, u) -> np.ndarray:
@@ -239,10 +256,7 @@ def _waiting_times(p: FlightParams, u: np.ndarray) -> np.ndarray:
     a, k = 2.0 * p.nu + p.d - 1.0, time_draws(p)
     if not (p.n >= 1 and u.shape[-1] == (p.n + 1) * k):
         raise ValueError(f"waiting_times requires n >= 1 and (n+1) k uniforms, got {u.shape}")
-    if k == a:
-        g = -_log_sum(u.reshape(u.shape[:-1] + (-1, k)))
-    else:
-        g = gamma_quantile(a, u)
+    g = _gammas(a, u.reshape(u.shape[:-1] + (p.n + 1, k)))
     # g becomes the waiting times in place
     g *= (p.t / _col_sum(g))[..., None]
     g[..., -1] = p.t - _col_sum(g[..., :-1])

@@ -744,16 +744,18 @@ def gof_cf_grid(profile: str) -> list[tuple[FlightParams, list, int]]:
 
 @dataclass
 class SuiteConfig:
-    """What to run and under which master seed."""
+    """What to run and under which master seed: every check, or ``only``
+    the "identities" or the "gof" ones."""
 
     master_seed: int = 20260808
     profile: str = "quick"
-    include_identities: bool = True
-    include_gof: bool = True
+    only: str | None = None
 
     def __post_init__(self):
         if self.profile not in ("quick", "full"):
             raise ValueError("profile must be 'quick' or 'full'")
+        if self.only not in (None, "identities", "gof"):
+            raise ValueError("only must be None, 'identities' or 'gof'")
 
 
 def _check(check_id: str, kind: str, params: dict, metric: float, threshold: float,
@@ -780,13 +782,13 @@ def run_suite(config: SuiteConfig | None = None) -> dict:
     config = config if config is not None else SuiteConfig()
     checks: list[dict] = []
 
-    if config.include_identities:
+    if config.only != "gof":
         for rep in check_identities(identity_grid()):
             tol = _FORMULA3_TOL if rep.identity_id == "gr_6575_1" else _IDENTITY_TOL
             checks.append(_check(f"identity:{rep.identity_id}", "identity", rep.params,
                                  rep.abs_err, tol, rep.abs_err < tol))
 
-    if config.include_gof:
+    if config.only != "identities":
         for p, count, threshold in gof_radial_grid(config.profile):
             rep = gof_radial(p, count, config.master_seed, threshold)
             checks.append(_check(f"gof_radial:d{p.d}m{p.m}n{p.n}nu{p.nu:g}", "gof_radial",

@@ -529,6 +529,7 @@ def test_validate_only_identities(tmp_path):
     report = json.loads(out.read_text())
     assert report["passed"]
     assert all(c["kind"] == "identity" for c in report["checks"])
+    assert report["config"]["only"] == "identities"
 
 
 def test_validate_seed_changes_gof_not_identities(tmp_path):
@@ -864,6 +865,15 @@ def test_trajectories_out_naming_the_out_file_is_a_usage_error(tmp_path):
     link.symlink_to(out)
     assert main(args + ["--trajectories-out", str(link)]) == USAGE_ERROR
     assert list(tmp_path.iterdir()) == [link] and not out.exists()
+
+
+@pytest.mark.parametrize("out,traj", [("a.csv", "a.csv.meta.json"), ("t.csv.meta.json", "t.csv")])
+def test_a_csv_naming_the_other_sidecar_is_a_usage_error(tmp_path, out, traj):
+    # each CSV was once written over the other one's sidecar, and exited 0
+    args = ["simulate", "--d", "2", "--n", "1", "--nu", "0", "--count", "5", "--seed", "1",
+            "--trajectories", "2", "--out", str(tmp_path / out), "--trajectories-out", str(tmp_path / traj)]
+    assert main(args) == USAGE_ERROR
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_simulate_echoes_m_equal_to_d(tmp_path):

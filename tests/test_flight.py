@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import gammaincinv, ndtri
 
 from driftflight import flight
 from driftflight.analytic import radial_moment
@@ -172,7 +173,7 @@ def test_trajectories_equal_sequential_flights(d, n, nu, count):
 def _chunk_rows(monkeypatch, p: FlightParams, rows: int) -> None:
     """Cut later sampler calls on ``p`` into chunks of ``rows`` rows."""
     monkeypatch.setattr(flight, "_CHUNK_DRAWS", rows * _padded_draws(p))
-    assert flight._split(p, 1, 0)[0] == rows
+    assert flight._rows_per_chunk(p) == rows
 
 
 def test_batch_chunking_does_not_change_output(monkeypatch):
@@ -372,6 +373,53 @@ def test_draws_per_flight_counts():
     assert draws_per_flight(FlightParams(d=3, n=1, nu=4.0)) == 16
     assert draws_per_flight(FlightParams(d=3, n=1, nu=5.0)) == 10
     assert draws_per_flight(FlightParams(d=3, n=1, nu=40.0)) == 10
+
+
+def _gamma_oracle(shape: float, take) -> float:
+    # a Gamma(shape) variate from the next columns: -sum log U over shape
+    # of them at an integer shape up to 4, else the quantile of one
+    if float(shape).is_integer() and shape <= 4:
+        return -np.log(take(int(shape))).sum()
+    return gammaincinv(shape, take(1)[0])
+
+
+@pytest.mark.parametrize(
+    "d,n,nu",
+    [(2, 1, 1.0), (3, 2, 0.0), (3, 1, 0.5), (3, 2, 0.3), (3, 1, 5.0), (6, 1, 0.0), (3, 0, 1.0)],
+)
+def test_segments_read_the_documented_columns(d, n, nu):
+    # the stream layout from the columns alone: waiting time j reads
+    # columns j k .. j k + k-1; at integer nu up to 4 a direction reads nu
+    # log uniforms, then d normals; otherwise d - 1 normals, the uniforms of
+    # Gamma(nu + 1/2), then a sign uniform
+    p = FlightParams(d=d, n=n, nu=nu, c=0.7, t=1.3)
+    rows = _rng(29).random((5, draws_per_flight(p)))
+    taus, steps = _segments(p, rows)
+    for row, got_taus, got_steps in zip(rows, taus, steps):
+        cols = iter(row)
+
+        def take(k):
+            return np.array([next(cols) for _ in range(k)])
+
+        if n >= 1:
+            g = np.array([_gamma_oracle(2.0 * nu + d - 1.0, take) for _ in range(n + 1)])
+            want_taus = p.t * g / g.sum()
+        else:
+            want_taus = np.array([p.t])
+        want_steps = []
+        for tau in want_taus:
+            if nu.is_integer() and nu <= 4:
+                logs = -np.log(take(int(nu))).sum()
+                y = ndtri(take(d))
+                y[-1] = math.copysign(math.sqrt(y[-1] ** 2 + 2.0 * logs), y[-1])
+            else:
+                y = np.append(ndtri(take(d - 1)), 0.0)
+                chi2 = 2.0 * _gamma_oracle(nu + 0.5, take)
+                y[-1] = math.copysign(math.sqrt(chi2), take(1)[0] - 0.5)
+            want_steps.append(p.c * tau * y / np.linalg.norm(y))
+        assert next(cols, None) is None  # every column read
+        np.testing.assert_allclose(got_taus, want_taus, rtol=1e-12)
+        np.testing.assert_allclose(got_steps, want_steps, rtol=1e-12)
 
 
 @pytest.mark.parametrize("d,n,nu", [(3, 2, 1.0), (2, 0, 0.0), (4, 3, 0.3), (5, 1, 40.0)])

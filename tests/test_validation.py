@@ -289,16 +289,14 @@ def test_run_suite_quick_all_pass():
     json.dumps(report)  # machine readable
 
 
-def test_run_suite_empty_grid_succeeds():
-    report = run_suite(
-        SuiteConfig(include_identities=False, include_gof=False)
-    )
-    assert report["checks"] == []
-    assert report["passed"]
+def test_suite_config_rejects_an_unknown_only():
+    # one field for the three choices: no state runs nothing and passes
+    with pytest.raises(ValueError, match="only"):
+        SuiteConfig(only="bogus")
 
 
 def test_run_suite_identities_deterministic():
-    cm = SuiteConfig(include_gof=False)
+    cm = SuiteConfig(only="identities")
     a = run_suite(cm)
     b = run_suite(cm)
     assert a == b
@@ -312,7 +310,7 @@ def test_check_identity_is_the_suite_entry_bit_for_bit():
     # each point integrated alone, in the suite's batch and in the batch
     # reversed gives the same lhs, rhs and abs_err to the bit
     grid = identity_grid()
-    suite = run_suite(SuiteConfig(include_gof=False))["checks"]
+    suite = run_suite(SuiteConfig(only="identities"))["checks"]
     batch = check_identities(grid)
     reverse = check_identities(grid[::-1])[::-1]
     for (ident, params), entry, rep, rev in zip(grid, suite, batch, reverse):
