@@ -8,13 +8,15 @@ by the half order K = (n+1)(2 nu + d - 1)/2.  The projected radius obeys
 regularized incomplete beta function.
 
 Full-flight results (nu = 1 only): characteristic function, density and
-radial density in dimension d, any n >= 1, as alternating sums of n + 2
-terms over one table of constants, built once per (d, n) and kept as
-read-only arrays: the cf's Bessel terms, from one call with an array of
-orders, and the density's powers x_d^(2k), with exact integer constants;
-the radial law is the density's sum averaged over the sphere of radius r.
-The paper's fully explicit n = 1, 2 density stays as an independent check
-of that table.
+radial density in dimension d, any n >= 1, over one table of constants,
+built once per (d, n) and kept as read-only arrays.  The cf is an
+alternating sum of n + 2 Bessel terms, from one call with an array of
+orders.  The density's polynomial in x_d^2 and 1 - |x|^2, with exact
+rational constants, is raised in degree until its Bernstein coefficients
+are all >= 0, so both densities are sums of positive terms and lose no
+digits to cancellation; the radial law is the density averaged over the
+sphere of radius r.  The paper's fully explicit n = 1, 2 density stays as
+an independent check of that table.
 
 Every law takes arrays and broadcasts.  Points and frequency vectors lie
 along the last axis, radii are elementwise; one point or radius gives a
@@ -37,6 +39,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from fractions import Fraction
 from functools import cached_property, lru_cache, reduce
 from numbers import Integral
 
@@ -79,7 +82,7 @@ _LN_PI = math.log(math.pi)
 _LN_2 = math.log(2.0)
 _EPS = np.finfo(float).eps
 _TINY = np.finfo(float).tiny
-# largest rounding loss an alternating nu = 1 sum may carry before it raises
+# largest absolute rounding loss the cf's alternating sum may carry before it raises
 _SUM_TOL = 1e-9
 # (d, n) term tables the nu = 1 laws keep, built once each
 _NU1_TABLES = 64
@@ -213,32 +216,26 @@ def _in_support(r, ct: float):
     return np.where(outside, 0.0, y), outside
 
 
-def _log_size(pieces) -> float:
-    """The magnitude that rounding scales with in exp(sum(pieces))."""
-    return sum(abs(v) for v in pieces)
-
-
-def _checked_sum(terms, sizes, log_pref: float, name: str, kind: str):
+def _checked_sum(terms, sizes, log_pref: float):
     """Sum the terms (T, ...) of an alternating series over the first axis.
 
     Each term is exp of a sum of logs of size ``sizes`` (T, ...) plus the
     common ``log_pref``, so, summed, it carries a relative rounding error
     of about eps (size + T); the common part scales the total and is not
-    amplified by cancellation.  Raises ValueError where the error bound
-    exceeds ``_SUM_TOL`` (``kind`` is "absolute" or "relative" to the total).
+    amplified by cancellation.  Raises ValueError where the absolute error
+    bound exceeds ``_SUM_TOL``.
     """
     # term after term: numpy sums one point's 1-D terms pairwise but a
     # batch row by row, which would give one point other bits
     total = reduce(np.add, terms)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(invalid="ignore"):
         # a term that is 0 adds no error, also where its size is inf
         spread = np.where(terms == 0.0, 0.0, np.abs(terms) * (sizes + len(terms)))
         err = _EPS * (spread.sum(axis=0) + np.abs(total) * abs(log_pref))
-        loss = err / np.abs(total) if kind == "relative" else err
-        if np.any(loss > _SUM_TOL):
+        if np.any(err > _SUM_TOL):
             raise ValueError(
-                f"{name}: cancellation in the alternating sum may lose up to "
-                f"{np.nanmax(loss):.1e} {kind} (tolerance {_SUM_TOL:g})"
+                f"cf_nu1: cancellation in the alternating sum may lose up to "
+                f"{np.nanmax(err):.1e} absolute (tolerance {_SUM_TOL:g})"
             )
     return total
 
@@ -375,33 +372,32 @@ def cf_nu1(p: FlightParams, alpha):
     powers = np.array([ratio**v for v in range(p.n + 1, -1, -1)])
     terms = sign * (powers * ratios)
     sizes = size + np.abs(log_w_part)
-    total = _checked_sum(terms, sizes, tab.cf_pref, "cf_nu1", "absolute")
+    total = _checked_sum(terms, sizes, tab.cf_pref)
     return np.where(rho2 == 0.0, 1.0, np.clip(total, -1.0, 1.0))[()]
 
 
 class _Nu1Table:
     """The constants of the nu = 1 sums at one (d, n), built once per
-    (d, n) by :func:`_nu1_table`, each part on its first use, as columns of
-    read-only arrays.
+    (d, n) by :func:`_nu1_table`, each part on its first use, as read-only
+    arrays.
 
     ``bessel`` holds, per Bessel term j = 0..n+1 of the cf: the exponent
     nj = n+1-j of the direction ratio, the sign (-1)^nj, the order
     (n+1)(d+3)/2 - j - 1/2, the log of the term's constant
     C(n+1, j) ((d+1)/2)^nj / Gamma((n+1)(d+3)/2 - j), and that log's size
     plus the Bessel ratio's own lgamma(order + 1) + order log 2.
-    ``terms`` holds, per power x_d^(2k) Q^e of the densities, k = 0..n+1:
-    the sign of R_k (:func:`_nu1_constants`), the log of
-    |R_k| / Gamma(e + 1), that log's size, e and k.  ``cf_pref`` and
-    ``density_pref`` are the logs of each sum's common factor, the
-    density's at c t = 1.
+    ``density`` and ``radial`` hold, per positive term j = 0..N of each
+    density (:func:`_positive_sum`), the log of its constant B_j.
+    ``cf_pref`` and ``density_pref`` are the logs of each sum's common
+    factor, the density's at c t = 1.
     """
 
     def __init__(self, d: int, n: int):
         self.d, self.n = d, n
         M = (n + 1) * (d + 1)
         self.cf_pref = 0.5 * _LN_PI + math.lgamma(M) - 0.5 * (M - 1) * _LN_2
-        # with the 1 / (2^(n+1) Gamma((n+1)(d+3)/2)) of every term's R_k
-        lg_x = math.lgamma(0.5 * (n + 1) * (d + 3))
+        # with the 1 / (2^(n+1) Gamma((n+1)(d+3)/2) Gamma(E + 1)) of every c_k
+        lg_x = math.lgamma(0.5 * (n + 1) * (d + 3)) + math.lgamma(0.5 * n * (d + 1) + 1.0)
         self.density_pref = math.lgamma(M) - lg_x - 0.5 * (d - 1) * _LN_PI - (M + n) * _LN_2
 
     @cached_property
@@ -417,19 +413,34 @@ class _Nu1Table:
             ]
             order = 0.5 * ((n + 1) * (d + 3) - (2 * j + 1))
             own = math.lgamma(order + 1.0) + order * _LN_2
-            rows.append((nj, (-1.0) ** nj, order, sum(pieces), _log_size(pieces) + own))
-        return _read_only(rows)
+            rows.append((nj, (-1.0) ** nj, order, sum(pieces), sum(map(abs, pieces)) + own))
+        return tuple(_read_only(column) for column in zip(*rows))
 
     @cached_property
-    def terms(self) -> tuple:
+    def density(self) -> np.ndarray:
+        return self._log_coefficients(radial=False)
+
+    @cached_property
+    def radial(self) -> np.ndarray:
+        return self._log_coefficients(radial=True)
+
+    def _log_coefficients(self, radial: bool) -> np.ndarray:
+        """The logs of the B_j (:func:`_elevated`) of the density's exact
+        c_k = R_k E (E-1) ... (E-k+1), E = n(d+1)/2 (:func:`_nu1_constants`),
+        or of the radial law's c_k E[u_d^(2k)] over the unit sphere,
+        prod_{i<k} (2i+1)/(2i+d), with |S^(d-1)| = 2 pi^(d/2) / Gamma(d/2)."""
         d, n = self.d, self.n
-        rows = []
+        E = Fraction(n * (d + 1), 2)
+        coeffs, scale = [], Fraction(1)
         for k, r in enumerate(_nu1_constants(d, n)):
-            e = 0.5 * n * (d + 1) - k
-            # |R_k| may pass the double range: no float holds it
-            logs = [math.log(abs(r)), -math.lgamma(e + 1.0)]
-            rows.append((1.0 if r > 0 else -1.0, sum(logs), _log_size(logs), e, k))
-        return _read_only(rows)
+            coeffs.append(r * scale)
+            scale *= (E - k) * (Fraction(2 * k + 1, 2 * k + d) if radial else 1)
+        log_sphere = _LN_2 + 0.5 * d * _LN_PI - math.lgamma(0.5 * d) if radial else 0.0
+        # B_j may pass the double range, and may be 0
+        return _read_only([
+            log_sphere + math.log(b.numerator) - math.log(b.denominator) if b else -math.inf
+            for b in _elevated(coeffs)
+        ])
 
 
 def _nu1_constants(d: int, n: int) -> list[int]:
@@ -449,12 +460,21 @@ def _nu1_constants(d: int, n: int) -> list[int]:
     ]
 
 
-def _read_only(rows) -> tuple:
-    """The columns of rows, each a read-only array."""
-    columns = tuple(np.array(c) for c in zip(*rows))
-    for c in columns:
-        c.flags.writeable = False
-    return columns
+def _elevated(coeffs: list) -> list:
+    """The B_j, j = 0..N, with sum_j B_j u^j (1-u)^(N-j) equal to
+    P(u) = sum_k coeffs[k] u^k (1-u)^(K-k), K = len(coeffs) - 1, at the
+    least N >= K where every B_j >= 0: B_j is C(N, j) times P's Bernstein
+    coefficient.  Each step multiplies P by u + (1 - u), exactly; it ends
+    because the nu = 1 P is a density, > 0 on [0, 1]."""
+    while min(coeffs) < 0:
+        coeffs = [a + b for a, b in zip([0, *coeffs], [*coeffs, 0])]
+    return coeffs
+
+
+def _read_only(values) -> np.ndarray:
+    array = np.array(values)
+    array.flags.writeable = False
+    return array
 
 
 @lru_cache(maxsize=_NU1_TABLES)
@@ -463,35 +483,28 @@ def _nu1_table(d: int, n: int) -> _Nu1Table:
     return _Nu1Table(d, n)
 
 
-def _nu1_point(tab: _Nu1Table, yy, Q) -> np.ndarray:
-    """Logs (T, ...) of the densities' point factors x_d^(2k) Q^e at unit
-    scale, at x_d^2 = yy and Q = 1 - |x|^2 (...)."""
+def _positive_sum(tab: _Nu1Table, log_c: np.ndarray, yy, Q) -> np.ndarray:
+    """The nu = 1 density's sum at unit scale at x_d^2 = yy and
+    Q = 1 - |x|^2 (...): sum_k c_k yy^k Q^(E-k) (:meth:`_Nu1Table._log_coefficients`)
+    with W = yy + Q is Q^(E-n-1) W^(n+1-N) sum_j B_j yy^j Q^(N-j), summed
+    here as N + 1 positive terms with the constants B_j = exp(log_c)."""
+    n = tab.n
+    N = len(log_c) - 1
     per_term = (-1,) + (1,) * np.ndim(Q)
-    e, k = (v.reshape(per_term) for v in tab.terms[3:])
+    j = np.arange(N + 1).reshape(per_term)
+    e = 0.5 * n * (tab.d + 1) - n - 1 + N - j
     with np.errstate(divide="ignore", invalid="ignore"):
-        return e * np.log(Q) + np.where(k > 0, k * np.log(yy), 0.0)
-
-
-def _nu1_sum(tab: _Nu1Table, log_point, name: str, log_weight=0.0):
-    """The nu = 1 density's sum of the terms c_k F_k at unit scale, from
-    the logs (T, ...) of the per-term point factors F_k, each c_k scaled by
-    exp(log_weight) (per term); raises past 1e-9 relative rounding loss."""
-    sign, log_c, size = tab.terms[:3]
-    per_term = (-1,) + (1,) * (np.ndim(log_point) - 1)
-    log_c = (log_c + log_weight).reshape(per_term)
-    size = (size + np.abs(log_weight)).reshape(per_term)
-    with np.errstate(invalid="ignore"):
-        terms = sign.reshape(per_term) * np.exp(tab.density_pref + log_c + log_point)
-        return _checked_sum(terms, size + np.abs(log_point), tab.density_pref, name, "relative")
+        point = np.where(j > 0, j * np.log(yy), 0.0) + e * np.log(Q) - (N - n - 1) * np.log(yy + Q)
+        # term after term, as _checked_sum sums, so one point keeps its bits in a batch
+        return reduce(np.add, np.exp(tab.density_pref + log_c.reshape(per_term) + point))
 
 
 def density_nu1(p: FlightParams, x):
     """Density of the full flight at nu = 1, any n >= 1.
 
-    A sum of n + 2 terms, one per power x_d^(2k); even in x_d and
+    A sum of N + 1 positive terms (:func:`_positive_sum`); even in x_d and
     invariant under rotations fixing the x_d axis.  Raises ValueError
-    where the sum may lose more than 1e-9 relative to rounding, and where
-    a value passes the double range.
+    where a value passes the double range.
     """
     _require_nu1(p)
     ct = p.c * p.t
@@ -499,7 +512,7 @@ def density_nu1(p: FlightParams, x):
     rho2 = _sq_norm(y := _unit(_vectors(x, p.d), ct))
     with np.errstate(over="ignore"):  # an overflow lies outside the support
         yy = y[..., -1] ** 2
-    total = _nu1_sum(tab, _nu1_point(tab, yy, 1.0 - rho2), "density_nu1")
+    total = _positive_sum(tab, tab.density, yy, 1.0 - rho2)
     return _times_ct_power(_supported(rho2 >= 1.0, total), ct, p.d)
 
 
@@ -552,21 +565,17 @@ def radial_density_nu1(p: FlightParams, r):
     """Radius density of the full flight at nu = 1, any n >= 1.
 
     The density integrated over the sphere of radius r: its sum with
-    x_d^(2k) averaged to r^(2k) |S^(d-1)| E[u_d^(2k)], times r^(d-1).
-    Raises ValueError where the sum may lose more than 1e-9 relative, and
-    where a value passes the double range.
+    x_d^(2k) averaged to r^(2k) |S^(d-1)| E[u_d^(2k)], times r^(d-1), again
+    N + 1 positive terms.  Raises ValueError where a value passes the
+    double range.
     """
     _require_nu1(p)
-    d = p.d
     ct = p.c * p.t
-    tab = _nu1_table(d, p.n)
+    tab = _nu1_table(p.d, p.n)
     y, outside = _in_support(r, ct)
-    k = np.arange(p.n + 2)
-    # |S^(d-1)| E[u_d^(2k)] = 2 pi^((d-1)/2) Gamma(k + 1/2) / Gamma(k + d/2)
-    sphere = _LN_2 + 0.5 * (d - 1) * _LN_PI + _lgamma(k + 0.5) - _lgamma(k + 0.5 * d)
     yy = y * y
-    total = _nu1_sum(tab, _nu1_point(tab, yy, 1.0 - yy), "radial_density_nu1", sphere[tab.terms[4]])
-    return _times_ct_power(_supported(outside, y ** (d - 1) * total), ct, 1)
+    total = _positive_sum(tab, tab.radial, yy, 1.0 - yy)
+    return _times_ct_power(_supported(outside, y ** (p.d - 1) * total), ct, 1)
 
 
 # ----------------------------------------------------------------------

@@ -182,6 +182,8 @@ def _cmd_simulate(command: str, cfg: dict) -> int:
     n_traj = cfg.get("trajectories", 0)
     if not 0 <= n_traj <= count:
         raise _UsageError(f"--trajectories must be in 0..{count}, the --count")
+    if n_traj == 0 and "trajectories-out" in cfg:
+        raise _UsageError("--trajectories-out needs --trajectories >= 1")
     p = _flight_params(cfg)
     seed = _seed(cfg, 0)
     out = _require_out(cfg)

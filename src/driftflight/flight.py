@@ -103,6 +103,10 @@ class FlightParams:
             raise ValueError("FlightParams takes no booleans")
         if not all(isinstance(v, Integral) for v in (self.d, self.n, self.m)):
             raise ValueError("FlightParams requires integral d, n and m")
+        # stored as Python ints: numpy's overflow in the exact nu = 1
+        # constants, whose cache by (d, n) takes np.int64(8) and 8 as one key
+        for name in ("d", "n", "m"):
+            object.__setattr__(self, name, int(getattr(self, name)))
         if not all(math.isfinite(v) for v in (self.nu, self.c, self.t)):
             raise ValueError("FlightParams requires finite nu, c and t")
         if self.d < 2:

@@ -9,6 +9,7 @@ the command line: the argparse parser it replaced.
 import argparse
 import math
 import re
+from functools import lru_cache
 
 import numpy as np
 from scipy.integrate import quad
@@ -155,14 +156,13 @@ def cf_nu1_mp(mp, d: int, n: int, ct: float, alpha) -> float:
         return float(mp.sqrt(mp.pi) * mp.gamma(M) / mp.power(2, mp.mpf(M - 1) / 2) * total)
 
 
-def density_nu1_mp(mp, d: int, n: int, ct: float, x) -> float:
-    """The nu = 1 density at 60 digits, summed term by term with mpmath."""
+@lru_cache
+def _nu1_series_mp(mp, d: int, n: int) -> tuple:
+    """The constant of each x_d^(2k) Q^e / Gamma(e + 1), k = 0..n+1,
+    e = n(d+1)/2 - k, in the nu = 1 density at 60 digits, gathered from the
+    inverted cf's terms j; their common factor is left out."""
     with mp.workdps(60):
-        v = [mp.mpf(float(c)) for c in x]
-        ct = mp.mpf(ct)
-        Q = ct * ct - sum(c * c for c in v)
-        M = (n + 1) * (d + 1)
-        total = mp.mpf(0)
+        consts = [mp.mpf(0)] * (n + 2)
         for j in range(n + 2):
             nj = n + 1 - j
             cj = (
@@ -172,10 +172,44 @@ def density_nu1_mp(mp, d: int, n: int, ct: float, x) -> float:
                 / mp.gamma(mp.mpf((n + 1) * (d + 3)) / 2 - j)
             )
             for k, a_k in enumerate(_falling_factorial_oracle(nj)):
-                e = mp.mpf(n * (d + 1)) / 2 - k
-                total += cj * (-1) ** k * a_k / mp.gamma(e + 1) * v[-1] ** (2 * k) * Q**e
-        pref = mp.gamma(M) / (mp.pi ** (mp.mpf(d - 1) / 2) * (2 * ct) ** (M - 1))
-        return float(pref * total)
+                consts[k] += cj * (-1) ** k * a_k
+        return tuple(c / mp.gamma(mp.mpf(n * (d + 1)) / 2 - k + 1) for k, c in enumerate(consts))
+
+
+def _nu1_sum_mp(mp, d: int, n: int, ct, Q, power):
+    """The nu = 1 density's series at 60 digits (inside ``workdps``), with
+    ``power(k)`` in place of x_d^(2k) and Q = (c t)^2 - |x|^2."""
+    M = (n + 1) * (d + 1)
+    total = mp.fsum(
+        c * power(k) * Q ** (mp.mpf(n * (d + 1)) / 2 - k)
+        for k, c in enumerate(_nu1_series_mp(mp, d, n))
+    )
+    return mp.gamma(M) / (mp.pi ** (mp.mpf(d - 1) / 2) * (2 * ct) ** (M - 1)) * total
+
+
+def density_nu1_mp(mp, d: int, n: int, ct: float, x) -> float:
+    """The nu = 1 density at 60 digits, summed term by term with mpmath."""
+    with mp.workdps(60):
+        v = [mp.mpf(float(c)) for c in x]
+        ct = mp.mpf(ct)
+        Q = ct * ct - sum(c * c for c in v)
+        return float(_nu1_sum_mp(mp, d, n, ct, Q, lambda k: v[-1] ** (2 * k)))
+
+
+def radial_density_nu1_mp(mp, d: int, n: int, ct: float, r) -> float:
+    """The nu = 1 radius density at 60 digits: the density's series with
+    each x_d^(2k) replaced by its average over the sphere of radius r,
+    r^(2k) Gamma(k + 1/2) Gamma(d/2) / (sqrt(pi) Gamma(k + d/2)), times
+    |S^(d-1)| r^(d-1), |S^(d-1)| = 2 pi^(d/2) / Gamma(d/2)."""
+    with mp.workdps(60):
+        r, ct, half_d = mp.mpf(float(r)), mp.mpf(ct), mp.mpf(d) / 2
+
+        def power(k):
+            return r ** (2 * k) * mp.gamma(k + mp.mpf(1) / 2) * mp.gamma(half_d) / (
+                mp.sqrt(mp.pi) * mp.gamma(k + half_d))
+
+        sphere = 2 * mp.pi**half_d / mp.gamma(half_d)
+        return float(sphere * r ** (d - 1) * _nu1_sum_mp(mp, d, n, ct, ct * ct - r * r, power))
 
 
 def gamma_quantile_mp(mp, a: float, u: float) -> float:

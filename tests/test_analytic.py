@@ -35,6 +35,7 @@ from _oracles import (
     gl_grid,
     point_with_norm,
     radial_cdf_oracle,
+    radial_density_nu1_mp,
     sphere_section_integral,
 )
 
@@ -474,8 +475,10 @@ def test_nu1_table_is_built_once_and_read_only():
     first = [law(p, arr).tobytes() for law, arr in laws]
     table = analytic._nu1_table(3, 4)
     assert analytic._nu1_table.cache_info().maxsize == analytic._NU1_TABLES
-    columns = table.bessel + table.terms
-    assert len(table.bessel[0]) == 4 + 2 and len(table.terms[0]) == 4 + 2
+    columns = table.bessel + (table.density, table.radial)
+    # N + 1 positive terms a density, N the least degree with every
+    # Bernstein coefficient >= 0 (test_elevated_coefficients_are_exact_and_least)
+    assert len(table.bessel[0]) == 4 + 2 and (len(table.density), len(table.radial)) == (9, 8)
     for column in columns:
         assert not column.flags.writeable
         with pytest.raises(ValueError):
@@ -487,7 +490,8 @@ def test_nu1_table_is_built_once_and_read_only():
     analytic._nu1_table.cache_clear()
     again = analytic._nu1_table(3, 4)
     assert again is not table
-    assert [a.tobytes() for a in again.bessel + again.terms] == [a.tobytes() for a in columns]
+    assert [a.tobytes() for a in again.bessel + (again.density, again.radial)] == [
+        a.tobytes() for a in columns]
     assert [law(p, arr).tobytes() for law, arr in laws] == first
 
 
@@ -787,20 +791,55 @@ def test_nu1_constants_stand_in_the_ratios_of_the_closed_brackets(d, n):
     for k, (r, b) in enumerate(zip(consts, brackets)):
         falling = math.prod((e0 - i for i in range(k)), start=Fraction(1))
         assert Fraction(r, consts[0]) * falling == b / brackets[0], k
-    # and the table's signs and logs are those integers': each term's
-    # constant is the closed form's to rounding
+    # and the table's positive terms, at x = (0, ..., 0, 0.5) where
+    # x_d^2 = 1/4, Q = 3/4 and W = 1, sum to the closed form's value
     tab = analytic._nu1_table(d, n)
-    sign, log_c, e = tab.terms[0], tab.terms[1], tab.terms[3]
-    assert list(sign) == [1.0 if r > 0 else -1.0 for r in consts]
+    N = len(tab.density) - 1
+    exponents = 0.5 * n * (d + 1) - n - 1 + N - np.arange(N + 1)
+    terms = np.exp(tab.density_pref + tab.density) * 0.25 ** np.arange(N + 1) * 0.75**exponents
+    assert np.all(terms >= 0.0)
     x = np.zeros(d)
     x[-1] = 0.5
-    closed_pref = density_nu1_closed(FlightParams(d=d, n=n, nu=1.0), x) / math.fsum(
-        float(b) * 0.25**k * 0.75 ** float(e_k) for k, (b, e_k) in enumerate(zip(brackets, e))
-    )
-    np.testing.assert_allclose(
-        sign * np.exp(tab.density_pref + log_c), closed_pref * np.array(brackets, dtype=float),
-        rtol=1e-12,
-    )
+    closed = density_nu1_closed(FlightParams(d=d, n=n, nu=1.0), x)
+    assert math.fsum(terms) == pytest.approx(closed, rel=1e-12)
+
+
+def _density_constants(d, n):
+    # c_k = R_k E (E-1) ... (E-k+1), E = n(d+1)/2: the density's constant of
+    # x_d^(2k) Q^(E-k), all but a factor common to every k
+    E = Fraction(n * (d + 1), 2)
+    return [
+        r * math.prod((E - i for i in range(k)), start=Fraction(1))
+        for k, r in enumerate(analytic._nu1_constants(d, n))
+    ]
+
+
+def _bernstein_form(coeffs, u):
+    # sum_j coeffs[j] u^j (1-u)^(K-j), K = len(coeffs) - 1, in the power basis
+    K = len(coeffs) - 1
+    return sum(c * u**j * (1 - u) ** (K - j) for j, c in enumerate(coeffs))
+
+
+@pytest.mark.parametrize("d,n", [(2, 1), (3, 2), (8, 8), (10, 30)])
+def test_elevated_coefficients_are_exact_and_least(d, n):
+    c = _density_constants(d, n)
+    B = analytic._elevated(c)
+    N = len(B) - 1
+    # the same polynomial, exactly
+    for u in (Fraction(0), Fraction(1, 3), Fraction(1, 2), Fraction(5, 7), Fraction(1)):
+        assert _bernstein_form(B, u) == _bernstein_form(c, u), u
+    assert all(b >= 0 for b in B)
+    # and at degree m = N - 1, by the closed form of degree elevation,
+    # sum_i C(m - n - 1, j - i) c_i, some coefficient is < 0
+    m = N - 1
+    lift = m - n - 1
+    assert lift >= 0
+    below = [
+        sum(math.comb(lift, j - i) * c[i] for i in range(max(0, j - lift), min(j, n + 1) + 1))
+        for j in range(m + 1)
+    ]
+    assert _bernstein_form(below, Fraction(1, 3)) == _bernstein_form(c, Fraction(1, 3))
+    assert min(below) < 0
 
 
 def test_density_nu1_reference_point():
@@ -841,36 +880,28 @@ def test_density_nu1_support_and_domain():
 
 
 def _density_nu1_against_mpmath(mp, p):
-    # (matched, raised) over 12 points: every value is within 1e-9 relative
-    # of a 60-digit sum, or the call raises ValueError for the digits the
-    # alternating sum would lose
+    # at 12 points, every value is within 1e-9 relative of a 60-digit sum
     ct = p.c * p.t
-    matched = raised = 0
     for r in (0.0, 0.3, 0.6, 0.9):
         for frac in (0.0, 0.5, 1.0):
             x = point_with_norm(p.d, r * ct, r * ct * math.sqrt(frac))
-            try:
-                v = density_nu1(p, x)
-            except ValueError as exc:
-                assert "cancellation" in str(exc)
-                raised += 1
-                continue
+            v = density_nu1(p, x)
             assert v == pytest.approx(density_nu1_mp(mp, p.d, p.n, ct, x), rel=1e-9, abs=0)
-            matched += 1
-    return matched, raised
 
 
 def test_density_nu1_large_d_n_matches_mpmath_or_raises():
-    # Gamma(341) at d = 10, n = 30 overflows a double on its own
+    # Gamma(341) at d = 10, n = 30 overflows a double on its own; the
+    # alternating sum the positive terms replaced raised for cancellation
+    # at 2 of these points, and at more of them at d4 n60 and d10 n60
     mp = pytest.importorskip("mpmath")
-    matched, raised = _density_nu1_against_mpmath(mp, FlightParams(d=10, n=30, nu=1.0, c=1.3, t=0.9))
-    assert matched and raised
+    for d, n in ((10, 30), (4, 60), (10, 60)):
+        _density_nu1_against_mpmath(mp, FlightParams(d=d, n=n, nu=1.0, c=1.3, t=0.9))
 
 
 def test_density_nu1_at_d10_n20_matches_mpmath_everywhere():
     mp = pytest.importorskip("mpmath")
     p = FlightParams(d=10, n=20, nu=1.0, c=1.3, t=0.9)
-    assert _density_nu1_against_mpmath(mp, p) == (12, 0)
+    _density_nu1_against_mpmath(mp, p)
 
 
 def test_density_nu1_closed_non_negative():
@@ -949,9 +980,26 @@ def test_radial_density_nu1_outside_support():
     assert radial_density_nu1(p, 1.1) == 0.0
 
 
+@pytest.mark.parametrize("d,n", [(3, 2), (4, 12), (4, 60), (10, 30)])
+def test_radial_density_nu1_matches_mpmath(d, n):
+    mp = pytest.importorskip("mpmath")
+    p = FlightParams(d=d, n=n, nu=1.0, c=1.3, t=0.9)
+    ct = p.c * p.t
+    for r in np.linspace(0.05, 0.95, 7) * ct:
+        assert radial_density_nu1(p, r) == pytest.approx(
+            radial_density_nu1_mp(mp, d, n, ct, r), rel=1e-9, abs=0
+        )
+
+
 def test_radial_density_nu1_raises_on_cancellation():
-    with pytest.raises(ValueError, match="radial_density_nu1: cancellation"):
-        radial_density_nu1(FlightParams(d=4, n=60, nu=1.0), np.linspace(0.0, 1.0, 301))
+    # this grid once raised for cancellation in the alternating sum; the
+    # positive terms give every value
+    mp = pytest.importorskip("mpmath")
+    grid = np.linspace(0.0, 1.0, 301)
+    vals = radial_density_nu1(FlightParams(d=4, n=60, nu=1.0), grid)
+    assert np.all(np.isfinite(vals)) and vals[0] == vals[-1] == 0.0
+    want = [radial_density_nu1_mp(mp, 4, 60, 1.0, r) for r in grid[1:-1]]
+    np.testing.assert_allclose(vals[1:-1], want, rtol=1e-9, atol=0)
 
 
 # --------------------------------------------- fractional mixture

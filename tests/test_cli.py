@@ -147,6 +147,23 @@ def test_simulate_trajectories_outside_count_is_a_usage_error(tmp_path, k):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("by_config", [False, True])
+def test_trajectories_out_without_trajectories_is_a_usage_error(tmp_path, capsys, by_config):
+    # --trajectories-out at --trajectories 0 once wrote the positions and
+    # no trajectory file, and exited 0
+    traj, out = tmp_path / "t.csv", tmp_path / "s.csv"
+    args = ["simulate", "--d", "2", "--n", "1", "--count", "3", "--out", str(out)]
+    if by_config:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"trajectories": 0, "trajectories-out": str(traj)}))
+        args += ["--config", str(cfg)]
+    else:
+        args += ["--trajectories-out", str(traj)]
+    assert main(args) == USAGE_ERROR
+    assert "--trajectories-out" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == (["cfg.json"] if by_config else [])
+
+
 def test_density_radial_grid_integrates(tmp_path):
     out = tmp_path / "dens.csv"
     code = main(

@@ -10,8 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import gammaincinv, ndtri
 
-from driftflight import flight
-from driftflight.analytic import radial_moment
+from driftflight import analytic, flight
+from driftflight.analytic import density_nu1, radial_density_nu1, radial_moment
 from driftflight.angular import angles_to_direction, sample_angles
 from driftflight.flight import (
     _CHUNK_DRAWS,
@@ -455,6 +455,23 @@ def test_batch_count_validation():
         simulate_batch(FlightParams(d=2, n=1, nu=0.0), 0, 1)
     with pytest.raises(ValueError):
         simulate_trajectories(FlightParams(d=2, n=1, nu=0.0), 0, 1)
+
+
+def test_flight_params_hold_numpy_integers_as_python_ints():
+    # an np.int64 d and n once reached the nu = 1 constants, whose fixed-width
+    # integers overflowed (OverflowError at d2 n12 and d8 n20), and the
+    # table cached under the equal Python-int key served both kinds
+    p = FlightParams(d=np.int64(5), n=np.int32(3), nu=1.0, m=np.int16(4))
+    assert [type(v) for v in (p.d, p.n, p.m)] == [int, int, int]
+    r = np.array([0.1, 0.4, 0.8])
+    for d, n in ((2, 12), (8, 20)):
+        values = []
+        for kind in (np.int64, int):
+            analytic._nu1_table.cache_clear()
+            q = FlightParams(d=kind(d), n=kind(n), nu=1.0)
+            x = np.full(d, 0.05)
+            values.append(density_nu1(q, x).tobytes() + radial_density_nu1(q, r).tobytes())
+        assert values[0] == values[1], (d, n)
 
 
 def test_numpy_integer_count_and_index_give_the_bits_of_python_ints(monkeypatch):
