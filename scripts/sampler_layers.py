@@ -12,13 +12,22 @@ sampler cuts it into, and every layer is timed over all of them (best of
 * ``waiting_times``: ``temporal.waiting_times`` on their leading columns;
 * ``directions``: ``angular.directions`` on the rest, all n+1 segments;
 * ``assembly``: what ``simulate_batch`` on one worker spends beyond
-  those three (the chunk loop and the in-order sum), a difference of
-  timings, clamped at 0 where their noise exceeds it;
+  those three (the chunk loop, the transposition of each chunk into the
+  kernel's columns and the in-order sum), a difference of timings,
+  clamped at 0 where their noise exceeds it;
 * ``one_worker``: the whole ``simulate_batch`` call on the calling thread
   alone;
 * ``simulate_batch``: the whole call on the default worker count, up to
   one thread per CPU of the process (the header names that bound), so
-  the two columns show the split;
+  the two columns show the split.  A call of fewer than
+  ``flight._MIN_THREADED_DRAWS`` uniforms runs on one thread, so there
+  the two columns time the same path.  The repeats run back to back,
+  which overstates the second worker against calls that alternate with
+  other single-threaded work, as in ``bench/run.py`` and most callers:
+  over the ``mc_batch`` cells on 2 vCPUs, back-to-back calls gave two
+  workers the lower share of one worker's time at 10 of 13 sizes from
+  2^16 to 2^22 uniforms (two alternated sweeps).  What the second
+  worker gains also depends on the host's load;
 * ``csv``: the CSV text of the cell's final positions with their
   replicate column, made block by block as ``driftflight simulate``
   makes it, written to memory;
@@ -67,8 +76,12 @@ def layer_times(p: FlightParams, flights: int, repeats: int, seed: int = 1) -> d
     sizes = [min(rows, flights - done) for done in range(0, flights, rows)]
     col = (p.n + 1) * time_draws(p) if p.n >= 1 else 0
     gen = np.random.Generator(np.random.Philox(key=seed))
-    chunks = [gen.random((size, Lpad))[:, :L] for size in sizes]
-    segs = [U[:, col:].reshape(len(U), p.n + 1, direction_draws(p)) for U in chunks]
+    # each chunk transposed into columns (draws, rows) as the kernel
+    # transposes it; the transform layers read transposed views of those,
+    # which the public functions move back to the kernel's layout
+    cols = [np.ascontiguousarray(gen.random((size, Lpad))[:, :L].T) for size in sizes]
+    leading = [c[:col].T for c in cols]
+    segs = [np.moveaxis(c[col:].reshape(p.n + 1, direction_draws(p), -1), 1, -1) for c in cols]
 
     def philox():
         g = np.random.Generator(np.random.Philox(key=seed))
@@ -77,8 +90,8 @@ def layer_times(p: FlightParams, flights: int, repeats: int, seed: int = 1) -> d
 
     def times():
         if col:
-            for U in chunks:
-                waiting_times(p, U[:, :col])
+            for u in leading:
+                waiting_times(p, u)
 
     def dirs():
         for u in segs:

@@ -387,7 +387,8 @@ class _Nu1Table:
     C(n+1, j) ((d+1)/2)^nj / Gamma((n+1)(d+3)/2 - j), and that log's size
     plus the Bessel ratio's own lgamma(order + 1) + order log 2.
     ``density`` and ``radial`` hold, per positive term j = 0..N of each
-    density (:func:`_positive_sum`), the log of its constant B_j.
+    density (:func:`_positive_sum`), the log of its constant B_j, both
+    from one list ``constants`` of the exact R_k of :func:`_nu1_constants`.
     ``cf_pref`` and ``density_pref`` are the logs of each sum's common
     factor, the density's at c t = 1.
     """
@@ -417,6 +418,10 @@ class _Nu1Table:
         return tuple(_read_only(column) for column in zip(*rows))
 
     @cached_property
+    def constants(self) -> list[int]:
+        return _nu1_constants(self.d, self.n)
+
+    @cached_property
     def density(self) -> np.ndarray:
         return self._log_coefficients(radial=False)
 
@@ -432,7 +437,7 @@ class _Nu1Table:
         d, n = self.d, self.n
         E = Fraction(n * (d + 1), 2)
         coeffs, scale = [], Fraction(1)
-        for k, r in enumerate(_nu1_constants(d, n)):
+        for k, r in enumerate(self.constants):
             coeffs.append(r * scale)
             scale *= (E - k) * (Fraction(2 * k + 1, 2 * k + d) if radial else 1)
         log_sphere = _LN_2 + 0.5 * d * _LN_PI - math.lgamma(0.5 * d) if radial else 0.0

@@ -119,39 +119,41 @@ def direction_draws(p: FlightParams) -> int:
     return p.d + (k if k == p.nu else _gamma_draws(p.nu + 0.5))
 
 
-def _scaled_directions(u, d: int, nu: float, scale) -> np.ndarray:
-    # scale (...) times the unit vectors of uniforms u (..., direction_draws)
-    u = np.asarray(u)
+def _scaled_directions(u: np.ndarray, d: int, nu: float, scale) -> np.ndarray:
+    # scale (...) times the unit vectors (d, ...) of uniforms
+    # (direction_draws, ...): the sampler's layout, with the draws and the
+    # coordinates on the leading axis, so every op runs over whole rows
     k = _gamma_draws(nu)
     if odd := k == nu:
         # chi^2_{2 nu + 1} = Z_d^2 + 2 Gamma(nu): nu logs, then the d
         # normals, Z_d being a term of Y_d^2 and its sign
-        m, shape, gamma_u, normal_u = d, nu, u[..., :k], u[..., k:]
+        m, shape, gamma_u, normal_u = d, nu, u[:k], u[k:]
     else:
         # chi^2_{2 nu + 1} = 2 Gamma(nu + 1/2): d - 1 normals, the uniforms
         # of the Gamma variate, then the sign of Y_d
-        m, shape, gamma_u, normal_u = d - 1, nu + 0.5, u[..., d - 1 : -1], u[..., : d - 1]
-    y = np.empty(u.shape[:-1] + (d,))
+        m, shape, gamma_u, normal_u = d - 1, nu + 0.5, u[d - 1 : -1], u[: d - 1]
+    y = np.empty((d,) + u.shape[1:])
     # the normals in one call; the floor on ndtri's output is the floor on
     # its input, as ndtri increases
-    ndtri(normal_u, out=y[..., :m])
-    np.maximum(y[..., :m], _Z_FLOOR, out=y[..., :m])
+    ndtri(normal_u, out=y[:m])
+    np.maximum(y[:m], _Z_FLOOR, out=y[:m])
     if nu != 0.0:  # at nu = 0, Y = Z
         chi2 = 2.0 * _gammas(shape, gamma_u)
         if odd:
-            chi2 += y[..., -1] ** 2
-        np.copysign(np.sqrt(chi2), y[..., -1] if odd else u[..., -1] - 0.5, out=y[..., -1])
-    # column by column, as temporal._col_sum, but squaring as it goes
-    r2 = y[..., 0] ** 2
-    for j in range(1, d):
-        r2 += y[..., j] ** 2
+            chi2 += y[-1] ** 2
+        np.copysign(np.sqrt(chi2), y[-1] if odd else u[-1] - 0.5, out=y[-1])
+    # coordinate after coordinate, as temporal._lead_sum, but squaring as
+    # it goes
+    r2 = y[0] ** 2
+    for coord in y[1:]:
+        r2 += coord**2
     if not r2.all():
         # a null set (every Y_i exactly 0, as at nu = 0 and d uniforms of
         # 1/2): e_d
         zero = r2 == 0.0
-        y[..., -1][zero] = 1.0
+        y[-1][zero] = 1.0
         r2[zero] = 1.0
-    y *= (scale / np.sqrt(r2))[..., None]
+    y *= scale / np.sqrt(r2)
     return y
 
 
@@ -165,10 +167,12 @@ def directions(p: FlightParams, u) -> np.ndarray:
     the last the sign of Y_d.  Where every Y_i is 0 (nu = 0 and d uniforms of
     exactly 1/2) the vector is e_d.  Raises ValueError for u outside [0, 1)."""
     u = np.asarray(u)
-    if u.shape[-1] != direction_draws(p):
+    if u.shape[-1:] != (direction_draws(p),):
         raise ValueError(f"expected direction_draws(p) uniforms, got shape {u.shape}")
     _check_uniforms("directions", u)
-    return _scaled_directions(u, p.d, p.nu, 1.0)
+    # at least 2-D, so the kernel's rows are arrays, never scalars
+    y = _scaled_directions(np.moveaxis(np.atleast_2d(u), -1, 0), p.d, p.nu, 1.0)
+    return np.moveaxis(y, 0, -1).reshape(u.shape[:-1] + (p.d,))
 
 
 def sample_angles(p: FlightParams, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:

@@ -23,14 +23,17 @@ entry points run one sampler kernel on rows of those uniforms:
 summing each row's final position and keeping the trajectories of rows
 below K (``simulate_batch`` at K = 0, ``simulate_trajectories`` at
 K = count, ``driftflight simulate`` at its --trajectories).  A call of
-``_MIN_THREADED_DRAWS`` uniforms or more cuts its rows into one
+``_MIN_THREADED_DRAWS`` (2^16) uniforms or more cuts its rows into one
 contiguous range per worker thread, up to one per CPU of
 ``os.sched_getaffinity``; each range starts its own Philox at its first
 row's substream, so the output does not depend on the worker count.  The
-kernel transforms all n+1 segments of a row at once, summing over short
-axes column by column, so a row's arithmetic does not depend on how many
-rows share the call; positions and epochs are then cumulative sums from
-zero in segment order.  Row i of a batch, trajectory i of
+kernel transposes each chunk once into columns (draws, rows) and
+transforms all n+1 segments of its rows at once, each op over whole
+contiguous rows of that block; short sums (the logs of a Gamma variate,
+the squares of a direction's coordinates, the segments of a position)
+add term after term, so a row's arithmetic does not depend on how many
+rows share the call.  Positions and epochs are cumulative sums from zero
+in segment order.  Row i of a batch, trajectory i of
 ``simulate_trajectories`` and
 ``simulate_flight(p, replicate_stream(p, seed, i))`` are therefore the
 same kernel on the same uniforms, and bit-identical.
@@ -72,11 +75,13 @@ __all__ = [
 _CHUNK_DRAWS = 1 << 15
 
 # calls of fewer uniforms run on the calling thread alone.  On 2 vCPUs,
-# alternating 1- and 2-worker calls over the mc_batch cells and d8 n9 nu1,
-# a second worker lost 5-16% at 33 000 uniforms in two chunks, gained
-# 7-18% at 50 000 and 14-35% at 65 536; the kernel's small numpy calls
-# contend for the GIL, and calls cut into eight shorter chunks lost at up
-# to 100 000
+# each call after the single-threaded reference work of bench/run.py, a
+# second worker took 0.71 of one worker's time over the four mc_batch
+# cells (10 000 flights, 2^17 to 2^18 uniforms) while the host left the
+# second vCPU free, and lost 2-14% at 2^16 to 2^19 uniforms and broke
+# even at 2^20 to 2^21 while it did not.  The loss is small and the gain
+# large, so threading starts at two chunks (a second worker lost 5-16% at
+# 33 000 uniforms in two chunks and gained 14-35% at 65 536 back to back)
 _MIN_THREADED_DRAWS = 2 * _CHUNK_DRAWS
 
 
@@ -183,15 +188,18 @@ def replicate_stream(p: FlightParams, master_seed: int, index: int) -> np.random
 def _segments(p: FlightParams, U: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The sampler kernel: uniform rows (count, draws_per_flight(p)) to the
     waiting times (count, n+1) and displacements (count, n+1, d) of every
-    segment, all segments in one transform."""
+    segment, all segments in one transform.  U is transposed once into a
+    block (draws, count), so every op runs over whole contiguous rows of
+    it; the results are views of blocks (n+1, count) and (d, n+1, count)."""
+    cols = np.ascontiguousarray(U.T)
     if p.n >= 1:
         col = (p.n + 1) * time_draws(p)
-        taus = _waiting_times(p, U[:, :col])
+        taus = _waiting_times(p, cols[:col])
     else:
-        col, taus = 0, np.full((len(U), 1), p.t)
-    # splitting the row axis is a view, also of a strided chunk
-    u = U[:, col:].reshape(len(U), p.n + 1, direction_draws(p))
-    return taus, _scaled_directions(u, p.d, p.nu, p.c * taus)
+        col, taus = 0, np.full((1, len(U)), p.t)
+    # draw i of segment j is row col + j k + i: split, then draws first
+    u = cols[col:].reshape(p.n + 1, direction_draws(p), len(U)).swapaxes(0, 1)
+    return taus.T, _scaled_directions(u, p.d, p.nu, p.c * taus).T
 
 
 def _paths(taus: np.ndarray, steps: np.ndarray) -> Trajectory:
@@ -296,10 +304,11 @@ def _simulate(p: FlightParams, count: int, master_seed: int, keep: int):
         for first in range(start, stop, step):
             size = min(step, stop - first)
             chunk_taus, chunk_steps = _segments(p, gen.random((size, Lpad))[:, :L])
-            rows = finals[first : first + size]
+            # the kernel's layout (d, size), a view of the output rows
+            rows = finals[first : first + size].T
             # segment by segment from zero, the order simulate_flight sums in
-            for j in range(p.n + 1):
-                rows += chunk_steps[:, j]
+            for segment in chunk_steps.T.swapaxes(0, 1):
+                rows += segment
             if first < keep:
                 taus[first : first + size] = chunk_taus[: keep - first]
                 steps[first : first + size] = chunk_steps[: keep - first]

@@ -157,6 +157,11 @@ def gamma_quantile(a: float, u) -> np.ndarray:
     tab = _quantile_table(float(a))
     u = np.asarray(u, dtype=float)
     _check_uniforms("gamma_quantile", u)
+    return _table_quantile(tab, u)
+
+
+def _table_quantile(tab: _QuantileTable, u: np.ndarray) -> np.ndarray:
+    # gamma_quantile without the range check, for the sampler's own uniforms
     flat = np.maximum(u.ravel(), _U_FLOOR)
     # t runs over the grid in units of pieces, then over piece i in [-1, 1];
     # in place, so a call holds few arrays of u's size
@@ -201,22 +206,22 @@ def intertime_density(p: FlightParams, taus):
     return np.where(outside, 0.0, vals)[()]
 
 
-def _col_sum(a: np.ndarray) -> np.ndarray:
-    """Sum over the last (non-empty) axis column after column: cheaper than
-    a reduction over a short axis, and one row sums like a batch row."""
-    total = a[..., 0].copy()
-    for j in range(1, a.shape[-1]):
-        total += a[..., j]
+def _lead_sum(a: np.ndarray) -> np.ndarray:
+    """Sum over the leading (non-empty) axis term after term: a pass over
+    whole rows per term, and one row sums like a batch row."""
+    total = a[0].copy()
+    for term in a[1:]:
+        total += term
     return total
 
 
 def _log_sum(u) -> np.ndarray:
-    """sum_i log max(U_i, 1e-300) over the last axis of uniforms (..., k)."""
+    """sum_i log max(U_i, 1e-300) over the leading axis of uniforms (k, ...)."""
     with np.errstate(divide="ignore"):
         logs = np.log(u)
     # the floor on log's output is the floor on its input, as log increases
     np.maximum(logs, _LOG_FLOOR, out=logs)
-    return _col_sum(logs)
+    return _lead_sum(logs)
 
 
 def _gamma_draws(shape: float) -> int:
@@ -227,12 +232,12 @@ def _gamma_draws(shape: float) -> int:
 
 
 def _gammas(shape: float, u: np.ndarray) -> np.ndarray:
-    """Gamma(shape) variates (...) from uniforms (..., _gamma_draws(shape)),
+    """Gamma(shape) variates (...) from uniforms (_gamma_draws(shape), ...),
     shape > 0: -sum log U where the variate is a sum, else one
-    gamma_quantile value of the first uniform."""
+    gamma_quantile value of the first uniform, unchecked."""
     if _gamma_draws(shape) == shape:
         return -_log_sum(u)
-    return gamma_quantile(shape, u[..., 0])
+    return _table_quantile(_quantile_table(float(shape)), u[0])
 
 
 def time_draws(p: FlightParams) -> int:
@@ -248,18 +253,21 @@ def waiting_times(p: FlightParams, u) -> np.ndarray:
     Raises ValueError for u outside [0, 1)."""
     u = np.asarray(u)
     _check_uniforms("waiting_times", u)
-    return _waiting_times(p, u)
+    if not (p.n >= 1 and u.shape[-1:] == ((p.n + 1) * time_draws(p),)):
+        raise ValueError(f"waiting_times requires n >= 1 and (n+1) k uniforms, got {u.shape}")
+    # at least 2-D, so the kernel's rows are arrays, never scalars
+    g = _waiting_times(p, np.moveaxis(np.atleast_2d(u), -1, 0))
+    return np.moveaxis(g, 0, -1).reshape(u.shape[:-1] + (p.n + 1,))
 
 
 def _waiting_times(p: FlightParams, u: np.ndarray) -> np.ndarray:
-    # waiting_times without the range check, for the sampler's own uniforms
-    a, k = 2.0 * p.nu + p.d - 1.0, time_draws(p)
-    if not (p.n >= 1 and u.shape[-1] == (p.n + 1) * k):
-        raise ValueError(f"waiting_times requires n >= 1 and (n+1) k uniforms, got {u.shape}")
-    g = _gammas(a, u.reshape(u.shape[:-1] + (p.n + 1, k)))
+    # waiting_times on uniforms ((n+1) k, ...) to waiting times (n+1, ...),
+    # unchecked: the sampler's layout, with the draws on the leading axis
+    k = time_draws(p)
+    g = _gammas(2.0 * p.nu + p.d - 1.0, u.reshape((p.n + 1, k) + u.shape[1:]).swapaxes(0, 1))
     # g becomes the waiting times in place
-    g *= (p.t / _col_sum(g))[..., None]
-    g[..., -1] = p.t - _col_sum(g[..., :-1])
+    g *= p.t / _lead_sum(g)
+    g[-1] = p.t - _lead_sum(g[:-1])
     return g
 
 

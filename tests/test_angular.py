@@ -182,6 +182,23 @@ def test_directions_refuse_uniforms_outside_the_unit_interval(nu, bad):
         directions(p, u)
 
 
+@pytest.mark.parametrize("nu", [0.0, 0.3, 1.0])
+def test_directions_of_one_vector_are_its_batch_row(nu):
+    # also at uniforms of exactly 1/2, where every normal is 0 (e_d at
+    # nu = 0): one such vector once raised TypeError, and a 0-d input
+    # IndexError
+    p = _params(3, nu)
+    k = direction_draws(p)
+    rows = np.vstack([_rng(4).random((3, k)), np.full(k, 0.5)])
+    batch = directions(p, rows)
+    for row, want in zip(rows, batch):
+        assert directions(p, row).tobytes() == want.tobytes()
+    if nu == 0.0:
+        assert batch[-1].tolist() == [0.0, 0.0, 1.0]
+    with pytest.raises(ValueError, match="direction_draws"):
+        directions(p, 0.5)
+
+
 def test_angle_laws_point_is_batch_row():
     rng = _rng(17)
     thetas = rng.uniform(0.0, math.pi, size=(4, 5, 3))

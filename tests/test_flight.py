@@ -268,6 +268,22 @@ def test_sampler_falls_back_to_one_worker_on_one_cpu(monkeypatch):
     assert _cpus() == 1
 
 
+def test_threading_starts_at_min_threaded_draws(monkeypatch):
+    # a call of exactly _MIN_THREADED_DRAWS padded uniforms runs on the
+    # pool, one a row shorter on the calling thread alone, both with the
+    # bits of one worker
+    p = FlightParams(d=3, n=2, nu=0.3)
+    count = 3 * _CHUNK_DRAWS // _padded_draws(p)
+    monkeypatch.setattr(flight, "_cpus", lambda: 1)
+    one_worker = {rows: simulate_batch(p, rows, 8).tobytes() for rows in (count, count - 1)}
+    seen = _threads_seen(monkeypatch, 2)
+    monkeypatch.setattr(flight, "_MIN_THREADED_DRAWS", count * _padded_draws(p))
+    for rows, threads in ((count, 2), (count - 1, 1)):
+        seen.clear()
+        assert simulate_batch(p, rows, 8).tobytes() == one_worker[rows], rows
+        assert len(seen) == threads and threading.get_ident() in seen, rows
+
+
 def test_worker_error_is_raised_on_the_calling_thread(monkeypatch):
     p = FlightParams(d=3, n=2, nu=1.0)
     caller = threading.get_ident()
