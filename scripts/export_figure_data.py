@@ -23,10 +23,10 @@ from driftflight.csvtext import open_output, write_rows
 from driftflight.flight import FlightParams, simulate_trajectories
 
 
-def write_csv(path, header, rows):
+def write_csv(path, header, *columns):
     with open_output(path, "wb") as fh:
         fh.write(f"# columns: {header}\n".encode())
-        write_rows(fh, rows)
+        write_rows(fh, *columns)
     print(f"wrote {path}")
 
 
@@ -40,33 +40,27 @@ def main() -> int:
     # planar angular densities for a few drift levels (n is not read)
     phis = np.linspace(0.0, 2.0 * math.pi, 721)
     dens = [angular_density(FlightParams(d=2, n=0, nu=nu), (), phis) for nu in (0.0, 1.0, 2.0, 4.0)]
-    rows = np.column_stack([phis] + dens)
-    write_csv(
-        os.path.join(args.out_dir, "angular_density_d2.csv"),
-        "phi,nu0,nu1,nu2,nu4",
-        rows,
-    )
+    write_csv(os.path.join(args.out_dir, "angular_density_d2.csv"), "phi,nu0,nu1,nu2,nu4", phis, *dens)
 
     # radial densities of the drift-level-1 flight, one and two turns
     grid = np.linspace(0.0, 1.0, 501)
     for n in (1, 2):
-        rows = np.column_stack(
-            [grid] + [radial_density_nu1(FlightParams(d=d, n=n, nu=1.0), grid) for d in (2, 3, 4)]
-        )
         write_csv(
             os.path.join(args.out_dir, f"radial_density_nu1_n{n}.csv"),
             "r,d2,d3,d4",
-            rows,
+            grid,
+            *(radial_density_nu1(FlightParams(d=d, n=n, nu=1.0), grid) for d in (2, 3, 4)),
         )
 
     # a sample three-dimensional trajectory and its planar shadow
     p = FlightParams(d=3, n=8, nu=1.0)
     tr = simulate_trajectories(p, 1, args.seed)
-    rows = np.column_stack((tr.times[0], tr.breakpoints[0], tr.breakpoints[0][:, :2]))
     write_csv(
         os.path.join(args.out_dir, "sample_trajectory_d3.csv"),
         "t,x1,x2,x3,shadow_x1,shadow_x2",
-        rows,
+        tr.times[0],
+        tr.breakpoints[0],
+        tr.breakpoints[0][:, :2],
     )
     return 0
 

@@ -29,8 +29,9 @@ sampler cuts it into, and every layer is timed over all of them (best of
   2^16 to 2^22 uniforms (two alternated sweeps).  What the second
   worker gains also depends on the host's load;
 * ``csv``: the CSV text of the cell's final positions with their
-  replicate column, made block by block as ``driftflight simulate``
-  makes it, written to memory;
+  replicate column, ``write_rows(buf, np.arange(flights), finals)``
+  into memory, which is the call ``driftflight simulate`` makes: the
+  replicate column takes the integer slot, the positions the float path;
 * ``write``: those bytes rewritten over the file of the previous repeat
   in a temporary directory through ``csvtext.open_output``, which opens
   every output of ``driftflight`` (open, write, cut, close).
@@ -105,10 +106,10 @@ def layer_times(p: FlightParams, flights: int, repeats: int, seed: int = 1) -> d
     }
     with mock.patch.object(flight, "_cpus", return_value=1):
         out["one_worker"] = _best(lambda: simulate_batch(p, flights, seed), repeats)
-    rows = np.column_stack([np.arange(flights), simulate_batch(p, flights, seed)])
-    out["csv"] = _best(lambda: write_rows(io.BytesIO(), rows), repeats)
+    columns = (np.arange(flights), simulate_batch(p, flights, seed))
+    out["csv"] = _best(lambda: write_rows(io.BytesIO(), *columns), repeats)
     buf = io.BytesIO()
-    write_rows(buf, rows)
+    write_rows(buf, *columns)
     text = buf.getvalue()
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "positions.csv")

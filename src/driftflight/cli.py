@@ -22,7 +22,8 @@ gives, 17 significant digits that read back bit for bit (``csvtext``).
 ``simulate --trajectories K`` (0 <= K <= --count) also writes the
 breakpoints of replicates 0..K-1.  --x, --alpha, --anorm and --orders
 read argv and config alike: comma-separated text, a number or a JSON list
-of those, and an empty field or list is a usage error.
+of those, and an empty field or list, or a nan or inf among the points
+and frequencies, is a usage error.
 
 Exit codes: 0 success, 1 usage error, 2 validation failure, 3 I/O error.
 """
@@ -56,25 +57,27 @@ def _write_outputs(path: str, names: list[str], config: dict, *columns, extra=No
     """Write the columns (1-D, or 2-D for several) side by side as the
     rows of the CSV ``path``, then its ``.meta.json`` sidecar: the config
     and the ``extra`` entries."""
-    rows = np.column_stack(columns)
     header = json.dumps(config, sort_keys=True, separators=(",", ":"))
     with open_output(path, "wb") as fh:
         fh.write(f"# config: {header}\n# columns: {','.join(names)}\n".encode())
-        write_rows(fh, rows)
+        write_rows(fh, *columns)
     with open_output(path + ".meta.json", "w") as fh:
         fh.write(json.dumps({"config": config, **(extra or {})}, sort_keys=True, indent=2) + "\n")
 
 
 def _numbers(key: str, kind, value) -> list:
     """A --<key> value, comma-separated text, a number or a list of those,
-    as a non-empty list of numbers of ``kind``; an empty result, or a field
-    that is empty or no number, is a usage error."""
+    as a non-empty list of numbers of ``kind``; an empty result, a field
+    that is empty or no number, or a float that is not finite (a point or
+    frequency of --x, --alpha or --anorm) is a usage error."""
     numbers = []
     for item in value if isinstance(value, list) else [value]:
         fields = item.split(",") if isinstance(item, str) else [item]
         numbers += [_typed(key, kind, field) for field in fields]
     if not numbers:
         raise _UsageError(f"--{key} takes at least one number")
+    if kind is float and not all(map(math.isfinite, numbers)):
+        raise _UsageError(f"--{key} {numbers} must be finite")
     return numbers
 
 

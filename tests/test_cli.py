@@ -320,6 +320,30 @@ def test_non_finite_radial_grid_is_a_usage_error(tmp_path, capsys, command, boun
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "command, point",
+    [
+        (["density", "--formula", "nu1", "--nu", "1"], ["--x", "nan,0,0"]),
+        (["density", "--formula", "projected", "--m", "2"], ["--x", "0.1,inf"]),
+        (["cf", "--formula", "nu1", "--nu", "1"], ["--alpha", "inf,0,0"]),
+        (["cf", "--formula", "projected", "--m", "2"], ["--anorm", "nan"]),
+        (["cf", "--formula", "projected", "--m", "2"], ["--anorm", "0.5,-inf"]),
+        (["mixture", "--m", "2", "--lam", "1"], ["--x", "0.1,0.2", "--x", "0.1,-inf"]),
+        (["mixture", "--m", "2", "--lam", "1"], {"x": [[0.1, float("nan")]]}),
+    ],
+)
+def test_non_finite_points_are_a_usage_error(tmp_path, capsys, command, point):
+    # cf --alpha inf,0,0 once wrote the row inf,0,0,nan and exited 0
+    if isinstance(point, dict):  # JSON's NaN and Infinity, read from a config file
+        config = tmp_path / "c.json"
+        config.write_text(json.dumps(point))
+        point = ["--config", str(config)]
+    out = tmp_path / "o.csv"
+    assert main(command + ["--d", "3", "--n", "1", *point, "--out", str(out)]) == USAGE_ERROR
+    assert "must be finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_moments_command(tmp_path):
     out = tmp_path / "mom.csv"
     code = main(
@@ -616,8 +640,9 @@ def test_failed_write_leaves_no_old_bytes(tmp_path, monkeypatch):
     out.write_bytes(b"\xff" * (2 * len(full)))
     failed_at = []
 
-    def one_block_then_fail(fh, rows):
-        write_rows(fh, rows[: BLOCK_VALUES // rows.shape[1]])
+    def one_block_then_fail(fh, *columns):
+        width = sum(np.asarray(c).reshape(len(c), -1).shape[1] for c in columns)
+        write_rows(fh, *(c[: BLOCK_VALUES // width] for c in columns))
         failed_at.append(fh.tell())
         raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
 

@@ -109,3 +109,90 @@ def test_write_rows_across_block_seams(ncols, extra):
     sink = io.BytesIO()
     write_rows(sink, rows)
     assert sink.getvalue() == _percent(rows)
+
+
+# integers inside the integer slot [0, 10^7), and outside it: there the
+# double rounds from 2^53 on (2^53 + 1 reads 9007199254740992)
+_SLOT_INTS = [0, 9, 10, 99, 100, 9999, 10_000, 10**6, 10**7 - 1]
+_WIDE_INTS = [10**7, 10**15, 2**53 - 1, 2**53, 2**53 + 1, -1, -(2**63), 2**63 - 1]
+
+
+def _percent_columns(*columns) -> bytes:
+    """The reference for columns side by side: %.17g of each value as a double."""
+    lists = [np.asarray(c).reshape(len(c), -1).tolist() for c in columns]
+    return "".join(
+        ",".join("%.17g" % float(v) for part in row for v in part) + "\n" for row in zip(*lists)
+    ).encode()
+
+
+def _int_column(kind, nrows: int):
+    """Integers of ``kind`` (a list: Python ints): the first and last block
+    (of 4-value rows) inside the integer slot, the middle one also outside
+    it, with the extremes of the type."""
+    info = np.iinfo(np.int64 if kind is list else kind)
+    rng = np.random.default_rng(info.bits)
+    values = rng.integers(0, min(10**7, int(info.max) + 1), nrows).tolist()
+    inside = [k for k in _SLOT_INTS if k <= info.max]
+    values[: len(inside)] = values[-len(inside) :] = inside
+    wide = [k for k in _WIDE_INTS if info.min <= k <= info.max] + [int(info.min), int(info.max)]
+    mid = nrows // 2
+    values[mid : mid + len(wide)] = wide
+    return values if kind is list else np.array(values, dtype=kind)
+
+
+@pytest.mark.parametrize("kind", [np.int64, np.int32, np.uint8, np.uint64, list])
+@pytest.mark.parametrize("place", ["first", "between", "last"])
+@pytest.mark.parametrize("min_array", [csvtext.MIN_ARRAY_VALUES, 0, 10**9])
+def test_integer_columns_read_as_their_doubles(monkeypatch, kind, place, min_array):
+    # three blocks of 4-value rows, the last one short; min_array 10**9
+    # sends every block through %, 0 even the short one through the array path
+    monkeypatch.setattr(csvtext, "MIN_ARRAY_VALUES", min_array)
+    nrows = 3 * (BLOCK_VALUES // 4) - 5
+    ints = _int_column(kind, nrows)
+    rng = np.random.default_rng(5)
+    x = rng.uniform(-1.0, 1.0, (nrows, 3)) * 10.0 ** rng.integers(-5, 18, (nrows, 3))
+    columns = {
+        "first": (ints, x[:, 0], x[:, 1:]),
+        "between": (x[:, 0], ints, x[:, 1:]),
+        "last": (x[:, 0], x[:, 1:], ints),
+    }[place]
+    sink = io.BytesIO()
+    write_rows(sink, *columns)
+    assert sink.getvalue() == _percent_columns(*columns)
+
+
+@pytest.mark.parametrize("min_array", [csvtext.MIN_ARRAY_VALUES, 0])
+def test_integer_only_rows_and_two_dimensional_integers(monkeypatch, min_array):
+    monkeypatch.setattr(csvtext, "MIN_ARRAY_VALUES", min_array)
+    ints = _int_column(np.int64, 2 * BLOCK_VALUES + 7)
+    pairs = np.column_stack([ints[::-1], ints])
+    end = np.arange(10**7 - 5000, 10**7 + 1)  # the last block ends at 10^7, past the slot
+    for columns in [(ints,), (pairs,), (ints, pairs), (pairs[:, :1], np.arange(len(ints))), (end,)]:
+        assert format_rows(*columns) == _percent_columns(*columns)
+        sink = io.BytesIO()
+        write_rows(sink, *columns)
+        assert sink.getvalue() == _percent_columns(*columns)
+
+
+def test_integer_slot_takes_the_columns_in_its_range(monkeypatch):
+    # the replicate and segment columns of simulate never reach the float path
+    widths = []
+    float_words = csvtext._float_words
+    monkeypatch.setattr(
+        csvtext, "_float_words", lambda rows, first: widths.append(rows.shape[1]) or float_words(rows, first)
+    )
+    nrows = 3000
+    ints = np.arange(10**7 - nrows, 10**7)  # up to the last integer of the slot
+    columns = (ints, ints % 4, np.linspace(0.0, 1.0, nrows), np.ones((nrows, 2)))
+    sink = io.BytesIO()
+    write_rows(sink, *columns)
+    assert sink.getvalue() == _percent_columns(*columns)
+    assert widths and set(widths) == {3}
+
+
+@pytest.mark.parametrize(
+    "columns", [(), (np.zeros((3, 0)),), (np.zeros((0, 0)),), (np.arange(3), np.arange(4))]
+)
+def test_write_rows_refuses_no_columns_and_ragged_ones(columns):
+    with pytest.raises(ValueError):
+        write_rows(io.BytesIO(), *columns)
