@@ -40,7 +40,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import cached_property, lru_cache, reduce
+from functools import cached_property, lru_cache
 from numbers import Integral
 
 import numpy as np
@@ -86,6 +86,9 @@ _TINY = np.finfo(float).tiny
 _SUM_TOL = 1e-9
 # (d, n) term tables the nu = 1 laws keep, built once each
 _NU1_TABLES = 64
+# every law's error state, set once a call: each overflow, division by 0 or
+# invalid operation in a law falls where a mask sets its value
+_MASKED = np.errstate(over="ignore", divide="ignore", invalid="ignore")
 
 
 def _half_order(p: FlightParams, n):
@@ -131,47 +134,35 @@ def _sq_norm(x: np.ndarray) -> np.ndarray:
     # x @ x per vector; a stacked matmul sums in the same order as the
     # one-vector dot, so one point and a batch give identical bits.  It is
     # inf where it overflows: such a point lies outside every support
-    with np.errstate(over="ignore"):
-        return (x[..., None, :] @ x[..., :, None])[..., 0, 0]
-
-
-def _rescaled(x: np.ndarray):
-    """Vectors y and integers k with x = 2^k y.  k is 0 except where x @ x
-    is not a normal double while x has finite, nonzero entries: where it
-    overflows or underflows.  There 2^k is the power of 2 at or below
-    max |x_i|, an exact scaling, after which y @ y is near 1.  Every other
-    vector keeps its bits."""
-    rho2 = _sq_norm(x)
-    odd = ~((rho2 >= _TINY) & (rho2 < math.inf))  # NaN as well
-    if not odd.any():
-        return x, 0
-    top = np.abs(x).max(axis=-1)
-    odd &= np.isfinite(x).all(axis=-1) & (top > 0.0)
-    k = np.where(odd, np.frexp(top)[1] - 1, 0)
-    return np.ldexp(x, -k[..., None]), k
+    return (x[..., None, :] @ x[..., :, None])[..., 0, 0]
 
 
 def _frequencies(alpha: np.ndarray, ct: float):
-    """Frequency vectors y (alpha rescaled by :func:`_rescaled`), their
-    squared norms and the norms w = c t |alpha|.  w is formed as
-    (g |y|) 2^(e + k) with c t = g 2^e, one rounding and an exact power of
-    2, so it is inf only past the double range and never loses bits to an
-    underflowing |alpha|^2; it is NaN where alpha is not finite (where,
-    rescaled or not, |y|^2 is not finite), as a cf is there."""
-    y, k = _rescaled(alpha)
-    rho2 = _sq_norm(y)
+    """Frequency vectors y = 2^-k alpha, their norms |y| and the norms
+    w = c t |alpha|.  k is 0 but where alpha @ alpha over- or underflows
+    while alpha has finite, nonzero entries; there 2^k is the power of 2
+    at or below max |alpha_i|, an exact scaling, after which y @ y is near
+    1.  w is (g |y|) 2^(e + k) with c t = g 2^e, so it is inf only past the
+    double range and never loses bits to an underflowing |alpha|^2; it is
+    NaN where alpha is not finite, as a cf is there."""
     g, e = math.frexp(ct)
-    with np.errstate(over="ignore"):
-        w = np.ldexp(g * np.sqrt(rho2), e + k)
-    return y, rho2, np.where(np.isfinite(rho2), w, np.nan)
+    rho2 = _sq_norm(alpha)
+    normal = (rho2 >= _TINY) & (rho2 < math.inf)  # False at NaN
+    if normal.all():
+        norm = np.sqrt(rho2)
+        return alpha, norm, np.ldexp(g * norm, e)
+    top = np.abs(alpha).max(axis=-1)
+    k = np.where(~normal & np.isfinite(alpha).all(axis=-1) & (top > 0.0), np.frexp(top)[1] - 1, 0)
+    y = np.ldexp(alpha, -k[..., None])
+    norm = np.sqrt(_sq_norm(y))
+    return y, norm, np.where(np.isfinite(norm), np.ldexp(g * norm, e + k), np.nan)
 
 
 def _unit(v, ct: float) -> np.ndarray:
     """Points or radii v / (c t), where every law is at unit scale and
     supported on the unit ball; inf where the quotient overflows, which
     lies outside it."""
-    with np.errstate(over="ignore"):
-        return np.asarray(v, dtype=float) / ct
+    return np.asarray(v, dtype=float) / ct
 
 
 def _times_ct_power(values, ct: float, dim: int):
@@ -216,34 +207,17 @@ def _in_support(r, ct: float):
     return np.where(outside, 0.0, y), outside
 
 
-def _checked_sum(terms, sizes, log_pref: float):
-    """Sum the terms (T, ...) of an alternating series over the first axis.
-
-    Each term is exp of a sum of logs of size ``sizes`` (T, ...) plus the
-    common ``log_pref``, so, summed, it carries a relative rounding error
-    of about eps (size + T); the common part scales the total and is not
-    amplified by cancellation.  Raises ValueError where the absolute error
-    bound exceeds ``_SUM_TOL``.
-    """
-    # term after term: numpy sums one point's 1-D terms pairwise but a
-    # batch row by row, which would give one point other bits
-    total = reduce(np.add, terms)
-    with np.errstate(invalid="ignore"):
-        # a term that is 0 adds no error, also where its size is inf
-        spread = np.where(terms == 0.0, 0.0, np.abs(terms) * (sizes + len(terms)))
-        err = _EPS * (spread.sum(axis=0) + np.abs(total) * abs(log_pref))
-        if np.any(err > _SUM_TOL):
-            raise ValueError(
-                f"cf_nu1: cancellation in the alternating sum may lose up to "
-                f"{np.nanmax(err):.1e} absolute (tolerance {_SUM_TOL:g})"
-            )
-    return total
+def _in_order_sum(terms: np.ndarray) -> np.ndarray:
+    # the sum over the first axis term after term, as an accumulation adds:
+    # numpy sums one point's 1-D terms pairwise but a batch row by row
+    return np.add.accumulate(terms)[-1]
 
 
 # ----------------------------------------------------------------------
 # projected flight, any nu
 # ----------------------------------------------------------------------
 
+@_MASKED
 def cf_projection(p: FlightParams, alpha):
     """Characteristic function of the projected flight at frequencies alpha.
 
@@ -261,6 +235,7 @@ def cf_projection(p: FlightParams, alpha):
     return np.where(w == 0.0, 1.0, vals)[()]
 
 
+@_MASKED
 def density_projection(p: FlightParams, x):
     """Density of the m-dimensional projection at the points x.
 
@@ -286,22 +261,21 @@ def _projection_densities(p: FlightParams, ns, y, dim: int, log_scale=0.0) -> np
     ]
     per_n = (-1,) + (1,) * np.ndim(y)
     q = K.reshape(per_n) - 0.5 * (m + 1)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        vals = np.exp(np.reshape(log_norm, per_n) + log_scale + q * np.log(1.0 - y * y))
+    vals = np.exp(np.reshape(log_norm, per_n) + log_scale + q * np.log(1.0 - y * y))
     return _times_ct_power(np.where(y >= 1.0, 0.0, vals), p.c * p.t, dim)
 
 
+@_MASKED
 def radial_density_projection(p: FlightParams, r):
     """Density of the radius of the projection, supported on (0, c t):
     the density times |S^(m-1)| r^(m-1)."""
     _require_beta_law(p)
     y, outside = _in_support(r, p.c * p.t)
     m = p.m
-    with np.errstate(divide="ignore"):
-        # log |S^(m-1)| y^(m-1), with |S^(m-1)| = 2 pi^(m/2) / Gamma(m/2);
-        # y^0 is 1 also at a y that underflows to 0
-        log_y = (m - 1.0) * np.log(y) if m > 1 else 0.0
-        log_sphere = _LN_2 + 0.5 * m * _LN_PI - math.lgamma(0.5 * m) + log_y
+    # log |S^(m-1)| y^(m-1), with |S^(m-1)| = 2 pi^(m/2) / Gamma(m/2);
+    # y^0 is 1 also at a y that underflows to 0
+    log_y = (m - 1.0) * np.log(y) if m > 1 else 0.0
+    log_sphere = _LN_2 + 0.5 * m * _LN_PI - math.lgamma(0.5 * m) + log_y
     return _supported(outside, _projection_densities(p, p.n, y, 1, log_sphere)[0])
 
 
@@ -348,6 +322,7 @@ def radial_moment(p: FlightParams, order: int) -> float:
 # full flight, nu = 1
 # ----------------------------------------------------------------------
 
+@_MASKED
 def cf_nu1(p: FlightParams, alpha):
     """Characteristic function of the full d-dimensional flight at nu = 1.
 
@@ -359,21 +334,31 @@ def cf_nu1(p: FlightParams, alpha):
     """
     _require_nu1(p)
     tab = _nu1_table(p.d, p.n)
-    alpha, rho2, w = _frequencies(_vectors(alpha, p.d), p.c * p.t)
-    per_j = (-1,) + (1,) * np.ndim(w)
-    nj, sign, order, log_j, size = (v.reshape(per_j) for v in tab.bessel)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        # an array, not a numpy scalar: the scalar ** rounds differently
-        ratio = np.asarray(alpha[..., -1] ** 2 / np.square(np.sqrt(rho2)))
-        # the prefactor and w^(2 nj) ride in the Bessel ratio's log scale
-        log_w_part = np.where(nj > 0, nj * (2.0 * np.log(w)), 0.0)
-    ratios = bessel_j_ratio(order, w, tab.cf_pref + log_j + log_w_part)
-    # ratio^nj with a Python int exponent, as numpy rounds it for one term
-    powers = np.array([ratio**v for v in range(p.n + 1, -1, -1)])
+    alpha = _vectors(alpha, p.d)
+    # the vectors in a row, as the table's columns broadcast with them
+    y, norm, w = _frequencies(alpha.reshape(-1, p.d), p.c * p.t)
+    nj, sign, order, log_j, size = tab.bessel
+    ratio = y[:, -1] ** 2 / (norm * norm)
+    # the prefactor and w^(2 nj) ride in the Bessel ratio's log scale; the
+    # last term has nj = 0 and no w factor, also where log w is -inf
+    log_w = nj * (2.0 * np.log(w))
+    log_w[-1] = 0.0
+    ratios = bessel_j_ratio(order, w, log_j + log_w)
+    powers = np.power(ratio, nj)
+    # row nj = 2 as numpy's ratio**2 forms it: ratio * ratio, which pow may round apart
+    powers[-3] = np.square(ratio)
     terms = sign * (powers * ratios)
-    sizes = size + np.abs(log_w_part)
-    total = _checked_sum(terms, sizes, tab.cf_pref)
-    return np.where(rho2 == 0.0, 1.0, np.clip(total, -1.0, 1.0))[()]
+    total = _in_order_sum(terms)
+    # term j errs by about eps (size_j + |log_w_j| + n + 2) |term j|, cf_pref by
+    # eps |cf_pref| |total|; a 0 term of inf size (w = 0 or inf) gives NaN, which passes
+    err = _EPS * ((np.abs(terms) * (size + np.abs(log_w) + len(terms))).sum(axis=0)
+                  + np.abs(total) * abs(tab.cf_pref))
+    if (err > _SUM_TOL).any():
+        raise ValueError(
+            f"cf_nu1: cancellation in the alternating sum may lose up to "
+            f"{np.nanmax(err):.1e} absolute (tolerance {_SUM_TOL:g})"
+        )
+    return np.where(norm == 0.0, 1.0, np.clip(total, -1.0, 1.0)).reshape(alpha.shape[:-1])[()]
 
 
 class _Nu1Table:
@@ -381,11 +366,11 @@ class _Nu1Table:
     (d, n) by :func:`_nu1_table`, each part on its first use, as read-only
     arrays.
 
-    ``bessel`` holds, per Bessel term j = 0..n+1 of the cf: the exponent
-    nj = n+1-j of the direction ratio, the sign (-1)^nj, the order
-    (n+1)(d+3)/2 - j - 1/2, the log of the term's constant
-    C(n+1, j) ((d+1)/2)^nj / Gamma((n+1)(d+3)/2 - j), and that log's size
-    plus the Bessel ratio's own lgamma(order + 1) + order log 2.
+    ``bessel`` holds columns (n+2, 1), per Bessel term j = 0..n+1 of the
+    cf: the exponent nj = n+1-j of the direction ratio, the sign (-1)^nj,
+    the order (n+1)(d+3)/2 - j - 1/2, cf_pref plus the log of the term's
+    constant C(n+1, j) ((d+1)/2)^nj / Gamma((n+1)(d+3)/2 - j), and that
+    log's size plus the Bessel ratio's own lgamma(order + 1) + order log 2.
     ``density`` and ``radial`` hold, per positive term j = 0..N of each
     density (:func:`_positive_sum`), the log of its constant B_j, both
     from one list ``constants`` of the exact R_k of :func:`_nu1_constants`.
@@ -414,8 +399,9 @@ class _Nu1Table:
             ]
             order = 0.5 * ((n + 1) * (d + 3) - (2 * j + 1))
             own = math.lgamma(order + 1.0) + order * _LN_2
-            rows.append((nj, (-1.0) ** nj, order, sum(pieces), sum(map(abs, pieces)) + own))
-        return tuple(_read_only(column) for column in zip(*rows))
+            size = sum(map(abs, pieces)) + own
+            rows.append((nj, (-1.0) ** nj, order, self.cf_pref + sum(pieces), size))
+        return tuple(_read_only(column)[:, None] for column in zip(*rows))
 
     @cached_property
     def constants(self) -> list[int]:
@@ -493,17 +479,17 @@ def _positive_sum(tab: _Nu1Table, log_c: np.ndarray, yy, Q) -> np.ndarray:
     Q = 1 - |x|^2 (...): sum_k c_k yy^k Q^(E-k) (:meth:`_Nu1Table._log_coefficients`)
     with W = yy + Q is Q^(E-n-1) W^(n+1-N) sum_j B_j yy^j Q^(N-j), summed
     here as N + 1 positive terms with the constants B_j = exp(log_c)."""
-    n = tab.n
-    N = len(log_c) - 1
-    per_term = (-1,) + (1,) * np.ndim(Q)
-    j = np.arange(N + 1).reshape(per_term)
-    e = 0.5 * n * (tab.d + 1) - n - 1 + N - j
-    with np.errstate(divide="ignore", invalid="ignore"):
-        point = np.where(j > 0, j * np.log(yy), 0.0) + e * np.log(Q) - (N - n - 1) * np.log(yy + Q)
-        # term after term, as _checked_sum sums, so one point keeps its bits in a batch
-        return reduce(np.add, np.exp(tab.density_pref + log_c.reshape(per_term) + point))
+    n, N = tab.n, len(log_c) - 1
+    j = np.arange(N + 1)[:, None]  # a column: the points go in a row
+    shape, yy, Q = np.shape(Q), np.reshape(yy, -1), np.reshape(Q, -1)
+    point = (0.5 * n * (tab.d + 1) - n - 1 + N - j) * np.log(Q)
+    # term 0 has yy^0 = 1, also where log yy is -inf
+    point[1:] += j[1:] * np.log(yy)
+    point -= (N - n - 1) * np.log(yy + Q)
+    return _in_order_sum(np.exp((tab.density_pref + log_c)[:, None] + point)).reshape(shape)
 
 
+@_MASKED
 def density_nu1(p: FlightParams, x):
     """Density of the full flight at nu = 1, any n >= 1.
 
@@ -515,12 +501,11 @@ def density_nu1(p: FlightParams, x):
     ct = p.c * p.t
     tab = _nu1_table(p.d, p.n)
     rho2 = _sq_norm(y := _unit(_vectors(x, p.d), ct))
-    with np.errstate(over="ignore"):  # an overflow lies outside the support
-        yy = y[..., -1] ** 2
-    total = _positive_sum(tab, tab.density, yy, 1.0 - rho2)
+    total = _positive_sum(tab, tab.density, y[..., -1] ** 2, 1.0 - rho2)
     return _times_ct_power(_supported(rho2 >= 1.0, total), ct, p.d)
 
 
+@_MASKED
 def density_nu1_closed(p: FlightParams, x):
     """Fully explicit nu = 1 density, available for n = 1 and n = 2 only.
 
@@ -530,42 +515,41 @@ def density_nu1_closed(p: FlightParams, x):
     rho2 = _sq_norm(y := _unit(_vectors(x, p.d), ct))
     d = p.d
     # arrays, not numpy scalars: the scalar ** rounds differently
-    with np.errstate(over="ignore"):  # an overflow lies outside the support
-        xx, Q = np.asarray(y[..., -1] ** 2), np.asarray(1.0 - rho2)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        if p.n == 1:
-            pref = math.exp(
-                math.lgamma(2.0 * (d + 1))
-                - 0.5 * (d - 1) * _LN_PI
-                - (2 * d + 1) * _LN_2
-                - math.log(d + 2.0)
-                - math.lgamma(d + 1.0)
-                - math.lgamma(0.5 * (d - 1))
-            )
-            bracket = (
-                3.0 / (d - 1) * Q ** (0.5 * (d + 1))
-                - 2.0 * xx * Q ** (0.5 * (d - 1))
-                + (d + 1) * xx**2 * Q ** (0.5 * (d - 3))
-            )
-        else:
-            pref = math.exp(
-                math.lgamma(3.0 * d + 3.0)
-                + math.log(d + 1.0)
-                - 0.5 * (d - 1) * _LN_PI
-                - (3 * d + 2) * _LN_2
-                - math.lgamma(d - 1.0)
-                - math.lgamma(1.5 * (d + 3) - 3.0)
-                - math.log((3.0 * d + 7) * (3.0 * d + 5))
-            )
-            bracket = (
-                4.0 * (d + 4) / ((d + 1) * d * (d - 1)) * Q ** (d + 1)
-                + 2.0 * (6 * d * d + 6 * d + 8) / ((d + 1) * d * (d - 1)) * xx * Q**d
-                - 8.0 * xx**2 * Q ** (d - 1)
-                + 8.0 / 3.0 * (d + 1) * xx**3 * Q ** (d - 2)
-            )
-        return _times_ct_power(_supported(rho2 >= 1.0, pref * bracket), ct, d)
+    xx, Q = np.asarray(y[..., -1] ** 2), np.asarray(1.0 - rho2)
+    if p.n == 1:
+        pref = math.exp(
+            math.lgamma(2.0 * (d + 1))
+            - 0.5 * (d - 1) * _LN_PI
+            - (2 * d + 1) * _LN_2
+            - math.log(d + 2.0)
+            - math.lgamma(d + 1.0)
+            - math.lgamma(0.5 * (d - 1))
+        )
+        bracket = (
+            3.0 / (d - 1) * Q ** (0.5 * (d + 1))
+            - 2.0 * xx * Q ** (0.5 * (d - 1))
+            + (d + 1) * xx**2 * Q ** (0.5 * (d - 3))
+        )
+    else:
+        pref = math.exp(
+            math.lgamma(3.0 * d + 3.0)
+            + math.log(d + 1.0)
+            - 0.5 * (d - 1) * _LN_PI
+            - (3 * d + 2) * _LN_2
+            - math.lgamma(d - 1.0)
+            - math.lgamma(1.5 * (d + 3) - 3.0)
+            - math.log((3.0 * d + 7) * (3.0 * d + 5))
+        )
+        bracket = (
+            4.0 * (d + 4) / ((d + 1) * d * (d - 1)) * Q ** (d + 1)
+            + 2.0 * (6 * d * d + 6 * d + 8) / ((d + 1) * d * (d - 1)) * xx * Q**d
+            - 8.0 * xx**2 * Q ** (d - 1)
+            + 8.0 / 3.0 * (d + 1) * xx**3 * Q ** (d - 2)
+        )
+    return _times_ct_power(_supported(rho2 >= 1.0, pref * bracket), ct, d)
 
 
+@_MASKED
 def radial_density_nu1(p: FlightParams, r):
     """Radius density of the full flight at nu = 1, any n >= 1.
 
@@ -661,6 +645,7 @@ def _retained_weights(mp: MixtureParams) -> np.ndarray:
     return weights
 
 
+@_MASKED
 def unconditional_density_projection(mp: MixtureParams, x):
     """Projected density with the number of changes mixed over n >= 1.
 
@@ -674,8 +659,7 @@ def unconditional_density_projection(mp: MixtureParams, x):
     y = np.sqrt(_sq_norm(_unit(_vectors(x, p.m), p.c * p.t)))
     ns = np.arange(1, mp.n_max + 1)
     terms = weights.reshape((-1,) + (1,) * y.ndim) * _projection_densities(p, ns, y, p.m)
-    # term after term, as _checked_sum sums, so one point keeps its bits in a batch
-    return reduce(np.add, terms)[()]
+    return _in_order_sum(terms)[()]
 
 
 def mixture_tail_bound(mp: MixtureParams) -> float:

@@ -73,6 +73,12 @@ def _numbers(key: str, kind, value) -> list:
     numbers = []
     for item in value if isinstance(value, list) else [value]:
         fields = item.split(",") if isinstance(item, str) else [item]
+        if kind is float and isinstance(item, str):
+            try:  # float reads each field as _typed does
+                numbers += [*map(float, fields)]
+                continue
+            except ValueError:
+                pass  # _typed names the field that failed
         numbers += [_typed(key, kind, field) for field in fields]
     if not numbers:
         raise _UsageError(f"--{key} takes at least one number")

@@ -84,6 +84,10 @@ _CHUNK_DRAWS = 1 << 15
 # 33 000 uniforms in two chunks and gained 14-35% at 65 536 back to back)
 _MIN_THREADED_DRAWS = 2 * _CHUNK_DRAWS
 
+# Philox(key=...) waits on 128 bits of OS entropy (milliseconds at times)
+# for a SeedSequence its key overrides; the streams start from this one
+_KEYLESS = np.random.SeedSequence(0)
+
 
 @dataclass(frozen=True)
 class FlightParams:
@@ -102,30 +106,34 @@ class FlightParams:
     m: int | None = None
 
     def __post_init__(self):
-        if self.m is None:
-            object.__setattr__(self, "m", self.d)
-        if any(isinstance(v, (bool, np.bool_)) for v in vars(self).values()):
+        m = self.d if self.m is None else self.m
+        d, n, m, nu, c, t = values = self.d, self.n, m, self.nu, self.c, self.t
+        # a boolean is no number here, although Python takes True as an int
+        # and math as 1.0; ints and floats, the usual values, are none
+        plain = {int, float}.issuperset(map(type, values))
+        if not plain and any(isinstance(v, (bool, np.bool_)) for v in values):
             raise ValueError("FlightParams takes no booleans")
-        if not all(isinstance(v, Integral) for v in (self.d, self.n, self.m)):
+        # Python ints pass at once, any other integer as an Integral
+        ints = type(d) is type(n) is type(m) is int
+        if not (ints or all(isinstance(v, Integral) for v in (d, n, m))):
             raise ValueError("FlightParams requires integral d, n and m")
-        # stored as Python ints: numpy's overflow in the exact nu = 1
-        # constants, whose cache by (d, n) takes np.int64(8) and 8 as one key
-        for name in ("d", "n", "m"):
-            object.__setattr__(self, name, int(getattr(self, name)))
-        if not all(math.isfinite(v) for v in (self.nu, self.c, self.t)):
+        # stored as Python ints, in the frozen dataclass's own dict: numpy's
+        # overflow in the nu = 1 constants, whose cache keys np.int64(8) as 8
+        vars(self).update(d=int(d), n=int(n), m=int(m))
+        if not (math.isfinite(nu) and math.isfinite(c) and math.isfinite(t)):
             raise ValueError("FlightParams requires finite nu, c and t")
-        if self.d < 2:
+        if d < 2:
             raise ValueError("FlightParams requires d >= 2")
-        if not 1 <= self.m <= self.d:
+        if not 1 <= m <= d:
             raise ValueError("FlightParams requires 1 <= m <= d")
-        if self.n < 0:
+        if n < 0:
             raise ValueError("FlightParams requires n >= 0")
-        if self.nu < 0.0:
+        if nu < 0.0:
             raise ValueError("FlightParams requires nu >= 0")
-        if self.c <= 0.0 or self.t <= 0.0:
+        if c <= 0.0 or t <= 0.0:
             raise ValueError("FlightParams requires c > 0 and t > 0")
-        if not 0.0 < self.c * self.t < math.inf:
-            raise ValueError(f"FlightParams requires 0 < c t < inf, got c t = {self.c * self.t!r}")
+        if not 0.0 < c * t < math.inf:
+            raise ValueError(f"FlightParams requires 0 < c t < inf, got c t = {c * t!r}")
 
 
 @dataclass(frozen=True)
@@ -180,7 +188,10 @@ def replicate_stream(p: FlightParams, master_seed: int, index: int) -> np.random
     index = _integer("replicate index", index)
     if index < 0:
         raise ValueError("replicate index must be >= 0")
-    bg = np.random.Philox(key=master_seed)
+    # as Philox(key=master_seed) starts: counter 0, no output buffered
+    seed, bg = int(master_seed), np.random.Philox(_KEYLESS)
+    key = np.array([seed % 2**64, seed >> 64], np.uint64)  # low word first
+    bg.state = {**bg.state, "state": {"counter": np.zeros(4, np.uint64), "key": key}}
     bg.advance(index * (_padded_draws(p) // 4))
     return np.random.Generator(bg)
 

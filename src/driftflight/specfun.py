@@ -57,13 +57,17 @@ _HANKEL_X = 2.0**50
 _HANKEL_TOL = 1e-12
 
 
-def _check_order(name: str, mu) -> None:
-    # mu is an array of one order or of several; the comparisons are
-    # False for NaN as well as for +-inf
+def _checked(name: str, mu, x) -> tuple[np.ndarray, np.ndarray]:
+    # one order or an array of them, and x, as float arrays; the order
+    # comparisons are False for NaN as well as for +-inf
+    mu, x = np.asarray(mu, dtype=float), np.asarray(x, dtype=float)
     ok = (-0.5 <= mu) & (mu < math.inf)
-    if not np.all(ok):
+    if not ok.all():
         bad = np.extract(~ok, mu)[0]
         raise ValueError(f"{name} requires a finite order mu >= -1/2, got mu = {bad}")
+    if (x < 0.0).any():
+        raise ValueError(f"{name} requires x >= 0, got {x[x < 0.0].flat[0]}")
+    return mu, x
 
 
 def _jv(name: str, mu, x: np.ndarray) -> np.ndarray:
@@ -71,9 +75,9 @@ def _jv(name: str, mu, x: np.ndarray) -> np.ndarray:
     # past x = 1e16), the first two Hankel terms; mu is one order or an
     # array of them that broadcasts with x
     j = jv(mu, x)
-    far = (x >= _HANKEL_X) & (x < math.inf)  # False at a NaN x
-    if not far.any():
+    if not (x >= _HANKEL_X).any():  # False at a NaN x
         return j
+    far = (x >= _HANKEL_X) & (x < math.inf)
     mu, xf = np.broadcast_arrays(np.asarray(mu, dtype=float), np.where(far, x, _HANKEL_X))
     far = np.broadcast_to(far, xf.shape)
     # the dropped x^-2 term of P, relative to the envelope sqrt(2 / (pi x));
@@ -111,13 +115,11 @@ def bessel_j(mu, x):
     module docstring); at x = 0 the limit (1 at mu = 0, 0 above, inf
     below), 0.0 (the limit) at x = inf and NaN at a NaN x.
     """
-    mu = np.asarray(mu, dtype=float)
-    _check_order("bessel_j", mu)
-    x = np.asarray(x, dtype=float)
-    if np.any(x < 0.0):
-        raise ValueError(f"bessel_j requires x >= 0, got {x[x < 0.0].flat[0]}")
-    origin = np.where(mu == 0.0, 1.0, np.where(mu > 0.0, 0.0, math.inf))
+    mu, x = _checked("bessel_j", mu, x)
     j = _jv("bessel_j", mu, x)
+    if not ((x == 0.0) | (x == math.inf)).any():
+        return j[()]
+    origin = np.where(mu == 0.0, 1.0, np.where(mu > 0.0, 0.0, math.inf))
     return np.where(x == 0.0, origin, np.where(x == math.inf, 0.0, j))[()]
 
 
@@ -144,10 +146,12 @@ def _ratio_series(mu: np.ndarray, x: np.ndarray, log_t0: np.ndarray) -> np.ndarr
             f"bessel_j_ratio: the series at mu = {mu[at]}, x = {x[at]} may lose "
             f"{err[at]:.1e} of its value at the origin (tolerance {_SERIES_TOL:g})"
         )
-    with np.errstate(under="ignore"):
-        return total * np.exp(log_t0)
+    return total * np.exp(log_t0)
 
 
+# divide and invalid arise only at x = 0 and where J is 0, NaN or inf,
+# whose values are set apart from log|J|; an underflow gives its value
+@np.errstate(divide="ignore", invalid="ignore", under="ignore")
 def bessel_j_ratio(mu, x, log_scale=0.0):
     """exp(log_scale) J_mu(x) / x^mu on an array of x >= 0, finite at x = 0
     where J_mu(x) / x^mu equals 1 / (2^mu Gamma(mu+1)).
@@ -167,26 +171,19 @@ def bessel_j_ratio(mu, x, log_scale=0.0):
     on; the series raises ValueError where its error could pass 1e-12 of
     the value at the origin (orders above about 600).  NaN at a NaN x and 0.0 at x = inf.
     """
-    mu = np.asarray(mu, dtype=float)
-    _check_order("bessel_j_ratio", mu)
-    x = np.asarray(x, dtype=float)
-    if np.any(x < 0.0):
-        raise ValueError(f"bessel_j_ratio requires x >= 0, got {x[x < 0.0].flat[0]}")
+    mu, x = _checked("bessel_j_ratio", mu, x)
     j = _jv("bessel_j_ratio", mu, x)
-    with np.errstate(divide="ignore", invalid="ignore", under="ignore"):
-        # divide and invalid arise only at x = 0 and where J is 0, NaN or
-        # inf; those points are replaced below
-        out = np.sign(j) * np.exp(np.log(np.abs(j)) + log_scale - mu * np.log(x))
-    normal = (np.abs(j) >= _TINY) & (x > 0.0)
+    a = np.abs(j)
+    out = np.sign(j) * np.exp(np.log(a) + log_scale - mu * np.log(x))
+    normal = (a >= _TINY) & (x > 0.0)
     if not normal.all():
         log_t0 = np.asarray(log_scale) - mu * math.log(2.0) - _lgamma(mu + 1.0)
-        with np.errstate(under="ignore"):
-            # at x = 0 the series is its first term, exp(log_t0), exactly
-            # (taken there alone, so that a large log_scale elsewhere cannot
-            # overflow); at x >= mu, J is not small, and is 0 only at
-            # x = inf, where the ratio is 0 as well
-            origin = np.exp(np.where(x == 0.0, log_t0, -math.inf))
-            edge = np.where(x == 0.0, origin, np.where(x >= mu, 0.0, np.nan))
+        # at x = 0 the series is its first term, exp(log_t0), exactly
+        # (taken there alone, so that a large log_scale elsewhere cannot
+        # overflow); at x >= mu, J is not small, and is 0 only at
+        # x = inf, where the ratio is 0 as well
+        origin = np.exp(np.where(x == 0.0, log_t0, -math.inf))
+        edge = np.where(x == 0.0, origin, np.where(x >= mu, 0.0, np.nan))
         out = np.where(normal, out, edge)
         series = ~normal & (x > 0.0) & (x < mu)  # underflow; NaN x fails the tests
         if series.any():

@@ -552,6 +552,30 @@ def test_empty_field_of_comma_separated_numbers_is_a_usage_error(
     assert main(argv + [f"--{flag}", f"{a},{b}", "--out", str(out)]) == 0
 
 
+def _outcome(fn):
+    try:
+        return fn()
+    except cli._UsageError as exc:
+        return f"usage error: {exc}"
+
+
+@pytest.mark.parametrize("text", [" 0.5", "1_0", "+.5", "nan", "inf", "1e400", "0x10", "abc", ""])
+def test_float_text_reads_as_typed_reads_each_field(text):
+    # _numbers reads float text in one map; each text alone and after a
+    # good field is accepted or refused, with the same message, as the
+    # per-field _typed reading followed by the finite check has it
+    def typed(value):
+        numbers = [cli._typed("x", float, field) for field in value.split(",")]
+        if not all(map(math.isfinite, numbers)):
+            raise cli._UsageError(f"--x {numbers} must be finite")
+        return numbers
+
+    for value in (text, "0.25," + text):
+        want = _outcome(lambda: typed(value))
+        assert _outcome(lambda: cli._numbers("x", float, value)) == want
+        assert _outcome(lambda: cli._numbers("x", float, [value])) == want
+
+
 @pytest.mark.parametrize("flag", list(_LIST_FLAGS))
 def test_empty_config_list_is_a_usage_error(tmp_path, capsys, flag):
     # {"orders": []} once exited 0 with a CSV of no data row

@@ -1,6 +1,7 @@
 import math
 import multiprocessing
 import os
+import random
 import sys
 import threading
 
@@ -531,6 +532,38 @@ def test_master_seed_must_be_a_philox_key(seed):
     with pytest.raises(ValueError, match="master_seed"):
         replicate_stream(p, seed, 0)
     assert simulate_batch(p, 3, 2**128 - 1).shape == (3, 2)
+
+
+@pytest.mark.parametrize("seed", [0, 7, 2**64 - 1, 2**64, 2**128 - 1])
+def test_streams_draw_no_os_entropy(monkeypatch, seed):
+    # Philox(key=seed) draws OS entropy for a SeedSequence the key
+    # overrides (numpy's SeedSequence() reaches random._urandom through
+    # secrets.randbits), which was at times slow inside simulate; with
+    # that source refusing, every entry point still gives the bits of
+    # calls made before, and of a Philox keyed by the seed
+    p = FlightParams(d=3, n=2, nu=1.0)
+    count = flight._MIN_THREADED_DRAWS // _padded_draws(p) + 3
+    seen = _threads_seen(monkeypatch, 2)
+    keyed = np.random.Philox(key=seed)
+    keyed.advance(5 * (_padded_draws(p) // 4))
+    want = (
+        simulate_batch(p, count, seed).tobytes(),
+        np.random.Generator(keyed).random(6).tobytes(),
+        simulate_flight(p, replicate_stream(p, seed, 5)).breakpoints.tobytes(),
+    )
+    seen.clear()
+
+    def refuse(size):
+        raise AssertionError("OS entropy drawn")
+
+    monkeypatch.setattr(random, "_urandom", refuse)
+    got = (
+        simulate_batch(p, count, seed).tobytes(),
+        replicate_stream(p, seed, 5).random(6).tobytes(),
+        simulate_flight(p, replicate_stream(p, seed, 5)).breakpoints.tobytes(),
+    )
+    assert len(seen) == 2
+    assert got == want
 
 
 @settings(max_examples=25, deadline=None)

@@ -72,3 +72,23 @@ def test_sampler_layers(capsys, monkeypatch):
         assert len(cells) == len(script["LAYERS"]) + 1
         assert all(float(c.replace(",", "")) >= 0.0 for c in cells)
         assert float(cells[-1]) > 0.0
+
+
+def test_law_layers(capsys, monkeypatch):
+    script = runpy.run_path(str(SCRIPTS / "law_layers.py"))
+    monkeypatch.setattr(sys, "argv", ["law_layers.py", "--repeats", "1"])
+    assert script["main"]() == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[0].strip("| ").split(" | ")[1:] == list(script["COLUMNS"])
+    parsed = [line.strip("| ").split(" | ") for line in out[2:]]
+    rows = {row[0]: row[1:] for row in parsed}
+    laws = ("cf_nu1", "density_nu1")
+    cells = [f"{law} d{d} n{n}" for law in laws for d, n in script["NU1_CELLS"]]
+    assert set(cells) <= set(rows)
+    assert {"check_identities", "FlightParams", "cf_nu1, the 14 law_eval cells"} <= set(rows)
+    # every column a non-negative microsecond count; the laws without a
+    # special function give it none
+    for name, values in rows.items():
+        assert len(values) == len(script["COLUMNS"]), name
+        assert all(float(v.replace(",", "")) >= 0.0 for v in values), name
+    assert rows["density_nu1 d3 n2"][1] == "0.0" and float(rows["cf_nu1 d3 n2"][1]) > 0.0
