@@ -13,6 +13,9 @@ The rows are the library calls behind the ``law_eval`` workload of
   the cells ``law_eval`` times: all 16 densities and the 14 cfs whose
   Bessel orders stay at or below 30;
 * ``radial_density_nu1`` at d3 n1 and d3 n2 on 1 500 radii;
+* ``radial_density_projection`` at (d, m, n, nu) = (3, 2, 2, 0.3) on 500
+  radii, the same Beta-mixture evaluator with one term (``law_eval`` does
+  not time it);
 * ``cdf_radial_projection`` at (d, m, n, nu) = (3, 1, 1, 1) on 4 000
   radii and (3, 2, 2, 0.3) on 500;
 * ``unconditional_density_projection``, the mixture, at d3 m2 nu0.5,
@@ -127,6 +130,9 @@ def _cases() -> list:
         p, r = FlightParams(d=3, n=n, nu=1.0), np.linspace(0.0, 1.0, 1500)
         cases.append((f"radial_density_nu1 d3 n{n}",
                       lambda p=p, r=r: analytic.radial_density_nu1(p, r), None))
+    p, r = FlightParams(d=3, n=2, nu=0.3, m=2), np.linspace(0.0, 1.0, 500)
+    cases.append(("radial_density_projection d3 m2 n2 nu0.3",
+                  lambda p=p, r=r: analytic.radial_density_projection(p, r), None))
     for (d, m, n, nu), points in (((3, 1, 1, 1.0), 4000), ((3, 2, 2, 0.3), 500)):
         p, r = FlightParams(d=d, n=n, nu=nu, m=m), np.linspace(0.0, 1.0, points)
         cases.append((f"cdf_radial_projection d{d} m{m} n{n} nu{nu:g}",

@@ -13,10 +13,13 @@ built once per (d, n) and kept as read-only arrays.  The cf is an
 alternating sum of n + 2 Bessel terms, from one call with an array of
 orders.  The density's polynomial in x_d^2 and 1 - |x|^2, with exact
 rational constants, is raised in degree until its Bernstein coefficients
-are all >= 0, so both densities are sums of positive terms and lose no
-digits to cancellation; the radial law is the density averaged over the
-sphere of radius r.  The paper's fully explicit n = 1, 2 density stays as
-an independent check of that table.
+are all >= 0.  Then, with W = 1 - |x_perp|^2 at unit scale, x_perp has
+the m = d - 1 projected law and u = x_d^2 / W, independent of it, a
+mixture of Beta(j + 1/2, b_j) laws with weights >= 0; the squared radius
+is a mixture of Beta(j + d/2, b_j) laws.  Those mixtures and the projected
+radius, Beta(m/2, q + 1), are one evaluator's sums of positive terms,
+which lose no digits to cancellation.  The paper's fully explicit n = 1, 2
+density stays as an independent check of that table.
 
 Every law takes arrays and broadcasts.  Points and frequency vectors lie
 along the last axis, radii are elementwise; one point or radius gives a
@@ -115,12 +118,6 @@ def _require_nu1(p: FlightParams) -> None:
     _require_n(p)
 
 
-def _require_closed(p: FlightParams) -> None:
-    _require_nu1(p)
-    if p.n not in (1, 2):
-        raise ValueError("the explicit nu = 1 forms are only available for n in {1, 2}")
-
-
 def _vectors(x, dim: int | None = None) -> np.ndarray:
     """Points or frequency vectors along the last axis; a scalar is one
     vector of length 1.  ``dim`` (when given) is the required length."""
@@ -196,21 +193,37 @@ def _supported(outside, values) -> np.ndarray:
     return np.where(outside, 0.0, values)[()]
 
 
-def _in_support(r, ct: float):
-    """Unit-scale radii y = r / (c t) with those outside the open support
-    (0, 1) set to 0, where every law is finite, and the mask of those
-    radii.  A radius r > 0 whose y underflows to 0 stays inside.  The
-    others keep their bits, and NaN passes through."""
-    r = np.asarray(r, dtype=float)
-    y = _unit(r, ct)
-    outside = (r <= 0.0) | (y >= 1.0)
-    return np.where(outside, 0.0, y), outside
-
-
 def _in_order_sum(terms: np.ndarray) -> np.ndarray:
     # the sum over the first axis term after term, as an accumulation adds:
     # numpy sums one point's 1-D terms pairwise but a batch row by row
     return np.add.accumulate(terms)[-1]
+
+
+def _beta_mixture(mix, s, rest) -> np.ndarray:
+    """The density at s (...) of s = sqrt(v), v a mixture of Beta(a_j, b_j)
+    laws, given rest = 1 - s^2: sum_j exp(c_j + (2 a_j - 1) log s +
+    (b_j - 1) log rest), the rows of ``mix`` (3, J) c_j = log(2 w_j / B(a_j, b_j)),
+    w_j the weights, 2 a_j - 1 and b_j - 1.  Summed in order with the points
+    in a row, so one point has the bits of its batch row; s^0 = 1 at s = 0."""
+    log_c, power, rest_power = np.reshape(mix, (3, -1, 1))
+    shape = np.shape(s)
+    point = power * np.log(np.reshape(s, -1))
+    point[power[:, 0] == 0.0] = 0.0
+    point += rest_power * np.log(np.reshape(rest, -1))
+    return _in_order_sum(np.exp(log_c + point)).reshape(shape)
+
+
+def _radial_density(mix, r, ct: float):
+    """The density at the radii r of R, (R / c t)^2 the Beta mixture ``mix``;
+    0 outside (0, c t), where y = r / c t is set to 0.  A radius r > 0 whose
+    y underflows to 0 stays inside; NaN passes through."""
+    r = np.asarray(r, dtype=float)
+    y = _unit(r, ct)
+    outside = (r <= 0.0) | (y >= 1.0)
+    y = np.where(outside, 0.0, y)
+    # 1 - y^2 to about eps relative also near y = 1, where b_j - 1 may be in the hundreds
+    vals = _beta_mixture(mix, y, (1.0 - y) * (1.0 + y))
+    return _times_ct_power(_supported(outside, vals), ct, 1)
 
 
 # ----------------------------------------------------------------------
@@ -244,39 +257,34 @@ def density_projection(p: FlightParams, x):
     """
     _require_beta_law(p)
     y = np.sqrt(_sq_norm(_unit(_vectors(x, p.m), p.c * p.t)))
-    return _projection_densities(p, p.n, y, p.m)[0]
+    return _projection_densities(p, p.n, 1.0 - y * y, p.m, p.c * p.t)[0]
 
 
-def _projection_densities(p: FlightParams, ns, y, dim: int, log_scale=0.0) -> np.ndarray:
-    """Densities (N, ...) at the unit-scale radii y = r / c t (...) for each
-    number of changes in ns (N,) in place of p.n, times exp(log_scale),
-    taken to c t by (c t)^(-dim): the m-dimensional density (dim = m) or,
-    with the sphere in log_scale, the radial one (dim = 1).  One array, in
-    which each n keeps the bits it has alone."""
-    m = p.m
+def _projection_densities(p: FlightParams, ns, rest, m: int, ct: float) -> np.ndarray:
+    """The m-dimensional densities (N, ...) at rest = 1 - (r / c t)^2 (...)
+    for each number of changes in ns (N,) in place of p.n, taken to c t by
+    (c t)^(-m).  One array, in which each n keeps the bits it has alone."""
     K = _half_order(p, np.atleast_1d(ns))
     log_norm = [
         math.lgamma(k + 0.5) - math.lgamma(k - 0.5 * m + 0.5) - 0.5 * m * _LN_PI
         for k in K.tolist()
     ]
-    per_n = (-1,) + (1,) * np.ndim(y)
+    per_n = (-1,) + (1,) * np.ndim(rest)
     q = K.reshape(per_n) - 0.5 * (m + 1)
-    vals = np.exp(np.reshape(log_norm, per_n) + log_scale + q * np.log(1.0 - y * y))
-    return _times_ct_power(np.where(y >= 1.0, 0.0, vals), p.c * p.t, dim)
+    vals = np.exp(np.reshape(log_norm, per_n) + q * np.log(rest))
+    return _times_ct_power(np.where(rest <= 0.0, 0.0, vals), ct, m)
 
 
 @_MASKED
 def radial_density_projection(p: FlightParams, r):
     """Density of the radius of the projection, supported on (0, c t):
-    the density times |S^(m-1)| r^(m-1)."""
+    (R / c t)^2 is Beta(m/2, q + 1), one term of :func:`_beta_mixture`."""
     _require_beta_law(p)
-    y, outside = _in_support(r, p.c * p.t)
-    m = p.m
-    # log |S^(m-1)| y^(m-1), with |S^(m-1)| = 2 pi^(m/2) / Gamma(m/2);
-    # y^0 is 1 also at a y that underflows to 0
-    log_y = (m - 1.0) * np.log(y) if m > 1 else 0.0
-    log_sphere = _LN_2 + 0.5 * m * _LN_PI - math.lgamma(0.5 * m) + log_y
-    return _supported(outside, _projection_densities(p, p.n, y, 1, log_sphere)[0])
+    K = _half_order(p, p.n)
+    q = K - 0.5 * (p.m + 1)
+    # 2 / B(m/2, q + 1), with m/2 + q + 1 = K + 1/2; the two large lgammas first
+    log_c = math.lgamma(K + 0.5) - math.lgamma(q + 1.0) + _LN_2 - math.lgamma(0.5 * p.m)
+    return _radial_density([log_c, p.m - 1.0, q], r, p.c * p.t)
 
 
 def cdf_radial_projection(p: FlightParams, r):
@@ -371,20 +379,16 @@ class _Nu1Table:
     the order (n+1)(d+3)/2 - j - 1/2, cf_pref plus the log of the term's
     constant C(n+1, j) ((d+1)/2)^nj / Gamma((n+1)(d+3)/2 - j), and that
     log's size plus the Bessel ratio's own lgamma(order + 1) + order log 2.
-    ``density`` and ``radial`` hold, per positive term j = 0..N of each
-    density (:func:`_positive_sum`), the log of its constant B_j, both
-    from one list ``constants`` of the exact R_k of :func:`_nu1_constants`.
-    ``cf_pref`` and ``density_pref`` are the logs of each sum's common
-    factor, the density's at c t = 1.
+    ``radius`` and ``u`` hold the :func:`_beta_mixture` rows of the
+    radius and of u = x_d^2 / (1 - |x_perp|^2), both from one list
+    ``constants`` of the exact R_k of :func:`_nu1_constants`.  ``cf_pref``
+    is the log of the cf's common factor.
     """
 
     def __init__(self, d: int, n: int):
         self.d, self.n = d, n
         M = (n + 1) * (d + 1)
         self.cf_pref = 0.5 * _LN_PI + math.lgamma(M) - 0.5 * (M - 1) * _LN_2
-        # with the 1 / (2^(n+1) Gamma((n+1)(d+3)/2) Gamma(E + 1)) of every c_k
-        lg_x = math.lgamma(0.5 * (n + 1) * (d + 3)) + math.lgamma(0.5 * n * (d + 1) + 1.0)
-        self.density_pref = math.lgamma(M) - lg_x - 0.5 * (d - 1) * _LN_PI - (M + n) * _LN_2
 
     @cached_property
     def bessel(self) -> tuple:
@@ -403,34 +407,40 @@ class _Nu1Table:
             rows.append((nj, (-1.0) ** nj, order, self.cf_pref + sum(pieces), size))
         return tuple(_read_only(column)[:, None] for column in zip(*rows))
 
-    @cached_property
-    def constants(self) -> list[int]:
-        return _nu1_constants(self.d, self.n)
+    constants = cached_property(lambda self: _nu1_constants(self.d, self.n))
+    radius = cached_property(lambda self: self._mixture(radial=True))
+    u = cached_property(lambda self: self._mixture(radial=False))
 
-    @cached_property
-    def density(self) -> np.ndarray:
-        return self._log_coefficients(radial=False)
-
-    @cached_property
-    def radial(self) -> np.ndarray:
-        return self._log_coefficients(radial=True)
-
-    def _log_coefficients(self, radial: bool) -> np.ndarray:
-        """The logs of the B_j (:func:`_elevated`) of the density's exact
-        c_k = R_k E (E-1) ... (E-k+1), E = n(d+1)/2 (:func:`_nu1_constants`),
-        or of the radial law's c_k E[u_d^(2k)] over the unit sphere,
-        prod_{i<k} (2i+1)/(2i+d), with |S^(d-1)| = 2 pi^(d/2) / Gamma(d/2)."""
+    def _mixture(self, radial: bool) -> np.ndarray:
+        """The :func:`_beta_mixture` rows of r / c t or of sqrt(u): the B_j
+        (:func:`_elevated`) of the density's exact c_k = R_k E (E-1) ...
+        (E-k+1), E = n(d+1)/2 (:func:`_nu1_constants`), or of the radial
+        law's c_k E[u_d^(2k)] over the unit sphere, prod_{i<k} (2i+1)/(2i+d).
+        The density is W^E sum_j B_j u^j (1-u)^(b_j - 1) times a prefactor,
+        b_j = N - j + E - n: the radius takes a_j = j + d/2 and the sphere
+        |S^(d-1)| = 2 pi^(d/2) / Gamma(d/2), u a_j = j + 1/2 and 2 over the
+        m = d - 1 projected constant Gamma(E + 3/2) / (pi^(m/2) Gamma(E + 3/2 + m/2)).
+        """
         d, n = self.d, self.n
         E = Fraction(n * (d + 1), 2)
         coeffs, scale = [], Fraction(1)
         for k, r in enumerate(self.constants):
             coeffs.append(r * scale)
             scale *= (E - k) * (Fraction(2 * k + 1, 2 * k + d) if radial else 1)
-        log_sphere = _LN_2 + 0.5 * d * _LN_PI - math.lgamma(0.5 * d) if radial else 0.0
-        # B_j may pass the double range, and may be 0
+        B = _elevated(coeffs)
+        N = len(B) - 1
+        # the prefactor Gamma(M) / (pi^((d-1)/2) 2^(M+n) Gamma((n+1)(d+3)/2) Gamma(E+1))
+        # of every c_k, times 2 and the sphere or over the projected constant
+        M = (n + 1) * (d + 1)
+        pref = [math.lgamma(M), -math.lgamma(0.5 * (n + 1) * (d + 3)), -math.lgamma(E + 1.0),
+                -(M + n - 1) * _LN_2] + ([0.5 * _LN_PI, -math.lgamma(0.5 * d)] if radial
+                                         else [math.lgamma(E + 1.5), -math.lgamma(0.5 * M + 0.5)])
+        # one rounding a sum; B_j may pass the double range, and may be 0
         return _read_only([
-            log_sphere + math.log(b.numerator) - math.log(b.denominator) if b else -math.inf
-            for b in _elevated(coeffs)
+            [math.fsum(pref + [math.log(b.numerator), -math.log(b.denominator)]) if b
+             else -math.inf for b in B],
+            [2 * j + (d - 1 if radial else 0) for j in range(N + 1)],
+            [float(E) - n - 1 + N - j for j in range(N + 1)],
         ])
 
 
@@ -468,41 +478,29 @@ def _read_only(values) -> np.ndarray:
     return array
 
 
-@lru_cache(maxsize=_NU1_TABLES)
-def _nu1_table(d: int, n: int) -> _Nu1Table:
-    """The table at (d, n), kept for the last ``_NU1_TABLES`` (d, n) used."""
-    return _Nu1Table(d, n)
-
-
-def _positive_sum(tab: _Nu1Table, log_c: np.ndarray, yy, Q) -> np.ndarray:
-    """The nu = 1 density's sum at unit scale at x_d^2 = yy and
-    Q = 1 - |x|^2 (...): sum_k c_k yy^k Q^(E-k) (:meth:`_Nu1Table._log_coefficients`)
-    with W = yy + Q is Q^(E-n-1) W^(n+1-N) sum_j B_j yy^j Q^(N-j), summed
-    here as N + 1 positive terms with the constants B_j = exp(log_c)."""
-    n, N = tab.n, len(log_c) - 1
-    j = np.arange(N + 1)[:, None]  # a column: the points go in a row
-    shape, yy, Q = np.shape(Q), np.reshape(yy, -1), np.reshape(Q, -1)
-    point = (0.5 * n * (tab.d + 1) - n - 1 + N - j) * np.log(Q)
-    # term 0 has yy^0 = 1, also where log yy is -inf
-    point[1:] += j[1:] * np.log(yy)
-    point -= (N - n - 1) * np.log(yy + Q)
-    return _in_order_sum(np.exp((tab.density_pref + log_c)[:, None] + point)).reshape(shape)
+# the table at (d, n), kept for the last _NU1_TABLES (d, n) used
+_nu1_table = lru_cache(maxsize=_NU1_TABLES)(_Nu1Table)
 
 
 @_MASKED
 def density_nu1(p: FlightParams, x):
     """Density of the full flight at nu = 1, any n >= 1.
 
-    A sum of N + 1 positive terms (:func:`_positive_sum`); even in x_d and
-    invariant under rotations fixing the x_d axis.  Raises ValueError
-    where a value passes the double range.
-    """
+    At unit scale h(x_perp) g(s) / (2 sqrt(W)), W = 1 - |x_perp|^2: h the
+    m = d - 1 projected density, g the density of s = |x_d| / sqrt(W) = sqrt(u)
+    (:meth:`_Nu1Table._mixture`).  Even in x_d and invariant under rotations
+    fixing the x_d axis.  Raises ValueError where a value passes the double
+    range."""
     _require_nu1(p)
     ct = p.c * p.t
-    tab = _nu1_table(p.d, p.n)
-    rho2 = _sq_norm(y := _unit(_vectors(x, p.d), ct))
-    total = _positive_sum(tab, tab.density, y[..., -1] ** 2, 1.0 - rho2)
-    return _times_ct_power(_supported(rho2 >= 1.0, total), ct, p.d)
+    y = _unit(_vectors(x, p.d), ct)
+    rho2, perp2 = _sq_norm(y), _sq_norm(y[..., :-1])
+    # 1 - u as Q / W, so never u >= 1 inside the ball; W >= Q also where the norms round apart
+    W = np.maximum(1.0 - perp2, Q := 1.0 - rho2)
+    root = np.sqrt(W)
+    h = _projection_densities(p, p.n, W, p.d - 1, 1.0)[0]
+    g = _beta_mixture(_nu1_table(p.d, p.n).u, np.abs(y[..., -1]) / root, Q / W)
+    return _times_ct_power(_supported(rho2 >= 1.0, h * g / (2.0 * root)), ct, p.d)
 
 
 @_MASKED
@@ -510,7 +508,9 @@ def density_nu1_closed(p: FlightParams, x):
     """Fully explicit nu = 1 density, available for n = 1 and n = 2 only.
 
     Raises ValueError where a value passes the double range."""
-    _require_closed(p)
+    _require_nu1(p)
+    if p.n not in (1, 2):
+        raise ValueError("the explicit nu = 1 forms are only available for n in {1, 2}")
     ct = p.c * p.t
     rho2 = _sq_norm(y := _unit(_vectors(x, p.d), ct))
     d = p.d
@@ -551,20 +551,11 @@ def density_nu1_closed(p: FlightParams, x):
 
 @_MASKED
 def radial_density_nu1(p: FlightParams, r):
-    """Radius density of the full flight at nu = 1, any n >= 1.
-
-    The density integrated over the sphere of radius r: its sum with
-    x_d^(2k) averaged to r^(2k) |S^(d-1)| E[u_d^(2k)], times r^(d-1), again
-    N + 1 positive terms.  Raises ValueError where a value passes the
-    double range.
-    """
+    """Radius density of the full flight at nu = 1, any n >= 1: (R / c t)^2
+    is a mixture of Beta(j + d/2, b_j) laws (:meth:`_Nu1Table._mixture`).
+    Raises ValueError where a value passes the double range."""
     _require_nu1(p)
-    ct = p.c * p.t
-    tab = _nu1_table(p.d, p.n)
-    y, outside = _in_support(r, ct)
-    yy = y * y
-    total = _positive_sum(tab, tab.radial, yy, 1.0 - yy)
-    return _times_ct_power(_supported(outside, y ** (p.d - 1) * total), ct, 1)
+    return _radial_density(_nu1_table(p.d, p.n).radius, r, p.c * p.t)
 
 
 # ----------------------------------------------------------------------
@@ -584,6 +575,9 @@ class MixtureParams:
     lam: float
     base: FlightParams
     n_max: int = 50
+
+    # the retained weights, computed on the first law's call
+    _weights = cached_property(lambda self: _retained_weights(self))
 
     def __post_init__(self):
         if isinstance(self.lam, (bool, np.bool_)) or not 0.0 < self.lam < math.inf:
@@ -630,8 +624,8 @@ def _mixture_weights(mp: MixtureParams, n):
 
 
 def _retained_weights(mp: MixtureParams) -> np.ndarray:
-    """The mixture weights of n = 1 .. n_max; raises ValueError outside the
-    projected laws' domain and when the weights keep less than
+    """The mixture weights of n = 1 .. n_max, read-only; raises ValueError
+    outside the projected laws' domain and when the weights keep less than
     1 - MIXTURE_MASS_TOL of the n >= 1 mass."""
     _require_beta_law(replace(mp.base, n=1))
     weights = _mixture_weights(mp, np.arange(1, mp.n_max + 1))
@@ -642,6 +636,7 @@ def _retained_weights(mp: MixtureParams) -> np.ndarray:
             f"of the n >= 1 mass (tolerance 1 - {MIXTURE_MASS_TOL:g}); "
             f"raise n_max for lam t = {mp.lam * mp.base.t:g}"
         )
+    weights.flags.writeable = False
     return weights
 
 
@@ -654,11 +649,12 @@ def unconditional_density_projection(mp: MixtureParams, x):
     and raises ValueError when the weights it keeps fall short of 1 by
     more than ``MIXTURE_MASS_TOL``.
     """
-    weights = _retained_weights(mp)
+    weights = mp._weights
     p = mp.base
     y = np.sqrt(_sq_norm(_unit(_vectors(x, p.m), p.c * p.t)))
     ns = np.arange(1, mp.n_max + 1)
-    terms = weights.reshape((-1,) + (1,) * y.ndim) * _projection_densities(p, ns, y, p.m)
+    densities = _projection_densities(p, ns, 1.0 - y * y, p.m, p.c * p.t)
+    terms = weights.reshape((-1,) + (1,) * y.ndim) * densities
     return _in_order_sum(terms)[()]
 
 
@@ -674,11 +670,12 @@ def mixture_tail_bound(mp: MixtureParams) -> float:
     at r >= 1 and, like :func:`unconditional_density_projection`, when
     the kept weights fall short of 1 by more than ``MIXTURE_MASS_TOL``.
     """
-    _retained_weights(mp)
+    mp._weights  # raises where the kept weights fall short
     ns = np.array([mp.n_max + 1, mp.n_max + 2])
     # for n >= 2 the exponent q = K - (m+1)/2 of c^2 t^2 - r^2 is >= 0 in
     # the whole domain, so each density peaks at the origin: w_n sup_x p_n
-    b1, b2 = _mixture_weights(mp, ns) * _projection_densities(mp.base, ns, 0.0, mp.base.m)
+    p = mp.base
+    b1, b2 = _mixture_weights(mp, ns) * _projection_densities(p, ns, 1.0, p.m, p.c * p.t)
     if b1 == 0.0:
         return 0.0
     r = b2 / b1

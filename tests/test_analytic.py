@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import dblquad, quad
+from scipy.special import betainc, betaln
 
 from driftflight import analytic
 from driftflight.analytic import (
@@ -26,7 +27,7 @@ from driftflight.analytic import (
 )
 from driftflight.flight import FlightParams, simulate_batch
 from driftflight.specfun import bessel_j_ratio
-from driftflight.validation import _integrate
+from driftflight.validation import _integrate, ks_distance
 from _oracles import (
     bessel_j_mp,
     cf_nu1_mp,
@@ -475,10 +476,10 @@ def test_nu1_table_is_built_once_and_read_only():
     first = [law(p, arr).tobytes() for law, arr in laws]
     table = analytic._nu1_table(3, 4)
     assert analytic._nu1_table.cache_info().maxsize == analytic._NU1_TABLES
-    columns = table.bessel + (table.density, table.radial)
-    # N + 1 positive terms a density, N the least degree with every
+    columns = table.bessel + (table.u, table.radius)
+    # N + 1 positive terms a mixture, N the least degree with every
     # Bernstein coefficient >= 0 (test_elevated_coefficients_are_exact_and_least)
-    assert len(table.bessel[0]) == 4 + 2 and (len(table.density), len(table.radial)) == (9, 8)
+    assert len(table.bessel[0]) == 4 + 2 and (table.u.shape, table.radius.shape) == ((3, 9), (3, 8))
     for column in columns:
         assert not column.flags.writeable
         with pytest.raises(ValueError):
@@ -490,7 +491,7 @@ def test_nu1_table_is_built_once_and_read_only():
     analytic._nu1_table.cache_clear()
     again = analytic._nu1_table(3, 4)
     assert again is not table
-    assert [a.tobytes() for a in again.bessel + (again.density, again.radial)] == [
+    assert [a.tobytes() for a in again.bessel + (again.u, again.radius)] == [
         a.tobytes() for a in columns]
     assert [law(p, arr).tobytes() for law, arr in laws] == first
 
@@ -507,8 +508,46 @@ def test_nu1_table_builds_its_exact_constants_once(monkeypatch):
     constants = analytic._nu1_constants
     monkeypatch.setattr(analytic, "_nu1_constants", counted)
     table = analytic._Nu1Table(4, 12)
-    assert len(table.density) and len(table.radial)
+    assert table.u.size and table.radius.size
     assert builds == [(4, 12)]
+
+
+def _mixture_laws(mix):
+    # the weights w_j = exp(c_j) B(a_j, b_j) / 2 and the a_j, b_j of the
+    # Beta laws of a table's mixture, from its rows c_j, 2 a_j - 1, b_j - 1
+    log_c, power, rest_power = mix
+    a, b = 0.5 * (power + 1.0), rest_power + 1.0
+    return np.exp(log_c + betaln(a, b) - math.log(2.0)), a, b
+
+
+@pytest.mark.parametrize(
+    "d,n", [(2, 1), (3, 2), (4, 3), (2, 5), (5, 4), (4, 12), (8, 8), (10, 30), (4, 60), (10, 60)]
+)
+def test_nu1_mixture_weights_are_a_distribution(d, n):
+    table = analytic._nu1_table(d, n)
+    for mix in (table.u, table.radius):
+        weights = _mixture_laws(mix)[0]
+        assert np.all(weights >= 0.0)
+        assert math.fsum(weights) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_nu1_flights_draw_u_from_the_mixture_of_u():
+    # u = X_d^2 / (c^2 t^2 - |X_perp|^2) of simulated flights against the
+    # CDF sum_j w_j I_u(a_j, b_j) of the table's mixture, an oracle for the
+    # factorization of density_nu1 that shares no code with the sampler.
+    # KS < 0.01 at 1e5 flights raises a false alarm with probability at most
+    # 2 exp(-2 1e5 0.01^2) = 2e^-20 (Dvoretzky-Kiefer-Wolfowitz).  Negative
+    # control: the u of nu = 0 flights, whose law is about 0.115 away, must
+    # give KS > 0.05
+    weights, a, b = (v[:, None] for v in _mixture_laws(analytic._nu1_table(3, 2).u))
+    p = FlightParams(d=3, n=2, nu=1.0, c=1.3, t=0.9)
+    ct = p.c * p.t
+    ks = {}
+    for nu in (1.0, 0.0):
+        finals = simulate_batch(replace(p, nu=nu), 100_000, 3402)
+        u = np.sort(finals[:, -1] ** 2 / (ct * ct - np.sum(finals[:, :-1] ** 2, axis=1)))
+        ks[nu] = ks_distance(u, np.sum(weights * betainc(a, b, u), axis=0))
+    assert ks[1.0] < 0.01 and ks[0.0] > 0.05, ks
 
 
 # the law_eval benchmark's cells (bench/workloads.py): nu = 1 density and
@@ -807,17 +846,17 @@ def test_nu1_constants_stand_in_the_ratios_of_the_closed_brackets(d, n):
     for k, (r, b) in enumerate(zip(consts, brackets)):
         falling = math.prod((e0 - i for i in range(k)), start=Fraction(1))
         assert Fraction(r, consts[0]) * falling == b / brackets[0], k
-    # and the table's positive terms, at x = (0, ..., 0, 0.5) where
-    # x_d^2 = 1/4, Q = 3/4 and W = 1, sum to the closed form's value
-    tab = analytic._nu1_table(d, n)
-    N = len(tab.density) - 1
-    exponents = 0.5 * n * (d + 1) - n - 1 + N - np.arange(N + 1)
-    terms = np.exp(tab.density_pref + tab.density) * 0.25 ** np.arange(N + 1) * 0.75**exponents
+    # and the table's positive terms of u, at x = (0, ..., 0, 0.5) where
+    # W = 1 and s = sqrt(u) = 1/2, times the m = d - 1 projected density at
+    # the origin over 2, sum to the closed form's value
+    log_c, power, rest_power = analytic._nu1_table(d, n).u
+    terms = np.exp(log_c + power * math.log(0.5) + rest_power * math.log(0.75))
     assert np.all(terms >= 0.0)
     x = np.zeros(d)
     x[-1] = 0.5
     closed = density_nu1_closed(FlightParams(d=d, n=n, nu=1.0), x)
-    assert math.fsum(terms) == pytest.approx(closed, rel=1e-12)
+    h = density_projection(FlightParams(d=d, n=n, nu=1.0, m=d - 1), np.zeros(d - 1))
+    assert math.fsum(terms) * h / 2.0 == pytest.approx(closed, rel=1e-12)
 
 
 def _density_constants(d, n):
@@ -895,14 +934,31 @@ def test_density_nu1_support_and_domain():
         density_nu1_closed(FlightParams(d=2, n=3, nu=1.0), [0.1, 0.1])
 
 
+def test_density_nu1_where_the_two_norms_round_apart():
+    # just inside the unit sphere with x_d tiny, |x_perp|^2 and |x|^2 are
+    # summed apart and can round to |x_perp|^2 >= 1 > |x|^2 (3 473 of the
+    # d16 points with numpy 2.4.6 on x86-64); W = 1 - |x_perp|^2 would be
+    # <= 0 there and the density NaN
+    rng = _rng(6)
+    for d in (3, 8, 16):
+        x = rng.normal(size=(50_000, d))
+        x /= np.linalg.norm(x[:, :-1], axis=1)[:, None]
+        x[:, -1] = rng.uniform(0.0, 1e-9, 50_000)
+        vals = density_nu1(FlightParams(d=d, n=2, nu=1.0), x)
+        assert np.all(np.isfinite(vals) & (vals >= 0.0)), d
+
+
 def _density_nu1_against_mpmath(mp, p):
-    # at 12 points, every value is within 1e-9 relative of a 60-digit sum
+    # at 15 points, every value is within 1e-9 relative of a 60-digit sum;
+    # the last three, the origin, (0, ..., 0, 0.3) and a point with x_d = 0,
+    # are the s = 0 and s^0 edges of the mixture of u
     ct = p.c * p.t
-    for r in (0.0, 0.3, 0.6, 0.9):
-        for frac in (0.0, 0.5, 1.0):
-            x = point_with_norm(p.d, r * ct, r * ct * math.sqrt(frac))
-            v = density_nu1(p, x)
-            assert v == pytest.approx(density_nu1_mp(mp, p.d, p.n, ct, x), rel=1e-9, abs=0)
+    points = [point_with_norm(p.d, r * ct, r * ct * math.sqrt(frac))
+              for r in (0.0, 0.3, 0.6, 0.9) for frac in (0.0, 0.5, 1.0)]
+    off_axis = np.append(np.full(p.d - 1, 0.4 / math.sqrt(p.d - 1)), 0.0)
+    for x in points + [np.zeros(p.d), 0.3 * np.eye(p.d)[-1], off_axis]:
+        v = density_nu1(p, x)
+        assert v == pytest.approx(density_nu1_mp(mp, p.d, p.n, ct, x), rel=1e-9, abs=0)
 
 
 def test_density_nu1_large_d_n_matches_60_digit_sums():

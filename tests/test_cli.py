@@ -384,6 +384,34 @@ def test_mixture_past_the_former_ratio_cap(tmp_path):
     assert 0.0 < meta["truncation_tail_bound"] < 1e-8
 
 
+def test_mixture_command_computes_its_weights_once(tmp_path, monkeypatch):
+    # the density and the tail bound share one MixtureParams, whose n = 1..50
+    # weights are computed once and kept read-only: one _mixture_weights call
+    # for them and one for the bound's first two omitted terms, where each
+    # law once computed the weights for itself, with the same bytes out
+    calls = []
+    weights = analytic._mixture_weights
+
+    def counted(mp, n):
+        calls.append(np.size(n))
+        return weights(mp, n)
+
+    monkeypatch.setattr(analytic, "_mixture_weights", counted)
+    args = _COMMAND_SET["mixture"] + ["--x", "0.3", "--x", "-0.6"]
+    assert main(args + ["--out", str(tmp_path / "once.csv")]) == 0
+    assert calls == [50, 2]
+    mp = analytic.MixtureParams(lam=1.0, base=FlightParams(d=2, n=1, nu=0.0, m=1))
+    assert not mp._weights.flags.writeable and mp._weights is mp._weights
+    # each law computing the weights anew
+    monkeypatch.setattr(analytic.MixtureParams, "_weights", property(analytic._retained_weights))
+    calls.clear()
+    assert main(args + ["--out", str(tmp_path / "each.csv")]) == 0
+    assert calls == [50, 50, 2]
+    for suffix in ("", ".meta.json"):
+        once, each = (tmp_path / f"{name}.csv{suffix}" for name in ("once", "each"))
+        assert once.read_bytes() == each.read_bytes(), suffix
+
+
 def test_mixture_whose_tail_bound_fails_writes_no_file(tmp_path, monkeypatch):
     def fail(mp):
         raise ValueError("no tail bound")

@@ -85,7 +85,8 @@ def test_law_layers(capsys, monkeypatch):
     laws = ("cf_nu1", "density_nu1")
     cells = [f"{law} d{d} n{n}" for law in laws for d, n in script["NU1_CELLS"]]
     assert set(cells) <= set(rows)
-    assert {"check_identities", "FlightParams", "cf_nu1, the 14 law_eval cells"} <= set(rows)
+    assert {"check_identities", "FlightParams", "cf_nu1, the 14 law_eval cells",
+            "radial_density_projection d3 m2 n2 nu0.3"} <= set(rows)
     # every column a non-negative microsecond count; the laws without a
     # special function give it none
     for name, values in rows.items():
