@@ -14,19 +14,18 @@ import argparse
 import math
 import os
 import sys
+from itertools import chain
 
 import numpy as np
 
 from driftflight.angular import angular_density
 from driftflight.analytic import radial_density_nu1
-from driftflight.csvtext import open_output, write_rows
+from driftflight.csvtext import row_blocks, write_output
 from driftflight.flight import FlightParams, simulate_trajectories
 
 
 def write_csv(path, header, *columns):
-    with open_output(path, "wb") as fh:
-        fh.write(f"# columns: {header}\n".encode())
-        write_rows(fh, *columns)
+    write_output(path, chain([f"# columns: {header}\n".encode()], row_blocks(*columns)))
     print(f"wrote {path}")
 
 

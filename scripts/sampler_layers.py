@@ -29,12 +29,12 @@ sampler cuts it into, and every layer is timed over all of them (best of
   2^16 to 2^22 uniforms (two alternated sweeps).  What the second
   worker gains also depends on the host's load;
 * ``csv``: the CSV text of the cell's final positions with their
-  replicate column, ``write_rows(buf, np.arange(flights), finals)``
-  into memory, which is the call ``driftflight simulate`` makes: the
+  replicate column, ``row_blocks(np.arange(flights), finals)`` joined
+  in memory, the blocks ``driftflight simulate`` writes: the
   replicate column takes the integer slot, the positions the float path;
 * ``write``: those bytes rewritten over the file of the previous repeat
-  in a temporary directory through ``csvtext.open_output``, which opens
-  every output of ``driftflight`` (open, write, cut, close).
+  in a temporary directory through ``csvtext.write_output``, which
+  writes every output of ``driftflight`` (open, write, cut, close).
 
 The cells are the benchmark's ``mc_batch`` grid plus d8 n9 nu1 and
 d3 n2 nu2.5.  The timings are in process and wall clock, so they move
@@ -42,7 +42,6 @@ with the machine's load; compare runs made one after the other.
 """
 
 import argparse
-import io
 import os
 import tempfile
 import time
@@ -52,7 +51,7 @@ import numpy as np
 
 from driftflight import flight
 from driftflight.angular import direction_draws, directions
-from driftflight.csvtext import open_output, write_rows
+from driftflight.csvtext import row_blocks, write_output
 from driftflight.flight import FlightParams, draws_per_flight, simulate_batch
 from driftflight.temporal import time_draws, waiting_times
 
@@ -107,16 +106,13 @@ def layer_times(p: FlightParams, flights: int, repeats: int, seed: int = 1) -> d
     with mock.patch.object(flight, "_cpus", return_value=1):
         out["one_worker"] = _best(lambda: simulate_batch(p, flights, seed), repeats)
     columns = (np.arange(flights), simulate_batch(p, flights, seed))
-    out["csv"] = _best(lambda: write_rows(io.BytesIO(), *columns), repeats)
-    buf = io.BytesIO()
-    write_rows(buf, *columns)
-    text = buf.getvalue()
+    out["csv"] = _best(lambda: b"".join(row_blocks(*columns)), repeats)
+    text = b"".join(row_blocks(*columns))
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "positions.csv")
 
         def write():
-            with open_output(path, "wb") as fh:
-                fh.write(text)
+            write_output(path, [text])
 
         write()  # the timed calls rewrite an existing file
         out["write"] = _best(write, repeats)

@@ -35,12 +35,14 @@ import math
 import os
 import re
 import sys
+from contextlib import suppress
+from itertools import chain
 
 import numpy as np
 
 from . import analytic
 from .analytic import MixtureParams
-from .csvtext import open_output, write_rows
+from .csvtext import row_blocks, write_output
 from .flight import FlightParams, _check_seed, _simulate, simulate_batch
 from .flight import simulate_flight  # noqa: F401  (unused; bench/tracing.py wraps it here)
 
@@ -55,36 +57,70 @@ class _UsageError(Exception):
 
 def _write_outputs(path: str, names: list[str], config: dict, *columns, extra=None) -> None:
     """Write the columns (1-D, or 2-D for several) side by side as the
-    rows of the CSV ``path``, then its ``.meta.json`` sidecar: the config
-    and the ``extra`` entries."""
+    rows of the CSV ``path`` (its header with the first block), then its
+    ``.meta.json`` sidecar: the config and the ``extra`` entries."""
     header = json.dumps(config, sort_keys=True, separators=(",", ":"))
-    with open_output(path, "wb") as fh:
-        fh.write(f"# config: {header}\n# columns: {','.join(names)}\n".encode())
-        write_rows(fh, *columns)
-    with open_output(path + ".meta.json", "w") as fh:
-        fh.write(json.dumps({"config": config, **(extra or {})}, sort_keys=True, indent=2) + "\n")
+    blocks = row_blocks(*columns)
+    head = f"# config: {header}\n# columns: {','.join(names)}\n".encode() + next(blocks, b"")
+    write_output(path, chain([head], blocks))
+    sidecar = _json_text({"config": config, **(extra or {})}) + "\n"
+    write_output(path + ".meta.json", [sidecar.encode()])
+
+
+def _json_text(obj) -> str:
+    """``json.dumps(obj, sort_keys=True, indent=2)``, which takes json's
+    pure-Python encoder: the dicts, lists and tuples laid out with a "%s"
+    for each key and scalar, their texts from json's C encoder in one call."""
+    scalars = []
+
+    def layout(value, indent: str) -> str:
+        if not (isinstance(value, (dict, list, tuple)) and value):
+            scalars.append(value)
+            return "%s"
+        inner = indent + "  "
+        if isinstance(value, dict):
+            items = []
+            for key, item in sorted(value.items()):  # a key of no string is json's text of it
+                scalars.append(key if isinstance(key, str) else json.dumps(key))
+                items.append("%s: " + layout(item, inner))
+            return "{" + inner + f",{inner}".join(items) + indent + "}"
+        return "[" + inner + f",{inner}".join([layout(item, inner) for item in value]) + indent + "]"
+
+    text = layout(obj, "\n")  # one scalar a line: the C encoder escapes a string's newline
+    return text % tuple(json.dumps(scalars, separators=("\n", ":"))[1:-1].split("\n"))
 
 
 def _numbers(key: str, kind, value) -> list:
-    """A --<key> value, comma-separated text, a number or a list of those,
-    as a non-empty list of numbers of ``kind``; an empty result, a field
-    that is empty or no number, or a float that is not finite (a point or
-    frequency of --x, --alpha or --anorm) is a usage error."""
+    """``_number_lists`` of the one value ``value``."""
+    return _number_lists(key, kind, [value])[0]
+
+
+def _number_lists(key: str, kind, values) -> list[list]:
+    """Each of ``values`` (a --<key> value: comma-separated text, a number
+    or a list of those) as a non-empty list of numbers of ``kind``, all
+    their text read by one ``float`` map.  An empty list, a field that is
+    empty or no number, or a float that is not finite (a point or frequency
+    of --x, --alpha or --anorm) is a usage error, raised for the first value
+    at fault as that value alone raises it."""
+    groups = [[field for item in (value if isinstance(value, list) else [value])
+               for field in (item.split(",") if isinstance(item, str) else [item])]
+              for value in values]
+    fields = [*chain.from_iterable(groups)]
     numbers = []
-    for item in value if isinstance(value, list) else [value]:
-        fields = item.split(",") if isinstance(item, str) else [item]
-        if kind is float and isinstance(item, str):
-            try:  # float reads each field as _typed does
-                numbers += [*map(float, fields)]
-                continue
-            except ValueError:
-                pass  # _typed names the field that failed
-        numbers += [_typed(key, kind, field) for field in fields]
-    if not numbers:
-        raise _UsageError(f"--{key} takes at least one number")
-    if kind is float and not all(map(math.isfinite, numbers)):
-        raise _UsageError(f"--{key} {numbers} must be finite")
-    return numbers
+    if kind is float and {*map(type, fields)} == {str}:
+        with suppress(ValueError):  # float reads each field as _typed does
+            numbers = [*map(float, fields)]
+    finite = kind is not float or numbers and all(map(math.isfinite, numbers))
+    end = 0
+    for i, group in enumerate(groups):
+        start, end = end, end + len(group)
+        # without the map, _typed names the field that fails
+        groups[i] = group = numbers[start:end] if numbers else [_typed(key, kind, f) for f in group]
+        if not group:
+            raise _UsageError(f"--{key} takes at least one number")
+        if not finite and not all(map(math.isfinite, group)):
+            raise _UsageError(f"--{key} {group} must be finite")
+    return groups
 
 
 def _vector_args(cfg: dict, key: str, dim: int) -> np.ndarray:
@@ -94,7 +130,7 @@ def _vector_args(cfg: dict, key: str, dim: int) -> np.ndarray:
         raw = [raw]  # one vector: comma-separated text or a flat list of numbers
     if not all(isinstance(v, (str, list)) for v in raw):
         raise _UsageError(f"--{key} takes comma-separated text or lists of numbers, got {raw!r}")
-    vecs = [_numbers(key, float, v) for v in raw]
+    vecs = _number_lists(key, float, raw)
     for vec in vecs:
         if len(vec) != dim:
             raise _UsageError(f"--{key} {vec} must have length {dim}")
@@ -309,11 +345,10 @@ def _cmd_validate(command: str, cfg: dict) -> int:
         only=cfg.get("only"),
     )
     report = run_suite(config)
-    text = json.dumps(report, sort_keys=True, indent=2) + "\n"
+    text = _json_text(report) + "\n"
     out = cfg.get("out")
     if out is not None:
-        with open_output(out, "w") as fh:
-            fh.write(text)
+        write_output(out, [text.encode()])
     else:
         sys.stdout.write(text)
     return 0 if report["passed"] else VALIDATION_FAILURE

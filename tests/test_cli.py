@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from driftflight import analytic, cli, flight
 from driftflight.cli import IO_ERROR, USAGE_ERROR, VALIDATION_FAILURE, main
-from driftflight.csvtext import BLOCK_VALUES, write_rows
+from driftflight.csvtext import row_blocks
 from driftflight.flight import FlightParams, replicate_stream, simulate_batch, simulate_flight
 from _oracles import ArgparseUsageError, argparse_cli_parser
 from test_acceptance import CLI_COMMAND_SETS
@@ -692,13 +692,13 @@ def test_failed_write_leaves_no_old_bytes(tmp_path, monkeypatch):
     out.write_bytes(b"\xff" * (2 * len(full)))
     failed_at = []
 
-    def one_block_then_fail(fh, *columns):
-        width = sum(np.asarray(c).reshape(len(c), -1).shape[1] for c in columns)
-        write_rows(fh, *(c[: BLOCK_VALUES // width] for c in columns))
-        failed_at.append(fh.tell())
+    def one_block_then_fail(*columns):
+        block = next(row_blocks(*columns))
+        yield block
+        failed_at.append(full.index(block) + len(block))  # the header, then this block
         raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
 
-    monkeypatch.setattr(cli, "write_rows", one_block_then_fail)
+    monkeypatch.setattr(cli, "row_blocks", one_block_then_fail)
     assert main(cmd + ["--out", str(out)]) == IO_ERROR
     assert 0 < failed_at[0] < len(full)
     assert out.read_bytes() == full[: failed_at[0]]

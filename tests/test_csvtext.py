@@ -1,10 +1,9 @@
-import io
 
 import numpy as np
 import pytest
 
 from driftflight import csvtext
-from driftflight.csvtext import BLOCK_VALUES, format_rows, write_rows
+from driftflight.csvtext import BLOCK_VALUES, format_rows, row_blocks
 
 
 def _percent(rows) -> bytes:
@@ -100,15 +99,13 @@ def test_small_blocks_on_both_paths(monkeypatch, shape, min_array):
 
 @pytest.mark.parametrize("ncols", [1, 4, 9])
 @pytest.mark.parametrize("extra", [-1, 0, 1])
-def test_write_rows_across_block_seams(ncols, extra):
+def test_row_blocks_across_block_seams(ncols, extra):
     rng = np.random.default_rng(ncols)
     nrows = BLOCK_VALUES // ncols + extra
     rows = rng.uniform(-1.0, 1.0, (nrows, ncols)) * 10.0 ** rng.integers(-5, 18, (nrows, ncols))
     rows[::3, 0] = np.arange(len(rows[::3]))
     rows[1::5, -1] = 0.0
-    sink = io.BytesIO()
-    write_rows(sink, rows)
-    assert sink.getvalue() == _percent(rows)
+    assert b"".join(row_blocks(rows)) == _percent(rows)
 
 
 # integers inside the integer slot [0, 10^7), and outside it: there the
@@ -156,9 +153,7 @@ def test_integer_columns_read_as_their_doubles(monkeypatch, kind, place, min_arr
         "between": (x[:, 0], ints, x[:, 1:]),
         "last": (x[:, 0], x[:, 1:], ints),
     }[place]
-    sink = io.BytesIO()
-    write_rows(sink, *columns)
-    assert sink.getvalue() == _percent_columns(*columns)
+    assert b"".join(row_blocks(*columns)) == _percent_columns(*columns)
 
 
 @pytest.mark.parametrize("min_array", [csvtext.MIN_ARRAY_VALUES, 0])
@@ -169,9 +164,7 @@ def test_integer_only_rows_and_two_dimensional_integers(monkeypatch, min_array):
     end = np.arange(10**7 - 5000, 10**7 + 1)  # the last block ends at 10^7, past the slot
     for columns in [(ints,), (pairs,), (ints, pairs), (pairs[:, :1], np.arange(len(ints))), (end,)]:
         assert format_rows(*columns) == _percent_columns(*columns)
-        sink = io.BytesIO()
-        write_rows(sink, *columns)
-        assert sink.getvalue() == _percent_columns(*columns)
+        assert b"".join(row_blocks(*columns)) == _percent_columns(*columns)
 
 
 def test_integer_slot_takes_the_columns_in_its_range(monkeypatch):
@@ -184,15 +177,13 @@ def test_integer_slot_takes_the_columns_in_its_range(monkeypatch):
     nrows = 3000
     ints = np.arange(10**7 - nrows, 10**7)  # up to the last integer of the slot
     columns = (ints, ints % 4, np.linspace(0.0, 1.0, nrows), np.ones((nrows, 2)))
-    sink = io.BytesIO()
-    write_rows(sink, *columns)
-    assert sink.getvalue() == _percent_columns(*columns)
+    assert b"".join(row_blocks(*columns)) == _percent_columns(*columns)
     assert widths and set(widths) == {3}
 
 
 @pytest.mark.parametrize(
     "columns", [(), (np.zeros((3, 0)),), (np.zeros((0, 0)),), (np.arange(3), np.arange(4))]
 )
-def test_write_rows_refuses_no_columns_and_ragged_ones(columns):
+def test_row_blocks_refuse_no_columns_and_ragged_ones(columns):
     with pytest.raises(ValueError):
-        write_rows(io.BytesIO(), *columns)
+        b"".join(row_blocks(*columns))
