@@ -203,12 +203,14 @@ def _beta_mixture(mix, s, rest) -> np.ndarray:
     """The density at s (...) of s = sqrt(v), v a mixture of Beta(a_j, b_j)
     laws, given rest = 1 - s^2: sum_j exp(c_j + (2 a_j - 1) log s +
     (b_j - 1) log rest), the rows of ``mix`` (3, J) c_j = log(2 w_j / B(a_j, b_j)),
-    w_j the weights, 2 a_j - 1 and b_j - 1.  Summed in order with the points
-    in a row, so one point has the bits of its batch row; s^0 = 1 at s = 0."""
+    w_j the weights, 2 a_j - 1 and b_j - 1, in ascending powers, so only
+    the first can be 0.  Summed in order with the points in a row, so one
+    point has the bits of its batch row; s^0 = 1 at s = 0."""
     log_c, power, rest_power = np.reshape(mix, (3, -1, 1))
     shape = np.shape(s)
     point = power * np.log(np.reshape(s, -1))
-    point[power[:, 0] == 0.0] = 0.0
+    if power[0, 0] == 0.0:
+        point[0] = 0.0
     point += rest_power * np.log(np.reshape(rest, -1))
     return _in_order_sum(np.exp(log_c + point)).reshape(shape)
 
@@ -382,13 +384,18 @@ class _Nu1Table:
     ``radius`` and ``u`` hold the :func:`_beta_mixture` rows of the
     radius and of u = x_d^2 / (1 - |x_perp|^2), both from one list
     ``constants`` of the exact R_k of :func:`_nu1_constants`.  ``cf_pref``
-    is the log of the cf's common factor.
+    is the log of the cf's common factor, and ``h`` the log constant and
+    the power q of the m = d - 1 projected density exp(log constant +
+    q log(1 - |y|^2)) at nu = 1, as :func:`_projection_densities` takes them.
     """
 
     def __init__(self, d: int, n: int):
         self.d, self.n = d, n
         M = (n + 1) * (d + 1)
         self.cf_pref = 0.5 * _LN_PI + math.lgamma(M) - 0.5 * (M - 1) * _LN_2
+        K, m = 0.5 * (n + 1) * (d + 1.0), d - 1
+        log_norm = math.lgamma(K + 0.5) - math.lgamma(K - 0.5 * m + 0.5) - 0.5 * m * _LN_PI
+        self.h = log_norm, K - 0.5 * (m + 1)
 
     @cached_property
     def bessel(self) -> tuple:
@@ -498,8 +505,9 @@ def density_nu1(p: FlightParams, x):
     # 1 - u as Q / W, so never u >= 1 inside the ball; W >= Q also where the norms round apart
     W = np.maximum(1.0 - perp2, Q := 1.0 - rho2)
     root = np.sqrt(W)
-    h = _projection_densities(p, p.n, W, p.d - 1, 1.0)[0]
-    g = _beta_mixture(_nu1_table(p.d, p.n).u, np.abs(y[..., -1]) / root, Q / W)
+    table = _nu1_table(p.d, p.n)
+    h = np.exp(table.h[0] + table.h[1] * np.log(W))
+    g = _beta_mixture(table.u, np.abs(y[..., -1]) / root, Q / W)
     return _times_ct_power(_supported(rho2 >= 1.0, h * g / (2.0 * root)), ct, p.d)
 
 
