@@ -134,6 +134,22 @@ def _sq_norm(x: np.ndarray) -> np.ndarray:
     return (x[..., None, :] @ x[..., :, None])[..., 0, 0]
 
 
+def _ball_gaps(y: np.ndarray):
+    """1 - (y_1^2 + ... + y_k^2) for k = 1..dim along the last axis, with
+    an absolute error of about dim 2^-26 eps, where a rounded sum of
+    squares has one of about eps, which is all of a gap next to the unit
+    sphere; and the sums of the high parts.  Each y_i <= 1 in size splits
+    into a high part h_i on the grid of 2^-26 and y_i - h_i, so that h_i^2
+    and all sums of them below 2 are exact multiples of 2^-52: a gap is
+    (1 - sum h_i^2) - sum (y_i - h_i)(y_i + h_i)."""
+    high = y + 100663296.0  # 1.5 2^26: rounds |y| < 2^25 to the grid
+    high -= 100663296.0
+    cross = y + high
+    cross *= y - high
+    squares = np.add.accumulate(high * high, axis=-1)
+    return (1.0 - squares) - np.add.accumulate(cross, axis=-1), squares
+
+
 def _frequencies(alpha: np.ndarray, ct: float):
     """Frequency vectors y = 2^-k alpha, their norms |y| and the norms
     w = c t |alpha|.  k is 0 but where alpha @ alpha over- or underflows
@@ -501,14 +517,15 @@ def density_nu1(p: FlightParams, x):
     _require_nu1(p)
     ct = p.c * p.t
     y = _unit(_vectors(x, p.d), ct)
-    rho2, perp2 = _sq_norm(y), _sq_norm(y[..., :-1])
-    # 1 - u as Q / W, so never u >= 1 inside the ball; W >= Q also where the norms round apart
-    W = np.maximum(1.0 - perp2, Q := 1.0 - rho2)
+    gaps, sums = _ball_gaps(y)
+    # 1 - u as Q / W, so never u >= 1 inside the ball; W >= Q also where the gaps round apart
+    W = np.maximum(gaps[..., -2], Q := gaps[..., -1])
     root = np.sqrt(W)
     table = _nu1_table(p.d, p.n)
     h = np.exp(table.h[0] + table.h[1] * np.log(W))
     g = _beta_mixture(table.u, np.abs(y[..., -1]) / root, Q / W)
-    return _times_ct_power(_supported(rho2 >= 1.0, h * g / (2.0 * root)), ct, p.d)
+    outside = (Q <= 0.0) | (sums[..., -1] == math.inf)  # inf: y_i - h_i is NaN at y_i = inf
+    return _times_ct_power(_supported(outside, h * g / (2.0 * root)), ct, p.d)
 
 
 @_MASKED

@@ -948,6 +948,20 @@ def test_density_nu1_where_the_two_norms_round_apart():
         assert np.all(np.isfinite(vals) & (vals >= 0.0)), d
 
 
+@pytest.mark.parametrize("d,n", [(3, 2), (4, 8)])
+@pytest.mark.parametrize("gap", [1e-10, 1e-6])
+def test_density_nu1_keeps_its_digits_next_to_the_sphere(d, n, gap):
+    # 1 - |x|^2 from a rounded sum of squares lost its digits next to the
+    # sphere: 1.0e-9 from 60 digits at d4 n8, x = (1 - 1e-10, 0, 0, 0); the
+    # split sum (analytic._ball_gaps) keeps them on and off the axes
+    mp = pytest.importorskip("mpmath")
+    p = FlightParams(d=d, n=n, nu=1.0)
+    r = 1.0 - gap
+    for x in (np.eye(d)[0] * r, np.eye(d)[-1] * r, np.full(d, r / math.sqrt(d))):
+        want = density_nu1_mp(mp, d, n, 1.0, x)
+        assert want > 0.0 and density_nu1(p, x) == pytest.approx(want, rel=1e-11, abs=0), x
+
+
 def _density_nu1_against_mpmath(mp, p):
     # at 15 points, every value is within 1e-9 relative of a 60-digit sum;
     # the last three, the origin, (0, ..., 0, 0.3) and a point with x_d = 0,
