@@ -21,7 +21,13 @@ The rows are the library calls behind the ``law_eval`` workload of
 * ``unconditional_density_projection``, the mixture, at d3 m2 nu0.5,
   lam 2, on 40 points;
 * ``check_identities(identity_grid())``, the Bessel identity suite;
-* one ``FlightParams`` construction, the check every law's parameters pass.
+* one ``FlightParams`` construction, the check every law's parameters pass;
+* one ``driftflight density --formula nu1`` command at d5 n4, through
+  ``cli.main``, on the 12 points of the ``density_nu1 d5 n4`` row (as
+  ``%.17g`` text, which reads back bit for bit) into a temporary
+  directory, and that command minus the law: the glue between argv and
+  the bytes of the CSV and its sidecar (parsing, reading the points,
+  formatting, writing).
 
 Columns, in microseconds a call: ``call``, the median over ``--repeats``
 of the call made after a fixed spell of other work (interpreted Python,
@@ -36,20 +42,26 @@ compare runs made one after the other.
 """
 
 import argparse
+import os
 import statistics
+import tempfile
 import time
 from unittest import mock
 
 import numpy as np
 from scipy.special import betaincinv
 
-from driftflight import analytic, specfun
+from driftflight import analytic, cli, specfun
 from driftflight.analytic import MixtureParams
 from driftflight.flight import FlightParams
 from driftflight.validation import check_identities, identity_grid
 
 NU1_CELLS = tuple((d, n) for d in (2, 3, 5, 8) for n in (1, 2, 4, 8))
 NU1_POINTS = 12
+# the cell of the command row, and the names of its two rows
+COMMAND_CELL = (5, 4)
+COMMAND = "density --formula nu1 command d5 n4"
+GLUE = COMMAND + ", minus its law"
 # law_eval times the cf only up to this Bessel order, (n+1)(d+3)/2 - 1/2
 CF_MAX_ORDER = 30.0
 COLUMNS = ("call", "special", "outside", "hot")
@@ -111,8 +123,9 @@ def _ball(rng, count: int, dim: int, radius: float = 1.0) -> np.ndarray:
     return _directions(rng, count, dim) * radius * rng.uniform(size=(count, 1)) ** (1.0 / dim)
 
 
-def _cases() -> list:
-    """(row name, call, special function or None) in the order printed."""
+def _cases(out_dir: str) -> list:
+    """(row name, call, special function or None) in the order printed;
+    the command row writes into ``out_dir``."""
     rng = np.random.default_rng(1)
     jv, betainc = (specfun, "jv"), (analytic, "betainc")
     cases = []
@@ -126,6 +139,11 @@ def _cases() -> list:
             fn = getattr(analytic, law)
             cases.append((f"{law} d{d} n{n}", lambda fn=fn, p=p, at=at: fn(p, at),
                           jv if law == "cf_nu1" else None))
+            if law == "density_nu1" and (d, n) == COMMAND_CELL:
+                argv = ["density", "--formula", "nu1", "--d", str(d), "--n", str(n), "--nu", "1",
+                        *(f"--x={','.join('%.17g' % v for v in row)}" for row in at),
+                        "--out", os.path.join(out_dir, "density.csv")]
+                command = (COMMAND, lambda argv=argv: cli.main(argv), None)
     for n in (1, 2):
         p, r = FlightParams(d=3, n=n, nu=1.0), np.linspace(0.0, 1.0, 1500)
         cases.append((f"radial_density_nu1 d3 n{n}",
@@ -141,6 +159,7 @@ def _cases() -> list:
     x = _ball(rng, 40, 2, 0.95)
     mixture = analytic.unconditional_density_projection
     cases.append(("mixture d3 m2 nu0.5", lambda: mixture(mp, x), None))
+    cases.append(command)
     grid = identity_grid()
     cases.append(("check_identities", lambda: check_identities(grid), jv))
     # as the command line builds it, every field given
@@ -153,13 +172,16 @@ def layer_times(repeats: int) -> dict[str, dict[str, float]]:
     """Seconds a call of each case in each of ``COLUMNS``, plus the two
     sums over the cells law_eval times."""
     out = {}
-    for name, fn, special in _cases():
-        fn()  # a first call builds what the law keeps, the nu = 1 tables
-        row = {"call": _cold(fn, repeats), "hot": _hot(fn, repeats)}
-        row["special"] = _cold(_recorded(fn, special), repeats) if special else 0.0
-        # clamped at 0 where the noise of the two medians exceeds it
-        row["outside"] = max(0.0, row["call"] - row["special"])
-        out[name] = row
+    with tempfile.TemporaryDirectory() as out_dir:
+        for name, fn, special in _cases(out_dir):
+            fn()  # a first call builds what the law keeps, the nu = 1 tables
+            row = {"call": _cold(fn, repeats), "hot": _hot(fn, repeats)}
+            row["special"] = _cold(_recorded(fn, special), repeats) if special else 0.0
+            # clamped at 0 where the noise of the two medians exceeds it
+            row["outside"] = max(0.0, row["call"] - row["special"])
+            out[name] = row
+    law = out["density_nu1 d%d n%d" % COMMAND_CELL]
+    out[GLUE] = {k: max(0.0, out[COMMAND][k] - law[k]) for k in COLUMNS}
     cf_cells = [(d, n) for d, n in NU1_CELLS if ((n + 1) * (d + 3) - 1) / 2 <= CF_MAX_ORDER]
     timed = {
         "cf_nu1, the 14 law_eval cells": [f"cf_nu1 d{d} n{n}" for d, n in cf_cells],

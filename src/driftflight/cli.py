@@ -49,6 +49,8 @@ from .flight import simulate_flight  # noqa: F401  (unused; bench/tracing.py wra
 USAGE_ERROR = 1
 VALIDATION_FAILURE = 2
 IO_ERROR = 3
+# a CSV header's config, as json.dumps(config, sort_keys=True, separators=(",", ":")) writes it
+_HEADER_JSON = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
 
 class _UsageError(Exception):
@@ -59,9 +61,9 @@ def _write_outputs(path: str, names: list[str], config: dict, *columns, extra=No
     """Write the columns (1-D, or 2-D for several) side by side as the
     rows of the CSV ``path`` (its header with the first block), then its
     ``.meta.json`` sidecar: the config and the ``extra`` entries."""
-    header = json.dumps(config, sort_keys=True, separators=(",", ":"))
     blocks = row_blocks(*columns)
-    head = f"# config: {header}\n# columns: {','.join(names)}\n".encode() + next(blocks, b"")
+    head = f"# config: {_HEADER_JSON(config)}\n# columns: {','.join(names)}\n".encode()
+    head += next(blocks, b"")
     write_output(path, chain([head], blocks))
     sidecar = _json_text({"config": config, **(extra or {})}) + "\n"
     write_output(path + ".meta.json", [sidecar.encode()])
@@ -84,7 +86,8 @@ def _json_text(obj) -> str:
                 scalars.append(key if isinstance(key, str) else json.dumps(key))
                 items.append("%s: " + layout(item, inner))
             return "{" + inner + f",{inner}".join(items) + indent + "}"
-        return "[" + inner + f",{inner}".join([layout(item, inner) for item in value]) + indent + "]"
+        items = [layout(item, inner) for item in value]
+        return "[" + inner + f",{inner}".join(items) + indent + "]"
 
     text = layout(obj, "\n")  # one scalar a line: the C encoder escapes a string's newline
     return text % tuple(json.dumps(scalars, separators=("\n", ":"))[1:-1].split("\n"))
@@ -97,24 +100,20 @@ def _numbers(key: str, kind, value) -> list:
 
 def _number_lists(key: str, kind, values) -> list[list]:
     """Each of ``values`` (a --<key> value: comma-separated text, a number
-    or a list of those) as a non-empty list of numbers of ``kind``, all
-    their text read by one ``float`` map.  An empty list, a field that is
-    empty or no number, or a float that is not finite (a point or frequency
-    of --x, --alpha or --anorm) is a usage error, raised for the first value
-    at fault as that value alone raises it."""
+    or a list of those) as a non-empty list of numbers of ``kind``, all the
+    text read by one ``float`` map.  An empty list, a field that is empty or
+    no number, or a float that is not finite (a point or frequency) is a
+    usage error, raised for the first value at fault as it alone raises it."""
     groups = [[field for item in (value if isinstance(value, list) else [value])
                for field in (item.split(",") if isinstance(item, str) else [item])]
               for value in values]
-    fields = [*chain.from_iterable(groups)]
-    numbers = []
+    fields, numbers, end = [*chain.from_iterable(groups)], [], 0
     if kind is float and {*map(type, fields)} == {str}:
         with suppress(ValueError):  # float reads each field as _typed does
             numbers = [*map(float, fields)]
     finite = kind is not float or numbers and all(map(math.isfinite, numbers))
-    end = 0
     for i, group in enumerate(groups):
-        start, end = end, end + len(group)
-        # without the map, _typed names the field that fails
+        start, end = end, end + len(group)  # without the map, _typed names a field that fails
         groups[i] = group = numbers[start:end] if numbers else [_typed(key, kind, f) for f in group]
         if not group:
             raise _UsageError(f"--{key} takes at least one number")

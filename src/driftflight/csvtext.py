@@ -342,18 +342,13 @@ def row_blocks(*columns):
 
 
 def write_output(path, chunks) -> None:
-    """Write the byte strings ``chunks`` (a generator too) to ``path``
-    through one file descriptor, rewriting an existing file in place, and
-    then, also when a chunk raises, cut a regular file to the bytes
-    written: no tail of an older, longer file survives.  A new file gets
-    the mode bits ``open`` gives it.  Cutting last is cheaper than
-    truncating first: ext4 (with its default ``auto_da_alloc``) flushes a
-    file to disk on close when it was truncated to 0 and then rewritten.
-    Rewriting a 900-byte file took 0.18 ms that way and 0.016 ms in
-    place, a 1.2 MB file 1.8 and 0.17 ms (2-vCPU VM, ext4 on a virtio
-    disk).  Renaming a temporary file over the old one pays the same
-    flush, and the file object of ``open`` costs more than the writes of
-    a small output."""
+    """Write the byte strings ``chunks`` (a generator too) to ``path`` in
+    place, then, also when a chunk raises, cut a regular file to the bytes
+    written; a new file gets the mode bits of ``open``, whose file object
+    costs more than the writes of a small output.  Truncating first makes
+    ext4 (``auto_da_alloc``) flush on close: rewriting a 900-byte file took
+    0.18 ms that way and 0.016 ms in place, a 1.2 MB file 1.8 and 0.17 ms
+    (2-vCPU VM, ext4 on virtio).  A rename over the old file pays the same."""
     fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
     try:
         old, written = os.fstat(fd), 0

@@ -704,6 +704,63 @@ def test_failed_write_leaves_no_old_bytes(tmp_path, monkeypatch):
     assert out.read_bytes() == full[: failed_at[0]]
 
 
+# every command's sidecar: simulate with and without trajectories, each
+# density and cf formula, cdf, moments with its orders list and mixture
+# with its tail bound
+_SIDECAR_COMMANDS = [
+    ["simulate", "--d", "3", "--n", "2", "--nu", "1", "--count", "5", "--seed", "3"],
+    ["simulate", "--d", "2", "--n", "1", "--count", "5", "--trajectories", "2"],
+    *[["density", "--formula", formula, "--d", "3", "--m", "2", "--n", "2", "--nu", "1",
+       "--x", "0.1,-0.2" if formula == "projected" else "0.1,-0.2,0.3", "--r-points", "5"]
+      for formula in cli._formulas("density")],
+    ["cf", "--formula", "projected", "--d", "3", "--m", "2", "--n", "1", "--anorm", "0.5,2"],
+    ["cf", "--formula", "nu1", "--d", "3", "--n", "2", "--nu", "1", "--alpha", "1,2,3"],
+    ["cdf", "--d", "4", "--m", "2", "--n", "2", "--nu", "1", "--r-points", "5"],
+    ["moments", "--d", "3", "--m", "2", "--n", "1", "--orders", "1,2,4"],
+    ["mixture", "--d", "3", "--m", "2", "--nu", "0.5", "--lam", "2", "--x", "0.1,0.2"],
+]
+
+
+def _json_texts_of(monkeypatch, argv) -> list:
+    """The objects ``main(argv)`` writes through ``cli._json_text``."""
+    seen = []
+    json_text = cli._json_text
+    monkeypatch.setattr(cli, "_json_text", lambda obj: seen.append(obj) or json_text(obj))
+    assert main(argv) == 0
+    monkeypatch.undo()
+    return seen
+
+
+@pytest.mark.parametrize("cmd", _SIDECAR_COMMANDS, ids=lambda cmd: "-".join(cmd[:3]))
+def test_json_text_of_every_sidecar_is_json_dumps(tmp_path, monkeypatch, cmd):
+    out = tmp_path / "o.csv"
+    seen = _json_texts_of(monkeypatch, cmd + ["--out", str(out)])
+    assert len(seen) == (2 if "--trajectories" in cmd else 1)
+    for obj in seen:
+        assert cli._json_text(obj) == json.dumps(obj, sort_keys=True, indent=2)
+    meta = (tmp_path / "o.csv.meta.json").read_text()
+    assert meta == json.dumps(json.loads(meta), sort_keys=True, indent=2) + "\n"
+
+
+def test_json_text_of_the_quick_validate_report_is_json_dumps(tmp_path, monkeypatch):
+    out = tmp_path / "report.json"
+    (report,) = _json_texts_of(monkeypatch, ["validate", "--out", str(out)])
+    assert report["config"]["profile"] == "quick"
+    assert out.read_text() == json.dumps(report, sort_keys=True, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("obj", [
+    {"values": [math.nan, math.inf, -math.inf, -0.0, None, True, False, 2**70],
+     "text": 'a "quoted" caf\u00e9 \u2014 %s\n\\', "empty": [{}, [], ()],
+     "nested": [[1, [2.5, []]]], "tuple": (1, ("two", {"b": 3, "a": (4,)})), "": {"z": {}, "a": []}},
+    {2: "two", 1: [True], 10: None},  # keys of no string, as json spells them
+    {1.5: 0, -0.0: 1, math.inf: 2}, {True: 1, False: 0}, {None: 1},
+    [], {}, (), 0, "%s", -0.0, [[[]]],
+], ids=lambda obj: type(obj).__name__)
+def test_json_text_is_json_dumps(obj):
+    assert cli._json_text(obj) == json.dumps(obj, sort_keys=True, indent=2)
+
+
 def test_output_to_a_character_device():
     # /dev/null cannot be cut to length; only regular files are
     assert main(["validate", "--only", "identities", "--out", os.devnull]) == 0

@@ -93,3 +93,6 @@ def test_law_layers(capsys, monkeypatch):
         assert len(values) == len(script["COLUMNS"]), name
         assert all(float(v.replace(",", "")) >= 0.0 for v in values), name
     assert rows["density_nu1 d3 n2"][1] == "0.0" and float(rows["cf_nu1 d3 n2"][1]) > 0.0
+    # the density command at d5 n4 and its glue, the command minus its law
+    command, glue = rows[script["COMMAND"]], rows[script["GLUE"]]
+    assert float(command[0].replace(",", "")) > 0.0 and command[1] == glue[1] == "0.0"
