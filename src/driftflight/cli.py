@@ -59,12 +59,10 @@ class _UsageError(Exception):
 
 def _write_outputs(path: str, names: list[str], config: dict, *columns, extra=None) -> None:
     """Write the columns (1-D, or 2-D for several) side by side as the
-    rows of the CSV ``path`` (its header with the first block), then its
-    ``.meta.json`` sidecar: the config and the ``extra`` entries."""
-    blocks = row_blocks(*columns)
+    rows of the CSV ``path``, then its ``.meta.json`` sidecar: the config
+    and the ``extra`` entries."""
     head = f"# config: {_HEADER_JSON(config)}\n# columns: {','.join(names)}\n".encode()
-    head += next(blocks, b"")
-    write_output(path, chain([head], blocks))
+    write_output(path, chain([head], row_blocks(*columns)))
     sidecar = _json_text({"config": config, **(extra or {})}) + "\n"
     write_output(path + ".meta.json", [sidecar.encode()])
 
