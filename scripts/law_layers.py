@@ -143,7 +143,7 @@ def _cases(out_dir: str) -> list:
                 argv = ["density", "--formula", "nu1", "--d", str(d), "--n", str(n), "--nu", "1",
                         *(f"--x={','.join('%.17g' % v for v in row)}" for row in at),
                         "--out", os.path.join(out_dir, "density.csv")]
-                command = (COMMAND, lambda argv=argv: cli.main(argv), None)
+                cases.append((COMMAND, lambda argv=argv: cli.main(argv), None))
     for n in (1, 2):
         p, r = FlightParams(d=3, n=n, nu=1.0), np.linspace(0.0, 1.0, 1500)
         cases.append((f"radial_density_nu1 d3 n{n}",
@@ -159,7 +159,6 @@ def _cases(out_dir: str) -> list:
     x = _ball(rng, 40, 2, 0.95)
     mixture = analytic.unconditional_density_projection
     cases.append(("mixture d3 m2 nu0.5", lambda: mixture(mp, x), None))
-    cases.append(command)
     grid = identity_grid()
     cases.append(("check_identities", lambda: check_identities(grid), jv))
     # as the command line builds it, every field given
@@ -169,8 +168,8 @@ def _cases(out_dir: str) -> list:
 
 
 def layer_times(repeats: int) -> dict[str, dict[str, float]]:
-    """Seconds a call of each case in each of ``COLUMNS``, plus the two
-    sums over the cells law_eval times."""
+    """Seconds a call of each case in each of ``COLUMNS``, plus the
+    command's glue and the two sums over the cells law_eval times."""
     out = {}
     with tempfile.TemporaryDirectory() as out_dir:
         for name, fn, special in _cases(out_dir):

@@ -1,3 +1,5 @@
+import os
+import types
 
 import numpy as np
 import pytest
@@ -187,3 +189,14 @@ def test_integer_slot_takes_the_columns_in_its_range(monkeypatch):
 def test_row_blocks_refuse_no_columns_and_ragged_ones(columns):
     with pytest.raises(ValueError):
         b"".join(row_blocks(*columns))
+
+
+def test_write_output_finishes_short_writes_and_cuts_the_old_tail(tmp_path, monkeypatch):
+    # a write may take fewer bytes than it is given (a pipe, a signal):
+    # here every one takes at most 3, over an older, longer file
+    path = tmp_path / "out"
+    path.write_bytes(b"\xff" * 100)
+    short = types.SimpleNamespace(**{**vars(os), "write": lambda fd, data: os.write(fd, data[:3])})
+    monkeypatch.setattr(csvtext, "os", short)
+    csvtext.write_output(path, (chunk for chunk in [b"abcdefg", b"", b"hij"]))
+    assert path.read_bytes() == b"abcdefghij"
