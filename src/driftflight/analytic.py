@@ -134,20 +134,38 @@ def _sq_norm(x: np.ndarray) -> np.ndarray:
     return (x[..., None, :] @ x[..., :, None])[..., 0, 0]
 
 
-def _ball_gaps(y: np.ndarray):
-    """1 - (y_1^2 + ... + y_k^2) for k = 1..dim along the last axis, with
-    an absolute error of about dim 2^-26 eps, where a rounded sum of
-    squares has one of about eps, which is all of a gap next to the unit
-    sphere; and the sums of the high parts.  Each y_i <= 1 in size splits
-    into a high part h_i on the grid of 2^-26 and y_i - h_i, so that h_i^2
-    and all sums of them below 2 are exact multiples of 2^-52: a gap is
-    (1 - sum h_i^2) - sum (y_i - h_i)(y_i + h_i)."""
-    high = y + 100663296.0  # 1.5 2^26: rounds |y| < 2^25 to the grid
+def _split(y):
+    """The high part of y on the grid of 2^-26, for |y| < 2^25."""
+    high = y + 100663296.0  # 1.5 2^26
     high -= 100663296.0
-    cross = y + high
-    cross *= y - high
+    return high
+
+
+def _ball_gaps(x: np.ndarray, ct: float):
+    """1 - (y_1^2 + ... + y_k^2) for k = 1..dim along the last axis, y =
+    x / (c t), with an absolute error of about dim 2^-26 eps, where a
+    rounded sum of squares has one of about eps, which is all of a gap
+    next to the unit sphere.  With c t = g 2^e, z = x 2^-e is exact and
+    y = z / g, so no rounded quotient enters the sum.  Each z_i <= 1 in
+    size splits into a high part h_i on the grid of 2^-26 and z_i - h_i,
+    so that h_i^2 and all sums of them below 2 are exact multiples of
+    2^-52: g^2 times a gap is (g_h^2 - sum h_i^2) - (sum (z_i - h_i)(z_i +
+    h_i) - (g - g_h)(g + g_h)), g_h the high part of g.  At a power of 2,
+    g = 1, z = y and the gap is the sum alone.  Also returns the sums of
+    the h_i^2, inf where a z_i is."""
+    g, e = math.frexp(ct)
+    if g == 0.5:
+        g, e = 1.0, e - 1
+    z = np.ldexp(x, -e) if e else x
+    high = _split(z)
+    cross = z + high
+    cross *= z - high
     squares = np.add.accumulate(high * high, axis=-1)
-    return (1.0 - squares) - np.add.accumulate(cross, axis=-1), squares
+    if g == 1.0:
+        return (1.0 - squares) - np.add.accumulate(cross, axis=-1), squares
+    gh = _split(g)
+    gaps = (gh * gh - squares) - (np.add.accumulate(cross, axis=-1) - (g - gh) * (g + gh))
+    return gaps / (g * g), squares
 
 
 def _frequencies(alpha: np.ndarray, ct: float):
@@ -516,15 +534,16 @@ def density_nu1(p: FlightParams, x):
     range."""
     _require_nu1(p)
     ct = p.c * p.t
-    y = _unit(_vectors(x, p.d), ct)
-    gaps, sums = _ball_gaps(y)
+    x = _vectors(x, p.d)
+    y = _unit(x, ct)
+    gaps, sums = _ball_gaps(x, ct)
     # 1 - u as Q / W, so never u >= 1 inside the ball; W >= Q also where the gaps round apart
     W = np.maximum(gaps[..., -2], Q := gaps[..., -1])
     root = np.sqrt(W)
     table = _nu1_table(p.d, p.n)
     h = np.exp(table.h[0] + table.h[1] * np.log(W))
     g = _beta_mixture(table.u, np.abs(y[..., -1]) / root, Q / W)
-    outside = (Q <= 0.0) | (sums[..., -1] == math.inf)  # inf: y_i - h_i is NaN at y_i = inf
+    outside = (Q <= 0.0) | (sums[..., -1] == math.inf)  # inf: z_i - h_i is NaN at z_i = inf
     return _times_ct_power(_supported(outside, h * g / (2.0 * root)), ct, p.d)
 
 

@@ -19,10 +19,11 @@ Two families of checks:
   partial sums.  The Bessel values of all right sides come from one
   array-order call of ``bessel_j``.
 
-* Goodness of fit: Monte Carlo batches from :mod:`driftflight.flight`
-  against the analytic radial CDF (Kolmogorov-Smirnov distance) and the
-  nu = 1 characteristic function (standardized deviations), with a
-  deliberately mismatched negative control.
+* Goodness of fit: flights against the analytic radial CDF (KS distance)
+  and the nu = 1 characteristic function (standardized deviations), with
+  a deliberately mismatched negative control.  A batch row depends only
+  on its cell (the parameters without m), the seed and its index, so the
+  Monte Carlo checks read prefixes of one batch per cell.
 
 Everything is deterministic given the master seed.
 """
@@ -572,41 +573,33 @@ def ks_distance(sorted_values: np.ndarray, cdf_values: np.ndarray) -> float:
 
 def gof_radial(
     p: FlightParams,
-    sample_count: int,
-    master_seed: int,
+    finals: np.ndarray,
     threshold: float = 0.01,
     cdf_params: FlightParams | None = None,
 ) -> GofReport:
-    """KS test of simulated projected radii against the analytic CDF.
+    """KS test of the projected radii of ``finals``, final positions
+    (count, d) of flights at ``p``, against the analytic CDF.
 
     ``cdf_params`` overrides the parameters of the reference CDF, which is
     how negative controls are built.  Raises ValueError outside the CDF's
-    domain before any flight is drawn.
+    domain before any flight is read.
     """
     q = cdf_params if cdf_params is not None else p
     cdf_radial_projection(q, 0.0)
-    finals = simulate_batch(p, sample_count, master_seed)
     radii = np.sort(np.linalg.norm(finals[:, : p.m], axis=1))
     ks = ks_distance(radii, cdf_radial_projection(q, radii))
     return GofReport(
-        params={
-            "d": p.d,
-            "m": p.m,
-            "n": p.n,
-            "nu": p.nu,
-            "c": p.c,
-            "t": p.t,
-            "cdf_nu": q.nu,
-        },
-        sample_count=sample_count,
+        params={"d": p.d, "m": p.m, "n": p.n, "nu": p.nu, "c": p.c, "t": p.t, "cdf_nu": q.nu},
+        sample_count=len(finals),
         ks_distance=ks,
         threshold=threshold,
         passed=bool(ks < threshold),
     )
 
 
-def gof_cf(p: FlightParams, alphas, sample_count: int, master_seed: int) -> dict:
-    """Empirical characteristic function versus the nu = 1 closed form.
+def gof_cf(p: FlightParams, alphas, finals: np.ndarray) -> dict:
+    """Empirical characteristic function of ``finals``, final positions
+    (count, d) of flights at ``p``, versus the nu = 1 closed form.
 
     At each frequency vector the real part must be within ``_SE_MULTIPLE``
     standard errors of the closed form and the imaginary part within as
@@ -614,8 +607,7 @@ def gof_cf(p: FlightParams, alphas, sample_count: int, master_seed: int) -> dict
     enter isotropically).
     """
     alphas = np.asarray(alphas, dtype=float)
-    targets = cf_nu1(p, alphas).tolist()  # raises outside its domain, before sampling
-    finals = simulate_batch(p, sample_count, master_seed)
+    targets = cf_nu1(p, alphas).tolist()  # raises outside its domain, before any flight is read
     entries = []
     max_re_dev = 0.0
     max_im_dev = 0.0
@@ -623,7 +615,7 @@ def gof_cf(p: FlightParams, alphas, sample_count: int, master_seed: int) -> dict
         dot = finals @ alpha
         parts = np.stack([np.cos(dot), np.sin(dot)])
         mean = parts.mean(axis=1)
-        se = parts.std(axis=1, ddof=1) / math.sqrt(sample_count)
+        se = parts.std(axis=1, ddof=1) / math.sqrt(len(finals))
         # the re and im deviations in standard errors: none where the mean
         # is exact, infinite where it is not and the standard error is 0
         diff = np.abs(mean - (target, 0.0))
@@ -643,7 +635,7 @@ def gof_cf(p: FlightParams, alphas, sample_count: int, master_seed: int) -> dict
         )
     return {
         "params": {"d": p.d, "n": p.n, "nu": p.nu, "c": p.c, "t": p.t},
-        "sample_count": sample_count,
+        "sample_count": len(finals),
         "entries": entries,
         "max_re_dev_se": max_re_dev,
         "max_im_dev_se": max_im_dev,
@@ -703,28 +695,20 @@ def identity_grid() -> list[tuple[str, dict]]:
     return grid
 
 
-def gof_radial_grid(profile: str) -> list[tuple[FlightParams, int, float]]:
-    if profile == "full":
-        combos = [
-            (d, m, n, nu)
-            for d in (2, 3, 4)
-            for m in (1, 2)
-            for n in (1, 2, 3)
-            for nu in (0.0, 1.0)
-            if m < d
-        ]
-        return [
-            (FlightParams(d=d, n=n, nu=nu, m=m), 100_000, 0.01)
-            for (d, m, n, nu) in combos
-        ]
-    combos = [(2, 1, 1, 0.0), (3, 2, 2, 1.0), (4, 1, 3, 1.0)]
-    return [
-        (FlightParams(d=d, n=n, nu=nu, m=m), 20_000, 0.0215)
-        for (d, m, n, nu) in combos
-    ]
+class _Gof(NamedTuple):
+    """A Monte Carlo check, on the first ``count`` rows of its cell's batch."""
+
+    check_id: str
+    p: FlightParams
+    count: int
+    threshold: float | None = None  # a radial check's KS gate
+    alphas: list | None = None  # a cf check's frequency vectors
+    control: FlightParams | None = None  # a negative control's mismatched law
 
 
-def gof_cf_grid(profile: str) -> list[tuple[FlightParams, list, int]]:
+def _gof_table(profile: str) -> list[_Gof]:
+    """The suite's Monte Carlo checks in report order: the radial grid, the
+    nu = 1 flights against the nu = 0 law, then the cf checks."""
     alphas_d2 = [
         [0.0, 0.0], [0.5, 0.0], [0.0, 0.5], [1.0, 1.0], [2.0, 0.5],
         [0.5, 2.0], [3.0, 0.0], [0.0, 3.0], [2.0, 2.0],
@@ -735,11 +719,23 @@ def gof_cf_grid(profile: str) -> list[tuple[FlightParams, list, int]]:
         [1.0, 0.5, 2.5],
     ]
     if profile == "full":
-        return [
-            (FlightParams(d=2, n=1, nu=1.0), alphas_d2, 1_000_000),
-            (FlightParams(d=3, n=2, nu=1.0), alphas_d3, 1_000_000),
-        ]
-    return [(FlightParams(d=2, n=1, nu=1.0), alphas_d2, 100_000)]
+        radial = [(d, m, n, nu) for d in (2, 3, 4) for m in (1, 2) for n in (1, 2, 3)
+                  for nu in (0.0, 1.0) if m < d]
+        count, ks, cf_count, cf = 100_000, 0.01, 1_000_000, [(2, 1, alphas_d2), (3, 2, alphas_d3)]
+    else:
+        radial = [(2, 1, 1, 0.0), (3, 2, 2, 1.0), (4, 1, 3, 1.0)]
+        count, ks, cf_count, cf = 20_000, 0.0215, 100_000, [(2, 1, alphas_d2)]
+    table = [
+        _Gof(f"gof_radial:d{d}m{m}n{n}nu{nu:g}", FlightParams(d=d, n=n, nu=nu, m=m), count, ks)
+        for d, m, n, nu in radial
+    ]
+    p = FlightParams(d=3, n=1, nu=1.0, m=1)
+    table.append(_Gof("gof_radial:negative_control", p, count, 0.05, control=replace(p, nu=0.0)))
+    table += [
+        _Gof(f"gof_cf:d{d}n{n}", FlightParams(d=d, n=n, nu=1.0), cf_count, alphas=alphas)
+        for d, n, alphas in cf
+    ]
+    return table
 
 
 @dataclass
@@ -761,15 +757,23 @@ class SuiteConfig:
 def _check(check_id: str, kind: str, params: dict, metric: float, threshold: float,
            passed: bool, negative_control: bool = False) -> dict:
     """One entry of the suite report's ``checks`` list."""
-    return {
-        "check_id": check_id,
-        "kind": kind,
-        "params": params,
-        "metric": metric,
-        "threshold": threshold,
-        "passed": bool(passed),
-        "negative_control": negative_control,
-    }
+    return {"check_id": check_id, "kind": kind, "params": params, "metric": metric,
+            "threshold": threshold, "passed": bool(passed), "negative_control": negative_control}
+
+
+def _gof_entry(row: _Gof, finals: np.ndarray) -> dict:
+    """The report entry of one Monte Carlo check on its flights."""
+    if row.alphas is not None:
+        rep = gof_cf(row.p, row.alphas, finals)
+        metric = max(rep["max_re_dev_se"], rep["max_im_dev_se"])
+        return _check(row.check_id, "gof_cf", rep["params"], metric, rep["threshold_se"],
+                      rep["passed"])
+    control = row.control is not None
+    rep = gof_radial(row.p, finals, row.threshold, row.control)
+    # a control passes when the mismatch is detected
+    passed = rep.ks_distance > rep.threshold if control else rep.passed
+    return _check(row.check_id, "gof_radial", rep.params, rep.ks_distance, rep.threshold,
+                  passed, control)
 
 
 def run_suite(config: SuiteConfig | None = None) -> dict:
@@ -789,27 +793,18 @@ def run_suite(config: SuiteConfig | None = None) -> dict:
                                  rep.abs_err, tol, rep.abs_err < tol))
 
     if config.only != "identities":
-        for p, count, threshold in gof_radial_grid(config.profile):
-            rep = gof_radial(p, count, config.master_seed, threshold)
-            checks.append(_check(f"gof_radial:d{p.d}m{p.m}n{p.n}nu{p.nu:g}", "gof_radial",
-                                 rep.params, rep.ks_distance, rep.threshold, rep.passed))
-        p = FlightParams(d=3, n=1, nu=1.0, m=1)
-        rep = gof_radial(
-            p,
-            20_000 if config.profile == "quick" else 100_000,
-            config.master_seed,
-            threshold=0.05,
-            cdf_params=replace(p, nu=0.0),
-        )
-        # the control passes when the mismatch is detected
-        checks.append(_check("gof_radial:negative_control", "gof_radial", rep.params,
-                             rep.ks_distance, rep.threshold, rep.ks_distance > rep.threshold,
-                             negative_control=True))
-        for p, alphas, count in gof_cf_grid(config.profile):
-            rep = gof_cf(p, alphas, count, config.master_seed)
-            checks.append(_check(f"gof_cf:d{p.d}n{p.n}", "gof_cf", rep["params"],
-                                 max(rep["max_re_dev_se"], rep["max_im_dev_se"]),
-                                 rep["threshold_se"], rep["passed"]))
+        # each cell drawn once, at the largest count its checks read, and its
+        # batch released before the next cell is drawn
+        table = _gof_table(config.profile)
+        cells: dict[FlightParams, list[_Gof]] = {}
+        for row in table:
+            cells.setdefault(replace(row.p, m=None), []).append(row)
+        entries = {}
+        for cell, rows in cells.items():
+            finals = simulate_batch(cell, max(row.count for row in rows), config.master_seed)
+            entries.update((row.check_id, _gof_entry(row, finals[: row.count])) for row in rows)
+            del finals
+        checks += [entries[row.check_id] for row in table]
 
     return {
         "config": asdict(config),

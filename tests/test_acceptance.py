@@ -282,7 +282,7 @@ def test_criterion_06_monte_carlo_cf_nu1():
         (FlightParams(d=2, n=1, nu=1.0), alphas_d2),
         (FlightParams(d=3, n=2, nu=1.0), alphas_d3),
     ):
-        rep = gof_cf(p, alphas, 1_000_000, MASTER_SEED)
+        rep = gof_cf(p, alphas, simulate_batch(p, 1_000_000, MASTER_SEED))
         assert rep["passed"], rep
         assert len(rep["entries"]) == 9
     print(

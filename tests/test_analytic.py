@@ -953,13 +953,17 @@ def test_density_nu1_where_the_two_norms_round_apart():
 def test_density_nu1_keeps_its_digits_next_to_the_sphere(d, n, gap):
     # 1 - |x|^2 from a rounded sum of squares lost its digits next to the
     # sphere: 1.0e-9 from 60 digits at d4 n8, x = (1 - 1e-10, 0, 0, 0); the
-    # split sum (analytic._ball_gaps) keeps them on and off the axes
+    # split sum (analytic._ball_gaps) keeps them on and off the axes.  Split
+    # after the rounded division x / (c t) it lost them again, 6.3e-10 to
+    # 8.5e-10 at d4 n8, x = (1 - 1e-6) c t e_1, c t in {0.7, 1.3, 3}
     mp = pytest.importorskip("mpmath")
-    p = FlightParams(d=d, n=n, nu=1.0)
     r = 1.0 - gap
-    for x in (np.eye(d)[0] * r, np.eye(d)[-1] * r, np.full(d, r / math.sqrt(d))):
-        want = density_nu1_mp(mp, d, n, 1.0, x)
-        assert want > 0.0 and density_nu1(p, x) == pytest.approx(want, rel=1e-11, abs=0), x
+    for ct in (1.0, 0.7, 1.3, 3.0):
+        p = FlightParams(d=d, n=n, nu=1.0, c=ct)
+        for x in (np.eye(d)[0] * r * ct, np.eye(d)[-1] * r * ct,
+                  np.full(d, r * ct / math.sqrt(d))):
+            want = density_nu1_mp(mp, d, n, ct, x)
+            assert want > 0.0 and density_nu1(p, x) == pytest.approx(want, rel=1e-11, abs=0), (ct, x)
 
 
 def _density_nu1_against_mpmath(mp, p):

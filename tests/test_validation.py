@@ -1,5 +1,6 @@
 import json
 import math
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 from scipy.integrate import quad
 
 from driftflight import validation
-from driftflight.flight import FlightParams
+from driftflight.flight import FlightParams, simulate_batch
 from driftflight.specfun import bessel_j
 from driftflight.validation import (
     IDENTITY_IDS,
@@ -221,8 +222,8 @@ def test_ks_distance_basics():
 
 def test_gof_radial_pass_and_determinism():
     p = FlightParams(d=3, n=2, nu=1.0, m=1)
-    rep1 = gof_radial(p, 20_000, 123, threshold=0.0215)
-    rep2 = gof_radial(p, 20_000, 123, threshold=0.0215)
+    rep1 = gof_radial(p, simulate_batch(p, 20_000, 123), threshold=0.0215)
+    rep2 = gof_radial(p, simulate_batch(p, 20_000, 123), threshold=0.0215)
     assert rep1.passed
     assert rep1.ks_distance == rep2.ks_distance
 
@@ -231,17 +232,19 @@ def test_gof_radial_negative_control_detected():
     from dataclasses import replace
 
     p = FlightParams(d=3, n=1, nu=1.0, m=1)
-    rep = gof_radial(p, 20_000, 7, threshold=0.05, cdf_params=replace(p, nu=0.0))
+    rep = gof_radial(p, simulate_batch(p, 20_000, 7), threshold=0.05, cdf_params=replace(p, nu=0.0))
     assert rep.ks_distance > 0.05
     assert not rep.passed  # fails the nominal threshold, as intended
 
 
 def test_gof_radial_domain():
     for nu in (1.0, 0.3):  # at m = d the Beta law needs the isotropic nu = 0 flight
+        p = FlightParams(d=3, n=1, nu=nu, m=3)
         with pytest.raises(ValueError, match="m = d requires nu = 0"):
-            gof_radial(FlightParams(d=3, n=1, nu=nu, m=3), 100, 0)
+            gof_radial(p, simulate_batch(p, 100, 0))
+    p = FlightParams(d=3, n=0, nu=0.0, m=1)
     with pytest.raises(ValueError):
-        gof_radial(FlightParams(d=3, n=0, nu=0.0, m=1), 100, 0)
+        gof_radial(p, simulate_batch(p, 100, 0))
 
 
 @pytest.mark.parametrize("d,n", [(2, 1), (3, 2), (4, 3)])
@@ -249,25 +252,24 @@ def test_gof_radial_full_flight_at_nu0(d, n):
     # at nu = 0 the flight is isotropic and its radius obeys the Beta law
     # of the projections at m = d; nu = 1 radii fail against that law
     p = FlightParams(d=d, n=n, nu=0.0)
-    assert gof_radial(p, 100_000, 11 + d, threshold=0.01).passed
-    control = gof_radial(replace(p, nu=1.0), 100_000, 11 + d, threshold=0.05, cdf_params=p)
+    assert gof_radial(p, simulate_batch(p, 100_000, 11 + d), threshold=0.01).passed
+    q = replace(p, nu=1.0)
+    control = gof_radial(q, simulate_batch(q, 100_000, 11 + d), threshold=0.05, cdf_params=p)
     assert control.ks_distance > 0.05
 
 
-def test_gof_domain_is_checked_before_sampling(monkeypatch):
-    def no_sampling(*args):
-        raise AssertionError("simulate_batch called outside the law's domain")
-
-    monkeypatch.setattr(validation, "simulate_batch", no_sampling)
+def test_gof_domain_is_checked_before_sampling():
+    # no flight is read outside the law's domain: None in place of the
+    # flights would raise a TypeError when read
     with pytest.raises(ValueError):
-        gof_cf(FlightParams(d=2, n=1, nu=0.5), [[1.0, 0.0]], 1_000, 0)
+        gof_cf(FlightParams(d=2, n=1, nu=0.5), [[1.0, 0.0]], None)
     with pytest.raises(ValueError):
-        gof_radial(FlightParams(d=3, n=2, nu=1.0), 1_000, 0)
+        gof_radial(FlightParams(d=3, n=2, nu=1.0), None)
 
 
 def test_gof_cf_zero_frequency_is_exact():
     p = FlightParams(d=2, n=1, nu=1.0)
-    rep = gof_cf(p, [[0.0, 0.0]], 5_000, 77)
+    rep = gof_cf(p, [[0.0, 0.0]], simulate_batch(p, 5_000, 77))
     entry = rep["entries"][0]
     assert entry["empirical_re"] == 1.0
     assert entry["re_dev_se"] == 0.0
@@ -277,7 +279,7 @@ def test_gof_cf_zero_frequency_is_exact():
 
 def test_gof_cf_passes_at_moderate_size():
     p = FlightParams(d=2, n=1, nu=1.0)
-    rep = gof_cf(p, [[1.0, 1.0], [0.5, 2.0], [2.0, 0.0]], 100_000, 2025)
+    rep = gof_cf(p, [[1.0, 1.0], [0.5, 2.0], [2.0, 0.0]], simulate_batch(p, 100_000, 2025))
     assert rep["passed"], rep
 
 
@@ -287,6 +289,58 @@ def test_run_suite_quick_all_pass():
     ids = {c["check_id"] for c in report["checks"]}
     assert "gof_radial:negative_control" in ids
     json.dumps(report)  # machine readable
+
+
+@pytest.mark.parametrize("profile,calls,flights", [("quick", 5, 180_000), ("full", 18, 3_600_000)])
+def test_run_suite_draws_each_cell_once(monkeypatch, profile, calls, flights):
+    # a cell is the parameters without m: the full profile's checks at
+    # m = 1 and m = 2, its negative control and its radial and cf checks at
+    # d2 n1 nu1 and d3 n2 nu1 share their cells' batches
+    draws = []
+
+    def draw(p, count, master_seed):
+        draws.append((p, count))
+        return np.zeros((count, p.d))
+
+    monkeypatch.setattr(validation, "simulate_batch", draw)
+    report = run_suite(SuiteConfig(profile=profile, only="gof"))
+    assert len(draws) == len({p for p, _ in draws}) == calls
+    assert all(p.m == p.d for p, _ in draws)
+    assert sum(count for _, count in draws) == flights
+    assert len(report["checks"]) == len(validation._gof_table(profile))
+
+
+def test_run_suite_releases_each_batch_before_the_next_draw(monkeypatch):
+    # one batch held at a time: at each draw, every earlier batch is dead
+    batches, alive = [], []
+
+    def draw(p, count, master_seed):
+        alive.extend(ref() is not None for ref in batches)
+        finals = np.zeros((count, p.d))
+        batches.append(weakref.ref(finals))
+        return finals
+
+    monkeypatch.setattr(validation, "simulate_batch", draw)
+    run_suite(SuiteConfig(profile="quick", only="gof"))
+    assert len(batches) == 5 and not any(alive)
+
+
+def test_quick_gof_checks_equal_the_checks_on_their_own_batches():
+    # each check reads its prefix of its cell's batch, drawn at m = d: the
+    # same rows as a batch of its own at its own m and count
+    config = SuiteConfig(profile="quick", only="gof")
+    checks = run_suite(config)["checks"]
+    table = validation._gof_table("quick")
+    assert [c["check_id"] for c in checks] == [row.check_id for row in table]
+    for row, check in zip(table, checks):
+        finals = simulate_batch(row.p, row.count, config.master_seed)
+        if row.alphas is None:
+            rep = gof_radial(row.p, finals, row.threshold, row.control)
+            assert (check["metric"], check["params"]) == (rep.ks_distance, rep.params)
+        else:
+            rep = gof_cf(row.p, row.alphas, finals)
+            metric = max(rep["max_re_dev_se"], rep["max_im_dev_se"])
+            assert (check["metric"], check["params"]) == (metric, rep["params"])
 
 
 def test_suite_config_rejects_an_unknown_only():
