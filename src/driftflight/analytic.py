@@ -141,31 +141,22 @@ def _split(y):
     return high
 
 
-def _ball_gaps(x: np.ndarray, ct: float):
-    """1 - (y_1^2 + ... + y_k^2) for k = 1..dim along the last axis, y =
-    x / (c t), with an absolute error of about dim 2^-26 eps, where a
+def _ball_gaps(z: np.ndarray, g: float):
+    """g^2 - (z_1^2 + ... + z_k^2) for k = 1..dim along the last axis, for
+    1/2 < g <= 1, with an absolute error of about dim 2^-26 eps, where a
     rounded sum of squares has one of about eps, which is all of a gap
-    next to the unit sphere.  With c t = g 2^e, z = x 2^-e is exact and
-    y = z / g, so no rounded quotient enters the sum.  Each z_i <= 1 in
-    size splits into a high part h_i on the grid of 2^-26 and z_i - h_i,
-    so that h_i^2 and all sums of them below 2 are exact multiples of
-    2^-52: g^2 times a gap is (g_h^2 - sum h_i^2) - (sum (z_i - h_i)(z_i +
-    h_i) - (g - g_h)(g + g_h)), g_h the high part of g.  At a power of 2,
-    g = 1, z = y and the gap is the sum alone.  Also returns the sums of
-    the h_i^2, inf where a z_i is."""
-    g, e = math.frexp(ct)
-    if g == 0.5:
-        g, e = 1.0, e - 1
-    z = np.ldexp(x, -e) if e else x
+    next to the sphere of radius g.  Each z_i <= 1 in size splits into a
+    high part h_i on the grid of 2^-26 and z_i - h_i, and g into g_h and
+    g - g_h, so that h_i^2, g_h^2 and all sums of them below 2 are exact
+    multiples of 2^-52: a gap is (g_h^2 - sum h_i^2) - (sum (z_i - h_i)(z_i
+    + h_i) - (g - g_h)(g + g_h)), whose terms in g are 1 and 0 at g = 1.
+    Also returns the sums of the h_i^2, inf where a z_i is."""
     high = _split(z)
     cross = z + high
     cross *= z - high
     squares = np.add.accumulate(high * high, axis=-1)
-    if g == 1.0:
-        return (1.0 - squares) - np.add.accumulate(cross, axis=-1), squares
     gh = _split(g)
-    gaps = (gh * gh - squares) - (np.add.accumulate(cross, axis=-1) - (g - gh) * (g + gh))
-    return gaps / (g * g), squares
+    return (gh * gh - squares) - (np.add.accumulate(cross, axis=-1) - (g - gh) * (g + gh)), squares
 
 
 def _frequencies(alpha: np.ndarray, ct: float):
@@ -534,17 +525,22 @@ def density_nu1(p: FlightParams, x):
     range."""
     _require_nu1(p)
     ct = p.c * p.t
-    x = _vectors(x, p.d)
-    y = _unit(x, ct)
-    gaps, sums = _ball_gaps(x, ct)
+    # with c t = f 2^e, 1/2 < f <= 1, z = x 2^-e is exact and the point at
+    # unit scale is z / f, so no rounded quotient enters the gaps, and W and
+    # Q below are f^2 times their values at unit scale
+    f, e = math.frexp(ct)
+    if f == 0.5:
+        f, e = 1.0, e - 1
+    z = np.ldexp(_vectors(x, p.d), -e)
+    gaps, sums = _ball_gaps(z, f)
     # 1 - u as Q / W, so never u >= 1 inside the ball; W >= Q also where the gaps round apart
     W = np.maximum(gaps[..., -2], Q := gaps[..., -1])
     root = np.sqrt(W)
     table = _nu1_table(p.d, p.n)
-    h = np.exp(table.h[0] + table.h[1] * np.log(W))
-    g = _beta_mixture(table.u, np.abs(y[..., -1]) / root, Q / W)
+    h = np.exp((table.h[0] - 2.0 * table.h[1] * math.log(f)) + table.h[1] * np.log(W))
+    g = _beta_mixture(table.u, np.abs(z[..., -1]) / root, Q / W)
     outside = (Q <= 0.0) | (sums[..., -1] == math.inf)  # inf: z_i - h_i is NaN at z_i = inf
-    return _times_ct_power(_supported(outside, h * g / (2.0 * root)), ct, p.d)
+    return _times_ct_power(_supported(outside, h * g / ((2.0 / f) * root)), ct, p.d)
 
 
 @_MASKED

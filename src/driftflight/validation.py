@@ -589,7 +589,15 @@ def gof_radial(
     radii = np.sort(np.linalg.norm(finals[:, : p.m], axis=1))
     ks = ks_distance(radii, cdf_radial_projection(q, radii))
     return GofReport(
-        params={"d": p.d, "m": p.m, "n": p.n, "nu": p.nu, "c": p.c, "t": p.t, "cdf_nu": q.nu},
+        params={
+            "d": p.d,
+            "m": p.m,
+            "n": p.n,
+            "nu": p.nu,
+            "c": p.c,
+            "t": p.t,
+            "cdf_nu": q.nu,
+        },
         sample_count=len(finals),
         ks_distance=ks,
         threshold=threshold,
@@ -695,20 +703,11 @@ def identity_grid() -> list[tuple[str, dict]]:
     return grid
 
 
-class _Gof(NamedTuple):
-    """A Monte Carlo check, on the first ``count`` rows of its cell's batch."""
-
-    check_id: str
-    p: FlightParams
-    count: int
-    threshold: float | None = None  # a radial check's KS gate
-    alphas: list | None = None  # a cf check's frequency vectors
-    control: FlightParams | None = None  # a negative control's mismatched law
-
-
-def _gof_table(profile: str) -> list[_Gof]:
-    """The suite's Monte Carlo checks in report order: the radial grid, the
-    nu = 1 flights against the nu = 0 law, then the cf checks."""
+def _gof_table(profile: str) -> list[tuple]:
+    """The suite's Monte Carlo checks in report order, each as (the maker
+    of its report entry, the flights' parameters, the number of flights it
+    reads, its other arguments): the radial grid, the nu = 1 flights
+    against the nu = 0 law, then the cf checks."""
     alphas_d2 = [
         [0.0, 0.0], [0.5, 0.0], [0.0, 0.5], [1.0, 1.0], [2.0, 0.5],
         [0.5, 2.0], [3.0, 0.0], [0.0, 3.0], [2.0, 2.0],
@@ -719,23 +718,32 @@ def _gof_table(profile: str) -> list[_Gof]:
         [1.0, 0.5, 2.5],
     ]
     if profile == "full":
-        radial = [(d, m, n, nu) for d in (2, 3, 4) for m in (1, 2) for n in (1, 2, 3)
-                  for nu in (0.0, 1.0) if m < d]
-        count, ks, cf_count, cf = 100_000, 0.01, 1_000_000, [(2, 1, alphas_d2), (3, 2, alphas_d3)]
+        radial = [
+            (d, m, n, nu)
+            for d in (2, 3, 4)
+            for m in (1, 2)
+            for n in (1, 2, 3)
+            for nu in (0.0, 1.0)
+            if m < d
+        ]
+        count = 100_000
+        threshold = 0.01
+        cf = [
+            (FlightParams(d=2, n=1, nu=1.0), 1_000_000, alphas_d2),
+            (FlightParams(d=3, n=2, nu=1.0), 1_000_000, alphas_d3),
+        ]
     else:
         radial = [(2, 1, 1, 0.0), (3, 2, 2, 1.0), (4, 1, 3, 1.0)]
-        count, ks, cf_count, cf = 20_000, 0.0215, 100_000, [(2, 1, alphas_d2)]
-    table = [
-        _Gof(f"gof_radial:d{d}m{m}n{n}nu{nu:g}", FlightParams(d=d, n=n, nu=nu, m=m), count, ks)
-        for d, m, n, nu in radial
+        count = 20_000
+        threshold = 0.0215
+        cf = [(FlightParams(d=2, n=1, nu=1.0), 100_000, alphas_d2)]
+    control = FlightParams(d=3, n=1, nu=1.0, m=1)
+    return [
+        *((_radial_entry, FlightParams(d=d, n=n, nu=nu, m=m), count, threshold)
+          for d, m, n, nu in radial),
+        (_radial_entry, control, count, 0.05, replace(control, nu=0.0)),
+        *((_cf_entry, *row) for row in cf),
     ]
-    p = FlightParams(d=3, n=1, nu=1.0, m=1)
-    table.append(_Gof("gof_radial:negative_control", p, count, 0.05, control=replace(p, nu=0.0)))
-    table += [
-        _Gof(f"gof_cf:d{d}n{n}", FlightParams(d=d, n=n, nu=1.0), cf_count, alphas=alphas)
-        for d, n, alphas in cf
-    ]
-    return table
 
 
 @dataclass
@@ -757,23 +765,35 @@ class SuiteConfig:
 def _check(check_id: str, kind: str, params: dict, metric: float, threshold: float,
            passed: bool, negative_control: bool = False) -> dict:
     """One entry of the suite report's ``checks`` list."""
-    return {"check_id": check_id, "kind": kind, "params": params, "metric": metric,
-            "threshold": threshold, "passed": bool(passed), "negative_control": negative_control}
+    return {
+        "check_id": check_id,
+        "kind": kind,
+        "params": params,
+        "metric": metric,
+        "threshold": threshold,
+        "passed": bool(passed),
+        "negative_control": negative_control,
+    }
 
 
-def _gof_entry(row: _Gof, finals: np.ndarray) -> dict:
-    """The report entry of one Monte Carlo check on its flights."""
-    if row.alphas is not None:
-        rep = gof_cf(row.p, row.alphas, finals)
-        metric = max(rep["max_re_dev_se"], rep["max_im_dev_se"])
-        return _check(row.check_id, "gof_cf", rep["params"], metric, rep["threshold_se"],
-                      rep["passed"])
-    control = row.control is not None
-    rep = gof_radial(row.p, finals, row.threshold, row.control)
+def _radial_entry(p: FlightParams, finals: np.ndarray, threshold: float,
+                  control: FlightParams | None = None) -> dict:
+    """The report entry of the KS check of ``finals``, or of the negative
+    control that checks them against the mismatched law ``control``."""
+    rep = gof_radial(p, finals, threshold, control)
+    name = "negative_control" if control else f"d{p.d}m{p.m}n{p.n}nu{p.nu:g}"
     # a control passes when the mismatch is detected
-    passed = rep.ks_distance > rep.threshold if control else rep.passed
-    return _check(row.check_id, "gof_radial", rep.params, rep.ks_distance, rep.threshold,
-                  passed, control)
+    passed = rep.ks_distance > threshold if control else rep.passed
+    return _check(f"gof_radial:{name}", "gof_radial", rep.params, rep.ks_distance, threshold,
+                  passed, control is not None)
+
+
+def _cf_entry(p: FlightParams, finals: np.ndarray, alphas: list) -> dict:
+    """The report entry of the cf check of ``finals`` at ``alphas``."""
+    rep = gof_cf(p, alphas, finals)
+    return _check(f"gof_cf:d{p.d}n{p.n}", "gof_cf", rep["params"],
+                  max(rep["max_re_dev_se"], rep["max_im_dev_se"]), rep["threshold_se"],
+                  rep["passed"])
 
 
 def run_suite(config: SuiteConfig | None = None) -> dict:
@@ -796,15 +816,17 @@ def run_suite(config: SuiteConfig | None = None) -> dict:
         # each cell drawn once, at the largest count its checks read, and its
         # batch released before the next cell is drawn
         table = _gof_table(config.profile)
-        cells: dict[FlightParams, list[_Gof]] = {}
-        for row in table:
-            cells.setdefault(replace(row.p, m=None), []).append(row)
-        entries = {}
+        cells: dict[FlightParams, list[int]] = {}
+        for i, (_, p, *_) in enumerate(table):
+            cells.setdefault(replace(p, m=None), []).append(i)
+        entries: list[dict | None] = [None] * len(table)
         for cell, rows in cells.items():
-            finals = simulate_batch(cell, max(row.count for row in rows), config.master_seed)
-            entries.update((row.check_id, _gof_entry(row, finals[: row.count])) for row in rows)
+            finals = simulate_batch(cell, max(table[i][2] for i in rows), config.master_seed)
+            for i in rows:
+                entry, p, count, *args = table[i]
+                entries[i] = entry(p, finals[:count], *args)
             del finals
-        checks += [entries[row.check_id] for row in table]
+        checks += entries
 
     return {
         "config": asdict(config),
