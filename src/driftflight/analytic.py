@@ -159,6 +159,20 @@ def _ball_gaps(z: np.ndarray, g: float):
     return (gh * gh - squares) - (np.add.accumulate(cross, axis=-1) - (g - gh) * (g + gh)), squares
 
 
+def _scaled_gaps(x, dim: int, ct: float):
+    """f, the points z = x 2^-e and the gaps f^2 - (z_1^2 + ... + z_k^2),
+    k = 1..dim (``_ball_gaps``), with c t = f 2^e, 1/2 < f <= 1.  z is
+    exact and the point at unit scale is z / f, so no rounded quotient
+    x / c t enters the gaps, which are f^2 times their values at unit
+    scale; a gap is -inf where a sum of squares is inf, outside the ball."""
+    f, e = math.frexp(ct)
+    if f == 0.5:
+        f, e = 1.0, e - 1
+    z = np.ldexp(_vectors(x, dim), -e)
+    gaps, sums = _ball_gaps(z, f)
+    return f, z, np.where(sums == math.inf, -math.inf, gaps)  # not NaN, as z_i - h_i is there
+
+
 def _frequencies(alpha: np.ndarray, ct: float):
     """Frequency vectors y = 2^-k alpha, their norms |y| and the norms
     w = c t |alpha|.  k is 0 but where alpha @ alpha over- or underflows
@@ -283,8 +297,8 @@ def density_projection(p: FlightParams, x):
     value passes the double range (c t near the bottom of it).
     """
     _require_beta_law(p)
-    y = np.sqrt(_sq_norm(_unit(_vectors(x, p.m), p.c * p.t)))
-    return _projection_densities(p, p.n, 1.0 - y * y, p.m, p.c * p.t)[0]
+    f, _, gaps = _scaled_gaps(x, p.m, p.c * p.t)
+    return _projection_densities(p, p.n, gaps[..., -1] / (f * f), p.m, p.c * p.t)[0]
 
 
 def _projection_densities(p: FlightParams, ns, rest, m: int, ct: float) -> np.ndarray:
@@ -525,22 +539,15 @@ def density_nu1(p: FlightParams, x):
     range."""
     _require_nu1(p)
     ct = p.c * p.t
-    # with c t = f 2^e, 1/2 < f <= 1, z = x 2^-e is exact and the point at
-    # unit scale is z / f, so no rounded quotient enters the gaps, and W and
-    # Q below are f^2 times their values at unit scale
-    f, e = math.frexp(ct)
-    if f == 0.5:
-        f, e = 1.0, e - 1
-    z = np.ldexp(_vectors(x, p.d), -e)
-    gaps, sums = _ball_gaps(z, f)
+    # W and Q below are f^2 times their values at unit scale
+    f, z, gaps = _scaled_gaps(x, p.d, ct)
     # 1 - u as Q / W, so never u >= 1 inside the ball; W >= Q also where the gaps round apart
     W = np.maximum(gaps[..., -2], Q := gaps[..., -1])
     root = np.sqrt(W)
     table = _nu1_table(p.d, p.n)
     h = np.exp((table.h[0] - 2.0 * table.h[1] * math.log(f)) + table.h[1] * np.log(W))
     g = _beta_mixture(table.u, np.abs(z[..., -1]) / root, Q / W)
-    outside = (Q <= 0.0) | (sums[..., -1] == math.inf)  # inf: z_i - h_i is NaN at z_i = inf
-    return _times_ct_power(_supported(outside, h * g / ((2.0 / f) * root)), ct, p.d)
+    return _times_ct_power(_supported(Q <= 0.0, h * g / ((2.0 / f) * root)), ct, p.d)
 
 
 @_MASKED
@@ -691,10 +698,10 @@ def unconditional_density_projection(mp: MixtureParams, x):
     """
     weights = mp._weights
     p = mp.base
-    y = np.sqrt(_sq_norm(_unit(_vectors(x, p.m), p.c * p.t)))
-    ns = np.arange(1, mp.n_max + 1)
-    densities = _projection_densities(p, ns, 1.0 - y * y, p.m, p.c * p.t)
-    terms = weights.reshape((-1,) + (1,) * y.ndim) * densities
+    f, _, gaps = _scaled_gaps(x, p.m, p.c * p.t)
+    rest = gaps[..., -1] / (f * f)
+    densities = _projection_densities(p, np.arange(1, mp.n_max + 1), rest, p.m, p.c * p.t)
+    terms = weights.reshape((-1,) + (1,) * rest.ndim) * densities
     return _in_order_sum(terms)[()]
 
 

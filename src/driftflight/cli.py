@@ -6,11 +6,13 @@ prints it); a flag may be cut to a prefix that no other flag of its
 command shares, and any other argument is a usage error.
 density, cf and cdf evaluate the law that one table, ``_LAWS``, names
 for the command and its --formula, at the radii, points or frequencies
-the table says.  Flags override values from an optional JSON config
-file, whose keys are flag names (without the dashes) of any command
-but config.  A config value takes its flag's kind, as the flag's text
-does (an integral float is an integer, a boolean is no number, a path is
-a non-empty string), and a key of a flag this command lacks is ignored.
+the table says, and read only the flags of its row: another flag of the
+command given in argv is a usage error, a config key of one is dropped.
+Flags override values from an optional JSON config file, whose keys are
+flag names (without the dashes) of any command but config.  A config
+value takes its flag's kind, as the flag's text does (an integral float
+is an integer, a boolean is no number, a path is a non-empty string), and
+a key of a flag this command lacks is ignored.
 The fully resolved configuration (including the seed) is echoed as a
 header comment in every CSV and into a ``<out>.meta.json`` sidecar, so
 reruns with the same inputs are byte-identical.  A command opens its
@@ -35,7 +37,6 @@ import math
 import os
 import re
 import sys
-from contextlib import suppress
 from itertools import chain
 
 import numpy as np
@@ -63,61 +64,30 @@ def _write_outputs(path: str, names: list[str], config: dict, *columns, extra=No
     and the ``extra`` entries."""
     head = f"# config: {_HEADER_JSON(config)}\n# columns: {','.join(names)}\n".encode()
     write_output(path, chain([head], row_blocks(*columns)))
-    sidecar = _json_text({"config": config, **(extra or {})}) + "\n"
+    sidecar = json.dumps({"config": config, **(extra or {})}, sort_keys=True, indent=2) + "\n"
     write_output(path + ".meta.json", [sidecar.encode()])
 
 
-def _json_text(obj) -> str:
-    """``json.dumps(obj, sort_keys=True, indent=2)``, which takes json's
-    pure-Python encoder: the dicts, lists and tuples laid out with a "%s"
-    for each key and scalar, their texts from json's C encoder in one call."""
-    scalars = []
-
-    def layout(value, indent: str) -> str:
-        if not (isinstance(value, (dict, list, tuple)) and value):
-            scalars.append(value)
-            return "%s"
-        inner = indent + "  "
-        if isinstance(value, dict):
-            items = []
-            for key, item in sorted(value.items()):  # a key of no string is json's text of it
-                scalars.append(key if isinstance(key, str) else json.dumps(key))
-                items.append("%s: " + layout(item, inner))
-            return "{" + inner + f",{inner}".join(items) + indent + "}"
-        items = [layout(item, inner) for item in value]
-        return "[" + inner + f",{inner}".join(items) + indent + "]"
-
-    text = layout(obj, "\n")  # one scalar a line: the C encoder escapes a string's newline
-    return text % tuple(json.dumps(scalars, separators=("\n", ":"))[1:-1].split("\n"))
-
-
 def _numbers(key: str, kind, value) -> list:
-    """``_number_lists`` of the one value ``value``."""
-    return _number_lists(key, kind, [value])[0]
-
-
-def _number_lists(key: str, kind, values) -> list[list]:
-    """Each of ``values`` (a --<key> value: comma-separated text, a number
-    or a list of those) as a non-empty list of numbers of ``kind``, all the
-    text read by one ``float`` map.  An empty list, a field that is empty or
-    no number, or a float that is not finite (a point or frequency) is a
-    usage error, raised for the first value at fault as it alone raises it."""
-    groups = [[field for item in (value if isinstance(value, list) else [value])
-               for field in (item.split(",") if isinstance(item, str) else [item])]
-              for value in values]
-    fields, numbers, end = [*chain.from_iterable(groups)], [], 0
-    if kind is float and {*map(type, fields)} == {str}:
-        with suppress(ValueError):  # float reads each field as _typed does
-            numbers = [*map(float, fields)]
-    finite = kind is not float or numbers and all(map(math.isfinite, numbers))
-    for i, group in enumerate(groups):
-        start, end = end, end + len(group)  # without the map, _typed names a field that fails
-        groups[i] = group = numbers[start:end] if numbers else [_typed(key, kind, f) for f in group]
-        if not group:
-            raise _UsageError(f"--{key} takes at least one number")
-        if not finite and not all(map(math.isfinite, group)):
-            raise _UsageError(f"--{key} {group} must be finite")
-    return groups
+    """A --<key> value, comma-separated text, a number or a list of those,
+    as a non-empty list of numbers of ``kind``; an empty result, a field
+    that is empty or no number, or a float that is not finite (a point or
+    frequency of --x, --alpha or --anorm) is a usage error."""
+    numbers = []
+    for item in value if isinstance(value, list) else [value]:
+        fields = item.split(",") if isinstance(item, str) else [item]
+        if kind is float and isinstance(item, str):
+            try:  # float reads each field as _typed does
+                numbers += [*map(float, fields)]
+                continue
+            except ValueError:
+                pass  # _typed names the field that failed
+        numbers += [_typed(key, kind, field) for field in fields]
+    if not numbers:
+        raise _UsageError(f"--{key} takes at least one number")
+    if kind is float and not all(map(math.isfinite, numbers)):
+        raise _UsageError(f"--{key} {numbers} must be finite")
+    return numbers
 
 
 def _vector_args(cfg: dict, key: str, dim: int) -> np.ndarray:
@@ -127,7 +97,7 @@ def _vector_args(cfg: dict, key: str, dim: int) -> np.ndarray:
         raw = [raw]  # one vector: comma-separated text or a flat list of numbers
     if not all(isinstance(v, (str, list)) for v in raw):
         raise _UsageError(f"--{key} takes comma-separated text or lists of numbers, got {raw!r}")
-    vecs = _number_lists(key, float, raw)
+    vecs = [_numbers(key, float, v) for v in raw]
     for vec in vecs:
         if len(vec) != dim:
             raise _UsageError(f"--{key} {vec} must have length {dim}")
@@ -252,22 +222,25 @@ def _cmd_simulate(command: str, cfg: dict) -> int:
     return 0
 
 
-# (command, --formula) -> (the law's name on ``analytic``, its inputs):
-# "r" radii on the --r-* grid, "x" the --x points, "alpha" the --alpha
-# vectors or "anorm" the --anorm norms, in R^m for a projected law (one
-# named *_projection, which needs --m) and in R^d otherwise.  A name,
-# looked up at each call, lets a wrapper placed on ``analytic``
-# (bench/tracing.py) see the call.
+# the flags of the --r-* grid of radii
+_GRID = {"r-min": float, "r-max": float, "r-points": int}
+# (command, --formula) -> (the law's name on ``analytic``, the flags it
+# reads besides --formula, --d, --n, --nu, --c, --t and the files): --m for
+# a projected law, whose points and frequencies lie in R^m (in R^d
+# otherwise), then its inputs, the radii on the --r-* grid, the --x points,
+# the --alpha vectors or the --anorm norms.  A name, looked up at each
+# call, lets a wrapper placed on ``analytic`` (bench/tracing.py) see the call.
 _LAWS = {
-    ("density", "projected"): ("density_projection", "x"),
-    ("density", "nu1"): ("density_nu1", "x"),
-    ("density", "nu1-closed"): ("density_nu1_closed", "x"),
-    ("density", "radial-projected"): ("radial_density_projection", "r"),
-    ("density", "radial-nu1"): ("radial_density_nu1", "r"),
-    ("cf", "projected"): ("cf_projection", "anorm"),
-    ("cf", "nu1"): ("cf_nu1", "alpha"),
-    ("cdf", None): ("cdf_radial_projection", "r"),
+    ("density", "projected"): ("density_projection", ("m", "x")),
+    ("density", "nu1"): ("density_nu1", ("x",)),
+    ("density", "nu1-closed"): ("density_nu1_closed", ("x",)),
+    ("density", "radial-projected"): ("radial_density_projection", ("m", *_GRID)),
+    ("density", "radial-nu1"): ("radial_density_nu1", (*_GRID,)),
+    ("cf", "projected"): ("cf_projection", ("m", "anorm")),
+    ("cf", "nu1"): ("cf_nu1", ("alpha",)),
+    ("cdf", None): ("cdf_radial_projection", ("m", *_GRID)),
 }
+_EVERY_LAW_READS = ("formula", "d", "n", "nu", "c", "t", "out", "config")
 
 
 def _formulas(command: str) -> tuple:
@@ -286,12 +259,11 @@ def _cmd_law(command: str, cfg: dict) -> int:
     formula = cfg.get("formula")
     if (command, formula) not in _LAWS:
         raise _UsageError(f"--formula is required: one of {_formulas(command)}")
-    law, inputs = _LAWS[command, formula]
-    projected = law.endswith("projection")
-    p = _flight_params(cfg, need_m=projected)
+    law, reads = _LAWS[command, formula]
+    p = _flight_params(cfg, need_m="m" in reads)
     out = _require_out(cfg)
-    dim = p.m if projected else p.d
-    if inputs == "r":
+    dim, inputs = p.m, reads[-1]  # m is d where the law reads no --m (_reads)
+    if inputs == "r-points":
         names, at = ["r"], _r_grid(cfg, p)
     elif inputs == "anorm":
         names, at = ["anorm"], _anorm_vectors(cfg, dim)
@@ -342,7 +314,7 @@ def _cmd_validate(command: str, cfg: dict) -> int:
         only=cfg.get("only"),
     )
     report = run_suite(config)
-    text = _json_text(report) + "\n"
+    text = json.dumps(report, sort_keys=True, indent=2) + "\n"
     out = cfg.get("out")
     if out is not None:
         write_output(out, [text.encode()])
@@ -358,7 +330,6 @@ def _cmd_validate(command: str, cfg: dict) -> int:
 # Config keys are these flags.
 _IO = {"out": str, "config": str}
 _LAW = {"d": int, "m": int, "n": int, "nu": float, "c": float, "t": float}
-_GRID = {"r-min": float, "r-max": float, "r-points": int}
 _COMMANDS = {
     "simulate": ("simulate flights, write final positions", {
         "d": int, "n": int, "nu": float, "c": float, "t": float, "seed": int, "count": int,
@@ -457,12 +428,26 @@ def _parse(argv: list[str]) -> tuple[str, dict]:
     return command, values
 
 
+def _reads(command: str, flags: dict, formula, given: dict) -> dict:
+    """The ``flags`` of ``command`` that its law at ``formula`` reads
+    (``_LAWS``), all of them where that names no law (_cmd_law says why);
+    a flag in argv (``given``) that the law does not read is a usage error."""
+    row = _LAWS.get((command, formula if formula in flags.get("formula", ()) else None))
+    if row is None:
+        return flags
+    reads = {*_EVERY_LAW_READS, *row[1]}
+    if unread := [f"--{flag}" for flag in given if flag not in reads]:
+        raise _UsageError(f"--formula {formula} does not read {', '.join(unread)}")
+    return {flag: kind for flag, kind in flags.items() if flag in reads}
+
+
 def main(argv=None) -> int:
     try:
         command, given = _parse(sys.argv[1:] if argv is None else argv)
         _, flags, handler = _COMMANDS[command]
         config = _load_config_file(given.get("config"))
-        # a config key of another command's flag is not this command's
+        flags = _reads(command, flags, {**config, **given}.get("formula"), given)
+        # a config key of another command's flag, or of one its law does not read, is dropped
         cfg = {key: _typed(key, flags[key], value) for key, value in config.items() if key in flags}
         return handler(command, {**cfg, **given})
     except (_UsageError, ValueError, KeyError, TypeError) as exc:

@@ -212,6 +212,24 @@ def radial_density_nu1_mp(mp, d: int, n: int, ct: float, r) -> float:
         return float(sphere * r ** (d - 1) * _nu1_sum_mp(mp, d, n, ct, ct * ct - r * r, power))
 
 
+def density_projection_mp(mp, d: int, m: int, n: int, nu: float, ct: float, x) -> float:
+    """The projected density at 60 digits from its Beta law: (|x| / c t)^2
+    is Beta(m/2, q + 1), q = (n + 1)(2 nu + d - 1)/2 - (m + 1)/2, spread
+    evenly over the sphere of radius |x| in R^m, |S^(m-1)| = 2 pi^(m/2) /
+    Gamma(m/2); 1 - |x / c t|^2 is taken from the doubles x exactly."""
+    with mp.workdps(60):
+        v, ct = [mp.mpf(float(c)) for c in x], mp.mpf(ct)
+        s = sum(c * c for c in v) / (ct * ct)
+        if s >= 1:
+            return 0.0
+        half_m = mp.mpf(m) / 2
+        q = (n + 1) * (2 * mp.mpf(nu) + d - 1) / 2 - (m + 1) * mp.mpf(1) / 2
+        beta = s ** (half_m - 1) * (1 - s) ** q / mp.beta(half_m, q + 1)  # the density of s
+        radius = 2 * mp.sqrt(s) * beta / ct  # the density of |x|, at |x| = c t sqrt(s)
+        sphere = 2 * mp.pi**half_m / mp.gamma(half_m) * (ct * mp.sqrt(s)) ** (m - 1)
+        return float(radius / sphere)
+
+
 def gamma_quantile_mp(mp, a: float, u: float) -> float:
     """The Gamma(a) quantile at 50 digits: the root in log x of
     log P(a, x) = log u, or of log Q(a, x) = log(1 - u) above u = 1/2, with

@@ -32,6 +32,7 @@ from _oracles import (
     bessel_j_mp,
     cf_nu1_mp,
     density_nu1_mp,
+    density_projection_mp,
     fractional_pmf_mp,
     gl_grid,
     point_with_norm,
@@ -171,6 +172,23 @@ def test_density_projection_support_and_domain():
         density_projection(p, [0.1])  # wrong point length
     with pytest.raises(ValueError):
         density_projection(FlightParams(d=3, n=0, nu=0.0, m=2), [0.1, 0.1])
+
+
+@pytest.mark.parametrize(
+    "d,m,n,nu", [(4, 3, 8, 0.0), (3, 2, 8, 1.0), (5, 2, 4, 2.5), (3, 3, 2, 0.0)])
+@pytest.mark.parametrize("gap", [1e-10, 1e-6])
+def test_density_projection_keeps_its_digits_next_to_the_sphere(d, m, n, nu, gap):
+    # 1 - y^2 from y = |x / c t| lost its digits next to the sphere: 1.2e-6
+    # from 60 digits at d4 m3 n8 nu0, 9.4e-6 at d3 m2 n8 nu1 and 1.2e-5 at
+    # d5 m2 n4 nu2.5, x = (1 - 1e-10) c t (1, ..., 1) / sqrt(m), c t = 1
+    mp = pytest.importorskip("mpmath")
+    r = 1.0 - gap
+    for ct in (1.0, 0.7, 1.3, 3.0):
+        p = FlightParams(d=d, m=m, n=n, nu=nu, c=ct)
+        for x in (np.eye(m)[0] * r * ct, np.full(m, r * ct / math.sqrt(m))):
+            want = density_projection_mp(mp, d, m, n, nu, ct, x)
+            assert want > 0.0, (ct, x)
+            assert density_projection(p, x) == pytest.approx(want, rel=1e-11, abs=0), (ct, x)
 
 
 # --------------------------------------------- radial density / cdf

@@ -6,6 +6,8 @@ import os
 import stat
 from contextlib import redirect_stderr, redirect_stdout
 from io import StringIO
+from itertools import permutations
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -483,10 +485,9 @@ _LAW_CASES = {
 }
 
 
-def _law_argv(key, out):
+def _law_argv(key):
     command, formula = key
-    argv = [command] + (["--formula", formula] if formula else [])
-    return argv + _LAW_CASES[key][0] + ["--out", str(out)]
+    return [command] + (["--formula", formula] if formula else []) + _LAW_CASES[key][0]
 
 
 _LAW_IDS = [f"{command}-{formula}" for command, formula in cli._LAWS]
@@ -496,7 +497,7 @@ _LAW_IDS = [f"{command}-{formula}" for command, formula in cli._LAWS]
 def test_every_law_of_the_table_writes_the_analytic_values(tmp_path, key):
     _, p, at, shown = _LAW_CASES[key]
     out = tmp_path / "law.csv"
-    assert main(_law_argv(key, out)) == 0
+    assert main(_law_argv(key) + ["--out", str(out)]) == 0
     rows = _read_rows(out)
     shown = at if shown is None else shown
     np.testing.assert_array_equal(rows[:, :-1], np.reshape(shown, (len(rows), -1)))
@@ -511,7 +512,7 @@ def test_every_law_is_looked_up_on_analytic_when_called(tmp_path, monkeypatch, k
     name = cli._LAWS[key][0]
     law, calls = getattr(analytic, name), []
     monkeypatch.setattr(analytic, name, lambda p, at: calls.append(p) or law(p, at))
-    assert main(_law_argv(key, tmp_path / "law.csv")) == 0
+    assert main(_law_argv(key) + ["--out", str(tmp_path / "law.csv")]) == 0
     assert calls == [_LAW_CASES[key][1]]
 
 
@@ -602,6 +603,35 @@ def test_float_text_reads_as_typed_reads_each_field(text):
         want = _outcome(lambda: typed(value))
         assert _outcome(lambda: cli._numbers("x", float, value)) == want
         assert _outcome(lambda: cli._numbers("x", float, [value])) == want
+
+
+# --x vectors of d = 3 at fault, each with its own message: an empty
+# field, a nan, no number, an inf; in config also an empty list
+_FAULTY_VECTORS = {
+    "flag": ["0.1,,0.2", "0.1,0.2,nan", "0.1,abc,0.2", "inf,0,0"],
+    "config": ["0.1,,0.2", [0.1, 0.2, math.nan], [0.1, "abc", 0.2], []],
+}
+
+
+@pytest.mark.parametrize("source", list(_FAULTY_VECTORS))
+def test_the_first_of_several_vectors_at_fault_gives_its_message(tmp_path, capsys, source):
+    argv = ["density", "--formula", "nu1", "--d", "3", "--n", "3", "--nu", "1"]
+    cfg = tmp_path / "cfg.json"
+
+    def error(vectors) -> str:
+        if source == "flag":
+            given = [arg for vector in vectors for arg in ("--x", vector)]
+        else:
+            cfg.write_text(json.dumps({"x": vectors}))
+            given = ["--config", str(cfg)]
+        assert main(argv + given + ["--out", str(tmp_path / "out.csv")]) == USAGE_ERROR
+        return capsys.readouterr().err
+
+    faulty = _FAULTY_VECTORS[source]
+    assert len({*map(error, ([vector] for vector in faulty))}) == len(faulty)
+    for first, second in permutations(faulty, 2):
+        assert error([first, second]) == error(["0.3,0.1,0.1", first, second]) == error([first])
+    assert not (tmp_path / "out.csv").exists()
 
 
 @pytest.mark.parametrize("flag", list(_LIST_FLAGS))
@@ -705,60 +735,34 @@ def test_failed_write_leaves_no_old_bytes(tmp_path, monkeypatch):
 
 
 # every command's sidecar: simulate with and without trajectories, each
-# density and cf formula, cdf, moments with its orders list and mixture
-# with its tail bound
+# law of cli._LAWS, moments with its orders list and mixture with its tail
+# bound
 _SIDECAR_COMMANDS = [
     ["simulate", "--d", "3", "--n", "2", "--nu", "1", "--count", "5", "--seed", "3"],
     ["simulate", "--d", "2", "--n", "1", "--count", "5", "--trajectories", "2"],
-    *[["density", "--formula", formula, "--d", "3", "--m", "2", "--n", "2", "--nu", "1",
-       "--x", "0.1,-0.2" if formula == "projected" else "0.1,-0.2,0.3", "--r-points", "5"]
-      for formula in cli._formulas("density")],
-    ["cf", "--formula", "projected", "--d", "3", "--m", "2", "--n", "1", "--anorm", "0.5,2"],
-    ["cf", "--formula", "nu1", "--d", "3", "--n", "2", "--nu", "1", "--alpha", "1,2,3"],
-    ["cdf", "--d", "4", "--m", "2", "--n", "2", "--nu", "1", "--r-points", "5"],
+    *map(_law_argv, cli._LAWS),
     ["moments", "--d", "3", "--m", "2", "--n", "1", "--orders", "1,2,4"],
     ["mixture", "--d", "3", "--m", "2", "--nu", "0.5", "--lam", "2", "--x", "0.1,0.2"],
 ]
 
 
-def _json_texts_of(monkeypatch, argv) -> list:
-    """The objects ``main(argv)`` writes through ``cli._json_text``."""
-    seen = []
-    json_text = cli._json_text
-    monkeypatch.setattr(cli, "_json_text", lambda obj: seen.append(obj) or json_text(obj))
-    assert main(argv) == 0
-    monkeypatch.undo()
-    return seen
-
-
 @pytest.mark.parametrize("cmd", _SIDECAR_COMMANDS, ids=lambda cmd: "-".join(cmd[:3]))
-def test_json_text_of_every_sidecar_is_json_dumps(tmp_path, monkeypatch, cmd):
-    out = tmp_path / "o.csv"
-    seen = _json_texts_of(monkeypatch, cmd + ["--out", str(out)])
-    assert len(seen) == (2 if "--trajectories" in cmd else 1)
-    for obj in seen:
-        assert cli._json_text(obj) == json.dumps(obj, sort_keys=True, indent=2)
-    meta = (tmp_path / "o.csv.meta.json").read_text()
-    assert meta == json.dumps(json.loads(meta), sort_keys=True, indent=2) + "\n"
+def test_json_text_of_every_sidecar_is_json_dumps(tmp_path, cmd):
+    assert main(cmd + ["--out", str(tmp_path / "o.csv")]) == 0
+    sidecars = sorted(tmp_path.glob("*.meta.json"))
+    assert len(sidecars) == (2 if "--trajectories" in cmd else 1)
+    for sidecar in sidecars:
+        meta = sidecar.read_text()
+        assert meta == json.dumps(json.loads(meta), sort_keys=True, indent=2) + "\n"
 
 
-def test_json_text_of_the_quick_validate_report_is_json_dumps(tmp_path, monkeypatch):
+def test_json_text_of_the_quick_validate_report_is_json_dumps(tmp_path):
     out = tmp_path / "report.json"
-    (report,) = _json_texts_of(monkeypatch, ["validate", "--out", str(out)])
+    assert main(["validate", "--out", str(out)]) == 0
+    text = out.read_text()
+    report = json.loads(text)
     assert report["config"]["profile"] == "quick"
-    assert out.read_text() == json.dumps(report, sort_keys=True, indent=2) + "\n"
-
-
-@pytest.mark.parametrize("obj", [
-    {"values": [math.nan, math.inf, -math.inf, -0.0, None, True, False, 2**70],
-     "text": 'a "quoted" caf\u00e9 \u2014 %s\n\\', "empty": [{}, [], ()],
-     "nested": [[1, [2.5, []]]], "tuple": (1, ("two", {"b": 3, "a": (4,)})), "": {"z": {}, "a": []}},
-    {2: "two", 1: [True], 10: None},  # keys of no string, as json spells them
-    {1.5: 0, -0.0: 1, math.inf: 2}, {True: 1, False: 0}, {None: 1},
-    [], {}, (), 0, "%s", -0.0, [[[]]],
-], ids=lambda obj: type(obj).__name__)
-def test_json_text_is_json_dumps(obj):
-    assert cli._json_text(obj) == json.dumps(obj, sort_keys=True, indent=2)
+    assert text == json.dumps(report, sort_keys=True, indent=2) + "\n"
 
 
 def test_output_to_a_character_device():
@@ -963,6 +967,10 @@ def test_config_key_config_is_a_usage_error(tmp_path, capsys):
 _COMMAND_SET = {cmd[0]: cmd for cmd in CLI_COMMAND_SETS}
 
 
+# the argv of each command, and of each law of cli._LAWS by its command-formula
+_ARGV = {**_COMMAND_SET, **{f"{c}-{f}": _law_argv((c, f)) for c, f in cli._LAWS if f}}
+
+
 @pytest.mark.parametrize(
     "command,flag",
     [("simulate", ["--m", "2"])]
@@ -970,13 +978,41 @@ _COMMAND_SET = {cmd[0]: cmd for cmd in CLI_COMMAND_SETS}
         (command, flag)
         for command in ("density", "cf", "cdf", "moments", "mixture")
         for flag in (["--seed", "3"], ["--count", "10"])
+    ]
+    + [  # a flag of the command that its formula does not read
+        ("cf-projected", ["--alpha", "1,2,3"]),
+        ("cf-nu1", ["--anorm", "5"]),
+        ("density-radial-nu1", ["--x", "0.1,0.1,0.1"]),
+        ("density-nu1", ["--r-points", "3"]),
+        ("density-nu1", ["--m", "2"]),
+        ("density-nu1-closed", ["--m", "2"]),
+        ("density-radial-nu1", ["--m", "3"]),
+        ("density-projected", ["--r-max", "0.5"]),
+        ("density-radial-projected", ["--x", "0.1,0.1"]),
     ],
 )
-def test_flag_the_command_does_not_read_is_a_usage_error(tmp_path, command, flag):
-    # each once parsed and was ignored; simulate --m put a false m in the header
+def test_flag_the_command_does_not_read_is_a_usage_error(tmp_path, capsys, command, flag):
+    # each once parsed and was ignored; simulate --m, and density --formula
+    # nu1 --m, put a false m in the header
     out = tmp_path / "out.csv"
-    assert main(_COMMAND_SET[command] + flag + ["--out", str(out)]) == USAGE_ERROR
+    assert main(_ARGV[command] + flag + ["--out", str(out)]) == USAGE_ERROR
+    assert flag[0] in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("key", [key for key in cli._LAWS if key[1] and "nu1" in key[1]],
+                         ids="-".join)
+def test_config_m_leaves_a_full_flight_law_at_m_d(tmp_path, key):
+    # {"m": 2} once wrote "m":2 into the header of the d = 3 nu = 1 density
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"m": 2}))
+    out, ref = tmp_path / "cfg.csv", tmp_path / "ref.csv"
+    assert main(_law_argv(key) + ["--config", str(cfg), "--out", str(out)]) == 0
+    assert main(_law_argv(key) + ["--out", str(ref)]) == 0
+    p = _LAW_CASES[key][1]
+    assert f'"m":{p.d}' in out.read_text().splitlines()[0]
+    for suffix in ("", ".meta.json"):
+        assert Path(f"{out}{suffix}").read_bytes() == Path(f"{ref}{suffix}").read_bytes()
 
 
 def test_config_key_that_no_command_has_is_a_usage_error(tmp_path, capsys):
