@@ -20,7 +20,7 @@ import numpy as np
 
 from driftflight.angular import angular_density
 from driftflight.analytic import radial_density_nu1
-from driftflight.csvtext import row_blocks, write_output
+from driftflight.csvtext import _keep_freed_memory, row_blocks, write_output
 from driftflight.flight import FlightParams, simulate_trajectories
 
 
@@ -30,6 +30,7 @@ def write_csv(path, header, *columns):
 
 
 def main() -> int:
+    _keep_freed_memory()  # as the driftflight command does, for the CSV blocks
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--out-dir", default="figures_data")
     ap.add_argument("--seed", type=int, default=42)

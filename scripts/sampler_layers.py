@@ -32,6 +32,8 @@ sampler cuts it into, and every layer is timed over all of them (best of
   replicate column, ``row_blocks(np.arange(flights), finals)`` joined
   in memory, the blocks ``driftflight simulate`` writes: the
   replicate column takes the integer slot, the positions the float path;
+  like the command, the script keeps freed memory in the heap
+  (``csvtext._keep_freed_memory``) before it times anything;
 * ``write``: those bytes rewritten over the file of the previous repeat
   in a temporary directory through ``csvtext.write_output``, which
   writes every output of ``driftflight`` (open, write, cut, close).
@@ -51,7 +53,7 @@ import numpy as np
 
 from driftflight import flight
 from driftflight.angular import direction_draws, directions
-from driftflight.csvtext import row_blocks, write_output
+from driftflight.csvtext import _keep_freed_memory, row_blocks, write_output
 from driftflight.flight import FlightParams, draws_per_flight, simulate_batch
 from driftflight.temporal import time_draws, waiting_times
 
@@ -122,6 +124,7 @@ def layer_times(p: FlightParams, flights: int, repeats: int, seed: int = 1) -> d
 
 
 def main() -> int:
+    _keep_freed_memory()
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--flights", type=int, default=20_000)
     ap.add_argument("--repeats", type=int, default=5)

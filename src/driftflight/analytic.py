@@ -159,15 +159,20 @@ def _ball_gaps(z: np.ndarray, g: float):
     return (gh * gh - squares) - (np.add.accumulate(cross, axis=-1) - (g - gh) * (g + gh)), squares
 
 
+def _scale(ct: float) -> tuple[float, int]:
+    """f and e with c t = f 2^e, 1/2 < f <= 1: a value at unit scale times
+    2^-e is exact, and f is 1 at every power of 2."""
+    f, e = math.frexp(ct)
+    return (1.0, e - 1) if f == 0.5 else (f, e)
+
+
 def _scaled_gaps(x, dim: int, ct: float):
     """f, the points z = x 2^-e and the gaps f^2 - (z_1^2 + ... + z_k^2),
     k = 1..dim (``_ball_gaps``), with c t = f 2^e, 1/2 < f <= 1.  z is
     exact and the point at unit scale is z / f, so no rounded quotient
     x / c t enters the gaps, which are f^2 times their values at unit
     scale; a gap is -inf where a sum of squares is inf, outside the ball."""
-    f, e = math.frexp(ct)
-    if f == 0.5:
-        f, e = 1.0, e - 1
+    f, e = _scale(ct)
     z = np.ldexp(_vectors(x, dim), -e)
     gaps, sums = _ball_gaps(z, f)
     return f, z, np.where(sums == math.inf, -math.inf, gaps)  # not NaN, as z_i - h_i is there
@@ -192,13 +197,6 @@ def _frequencies(alpha: np.ndarray, ct: float):
     y = np.ldexp(alpha, -k[..., None])
     norm = np.sqrt(_sq_norm(y))
     return y, norm, np.where(np.isfinite(norm), np.ldexp(g * norm, e + k), np.nan)
-
-
-def _unit(v, ct: float) -> np.ndarray:
-    """Points or radii v / (c t), where every law is at unit scale and
-    supported on the unit ball; inf where the quotient overflows, which
-    lies outside it."""
-    return np.asarray(v, dtype=float) / ct
 
 
 def _times_ct_power(values, ct: float, dim: int):
@@ -256,14 +254,18 @@ def _beta_mixture(mix, s, rest) -> np.ndarray:
 
 def _radial_density(mix, r, ct: float):
     """The density at the radii r of R, (R / c t)^2 the Beta mixture ``mix``;
-    0 outside (0, c t), where y = r / c t is set to 0.  A radius r > 0 whose
+    0 outside (0, c t), where y = r / c t is taken as 0.  A radius r > 0 whose
     y underflows to 0 stays inside; NaN passes through."""
     r = np.asarray(r, dtype=float)
-    y = _unit(r, ct)
-    outside = (r <= 0.0) | (y >= 1.0)
-    y = np.where(outside, 0.0, y)
-    # 1 - y^2 to about eps relative also near y = 1, where b_j - 1 may be in the hundreds
-    vals = _beta_mixture(mix, y, (1.0 - y) * (1.0 + y))
+    # z = r 2^-e is exact (c t = f 2^e, ``_scale``), so 1 - y^2 is
+    # (f - z)(f + z) / f^2 to a few eps relative also near y = 1, where
+    # b_j - 1 may be in the hundreds; at a power-of-2 c t, f = 1 and it is
+    # (1 - y)(1 + y) with y = r / c t, bit for bit
+    f, e = _scale(ct)
+    z = np.ldexp(r, -e)
+    outside = (r <= 0.0) | (z >= f)
+    z = np.where(outside, 0.0, z)
+    vals = _beta_mixture(mix, z / f, (f - z) * (f + z) / (f * f))
     return _times_ct_power(_supported(outside, vals), ct, 1)
 
 
@@ -559,10 +561,11 @@ def density_nu1_closed(p: FlightParams, x):
     if p.n not in (1, 2):
         raise ValueError("the explicit nu = 1 forms are only available for n in {1, 2}")
     ct = p.c * p.t
-    rho2 = _sq_norm(y := _unit(_vectors(x, p.d), ct))
+    f, z, gaps = _scaled_gaps(x, p.d, ct)
     d = p.d
-    # arrays, not numpy scalars: the scalar ** rounds differently
-    xx, Q = np.asarray(y[..., -1] ** 2), np.asarray(1.0 - rho2)
+    # Q = 1 - |x / c t|^2 from the split gap keeps its digits next to the
+    # sphere; arrays, not numpy scalars: the scalar ** rounds differently
+    xx, Q = np.asarray((z[..., -1] / f) ** 2), np.asarray(gaps[..., -1] / (f * f))
     if p.n == 1:
         pref = math.exp(
             math.lgamma(2.0 * (d + 1))
@@ -593,7 +596,7 @@ def density_nu1_closed(p: FlightParams, x):
             - 8.0 * xx**2 * Q ** (d - 1)
             + 8.0 / 3.0 * (d + 1) * xx**3 * Q ** (d - 2)
         )
-    return _times_ct_power(_supported(rho2 >= 1.0, pref * bracket), ct, d)
+    return _times_ct_power(_supported(Q <= 0.0, pref * bracket), ct, d)
 
 
 @_MASKED

@@ -27,6 +27,13 @@ read argv and config alike: comma-separated text, a number or a JSON list
 of those, and an empty field or list, or a nan or inf among the points
 and frequencies, is a usage error.
 
+``main`` first raises glibc's heap trim and mmap thresholds, once per
+process (``csvtext._keep_freed_memory``): the CSV blocks' temporaries
+then stay in the heap from block to block instead of being returned to
+the system and faulted in again.  The command sets them, not the
+library, so that a program that imports ``driftflight`` keeps its own
+allocator policy.
+
 Exit codes: 0 success, 1 usage error, 2 validation failure, 3 I/O error.
 """
 
@@ -43,7 +50,7 @@ import numpy as np
 
 from . import analytic
 from .analytic import MixtureParams
-from .csvtext import row_blocks, write_output
+from .csvtext import _keep_freed_memory, row_blocks, write_output
 from .flight import FlightParams, _check_seed, _simulate, simulate_batch
 from .flight import simulate_flight  # noqa: F401  (unused; bench/tracing.py wraps it here)
 
@@ -442,6 +449,7 @@ def _reads(command: str, flags: dict, formula, given: dict) -> dict:
 
 
 def main(argv=None) -> int:
+    _keep_freed_memory()
     try:
         command, given = _parse(sys.argv[1:] if argv is None else argv)
         _, flags, handler = _COMMANDS[command]

@@ -42,10 +42,20 @@ formatted by ``%`` whole.
 
 ``write_output(path, chunks)`` writes every file the package writes: it
 rewrites the file in place and then cuts it to the written length.
+
+A block's temporaries are a few MB (about 200 bytes a value).  Under
+glibc's default thresholds the larger ones are mmapped, or the top of the
+heap is trimmed, when they are freed, so every block faults them in
+again.  ``_keep_freed_memory()`` raises both thresholds once per process
+so that freed memory stays in the heap for the next block.  The
+``driftflight`` command (``cli.main``) and the scripts call it first
+thing; nothing calls it at import or from a library function, so a
+program that only imports the package keeps its own allocator policy.
 """
 
 from __future__ import annotations
 
+import ctypes
 import os
 import stat
 from functools import lru_cache
@@ -55,13 +65,21 @@ import numpy as np
 
 # Values per block, measured on ``driftflight simulate``: the array path
 # makes about 90 numpy calls a block, and its temporaries (about 200
-# bytes a value) grow with the block.  4096 was as fast as 8192 with
-# 1.3 MB less peak memory; 2048 and 16384 were slower.  With the integer
-# slot, 8192 formats 7-14% faster in a loop of formatting alone, but in
-# ``driftflight simulate`` its word arrays pass glibc's mmap threshold
-# and fault in every block: 2 600 minor faults a ``cli_export`` round
-# against 5, and a 13% slower round.
-BLOCK_VALUES = 4096
+# bytes a value) grow with the block.  ``cli_export`` rounds (bench/run.py,
+# 10 s runs on a 2-vCPU Xeon VM, medians of 4-6 alternated runs; minor
+# faults a round from getrusage in a process running the same rounds):
+#
+#   block    without _keep_freed_memory      with it
+#   4096     29.3 ms  61.3 MB     0 faults   29.0 ms  61.1 MB  0 faults
+#   8192     26.3 ms  61.0 MB     0 faults   26.2 ms  61.3 MB  0 faults
+#   16384    27.0 ms  62.8 MB   620 faults   25.8 ms  62.7 MB  0 faults
+#   32768    30.9 ms  65.3 MB  1800 faults   25.5 ms  65.6 MB  0 faults
+#
+# Without the setting, blocks from 16384 values on pass glibc's mmap and
+# trim thresholds and fault in again every block; with it (as the command
+# runs) 16384 beat 8192 in 5 of 6 alternated pairs (median -3.8%) for
+# 1.5 MB (2.4%) more peak memory, and 32768 cost 4.3 MB more.
+BLOCK_VALUES = 16384
 # Below this many values one ``%`` call over the block is faster than
 # the array path, whose per-call cost is about 0.2 ms (measured crossover
 # 224-256 values at 2, 4 and 9 columns).
@@ -363,3 +381,32 @@ def write_output(path, chunks) -> None:
                 os.ftruncate(fd, written)
     finally:
         os.close(fd)
+
+
+# glibc's mallopt parameters (malloc.h) and the values set: the mmap
+# threshold's largest allowed value on 64-bit, a trim threshold above it
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+_TRIM_BYTES, _MMAP_BYTES = 64 << 20, 32 << 20
+
+
+@lru_cache(maxsize=1)
+def _keep_freed_memory() -> None:
+    """Once per process, under glibc only: keep freed memory in the heap
+    (trim threshold 64 MiB) and serve allocations up to 32 MiB from it
+    (mmap threshold), so that the next block reuses the last one's
+    temporaries instead of faulting them in.  Setting the thresholds
+    consolidates the heap, which is why it is done once: on every
+    ``cli.main`` call it made the small law commands 9-18% slower.  A
+    silent no-op where there is no glibc or no ``mallopt``; never raises."""
+    try:
+        libc = os.confstr("CS_GNU_LIBC_VERSION") or ""
+    except (OSError, ValueError):  # a name this platform does not know
+        return
+    if not libc.startswith("glibc"):
+        return
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError):  # no handle on the C library, or no mallopt in it
+        return
+    mallopt(_M_TRIM_THRESHOLD, _TRIM_BYTES)
+    mallopt(_M_MMAP_THRESHOLD, _MMAP_BYTES)

@@ -984,6 +984,53 @@ def test_density_nu1_keeps_its_digits_next_to_the_sphere(d, n, gap):
             assert want > 0.0 and density_nu1(p, x) == pytest.approx(want, rel=1e-11, abs=0), (ct, x)
 
 
+@pytest.mark.parametrize("d,n", [(3, 1), (3, 2), (4, 2)])
+def test_density_nu1_closed_keeps_its_digits_next_to_the_sphere(d, n):
+    # Q = 1 - |x / c t|^2 from the rounded quotient x / c t lost digits
+    # next to the sphere: 4.5e-7 to 1.6e-6 relative at d3 n2 and d4 n2,
+    # |x| = (1 - 1e-10) c t; the split gaps of analytic._scaled_gaps keep them
+    mp = pytest.importorskip("mpmath")
+    rng = _rng(1)
+    for ct in (1.0, 1.3, 0.7):
+        p = FlightParams(d=d, n=n, nu=1.0, c=ct)
+        for u in rng.normal(size=(6, d)):
+            x = u * ((1.0 - 1e-10) * ct / np.linalg.norm(u))
+            want = density_nu1_mp(mp, d, n, ct, x)
+            assert want > 0.0 and density_nu1_closed(p, x) == pytest.approx(want, rel=1e-11, abs=0), (ct, x)
+
+
+@pytest.mark.parametrize("d,n", [(3, 2), (4, 2)])
+def test_radial_density_nu1_keeps_its_digits_next_to_c_t(d, n):
+    # y = r / c t rounded before (1 - y)(1 + y) lost digits next to r = c t
+    # at c t != 1: 2.5e-7 to 1.6e-6 relative at r = c t (1 - u 1e-10)
+    mp = pytest.importorskip("mpmath")
+    for ct in (1.0, 1.3, 0.7):
+        p = FlightParams(d=d, n=n, nu=1.0, c=ct)
+        for u in np.linspace(0.5, 2.0, 16):
+            r = ct * (1.0 - u * 1e-10)
+            want = radial_density_nu1_mp(mp, d, n, ct, r)
+            assert want > 0.0 and radial_density_nu1(p, r) == pytest.approx(want, rel=1e-11, abs=0), (ct, r)
+
+
+def test_radial_densities_keep_their_bits_at_powers_of_2():
+    # at c t = 2^k a radius density is 2^-k times its c t = 1 value at
+    # r 2^-k, bit for bit, and at c t = 1 the nu = 1 one is the Beta
+    # mixture at y = r with 1 - y^2 = (1 - y)(1 + y)
+    rng = _rng(2)
+    y = np.concatenate([rng.uniform(-0.1, 1.1, 500), 1.0 - rng.uniform(0.5, 2.0, 50) * 1e-10, [0.0, 1.0]])
+    nu1 = FlightParams(d=4, n=12, nu=1.0)
+    inside = (y > 0.0) & (y < 1.0)
+    unit = np.where(inside, y, 0.0)
+    with np.errstate(divide="ignore"):  # log 0 at y = 0, as the law masks it
+        mixture = analytic._beta_mixture(analytic._nu1_table(4, 12).radius, unit, (1.0 - unit) * (1.0 + unit))
+    np.testing.assert_array_equal(radial_density_nu1(nu1, y), np.where(inside, mixture, 0.0))
+    for law, p in ((radial_density_nu1, nu1), (radial_density_projection, FlightParams(d=3, m=2, n=2, nu=0.3))):
+        for k in (-20, -3, -1, 1, 4, 20):
+            np.testing.assert_array_equal(
+                law(replace(p, c=2.0**k), np.ldexp(y, k)), np.ldexp(law(p, y), -k), err_msg=f"{law.__name__} {k}"
+            )
+
+
 def _density_nu1_against_mpmath(mp, p):
     # at 15 points, every value is within 1e-9 relative of a 60-digit sum;
     # the last three, the origin, (0, ..., 0, 0.3) and a point with x_d = 0,

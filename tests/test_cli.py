@@ -1,4 +1,5 @@
 import argparse
+import ctypes
 import errno
 import json
 import math
@@ -14,9 +15,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from driftflight import analytic, cli, flight
+from driftflight import analytic, cli, csvtext, flight
 from driftflight.cli import IO_ERROR, USAGE_ERROR, VALIDATION_FAILURE, main
-from driftflight.csvtext import row_blocks
+from driftflight.csvtext import BLOCK_VALUES, row_blocks
 from driftflight.flight import FlightParams, replicate_stream, simulate_batch, simulate_flight
 from _oracles import ArgparseUsageError, argparse_cli_parser
 from test_acceptance import CLI_COMMAND_SETS
@@ -79,14 +80,30 @@ def test_simulate_trajectory_export(tmp_path):
         np.testing.assert_array_equal(traj_final, finals[i, 1:])
 
 
-# the last case writes both files in several blocks (csvtext.BLOCK_VALUES)
+# the last case writes both files in at least two blocks of
+# csvtext.BLOCK_VALUES values: 4 a position row, 4 rows of 6 a trajectory
 @pytest.mark.parametrize(
-    "d,n,nu,count,k",
-    [(2, 3, 0.0, 12, 9), (5, 0, 2.5, 12, 9), (3, 2, 1.0, 2100, 1100)],
+    "d,n,nu,count,k,min_blocks",
+    [
+        (2, 3, 0.0, 12, 9, 1),
+        (5, 0, 2.5, 12, 9, 1),
+        (3, 2, 1.0, 2 * BLOCK_VALUES // 4 + 100, 2 * BLOCK_VALUES // 24 + 100, 2),
+    ],
     ids=["2-3-0.0", "5-0-2.5", "3-2-1.0-blocks"],
 )
-def test_simulate_trajectory_rows_match_per_replicate_flights(tmp_path, d, n, nu, count, k):
+def test_simulate_trajectory_rows_match_per_replicate_flights(
+    tmp_path, monkeypatch, d, n, nu, count, k, min_blocks
+):
     tout = tmp_path / "traj.csv"
+    blocks = []  # the block count of each file
+
+    def counted(*columns):
+        blocks.append(0)
+        for block in row_blocks(*columns):
+            blocks[-1] += 1
+            yield block
+
+    monkeypatch.setattr(cli, "row_blocks", counted)
     code = main(
         [
             "simulate", "--d", str(d), "--n", str(n), "--nu", str(nu), "--count", str(count),
@@ -95,6 +112,7 @@ def test_simulate_trajectory_rows_match_per_replicate_flights(tmp_path, d, n, nu
         ]
     )
     assert code == 0
+    assert len(blocks) == 2 and min(blocks) >= min_blocks, blocks
     p = FlightParams(d=d, n=n, nu=nu)
     lines = []
     for i in range(k):
@@ -714,24 +732,97 @@ def test_rerun_over_longer_and_shorter_files_matches_a_fresh_run(tmp_path, cmd):
 
 
 def test_failed_write_leaves_no_old_bytes(tmp_path, monkeypatch):
-    cmd = ["simulate", "--d", "3", "--n", "2", "--nu", "1", "--count", "2000", "--seed", "7"]
+    count = 2 * BLOCK_VALUES // 4 + 100  # 4 values a row: at least two blocks
+    cmd = ["simulate", "--d", "3", "--n", "2", "--nu", "1", "--count", str(count), "--seed", "7"]
     fresh = tmp_path / "fresh.csv"
     assert main(cmd + ["--out", str(fresh)]) == 0
     full = fresh.read_bytes()
     out = tmp_path / "out.csv"
     out.write_bytes(b"\xff" * (2 * len(full)))
-    failed_at = []
+    failed_at, blocks = [], []
 
     def one_block_then_fail(*columns):
-        block = next(row_blocks(*columns))
+        rest = row_blocks(*columns)
+        block = next(rest)
         yield block
         failed_at.append(full.index(block) + len(block))  # the header, then this block
+        blocks.append(1 + sum(1 for _ in rest))
         raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
 
     monkeypatch.setattr(cli, "row_blocks", one_block_then_fail)
     assert main(cmd + ["--out", str(out)]) == IO_ERROR
+    assert blocks[0] >= 2
     assert 0 < failed_at[0] < len(full)
     assert out.read_bytes() == full[: failed_at[0]]
+
+
+class _Libc:
+    """A C library handle that records its mallopt calls."""
+
+    def __init__(self, calls):
+        self.calls = calls
+
+    def mallopt(self, param, value):
+        self.calls.append((param, value))
+        return 1
+
+
+@pytest.fixture
+def first_call_in_process():
+    """csvtext._keep_freed_memory as in a fresh process, before and after the test."""
+    csvtext._keep_freed_memory.cache_clear()
+    yield
+    csvtext._keep_freed_memory.cache_clear()
+
+
+_SIMULATE = ["simulate", "--d", "3", "--n", "2", "--nu", "1", "--count", "2000", "--seed", "5"]
+
+
+def test_command_keeps_freed_memory_once_per_process(tmp_path, monkeypatch, first_call_in_process):
+    # glibc's trim threshold (-1) at 64 MiB and mmap threshold (-3) at 32 MiB,
+    # set by the first cli.main call of the process and by no later one
+    calls, libraries = [], []
+    monkeypatch.setattr(os, "confstr", lambda name: "glibc 2.36")
+    monkeypatch.setattr(ctypes, "CDLL", lambda name: libraries.append(name) or _Libc(calls))
+    outputs = []
+    for name in ("a.csv", "b.csv"):
+        assert main(_SIMULATE + ["--out", str(tmp_path / name)]) == 0
+        outputs.append((tmp_path / name).read_bytes())
+    assert libraries == [None]
+    assert calls == [(-1, 64 << 20), (-3, 32 << 20)]
+    assert outputs[0] == outputs[1]
+
+
+def _no_confstr(name):
+    raise ValueError("unrecognized configuration name")  # as where the name is unknown
+
+
+def _no_library(name):
+    raise OSError("no C library handle")
+
+
+@pytest.mark.parametrize(
+    "confstr,library",
+    [
+        (_no_confstr, None),
+        (lambda name: None, None),  # the name is known, but there is no glibc
+        (lambda name: "musl 1.2", None),
+        (lambda name: "glibc 2.36", lambda name: object()),  # a handle without mallopt
+        (lambda name: "glibc 2.36", _no_library),
+    ],
+    ids=["no-confstr-name", "no-glibc", "other-libc", "no-mallopt", "no-library"],
+)
+def test_keep_freed_memory_is_a_silent_no_op_without_glibc_mallopt(
+    tmp_path, monkeypatch, first_call_in_process, confstr, library
+):
+    assert main(_SIMULATE + ["--out", str(tmp_path / "kept.csv")]) == 0  # the real setting
+    csvtext._keep_freed_memory.cache_clear()
+    calls = []
+    monkeypatch.setattr(os, "confstr", confstr)
+    monkeypatch.setattr(ctypes, "CDLL", library or (lambda name: _Libc(calls)))
+    assert main(_SIMULATE + ["--out", str(tmp_path / "plain.csv")]) == 0
+    assert calls == []
+    assert (tmp_path / "plain.csv").read_bytes() == (tmp_path / "kept.csv").read_bytes()
 
 
 # every command's sidecar: simulate with and without trajectories, each
